@@ -127,7 +127,8 @@ class use_backend:
     Mirrors :class:`~repro.pipeline.cache.use_cache`.  Accepts a
     registered name or an :class:`ArrayBackend` instance; nesting works,
     and the innermost block wins (which is how explicit test pins
-    override a CI-wide ``REPRO_BACKEND``).
+    override a CI-wide ``REPRO_BACKEND``).  ``None`` keeps the ambient
+    backend, which is what every ``backend=None`` parameter means.
 
     Examples
     --------
@@ -139,14 +140,16 @@ class use_backend:
     'numpy'
     """
 
-    def __init__(self, backend: str | ArrayBackend) -> None:
-        self.backend = get_backend(backend)
+    def __init__(self, backend: str | ArrayBackend | None) -> None:
+        self.backend = None if backend is None else get_backend(backend)
         self._token = None
 
-    def __enter__(self) -> ArrayBackend:
-        self._token = _ACTIVE.set(self.backend)
+    def __enter__(self) -> ArrayBackend | None:
+        if self.backend is not None:
+            self._token = _ACTIVE.set(self.backend)
         return self.backend
 
     def __exit__(self, *exc) -> bool:
-        _ACTIVE.reset(self._token)
+        if self._token is not None:
+            _ACTIVE.reset(self._token)
         return False

@@ -12,8 +12,9 @@ factors ``B_v`` (``W_v = B_v B_v^T``) and weights ``w``,
 ``B(w) = [sqrt(w_1) B_1 | ... | sqrt(w_V) B_V]``
 
 so the fused embedding is the SVD of a concatenated ``(n, V m)`` factor.
-Rotation, discrete assignment, and view weighting reuse the exact same
-machinery as :class:`~repro.core.model.UnifiedMVSC`; the lam-coupling is
+Rotation, discrete assignment, and view weighting run in the same
+driver as :class:`~repro.core.model.UnifiedMVSC`
+(:func:`repro.core.alternation.alternate`); the lam-coupling is
 dropped (the factored eigensolver cannot absorb the linear term cheaply),
 making this the spectral-rotation end of the framework at scale.
 
@@ -39,23 +40,20 @@ attempt never corrupts the running state.
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.backends import current_backend, get_backend, use_backend
-from repro.core.discrete import (
-    indicator_coordinate_descent,
-    rotation_initialize,
-    scaled_indicator,
-)
+from repro.core.alternation import SITE_FIT, alternate, fit_start
+from repro.core.config import check_solver_params
+from repro.core.discrete import indicator_coordinate_descent, scaled_indicator
+from repro.core.objective import disagreement_costs
 from repro.core.persistence import (
     DEFAULT_SERVING_NEIGHBORS,
     ServableModelMixin,
 )
-from repro.core.weights import update_view_weights, weight_exponents
+from repro.core.weights import fusion_multipliers
 from repro.exceptions import ValidationError
 from repro.graph.anchor import (
     anchor_affinity_factor,
@@ -64,8 +62,6 @@ from repro.graph.anchor import (
 )
 from repro.graph.distance import pairwise_sq_euclidean
 from repro.linalg.procrustes import nearest_orthogonal
-from repro.observability.events import IterationEvent, dispatch_event
-from repro.observability.health import weight_entropy
 from repro.observability.trace import (
     current_trace,
     metric_inc,
@@ -78,11 +74,6 @@ from repro.robust.policy import failure_guard, run_with_policy
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_views
 
-_SITE_FIT = register_fault_site(
-    "model.fit",
-    "whole UnifiedMVSC/AnchorMVSC/SparseMVSC fit body (outer guard)",
-    modes=("raise", "delay"),
-)
 _SITE_PARTIAL = register_fault_site(
     "streaming.partial_fit",
     "AnchorMVSC.partial_fit fold-in (retried, then full-refit fallback)",
@@ -229,14 +220,16 @@ class AnchorMVSC(ServableModelMixin):
         random_state=None,
         callbacks=(),
     ) -> None:
-        if n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
+        check_solver_params(
+            n_clusters,
+            max_iter=max_iter,
+            weighting=weighting,
+            gamma=gamma,
+            n_restarts=n_restarts,
+            n_anchor_neighbors=n_anchor_neighbors,
+        )
         if n_anchors < 0:
             raise ValidationError(f"n_anchors must be >= 0, got {n_anchors}")
-        if max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-        if weighting not in ("exponential", "parameter_free", "uniform"):
-            raise ValidationError(f"unknown weighting: {weighting!r}")
         self.n_clusters = int(n_clusters)
         self.n_anchors = int(n_anchors)
         self.n_anchor_neighbors = int(n_anchor_neighbors)
@@ -272,19 +265,14 @@ class AnchorMVSC(ServableModelMixin):
             "anchor_seed": int(seed) if isinstance(seed, (int, np.integer)) else None,
         }
 
-    def _backend_ctx(self):
-        return (
-            nullcontext() if self.backend is None else use_backend(self.backend)
-        )
-
     def fit_predict(self, views) -> np.ndarray:
         """Cluster raw multi-view features at anchor-graph cost.
 
         Runs under the unified failure guard: only
         :class:`~repro.exceptions.ReproError` subclasses can escape.
         """
-        with self._backend_ctx(), failure_guard(_SITE_FIT):
-            maybe_inject(_SITE_FIT)
+        with use_backend(self.backend), failure_guard(SITE_FIT):
+            maybe_inject(SITE_FIT)
             return self._fit_predict(views)
 
     def _fit_predict(self, views) -> np.ndarray:
@@ -304,16 +292,8 @@ class AnchorMVSC(ServableModelMixin):
         m = self.n_anchors or min(n, max(10 * c, 100))
         m = min(m, n)
 
-        dispatch_event(
-            self.callbacks,
-            "on_fit_start",
-            {
-                "solver": type(self).__name__,
-                "n_samples": n,
-                "n_views": len(views),
-                "n_clusters": c,
-                "n_anchors": m,
-            },
+        fit_start(
+            type(self).__name__, self.callbacks, n, len(views), c, n_anchors=m
         )
         with span("graph_build", n_views=len(views), n_anchors=m):
             # Anchor selection consumes the shared rng, so it runs
@@ -335,109 +315,50 @@ class AnchorMVSC(ServableModelMixin):
                 key_params={"k": int(self.n_anchor_neighbors)},
                 n_jobs=self.n_jobs,
             )
-            factors = [anchor_affinity_factor(z) for z in assignments]
+            rep = _AnchorFactors(anchor_sets, assignments, self)
 
-        n_views = len(factors)
-        w = np.full(n_views, 1.0 / n_views)
-        labels, w, objective, n_iter = self._alternate(
-            factors, c, None, w, rng, max_iter=self.max_iter
-        )
-        dispatch_event(
-            self.callbacks,
-            "on_fit_end",
-            {"solver": type(self).__name__, "n_iter": n_iter},
-        )
-        return _StreamFit(
-            labels=labels,
-            weights=w,
-            anchors=list(anchor_sets),
-            assignments=list(assignments),
-            objective=objective,
-            batch_cost=_anchor_coverage(views, anchor_sets),
-            n_iter=n_iter,
+        n_views = len(rep.factors)
+        return self._alternate(
+            rep,
+            np.full(n_views, 1.0 / n_views),
+            views,
+            max_iter=self.max_iter,
+            rng=rng,
         )
 
     def _alternate(
-        self,
-        factors,
-        c: int,
-        labels,
-        w: np.ndarray,
-        rng,
-        *,
-        max_iter: int,
-    ) -> tuple[np.ndarray, np.ndarray, float, int]:
-        """F/Y/w alternations; ``labels=None`` cold-starts via rotation.
+        self, rep, w, batch_views, *, max_iter, labels=None, rng=None
+    ) -> _StreamFit:
+        """One fit attempt; ``labels=None`` is a cold fit.
 
-        Returns ``(labels, weights, objective, n_iter)`` where the
-        objective is the weighted view disagreement at the last
-        iteration.
+        ``batch_cost`` is the anchor coverage of ``batch_views`` (kept
+        when ``None``); ``objective`` is the weighted view disagreement
+        under the last F-step's multipliers.
         """
-        objective = 0.0
-        n_iter = 0
-        for n_iter in range(1, max_iter + 1):
-            block_seconds: dict[str, float] = {}
-            tick = time.perf_counter()
-            with span("f_step", iteration=n_iter):
-                multipliers = weight_exponents(
-                    w, mode=self.weighting, gamma=self.gamma
-                )
-                multipliers = multipliers / np.sum(multipliers)
-                stacked = np.hstack(
-                    [np.sqrt(mv) * b for mv, b in zip(multipliers, factors)]
-                )
-                f = _top_left_singular(stacked, c)
-            block_seconds["f_step"] = time.perf_counter() - tick
-            labels_before = labels
-            tick = time.perf_counter()
-            with span("y_step", iteration=n_iter):
-                if labels is None:
-                    rot, labels = rotation_initialize(
-                        f, c, n_restarts=self.n_restarts, random_state=rng
-                    )
-                else:
-                    rot = nearest_orthogonal(f.T @ scaled_indicator(labels, c))
-                    labels = indicator_coordinate_descent(f @ rot, labels, c)
-            block_seconds["y_step"] = time.perf_counter() - tick
-            label_moves = (
-                None
-                if labels_before is None
-                else int(np.count_nonzero(labels != labels_before))
-            )
-            # Per-view cost: disagreement between the shared embedding and
-            # the view's anchor graph, c - ||B_v^T F||^2 (in [0, c]).
-            tick = time.perf_counter()
-            with span("w_step", iteration=n_iter):
-                h = np.array(
-                    [c - float(np.sum((b.T @ f) ** 2)) for b in factors]
-                )
-                new_w = update_view_weights(
-                    np.maximum(h, 0.0), mode=self.weighting, gamma=self.gamma
-                )
-                if current_trace() is not None:
-                    # Numerical-health probe (see the weight-collapse rule).
-                    metric_set(
-                        "health.weight_entropy", weight_entropy(new_w)
-                    )
-            block_seconds["w_step"] = time.perf_counter() - tick
-            objective = float(np.dot(multipliers, np.maximum(h, 0.0)))
-            weights_converged = np.allclose(new_w, w, atol=1e-10)
-            w = new_w
-            dispatch_event(
-                self.callbacks,
-                "on_iteration",
-                IterationEvent(
-                    solver=type(self).__name__,
-                    iteration=n_iter,
-                    block_seconds=block_seconds,
-                    label_moves=label_moves,
-                    view_weights=tuple(float(x) for x in w),
-                ),
-            )
-            if weights_converged:
-                break
-        assert labels is not None
-        return labels, w, objective, n_iter
+        run = alternate(
+            rep,
+            solver=type(self).__name__,
+            w=w,
+            max_iter=max_iter,
+            callbacks=self.callbacks,
+            labels=labels,
+            rng=rng,
+            n_restarts=self.n_restarts,
+            fit_end=labels is None,
+        )
+        if batch_views is None:
+            batch_cost = self.batch_cost_
+        else:
+            batch_cost = _anchor_coverage(batch_views, rep.anchors)
+        return _StreamFit(
+            labels=run.labels,
+            weights=run.weights,
+            anchors=rep.anchors,
+            assignments=rep.assignments,
+            objective=float(np.dot(rep.multipliers, run.costs)),
+            batch_cost=batch_cost,
+            n_iter=run.n_iter,
+        )
 
     # -- streaming ---------------------------------------------------------
 
@@ -524,7 +445,7 @@ class AnchorMVSC(ServableModelMixin):
         iters = DEFAULT_REFINE_ITERS if refine_iters is None else int(refine_iters)
         if iters < 1:
             raise ValidationError(f"refine_iters must be >= 1, got {iters}")
-        with self._backend_ctx(), failure_guard(_SITE_PARTIAL):
+        with use_backend(self.backend), failure_guard(_SITE_PARTIAL):
             views_new = self._check_stream_batch(views)
             union = [
                 np.vstack([x_old, x_new])
@@ -567,20 +488,13 @@ class AnchorMVSC(ServableModelMixin):
                     state["z"], views_new, state["anchors"]
                 )
             ]
-            factors = [anchor_affinity_factor(z) for z in z_full]
+            rep = _AnchorFactors(state["anchors"], z_full, self)
 
             # Warm start: embed under the carried-over weights, align the
             # rotation on the old rows only (new rows have no labels yet),
             # then extend the labels by nearest cluster and refine.
             w = np.asarray(state["weights"], dtype=np.float64).copy()
-            multipliers = weight_exponents(
-                w, mode=self.weighting, gamma=self.gamma
-            )
-            multipliers = multipliers / np.sum(multipliers)
-            stacked = np.hstack(
-                [np.sqrt(mv) * b for mv, b in zip(multipliers, factors)]
-            )
-            f = _top_left_singular(stacked, c)
+            f, _ = rep.embed(w, None, None, None)
             labels_old = state["labels"]
             n_old = labels_old.shape[0]
             rot = nearest_orthogonal(
@@ -591,17 +505,8 @@ class AnchorMVSC(ServableModelMixin):
                 [labels_old, np.argmax(scores[n_old:], axis=1)]
             )
             labels = indicator_coordinate_descent(scores, start, c)
-        labels, w, objective, n_iter = self._alternate(
-            factors, c, labels, w, None, max_iter=refine_iters
-        )
-        return _StreamFit(
-            labels=labels,
-            weights=w,
-            anchors=state["anchors"],
-            assignments=z_full,
-            objective=objective,
-            batch_cost=_anchor_coverage(views_new, state["anchors"]),
-            n_iter=n_iter,
+        return self._alternate(
+            rep, w, views_new, labels=labels, max_iter=refine_iters
         )
 
     def _fallback_refit(self, union) -> _StreamFit:
@@ -617,7 +522,7 @@ class AnchorMVSC(ServableModelMixin):
         current labels.  Runs under the ``streaming.refit`` fault site.
         """
         state = self._require_stream("partial_refit")
-        with self._backend_ctx(), failure_guard(_SITE_REFIT):
+        with use_backend(self.backend), failure_guard(_SITE_REFIT):
             metric_inc("streaming.partial_refit.calls")
             views = state["views"]
             result = run_with_policy(
@@ -636,25 +541,11 @@ class AnchorMVSC(ServableModelMixin):
             n_seen=int(state["labels"].shape[0]),
             backend=backend.name,
         ):
-            factors = [anchor_affinity_factor(z) for z in state["z"]]
+            rep = _AnchorFactors(state["anchors"], state["z"], self)
             w = np.asarray(state["weights"], dtype=np.float64).copy()
-            labels, w, objective, n_iter = self._alternate(
-                factors,
-                c,
-                state["labels"],
-                w,
-                None,
-                max_iter=self.max_iter,
+            return self._alternate(
+                rep, w, None, labels=state["labels"], max_iter=self.max_iter
             )
-        return _StreamFit(
-            labels=labels,
-            weights=w,
-            anchors=state["anchors"],
-            assignments=state["z"],
-            objective=objective,
-            batch_cost=self.batch_cost_,
-            n_iter=n_iter,
-        )
 
     def refit(self) -> np.ndarray:
         """Cold refit on the accumulated stream (anchors re-selected).
@@ -665,7 +556,7 @@ class AnchorMVSC(ServableModelMixin):
         refit).  Runs under the ``streaming.refit`` fault site.
         """
         state = self._require_stream("refit")
-        with self._backend_ctx(), failure_guard(_SITE_REFIT):
+        with use_backend(self.backend), failure_guard(_SITE_REFIT):
             metric_inc("streaming.refit.calls")
             views = state["views"]
             backend = current_backend()
@@ -687,3 +578,31 @@ class AnchorMVSC(ServableModelMixin):
                 f"call fit_predict() or partial_fit() first"
             )
         return self._stream
+
+
+class _AnchorFactors:
+    """Anchor factors ``B_v``: AnchorMVSC's :func:`alternate` input.
+
+    The F-step embeds ``B(w) B(w)^T`` via the stacked factor's Gram and
+    records its ``multipliers``; view ``v`` costs ``c - ||B_v^T F||^2``.
+    """
+
+    def __init__(self, anchors, assignments, model: AnchorMVSC):
+        self.anchors = list(anchors)
+        self.assignments = list(assignments)
+        self.factors = [anchor_affinity_factor(z) for z in self.assignments]
+        self.n_clusters = model.n_clusters
+        self.weighting, self.gamma = model.weighting, model.gamma
+        self.multipliers: np.ndarray | None = None
+
+    def embed(self, w, f, g, r) -> tuple[np.ndarray, None]:
+        self.multipliers = fusion_multipliers(
+            w, mode=self.weighting, gamma=self.gamma
+        )
+        stacked = np.hstack(
+            [np.sqrt(mv) * b for mv, b in zip(self.multipliers, self.factors)]
+        )
+        return _top_left_singular(stacked, self.n_clusters), None
+
+    def view_costs(self, f: np.ndarray) -> np.ndarray:
+        return disagreement_costs(self.factors, f)

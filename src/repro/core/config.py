@@ -14,6 +14,29 @@ WEIGHTING_MODES = ("exponential", "parameter_free", "uniform")
 GRAPH_KINDS = ("auto", "self_tuning", "gaussian", "cosine", "adaptive")
 
 
+def check_solver_params(
+    n_clusters, *, max_iter, weighting, gamma, n_restarts=1, block=1, **counts
+) -> None:
+    """Validate the hyperparameters every alternating solver shares.
+
+    ``counts`` holds the solver's neighbour counts by name; they, the
+    cluster/iteration/restart counts and ``block`` must all be >= 1.
+    """
+    named = {"n_clusters": n_clusters, "max_iter": max_iter}
+    named.update(n_restarts=n_restarts, block=block, **counts)
+    for name, value in named.items():
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
+    if weighting not in WEIGHTING_MODES:
+        raise ValidationError(
+            f"weighting must be one of {WEIGHTING_MODES}, got {weighting!r}"
+        )
+    if weighting == "exponential" and gamma <= 1:
+        raise ValidationError(
+            f"gamma must be > 1 for exponential weighting, got {gamma}"
+        )
+
+
 @dataclass(frozen=True)
 class UMSCConfig:
     """Hyperparameters of :class:`~repro.core.model.UnifiedMVSC`.
@@ -78,32 +101,23 @@ class UMSCConfig:
     backend: str | None = None
 
     def __post_init__(self) -> None:
-        if self.n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {self.n_clusters}")
+        check_solver_params(
+            self.n_clusters,
+            max_iter=self.max_iter,
+            weighting=self.weighting,
+            gamma=self.gamma,
+            n_neighbors=self.n_neighbors,
+        )
         if self.lam < 0:
             raise ValidationError(f"lam must be non-negative, got {self.lam}")
         if self.consensus < 0:
             raise ValidationError(
                 f"consensus must be non-negative, got {self.consensus}"
             )
-        if self.weighting not in WEIGHTING_MODES:
-            raise ValidationError(
-                f"weighting must be one of {WEIGHTING_MODES}, got {self.weighting!r}"
-            )
-        if self.weighting == "exponential" and self.gamma <= 1:
-            raise ValidationError(
-                f"gamma must be > 1 for exponential weighting, got {self.gamma}"
-            )
         if self.graph not in GRAPH_KINDS:
             raise ValidationError(
                 f"graph must be one of {GRAPH_KINDS}, got {self.graph!r}"
             )
-        if self.n_neighbors < 1:
-            raise ValidationError(
-                f"n_neighbors must be >= 1, got {self.n_neighbors}"
-            )
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.tol <= 0 or self.gpi_tol <= 0:
             raise ValidationError("tolerances must be positive")
         if self.gpi_max_iter < 1:

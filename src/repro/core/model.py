@@ -35,42 +35,29 @@ anywhere*, which is the paper's headline contribution.
 
 from __future__ import annotations
 
-import time
-import warnings
-from contextlib import nullcontext
 from dataclasses import asdict
 
 import numpy as np
 
 from repro.backends import use_backend
 from repro.cluster.labels import indicator_from_labels
-from repro.core.config import UMSCConfig
-from repro.core.discrete import (
-    indicator_coordinate_descent,
-    rotation_initialize,
-    rotation_objective,
-    scaled_indicator,
-)
+from repro.core.alternation import SITE_FIT, alternate, fit_start
+from repro.core.config import UMSCConfig, check_solver_params
+from repro.core.discrete import rotation_initialize, scaled_indicator
 from repro.core.graph_builder import build_laplacians, build_multiview_affinities
-from repro.core.objective import spectral_costs, umsc_objective
+from repro.core.objective import (
+    disagreement_costs,
+    spectral_costs,
+    umsc_objective,
+)
 from repro.core.persistence import ServableModelMixin
 from repro.core.result import UMSCResult
-from repro.core.weights import update_view_weights, weight_exponents
-from repro.exceptions import (
-    ConvergenceWarning,
-    MonotonicityWarning,
-    RecoveryExhaustedError,
-    ValidationError,
-)
+from repro.core.weights import fusion_multipliers, weighted_sum
+from repro.exceptions import ValidationError
 from repro.graph.laplacian import laplacian
 from repro.linalg.eigen import eigsh_smallest
 from repro.linalg.gpi import gpi_stiefel
-from repro.observability.events import (
-    FitDiagnostics,
-    IterationEvent,
-    dispatch_event,
-)
-from repro.observability.health import weight_entropy
+from repro.observability.events import FitDiagnostics
 from repro.observability.trace import current_trace, metric_set, span
 from repro.linalg.procrustes import nearest_orthogonal
 from repro.robust.faults import maybe_inject, register_fault_site
@@ -83,11 +70,6 @@ from repro.robust.policy import (
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_symmetric
 
-_SITE_FIT = register_fault_site(
-    "model.fit",
-    "whole UnifiedMVSC/AnchorMVSC/SparseMVSC fit body (outer guard)",
-    modes=("raise", "delay"),
-)
 _SITE_GPI_SOLVE = register_fault_site(
     "gpi.solve", "full F-step GPI solve (falls back to a plain eigensolve)"
 )
@@ -191,8 +173,13 @@ class UnifiedMVSC(ServableModelMixin):
             n_jobs=n_jobs,
             backend=backend,
         )
-        if n_restarts < 1:
-            raise ValidationError(f"n_restarts must be >= 1, got {n_restarts}")
+        check_solver_params(
+            n_clusters,
+            max_iter=max_iter,
+            weighting=weighting,
+            gamma=gamma,
+            n_restarts=n_restarts,
+        )
         self.n_restarts = int(n_restarts)
         self.random_state = random_state
         self.callbacks = tuple(callbacks)
@@ -211,12 +198,6 @@ class UnifiedMVSC(ServableModelMixin):
     def _serving_config(self) -> dict:
         return {**asdict(self.config), "n_restarts": self.n_restarts}
 
-    def _backend_ctx(self):
-        """``use_backend`` for the configured backend, or a no-op ctx."""
-        if self.config.backend is None:
-            return nullcontext()
-        return use_backend(self.config.backend)
-
     def fit(self, views) -> UMSCResult:
         """Cluster raw multi-view features.
 
@@ -229,7 +210,8 @@ class UnifiedMVSC(ServableModelMixin):
             Per-view feature matrices sharing rows.
         """
         cfg = self.config
-        with self._backend_ctx(), collect_recoveries(), failure_guard(_SITE_FIT):
+        with use_backend(cfg.backend), collect_recoveries(), \
+                failure_guard(SITE_FIT):
             with span("graph_build", kind=cfg.graph, n_views=len(views)):
                 affinities = build_multiview_affinities(
                     views,
@@ -269,9 +251,10 @@ class UnifiedMVSC(ServableModelMixin):
             numpy/scipy exception never escapes.  Recovery actions taken
             along the way are recorded on ``result.diagnostics.recoveries``.
         """
-        with self._backend_ctx(), collect_recoveries() as recoveries, \
-                failure_guard(_SITE_FIT):
-            maybe_inject(_SITE_FIT)
+        with use_backend(self.config.backend), \
+                collect_recoveries() as recoveries, \
+                failure_guard(SITE_FIT):
+            maybe_inject(SITE_FIT)
             return self._fit_affinities(affinities, recoveries)
 
     def _fit_affinities(self, affinities, recoveries: list) -> UMSCResult:
@@ -287,16 +270,7 @@ class UnifiedMVSC(ServableModelMixin):
         if c > n:
             raise ValidationError(f"n_clusters={c} exceeds n_samples={n}")
         rng = check_random_state(self.random_state)
-        dispatch_event(
-            self.callbacks,
-            "on_fit_start",
-            {
-                "solver": type(self).__name__,
-                "n_samples": n,
-                "n_views": len(affinities),
-                "n_clusters": c,
-            },
-        )
+        fit_start(type(self).__name__, self.callbacks, n, len(affinities), c)
         # Per-view Laplacians drive the weight update and supply the
         # spectral bases of the consensus term; the embedding operator is
         # the jointly normalized Laplacian of the fused affinity minus the
@@ -312,10 +286,12 @@ class UnifiedMVSC(ServableModelMixin):
         else:
             view_bases = []
 
+        rep = _DenseAffinities(affinities, view_laplacians, view_bases, cfg)
+
         # --- Initialization -------------------------------------------------
         with span("initialize", n_restarts=self.n_restarts):
             w = np.full(n_views, 1.0 / n_views)
-            fused_lap = self._fused_operator(affinities, view_bases, w)
+            fused_lap = rep.operator(w)
             _, f = eigsh_smallest(fused_lap, c)
             r, labels = rotation_initialize(
                 f, c, n_restarts=self.n_restarts, random_state=rng
@@ -330,188 +306,71 @@ class UnifiedMVSC(ServableModelMixin):
                     "health.eigengap", float(gap_values[-1] - gap_values[-2])
                 )
 
-        history: list[float] = []
-        events: list[IterationEvent] = []
-        prev = np.inf
-        rel_change: float | None = None
-        converged = False
-        n_iter = 0
-        for n_iter in range(1, cfg.max_iter + 1):
-            g = scaled_indicator(labels, c)
-            block_seconds: dict[str, float] = {}
-            gpi_iterations: int | None = None
-            # F-step: quadratic problem on the Stiefel manifold (GPI).
-            # With lam = 0 the subproblem is the plain eigenproblem of the
-            # (reweighted) fused operator.
-            tick = time.perf_counter()
-            with span("f_step", iteration=n_iter) as f_span:
-                if cfg.lam > 0:
-                    f, gpi_iterations = self._solve_f_block(
-                        fused_lap, g, r, f
-                    )
-                    if gpi_iterations is not None:
-                        f_span.set(gpi_iterations=gpi_iterations)
-                else:
-                    _, f = eigsh_smallest(fused_lap, c)
-            block_seconds["f_step"] = time.perf_counter() - tick
-            # R-step: orthogonal Procrustes.
-            tick = time.perf_counter()
-            with span("r_step", iteration=n_iter):
-                r = nearest_orthogonal(f.T @ g)
-            block_seconds["r_step"] = time.perf_counter() - tick
-            # Y-step: exact coordinate descent on the scaled-indicator gain.
-            # Restarted (R, Y)-step: also try fresh rotations on the current
-            # embedding and keep the better pair.  Accept-only-if-better, so
-            # the joint objective still descends monotonically.  Only the
-            # early iterations benefit (labels are still mobile); skipping
-            # it later keeps the per-iteration cost near the plain
-            # spectral pipeline's.
-            labels_before = labels
-            tick = time.perf_counter()
-            with span("y_step", iteration=n_iter) as y_span:
-                labels = indicator_coordinate_descent(f @ r, labels, c)
-                if n_iter <= 2:
-                    r, labels = self._best_rotation_pair(f, r, labels, c, rng)
-                label_moves = int(np.count_nonzero(labels != labels_before))
-                y_span.set(label_moves=label_moves)
-            block_seconds["y_step"] = time.perf_counter() - tick
-            if current_trace() is not None:
-                # Numerical-health probe: how far the rotated embedding
-                # sits from the discrete indicator it is chasing.
-                metric_set(
-                    "health.rotation_residual",
-                    float(
-                        np.linalg.norm(f @ r - scaled_indicator(labels, c))
-                    ),
-                )
-            # The monotone F/R/Y block descent applies to the objective
-            # under the weights the blocks just descended, so that value
-            # is recorded before the w-step rebuilds the fused operator.
-            tick = time.perf_counter()
-            with span("objective", iteration=n_iter):
-                obj_pre = umsc_objective(
-                    fused_lap, f, r, scaled_indicator(labels, c), lam=cfg.lam
-                )
-            block_seconds["objective"] = time.perf_counter() - tick
-            # w-step: IRLS reweighting from the per-view costs (spectral
-            # cost plus consensus disagreement, both non-negative).
-            tick = time.perf_counter()
-            with span("w_step", iteration=n_iter):
-                h = spectral_costs(view_laplacians, f)
-                if cfg.consensus > 0:
-                    disagreement = np.array(
-                        [c - float(np.sum((u.T @ f) ** 2)) for u in view_bases]
-                    )
-                    h = h + cfg.consensus * np.maximum(disagreement, 0.0)
-                w = update_view_weights(h, mode=cfg.weighting, gamma=cfg.gamma)
-                if current_trace() is not None:
-                    # Numerical-health probe: view-weight concentration
-                    # (0 = one view dominates, the degeneracy the
-                    # weight-collapse rule watches).
-                    metric_set("health.weight_entropy", weight_entropy(w))
-                fused_lap = self._fused_operator(affinities, view_bases, w)
-            block_seconds["w_step"] = time.perf_counter() - tick
-
-            tick = time.perf_counter()
-            with span("objective", iteration=n_iter):
-                obj = umsc_objective(
-                    fused_lap, f, r, scaled_indicator(labels, c), lam=cfg.lam
-                )
-            block_seconds["objective"] += time.perf_counter() - tick
-            if not (np.isfinite(obj) and np.isfinite(obj_pre)):
-                raise RecoveryExhaustedError(
-                    f"objective became non-finite at iteration {n_iter} "
-                    f"(pre-reweight {obj_pre!r}, recorded {obj!r})",
-                    site=_SITE_FIT,
-                    attempts=n_iter,
-                    context=matrix_context(fused_lap, "fused_lap"),
-                )
-            scale = max(abs(obj), 1.0)
-            rel_change = (
-                abs(prev - obj) / scale if np.isfinite(prev) else None
-            )
-            if history:
-                tol_band = cfg.tol * max(abs(history[-1]), 1.0)
-                if obj_pre > history[-1] + tol_band:
-                    warnings.warn(
-                        f"UnifiedMVSC objective increased at iteration "
-                        f"{n_iter} before reweighting "
-                        f"({history[-1]:.6g} -> {obj_pre:.6g}): the "
-                        f"monotone F/R/Y block descent was violated",
-                        MonotonicityWarning,
-                        stacklevel=2,
-                    )
-                elif obj > history[-1] + tol_band:
-                    warnings.warn(
-                        f"UnifiedMVSC recorded objective increased at "
-                        f"iteration {n_iter} ({history[-1]:.6g} -> "
-                        f"{obj:.6g}) due to the w-step reweighting; the "
-                        f"pre-reweighting value {obj_pre:.6g} still "
-                        f"descended (see result.diagnostics)",
-                        MonotonicityWarning,
-                        stacklevel=2,
-                    )
-            history.append(obj)
-            event = IterationEvent(
-                solver=type(self).__name__,
-                iteration=n_iter,
-                objective=obj,
-                objective_pre_reweight=obj_pre,
-                rel_change=rel_change,
-                block_seconds=block_seconds,
-                gpi_iterations=gpi_iterations,
-                label_moves=label_moves,
-                view_weights=tuple(float(x) for x in w),
-            )
-            events.append(event)
-            dispatch_event(self.callbacks, "on_iteration", event)
-            if abs(prev - obj) <= cfg.tol * scale:
-                converged = True
-                break
-            prev = obj
-
-        dispatch_event(
-            self.callbacks,
-            "on_fit_end",
-            {
-                "solver": type(self).__name__,
-                "n_iter": n_iter,
-                "converged": converged,
-                "objective": history[-1] if history else float("nan"),
-            },
-        )
-        if not converged:
-            last_rel = "n/a" if rel_change is None else f"{rel_change:.3e}"
-            warnings.warn(
-                f"UnifiedMVSC stopped after max_iter={cfg.max_iter} without "
-                f"meeting tol={cfg.tol}: last relative objective change "
-                f"{last_rel}, last objective "
-                f"{history[-1] if history else float('nan'):.6g}",
-                ConvergenceWarning,
-                stacklevel=2,
-            )
-
-        return UMSCResult(
+        # Restarted (R, Y) pairs only while the labels are still mobile.
+        run = alternate(
+            rep,
+            solver=type(self).__name__,
+            w=w,
+            max_iter=cfg.max_iter,
+            callbacks=self.callbacks,
             labels=labels,
-            indicator=indicator_from_labels(labels, c),
-            embedding=f,
-            rotation=r,
-            view_weights=w,
-            objective_history=history,
-            n_iter=n_iter,
-            converged=converged,
+            f=f,
+            r=r,
+            rng=rng,
+            restart_iters=2,
+            tol=cfg.tol,
+        )
+        return UMSCResult(
+            labels=run.labels,
+            indicator=indicator_from_labels(run.labels, c),
+            embedding=run.embedding,
+            rotation=run.rotation,
+            view_weights=run.weights,
+            objective_history=[e.objective for e in run.events],
+            n_iter=run.n_iter,
+            converged=run.converged,
             diagnostics=FitDiagnostics(
-                events=tuple(events), recoveries=tuple(recoveries)
+                events=run.events, recoveries=tuple(recoveries)
             ),
         )
 
-    def _solve_f_block(
-        self,
-        fused_lap: np.ndarray,
-        g: np.ndarray,
-        r: np.ndarray,
-        f: np.ndarray,
-    ) -> tuple[np.ndarray, int | None]:
+
+class _DenseAffinities:
+    """Dense affinities: UMSC's :func:`alternate` input.
+
+    The operator ``A(w) = L(W(w)) - beta sum_v m_v U_v U_v^T`` is cached
+    for the last ``w``, so the F-step reuses the one the post-reweight
+    objective built.
+    """
+
+    def __init__(self, affinities, laplacians, bases, config: UMSCConfig):
+        self.affinities = affinities
+        self.laplacians = laplacians
+        self.bases = bases
+        self.config = config
+        self.n_clusters = config.n_clusters
+        self.weighting, self.gamma = config.weighting, config.gamma
+        self._w: np.ndarray | None = None
+        self._operator: np.ndarray | None = None
+
+    def operator(self, w: np.ndarray) -> np.ndarray:
+        """``A(w)``, symmetric and possibly indefinite."""
+        if not np.array_equal(w, self._w):
+            cfg = self.config
+            multipliers = fusion_multipliers(
+                w, mode=self.weighting, gamma=self.gamma
+            )
+            operator = laplacian(
+                weighted_sum(self.affinities, multipliers),
+                normalization="symmetric",
+            )
+            if cfg.consensus > 0:
+                for m_v, u in zip(multipliers, self.bases):
+                    operator -= cfg.consensus * m_v * (u @ u.T)
+            self._w, self._operator = w, (operator + operator.T) / 2.0
+        return self._operator
+
+    def embed(self, w, f, g, r) -> tuple[np.ndarray, int | None]:
         """F-step under the failure policy: GPI, retried, then eigensolve.
 
         The primary is the plain GPI solve (bit-identical to calling
@@ -519,84 +378,48 @@ class UnifiedMVSC(ServableModelMixin):
         from a deterministically perturbed warm start, and the fallback
         drops the linear coupling term and takes the bottom eigenvectors
         of the fused operator (the ``lam = 0`` subproblem), which always
-        yields a feasible Stiefel point.
-
-        Returns
-        -------
-        (f, gpi_iterations)
-            New embedding and inner iteration count (``None`` when the
-            eigensolve fallback produced ``f``).
+        yields a feasible Stiefel point.  With ``lam = 0`` that
+        eigensolve is the F-step.  The inner iteration count is ``None``
+        when the eigensolve produced ``f``.
         """
         cfg = self.config
-        n, c = f.shape
-        b = cfg.lam * (g @ r.T)
+        operator = self.operator(w)
+
+        def eigensolve() -> tuple[np.ndarray, int | None]:
+            return eigsh_smallest(operator, self.n_clusters)[1], None
 
         def primary(perturb: float) -> tuple[np.ndarray, int | None]:
             f0 = f if perturb == 0.0 else nearest_orthogonal(
-                f + perturb * np.eye(n, c)
+                f + perturb * np.eye(*f.shape)
             )
             gpi = gpi_stiefel(
-                fused_lap,
-                b,
+                operator,
+                cfg.lam * (g @ r.T),
                 f0=f0,
                 max_iter=cfg.gpi_max_iter,
                 tol=cfg.gpi_tol,
             )
             return gpi.f, gpi.n_iter
 
-        def eigensolve() -> tuple[np.ndarray, int | None]:
-            return eigsh_smallest(fused_lap, c)[1], None
-
+        if not cfg.lam > 0:
+            return eigensolve()
         return run_with_policy(
             _SITE_GPI_SOLVE,
             primary,
             fallbacks=(("eigsh", eigensolve),),
-            context=lambda: matrix_context(fused_lap, "fused_lap"),
+            context=lambda: matrix_context(operator, "fused_lap"),
         )
 
-    @staticmethod
-    def _best_rotation_pair(
-        f: np.ndarray,
-        r: np.ndarray,
-        labels: np.ndarray,
-        c: int,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Keep the better of the current ``(R, Y)`` and a fresh restart.
+    def view_costs(self, f: np.ndarray) -> np.ndarray:
+        """Spectral cost plus consensus disagreement per view."""
+        h = spectral_costs(self.laplacians, f)
+        if self.config.consensus > 0:
+            h = h + self.config.consensus * disagreement_costs(self.bases, f)
+        return h
 
-        For fixed ``F``, the (R, Y) blocks enter the objective only through
-        ``-2 lam tr(R^T F^T G(Y))``, so comparing
-        :func:`~repro.core.discrete.rotation_objective` values picks the
-        pair with the lower joint objective.
-        """
-        current = rotation_objective(f @ r, labels, c)
-        cand_r, cand_labels = rotation_initialize(
-            f, c, n_restarts=3, random_state=rng
-        )
-        candidate = rotation_objective(f @ cand_r, cand_labels, c)
-        if candidate > current + 1e-12:
-            return cand_r, cand_labels
-        return r, labels
+    def objective(self, w, f, r, labels) -> float:
+        g = scaled_indicator(labels, self.n_clusters)
+        return umsc_objective(self.operator(w), f, r, g, lam=self.config.lam)
 
-    def _fused_operator(
-        self, affinities, view_bases, w: np.ndarray
-    ) -> np.ndarray:
-        """Embedding operator: fused Laplacian minus weighted projectors.
-
-        ``A(w) = L(W(w)) - beta * sum_v m_v U_v U_v^T`` with normalized
-        multipliers ``m``; symmetric (possibly indefinite), which both the
-        eigensolver and GPI handle.
-        """
-        cfg = self.config
-        multipliers = weight_exponents(w, mode=cfg.weighting, gamma=cfg.gamma)
-        multipliers = multipliers / np.sum(multipliers)
-        # Manual weighted sum: the affinities were validated once at entry,
-        # and this runs every outer iteration.
-        fused = multipliers[0] * affinities[0]
-        for m_v, w_v in zip(multipliers[1:], affinities[1:]):
-            fused = fused + m_v * w_v
-        operator = laplacian(fused, normalization="symmetric")
-        if cfg.consensus > 0:
-            for m_v, u in zip(multipliers, view_bases):
-                operator -= cfg.consensus * m_v * (u @ u.T)
-        return (operator + operator.T) / 2.0
+    def context(self) -> str:
+        return matrix_context(self._operator, "fused_lap")

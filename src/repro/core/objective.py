@@ -31,6 +31,13 @@ def spectral_costs(laplacians, f: np.ndarray) -> np.ndarray:
     return np.maximum(h, 0.0)
 
 
+def disagreement_costs(bases, f: np.ndarray) -> np.ndarray:
+    """Per-view disagreement ``c - ||U_v^T F||_F^2``, clipped at 0."""
+    c = f.shape[1]
+    h = np.array([c - float(np.sum((u.T @ f) ** 2)) for u in bases])
+    return np.maximum(h, 0.0)
+
+
 def umsc_objective(
     fused_laplacian: np.ndarray,
     f: np.ndarray,

@@ -3,8 +3,9 @@
 :class:`SparseMVSC` keeps the exact k-NN neighborhood structure (unlike
 the anchor variant's low-rank approximation) but stores every graph as
 CSR and solves the embedding with Lanczos, so memory is ``O(nk)`` per view
-instead of ``O(n^2)``.  The one-stage rotation / coordinate-descent /
-auto-weighting machinery is shared with the dense model.
+instead of ``O(n^2)``.  The F→R→Y→w iteration itself is
+:func:`repro.core.alternation.alternate`, the same driver the dense and
+anchor models run; this module supplies only the CSR representation.
 
 The lam-coupling is dropped (as in :class:`~repro.core.anchor_model.
 AnchorMVSC`): re-solving the coupled Stiefel problem per iteration would
@@ -14,36 +15,23 @@ spectral-rotation end of the framework.
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
-
 import numpy as np
 
 from repro.backends import get_backend, use_backend
-from repro.core.discrete import (
-    indicator_coordinate_descent,
-    rotation_initialize,
-    scaled_indicator,
-)
+from repro.core.alternation import SITE_FIT, alternate, fit_start
+from repro.core.config import check_solver_params
+from repro.core.objective import spectral_costs
 from repro.core.persistence import ServableModelMixin
-from repro.core.weights import update_view_weights, weight_exponents
+from repro.core.weights import fusion_multipliers, weighted_sum
 from repro.exceptions import ValidationError
 from repro.graph.sparse import sparse_knn_affinity, sparse_laplacian
 from repro.linalg.eigen import eigsh_smallest
-from repro.linalg.procrustes import nearest_orthogonal
-from repro.observability.events import IterationEvent, dispatch_event
 from repro.observability.trace import span
 from repro.pipeline.cache import memoized_parallel
-from repro.robust.faults import maybe_inject, register_fault_site
+from repro.robust.faults import maybe_inject
 from repro.robust.policy import failure_guard
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_views
-
-_SITE_FIT = register_fault_site(
-    "model.fit",
-    "whole UnifiedMVSC/AnchorMVSC/SparseMVSC fit body (outer guard)",
-    modes=("raise", "delay"),
-)
 
 
 class SparseMVSC(ServableModelMixin):
@@ -95,12 +83,15 @@ class SparseMVSC(ServableModelMixin):
         random_state=None,
         callbacks=(),
     ) -> None:
-        if n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        if max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-        if weighting not in ("exponential", "parameter_free", "uniform"):
-            raise ValidationError(f"unknown weighting: {weighting!r}")
+        check_solver_params(
+            n_clusters,
+            max_iter=max_iter,
+            weighting=weighting,
+            gamma=gamma,
+            n_restarts=n_restarts,
+            block=block,
+            n_neighbors=n_neighbors,
+        )
         self.n_clusters = int(n_clusters)
         self.n_neighbors = int(n_neighbors)
         self.gamma = float(gamma)
@@ -138,11 +129,8 @@ class SparseMVSC(ServableModelMixin):
         Runs under the unified failure guard: only
         :class:`~repro.exceptions.ReproError` subclasses can escape.
         """
-        backend_ctx = (
-            nullcontext() if self.backend is None else use_backend(self.backend)
-        )
-        with backend_ctx, failure_guard(_SITE_FIT):
-            maybe_inject(_SITE_FIT)
+        with use_backend(self.backend), failure_guard(SITE_FIT):
+            maybe_inject(SITE_FIT)
             return self._fit_predict(views)
 
     def _fit_predict(self, views) -> np.ndarray:
@@ -154,16 +142,7 @@ class SparseMVSC(ServableModelMixin):
             raise ValidationError(f"n_clusters={c} exceeds n_samples={n}")
         rng = check_random_state(self.random_state)
 
-        dispatch_event(
-            self.callbacks,
-            "on_fit_start",
-            {
-                "solver": type(self).__name__,
-                "n_samples": n,
-                "n_views": len(views),
-                "n_clusters": c,
-            },
-        )
+        fit_start(type(self).__name__, self.callbacks, n, len(views), c)
         with span("graph_build", n_views=len(views), k=self.n_neighbors):
             affinities = memoized_parallel(
                 views,
@@ -186,69 +165,39 @@ class SparseMVSC(ServableModelMixin):
                 n_jobs=self.n_jobs,
             )
         n_views = len(affinities)
-
-        w = np.full(n_views, 1.0 / n_views)
-        labels = None
-        n_iter = 0
-        for n_iter in range(1, self.max_iter + 1):
-            block_seconds: dict[str, float] = {}
-            tick = time.perf_counter()
-            with span("f_step", iteration=n_iter):
-                multipliers = weight_exponents(
-                    w, mode=self.weighting, gamma=self.gamma
-                )
-                multipliers = multipliers / np.sum(multipliers)
-                fused = multipliers[0] * affinities[0]
-                for m_v, w_mat in zip(multipliers[1:], affinities[1:]):
-                    fused = fused + m_v * w_mat
-                fused_lap = sparse_laplacian(fused.tocsr())
-                _, f = eigsh_smallest(fused_lap, c)
-            block_seconds["f_step"] = time.perf_counter() - tick
-            labels_before = labels
-            tick = time.perf_counter()
-            with span("y_step", iteration=n_iter):
-                if labels is None:
-                    rot, labels = rotation_initialize(
-                        f, c, n_restarts=self.n_restarts, random_state=rng
-                    )
-                else:
-                    rot = nearest_orthogonal(f.T @ scaled_indicator(labels, c))
-                    labels = indicator_coordinate_descent(f @ rot, labels, c)
-            block_seconds["y_step"] = time.perf_counter() - tick
-            label_moves = (
-                None
-                if labels_before is None
-                else int(np.count_nonzero(labels != labels_before))
-            )
-            tick = time.perf_counter()
-            with span("w_step", iteration=n_iter):
-                h = np.array(
-                    [float(np.sum(f * (lap @ f))) for lap in laplacians]
-                )
-                new_w = update_view_weights(
-                    np.maximum(h, 0.0), mode=self.weighting, gamma=self.gamma
-                )
-            block_seconds["w_step"] = time.perf_counter() - tick
-            weights_converged = np.allclose(new_w, w, atol=1e-10)
-            w = new_w
-            dispatch_event(
-                self.callbacks,
-                "on_iteration",
-                IterationEvent(
-                    solver=type(self).__name__,
-                    iteration=n_iter,
-                    block_seconds=block_seconds,
-                    label_moves=label_moves,
-                    view_weights=tuple(float(x) for x in w),
-                ),
-            )
-            if weights_converged:
-                break
-        dispatch_event(
-            self.callbacks,
-            "on_fit_end",
-            {"solver": type(self).__name__, "n_iter": n_iter},
+        run = alternate(
+            _SparseGraphs(affinities, laplacians, self),
+            solver=type(self).__name__,
+            w=np.full(n_views, 1.0 / n_views),
+            max_iter=self.max_iter,
+            callbacks=self.callbacks,
+            rng=rng,
+            n_restarts=self.n_restarts,
         )
-        assert labels is not None
-        self._remember_fit(views, labels, w, c, self.n_neighbors)
-        return labels
+        self._remember_fit(views, run.labels, run.weights, c, self.n_neighbors)
+        return run.labels
+
+
+class _SparseGraphs:
+    """CSR graphs: SparseMVSC's :func:`alternate` input.
+
+    The F-step is a Lanczos solve on the fused Laplacian; view costs are
+    the per-view spectral costs.
+    """
+
+    def __init__(self, affinities, laplacians, model: SparseMVSC):
+        self.affinities = affinities
+        self.laplacians = laplacians
+        self.n_clusters = model.n_clusters
+        self.weighting, self.gamma = model.weighting, model.gamma
+
+    def embed(self, w, f, g, r) -> tuple[np.ndarray, None]:
+        multipliers = fusion_multipliers(
+            w, mode=self.weighting, gamma=self.gamma
+        )
+        fused = weighted_sum(self.affinities, multipliers)
+        fused_lap = sparse_laplacian(fused.tocsr())
+        return eigsh_smallest(fused_lap, self.n_clusters)[1], None
+
+    def view_costs(self, f: np.ndarray) -> np.ndarray:
+        return spectral_costs(self.laplacians, f)

@@ -15,8 +15,8 @@ import numpy as np
 from repro.cluster.kmeans import KMeans
 from repro.core.config import UMSCConfig
 from repro.core.graph_builder import build_laplacians, build_multiview_affinities
-from repro.core.objective import spectral_costs
-from repro.core.weights import update_view_weights, weight_exponents
+from repro.core.objective import disagreement_costs, spectral_costs
+from repro.core.weights import fusion_multipliers, update_view_weights
 from repro.exceptions import ValidationError
 from repro.graph.fusion import fuse_affinities
 from repro.graph.laplacian import laplacian
@@ -118,8 +118,9 @@ class TwoStageMVSC:
         w = np.full(n_views, 1.0 / n_views)
         f = None
         for _ in range(cfg.max_iter):
-            multipliers = weight_exponents(w, mode=cfg.weighting, gamma=cfg.gamma)
-            multipliers = multipliers / np.sum(multipliers)
+            multipliers = fusion_multipliers(
+                w, mode=cfg.weighting, gamma=cfg.gamma
+            )
             fused = fuse_affinities(affinities, multipliers, renormalize=True)
             operator = laplacian(fused)
             for m_v, u in zip(multipliers, view_bases):
@@ -127,10 +128,7 @@ class TwoStageMVSC:
             _, f = eigsh_smallest((operator + operator.T) / 2.0, c)
             h = spectral_costs(view_laplacians, f)
             if cfg.consensus > 0:
-                disagreement = np.array(
-                    [c - float(np.sum((u.T @ f) ** 2)) for u in view_bases]
-                )
-                h = h + cfg.consensus * np.maximum(disagreement, 0.0)
+                h = h + cfg.consensus * disagreement_costs(view_bases, f)
             new_w = update_view_weights(h, mode=cfg.weighting, gamma=cfg.gamma)
             if np.allclose(new_w, w, atol=1e-10):
                 w = new_w

@@ -78,3 +78,20 @@ def weight_exponents(w: np.ndarray, *, mode: str, gamma: float = 4.0) -> np.ndar
     if mode in ("parameter_free", "uniform"):
         return w
     raise ValidationError(f"unknown weighting mode: {mode!r}")
+
+
+def fusion_multipliers(
+    w: np.ndarray, *, mode: str, gamma: float = 4.0
+) -> np.ndarray:
+    """:func:`weight_exponents` normalized to sum to 1: the ``m_v`` of
+    the fused affinity ``W(w) = sum_v m_v W_v``."""
+    multipliers = weight_exponents(w, mode=mode, gamma=gamma)
+    return multipliers / np.sum(multipliers)
+
+
+def weighted_sum(matrices, coefficients):
+    """``sum_v m_v A_v`` (dense or sparse), unvalidated, in view order."""
+    total = coefficients[0] * matrices[0]
+    for m_v, a_v in zip(coefficients[1:], matrices[1:]):
+        total = total + m_v * a_v
+    return total

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import AnchorMVSC, SparseMVSC, UnifiedMVSC
 from repro.core.config import UMSCConfig
 from repro.core.weights import update_view_weights, weight_exponents
 from repro.exceptions import ValidationError
@@ -42,6 +43,49 @@ class TestUMSCConfig:
         cfg = UMSCConfig(n_clusters=2)
         with pytest.raises(AttributeError):
             cfg.lam = 5.0
+
+
+#: Each solver's neighbour-count parameter.
+NEIGHBORS = {
+    UnifiedMVSC: "n_neighbors",
+    SparseMVSC: "n_neighbors",
+    AnchorMVSC: "n_anchor_neighbors",
+}
+
+
+class TestSharedSolverChecks:
+    """All three alternating solvers reject bad shared hyperparameters
+    in the constructor, before any graph is built."""
+
+    @pytest.mark.parametrize("cls", list(NEIGHBORS), ids=lambda c: c.__name__)
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"n_neighbors": 0}, "must be >= 1"),
+            ({"n_restarts": 0}, "n_restarts must be >= 1"),
+            ({"max_iter": 0}, "max_iter must be >= 1"),
+            ({"gamma": 1.0}, "gamma must be > 1"),
+            ({"weighting": "magic"}, "weighting must be one of"),
+        ],
+    )
+    def test_rejected_eagerly(self, cls, kwargs, match):
+        if "n_neighbors" in kwargs:
+            kwargs = {NEIGHBORS[cls]: kwargs["n_neighbors"]}
+        with pytest.raises(ValidationError, match=match):
+            cls(3, **kwargs)
+
+    @pytest.mark.parametrize("cls", list(NEIGHBORS), ids=lambda c: c.__name__)
+    def test_rejects_zero_clusters(self, cls):
+        with pytest.raises(ValidationError, match="n_clusters must be >= 1"):
+            cls(0)
+
+    @pytest.mark.parametrize("cls", list(NEIGHBORS), ids=lambda c: c.__name__)
+    def test_gamma_free_outside_exponential_weighting(self, cls):
+        cls(3, weighting="parameter_free", gamma=1.0)
+
+    def test_sparse_block_checked(self):
+        with pytest.raises(ValidationError, match="block must be >= 1"):
+            SparseMVSC(3, block=0)
 
 
 class TestUpdateViewWeights:
