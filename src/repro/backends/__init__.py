@@ -22,9 +22,6 @@ Shipped backends
 ``float32``
     Single precision on the ``n x n`` paths — ~2x memory headroom and a
     large bandwidth win, within a documented tolerance.
-``numba``
-    Optional JIT kernels; degrades silently (and bit-identically) to
-    numpy when :mod:`numba` is not installed.
 
 Selection precedence (first match wins)
 ---------------------------------------
@@ -48,14 +45,12 @@ from contextvars import ContextVar
 
 from repro.backends.base import ArrayBackend, NumpyBackend
 from repro.backends.float32 import Float32Backend
-from repro.backends.numba_backend import NumbaBackend
 from repro.exceptions import ValidationError
 
 __all__ = [
     "ArrayBackend",
     "NumpyBackend",
     "Float32Backend",
-    "NumbaBackend",
     "available_backends",
     "current_backend",
     "get_backend",
@@ -67,7 +62,7 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: Singleton registry — backends are stateless, so one instance each.
 _REGISTRY: dict[str, ArrayBackend] = {
-    b.name: b for b in (NumpyBackend(), Float32Backend(), NumbaBackend())
+    b.name: b for b in (NumpyBackend(), Float32Backend())
 }
 
 _DEFAULT = _REGISTRY["numpy"]

@@ -8,7 +8,7 @@ so :mod:`repro.graph.distance`, :mod:`repro.graph.affinity`,
 and :mod:`repro.serving.predictor` can dispatch without their callers
 changing.  Profiling (PR 6) shows fit time concentrated exactly here,
 which makes the backend boundary the one seam every scaling direction
-(bipartite million-sample graphs, co-training mini-batching, JIT/float32
+(bipartite million-sample graphs, co-training mini-batching, float32
 kernels) shares.
 
 Contracts
@@ -17,9 +17,8 @@ Contracts
   numpy/scipy, bit-identical to the pre-backend code (``tolerance = 0.0``
   is a tested guarantee, not an aspiration).
 * Subclasses may change ``compute_dtype`` (see
-  :class:`~repro.backends.float32.Float32Backend`) or swap kernel bodies
-  (see :class:`~repro.backends.numba_backend.NumbaBackend`); they must
-  stay within their documented ``tolerance`` of the reference backend
+  :class:`~repro.backends.float32.Float32Backend`) or swap kernel
+  bodies; they must stay within their documented ``tolerance`` of the reference backend
   and must yield identical clusterings (label ARI 1.0) on the seed
   datasets.
 * Kernel methods receive **pre-validated** arrays — the public functions
@@ -73,22 +72,11 @@ class ArrayBackend:
             f"dtype={self.compute_dtype.name}, tolerance={self.tolerance!r})"
         )
 
-    @property
-    def available(self) -> bool:
-        """Whether the backend's accelerated kernels can actually run.
-
-        The reference backend is always available; optional backends
-        (numba) report False when their dependency is missing — they
-        still *work*, by falling back to the reference kernels.
-        """
-        return True
-
     def cache_token(self) -> str:
         """Identity string hashed into every computation-cache key.
 
-        Two backends share a token only if their kernels are bit-identical
-        (the numba backend without numba installed degrades to exactly
-        these kernels and says so via this token).
+        Two backends share a token only if their kernels are
+        bit-identical.
         """
         return f"{self.name}:{self.compute_dtype.str}"
 

@@ -1236,10 +1236,9 @@ def _cmd_backends(args, out) -> int:
     for name in available_backends():
         backend = get_backend(name)
         marker = "*" if backend.name == active.name else " "
-        avail = "yes" if backend.available else "no (falls back to numpy)"
         print(
             f"{marker} {backend.name:<8} dtype={backend.compute_dtype.str:<4} "
-            f"tolerance={backend.tolerance:g} available={avail}",
+            f"tolerance={backend.tolerance:g}",
             file=out,
         )
         print(f"    {backend.description}", file=out)

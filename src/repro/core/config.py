@@ -77,8 +77,8 @@ class UMSCConfig:
         installed), ``-1`` uses every CPU.  Results are identical for
         any value.
     backend : str or None
-        Compute backend for the hot kernels (``"numpy"``, ``"float32"``,
-        ``"numba"``; see :mod:`repro.backends`).  ``None`` (default)
+        Compute backend for the hot kernels (``"numpy"`` or
+        ``"float32"``; see :mod:`repro.backends`).  ``None`` (default)
         defers to the ambient backend (an enclosing
         :class:`~repro.backends.use_backend` block, the
         ``REPRO_BACKEND`` environment variable, or the ``numpy``

@@ -114,8 +114,8 @@ class UnifiedMVSC(ServableModelMixin):
         ``-1`` uses every CPU.  Labels are bit-identical for any value.
     backend : str or None
         Compute backend for the hot kernels during :meth:`fit` /
-        :meth:`fit_affinities` (``"numpy"``, ``"float32"``,
-        ``"numba"``; see :mod:`repro.backends`).  ``None`` defers to the
+        :meth:`fit_affinities` (``"numpy"`` or ``"float32"``; see
+        :mod:`repro.backends`).  ``None`` defers to the
         ambient backend.  The default numpy backend is bit-identical to
         earlier releases; alternates trade a documented tolerance for
         speed/memory.

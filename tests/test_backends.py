@@ -10,10 +10,9 @@ Three contracts are pinned here:
   hashes captured *before* the refactor.  A hash mismatch here means the
   default numerical contract changed — that is a bug, not a tolerance
   question.
-* **Alternate-backend equivalence** — float32 (and numba, when
-  installed) agree with numpy within each backend's documented
-  ``tolerance`` on every kernel and produce identical clusterings
-  (ARI 1.0) end to end.
+* **Alternate-backend equivalence** — float32 agrees with numpy within
+  its documented ``tolerance`` on every kernel and produces identical
+  clusterings (ARI 1.0) end to end.
 """
 
 from __future__ import annotations
@@ -161,7 +160,7 @@ class TestSelection:
     def test_available_backends_lists_default_first(self):
         names = available_backends()
         assert names[0] == "numpy"
-        assert set(names) == {"numpy", "float32", "numba"}
+        assert set(names) == {"numpy", "float32"}
 
     def test_get_backend_resolves_names_and_instances(self):
         b = get_backend("float32")
@@ -171,6 +170,20 @@ class TestSelection:
     def test_get_backend_unknown_raises(self):
         with pytest.raises(ValidationError, match="unknown backend"):
             get_backend("float16")
+
+    def test_numba_backend_is_gone(self):
+        from repro import UnifiedMVSC
+
+        with pytest.raises(ValidationError, match="unknown backend"):
+            UnifiedMVSC(2, backend="numba")
+
+    def test_use_backend_none_keeps_ambient(self):
+        with use_backend("float32") as outer:
+            with use_backend(None) as inner:
+                assert inner is None
+                assert current_backend() is outer
+            assert current_backend() is outer
+        assert current_backend().name == "numpy"
 
     def test_use_backend_nests_and_restores(self):
         assert current_backend().name == "numpy"
@@ -231,17 +244,6 @@ class TestCacheKeys:
             f32_key = cache_key("affinity", arrays=(x,), params={"k": 2})
         assert default_key != f32_key
 
-    def test_numba_fallback_token_matches_numpy(self):
-        # Without numba installed the backend computes with the numpy
-        # kernels, so its cached results are interchangeable and must
-        # share the numpy token; with numba installed they are not.
-        numba_backend = get_backend("numba")
-        numpy_token = get_backend("numpy").cache_token()
-        if numba_backend.available:
-            assert numba_backend.cache_token() != numpy_token
-        else:
-            assert numba_backend.cache_token() == numpy_token
-
 
 # --- numpy bit-identity ----------------------------------------------------
 
@@ -282,7 +284,7 @@ class TestNumpyBitIdentity:
 
 # --- alternate-backend equivalence ----------------------------------------
 
-ALTERNATES = ["float32", "numba"]
+ALTERNATES = ["float32"]
 
 
 def _assert_close(ref, alt, tol, label):
@@ -368,29 +370,6 @@ class TestBackendEquivalence:
         ).fit_predict(small_dataset.views)
         ari = evaluate_clustering(ref, alt, metrics=("ari",))["ari"]
         assert ari == 1.0
-
-
-class TestNumbaBackend:
-    """The optional backend must degrade gracefully when numba is absent."""
-
-    def test_importable_and_selectable_without_numba(self):
-        backend = get_backend("numba")
-        with use_backend("numba"):
-            w = gaussian_affinity(_fixtures()["blobs"])
-        assert w.dtype == np.float64
-        if not backend.available:
-            # Pure fallback: bit-identical to the numpy backend.
-            assert _digest(w) == _digest(gaussian_affinity(_fixtures()["blobs"]))
-
-    def test_jitted_kernels_match_numpy(self):
-        backend = get_backend("numba")
-        if not backend.available:
-            pytest.skip("numba not installed")
-        x = _fixtures()["blobs"]
-        ref = self_tuning_affinity(x, k=5)
-        with use_backend("numba"):
-            alt = self_tuning_affinity(x, k=5)
-        _assert_close(ref, alt, backend.tolerance, "numba/self_tuning")
 
 
 class TestPredictorBackend:
