@@ -75,8 +75,7 @@ class Alternation:
 
 def fit_start(solver: str, callbacks, n: int, n_views: int, c: int, **extra):
     """Dispatch ``on_fit_start`` with the problem's shape (plus ``extra``)."""
-    info = {"solver": solver, "n_samples": n, "n_views": n_views}
-    info["n_clusters"] = c
+    info = dict(solver=solver, n_samples=n, n_views=n_views, n_clusters=c)
     dispatch_event(callbacks, "on_fit_start", {**info, **extra})
 
 

@@ -22,6 +22,7 @@ import pytest
 from repro.cli import main
 from repro.core.anchor_model import AnchorMVSC
 from repro.core.model import UnifiedMVSC
+from repro.core.sparse_model import SparseMVSC
 from repro.datasets.synth import make_multiview_blobs
 from repro.exceptions import ValidationError
 from repro.observability import Trace, use_trace
@@ -310,10 +311,24 @@ class TestNumericalHealthProbes:
         for name in (
             "health.eigengap",
             "health.weight_entropy",
+            "health.rotation_residual",
             "health.anchor_coverage",
         ):
             assert name in gauges, name
             assert math.isfinite(gauges[name])
+
+    def test_traced_sparse_fit_publishes_health_gauges(self):
+        data = self._views()
+        trace = Trace("probe-test-sparse")
+        with use_trace(trace):
+            SparseMVSC(
+                3, random_state=0, max_iter=3, n_restarts=2
+            ).fit_predict(data.views)
+        gauges = trace.metrics.snapshot()["gauges"]
+        for name in ("health.weight_entropy", "health.rotation_residual"):
+            assert name in gauges, name
+            assert math.isfinite(gauges[name])
+        assert 0.0 <= gauges["health.weight_entropy"] <= 1.0
 
     def test_untraced_fit_is_bit_identical(self):
         data = self._views()

@@ -240,6 +240,22 @@ class TestIterationEvents:
                 "f_step", "y_step", "w_step",
             }
 
+    def test_every_solver_times_all_four_blocks_after_iteration_one(self):
+        # Iteration 1 of a scalable solver cold-starts (the rotation
+        # search replaces the R-step); from iteration 2 on all three run
+        # the same F/R/Y/w blocks through the shared driver.
+        ds = make_multiview_blobs(80, 3, view_dims=(8, 10), random_state=1)
+        blocks = {"f_step", "r_step", "y_step", "w_step"}
+        for cls in (UnifiedMVSC, AnchorMVSC, SparseMVSC):
+            recorder = TraceRecorder()
+            cls(
+                3, max_iter=3, n_restarts=2, random_state=0,
+                callbacks=[recorder],
+            ).fit_predict(ds.views)
+            assert len(recorder.events) >= 2, cls.__name__
+            for event in recorder.events[1:]:
+                assert set(event.block_seconds) >= blocks, cls.__name__
+
 
 class TestZeroImpact:
     def test_results_bit_identical_with_tracing_on_vs_off(self):
