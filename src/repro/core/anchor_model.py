@@ -585,6 +585,8 @@ class _AnchorFactors:
 
     The F-step embeds ``B(w) B(w)^T`` via the stacked factor's Gram and
     records its ``multipliers``; view ``v`` costs ``c - ||B_v^T F||^2``.
+    The last embedding is kept per ``w``, so the driver's first F-step
+    after a fold-in's warm start reuses it instead of re-solving.
     """
 
     def __init__(self, anchors, assignments, model: AnchorMVSC):
@@ -594,15 +596,20 @@ class _AnchorFactors:
         self.n_clusters = model.n_clusters
         self.weighting, self.gamma = model.weighting, model.gamma
         self.multipliers: np.ndarray | None = None
+        self._embedded: tuple[np.ndarray, np.ndarray] | None = None
 
     def embed(self, w, f, g, r) -> tuple[np.ndarray, None]:
+        if self._embedded is not None and np.array_equal(self._embedded[0], w):
+            return self._embedded[1], None
         self.multipliers = fusion_multipliers(
             w, mode=self.weighting, gamma=self.gamma
         )
         stacked = np.hstack(
             [np.sqrt(mv) * b for mv, b in zip(self.multipliers, self.factors)]
         )
-        return _top_left_singular(stacked, self.n_clusters), None
+        f = _top_left_singular(stacked, self.n_clusters)
+        self._embedded = (np.array(w, dtype=np.float64), f)
+        return f, None
 
     def view_costs(self, f: np.ndarray) -> np.ndarray:
         return disagreement_costs(self.factors, f)

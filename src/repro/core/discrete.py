@@ -14,7 +14,8 @@ Two solvers live here:
   ``M = F R`` entries assigned to cluster ``j``) is not row-separable, so
   we run coordinate descent over rows with incremental column statistics,
   accepting only improving moves and never emptying a cluster: a monotone,
-  O(n c) per-sweep exact block update.
+  O(n c) per-sweep exact block update.  Each sweep is evaluated in
+  vectorized blocks that scan ahead to the next improving row.
 * :func:`rotation_initialize` — spectral-rotation initialization: from the
   eigenvector embedding, try several random rotations, alternate
   (rotation, assignment) to a fixed point, and keep the best.  This is the
@@ -37,7 +38,7 @@ from repro.robust.policy import (
     record_recovery,
 )
 from repro.utils.rng import check_random_state
-from repro.utils.validation import check_matrix
+from repro.utils.validation import check_labels, check_matrix
 
 _SITE_ROTATION = register_fault_site(
     "discrete.rotation",
@@ -58,14 +59,74 @@ def scaled_indicator(labels: np.ndarray, n_clusters: int) -> np.ndarray:
     return y / np.sqrt(counts)[None, :]
 
 
+def _check_assignment(labels, n: int, n_clusters: int) -> np.ndarray:
+    """``labels`` as a fresh int64 array, shape ``(n,)``, in ``[0, c)``."""
+    expected = f"shape ({n},) with values in [0, {n_clusters})"
+    arr = np.asarray(labels)
+    if arr.shape != (n,):
+        raise ValidationError(
+            f"labels must have {expected}, got shape {arr.shape}"
+        )
+    arr = check_labels(arr)
+    low, high = int(arr.min()), int(arr.max())
+    if low < 0 or high >= n_clusters:
+        raise ValidationError(
+            f"labels must have {expected}, got values in [{low}, {high}]"
+        )
+    return arr
+
+
 def rotation_objective(m: np.ndarray, labels: np.ndarray, n_clusters: int) -> float:
     """``tr(R^T F^T G(Y)) = sum_j q_j / sqrt(n_j)`` for ``M = F R``."""
     m = check_matrix(m, "m")
+    if m.shape[1] != n_clusters:
+        raise ValidationError(
+            f"m must have {n_clusters} columns, got {m.shape[1]}"
+        )
+    labels = _check_assignment(labels, m.shape[0], n_clusters)
     counts = np.bincount(labels, minlength=n_clusters).astype(np.float64)
     q = np.zeros(n_clusters)
     np.add.at(q, labels, m[np.arange(m.shape[0]), labels])
     safe = np.where(counts > 0, counts, 1.0)
     return float(np.sum(q / np.sqrt(safe)))
+
+
+#: Rows whose move gains one vectorized scan evaluates at a time.
+_SCAN_BLOCK = 256
+
+
+def _next_move(mt, labels, q, counts, start: int) -> tuple[int, int]:
+    """The first improving move at or after row ``start``, within one block.
+
+    ``mt`` is ``M^T`` (so a block is ``c`` contiguous row segments).
+    Returns ``(i, b)``: move row ``i`` to cluster ``b``.  When no row of
+    the block ``[start, stop)`` improves, returns ``(stop, -1)``.  ``q``
+    and ``counts`` are fixed until a move is accepted, so every row of
+    the block sees the state the sequential sweep would show it; the
+    gains use the sweep's elementwise formulas in the same order, hence
+    the same bits.
+    """
+    stop = min(start + _SCAN_BLOCK, mt.shape[1])
+    block = mt[:, start:stop]
+    a = labels[start:stop]
+    cols = np.arange(stop - start)
+    n_a = counts[a]
+    # base[j] is cluster j's contribution q_j / sqrt(n_j) today.
+    base = q / np.sqrt(counts)
+    # Each row's own cluster a after the row leaves it; singleton rows
+    # (never moved) get a dummy non-zero denominator.
+    new_a = (q[a] - block[a, cols]) / np.sqrt(np.maximum(n_a - 1.0, 1.0))
+    # Clusters b after each row (column of ``gain``) joins them.
+    new_b = (q[:, None] + block) / np.sqrt(counts + 1.0)[:, None]
+    gain = (new_a - base[a]) + (new_b - base[:, None])
+    gain[a, cols] = 0.0
+    # max(gain) > 1e-12 is the sweep's gain[argmax] > 1e-12, also when a
+    # NaN is present (max propagates it, argmax picks it).
+    improving = (n_a > 1.0) & (gain.max(axis=0) > 1e-12)
+    k = int(np.argmax(improving))
+    if not improving[k]:
+        return stop, -1
+    return start + k, int(np.argmax(gain[:, k]))
 
 
 def indicator_coordinate_descent(
@@ -76,6 +137,15 @@ def indicator_coordinate_descent(
     max_sweeps: int = 20,
 ) -> np.ndarray:
     """Exact Y-step: coordinate descent on ``max_Y sum_j q_j / sqrt(n_j)``.
+
+    Each sweep visits the rows in order and moves a row to the cluster
+    of largest gain when that gain exceeds ``1e-12``, updating the
+    column statistics ``q`` and ``n_j`` after every move.  Between two
+    moves those statistics are fixed, so the sweep is evaluated block by
+    block (:data:`_SCAN_BLOCK` rows per numpy expression): scan to the
+    next improving row, apply that one move, resume after it.  The moves are
+    exactly those of a row-at-a-time sweep; the cost is ``O(c)`` numpy
+    work per visited row plus one block rescan per move.
 
     Parameters
     ----------
@@ -99,7 +169,7 @@ def indicator_coordinate_descent(
     n, c = m.shape
     if c != n_clusters:
         raise ValidationError(f"m must have {n_clusters} columns, got {c}")
-    labels = np.asarray(labels, dtype=np.int64).copy()
+    labels = _check_assignment(labels, n, c)
     counts = np.bincount(labels, minlength=c).astype(np.float64)
     if np.any(counts == 0):
         raise ValidationError("starting assignment must have no empty cluster")
@@ -107,32 +177,25 @@ def indicator_coordinate_descent(
     q = np.zeros(c)
     np.add.at(q, labels, m[np.arange(n), labels])
 
-    sqrt = np.sqrt
+    mt = np.ascontiguousarray(m.T)
     n_moves = 0
     n_sweeps = 0
     for n_sweeps in range(1, max_sweeps + 1):
         moved = False
-        for i in range(n):
+        i = 0
+        while i < n:
+            i, b = _next_move(mt, labels, q, counts, i)
+            if b < 0:
+                continue
             a = labels[i]
-            if counts[a] <= 1:
-                continue  # never empty a cluster
-            # Contribution of clusters a and b before/after moving row i.
-            base_a = q[a] / sqrt(counts[a])
-            new_a = (q[a] - m[i, a]) / sqrt(counts[a] - 1.0)
-            # Gains for moving i to every other cluster, vectorized.
-            base_b = q / sqrt(counts)
-            new_b = (q + m[i]) / sqrt(counts + 1.0)
-            gain = (new_a - base_a) + (new_b - base_b)
-            gain[a] = 0.0
-            b = int(np.argmax(gain))
-            if gain[b] > 1e-12:
-                q[a] -= m[i, a]
-                counts[a] -= 1.0
-                q[b] += m[i, b]
-                counts[b] += 1.0
-                labels[i] = b
-                moved = True
-                n_moves += 1
+            q[a] -= m[i, a]
+            counts[a] -= 1.0
+            q[b] += m[i, b]
+            counts[b] += 1.0
+            labels[i] = b
+            moved = True
+            n_moves += 1
+            i += 1
         if not moved:
             break
     metric_inc("y_step.moves", n_moves)

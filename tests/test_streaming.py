@@ -174,6 +174,26 @@ class TestPartialFit:
         assert labels.shape == (120,)
         assert model.labels_.shape == (120,)
 
+    def test_fold_in_embeds_once_per_weight_vector(self, monkeypatch):
+        import repro.core.anchor_model as anchor_model
+
+        _, batches = _drifted_stream(n_batches=2, batch_size=60)
+        model = AnchorMVSC(4, random_state=0)
+        model.partial_fit(batches[0].views)
+        calls = []
+        solve = anchor_model._top_left_singular
+
+        def counted(b, c):
+            calls.append(b.shape)
+            return solve(b, c)
+
+        monkeypatch.setattr(anchor_model, "_top_left_singular", counted)
+        model.partial_fit(batches[1].views, refine_iters=2)
+        # Warm start under the carried-over weights (reused by the first
+        # refinement's F-step), then one solve under the updated weights.
+        assert len(calls) == 2
+        assert model.n_iter_ == 2
+
     def test_partial_refit_and_refit(self):
         _, batches = _drifted_stream(n_batches=2, batch_size=60)
         model = AnchorMVSC(4, random_state=0)
