@@ -585,7 +585,7 @@ class _AnchorFactors:
 
     The F-step embeds ``B(w) B(w)^T`` via the stacked factor's Gram and
     records its ``multipliers``; view ``v`` costs ``c - ||B_v^T F||^2``.
-    The last embedding is kept per ``w``, so the driver's first F-step
+    The last embedding is kept per ``w``, so the first alternation F-step
     after a fold-in's warm start reuses it instead of re-solving.
     """
 
