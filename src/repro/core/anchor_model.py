@@ -12,6 +12,11 @@ factors ``B_v`` (``W_v = B_v B_v^T``) and weights ``w``,
 ``B(w) = [sqrt(w_1) B_1 | ... | sqrt(w_V) B_V]``
 
 so the fused embedding is the SVD of a concatenated ``(n, V m)`` factor.
+With the stacked assignment ``Z = [Z_1 | ... | Z_V]`` that factor is
+``Z diag(d)``, ``d = concat_v(sqrt(w_v) mass_v^{-1/2})``, so its Gram is
+``C * d d^T`` with ``C = Z^T Z``: the model keeps ``Z`` as CSR plus
+``C`` and the column masses, and every warm F-step solves the top
+``c + 1`` pairs of that ``(V m, V m)`` Gram.
 Rotation, discrete assignment, and view weighting run in the same
 driver as :class:`~repro.core.model.UnifiedMVSC`
 (:func:`repro.core.alternation.alternate`); the lam-coupling is
@@ -21,16 +26,18 @@ making this the spectral-rotation end of the framework at scale.
 Streaming
 ---------
 The factored form is what makes *incremental* fitting cheap: appending a
-batch of rows only appends rows to each ``Z_v`` (one ``(b, m)`` anchor
-assignment per view against the *frozen* anchors), after which the fused
-embedding is again an ``O(n (Vm)^2)`` Gram eigendecomposition — no
-eigensolve ever sees an ``n x n`` matrix, and no anchor is re-selected.
+batch of ``b`` rows only appends rows to ``Z`` (one ``(b, m)`` anchor
+assignment per view against the *frozen* anchors) and adds the batch's
+share to ``C`` and the masses, after which the fused embedding is again
+a small Gram eigenproblem — a fold-in costs
+``O(b (Vm)^2 + (Vm)^3 + n_seen V k c)``, no eigensolve ever sees an
+``n x n`` matrix, and no anchor is re-selected.
 :meth:`AnchorMVSC.partial_fit` implements this fold-in: assign new rows to
 the stored anchors, warm-start the F/Y refinement from the previous
 labels (rotation fitted on the *old* rows only, so new rows cannot drag
 the alignment), and run a couple of cheap alternations.  When drift makes
 the fold-in stale, :meth:`partial_refit` re-runs the full alternation on
-the accumulated factors (anchors and ``Z`` reused), and :meth:`refit`
+the accumulated statistics (anchors and ``Z`` reused), and :meth:`refit`
 replays a cold fit on the accumulated views (anchors re-selected).  The
 fold-in runs under the ``streaming.partial_fit`` fault site with a
 full-refit fallback; both refit flavours run under ``streaming.refit``.
@@ -43,12 +50,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.backends import current_backend, get_backend, use_backend
 from repro.core.alternation import SITE_FIT, alternate, fit_start
 from repro.core.config import check_solver_params
 from repro.core.discrete import indicator_coordinate_descent, scaled_indicator
-from repro.core.objective import disagreement_costs
 from repro.core.persistence import (
     DEFAULT_SERVING_NEIGHBORS,
     ServableModelMixin,
@@ -58,7 +65,9 @@ from repro.exceptions import ValidationError
 from repro.graph.anchor import (
     anchor_affinity_factor,
     anchor_assignment,
+    gram_top_eigenpairs,
     select_anchors,
+    top_left_singular,
 )
 from repro.graph.distance import pairwise_sq_euclidean
 from repro.linalg.procrustes import nearest_orthogonal
@@ -85,21 +94,6 @@ _SITE_REFIT = register_fault_site(
 
 #: Cheap-fold-in refinement alternations when ``refine_iters`` is omitted.
 DEFAULT_REFINE_ITERS = 2
-
-
-def _top_left_singular(b: np.ndarray, c: int) -> np.ndarray:
-    """Top-``c`` left singular vectors of ``b`` via its small Gram matrix."""
-    gram = b.T @ b
-    values, vectors = np.linalg.eigh(gram)
-    order = np.argsort(values)[::-1][:c]
-    if current_trace() is not None and values.size > c:
-        # Numerical-health probe: the Gram spectral gap behind the
-        # anchor embedding (sigma_c^2 - sigma_{c+1}^2), free here since
-        # eigh already produced the full small spectrum.
-        ranked = np.sort(values)[::-1]
-        metric_set("health.eigengap", float(ranked[c - 1] - ranked[c]))
-    vals = np.maximum(values[order], 1e-300)
-    return (b @ vectors[:, order]) / np.sqrt(vals)[None, :]
 
 
 def _anchor_coverage(views, anchor_sets) -> float:
@@ -130,8 +124,7 @@ class _StreamFit:
 
     labels: np.ndarray
     weights: np.ndarray
-    anchors: list
-    assignments: list
+    stats: _AnchorStats
     objective: float
     batch_cost: float
     n_iter: int
@@ -291,6 +284,12 @@ class AnchorMVSC(ServableModelMixin):
         rng = check_random_state(self.random_state)
         m = self.n_anchors or min(n, max(10 * c, 100))
         m = min(m, n)
+        if len(views) * m < c:
+            raise ValidationError(
+                f"n_anchors={m} per view gives {len(views) * m} anchor "
+                f"columns over {len(views)} views, fewer than "
+                f"n_clusters={c}; raise n_anchors"
+            )
 
         fit_start(
             type(self).__name__, self.callbacks, n, len(views), c, n_anchors=m
@@ -298,10 +297,10 @@ class AnchorMVSC(ServableModelMixin):
         with span("graph_build", n_views=len(views), n_anchors=m):
             # Anchor selection consumes the shared rng, so it runs
             # serially; the assignment step is a pure function of
-            # (view, anchors) and is cached and parallelized.  The
-            # assignments (not the factors) are kept: partial_fit
-            # appends rows to Z and renormalizes, which cannot be done
-            # from B alone.
+            # (view, anchors) and is cached and parallelized.  Only the
+            # statistics of Z are kept: partial_fit adds a batch's share
+            # to them and renormalizes, which cannot be done from B
+            # alone.  The dense factors serve the first F-step only.
             anchor_sets = [
                 select_anchors(x, m, random_state=rng) for x in views
             ]
@@ -315,12 +314,15 @@ class AnchorMVSC(ServableModelMixin):
                 key_params={"k": int(self.n_anchor_neighbors)},
                 n_jobs=self.n_jobs,
             )
-            rep = _AnchorFactors(anchor_sets, assignments, self)
+            rep = _AnchorFactors(
+                _AnchorStats.of(anchor_sets, assignments),
+                self,
+                cold=[anchor_affinity_factor(z) for z in assignments],
+            )
 
-        n_views = len(rep.factors)
         return self._alternate(
             rep,
-            np.full(n_views, 1.0 / n_views),
+            np.full(len(views), 1.0 / len(views)),
             views,
             max_iter=self.max_iter,
             rng=rng,
@@ -349,12 +351,11 @@ class AnchorMVSC(ServableModelMixin):
         if batch_views is None:
             batch_cost = self.batch_cost_
         else:
-            batch_cost = _anchor_coverage(batch_views, rep.anchors)
+            batch_cost = _anchor_coverage(batch_views, rep.stats.anchors)
         return _StreamFit(
             labels=run.labels,
             weights=run.weights,
-            anchors=rep.anchors,
-            assignments=rep.assignments,
+            stats=rep.stats,
             objective=float(np.dot(rep.multipliers, run.costs)),
             batch_cost=batch_cost,
             n_iter=run.n_iter,
@@ -367,20 +368,19 @@ class AnchorMVSC(ServableModelMixin):
         views = [np.asarray(v) for v in views]
         self._stream = {
             "views": views,
-            "anchors": fit.anchors,
-            "z": fit.assignments,
+            "stats": fit.stats,
             "labels": fit.labels,
             "weights": fit.weights,
         }
         self.labels_ = fit.labels
         self.view_weights_ = fit.weights
-        self.anchors_ = tuple(fit.anchors)
+        self.anchors_ = fit.stats.anchors
         self.objective_ = fit.objective
         self.batch_cost_ = fit.batch_cost
         self.n_seen_ = int(fit.labels.shape[0])
         self.n_iter_ = fit.n_iter
         extras = {
-            f"anchors_view_{i}": a for i, a in enumerate(fit.anchors)
+            f"anchors_view_{i}": a for i, a in enumerate(fit.stats.anchors)
         }
         self._remember_fit(
             views,
@@ -475,20 +475,18 @@ class AnchorMVSC(ServableModelMixin):
             n_seen=int(state["labels"].shape[0]),
             backend=backend.name,
         ):
-            z_full = [
-                np.vstack(
+            stats = state["stats"]
+            rep = _AnchorFactors(
+                stats.extend(
                     [
-                        z_old,
                         anchor_assignment(
                             x_new, anchors, k=self.n_anchor_neighbors
-                        ),
+                        )
+                        for x_new, anchors in zip(views_new, stats.anchors)
                     ]
-                )
-                for z_old, x_new, anchors in zip(
-                    state["z"], views_new, state["anchors"]
-                )
-            ]
-            rep = _AnchorFactors(state["anchors"], z_full, self)
+                ),
+                self,
+            )
 
             # Warm start: embed under the carried-over weights, align the
             # rotation on the old rows only (new rows have no labels yet),
@@ -541,7 +539,7 @@ class AnchorMVSC(ServableModelMixin):
             n_seen=int(state["labels"].shape[0]),
             backend=backend.name,
         ):
-            rep = _AnchorFactors(state["anchors"], state["z"], self)
+            rep = _AnchorFactors(state["stats"], self)
             w = np.asarray(state["weights"], dtype=np.float64).copy()
             return self._alternate(
                 rep, w, None, labels=state["labels"], max_iter=self.max_iter
@@ -580,36 +578,113 @@ class AnchorMVSC(ServableModelMixin):
         return self._stream
 
 
-class _AnchorFactors:
-    """Anchor factors ``B_v``: AnchorMVSC's :func:`alternate` input.
+@dataclass(frozen=True)
+class _AnchorStats:
+    """Sufficient statistics of the stacked anchor assignment ``Z``.
 
-    The F-step embeds ``B(w) B(w)^T`` via the stacked factor's Gram and
-    records its ``multipliers``; view ``v`` costs ``c - ||B_v^T F||^2``.
-    The last embedding is kept per ``w``, so the first alternation F-step
-    after a fold-in's warm start reuses it instead of re-solving.
+    ``z`` holds ``Z = [Z_1 | ... | Z_V]`` as CSR (at most ``k`` nonzeros
+    per row per view), ``gram`` is ``C = Z^T Z`` and ``mass`` the column
+    sums ``Z^T 1`` (the diagonals of every ``Lambda_v``).  :meth:`extend`
+    adds a batch's share to each, so a fold-in recomputes nothing over
+    the rows already seen.
     """
 
-    def __init__(self, anchors, assignments, model: AnchorMVSC):
-        self.anchors = list(anchors)
-        self.assignments = list(assignments)
-        self.factors = [anchor_affinity_factor(z) for z in self.assignments]
+    anchors: tuple
+    z: sp.csr_array
+    gram: np.ndarray
+    mass: np.ndarray
+
+    @classmethod
+    def of(cls, anchors, assignments) -> _AnchorStats:
+        """The statistics of the per-view dense ``assignments``."""
+        z = sp.hstack(
+            [sp.csr_array(np.asarray(a, np.float64)) for a in assignments],
+            format="csr",
+        )
+        return cls(
+            tuple(anchors), z, (z.T @ z).toarray(), np.asarray(z.sum(axis=0))
+        )
+
+    def extend(self, assignments) -> _AnchorStats:
+        """The statistics after appending one batch's per-view rows."""
+        batch = _AnchorStats.of(self.anchors, assignments)
+        return _AnchorStats(
+            self.anchors,
+            sp.vstack([self.z, batch.z], format="csr"),
+            self.gram + batch.gram,
+            self.mass + batch.mass,
+        )
+
+
+class _AnchorFactors:
+    """Anchor factors ``B_v = Z_v Lambda_v^{-1/2}``: AnchorMVSC's
+    :func:`alternate` input, held as :class:`_AnchorStats`.
+
+    With ``d = concat_v(sqrt(mult_v) mass_v^{-1/2})`` the stacked factor
+    is ``B(w) = Z diag(d)``, so the F-step solves only the top ``c + 1``
+    eigenpairs ``(s, V)`` of its ``(Vm, Vm)`` Gram ``C * d d^T`` and sets
+    ``F = Z (d * V) diag(s)^{-1/2}``; view ``v`` costs
+    ``c - ||mass_v^{-1/2} * Z_v^T F||^2 = c - ||B_v^T F||^2``.  No step
+    forms an ``(n, Vm)`` dense matrix.
+
+    A cold fit also passes its dense per-view factors as ``cold``: its
+    first F-step stacks them and takes a full ``eigh`` instead, because
+    :func:`~repro.core.discrete.rotation_initialize` then chooses among
+    restarts by ulp-level objective differences, so that step must keep
+    the cold fit's exact arithmetic (a subset solver also flips
+    eigenvector signs).  Every later F-step sees labels, and the R- and
+    Y-steps depend only on the span of ``F``.  The last embedding
+    is kept per ``w``, so the first alternation F-step after a fold-in's
+    warm start reuses it instead of re-solving.
+    """
+
+    def __init__(self, stats: _AnchorStats, model: AnchorMVSC, *, cold=None):
+        self.stats = stats
         self.n_clusters = model.n_clusters
         self.weighting, self.gamma = model.weighting, model.gamma
         self.multipliers: np.ndarray | None = None
         self._embedded: tuple[np.ndarray, np.ndarray] | None = None
+        self._cold = cold
+        self._view_of = np.repeat(
+            np.arange(len(stats.anchors)), [a.shape[0] for a in stats.anchors]
+        )
+        self._inv_sqrt = np.where(
+            stats.mass > 0, 1.0 / np.sqrt(np.maximum(stats.mass, 1e-300)), 0.0
+        )
 
     def embed(self, w, f, g, r) -> tuple[np.ndarray, None]:
         if self._embedded is not None and np.array_equal(self._embedded[0], w):
             return self._embedded[1], None
+        c = self.n_clusters
         self.multipliers = fusion_multipliers(
             w, mode=self.weighting, gamma=self.gamma
         )
-        stacked = np.hstack(
-            [np.sqrt(mv) * b for mv, b in zip(self.multipliers, self.factors)]
-        )
-        f = _top_left_singular(stacked, self.n_clusters)
+        if self._cold is not None:
+            stacked = np.hstack(
+                [np.sqrt(mv) * b for mv, b in zip(self.multipliers, self._cold)]
+            )
+            self._cold = None
+            f, spectrum = top_left_singular(stacked, c)
+        else:
+            d = np.sqrt(self.multipliers)[self._view_of] * self._inv_sqrt
+            spectrum, vectors = gram_top_eigenpairs(
+                self.stats.gram * np.outer(d, d), c + 1
+            )
+            vals = np.maximum(spectrum[:c], 1e-300)
+            f = (self.stats.z @ (d[:, None] * vectors[:, :c])) / np.sqrt(vals)
+        if current_trace() is not None and spectrum.size > c:
+            # Numerical-health probe: the Gram spectral gap behind the
+            # anchor embedding (sigma_c^2 - sigma_{c+1}^2), free since
+            # both solves already produce the (c+1)-th pair.
+            metric_set("health.eigengap", float(spectrum[c - 1] - spectrum[c]))
         self._embedded = (np.array(w, dtype=np.float64), f)
         return f, None
 
     def view_costs(self, f: np.ndarray) -> np.ndarray:
-        return disagreement_costs(self.factors, f)
+        proj = (self.stats.z.T @ f) * self._inv_sqrt[:, None]
+        norms = np.bincount(
+            self._view_of,
+            weights=np.sum(proj**2, axis=1),
+            minlength=len(self.stats.anchors),
+        )
+        return np.maximum(f.shape[1] - norms, 0.0)

@@ -17,6 +17,7 @@ matrix ever materializes.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from repro.backends import current_backend
 from repro.exceptions import ValidationError
@@ -121,6 +122,37 @@ def anchor_affinity(z: np.ndarray) -> np.ndarray:
     return (w + w.T) / 2.0
 
 
+def top_left_singular(b: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-``c`` left singular vectors of ``b`` via its small Gram matrix.
+
+    Thin SVD through the full eigendecomposition of ``b^T b``: cheap when
+    ``b`` has few columns.  Returns the vectors and the whole Gram
+    spectrum in descending order (the squared singular values).
+    """
+    values, vectors = np.linalg.eigh(b.T @ b)
+    ranked = np.argsort(values)[::-1]
+    order = ranked[:c]
+    top_vals = np.maximum(values[order], 1e-300)
+    return (b @ vectors[:, order]) / np.sqrt(top_vals)[None, :], values[ranked]
+
+
+def gram_top_eigenpairs(
+    gram: np.ndarray, n_pairs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The top ``min(n_pairs, size)`` eigenpairs of a symmetric Gram matrix.
+
+    Only that subset is solved for (``scipy.linalg.eigh`` with
+    ``subset_by_index``), which is several times cheaper than a full
+    decomposition when ``n_pairs`` is small.  Values come descending,
+    with their eigenvectors as the matching columns.
+    """
+    size = gram.shape[0]
+    values, vectors = scipy.linalg.eigh(
+        gram, subset_by_index=[size - min(n_pairs, size), size - 1]
+    )
+    return values[::-1], vectors[:, ::-1]
+
+
 def anchor_spectral_embedding(
     z: np.ndarray, n_components: int
 ) -> np.ndarray:
@@ -138,11 +170,4 @@ def anchor_spectral_embedding(
         raise ValidationError(
             f"n_components must be in [1, {min(n, m)}], got {n_components}"
         )
-    b = anchor_affinity_factor(z)
-    # Thin SVD via the m x m Gram matrix: cheap when m << n.
-    gram = b.T @ b
-    values, vectors = np.linalg.eigh(gram)
-    order = np.argsort(values)[::-1][:n_components]
-    top_vals = np.maximum(values[order], 1e-300)
-    u = (b @ vectors[:, order]) / np.sqrt(top_vals)[None, :]
-    return u
+    return top_left_singular(anchor_affinity_factor(z), n_components)[0]

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.anchor_model import AnchorMVSC
+import repro.core.anchor_model as anchor_model
+from repro.core.anchor_model import AnchorMVSC, _AnchorFactors, _AnchorStats
 from repro.datasets import make_multiview_blobs
 from repro.exceptions import ValidationError
 from repro.metrics import clustering_accuracy
@@ -61,6 +62,13 @@ class TestAnchorMVSC:
         with pytest.raises(ValidationError, match="exceeds"):
             AnchorMVSC(10_000).fit_predict(easy_big.views)
 
+    def test_too_few_anchor_columns_raise_eagerly(self, easy_big):
+        # Two views of one anchor each cannot span three clusters.
+        with pytest.raises(ValidationError, match="n_anchors=1"):
+            AnchorMVSC(3, n_anchors=1, random_state=0).fit_predict(
+                easy_big.views
+            )
+
     def test_faster_than_dense_at_scale(self):
         import time
 
@@ -76,3 +84,100 @@ class TestAnchorMVSC:
         UnifiedMVSC(4, random_state=0).fit(ds.views)
         dense_time = time.perf_counter() - start
         assert anchor_time < dense_time
+
+
+def _stream_data():
+    return make_multiview_blobs(
+        220,
+        3,
+        view_dims=(8, 12, 6),
+        view_noise=(0.3, 0.6, 1.0),
+        separation=3.0,
+        random_state=5,
+    )
+
+
+def _assignments(views, anchors, k):
+    return [
+        anchor_model.anchor_assignment(x, a, k=k)
+        for x, a in zip(views, anchors)
+    ]
+
+
+class TestGramPath:
+    """The statistics-backed F- and w-steps against the stacked factor."""
+
+    @pytest.mark.parametrize(
+        "weighting", ["exponential", "parameter_free", "uniform"]
+    )
+    def test_embedding_matches_stacked_factor(self, weighting):
+        views = _stream_data().views
+        model = AnchorMVSC(3, n_anchors=20, weighting=weighting)
+        anchors = [
+            anchor_model.select_anchors(x, 20, random_state=0) for x in views
+        ]
+        z = _assignments(views, anchors, 5)
+        stats = _AnchorStats.of(anchors, z)
+        factors = [anchor_model.anchor_affinity_factor(zv) for zv in z]
+        w = np.array([0.5, 0.3, 0.2])
+        stacked = _AnchorFactors(stats, model, cold=factors)
+        gram = _AnchorFactors(stats, model)
+        f_stacked, _ = stacked.embed(w, None, None, None)
+        f_gram, _ = gram.embed(w, None, None, None)
+        # Equal up to column signs.
+        np.testing.assert_allclose(
+            np.abs(f_stacked.T @ f_gram), np.eye(3), atol=1e-10
+        )
+        np.testing.assert_allclose(stacked.multipliers, gram.multipliers)
+        reference = np.maximum(
+            [3 - np.sum((b.T @ f_stacked) ** 2) for b in factors], 0.0
+        )
+        np.testing.assert_allclose(
+            gram.view_costs(f_gram), reference, rtol=1e-10, atol=1e-12
+        )
+
+    def test_fold_ins_accumulate_exact_statistics(self):
+        views = _stream_data().views
+        model = AnchorMVSC(3, n_anchors=20, random_state=0)
+        model.partial_fit([x[:100] for x in views])
+        for start in range(100, 220, 12):
+            model.partial_fit([x[start:start + 12] for x in views])
+        assert model.n_seen_ == 220
+        stats = model._stream["stats"]
+        scratch = _AnchorStats.of(
+            stats.anchors, _assignments(views, stats.anchors, 5)
+        )
+        np.testing.assert_allclose(stats.gram, scratch.gram, rtol=1e-12)
+        np.testing.assert_allclose(stats.mass, scratch.mass, rtol=1e-12)
+        np.testing.assert_allclose(
+            stats.z.toarray(), scratch.z.toarray(), rtol=1e-12
+        )
+        # At most k nonzeros per row within every view's block.
+        for v in range(len(views)):
+            block = stats.z[:, 20 * v:20 * (v + 1)].tocsr()
+            assert np.diff(block.indptr).max() <= 5
+
+    def test_fold_in_builds_no_factor_or_dense_stack(self, monkeypatch):
+        views = _stream_data().views
+        model = AnchorMVSC(3, n_anchors=20, random_state=0)
+        model.partial_fit([x[:200] for x in views])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fold-in took the dense stacked-factor path")
+
+        monkeypatch.setattr(anchor_model, "anchor_affinity_factor", forbidden)
+        monkeypatch.setattr(anchor_model, "top_left_singular", forbidden)
+        shapes = []
+        for name in ("hstack", "vstack", "concatenate"):
+            stack = getattr(np, name)
+
+            def recorded(*args, _stack=stack, **kwargs):
+                out = _stack(*args, **kwargs)
+                shapes.append(np.shape(out))
+                return out
+
+            monkeypatch.setattr(np, name, recorded)
+        model.partial_fit([x[200:] for x in views])
+        # Neither one view's (n_seen, m) Z nor the (n_seen, V m) stack.
+        assert shapes
+        assert not any(s[0] == 220 and s[1:] in ((20,), (60,)) for s in shapes)

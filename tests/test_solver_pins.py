@@ -194,6 +194,28 @@ def test_traced_fit_matches_untraced(make):
     np.testing.assert_array_equal(plain, traced)
 
 
+def test_traced_stream_matches_untraced():
+    views = _dataset(5).views
+    batches = [[v[:60] for v in views]] + [
+        [v[start:start + 12] for v in views] for start in range(60, 120, 12)
+    ]
+    plain_model, traced_model = (
+        AnchorMVSC(3, n_anchors=20, random_state=0) for _ in range(2)
+    )
+    plain = [plain_model.partial_fit(batch) for batch in batches]
+    trace = Trace("stream-pin")
+    with use_trace(trace):
+        traced = [traced_model.partial_fit(batch) for batch in batches[:1]]
+        # Every fold-in publishes the gauge from its own Gram solve.
+        for batch in batches[1:]:
+            trace.metrics.gauge("health.eigengap").set(float("nan"))
+            traced.append(traced_model.partial_fit(batch))
+            gap = trace.metrics.snapshot()["gauges"]["health.eigengap"]
+            assert np.isfinite(gap) and gap >= 0.0
+    for a, b in zip(plain, traced):
+        np.testing.assert_array_equal(a, b)
+
+
 #: Captured before the three solver loops were merged into one driver.
 PINS: dict = {'anchor_exponential': {'batch_cost': 1.6184526449856282,
                         'label_moves': [None, 5, 12, 6, 1, 0, 0, 0],

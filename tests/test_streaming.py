@@ -181,13 +181,13 @@ class TestPartialFit:
         model = AnchorMVSC(4, random_state=0)
         model.partial_fit(batches[0].views)
         calls = []
-        solve = anchor_model._top_left_singular
+        solve = anchor_model.gram_top_eigenpairs
 
-        def counted(b, c):
-            calls.append(b.shape)
-            return solve(b, c)
+        def counted(gram, n_pairs):
+            calls.append(gram.shape)
+            return solve(gram, n_pairs)
 
-        monkeypatch.setattr(anchor_model, "_top_left_singular", counted)
+        monkeypatch.setattr(anchor_model, "gram_top_eigenpairs", counted)
         model.partial_fit(batches[1].views, refine_iters=2)
         # Warm start under the carried-over weights (reused by the first
         # refinement's F-step), then one solve under the updated weights.
