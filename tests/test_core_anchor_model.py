@@ -144,13 +144,13 @@ class TestGramPath:
             model.partial_fit([x[start:start + 12] for x in views])
         assert model.n_seen_ == 220
         stats = model._stream["stats"]
-        scratch = _AnchorStats.of(
+        rebuilt = _AnchorStats.of(
             stats.anchors, _assignments(views, stats.anchors, 5)
         )
-        np.testing.assert_allclose(stats.gram, scratch.gram, rtol=1e-12)
-        np.testing.assert_allclose(stats.mass, scratch.mass, rtol=1e-12)
+        np.testing.assert_allclose(stats.gram, rebuilt.gram, rtol=1e-12)
+        np.testing.assert_allclose(stats.mass, rebuilt.mass, rtol=1e-12)
         np.testing.assert_allclose(
-            stats.z.toarray(), scratch.z.toarray(), rtol=1e-12
+            stats.z.toarray(), rebuilt.z.toarray(), rtol=1e-12
         )
         # At most k nonzeros per row within every view's block.
         for v in range(len(views)):
