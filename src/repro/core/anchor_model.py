@@ -16,7 +16,9 @@ With the stacked assignment ``Z = [Z_1 | ... | Z_V]`` that factor is
 ``Z diag(d)``, ``d = concat_v(sqrt(w_v) mass_v^{-1/2})``, so its Gram is
 ``C * d d^T`` with ``C = Z^T Z``: the model keeps ``Z`` as CSR plus
 ``C`` and the column masses, and every warm F-step solves the top
-``c + 1`` pairs of that ``(V m, V m)`` Gram.
+``c + 1`` pairs of that ``(V m, V m)`` Gram, refining the previous
+F-step's basis when it has one
+(:func:`~repro.graph.anchor.gram_top_eigenpairs`).
 Rotation, discrete assignment, and view weighting run in the same
 driver as :class:`~repro.core.model.UnifiedMVSC`
 (:func:`repro.core.alternation.alternate`); the lam-coupling is
@@ -29,9 +31,11 @@ The factored form is what makes *incremental* fitting cheap: appending a
 batch of ``b`` rows only appends rows to ``Z`` (one ``(b, m)`` anchor
 assignment per view against the *frozen* anchors) and adds the batch's
 share to ``C`` and the masses, after which the fused embedding is again
-a small Gram eigenproblem — a fold-in costs
-``O(b (Vm)^2 + (Vm)^3 + n_seen V k c)``, no eigensolve ever sees an
-``n x n`` matrix, and no anchor is re-selected.
+a small Gram eigenproblem, warm-started from the previous solve's basis
+and solved by Chebyshev-filtered GEMMs — a fold-in costs
+``O(b (Vm)^2 + (Vm)^2 c + n_seen V k c)``, with the ``(Vm)^3`` dense
+solve only when the filtered answer fails its check; no eigensolve ever
+sees an ``n x n`` matrix, and no anchor is re-selected.
 :meth:`AnchorMVSC.partial_fit` implements this fold-in: assign new rows to
 the stored anchors, warm-start the F/Y refinement from the previous
 labels (rotation fitted on the *old* rows only, so new rows cannot drag
@@ -63,6 +67,7 @@ from repro.core.persistence import (
 from repro.core.weights import fusion_multipliers
 from repro.exceptions import ValidationError
 from repro.graph.anchor import (
+    WarmStart,
     anchor_affinity_factor,
     anchor_assignment,
     gram_top_eigenpairs,
@@ -125,6 +130,7 @@ class _StreamFit:
     labels: np.ndarray
     weights: np.ndarray
     stats: _AnchorStats
+    warm: WarmStart | None
     objective: float
     batch_cost: float
     n_iter: int
@@ -356,6 +362,7 @@ class AnchorMVSC(ServableModelMixin):
             labels=run.labels,
             weights=run.weights,
             stats=rep.stats,
+            warm=rep.warm,
             objective=float(np.dot(rep.multipliers, run.costs)),
             batch_cost=batch_cost,
             n_iter=run.n_iter,
@@ -369,6 +376,7 @@ class AnchorMVSC(ServableModelMixin):
         self._stream = {
             "views": views,
             "stats": fit.stats,
+            "warm": fit.warm,
             "labels": fit.labels,
             "weights": fit.weights,
         }
@@ -486,6 +494,7 @@ class AnchorMVSC(ServableModelMixin):
                     ]
                 ),
                 self,
+                warm=state["warm"],
             )
 
             # Warm start: embed under the carried-over weights, align the
@@ -539,7 +548,7 @@ class AnchorMVSC(ServableModelMixin):
             n_seen=int(state["labels"].shape[0]),
             backend=backend.name,
         ):
-            rep = _AnchorFactors(state["stats"], self)
+            rep = _AnchorFactors(state["stats"], self, warm=state["warm"])
             w = np.asarray(state["weights"], dtype=np.float64).copy()
             return self._alternate(
                 rep, w, None, labels=state["labels"], max_iter=self.max_iter
@@ -635,11 +644,22 @@ class _AnchorFactors:
     eigenvector signs).  Every later F-step sees labels, and the R- and
     Y-steps depend only on the span of ``F``.  The last embedding
     is kept per ``w``, so the first alternation F-step after a fold-in's
-    warm start reuses it instead of re-solving.
+    warm start reuses it instead of re-solving.  ``warm`` is the last
+    Gram solve's :class:`~repro.graph.anchor.WarmStart`: each solve
+    refines it and leaves the next, and the stream state carries it
+    between fold-ins; a fit that re-selects anchors starts without one.
     """
 
-    def __init__(self, stats: _AnchorStats, model: AnchorMVSC, *, cold=None):
+    def __init__(
+        self,
+        stats: _AnchorStats,
+        model: AnchorMVSC,
+        *,
+        cold=None,
+        warm: WarmStart | None = None,
+    ):
         self.stats = stats
+        self.warm = warm
         self.n_clusters = model.n_clusters
         self.weighting, self.gamma = model.weighting, model.gamma
         self.multipliers: np.ndarray | None = None
@@ -667,11 +687,11 @@ class _AnchorFactors:
             f, spectrum = top_left_singular(stacked, c)
         else:
             d = np.sqrt(self.multipliers)[self._view_of] * self._inv_sqrt
-            spectrum, vectors = gram_top_eigenpairs(
-                self.stats.gram * np.outer(d, d), c + 1
+            spectrum, vectors, self.warm = gram_top_eigenpairs(
+                self.stats.gram * np.outer(d, d), c, self.warm
             )
             vals = np.maximum(spectrum[:c], 1e-300)
-            f = (self.stats.z @ (d[:, None] * vectors[:, :c])) / np.sqrt(vals)
+            f = (self.stats.z @ (d[:, None] * vectors)) / np.sqrt(vals)
         if current_trace() is not None and spectrum.size > c:
             # Numerical-health probe: the Gram spectral gap behind the
             # anchor embedding (sigma_c^2 - sigma_{c+1}^2), free since

@@ -16,14 +16,25 @@ matrix ever materializes.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.linalg
 
 from repro.backends import current_backend
 from repro.exceptions import ValidationError
 from repro.graph.distance import pairwise_sq_euclidean
+from repro.observability.trace import metric_inc
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_matrix
+
+#: Warm Gram solves (:func:`gram_top_eigenpairs`): Chebyshev filter
+#: degree, most filter passes before falling back to the dense solve,
+#: and the residual bound, relative to the top eigenvalue, every checked
+#: pair must meet.
+WARM_DEGREE = 8
+WARM_PASSES = 6
+WARM_RTOL = 1e-11
 
 
 def select_anchors(
@@ -136,21 +147,114 @@ def top_left_singular(b: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     return (b @ vectors[:, order]) / np.sqrt(top_vals)[None, :], values[ranked]
 
 
-def gram_top_eigenpairs(
-    gram: np.ndarray, n_pairs: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The top ``min(n_pairs, size)`` eigenpairs of a symmetric Gram matrix.
+class WarmStart(NamedTuple):
+    """What one Gram solve hands the next: see :func:`gram_top_eigenpairs`."""
 
-    Only that subset is solved for (``scipy.linalg.eigh`` with
-    ``subset_by_index``), which is several times cheaper than a full
-    decomposition when ``n_pairs`` is small.  Values come descending,
-    with their eigenvectors as the matching columns.
+    basis: np.ndarray  # (size, 2 n_pairs) top Ritz vectors, orthonormal
+    cut: float  # top of the unwanted interval [0, cut]
+
+
+def gram_top_eigenpairs(
+    gram: np.ndarray, n_pairs: int, warm: WarmStart | None = None
+) -> tuple[np.ndarray, np.ndarray, WarmStart | None]:
+    """The top eigenpairs of a symmetric PSD Gram matrix, warm-startable.
+
+    Returns ``(values, vectors, next_warm)``: the top
+    ``min(n_pairs + 1, size)`` values descending (the one past
+    ``n_pairs`` measures the spectral gap), the top
+    ``min(n_pairs, size)`` eigenvectors as matching columns, and a
+    :class:`WarmStart` for the next solve of a nearby Gram (``None`` when
+    ``size <= 2 n_pairs + 1`` leaves no room for its block).
+
+    With ``warm``, the previous ``2 n_pairs`` Ritz vectors go through a
+    degree-:data:`WARM_DEGREE` Chebyshev filter on ``[0, cut]``, then one
+    QR and a Rayleigh-Ritz step, up to :data:`WARM_PASSES` times (fewer
+    when the residual shrinks too slowly to reach the bound).  The
+    answer is accepted only when every one of the top ``n_pairs`` Ritz
+    pairs ``(t, v)`` lies above the cut, has ``||G v - t v|| <= WARM_RTOL
+    t_1``, and has at least half its norm inside the span of
+    ``warm.basis``.  Otherwise, and without ``warm``, it is the dense
+    ``scipy.linalg.eigh`` with ``subset_by_index``, which costs
+    ``O(size^3)`` however few pairs it keeps; each filter degree is one
+    ``O(size^2 n_pairs)`` GEMM.  Each solve counts ``anchor.gram.warm``
+    or ``anchor.gram.dense``.
     """
     size = gram.shape[0]
+    block = 2 * n_pairs
+    if (
+        warm is not None
+        and size > block + 1
+        and warm.basis.shape == (size, block)
+    ):
+        filtered = _filtered_pairs(gram, warm, n_pairs)
+        if filtered is not None:
+            metric_inc("anchor.gram.warm")
+            return filtered
+    metric_inc("anchor.gram.dense")
+    solved = block + 1 if size > block + 1 else min(n_pairs + 1, size)
     values, vectors = scipy.linalg.eigh(
-        gram, subset_by_index=[size - min(n_pairs, size), size - 1]
+        gram, subset_by_index=[size - solved, size - 1]
     )
-    return values[::-1], vectors[:, ::-1]
+    values, vectors = values[::-1], vectors[:, ::-1]
+    next_warm = None
+    if solved > block:
+        # Just above lambda_{2 n_pairs + 1}: the next Gram is nearby.
+        next_warm = WarmStart(vectors[:, :block], 1.02 * float(values[block]))
+    return values[: n_pairs + 1], vectors[:, :n_pairs], next_warm
+
+
+def _filtered_pairs(gram, warm: WarmStart, n_pairs: int):
+    """The warm path of :func:`gram_top_eigenpairs`; ``None`` if it fails.
+
+    ``T_k(2 G / cut - I)`` stays within ``[-1, 1]`` on the unwanted
+    ``[0, cut]`` and grows like ``cosh(k acosh(2 t / cut - 1))`` above
+    it, so each pass shrinks the error of the top pairs by that factor.
+    Residuals alone cannot tell the top pairs from lower ones when the
+    basis has lost a leading direction, so one fixed pseudo-random
+    column joins the first pass: the filter pulls any such direction in
+    through it, and the accepted pairs then fall outside the basis'
+    span.  Each later pass filters the top ``2 n_pairs`` Ritz vectors;
+    the smallest of their values, which approaches ``lambda_{2 n_pairs}``
+    from below, is the next cut.
+    """
+    size, block = gram.shape[0], 2 * n_pairs
+    # Twice the mapped operator, so the three-term recurrence
+    # T_{k+1} = 2 A T_k - T_{k-1} is one GEMM and one subtraction.
+    doubled = gram * (4.0 / warm.cut)
+    doubled.flat[:: size + 1] -= 2.0
+    probe = np.random.default_rng(0).standard_normal((size, 1))
+    x = np.hstack([warm.basis, probe])
+    last = None
+    for left in reversed(range(WARM_PASSES)):
+        prev, cur = x, 0.5 * (doubled @ x)
+        for _ in range(WARM_DEGREE - 1):
+            nxt = doubled @ cur
+            nxt -= prev
+            prev, cur = cur, nxt
+        q = np.linalg.qr(cur)[0]
+        gq = gram @ q
+        values, rotation = np.linalg.eigh(q.T @ gq)
+        rotation = rotation[:, ::-1][:, :block]
+        values = values[::-1][:block]
+        x = q @ rotation
+        top = x[:, :n_pairs]
+        residual = np.linalg.norm(
+            gq @ rotation[:, :n_pairs] - top * values[:n_pairs], axis=0
+        ).max() / values[0]
+        if residual <= WARM_RTOL:
+            inside = np.linalg.norm(warm.basis.T @ top, axis=0)
+            if values[n_pairs - 1] <= warm.cut or np.any(inside < 0.5):
+                return None
+            return values[: n_pairs + 1], top, WarmStart(x, float(values[-1]))
+        if last is not None:
+            # Give up once this pass's reduction factor, repeated over
+            # the passes left, cannot bring the residual under the bound:
+            # residual * (residual / last)**left > WARM_RTOL, multiplied
+            # through by last**left.
+            if residual ** (left + 1) > WARM_RTOL * last**left:
+                return None
+        last = residual
+    return None
 
 
 def anchor_spectral_embedding(

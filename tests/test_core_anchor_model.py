@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import repro.core.anchor_model as anchor_model
 from repro.core.anchor_model import AnchorMVSC, _AnchorFactors, _AnchorStats
 from repro.datasets import make_multiview_blobs
+from repro.datasets.scenarios import get_scenario, stream_batches
 from repro.exceptions import ValidationError
 from repro.metrics import clustering_accuracy
+from repro.observability import Trace, use_trace
+from repro.robust import FaultSpec, inject_faults
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +185,92 @@ class TestGramPath:
         # Neither one view's (n_seen, m) Z nor the (n_seen, V m) stack.
         assert shapes
         assert not any(s[0] == 220 and s[1:] in ((20,), (60,)) for s in shapes)
+
+    @pytest.mark.parametrize("reset", ["refit", "fallback_refit"])
+    def test_reselected_anchors_start_without_the_old_basis(
+        self, monkeypatch, reset
+    ):
+        views = _stream_data().views
+        solve = anchor_model.gram_top_eigenpairs
+        solves = []  # (warm start in, warm start out) per Gram solve
+        warm_starts = [True]
+
+        def spy(gram, n_pairs, warm=None):
+            out = solve(gram, n_pairs, warm if warm_starts[0] else None)
+            solves.append((warm, out[2]))
+            return out
+
+        monkeypatch.setattr(anchor_model, "gram_top_eigenpairs", spy)
+        fault = FaultSpec("streaming.partial_fit", mode="raise", times=None)
+
+        def stream():
+            solves.clear()
+            model = AnchorMVSC(3, n_anchors=20, random_state=0)
+            model.partial_fit([x[:100] for x in views])
+            model.partial_fit([x[100:112] for x in views])
+            stale, first = solves[-1][1], len(solves)
+            if reset == "refit":
+                model.refit()
+            else:
+                with inject_faults(fault):
+                    model.partial_fit([x[112:124] for x in views])
+            last = len(solves)
+            labels = model.partial_fit([x[124:136] for x in views])
+            return labels, stale, solves[first:last], solves[last][0]
+
+        labels, stale, reset_solves, start = stream()
+        # The re-selected anchors' first Gram solve starts from scratch;
+        # from there on each solve, the next fold-in's first included,
+        # starts from the basis the one before it left, never the old
+        # anchors' basis.
+        assert stale is not None
+        scratch = [i for i, (w, _) in enumerate(reset_solves) if w is None]
+        chain = reset_solves[scratch[-1]:] + [(start, None)]
+        for (_, left), (warm, _) in zip(chain, chain[1:]):
+            assert warm is left and warm is not stale
+        assert not np.allclose(start.basis, stale.basis)
+        warm_starts[0] = False
+        cold_labels, *_ = stream()
+        np.testing.assert_array_equal(labels, cold_labels)
+
+    def test_warm_eigengap_matches_dense_solve(self, monkeypatch):
+        scenario = get_scenario("clean").with_size(20)
+        batches = [
+            b.views for b in stream_batches(scenario, 30, random_state=1)
+        ]
+        initial = [np.vstack([b[v] for b in batches[:20]]) for v in range(3)]
+        plain = AnchorMVSC(4, random_state=0)
+        plain_labels = [plain.partial_fit(initial)]
+        plain_labels += [plain.partial_fit(b) for b in batches[20:]]
+
+        solve = anchor_model.gram_top_eigenpairs
+        dense_gaps = []
+
+        def spy(gram, n_pairs, warm=None):
+            size = gram.shape[0]
+            top = scipy.linalg.eigh(
+                gram,
+                eigvals_only=True,
+                subset_by_index=[size - n_pairs - 1, size - 1],
+            )
+            dense_gaps.append(top[1] - top[0])
+            return solve(gram, n_pairs, warm)
+
+        model = AnchorMVSC(4, random_state=0)
+        trace = Trace("eigengap")
+        with use_trace(trace):
+            labels = [model.partial_fit(initial)]
+            monkeypatch.setattr(anchor_model, "gram_top_eigenpairs", spy)
+            for batch in batches[20:]:
+                before = trace.metrics.snapshot()["counters"]
+                labels.append(model.partial_fit(batch))
+                after = trace.metrics.snapshot()["counters"]
+                # Both of the fold-in's solves took the warm path ...
+                for path, solves in (("warm", 2), ("dense", 0)):
+                    key = f"anchor.gram.{path}"
+                    assert after.get(key, 0) == before.get(key, 0) + solves
+                # ... and the gap it published is the dense solve's.
+                gap = trace.metrics.snapshot()["gauges"]["health.eigengap"]
+                assert gap == pytest.approx(dense_gaps[-1], abs=1e-8)
+        for a, b in zip(plain_labels, labels):
+            np.testing.assert_array_equal(a, b)

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repro.exceptions import ValidationError
 from repro.graph.anchor import (
+    WarmStart,
     anchor_affinity,
     anchor_affinity_factor,
     anchor_assignment,
     anchor_spectral_embedding,
+    gram_top_eigenpairs,
     select_anchors,
 )
+from repro.observability import Trace, use_trace
 
 
 def _blobs(n_per=50, sep=10.0, seed=0):
@@ -132,3 +136,125 @@ class TestAnchorSpectralEmbedding:
         z = np.full((10, 4), 0.25)
         with pytest.raises(ValidationError):
             anchor_spectral_embedding(z, 5)
+
+
+def _psd_grams(seed, size=120, c=3):
+    """A random PSD Gram with ``c`` leading eigenvalues above a decaying
+    tail, and a symmetric perturbation of it (the previous solve's)."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((size, size)))[0]
+    tail = 0.6 * np.linspace(1.0, 0.0, size - c) ** 2
+    gram = (q * np.concatenate([np.linspace(1.0, 0.85, c), tail])) @ q.T
+    noise = rng.standard_normal((size, size))
+    return gram + 1e-3 * (noise + noise.T) / np.sqrt(size), gram
+
+
+def _anchor_grams(seed, n_new=20):
+    """The Gram ``B^T B`` of a two-view anchor factor before and after a
+    batch of ``n_new`` rows joins, on frozen anchors."""
+    rng = np.random.default_rng(seed)
+    x = _blobs(n_per=100, sep=6.0, seed=seed)[rng.permutation(300)]
+    views = [x, np.tanh(x @ rng.standard_normal((3, 5)))]
+    anchors = [select_anchors(v, 40, random_state=seed) for v in views]
+    return tuple(
+        np.hstack(
+            [
+                anchor_affinity_factor(anchor_assignment(v[:n], a, k=4))
+                for v, a in zip(views, anchors)
+            ]
+        )
+        for n in (300 - n_new, 300)
+    )
+
+
+def _solve_counted(gram, c, warm=None):
+    trace = Trace("gram")
+    with use_trace(trace):
+        out = gram_top_eigenpairs(gram, c, warm)
+    return out, trace.metrics.snapshot()["counters"]
+
+
+class TestGramTopEigenpairs:
+    C = 3
+
+    def _grams(self, kind, seed):
+        if kind == "psd":
+            return _psd_grams(seed, c=self.C)
+        return tuple(b.T @ b for b in _anchor_grams(seed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["psd", "anchor"])
+    def test_warm_solve_matches_dense(self, kind, seed):
+        c = self.C
+        previous, gram = self._grams(kind, seed)
+        _, _, warm = gram_top_eigenpairs(previous, c)
+        assert warm.basis.shape == (gram.shape[0], 2 * c)
+        (values, vectors, following), counters = _solve_counted(gram, c, warm)
+        assert counters == {"anchor.gram.warm": 1.0}
+        dense_values, dense_vectors, _ = gram_top_eigenpairs(gram, c)
+        np.testing.assert_allclose(values[:c], dense_values[:c], rtol=1e-12)
+        # Equal up to column signs, and spanning the same subspace.
+        np.testing.assert_allclose(
+            np.abs(vectors.T @ dense_vectors), np.eye(c), atol=1e-10
+        )
+        np.testing.assert_allclose(
+            vectors @ vectors.T, dense_vectors @ dense_vectors.T, atol=1e-10
+        )
+        np.testing.assert_allclose(
+            following.basis.T @ following.basis, np.eye(2 * c), atol=1e-12
+        )
+        assert following.cut < values[c - 1]
+
+    @pytest.mark.parametrize(
+        "start", ["random_basis", "orthogonal_basis", "cut_above", "too_small"]
+    )
+    @pytest.mark.parametrize("kind", ["psd", "anchor"])
+    def test_unusable_start_returns_dense_answer(self, kind, start):
+        c = self.C
+        previous, gram = self._grams(kind, 0)
+        _, _, good = gram_top_eigenpairs(previous, c)
+        size = gram.shape[0]
+        if start == "random_basis":
+            noise = np.random.default_rng(0).standard_normal((size, 2 * c))
+            warm = good._replace(basis=np.linalg.qr(noise)[0])
+        elif start == "orthogonal_basis":
+            # Pairs c+1 .. 3c: orthogonal to the top-c subspace.
+            _, vectors = scipy.linalg.eigh(
+                gram, subset_by_index=[size - 3 * c, size - c - 1]
+            )
+            warm = good._replace(basis=vectors)
+        elif start == "cut_above":
+            # Even this Gram's own basis: the filter would damp pair c.
+            top, _, exact = gram_top_eigenpairs(gram, c)
+            warm = exact._replace(cut=1.05 * top[c - 1])
+        else:
+            gram = gram[: 2 * c + 1, : 2 * c + 1]
+            warm = good._replace(basis=good.basis[: 2 * c + 1])
+        dense = gram_top_eigenpairs(gram, c)
+        got, counters = _solve_counted(gram, c, warm)
+        assert counters == {"anchor.gram.dense": 1.0}
+        np.testing.assert_array_equal(got[0], dense[0])
+        np.testing.assert_array_equal(got[1], dense[1])
+        if start == "too_small":
+            assert got[2] is None and dense[2] is None
+        else:
+            np.testing.assert_array_equal(got[2].basis, dense[2].basis)
+            assert got[2].cut == dense[2].cut
+
+    @pytest.mark.parametrize("kind", ["psd", "anchor"])
+    def test_stalled_filter_gives_up_after_two_passes(self, kind, monkeypatch):
+        c = self.C
+        previous, gram = self._grams(kind, 0)
+        _, _, good = gram_top_eigenpairs(previous, c)
+        top = gram_top_eigenpairs(gram, c)[0]
+        passes = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(
+            np.linalg, "qr", lambda a: passes.append(a.shape) or qr(a)
+        )
+        # Above lambda_c the cut damps pair c, so the residual barely
+        # moves between the first two passes.
+        warm = good._replace(cut=1.05 * top[c - 1])
+        _, counters = _solve_counted(gram, c, warm)
+        assert counters == {"anchor.gram.dense": 1.0}
+        assert len(passes) == 2

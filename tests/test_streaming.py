@@ -10,6 +10,7 @@ from io import StringIO
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import repro
 from repro.cli import main
@@ -22,6 +23,7 @@ from repro.datasets.scenarios import (
 )
 from repro.exceptions import ValidationError
 from repro.metrics import adjusted_rand_index
+from repro.observability import Trace, use_trace
 from repro.serving import ModelArtifact, Predictor
 from repro.streaming import (
     BatchStats,
@@ -183,9 +185,9 @@ class TestPartialFit:
         calls = []
         solve = anchor_model.gram_top_eigenpairs
 
-        def counted(gram, n_pairs):
+        def counted(gram, n_pairs, warm=None):
             calls.append(gram.shape)
-            return solve(gram, n_pairs)
+            return solve(gram, n_pairs, warm)
 
         monkeypatch.setattr(anchor_model, "gram_top_eigenpairs", counted)
         model.partial_fit(batches[1].views, refine_iters=2)
@@ -193,6 +195,33 @@ class TestPartialFit:
         # refinement's F-step), then one solve under the updated weights.
         assert len(calls) == 2
         assert model.n_iter_ == 2
+
+    def test_stationary_fold_ins_solve_warm(self, monkeypatch):
+        # The streaming benchmark's shape: a cold fit on 2000 clean rows,
+        # then 33 fold-ins of 20 rows, each small next to the rows seen.
+        scenario = get_scenario("clean").with_size(20)
+        batches = stream_batches(scenario, 133, random_state=0)
+        model = AnchorMVSC(4, random_state=0)
+        model.partial_fit(
+            [np.vstack([b.views[v] for b in batches[:100]]) for v in range(3)]
+        )
+        dense = []
+        solve = scipy.linalg.eigh
+        monkeypatch.setattr(
+            scipy.linalg,
+            "eigh",
+            lambda *args, **kwargs: dense.append(1) or solve(*args, **kwargs),
+        )
+        trace = Trace("stationary")
+        with use_trace(trace):
+            for batch in batches[100:]:
+                model.partial_fit(batch.views)
+        # Two F-steps per fold-in (see above), each refining the
+        # previous solve's basis; none reaches the dense eigensolver.
+        assert not dense
+        counters = trace.metrics.snapshot()["counters"]
+        assert counters["anchor.gram.warm"] == 2 * 33
+        assert "anchor.gram.dense" not in counters
 
     def test_partial_refit_and_refit(self):
         _, batches = _drifted_stream(n_batches=2, batch_size=60)
