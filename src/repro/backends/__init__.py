@@ -25,8 +25,9 @@ Shipped backends
 
 Selection precedence (first match wins)
 ---------------------------------------
-1. an enclosing :class:`use_backend` block (contextvar, like
-   ``use_trace`` / ``use_cache`` / ``use_policy``);
+1. an enclosing :class:`use_backend` block (a field of the run
+   context, like ``use_trace`` / ``use_cache`` / ``use_policy``; it
+   follows work into ``parallel_map`` workers);
 2. the ``backend=`` parameter on models, the runner, the predictor, or
    the CLI ``--backend`` flag (all of which just wrap their work in
    :class:`use_backend`);
@@ -41,10 +42,10 @@ machine fingerprint.  ``repro backends list`` prints the registry.
 from __future__ import annotations
 
 import os
-from contextvars import ContextVar
 
 from repro.backends.base import ArrayBackend, NumpyBackend
 from repro.backends.float32 import Float32Backend
+from repro.context import _CONTEXT, scoped
 from repro.exceptions import ValidationError
 
 __all__ = [
@@ -66,10 +67,6 @@ _REGISTRY: dict[str, ArrayBackend] = {
 }
 
 _DEFAULT = _REGISTRY["numpy"]
-
-_ACTIVE: ContextVar[ArrayBackend | None] = ContextVar(
-    "repro_active_backend", default=None
-)
 
 
 def available_backends() -> list[str]:
@@ -107,7 +104,7 @@ def current_backend() -> ArrayBackend:
     environment value raises :class:`~repro.exceptions.ValidationError`
     rather than silently computing under the wrong contract.
     """
-    active = _ACTIVE.get()
+    active = _CONTEXT.get().backend
     if active is not None:
         return active
     env = os.environ.get(BACKEND_ENV_VAR)
@@ -116,7 +113,7 @@ def current_backend() -> ArrayBackend:
     return _DEFAULT
 
 
-class use_backend:
+def use_backend(backend: str | ArrayBackend | None) -> scoped:
     """Context manager activating a compute backend for the enclosed block.
 
     Mirrors :class:`~repro.pipeline.cache.use_cache`.  Accepts a
@@ -134,17 +131,4 @@ class use_backend:
     >>> current_backend().name
     'numpy'
     """
-
-    def __init__(self, backend: str | ArrayBackend | None) -> None:
-        self.backend = None if backend is None else get_backend(backend)
-        self._token = None
-
-    def __enter__(self) -> ArrayBackend | None:
-        if self.backend is not None:
-            self._token = _ACTIVE.set(self.backend)
-        return self.backend
-
-    def __exit__(self, *exc) -> bool:
-        if self._token is not None:
-            _ACTIVE.reset(self._token)
-        return False
+    return scoped(backend=None if backend is None else get_backend(backend))

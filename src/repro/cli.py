@@ -86,11 +86,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack, nullcontext
 
 import numpy as np
 
-from repro.backends import available_backends, current_backend, use_backend
+from repro.backends import available_backends, current_backend, get_backend
+from repro.context import scoped
 from repro.datasets import available_benchmarks, get_spec, load_benchmark
 from repro.exceptions import ReproError, ValidationError
 from repro.evaluation.curves import convergence_curve, sparkline
@@ -100,18 +100,17 @@ from repro.evaluation.tables import format_metric_table, format_rows
 from repro.observability import (
     JsonlSink,
     LoggingSink,
+    ProfilingSession,
     Trace,
-    use_profiling,
     use_trace,
 )
 from repro.pipeline import (
     ComputationCache,
     clear_disk_store,
     disk_store_stats,
-    use_cache,
-    use_jobs,
+    resolve_jobs,
 )
-from repro.robust import FailurePolicy, registered_fault_sites, use_policy
+from repro.robust import FailurePolicy, registered_fault_sites
 from repro.serving import PredictionService, Predictor
 
 
@@ -654,22 +653,20 @@ def _add_pipeline_args(parser) -> None:
     )
 
 
-def _pipeline_context(args, stack: ExitStack):
-    """Activate backend/cache/jobs from CLI flags; returns the cache (or None)."""
-    cache = None
-    if getattr(args, "backend", None) is not None:
-        # Entered first so the cache key below sees the backend token.
-        stack.enter_context(use_backend(args.backend))
-    if getattr(args, "cache_dir", None):
-        cache = ComputationCache(directory=args.cache_dir)
-        stack.enter_context(use_cache(cache))
-    if getattr(args, "jobs", None) is not None:
-        stack.enter_context(use_jobs(args.jobs))
-    if getattr(args, "max_retries", None) is not None:
-        stack.enter_context(
-            use_policy(FailurePolicy(max_retries=args.max_retries))
-        )
-    return cache
+def _pipeline_context(args) -> scoped:
+    """The run context of the backend/cache/jobs/retry CLI flags; its
+    ``cache`` is the ``--cache-dir`` one (the CLI has no ambient cache)."""
+    backend = getattr(args, "backend", None)
+    cache_dir = getattr(args, "cache_dir", None)
+    jobs = getattr(args, "jobs", None)
+    retries = getattr(args, "max_retries", None)
+    resolve_jobs(jobs)  # validate eagerly
+    return scoped(
+        backend=None if backend is None else get_backend(backend),
+        cache=ComputationCache(directory=cache_dir) if cache_dir else None,
+        jobs=jobs,
+        policy=None if retries is None else FailurePolicy(max_retries=retries),
+    )
 
 
 def _print_cache_summary(cache, out) -> None:
@@ -725,12 +722,10 @@ def _cmd_run(args, out) -> int:
     if args.verbose:
         sinks.append(LoggingSink(stream=sys.stderr))
     trace = Trace(f"run:{args.dataset}:{args.method}", sinks=sinks)
-    session = None
-    with ExitStack() as stack:
-        cache = _pipeline_context(args, stack)
-        stack.enter_context(use_trace(trace))
-        if args.profile:
-            session = stack.enter_context(use_profiling())
+    session = ProfilingSession() if args.profile else None
+    with _pipeline_context(args) as ctx, use_trace(trace), \
+            scoped(profiling=session):
+        cache = ctx.cache
         scores, seconds = run_method_once(
             spec, dataset, args.seed, metrics=("acc", "nmi", "purity")
         )
@@ -771,8 +766,8 @@ def _cmd_table(args, out) -> int:
         [m.strip() for m in args.methods.split(",") if m.strip()] or None
     )
     results = {}
-    with ExitStack() as stack:
-        cache = _pipeline_context(args, stack)
+    with _pipeline_context(args) as ctx:
+        cache = ctx.cache
         for name in names:
             dataset = load_benchmark(name)
             results[name] = run_experiment(
@@ -823,8 +818,8 @@ def _cmd_save(args, out) -> int:
     }
     dataset = load_benchmark(args.dataset)
     model = classes[args.model](dataset.n_clusters, random_state=args.seed)
-    with ExitStack() as stack:
-        cache = _pipeline_context(args, stack)
+    with _pipeline_context(args) as ctx:
+        cache = ctx.cache
         model.fit_predict(dataset.views)
         path = model.save(args.out)
     artifact = model.to_artifact()
@@ -1164,12 +1159,7 @@ def _cmd_bench(args, out) -> int:
 
     if args.bench_command == "run":
         names = [n.strip() for n in args.benches.split(",") if n.strip()]
-        backend_ctx = (
-            use_backend(args.backend)
-            if args.backend is not None
-            else nullcontext()
-        )
-        with backend_ctx:
+        with _pipeline_context(args):
             report = bench_mod.run_benches(
                 names or None,
                 quick=args.quick,
@@ -1229,8 +1219,6 @@ def _cmd_bench(args, out) -> int:
 def _cmd_backends(args, out) -> int:
     """``repro backends list`` — print the backend registry."""
     assert args.backends_command == "list"
-    from repro.backends import get_backend
-
     active = current_backend()
     print(f"active backend: {active.name}", file=out)
     for name in available_backends():
@@ -1352,8 +1340,8 @@ def _cmd_stream(args, out) -> int:
         if args.refine_iters is None
         else StreamingConfig(refine_iters=args.refine_iters)
     )
-    with ExitStack() as stack:
-        cache = _pipeline_context(args, stack)
+    with _pipeline_context(args) as ctx:
+        cache = ctx.cache
         streamer = StreamingMVSC(
             AnchorMVSC(
                 spec.n_clusters,

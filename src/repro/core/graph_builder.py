@@ -17,10 +17,8 @@ import numpy as np
 
 from repro.graph.affinity import build_view_affinity
 from repro.graph.laplacian import laplacian
-from repro.observability.memory import memory_span
-from repro.observability.trace import span
-from repro.pipeline.cache import cache_key, current_cache
-from repro.pipeline.parallel import parallel_map, resolve_jobs
+from repro.observability.trace import hot_span
+from repro.pipeline.cache import memoized_parallel
 from repro.robust.faults import register_fault_site
 from repro.robust.policy import matrix_context, run_with_policy
 from repro.utils.validation import check_views
@@ -28,15 +26,6 @@ from repro.utils.validation import check_views
 _SITE_AFFINITY = register_fault_site(
     "graph.affinity", "one per-view affinity construction (build_view_affinity)"
 )
-
-
-def _robust_view_affinity(x: np.ndarray, kind: str, k: int) -> np.ndarray:
-    """One view's affinity under the failure policy (retry-only site)."""
-    return run_with_policy(
-        _SITE_AFFINITY,
-        lambda perturb: build_view_affinity(x, kind=kind, k=k),
-        context=lambda: matrix_context(x, "view"),
-    )
 
 
 def _looks_text_like(x: np.ndarray) -> bool:
@@ -82,51 +71,28 @@ def build_multiview_affinities(
     list of ndarray (n, n)
     """
     views = check_views(views, "views")
-    kinds = [resolve_view_kind(x, kind) for x in views]
-    cache = current_cache()
-    affinities: list = [None] * len(views)
-    keys: list = [None] * len(views)
-    missing: list[int] = []
-    for i, x in enumerate(views):
-        if cache is None:
-            missing.append(i)
-            continue
-        keys[i] = cache_key(
-            "affinity", (x,), {"kind": kinds[i], "k": int(n_neighbors)}
-        )
-        got = cache.fetch(keys[i], namespace="affinity")
-        if got is None:
-            missing.append(i)
-        else:
-            affinities[i] = got[0]
-    jobs = resolve_jobs(n_jobs, n_tasks=len(missing))
-    if jobs > 1 and len(missing) > 1:
-        # Workers run outside the trace context (see repro.pipeline.
-        # parallel); one umbrella span stands in for the per-view ones.
-        with span(
-            "view_affinity_parallel", n_views=len(missing), n_jobs=jobs
-        ):
-            computed = parallel_map(
-                lambda i: _robust_view_affinity(
-                    views[i], kinds[i], n_neighbors
+    tasks = [(i, x, resolve_view_kind(x, kind)) for i, x in enumerate(views)]
+
+    def compute(task):
+        # One view's affinity under the failure policy (retry-only site).
+        i, x, view_kind = task
+        with hot_span("view_affinity", view=i, kind=view_kind, n=x.shape[0]):
+            return run_with_policy(
+                _SITE_AFFINITY,
+                lambda perturb: build_view_affinity(
+                    x, kind=view_kind, k=n_neighbors
                 ),
-                missing,
-                n_jobs=jobs,
+                context=lambda: matrix_context(x, "view"),
             )
-    else:
-        computed = []
-        for i in missing:
-            with memory_span(
-                "view_affinity", view=i, kind=kinds[i], n=views[i].shape[0]
-            ):
-                computed.append(
-                    _robust_view_affinity(views[i], kinds[i], n_neighbors)
-                )
-    for i, w in zip(missing, computed):
-        if cache is not None:
-            cache.insert(keys[i], (w,))
-        affinities[i] = w
-    return affinities
+
+    return memoized_parallel(
+        tasks,
+        compute,
+        namespace="affinity",
+        key_arrays=lambda task: (task[1],),
+        key_params=lambda task: {"kind": task[2], "k": int(n_neighbors)},
+        n_jobs=n_jobs,
+    )
 
 
 def build_laplacians(
@@ -137,8 +103,6 @@ def build_laplacians(
 ) -> list[np.ndarray]:
     """One graph Laplacian per affinity (cached and parallel like the
     affinity builder)."""
-    from repro.pipeline.cache import memoized_parallel
-
     return memoized_parallel(
         affinities,
         lambda w: laplacian(w, normalization=normalization),

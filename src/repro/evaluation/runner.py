@@ -14,7 +14,6 @@ total seconds — the data the paper-style runtime analyses need.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +24,10 @@ from repro.evaluation.registry import MethodSpec, default_method_registry
 from repro.exceptions import ValidationError
 from repro.metrics import METRICS, evaluate_clustering
 from repro.observability.trace import Trace, use_trace
-from repro.backends import use_backend
-from repro.pipeline.cache import ComputationCache, use_cache
-from repro.pipeline.parallel import use_jobs
+from repro.backends import get_backend
+from repro.context import scoped
+from repro.pipeline.cache import ComputationCache
+from repro.pipeline.parallel import resolve_jobs
 from repro.robust.faults import maybe_inject, register_fault_site
 from repro.robust.policy import failure_guard
 from repro.utils.rng import spawn_seeds
@@ -188,11 +188,11 @@ def run_experiment(
     seeds = spawn_seeds(base_seed, n_runs)
     if cache is True:
         cache = ComputationCache()
-    cache_ctx = use_cache(cache) if cache is not None else nullcontext()
-    jobs_ctx = use_jobs(n_jobs) if n_jobs is not None else nullcontext()
-    backend_ctx = use_backend(backend) if backend is not None else nullcontext()
+    resolve_jobs(n_jobs)  # validate eagerly
+    if backend is not None:
+        backend = get_backend(backend)
     results: dict[str, MethodScores] = {}
-    with backend_ctx, cache_ctx, jobs_ctx:
+    with scoped(backend=backend, cache=cache, jobs=n_jobs):
         for name in methods:
             spec = registry[name]
             per_metric: dict[str, list] = {m: [] for m in metrics}

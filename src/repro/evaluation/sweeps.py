@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import itertools
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
+from repro.context import scoped
 from repro.datasets.container import MultiViewDataset
 from repro.exceptions import ValidationError
 from repro.metrics import evaluate_clustering
 from repro.observability.trace import Trace, use_trace
-from repro.pipeline.cache import ComputationCache, use_cache
-from repro.pipeline.parallel import use_jobs
+from repro.pipeline.cache import ComputationCache
+from repro.pipeline.parallel import resolve_jobs
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,9 @@ def grid_sweep(
     names = list(grid)
     if cache is True:
         cache = ComputationCache()
-    cache_ctx = use_cache(cache) if cache is not None else nullcontext()
-    jobs_ctx = use_jobs(n_jobs) if n_jobs is not None else nullcontext()
+    resolve_jobs(n_jobs)  # validate eagerly
     result = SweepResult(dataset=dataset.name)
-    with cache_ctx, jobs_ctx:
+    with scoped(cache=cache, jobs=n_jobs):
         for combo in itertools.product(*(grid[name] for name in names)):
             params = dict(zip(names, combo))
             model = build(random_state=random_state, **params)

@@ -22,7 +22,7 @@ from repro.backends import current_backend
 from repro.exceptions import ValidationError
 from repro.graph.distance import pairwise_cosine_distances, pairwise_sq_euclidean
 from repro.graph.knn import kneighbors
-from repro.observability.memory import memory_span
+from repro.observability.trace import hot_span
 from repro.utils.validation import check_matrix, check_square
 
 
@@ -243,7 +243,7 @@ def build_view_affinity(
     x = check_matrix(x, "x", dtype=backend.validation_dtype)
     n = x.shape[0]
     k_eff = max(1, min(k, n - 1))
-    with memory_span(
+    with hot_span(
         "knn_affinity", kind=kind, n=n, k=k_eff, backend=backend.name
     ):
         if kind == "self_tuning":

@@ -39,8 +39,7 @@ import scipy.sparse.linalg
 
 from repro.backends import current_backend
 from repro.exceptions import NumericalError, ValidationError
-from repro.observability.memory import memory_span
-from repro.observability.trace import metric_inc
+from repro.observability.trace import hot_span, metric_inc
 from repro.pipeline.cache import current_cache
 from repro.robust.faults import register_fault_site
 from repro.robust.policy import matrix_context, run_with_policy
@@ -128,7 +127,7 @@ def _lanczos(a, k: int, *, which: str) -> tuple[np.ndarray, np.ndarray]:
         shift = perturb * _shift_scale(a)
         mat = a if shift == 0.0 else a + shift * scipy.sparse.identity(n)
         metric_inc("eigsh.calls")
-        with memory_span(
+        with hot_span(
             "eigsh", n=n, k=k, which=label, path="lanczos",
             backend=backend.name,
         ):
@@ -168,7 +167,7 @@ def _dense_extremal(
         shift = perturb * _shift_scale(sym)
         mat = sym if shift == 0.0 else sym + shift * np.eye(n)
         metric_inc("eigsh.calls")
-        with memory_span(
+        with hot_span(
             "eigsh", n=n, k=k, which=label, path="dense", backend=backend.name
         ):
             values, vectors = backend.eigh_extremal(mat, subset[0], subset[1])

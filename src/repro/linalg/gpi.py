@@ -26,8 +26,7 @@ import numpy as np
 from repro.backends import current_backend
 from repro.exceptions import NumericalError, ValidationError
 from repro.linalg.procrustes import nearest_orthogonal
-from repro.observability.memory import memory_span
-from repro.observability.trace import metric_observe
+from repro.observability.trace import hot_span, metric_observe
 from repro.robust.faults import maybe_inject, register_fault_site
 from repro.utils.validation import check_matrix, check_symmetric
 
@@ -137,7 +136,7 @@ def gpi_stiefel(
     prev = _qpoc_objective(a_c, b_c, f)
     converged = False
     n_iter = 0
-    with memory_span("gpi", n=n, k=k, backend=backend.name) as gpi_span:
+    with hot_span("gpi", n=n, k=k, backend=backend.name) as gpi_span:
         for n_iter in range(1, max_iter + 1):
             m = maybe_inject(_SITE_ITERATE, 2.0 * (shifted @ f) + 2.0 * b_c)
             if not np.all(np.isfinite(m)):

@@ -5,7 +5,7 @@ comparable to the two-stage pipeline — are only checkable with
 per-iteration data.  This subsystem provides it in three layers:
 
 * :mod:`repro.observability.trace` — a span/timer API with a
-  contextvar-scoped active trace and a true no-op fast path when
+  context-scoped active trace and a true no-op fast path when
   disabled, so the solver hot paths can stay instrumented permanently;
 * :mod:`repro.observability.metrics` — a counters/histograms registry
   attached to every trace (GPI inner iterations, Y-step moves,
@@ -25,13 +25,12 @@ per-iteration data.  This subsystem provides it in three layers:
   critical-path extraction, Chrome trace-event export (the ``repro
   trace`` CLI commands);
 * :mod:`repro.observability.profiling` — opt-in deterministic cProfile
-  capture on designated hot spans (:func:`profile_span` /
-  :class:`use_profiling`), dormant at the cost of one contextvar
-  lookup;
+  capture on the designated hot spans (:func:`hot_span` /
+  :class:`use_profiling`), dormant at the cost of one context lookup;
 * :mod:`repro.observability.memory` — opt-in tracemalloc metering of
-  the same hot spans (:func:`memory_span` /
-  :class:`use_memory_tracking`): per-phase allocation deltas and peaks,
-  persisted per bench by the regression tracker;
+  the same hot spans (:class:`use_memory_tracking`): per-phase
+  allocation deltas and peaks, persisted per bench by the regression
+  tracker;
 * :mod:`repro.observability.health` — a declarative SLO/alert rules
   engine (:class:`HealthRule` / :func:`evaluate_rules` /
   :func:`default_rule_pack`) judging any registry snapshot, live on the
@@ -124,6 +123,7 @@ from repro.observability.trace import (
     Trace,
     current_request_id,
     current_trace,
+    hot_span,
     last_trace,
     metric_inc,
     metric_observe,
@@ -168,6 +168,7 @@ __all__ = [
     "dispatch_event",
     "evaluate_rule",
     "evaluate_rules",
+    "hot_span",
     "hotspot_summary",
     "last_trace",
     "load_rules",

@@ -1,30 +1,31 @@
 """Opt-in per-phase memory attribution for designated hot spans.
 
 The profiling layer answers *which functions* burn time; this module
-answers *where the bytes go*.  The same designated hot call sites
-(pairwise distances / kNN affinity, the eigensolves, the GPI loop,
-batched serving prediction) are wrapped in :func:`memory_span`, which is
-dormant until a :class:`MemorySession` is activated with
-:class:`use_memory_tracking`; then each wrapped block measures its
+answers *where the bytes go*.  The designated hot call sites (pairwise
+distances / kNN affinity, the eigensolves, the GPI loop, batched serving
+prediction) open :func:`~repro.observability.trace.hot_span`, which is
+dormant until a :class:`MemorySession` is armed with
+:class:`use_memory_tracking`; then each hot block measures its
 :mod:`tracemalloc` allocation delta and in-block peak, attaches them to
 the span's attributes (so they travel through the JSONL sink), and
 accumulates them into a per-site table
 (:meth:`MemorySession.table`) — the instrument ROADMAP item 1's
 "sub-quadratic memory end to end" target is judged against.
+:func:`memory_span` is the same function under its older name.
 
-**Disabled cost is the design constraint**: with no active session,
-``memory_span(...)`` performs exactly one :class:`~contextvars.
-ContextVar` lookup and then delegates to
-:func:`~repro.observability.profiling.profile_span` (itself one lookup
-away from :func:`~repro.observability.trace.span`) — so with profiling
-and tracing also off it still returns the shared
+**Disabled cost is the design constraint**: with no session armed, a
+hot span costs the same single context lookup as
+:func:`~repro.observability.trace.span` — so with profiling and tracing
+also off it returns the shared
 :data:`~repro.observability.trace.NOOP_SPAN` and stays inside the <2%
 disarmed-overhead budget that ``benchmarks/bench_robust_overhead.py``
 gates.
 
-:mod:`tracemalloc` keeps one process-global peak, so nested
-``memory_span`` blocks measure only the outermost block; inner ones
-degrade to plain (profile-capable) spans.  The session-wide
+:mod:`tracemalloc` keeps one process-global peak, so nested hot spans
+measure only the outermost block; inner ones degrade to plain
+(profile-capable) spans, and a session measures only on the thread
+that armed it: workers never reset the peak under its block.  The
+session-wide
 :attr:`MemorySession.peak_alloc_bytes` is the high-water mark of traced
 allocations across the whole activation window — the benchmark runner
 stores it (plus the sampler-measured peak RSS) into ``BENCH_<tag>.json``
@@ -32,9 +33,10 @@ so ``repro bench compare`` can gate memory regressions alongside time.
 
 Examples
 --------
->>> from repro.observability.memory import memory_span, use_memory_tracking
+>>> from repro.observability.memory import use_memory_tracking
+>>> from repro.observability.trace import hot_span
 >>> with use_memory_tracking() as session:
-...     with memory_span("hot.block"):
+...     with hot_span("hot.block"):
 ...         _ = bytearray(1 << 20)
 >>> session.sites()
 ['hot.block']
@@ -44,28 +46,46 @@ True
 
 from __future__ import annotations
 
+import threading
 import tracemalloc
-from contextvars import ContextVar
 
-from repro.observability.profiling import profile_span
-
-#: Active memory session; ``None`` keeps every hook dormant.
-_MEMORY: ContextVar = ContextVar("repro_memory_session", default=None)
+from repro.context import _CONTEXT, scoped
+from repro.observability.trace import hot_span
 
 
 class MemorySession:
     """Accumulated per-site allocation stats, keyed by span name.
 
     One session typically spans one bench pass or one CLI invocation;
-    every :func:`memory_span` block executed while it is active adds its
-    allocation delta and peak here (repeated executions of the same
-    site accumulate: calls and deltas sum, peaks take the max).
+    every hot span executed while it is armed adds its allocation delta
+    and peak here (repeated executions of the same site accumulate:
+    calls and deltas sum, peaks take the max).
     """
 
     def __init__(self) -> None:
         self._sites: dict = {}
         self._peak = 0
         self._active = False  # tracemalloc peak is global; guards nesting
+        #: The arming thread (re-set by :class:`use_memory_tracking`).
+        self._owner = threading.get_ident()
+
+    def _begin(self):
+        """Start metering one hot block; ``None`` when it must not."""
+        armed = threading.get_ident() == self._owner
+        if self._active or not armed or not tracemalloc.is_tracing():
+            return None
+        self._active = True
+        tracemalloc.reset_peak()
+        return tracemalloc.get_traced_memory()[0]
+
+    def _end(self, start: int, name: str, span) -> None:
+        """Record the block begun at ``start`` (site ``name``, ``span``)."""
+        current, peak = tracemalloc.get_traced_memory()
+        self._active = False
+        self.observe_peak(peak)
+        alloc, peak = max(current - start, 0), max(peak - start, 0)
+        self.record(name, alloc, peak)
+        span.set(memory={"alloc_bytes": alloc, "peak_alloc_bytes": peak})
 
     def record(
         self, name: str, alloc_bytes: int, peak_alloc_bytes: int
@@ -99,12 +119,12 @@ class MemorySession:
 
 
 def current_memory() -> MemorySession | None:
-    """The active session, or ``None`` when memory tracking is dormant."""
-    return _MEMORY.get()
+    """The armed session, or ``None`` when memory tracking is dormant."""
+    return _CONTEXT.get().memory
 
 
-class use_memory_tracking:
-    """Context manager activating a :class:`MemorySession`.
+class use_memory_tracking(scoped):
+    """Context manager arming a :class:`MemorySession` on this thread.
 
     Starts :mod:`tracemalloc` if it is not already tracing (and stops it
     again on exit only in that case, so an outer tracemalloc user is
@@ -119,18 +139,18 @@ class use_memory_tracking:
 
     def __init__(self, session: MemorySession | None = None) -> None:
         self.session = session if session is not None else MemorySession()
-        self._token = None
+        super().__init__(memory=self.session)
         self._started_tracing = False
 
     def __enter__(self) -> MemorySession:
         if not tracemalloc.is_tracing():
             tracemalloc.start()
             self._started_tracing = True
-        self._token = _MEMORY.set(self.session)
-        return self.session
+        self.session._owner = threading.get_ident()
+        return super().__enter__()
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        _MEMORY.reset(self._token)
+    def __exit__(self, *exc) -> bool:
+        super().__exit__(*exc)
         if tracemalloc.is_tracing():
             self.session.observe_peak(tracemalloc.get_traced_memory()[1])
         if self._started_tracing:
@@ -138,72 +158,5 @@ class use_memory_tracking:
         return False
 
 
-class _MemorySpan:
-    """A span whose body is additionally metered by tracemalloc.
-
-    Mirrors the span handle API (``set`` / ``link`` / context manager)
-    so call sites stay drop-in; the measurement closes *before* the
-    inner span does, so the span's attributes can carry the numbers.
-    """
-
-    __slots__ = ("_session", "_name", "_span", "_measuring", "_start")
-
-    def __init__(self, session: MemorySession, name: str, attributes):
-        self._session = session
-        self._name = name
-        self._span = profile_span(name, **attributes)
-        self._measuring = False
-        self._start = 0
-
-    def set(self, **attributes):
-        self._span.set(**attributes)
-        return self
-
-    def link(self, *span_ids):
-        self._span.link(*span_ids)
-        return self
-
-    def __enter__(self):
-        self._span.__enter__()
-        if not self._session._active and tracemalloc.is_tracing():
-            self._session._active = True
-            self._measuring = True
-            tracemalloc.reset_peak()
-            self._start = tracemalloc.get_traced_memory()[0]
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if self._measuring:
-            current, peak = tracemalloc.get_traced_memory()
-            self._session._active = False
-            self._measuring = False
-            alloc = max(current - self._start, 0)
-            block_peak = max(peak - self._start, 0)
-            self._session.observe_peak(peak)
-            self._session.record(self._name, alloc, block_peak)
-            self._span.set(
-                memory={
-                    "alloc_bytes": int(alloc),
-                    "peak_alloc_bytes": int(block_peak),
-                }
-            )
-        return self._span.__exit__(exc_type, exc, tb)
-
-
-def memory_span(name: str, **attributes):
-    """A :func:`~repro.observability.profiling.profile_span` with
-    optional tracemalloc metering.
-
-    With no active :class:`MemorySession` this adds exactly one
-    contextvar lookup to ``profile_span(name, **attributes)`` — in
-    particular, with profiling and tracing also disabled it returns the
-    shared no-op handle:
-
-    >>> from repro.observability.trace import NOOP_SPAN
-    >>> memory_span("anything") is NOOP_SPAN
-    True
-    """
-    session = _MEMORY.get()
-    if session is None:
-        return profile_span(name, **attributes)
-    return _MemorySpan(session, name, attributes)
+#: The hot span under its name from before it served both collectors.
+memory_span = hot_span

@@ -3,35 +3,35 @@
 The trace layer answers *which phase* is slow; this module answers
 *which functions inside it*.  A handful of known-hot call sites —
 pairwise distances / kNN affinity construction, the ``eigsh``
-eigensolves, the GPI iterate loop, batched serving prediction — are
-wrapped in :func:`profile_span` instead of a bare
-:func:`~repro.observability.trace.span`.  The wrapper is dormant until a
-:class:`ProfilingSession` is activated with :class:`use_profiling`; then
-each wrapped block runs under a fresh :class:`cProfile.Profile`
+eigensolves, the GPI iterate loop, batched serving prediction — open
+:func:`~repro.observability.trace.hot_span` instead of a bare
+:func:`~repro.observability.trace.span`.  A hot span is dormant until a
+:class:`ProfilingSession` is armed with :class:`use_profiling`; then
+each hot block runs under a fresh :class:`cProfile.Profile`
 (deterministic tracing, no sampling), its top functions by cumulative
 time are attached to the span's attributes (so they travel through the
 JSONL sink), and the raw stats merge into the session for a per-site
 :meth:`ProfilingSession.hotspots` table afterwards.
+:func:`profile_span` is the same function under its older name.
 
-**Disabled cost is the design constraint**: with no active session,
-``profile_span(...)`` performs exactly one :class:`~contextvars.
-ContextVar` lookup and then delegates to ``span(...)`` — so with
-tracing *also* off it still returns the shared
+**Disabled cost is the design constraint**: with no session armed, a
+hot span costs the same single context lookup as ``span(...)`` — so
+with tracing *also* off it returns the shared
 :data:`~repro.observability.trace.NOOP_SPAN` and stays inside the <3%
 telemetry budget that ``benchmarks/bench_serving_throughput.py`` gates.
 
-CPython allows one active profiler per thread, so nested
-``profile_span`` blocks (``serving.predict`` under an outer profiled
-bench body) profile only the outermost block; inner ones degrade to
-plain spans.  Sessions are not meant to be shared across threads —
-activate one per thread of interest (worker threads spawned by
-``parallel_map`` run outside the contextvar snapshot anyway).
+CPython allows one active profiler per thread, so nested hot spans
+(``serving.predict`` under an outer profiled bench body) profile only
+the outermost block; inner ones degrade to plain spans.  A session
+profiles only on the thread that armed it: worker threads still record
+their trace spans but never start a second profiler.
 
 Examples
 --------
->>> from repro.observability.profiling import profile_span, use_profiling
+>>> from repro.observability.profiling import use_profiling
+>>> from repro.observability.trace import hot_span
 >>> with use_profiling(limit=5) as session:
-...     with profile_span("hot.block"):
+...     with hot_span("hot.block"):
 ...         _ = sorted(range(1000))
 >>> session.sites()
 ['hot.block']
@@ -44,18 +44,16 @@ from __future__ import annotations
 import cProfile
 import os.path
 import pstats
-from contextvars import ContextVar
+import threading
 
+from repro.context import _CONTEXT, scoped
 from repro.exceptions import ValidationError
-from repro.observability.trace import span
-
-#: Active profiling session; ``None`` keeps every hook dormant.
-_PROFILING: ContextVar = ContextVar("repro_profiling_session", default=None)
+from repro.observability.trace import hot_span
 
 #: How many hotspot rows a session keeps per query by default.
 DEFAULT_LIMIT = 10
 
-#: How many rows :func:`profile_span` attaches to the span attributes.
+#: How many rows a hot span attaches to its span attributes.
 SPAN_ATTR_ROWS = 5
 
 
@@ -100,9 +98,9 @@ class ProfilingSession:
     """Accumulated cProfile stats, keyed by the profiled span's name.
 
     One session typically spans one bench run or one CLI invocation;
-    every :func:`profile_span` block executed while it is active merges
-    its profile here (stats from repeated executions of the same site
-    add up, like ``pstats.Stats.add``).
+    every hot span executed while it is armed merges its profile here
+    (stats from repeated executions of the same site add up, like
+    ``pstats.Stats.add``).
     """
 
     def __init__(self, *, limit: int = DEFAULT_LIMIT) -> None:
@@ -111,6 +109,24 @@ class ProfilingSession:
         self.limit = int(limit)
         self._stats: dict = {}
         self._active = False  # one cProfile per thread; guards nesting
+        #: The arming thread (re-set by :class:`use_profiling`).
+        self._owner = threading.get_ident()
+
+    def _begin(self):
+        """Start profiling one hot block; ``None`` when it must not."""
+        if self._active or threading.get_ident() != self._owner:
+            return None
+        self._active = True
+        profile = cProfile.Profile()
+        profile.enable()
+        return profile
+
+    def _end(self, profile, name: str, span) -> None:
+        """Stop ``profile`` and record it under ``name`` and on ``span``."""
+        profile.disable()
+        self._active = False
+        span.set(profile=_merge_rows([pstats.Stats(profile)], SPAN_ATTR_ROWS))
+        self.record(name, profile)
 
     def record(self, name: str, profile) -> None:
         """Merge one finished :class:`cProfile.Profile` under ``name``."""
@@ -142,12 +158,12 @@ class ProfilingSession:
 
 
 def current_profiling() -> ProfilingSession | None:
-    """The active session, or ``None`` when profiling is dormant."""
-    return _PROFILING.get()
+    """The armed session, or ``None`` when profiling is dormant."""
+    return _CONTEXT.get().profiling
 
 
-class use_profiling:
-    """Context manager activating a :class:`ProfilingSession`.
+class use_profiling(scoped):
+    """Context manager arming a :class:`ProfilingSession` on this thread.
 
     >>> with use_profiling() as session:
     ...     current_profiling() is session
@@ -165,72 +181,12 @@ class use_profiling:
         self.session = (
             session if session is not None else ProfilingSession(limit=limit)
         )
-        self._token = None
+        super().__init__(profiling=self.session)
 
     def __enter__(self) -> ProfilingSession:
-        self._token = _PROFILING.set(self.session)
-        return self.session
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        _PROFILING.reset(self._token)
-        return False
+        self.session._owner = threading.get_ident()
+        return super().__enter__()
 
 
-class _ProfiledSpan:
-    """A span whose body additionally runs under cProfile.
-
-    Mirrors the span handle API (``set`` / ``link`` / context manager)
-    so call sites stay drop-in; the profile is disabled *before* the
-    inner span closes, so the span's attributes can carry the capture.
-    """
-
-    __slots__ = ("_session", "_name", "_span", "_profile")
-
-    def __init__(self, session: ProfilingSession, name: str, attributes):
-        self._session = session
-        self._name = name
-        self._span = span(name, **attributes)
-        self._profile = None
-
-    def set(self, **attributes):
-        self._span.set(**attributes)
-        return self
-
-    def link(self, *span_ids):
-        self._span.link(*span_ids)
-        return self
-
-    def __enter__(self):
-        self._span.__enter__()
-        if not self._session._active:
-            self._session._active = True
-            self._profile = cProfile.Profile()
-            self._profile.enable()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if self._profile is not None:
-            self._profile.disable()
-            self._session._active = False
-            rows = _merge_rows([pstats.Stats(self._profile)], SPAN_ATTR_ROWS)
-            self._span.set(profile=rows)
-            self._session.record(self._name, self._profile)
-            self._profile = None
-        return self._span.__exit__(exc_type, exc, tb)
-
-
-def profile_span(name: str, **attributes):
-    """A :func:`~repro.observability.trace.span` with optional cProfile.
-
-    With no active :class:`ProfilingSession` this adds exactly one
-    contextvar lookup to ``span(name, **attributes)`` — in particular,
-    with tracing also disabled it returns the shared no-op handle:
-
-    >>> from repro.observability.trace import NOOP_SPAN
-    >>> profile_span("anything") is NOOP_SPAN
-    True
-    """
-    session = _PROFILING.get()
-    if session is None:
-        return span(name, **attributes)
-    return _ProfiledSpan(session, name, attributes)
+#: The hot span under its name from before memory collection joined it.
+profile_span = hot_span

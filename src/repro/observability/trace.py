@@ -9,7 +9,11 @@ the trace and stream to its sinks.
 
 Spans nest: a span opened while another is running records the parent's
 name and its own depth, so a profile can distinguish the ``f_step``
-wall-time from the ``gpi`` solver time spent inside it.
+wall-time from the ``gpi`` solver time spent inside it.  The open span
+is a field of the run context (:mod:`repro.context`), so a worker thread
+nests under the span its caller had open, never under another thread's.
+The designated hot call sites open :func:`hot_span`, which also feeds
+an armed profiling or memory session.
 
 Every completed span additionally carries correlation identity — the
 owning trace's ``trace_id``, its own ``span_id``, the enclosing span's
@@ -47,18 +51,10 @@ import os
 import threading
 import time
 import uuid
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
+from repro.context import _CONTEXT, scoped
 from repro.observability.metrics import MetricsRegistry
-
-_ACTIVE: ContextVar["Trace | None"] = ContextVar(
-    "repro_active_trace", default=None
-)
-
-_REQUEST: ContextVar["str | None"] = ContextVar(
-    "repro_active_request", default=None
-)
 
 
 def new_id() -> str:
@@ -176,9 +172,10 @@ NOOP_SPAN = _NoopSpan()
 
 
 class _LiveSpan:
-    """Context manager timing one region of the active trace."""
+    """Context manager timing one region of the active trace; while its
+    body runs it is the context's open span, the parent of nested ones."""
 
-    __slots__ = ("_trace", "record")
+    __slots__ = ("_trace", "record", "_token")
 
     def __init__(self, trace: "Trace", name: str, attributes: dict) -> None:
         self._trace = trace
@@ -195,26 +192,75 @@ class _LiveSpan:
         return self
 
     def __enter__(self):
-        stack = self._trace._stack
+        ctx = _CONTEXT.get()
         record = self.record
-        record.depth = len(stack)
-        if stack:
-            record.parent = stack[-1].name
-            record.parent_id = stack[-1].span_id
-        record.trace_id = self._trace.trace_id
+        trace_id = self._trace.trace_id
+        parent = ctx.span
+        # A span of an enclosing, different trace is not a parent: a
+        # nested ``use_trace`` starts its own tree.
+        if parent is not None and parent.trace_id == trace_id:
+            record.depth = parent.depth + 1
+            record.parent = parent.name
+            record.parent_id = parent.span_id
+        record.trace_id = trace_id
         record.span_id = new_id()
         record.thread = threading.get_ident()
-        record.request_id = _REQUEST.get()
-        stack.append(record)
+        record.request_id = ctx.request_id
+        self._token = _CONTEXT.set(ctx._replace({"span": record}))
         record.timestamp = time.time()
         record.start = time.perf_counter()
         return self
 
     def __exit__(self, *exc):
         self.record.duration = time.perf_counter() - self.record.start
-        self._trace._stack.pop()
+        _CONTEXT.reset(self._token)
         self._trace._finish(self.record)
         return False
+
+
+class _HotSpan:
+    """A span whose body also runs under the context's armed collectors.
+
+    A collector's ``_begin()`` returns ``None`` to decline the block (it
+    is measuring an enclosing one, or this is not the arming thread).
+    Collectors end *before* the span closes, so its attributes can
+    carry their capture.
+    """
+
+    __slots__ = ("_span", "_name", "_profiling", "_memory", "_tokens")
+
+    def __init__(self, ctx, name: str, attributes: dict) -> None:
+        self._span = span(name, **attributes)
+        self._name = name
+        self._profiling = ctx.profiling
+        self._memory = ctx.memory
+        # Filled in place on entry: nothing may be freed between the
+        # memory collector's baseline and the body.
+        self._tokens = [None, None]
+
+    def set(self, **attributes):
+        self._span.set(**attributes)
+        return self
+
+    def link(self, *span_ids):
+        self._span.link(*span_ids)
+        return self
+
+    def __enter__(self):
+        self._span.__enter__()
+        if self._profiling is not None:
+            self._tokens[0] = self._profiling._begin()
+        if self._memory is not None:
+            self._tokens[1] = self._memory._begin()
+        return self
+
+    def __exit__(self, *exc):
+        profile, start = self._tokens
+        if start is not None:
+            self._memory._end(start, self._name, self._span)
+        if profile is not None:
+            self._profiling._end(profile, self._name, self._span)
+        return self._span.__exit__(*exc)
 
 
 class Trace:
@@ -239,14 +285,17 @@ class Trace:
         self.metrics = MetricsRegistry()
         self.trace_id = new_id()
         self.pid = os.getpid()
-        self._stack: list[SpanRecord] = []
+        # Spans complete on every thread that runs under this trace;
+        # the lock keeps each record and its sink writes in one piece.
+        self._lock = threading.Lock()
 
     def _finish(self, record: SpanRecord) -> None:
-        self.spans.append(record)
-        for sink in self.sinks:
-            on_span = getattr(sink, "on_span", None)
-            if on_span is not None:
-                on_span(record)
+        with self._lock:
+            self.spans.append(record)
+            for sink in self.sinks:
+                on_span = getattr(sink, "on_span", None)
+                if on_span is not None:
+                    on_span(record)
 
     def record(self, record: SpanRecord) -> SpanRecord:
         """Adopt an externally timed :class:`SpanRecord`.
@@ -309,7 +358,7 @@ class Trace:
 
 def current_trace() -> Trace | None:
     """The trace active in this context, or ``None`` (the default)."""
-    return _ACTIVE.get()
+    return _CONTEXT.get().trace
 
 
 def last_trace() -> Trace | None:
@@ -319,7 +368,7 @@ def last_trace() -> Trace | None:
     this to reach a run's metrics registry without threading the trace
     object through every call site.
     """
-    active = _ACTIVE.get()
+    active = _CONTEXT.get().trace
     return active if active is not None else _LAST
 
 
@@ -331,34 +380,53 @@ def span(name: str, **attributes):
     contextvar lookup).  The returned handle's ``set(**attrs)`` attaches
     annotations discovered mid-region (inner iteration counts, ...).
     """
-    trace = _ACTIVE.get()
+    trace = _CONTEXT.get().trace
     if trace is None:
         return NOOP_SPAN
-    return _LiveSpan(trace, name, dict(attributes))
+    return _LiveSpan(trace, name, attributes)
+
+
+def hot_span(name: str, **attributes):
+    """A :func:`span` that also feeds the context's armed collectors.
+
+    For the designated hot call sites.  With no profiling or memory
+    session armed this returns exactly what ``span(name, **attributes)``
+    returns, after the same single context lookup; in particular, with
+    tracing also off it is the shared no-op handle:
+
+    >>> hot_span("anything") is NOOP_SPAN
+    True
+    """
+    ctx = _CONTEXT.get()
+    if ctx.profiling is None and ctx.memory is None:
+        if ctx.trace is None:
+            return NOOP_SPAN
+        return _LiveSpan(ctx.trace, name, attributes)
+    return _HotSpan(ctx, name, attributes)
 
 
 def metric_inc(name: str, amount: float = 1.0) -> None:
     """Increment counter ``name`` on the active trace (no-op if none)."""
-    trace = _ACTIVE.get()
+    trace = _CONTEXT.get().trace
     if trace is not None:
         trace.metrics.counter(name).inc(amount)
 
 
 def metric_observe(name: str, value: float) -> None:
     """Observe ``value`` in histogram ``name`` on the active trace."""
-    trace = _ACTIVE.get()
+    trace = _CONTEXT.get().trace
     if trace is not None:
         trace.metrics.histogram(name).observe(value)
 
 
 def metric_set(name: str, value: float) -> None:
     """Set gauge ``name`` on the active trace (no-op if none)."""
-    trace = _ACTIVE.get()
+    trace = _CONTEXT.get().trace
     if trace is not None:
         trace.metrics.gauge(name).set(value)
 
 
-class use_trace:
+class use_trace(scoped):
     """Context manager activating ``trace`` for the enclosed block.
 
     On exit the previous active trace (usually none) is restored and the
@@ -376,16 +444,12 @@ class use_trace:
     """
 
     def __init__(self, trace: Trace) -> None:
+        super().__init__(trace=trace)
         self.trace = trace
-        self._token = None
-
-    def __enter__(self) -> Trace:
-        self._token = _ACTIVE.set(self.trace)
-        return self.trace
 
     def __exit__(self, *exc) -> bool:
         global _LAST
-        _ACTIVE.reset(self._token)
+        super().__exit__(*exc)
         _LAST = self.trace
         self.trace.close()
         return False
@@ -393,10 +457,10 @@ class use_trace:
 
 def current_request_id() -> str | None:
     """The request identity active in this context, or ``None``."""
-    return _REQUEST.get()
+    return _CONTEXT.get().request_id
 
 
-class use_request:
+def use_request(request_id: str | None) -> scoped:
     """Context manager stamping a request identity on the enclosed work.
 
     While active, every completed span and every
@@ -404,7 +468,8 @@ class use_request:
     so work done on behalf of one request (or one coalesced batch of
     requests — pass a comma-joined id list) stays attributable after the
     fact.  Independent of :func:`use_trace`: with tracing disabled this
-    costs one contextvar set/reset and changes nothing else.
+    costs one context set/reset and changes nothing else; ``None`` keeps
+    the ambient identity.
 
     Examples
     --------
@@ -415,15 +480,4 @@ class use_request:
     >>> current_request_id() is None
     True
     """
-
-    def __init__(self, request_id: str) -> None:
-        self.request_id = request_id
-        self._token = None
-
-    def __enter__(self) -> str:
-        self._token = _REQUEST.set(self.request_id)
-        return self.request_id
-
-    def __exit__(self, *exc) -> bool:
-        _REQUEST.reset(self._token)
-        return False
+    return scoped(request_id=request_id)

@@ -18,9 +18,10 @@ Two stores back the cache:
 * an optional on-disk ``.npz`` store (one file per key) that survives
   processes and is shared by ``repro cache {stats,clear}``.
 
-Activation mirrors the observability layer: a contextvar scopes the
-active cache, :func:`use_cache` installs one for a block, and with no
-active cache every call site computes directly with zero overhead.
+Activation mirrors the observability layer: the active cache is a field
+of the run context (:mod:`repro.context`), :func:`use_cache` installs
+one for a block, and with no active cache every call site computes
+directly with zero overhead.
 Hits and misses are counted on the cache itself and mirrored to the
 active trace as ``cache.hit`` / ``cache.miss`` counters inside
 ``graph_cache`` spans.
@@ -46,12 +47,12 @@ import hashlib
 import os
 import threading
 from collections import OrderedDict
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
 
+from repro.context import _CONTEXT, scoped
 from repro.exceptions import ValidationError
 from repro.observability.trace import metric_inc, span
 
@@ -59,10 +60,6 @@ from repro.observability.trace import metric_inc, span
 #: entries then simply miss instead of deserializing wrongly.
 #: v2: keys additionally bind the active compute backend's cache token.
 CACHE_FORMAT_VERSION = 2
-
-_ACTIVE: ContextVar["ComputationCache | None"] = ContextVar(
-    "repro_active_cache", default=None
-)
 
 
 def _hash_array(h, x) -> None:
@@ -403,10 +400,10 @@ def clear_disk_store(directory: str) -> int:
 
 def current_cache() -> ComputationCache | None:
     """The cache active in this context, or ``None`` (the default)."""
-    return _ACTIVE.get()
+    return _CONTEXT.get().cache
 
 
-class use_cache:
+def use_cache(cache: ComputationCache) -> scoped:
     """Context manager activating ``cache`` for the enclosed block.
 
     Mirrors :class:`~repro.observability.trace.use_trace`: call sites in
@@ -422,18 +419,7 @@ class use_cache:
     >>> current_cache() is None
     True
     """
-
-    def __init__(self, cache: ComputationCache) -> None:
-        self.cache = cache
-        self._token = None
-
-    def __enter__(self) -> ComputationCache:
-        self._token = _ACTIVE.set(self.cache)
-        return self.cache
-
-    def __exit__(self, *exc) -> bool:
-        _ACTIVE.reset(self._token)
-        return False
+    return scoped(cache=cache)
 
 
 def memoized_parallel(
@@ -449,9 +435,9 @@ def memoized_parallel(
 
     The per-item pattern behind parallel graph construction: all cache
     lookups, hit/miss accounting, and inserts run on the calling thread
-    (so trace counters stay exact and the stores see no concurrent
-    mutation from workers); only the cache *misses* are computed, through
-    :func:`~repro.pipeline.parallel.parallel_map`.
+    (so counters do not depend on the job count and the stores see no
+    concurrent mutation from workers); only the cache *misses* are
+    computed, through :func:`~repro.pipeline.parallel.parallel_map`.
 
     Parameters
     ----------

@@ -5,30 +5,26 @@ nothing — and the heavy kernels (pairwise distances, k-NN selection) are
 numpy/BLAS calls that release the GIL, so plain threads give real
 speedups with zero serialization cost.
 
-A contextvar carries an ambient default job count (installed with
-:func:`use_jobs`, e.g. by the CLI's ``--jobs``), so call sites deep in
-the stack can honor it without threading a parameter through every
-layer; an explicit ``n_jobs`` argument always wins.
+The run context (:mod:`repro.context`) carries an ambient default job
+count (installed with :func:`use_jobs`, e.g. by the CLI's ``--jobs``),
+so call sites deep in the stack can honor it without threading a
+parameter through every layer; an explicit ``n_jobs`` argument always
+wins.
 
-Worker threads run in fresh contexts: the active trace/cache contextvars
-are intentionally *not* propagated, so instrumented code inside a worker
-degrades to its no-op path instead of mutating shared trace state
-concurrently.  Callers that need exact counters do their accounting on
-the calling thread (see
-:func:`~repro.pipeline.cache.memoized_parallel`).
+Each task runs under a copy of the calling thread's context, so a result
+does not depend on how it was scheduled: worker spans nest under the
+caller's open span, and kernels meet the caller's backend, fault plan,
+failure policy and recovery log (all safe to share across threads).
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextvars import ContextVar
 
+from repro.context import _CONTEXT, scoped
 from repro.exceptions import ValidationError
-
-_DEFAULT_JOBS: ContextVar[int | None] = ContextVar(
-    "repro_default_jobs", default=None
-)
 
 
 def resolve_jobs(n_jobs: int | None = None, n_tasks: int | None = None) -> int:
@@ -49,7 +45,7 @@ def resolve_jobs(n_jobs: int | None = None, n_tasks: int | None = None) -> int:
         At least 1.
     """
     if n_jobs is None:
-        n_jobs = _DEFAULT_JOBS.get()
+        n_jobs = _CONTEXT.get().jobs
     if n_jobs is None:
         n_jobs = 1
     n_jobs = int(n_jobs)
@@ -64,7 +60,7 @@ def resolve_jobs(n_jobs: int | None = None, n_tasks: int | None = None) -> int:
     return n_jobs
 
 
-class use_jobs:
+def use_jobs(n_jobs: int) -> scoped:
     """Context manager installing an ambient default job count.
 
     Examples
@@ -78,19 +74,8 @@ class use_jobs:
     >>> resolve_jobs(2, n_tasks=8)
     2
     """
-
-    def __init__(self, n_jobs: int) -> None:
-        resolve_jobs(n_jobs)  # validate eagerly
-        self.n_jobs = n_jobs
-        self._token = None
-
-    def __enter__(self) -> int:
-        self._token = _DEFAULT_JOBS.set(self.n_jobs)
-        return self.n_jobs
-
-    def __exit__(self, *exc) -> bool:
-        _DEFAULT_JOBS.reset(self._token)
-        return False
+    resolve_jobs(n_jobs)  # validate eagerly
+    return scoped(jobs=n_jobs)
 
 
 def parallel_map(fn, items, *, n_jobs: int | None = None) -> list:
@@ -99,24 +84,17 @@ def parallel_map(fn, items, *, n_jobs: int | None = None) -> list:
     Results keep input order, and the output is bit-identical to the
     serial map — ``fn`` must be a pure function of its item.  With an
     effective job count of 1 (the default) this is a plain loop on the
-    calling thread, so spans/metrics inside ``fn`` still record.
+    calling thread; otherwise each task runs under its own copy of the
+    calling thread's context (a context cannot be entered by two
+    threads at once).
     """
     items = list(items)
     jobs = resolve_jobs(n_jobs, n_tasks=len(items))
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    from repro.backends import current_backend, use_backend
-
-    # Unlike trace/cache state, the active compute backend MUST follow
-    # into the workers: it changes the numerics (and the cache keys the
-    # calling thread computed), so a worker falling back to the default
-    # backend would be a silent wrong-contract computation rather than a
-    # harmless no-op.
-    backend = current_backend()
-
-    def run_pinned(item):
-        with use_backend(backend):
-            return fn(item)
-
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_pinned, items))
+        futures = [
+            pool.submit(contextvars.copy_context().run, fn, item)
+            for item in items
+        ]
+        return [future.result() for future in futures]

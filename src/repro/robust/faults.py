@@ -1,4 +1,4 @@
-"""Deterministic, contextvar-scoped fault injection for numerical kernels.
+"""Deterministic, context-scoped fault injection for numerical kernels.
 
 Every numerical kernel that participates in the failure policy registers a
 named *fault site* at import time (:func:`register_fault_site`), and routes
@@ -10,7 +10,7 @@ monkeypatching.
 
 Design rules:
 
-* **No plan armed → no behavior.**  ``maybe_inject`` costs one contextvar
+* **No plan armed → no behavior.**  ``maybe_inject`` costs one context
   lookup and returns its argument unchanged, mirroring
   :func:`repro.observability.trace.span` and
   :func:`repro.pipeline.cache.current_cache`.
@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import threading
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.context import _CONTEXT, scoped
 from repro.exceptions import ValidationError
 from repro.observability.trace import metric_inc
 
@@ -153,10 +153,10 @@ def registered_fault_sites() -> dict[str, FaultSite]:
 class FaultPlan:
     """An armed set of :class:`FaultSpec` with per-site invocation counters.
 
-    Thread-safe: counters are guarded by a lock so injection stays
-    deterministic even when kernels run on the pipeline thread pool
-    (workers see the plan only when the contextvar propagates; see
-    :mod:`repro.pipeline.parallel`).
+    The plan follows work into ``parallel_map`` workers, and its
+    counters are guarded by a lock, so a fault armed for ``times``
+    invocations fires exactly ``times`` times under any job count
+    (which task draws which invocation is up to the scheduler).
     """
 
     def __init__(self, specs) -> None:
@@ -228,30 +228,25 @@ def _corrupt(value, fill: float):
     return value
 
 
-_ACTIVE: ContextVar["FaultPlan | None"] = ContextVar(
-    "repro_active_faults", default=None
-)
-
-
 def current_faults() -> FaultPlan | None:
     """The fault plan armed in this context, or ``None`` (the default)."""
-    return _ACTIVE.get()
+    return _CONTEXT.get().faults
 
 
 def maybe_inject(site: str, value=None):
     """Fault-injection hook placed at every registered site.
 
     With no armed plan this returns ``value`` unchanged after a single
-    contextvar lookup.  With a plan armed, the matching
+    context lookup.  With a plan armed, the matching
     :class:`FaultSpec` (if any) fires: raising, delaying, or corrupting.
     """
-    plan = _ACTIVE.get()
+    plan = _CONTEXT.get().faults
     if plan is None:
         return value
     return plan.apply(site, value)
 
 
-class inject_faults:
+def inject_faults(*specs) -> scoped:
     """Context manager arming a :class:`FaultPlan` for the enclosed block.
 
     Accepts :class:`FaultSpec` instances or bare site names (armed as a
@@ -267,15 +262,4 @@ class inject_faults:
     >>> current_faults() is None
     True
     """
-
-    def __init__(self, *specs) -> None:
-        self.plan = FaultPlan(specs)
-        self._token = None
-
-    def __enter__(self) -> FaultPlan:
-        self._token = _ACTIVE.set(self.plan)
-        return self.plan
-
-    def __exit__(self, *exc) -> bool:
-        _ACTIVE.reset(self._token)
-        return False
+    return scoped(faults=FaultPlan(specs))

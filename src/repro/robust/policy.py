@@ -17,7 +17,7 @@ with one uniform contract for every registered kernel site:
    numpy/scipy exception.
 
 Every recovery action emits a ``recovery.*`` counter on the active trace
-and a :class:`RecoveryEvent` into the contextvar-scoped log installed by
+and a :class:`RecoveryEvent` into the run context's log installed by
 :class:`collect_recoveries`, which the solvers attach to
 ``UMSCResult.diagnostics``.  :func:`failure_guard` is the outermost line
 of defense: it wraps whole ``fit()`` / experiment bodies so no raw
@@ -43,12 +43,12 @@ True
 from __future__ import annotations
 
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
 
+from repro.context import _CONTEXT, scoped
 from repro.exceptions import (
     NumericalError,
     RecoveryExhaustedError,
@@ -98,18 +98,14 @@ class FailurePolicy:
 #: Policy used when none is active and none is passed explicitly.
 DEFAULT_POLICY = FailurePolicy()
 
-_ACTIVE_POLICY: ContextVar["FailurePolicy | None"] = ContextVar(
-    "repro_active_policy", default=None
-)
-
 
 def current_policy() -> FailurePolicy:
     """The ambient :class:`FailurePolicy` (:data:`DEFAULT_POLICY` if unset)."""
-    policy = _ACTIVE_POLICY.get()
+    policy = _CONTEXT.get().policy
     return policy if policy is not None else DEFAULT_POLICY
 
 
-class use_policy:
+def use_policy(policy: FailurePolicy) -> scoped:
     """Context manager installing an ambient :class:`FailurePolicy`.
 
     Mirrors :func:`~repro.observability.trace.use_trace`; the CLI's
@@ -125,18 +121,7 @@ class use_policy:
     >>> current_policy().max_retries
     1
     """
-
-    def __init__(self, policy: FailurePolicy) -> None:
-        self.policy = policy
-        self._token = None
-
-    def __enter__(self) -> FailurePolicy:
-        self._token = _ACTIVE_POLICY.set(self.policy)
-        return self.policy
-
-    def __exit__(self, *exc) -> bool:
-        _ACTIVE_POLICY.reset(self._token)
-        return False
+    return scoped(policy=policy)
 
 
 @dataclass(frozen=True)
@@ -187,17 +172,14 @@ class RecoveryEvent:
         }
 
 
-_RECOVERY_LOG: ContextVar["list | None"] = ContextVar(
-    "repro_recovery_log", default=None
-)
-
-
-class collect_recoveries:
+class collect_recoveries(scoped):
     """Context manager collecting :class:`RecoveryEvent` for one fit.
 
     Re-entrant: a nested collection (``fit`` → ``fit_affinities``) joins
     the outermost list instead of shadowing it, so graph-construction
-    recoveries land on the same diagnostics record as solver ones.
+    recoveries land on the same diagnostics record as solver ones.  The
+    list lives on the run context, so recoveries made in
+    ``parallel_map`` workers land there too.
 
     Examples
     --------
@@ -209,22 +191,10 @@ class collect_recoveries:
     [('demo.flaky', 'retry')]
     """
 
-    def __init__(self) -> None:
-        self.events: list = []
-        self._token = None
-
     def __enter__(self) -> list:
-        existing = _RECOVERY_LOG.get()
-        if existing is not None:
-            self.events = existing
-            return self.events
-        self._token = _RECOVERY_LOG.set(self.events)
-        return self.events
-
-    def __exit__(self, *exc) -> bool:
-        if self._token is not None:
-            _RECOVERY_LOG.reset(self._token)
-        return False
+        outermost = _CONTEXT.get().recoveries is None
+        self._fields = {"recoveries": []} if outermost else {}
+        return super().__enter__().recoveries
 
 
 def record_recovery(event: RecoveryEvent) -> None:
@@ -241,7 +211,7 @@ def record_recovery(event: RecoveryEvent) -> None:
         if ambient:
             event = replace(event, request_id=ambient)
     metric_inc(f"recovery.{event.strategy}")
-    log = _RECOVERY_LOG.get()
+    log = _CONTEXT.get().recoveries
     if log is not None:
         log.append(event)
 

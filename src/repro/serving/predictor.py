@@ -29,15 +29,18 @@ from __future__ import annotations
 
 import time
 import warnings
-from contextlib import nullcontext
 
 import numpy as np
 
 from repro.backends import current_backend, get_backend, use_backend
 from repro.exceptions import ClampWarning, ValidationError
 from repro.graph.distance import pairwise_sq_euclidean
-from repro.observability.memory import memory_span
-from repro.observability.trace import metric_inc, metric_observe, span
+from repro.observability.trace import (
+    hot_span,
+    metric_inc,
+    metric_observe,
+    span,
+)
 from repro.pipeline.parallel import parallel_map
 from repro.robust.faults import register_fault_site
 from repro.robust.policy import failure_guard, matrix_context, run_with_policy
@@ -275,11 +278,7 @@ class Predictor:
             )
         batch_size = int(batch_size)
         tick = time.perf_counter()
-        backend_ctx = (
-            use_backend(self.backend) if self.backend is not None
-            else nullcontext()
-        )
-        with backend_ctx, memory_span(
+        with use_backend(self.backend), hot_span(
             "serving.predict",
             n_samples=m,
             batch_size=batch_size,

@@ -68,7 +68,6 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -502,18 +501,15 @@ class PredictionService:
         traced = self._trace is not None
         batch_failed = False
         tick = time.perf_counter()
-        with ExitStack() as stack:
-            batch_span = stack.enter_context(
-                span("serving.batch", batch_size=len(batch))
-            )
+        # Under a trace, link the coalesced batch to its constituent
+        # request spans, and let everything under the predict — nested
+        # spans, recovery events — carry the joined request ids.
+        request_ids = [r.request_id for r in batch] if traced else None
+        with span("serving.batch", batch_size=len(batch)) as batch_span, \
+                use_request(",".join(request_ids) if traced else None):
             if traced:
-                # Link the coalesced batch to its constituent request
-                # spans, and let everything under the predict — nested
-                # spans, recovery events — carry the joined request ids.
-                request_ids = [r.request_id for r in batch]
                 batch_span.set(request_ids=list(request_ids))
                 batch_span.link(*[r.span_id for r in batch])
-                stack.enter_context(use_request(",".join(request_ids)))
             try:
                 views = [
                     np.concatenate([r.rows[v] for r in batch])

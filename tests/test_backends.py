@@ -198,15 +198,17 @@ class TestSelection:
     def no_ambient_pin(self):
         """Clear any enclosing ``use_backend`` so the env var is reachable.
 
-        The suite-wide conftest fixture pins numpy through the contextvar
+        The suite-wide conftest fixture pins numpy on the run context
         whenever ``REPRO_BACKEND`` is set (the float32 CI leg); these two
         tests probe the env-var tier underneath that pin.
         """
-        from repro.backends import _ACTIVE
+        from dataclasses import replace
 
-        token = _ACTIVE.set(None)
+        from repro.context import _CONTEXT
+
+        token = _CONTEXT.set(replace(_CONTEXT.get(), backend=None))
         yield
-        _ACTIVE.reset(token)
+        _CONTEXT.reset(token)
 
     def test_env_var_resolution(self, monkeypatch, no_ambient_pin):
         monkeypatch.setenv("REPRO_BACKEND", "float32")

@@ -12,6 +12,7 @@ import pytest
 MODULE_NAMES = [
     "repro",
     "repro.cluster.kmeans",
+    "repro.context",
     "repro.core.anchor_model",
     "repro.core.model",
     "repro.datasets.container",

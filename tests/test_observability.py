@@ -12,6 +12,7 @@ from repro.cli import main
 from repro.core.model import UnifiedMVSC
 from repro.core.anchor_model import AnchorMVSC
 from repro.core.sparse_model import SparseMVSC
+from repro.context import current_context
 from repro.datasets.synth import make_multiview_blobs
 from repro.exceptions import ConvergenceWarning, MonotonicityWarning
 from repro.observability import (
@@ -62,7 +63,7 @@ class TestSpanAPI:
                     raise RuntimeError("boom")
         assert current_trace() is None
         assert [s.name for s in trace.spans] == ["outer"]
-        assert trace._stack == []
+        assert current_context().span is None
 
     def test_phase_stats_totals(self):
         with use_trace(Trace("t")) as trace:
