@@ -5,7 +5,9 @@ collections; dense n x n graphs do not scale.  This bench compares the
 dense unified framework against its anchor-graph variant
 (:class:`repro.core.anchor_model.AnchorMVSC`) over a size sweep, asserting
 the expected shape: the anchor variant's runtime grows far slower while
-accuracy stays in the same band.
+accuracy stays in the same band.  A second sweep times the anchor
+variant's cold fit alone at sizes where its growth in ``n`` shows, and
+reports the log-log slope of CPU time against ``n``.
 """
 
 from __future__ import annotations
@@ -16,13 +18,17 @@ pytestmark = pytest.mark.slow  # full protocol; deselect with -m "not slow"
 
 import time
 
+import numpy as np
+
 from repro.core import UnifiedMVSC
 from repro.core.anchor_model import AnchorMVSC
 from repro.datasets import make_multiview_blobs
 from repro.evaluation.tables import format_rows
-from repro.metrics import clustering_accuracy
+from repro.metrics import adjusted_rand_index, clustering_accuracy
 
 SIZES = (300, 600, 1200)
+#: Anchor-only cold-fit sweep (one BLAS thread gives stable CPU times).
+SCALING_SIZES = (2_000, 8_000, 32_000)
 
 
 def _dataset(n):
@@ -97,3 +103,43 @@ def test_benchmark_anchor_fit(benchmark):
 
     labels = benchmark(fit)
     assert labels.shape == (600,)
+
+
+def measure_anchor_scaling(sizes=SCALING_SIZES) -> dict:
+    """CPU seconds and ARI of one ``AnchorMVSC`` cold fit per size."""
+    out: dict = {}
+    for n in sizes:
+        ds = make_multiview_blobs(n, 5, view_dims=(10, 12), random_state=0)
+        start = time.process_time()
+        labels = AnchorMVSC(5, random_state=0).fit_predict(ds.views)
+        out[n] = {
+            "cpu_s": time.process_time() - start,
+            "ari": adjusted_rand_index(ds.labels, labels),
+        }
+    return out
+
+
+def loglog_slope(data: dict) -> float:
+    """Least-squares slope of ``log(cpu_s)`` against ``log(n)``."""
+    sizes = sorted(data)
+    return float(
+        np.polyfit(
+            np.log(sizes), np.log([data[n]["cpu_s"] for n in sizes]), 1
+        )[0]
+    )
+
+
+def test_anchor_cold_fit_scaling(capsys, benchmark):
+    data = benchmark.pedantic(measure_anchor_scaling, rounds=1, iterations=1)
+    slope = loglog_slope(data)
+    rows = [
+        [n, f"{data[n]['cpu_s']:.2f}s", f"{data[n]['ari']:.4f}"]
+        for n in SCALING_SIZES
+    ]
+    with capsys.disabled():
+        print("\n=== Extension: anchor cold-fit scaling ===")
+        print(format_rows(["n", "CPU time", "ARI"], rows))
+        print(f"log-log slope: {slope:.2f}")
+    # Linear in n up to noise: the cold start no longer pays one n-row
+    # descent per rotation restart.
+    assert slope < 1.25

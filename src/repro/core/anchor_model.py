@@ -101,8 +101,10 @@ _SITE_REFIT = register_fault_site(
 DEFAULT_REFINE_ITERS = 2
 
 
-def _anchor_coverage(views, anchor_sets) -> float:
+def _anchor_coverage(distances) -> float:
     """Mean nearest-anchor squared distance, averaged over views.
+
+    ``distances`` yields each view's sample-to-anchor squared distances.
 
     The streaming drift signal: for a stationary stream this statistic
     is flat across batches (each batch is a fresh draw from the
@@ -111,10 +113,7 @@ def _anchor_coverage(views, anchor_sets) -> float:
     statistic jumps *at the shifted batch* — unlike the cumulative
     alternation objective, which grows with ``n`` regardless.
     """
-    costs = [
-        float(pairwise_sq_euclidean(x, a).min(axis=1).mean())
-        for x, a in zip(views, anchor_sets)
-    ]
+    costs = [float(d2.min(axis=1).mean()) for d2 in distances]
     coverage = float(np.mean(costs))
     # Numerical-health probe: published wherever the statistic is
     # computed (cold fits, fold-ins, streaming batches), so the gauge
@@ -329,19 +328,24 @@ class AnchorMVSC(ServableModelMixin):
         return self._alternate(
             rep,
             np.full(len(views), 1.0 / len(views)),
-            views,
+            (
+                pairwise_sq_euclidean(x, a)
+                for x, a in zip(views, anchor_sets)
+            ),
             max_iter=self.max_iter,
             rng=rng,
         )
 
     def _alternate(
-        self, rep, w, batch_views, *, max_iter, labels=None, rng=None
+        self, rep, w, batch_distances, *, max_iter, labels=None, rng=None
     ) -> _StreamFit:
         """One fit attempt; ``labels=None`` is a cold fit.
 
-        ``batch_cost`` is the anchor coverage of ``batch_views`` (kept
-        when ``None``); ``objective`` is the weighted view disagreement
-        under the last F-step's multipliers.
+        ``batch_cost`` is the anchor coverage of the batch, from its
+        per-view sample-to-anchor ``batch_distances`` (an iterable read
+        after the alternation; ``None`` keeps the last cost);
+        ``objective`` is the weighted view disagreement under the last
+        F-step's multipliers.
         """
         run = alternate(
             rep,
@@ -354,10 +358,10 @@ class AnchorMVSC(ServableModelMixin):
             n_restarts=self.n_restarts,
             fit_end=labels is None,
         )
-        if batch_views is None:
+        if batch_distances is None:
             batch_cost = self.batch_cost_
         else:
-            batch_cost = _anchor_coverage(batch_views, rep.stats.anchors)
+            batch_cost = _anchor_coverage(batch_distances)
         return _StreamFit(
             labels=run.labels,
             weights=run.weights,
@@ -484,13 +488,23 @@ class AnchorMVSC(ServableModelMixin):
             backend=backend.name,
         ):
             stats = state["stats"]
+            # One distance pass per view feeds both Z and the batch cost.
+            distances = [
+                pairwise_sq_euclidean(x_new, anchors)
+                for x_new, anchors in zip(views_new, stats.anchors)
+            ]
             rep = _AnchorFactors(
                 stats.extend(
                     [
                         anchor_assignment(
-                            x_new, anchors, k=self.n_anchor_neighbors
+                            x_new,
+                            anchors,
+                            k=self.n_anchor_neighbors,
+                            distances=d2,
                         )
-                        for x_new, anchors in zip(views_new, stats.anchors)
+                        for x_new, anchors, d2 in zip(
+                            views_new, stats.anchors, distances
+                        )
                     ]
                 ),
                 self,
@@ -513,7 +527,7 @@ class AnchorMVSC(ServableModelMixin):
             )
             labels = indicator_coordinate_descent(scores, start, c)
         return self._alternate(
-            rep, w, views_new, labels=labels, max_iter=refine_iters
+            rep, w, distances, labels=labels, max_iter=refine_iters
         )
 
     def _fallback_refit(self, union) -> _StreamFit:
@@ -638,7 +652,8 @@ class _AnchorFactors:
 
     A cold fit also passes its dense per-view factors as ``cold``: its
     first F-step stacks them and takes a full ``eigh`` instead, because
-    :func:`~repro.core.discrete.rotation_initialize` then chooses among
+    below its row-subsample threshold
+    :func:`~repro.core.discrete.rotation_initialize` chooses among
     restarts by ulp-level objective differences, so that step must keep
     the cold fit's exact arithmetic (a subset solver also flips
     eigenvector signs).  Every later F-step sees labels, and the R- and

@@ -15,11 +15,15 @@ Two solvers live here:
   we run coordinate descent over rows with incremental column statistics,
   accepting only improving moves and never emptying a cluster: a monotone,
   O(n c) per-sweep exact block update.  Each sweep is evaluated in
-  vectorized blocks that scan ahead to the next improving row.
+  vectorized blocks that gallop ahead to the next improving row, so a
+  sweep costs O(moves + log n) numpy calls rather than O(n).
 * :func:`rotation_initialize` — spectral-rotation initialization: from the
   eigenvector embedding, try several random rotations, alternate
   (rotation, assignment) to a fixed point, and keep the best.  This is the
-  K-means-free analogue of discretization restarts.
+  K-means-free analogue of discretization restarts.  On large inputs the
+  restarts compete on a fixed row subsample and only the winner is
+  polished on every row, so the cold start costs about one n-row
+  descent instead of ``n_restarts``.
 """
 
 from __future__ import annotations
@@ -91,12 +95,15 @@ def rotation_objective(m: np.ndarray, labels: np.ndarray, n_clusters: int) -> fl
     return float(np.sum(q / np.sqrt(safe)))
 
 
-#: Rows whose move gains one vectorized scan evaluates at a time.
+#: Rows whose move gains one vectorized scan evaluates after a move.
 _SCAN_BLOCK = 256
+#: Widest galloping scan, so one scan's ``(c, width)`` temporaries stay
+#: bounded however long the run of non-improving rows.
+_MAX_SCAN_BLOCK = 16 * _SCAN_BLOCK
 
 
-def _next_move(mt, labels, q, counts, start: int) -> tuple[int, int]:
-    """The first improving move at or after row ``start``, within one block.
+def _next_move(mt, labels, q, counts, start: int, width: int) -> tuple[int, int]:
+    """The first improving move in the ``width`` rows from ``start``.
 
     ``mt`` is ``M^T`` (so a block is ``c`` contiguous row segments).
     Returns ``(i, b)``: move row ``i`` to cluster ``b``.  When no row of
@@ -104,9 +111,9 @@ def _next_move(mt, labels, q, counts, start: int) -> tuple[int, int]:
     and ``counts`` are fixed until a move is accepted, so every row of
     the block sees the state the sequential sweep would show it; the
     gains use the sweep's elementwise formulas in the same order, hence
-    the same bits.
+    the same bits whatever the block width.
     """
-    stop = min(start + _SCAN_BLOCK, mt.shape[1])
+    stop = min(start + width, mt.shape[1])
     block = mt[:, start:stop]
     a = labels[start:stop]
     cols = np.arange(stop - start)
@@ -142,10 +149,14 @@ def indicator_coordinate_descent(
     of largest gain when that gain exceeds ``1e-12``, updating the
     column statistics ``q`` and ``n_j`` after every move.  Between two
     moves those statistics are fixed, so the sweep is evaluated block by
-    block (:data:`_SCAN_BLOCK` rows per numpy expression): scan to the
-    next improving row, apply that one move, resume after it.  The moves are
-    exactly those of a row-at-a-time sweep; the cost is ``O(c)`` numpy
-    work per visited row plus one block rescan per move.
+    block: scan to the next improving row, apply that one move, resume
+    after it.  The scan gallops: a block with no improving row doubles
+    the next block's width (up to :data:`_MAX_SCAN_BLOCK` rows), and a
+    move resets it to :data:`_SCAN_BLOCK`.  The moves are exactly those
+    of a row-at-a-time sweep; the cost is ``O(c)`` numpy work per
+    visited row plus at most one block rescan per move, in
+    ``O(moves + log n)`` numpy calls per sweep (a sweep of ``n`` rows
+    beyond the width cap adds ``n / _MAX_SCAN_BLOCK``).
 
     Parameters
     ----------
@@ -183,10 +194,13 @@ def indicator_coordinate_descent(
     for n_sweeps in range(1, max_sweeps + 1):
         moved = False
         i = 0
+        width = _SCAN_BLOCK
         while i < n:
-            i, b = _next_move(mt, labels, q, counts, i)
+            i, b = _next_move(mt, labels, q, counts, i, width)
             if b < 0:
+                width = min(2 * width, _MAX_SCAN_BLOCK)
                 continue
+            width = _SCAN_BLOCK
             a = labels[i]
             q[a] -= m[i, a]
             counts[a] -= 1.0
@@ -201,6 +215,50 @@ def indicator_coordinate_descent(
     metric_inc("y_step.moves", n_moves)
     metric_inc("y_step.sweeps", n_sweeps)
     return labels
+
+
+#: The cold start's restarts run on ``max(_RESTART_ROWS,
+#: _RESTART_ROWS_PER_CLUSTER * c)`` rows of ``F`` ...
+_RESTART_ROWS = 256
+_RESTART_ROWS_PER_CLUSTER = 32
+#: ... when ``n`` exceeds this many times that size; below it they run on
+#: every row, with the exact arithmetic of the all-rows restart loop.
+_SUBSAMPLE_RATIO = 4
+
+
+def _restart_rows(n: int, c: int) -> np.ndarray | None:
+    """The sorted row subsample the restarts compete on, or ``None``.
+
+    Drawn from a private fixed-seed generator, so the subsample is a
+    function of ``(n, c)`` alone and the caller's generator is untouched.
+    """
+    size = max(_RESTART_ROWS, _RESTART_ROWS_PER_CLUSTER * c)
+    if n <= _SUBSAMPLE_RATIO * size:
+        return None
+    return np.sort(np.random.default_rng(0).choice(n, size, replace=False))
+
+
+def _descend(f, rot, c: int, max_alt: int):
+    """Alternate (Y-step, R-step) from ``rot`` until the labels are fixed.
+
+    Starts from the nearest-cluster labels of ``f @ rot`` (empty clusters
+    repaired by score margin, which draws no randomness) and returns
+    ``(rot, labels, objective)``.  The solvers are looked up as module
+    globals on every call, so a wrapper bound over them sees each one.
+    """
+    scores = f @ rot
+    labels = repair_empty_clusters(
+        np.argmax(scores, axis=1).astype(np.int64), c, scores=scores
+    )
+    prev = labels.copy()
+    for _ in range(max_alt):
+        # Few sweeps per alternation: the outer loop re-polishes.
+        labels = indicator_coordinate_descent(f @ rot, labels, c, max_sweeps=4)
+        rot = nearest_orthogonal(f.T @ scaled_indicator(labels, c))
+        if np.array_equal(labels, prev):
+            break
+        prev = labels.copy()
+    return rot, labels, rotation_objective(f @ rot, labels, c)
 
 
 def anchor_rotation(f: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -240,6 +298,19 @@ def rotation_initialize(
     assignment stops changing.  The restart with the largest rotation
     objective wins.
 
+    When ``n`` is well above the subsample size (``max(256, 32 c)`` rows,
+    used once ``n`` exceeds four times that), the restarts run on a fixed
+    sorted row subsample of ``f`` instead, and only the winning rotation
+    is polished on all ``n`` rows by the same alternation.  Choosing a
+    restart needs only a fair sample of the rows, while each all-rows
+    restart would cost a full descent; the threshold keeps small inputs
+    on the exact all-rows loop.  Either way the caller's generator makes
+    the same calls (one per restart seed; the subsample has its own).
+
+    A restart that fails with a recoverable error is skipped and
+    recorded; when none survives — or the polish fails — the call raises
+    :class:`~repro.exceptions.RecoveryExhaustedError`.
+
     Parameters
     ----------
     f : ndarray of shape (n, c)
@@ -249,7 +320,7 @@ def rotation_initialize(
     n_restarts : int
         Rotation restarts (odd restarts use anchor seeds, even use random).
     max_alt : int
-        Alternation cap per restart.
+        Alternation cap per restart (and for the polish).
     random_state : int, Generator, or None
 
     Returns
@@ -264,39 +335,30 @@ def rotation_initialize(
     if n_restarts < 1:
         raise ValidationError(f"n_restarts must be >= 1, got {n_restarts}")
     rng = check_random_state(random_state)
+    rows = _restart_rows(n, c)
+    sub = f if rows is None else f[rows]
 
     best_obj = -np.inf
     best: tuple[np.ndarray, np.ndarray] | None = None
     last_error = "no restart produced a finite rotation objective"
-    with span("rotation_initialize", n_restarts=n_restarts, n=n, c=c):
+    with span(
+        "rotation_initialize",
+        n_restarts=n_restarts,
+        n=n,
+        c=c,
+        subsample=sub.shape[0],
+    ):
         for restart in range(n_restarts):
             # A failing restart is skipped, not fatal: any surviving restart
             # still yields a feasible (R, Y) initialization.
             try:
                 maybe_inject(_SITE_ROTATION)
                 if restart % 2 == 0:
-                    rot = anchor_rotation(f, rng)
+                    rot = anchor_rotation(sub, rng)
                 else:
                     qmat, rmat = np.linalg.qr(rng.normal(size=(c, c)))
                     rot = qmat * np.sign(np.diag(rmat))[None, :]
-                scores = f @ rot
-                labels = repair_empty_clusters(
-                    np.argmax(scores, axis=1).astype(np.int64),
-                    c,
-                    scores=scores,
-                    rng=rng,
-                )
-                prev = labels.copy()
-                for _ in range(max_alt):
-                    # Few sweeps per alternation: the outer loop re-polishes.
-                    labels = indicator_coordinate_descent(
-                        f @ rot, labels, c, max_sweeps=4
-                    )
-                    rot = nearest_orthogonal(f.T @ scaled_indicator(labels, c))
-                    if np.array_equal(labels, prev):
-                        break
-                    prev = labels.copy()
-                obj = rotation_objective(f @ rot, labels, c)
+                rot, labels, obj = _descend(sub, rot, c, max_alt)
             except RECOVERABLE_EXCEPTIONS as exc:
                 last_error = str(exc)
                 record_recovery(
@@ -312,6 +374,20 @@ def rotation_initialize(
             if np.isfinite(obj) and obj > best_obj:
                 best_obj = obj
                 best = (rot, labels)
+        if best is not None and rows is not None:
+            # The subsample's winner, polished on every row.  Without it
+            # there is no all-rows assignment, so a failure is fatal.
+            try:
+                maybe_inject(_SITE_ROTATION)
+                rot, labels, _ = _descend(f, best[0], c, max_alt)
+            except RECOVERABLE_EXCEPTIONS as exc:
+                raise RecoveryExhaustedError(
+                    f"the rotation polish failed: {exc}",
+                    site=_SITE_ROTATION,
+                    attempts=n_restarts + 1,
+                    context=matrix_context(f, "f"),
+                ) from exc
+            best = (rot, labels)
     if best is None:
         raise RecoveryExhaustedError(
             f"all {n_restarts} rotation restarts failed: {last_error}",

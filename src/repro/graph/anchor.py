@@ -83,13 +83,20 @@ def select_anchors(
 
 
 def anchor_assignment(
-    x: np.ndarray, anchors: np.ndarray, *, k: int = 5
+    x: np.ndarray,
+    anchors: np.ndarray,
+    *,
+    k: int = 5,
+    distances: np.ndarray | None = None,
 ) -> np.ndarray:
     """Row-stochastic sample-to-anchor weights ``Z``.
 
     Each sample connects to its ``k`` nearest anchors with the CAN
     closed-form weights (larger weight to nearer anchors; exact simplex
-    rows).
+    rows).  ``distances`` is a precomputed
+    ``pairwise_sq_euclidean(x, anchors)``, for a caller that derives
+    another statistic from the same matrix; the result is bit-identical
+    to passing nothing.
 
     Returns
     -------
@@ -110,7 +117,15 @@ def anchor_assignment(
     m = anchors.shape[0]
     if not 1 <= k <= m:
         k = max(1, min(k, m))
-    d2 = pairwise_sq_euclidean(x, anchors)
+    if distances is None:
+        d2 = pairwise_sq_euclidean(x, anchors)
+    else:
+        d2 = check_matrix(distances, "distances", dtype=None)
+        if d2.shape != (x.shape[0], m):
+            raise ValidationError(
+                f"distances must have shape ({x.shape[0]}, {m}), "
+                f"got {d2.shape}"
+            )
     return current_backend().anchor_can_weights(d2, int(k))
 
 

@@ -186,6 +186,39 @@ class TestGramPath:
         assert shapes
         assert not any(s[0] == 220 and s[1:] in ((20,), (60,)) for s in shapes)
 
+    def test_fold_in_measures_batch_distances_once(self, monkeypatch):
+        views = _stream_data().views
+        model = AnchorMVSC(3, n_anchors=20, random_state=0)
+        model.partial_fit([x[:200] for x in views])
+        batch = [x[200:] for x in views]
+        distance = anchor_model.pairwise_sq_euclidean
+        calls = []
+
+        def spy(x, y=None, **kwargs):
+            calls.append(np.shape(x)[0])
+            return distance(x, y, **kwargs)
+
+        import repro.graph.anchor as graph_anchor
+
+        for module in (anchor_model, graph_anchor):
+            monkeypatch.setattr(module, "pairwise_sq_euclidean", spy)
+        model.partial_fit(batch)
+        assert calls == [20, 20, 20]
+        # Z and the coverage both come from the shared distances, with the
+        # bits of computing each from scratch.
+        anchors = model._stream["stats"].anchors
+        want = np.mean(
+            [
+                float(distance(x, a).min(axis=1).mean())
+                for x, a in zip(batch, anchors)
+            ]
+        )
+        assert model.batch_cost_ == float(want)
+        np.testing.assert_array_equal(
+            model._stream["stats"].z[200:].toarray(),
+            np.hstack(_assignments(batch, anchors, 5)),
+        )
+
     @pytest.mark.parametrize("reset", ["refit", "fallback_refit"])
     def test_reselected_anchors_start_without_the_old_basis(
         self, monkeypatch, reset

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.discrete as discrete
+from repro.cluster.labels import repair_empty_clusters
 from repro.core.discrete import (
     anchor_rotation,
     indicator_coordinate_descent,
@@ -13,6 +15,7 @@ from repro.core.discrete import (
     scaled_indicator,
 )
 from repro.exceptions import ValidationError
+from repro.linalg.procrustes import nearest_orthogonal
 from repro.observability.trace import Trace, use_trace
 
 
@@ -251,6 +254,98 @@ class TestMatchesRowLoop:
         _assert_matches_row_loop(m, labels, c, max_sweeps)
 
 
+def _separated_case(n, c, seed, flips):
+    """A well-separated embedding whose start mislabels only ``flips``.
+
+    ``m`` is the scaled indicator of a random partition plus small
+    noise and the start is that partition, so the only improving rows
+    are the flipped ones: a sweep's moves sit wherever ``flips`` puts
+    them, with non-improving runs in between.
+    """
+    rng = np.random.default_rng(seed)
+    truth = np.arange(n) % c
+    rng.shuffle(truth)
+    m = scaled_indicator(truth, c) + 1e-4 * rng.normal(size=(n, c)) / np.sqrt(n)
+    labels = truth.copy()
+    for i in flips:
+        labels[i] = (truth[i] + 1) % c
+    return m, labels.astype(np.int64)
+
+
+class TestGallopingScan:
+    """The galloping widths keep the row-at-a-time sweep's exact moves."""
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 1000, 5000])
+    @pytest.mark.parametrize(
+        "c, decimals, start, max_sweeps",
+        [
+            (4, None, "random", 4),
+            # Near-converged: few moves, far apart.
+            (3, None, "argmax", 20),
+            # Tied gains.
+            (5, 1, "random", 4),
+        ],
+    )
+    def test_generated_cases(self, n, c, decimals, start, max_sweeps):
+        m, labels = _descent_case(n, c, n, decimals=decimals, start=start)
+        _assert_matches_row_loop(m, labels, c, max_sweeps)
+
+    @pytest.mark.parametrize(
+        "n, flips",
+        [
+            (1000, [3, 700]),
+            (5000, [10, 300, 1700, 4990]),
+            (5000, [2500]),
+            # A single improving row, the last one.
+            (255, [254]),
+            (256, [255]),
+            (257, [256]),
+            (1000, [999]),
+            (5000, [4999]),
+        ],
+    )
+    def test_moves_many_blocks_apart(self, n, flips):
+        m, labels = _separated_case(n, 4, n, flips)
+        _assert_matches_row_loop(m, labels, 4, 20)
+        assert np.count_nonzero(
+            indicator_coordinate_descent(m, labels, 4) != labels
+        ) == len(flips)
+
+    #: An idle sweep's widths up to the cap; they cover 7936 rows.
+    _IDLE_5000 = [256, 512, 1024, 2048, 4096]
+
+    @pytest.mark.parametrize(
+        "n, flips, widths",
+        [
+            # Converged: one idle sweep, capped at 4096 rows per scan.
+            (20_000, [], _IDLE_5000 + [4096] * 3),
+            # A move at row 10 and one at 3000 each reset the width to
+            # 256; the second sweep finds nothing.
+            (
+                5000,
+                [10, 3000],
+                [256, 256, 512, 1024, 2048, 256, 512, 1024, 2048]
+                + _IDLE_5000,
+            ),
+        ],
+    )
+    def test_scan_widths_follow_moves_not_rows(
+        self, n, flips, widths, monkeypatch
+    ):
+        m, labels = _separated_case(n, 4, 9, flips)
+        calls = []
+        real = discrete._next_move
+
+        def spy(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(discrete, "_next_move", spy)
+        out = indicator_coordinate_descent(m, labels, 4)
+        assert np.count_nonzero(out != labels) == len(flips)
+        assert calls == widths
+
+
 class TestAnchorRotation:
     def test_orthogonal_output(self):
         rng = np.random.default_rng(0)
@@ -288,3 +383,117 @@ class TestRotationInitialize:
             rotation_initialize(g, 3)
         with pytest.raises(ValidationError, match="n_restarts"):
             rotation_initialize(g, 2, n_restarts=0)
+
+
+def _exact_rotation_initialize(f, c, *, n_restarts=10, max_alt=30, seed=0):
+    """Reference oracle: every restart alternates on all ``n`` rows.
+
+    Returns ``(rotation, labels, rng)``, ``rng`` after its last draw.
+    """
+    rng = np.random.default_rng(seed)
+    best_obj, best = -np.inf, None
+    for restart in range(n_restarts):
+        if restart % 2 == 0:
+            rot = anchor_rotation(f, rng)
+        else:
+            qmat, rmat = np.linalg.qr(rng.normal(size=(c, c)))
+            rot = qmat * np.sign(np.diag(rmat))[None, :]
+        scores = f @ rot
+        labels = repair_empty_clusters(
+            np.argmax(scores, axis=1).astype(np.int64), c, scores=scores
+        )
+        prev = labels.copy()
+        for _ in range(max_alt):
+            labels = indicator_coordinate_descent(
+                f @ rot, labels, c, max_sweeps=4
+            )
+            rot = nearest_orthogonal(f.T @ scaled_indicator(labels, c))
+            if np.array_equal(labels, prev):
+                break
+            prev = labels.copy()
+        obj = rotation_objective(f @ rot, labels, c)
+        if np.isfinite(obj) and obj > best_obj:
+            best_obj, best = obj, (rot, labels)
+    return best[0], best[1], rng
+
+
+def _noisy_embedding(n, c, seed):
+    """An orthonormal ``(n, c)`` embedding of ``c`` overlapping clusters."""
+    rng = np.random.default_rng(seed)
+    truth = np.arange(n) % c
+    rng.shuffle(truth)
+    x = scaled_indicator(truth, c) + 0.5 * rng.normal(size=(n, c)) / np.sqrt(n)
+    return np.linalg.qr(x)[0]
+
+
+#: ``c = 4``: the subsample has 256 rows and is used once n > 1024.
+_C = 4
+_THRESHOLD = 4 * 256
+
+
+class TestRestartSubsample:
+    """Above the row threshold the restarts compete on a row subsample."""
+
+    def test_threshold(self):
+        assert discrete._restart_rows(_THRESHOLD, _C) is None
+        rows = discrete._restart_rows(_THRESHOLD + 1, _C)
+        assert rows.shape == (256,)
+        assert np.all(np.diff(rows) > 0)
+        assert discrete._restart_rows(8192, 16).shape == (512,)
+        np.testing.assert_array_equal(
+            discrete._restart_rows(8192, _C), discrete._restart_rows(8192, _C)
+        )
+
+    def test_below_threshold_is_the_exact_loop(self):
+        f = _noisy_embedding(_THRESHOLD, _C, seed=1)
+        rot, labels = rotation_initialize(f, _C, random_state=0)
+        want_rot, want_labels, _ = _exact_rotation_initialize(f, _C)
+        np.testing.assert_array_equal(rot, want_rot)
+        np.testing.assert_array_equal(labels, want_labels)
+
+    @pytest.mark.parametrize("n", [_THRESHOLD + 1, 8192])
+    def test_caller_generator_draws_as_exact_path(self, n):
+        f = _noisy_embedding(n, _C, seed=2)
+        rng = np.random.default_rng(0)
+        rotation_initialize(f, _C, n_restarts=4, random_state=rng)
+        *_, exact_rng = _exact_rotation_initialize(f, _C, n_restarts=4)
+        assert rng.bit_generator.state == exact_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [_THRESHOLD + 1, 8192])
+    def test_deterministic_orthogonal_feasible(self, n):
+        f = _noisy_embedding(n, _C, seed=3)
+        rot, labels = rotation_initialize(f, _C, random_state=5)
+        again_rot, again_labels = rotation_initialize(f, _C, random_state=5)
+        np.testing.assert_array_equal(rot, again_rot)
+        np.testing.assert_array_equal(labels, again_labels)
+        np.testing.assert_allclose(rot.T @ rot, np.eye(_C), atol=1e-10)
+        assert labels.shape == (n,)
+        assert np.all(np.bincount(labels, minlength=_C) >= 1)
+
+    @pytest.mark.parametrize("n", [_THRESHOLD + 1, 8192])
+    def test_only_the_polish_descends_on_all_rows(self, n, monkeypatch):
+        f = _noisy_embedding(n, _C, seed=4)
+        rows = []
+        real = discrete.indicator_coordinate_descent
+
+        def spy(m, *args, **kwargs):
+            rows.append(m.shape[0])
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(discrete, "indicator_coordinate_descent", spy)
+        max_alt = 30
+        rotation_initialize(f, _C, max_alt=max_alt, random_state=0)
+        full = [r for r in rows if r == n]
+        assert 1 <= len(full) <= max_alt
+        assert set(rows) - {n} == {256}
+
+    def test_span_records_subsample(self):
+        with use_trace(Trace("init")) as trace:
+            rotation_initialize(_noisy_embedding(2000, _C, 6), _C, random_state=0)
+            rotation_initialize(_noisy_embedding(100, _C, 6), _C, random_state=0)
+        sizes = [
+            r.attributes["subsample"]
+            for r in trace.spans
+            if r.name == "rotation_initialize"
+        ]
+        assert sizes == [256, 100]

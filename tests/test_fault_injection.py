@@ -389,6 +389,47 @@ class TestSkipSites:
         assert excinfo.value.site == "discrete.rotation"
         assert excinfo.value.attempts == 4
 
+    # Above the row threshold (n > 1024 for c = 3) the restarts run on a
+    # row subsample and one more site invocation polishes the winner.
+
+    def test_subsampled_failed_restart_is_skipped(self):
+        f = _stiefel(2000, 3, seed=8)
+        with inject_faults(FaultSpec("discrete.rotation", **ONE_SHOT)):
+            with collect_recoveries() as events:
+                rot, labels = rotation_initialize(
+                    f, 3, n_restarts=4, random_state=0
+                )
+        assert [(e.strategy, e.detail) for e in events] == [
+            ("skip", "restart 0")
+        ]
+        np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-10)
+        assert labels.shape == (2000,)
+        assert np.all(np.bincount(labels, minlength=3) >= 1)
+
+    def test_subsampled_all_restarts_failing_exhausts(self):
+        f = _stiefel(2000, 3, seed=8)
+        with inject_faults(FaultSpec("discrete.rotation", **PERSISTENT)):
+            with collect_recoveries() as events:
+                with pytest.raises(RecoveryExhaustedError) as excinfo:
+                    rotation_initialize(f, 3, n_restarts=4, random_state=0)
+        assert excinfo.value.site == "discrete.rotation"
+        assert excinfo.value.attempts == 4
+        assert [e.detail for e in events] == [f"restart {i}" for i in range(4)]
+
+    def test_failing_polish_exhausts(self):
+        f = _stiefel(2000, 3, seed=8)
+        # Invocations 0-3 are the restarts; invocation 4 is the polish.
+        spec = FaultSpec("discrete.rotation", mode="raise", first=4, times=1)
+        with inject_faults(spec) as plan:
+            with collect_recoveries() as events:
+                with pytest.raises(RecoveryExhaustedError) as excinfo:
+                    rotation_initialize(f, 3, n_restarts=4, random_state=0)
+        assert [t.invocation for t in plan.triggered] == [4]
+        assert excinfo.value.site == "discrete.rotation"
+        assert excinfo.value.attempts == 5
+        assert "polish" in str(excinfo.value)
+        assert events == []
+
 
 class TestGuardSites:
     """model.fit / runner.run / gpi.iterate: wrapping and observability."""

@@ -14,6 +14,7 @@ from repro.graph.anchor import (
     gram_top_eigenpairs,
     select_anchors,
 )
+from repro.graph.distance import pairwise_sq_euclidean
 from repro.observability import Trace, use_trace
 
 
@@ -82,6 +83,17 @@ class TestAnchorAssignment:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="feature dimension"):
             anchor_assignment(np.zeros((4, 3)), np.zeros((2, 5)))
+
+    def test_precomputed_distances(self):
+        x = _blobs()
+        anchors = select_anchors(x, 10, random_state=3)
+        d2 = pairwise_sq_euclidean(x, anchors)
+        np.testing.assert_array_equal(
+            anchor_assignment(x, anchors, k=4, distances=d2),
+            anchor_assignment(x, anchors, k=4),
+        )
+        with pytest.raises(ValidationError, match=r"shape \(150, 10\)"):
+            anchor_assignment(x, anchors, k=4, distances=d2[:, :9])
 
 
 class TestAnchorAffinity:
