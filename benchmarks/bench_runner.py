@@ -20,6 +20,8 @@ anchor_fit           bench_ext_scalability (anchor-accelerated fit)
 graph_build          bench_ablation_graphs (per-view kNN affinity)
 predict_batch        bench_serving_throughput (batched predict kernel)
 serving_throughput   bench_serving_throughput (micro-batched replay)
+scenario_matrix      bench_scenario_matrix (method x scenario grid)
+streaming            bench_streaming (drift-aware incremental replay)
 ==================== =================================================
 
 ``benchmarks/baseline.json`` is the committed reference the CI

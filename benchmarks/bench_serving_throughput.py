@@ -21,7 +21,7 @@ Three guarantees back the serving design:
   raw passthroughs.  That budget covers the request-tracing and
   profiling hooks too: with no construction-time trace the service
   skips id minting and request-span bookkeeping entirely, and a
-  dormant ``profile_span`` is one extra contextvar lookup before
+  dormant ``hot_span`` is one extra contextvar lookup before
   returning the same shared no-op handle as ``span``.
 
 Both checks are plain (unmarked) tests, so a default benchmark session

@@ -12,9 +12,13 @@ import numpy as np
 
 from repro.cluster.kmeans import KMeans
 from repro.exceptions import ValidationError
-from repro.graph.laplacian import laplacian
+from repro.graph.laplacian import (
+    _checked_affinity,
+    _degrees,
+    _inverse_or_zero,
+    _laplacian,
+)
 from repro.linalg.eigen import eigsh_smallest
-from repro.utils.validation import check_symmetric
 
 
 def spectral_embedding(
@@ -33,7 +37,10 @@ def spectral_embedding(
     n_components : int
         Embedding dimension (the number of clusters ``c`` in clustering use).
     normalization : {"symmetric", "unnormalized", "random_walk"}
-        Laplacian normalization.
+        Laplacian normalization.  ``random_walk`` embeds with the
+        symmetric Laplacian and scales row ``i`` by ``d_i^{-1/2}`` (zero
+        for isolated vertices): ``L_rw = D^{-1/2} L_sym D^{1/2}``, so the
+        columns are eigenvectors of ``L_rw``.
     row_normalize : bool
         Project embedding rows onto the unit sphere (the NJW step); rows
         that are exactly zero are left as-is.
@@ -42,19 +49,18 @@ def spectral_embedding(
     -------
     ndarray of shape (n, n_components)
     """
-    affinity = check_symmetric(affinity, "affinity")
+    affinity = _checked_affinity(affinity, "affinity")
     n = affinity.shape[0]
     if not 1 <= n_components <= n:
         raise ValidationError(
             f"n_components must be in [1, {n}], got {n_components}"
         )
-    lap = laplacian(affinity, normalization=normalization)
-    if normalization == "random_walk":
-        # L_rw is similar to L_sym: embed via L_sym then rescale, keeping
-        # the computation symmetric and stable.
-        lap = laplacian(affinity, normalization="symmetric")
-    _, vectors = eigsh_smallest(lap, n_components)
-    emb = vectors
+    d = _degrees(affinity)
+    random_walk = normalization == "random_walk"
+    lap = _laplacian(affinity, d, "symmetric" if random_walk else normalization)
+    _, emb = eigsh_smallest(lap, n_components)
+    if random_walk:
+        emb = emb * _inverse_or_zero(np.sqrt(d))[:, None]
     if row_normalize:
         norms = np.linalg.norm(emb, axis=1, keepdims=True)
         emb = emb / np.where(norms > 0, norms, 1.0)

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends import current_backend
 from repro.exceptions import ValidationError
-from repro.graph.distance import pairwise_sq_euclidean
 from repro.utils.validation import check_matrix
 
 
@@ -83,11 +83,18 @@ def adaptive_neighbor_affinity(
     if (x is None) == (distances is None):
         raise ValidationError("provide exactly one of x or distances")
     if x is not None:
-        d2 = pairwise_sq_euclidean(check_matrix(x, "x"))
+        d2 = current_backend().pairwise_sq_euclidean(check_matrix(x, "x"))
     else:
         d2 = check_matrix(distances, "distances")
         if d2.shape[0] != d2.shape[1]:
             raise ValidationError("distances must be square")
+    return _can_affinity(d2, k, symmetrize_output)
+
+
+def _can_affinity(
+    d2: np.ndarray, k: int, symmetrize_output: bool = True
+) -> np.ndarray:
+    """:func:`adaptive_neighbor_affinity` of checked squared distances."""
     n = d2.shape[0]
     if not 1 <= k <= n - 2:
         # Raising (not clamping) keeps sweeps honest: a configured k that

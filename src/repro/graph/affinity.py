@@ -12,6 +12,11 @@ The standard recipes of the multi-view spectral clustering literature:
 * :func:`knn_sparsify` — keep only mutual/unioned k-NN edges;
 * :func:`build_view_affinity` — the one-call recipe used by every algorithm
   in this repo (self-tuning + k-NN sparsification + symmetrization).
+
+Each public function validates its input exactly once and runs a private
+unchecked kernel; the kernels call the active backend's distance method
+directly, and :func:`build_view_affinity` chains the kernels after its
+single check of ``x``.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ import numpy as np
 
 from repro.backends import current_backend
 from repro.exceptions import ValidationError
-from repro.graph.distance import pairwise_cosine_distances, pairwise_sq_euclidean
-from repro.graph.knn import kneighbors
 from repro.observability.trace import hot_span
 from repro.utils.validation import check_matrix, check_square
 
@@ -43,6 +46,10 @@ def _median_offdiag(d2: np.ndarray) -> float:
         return 1.0
     off = np.ascontiguousarray(d2).ravel()[:-1].reshape(n - 1, n + 1)[:, 1:]
     return float(np.median(off))
+
+
+def _checked_x(x) -> np.ndarray:
+    return check_matrix(x, "x", dtype=current_backend().validation_dtype)
 
 
 def symmetrize(w: np.ndarray, *, mode: str = "average") -> np.ndarray:
@@ -71,7 +78,6 @@ def gaussian_affinity(
     *,
     sigma: float | None = None,
     zero_diagonal: bool = True,
-    pre_validated: bool = False,
 ) -> np.ndarray:
     """Global-bandwidth Gaussian (RBF) affinity ``exp(-d^2 / (2 sigma^2))``.
 
@@ -85,15 +91,13 @@ def gaussian_affinity(
     zero_diagonal : bool
         Remove self-loops (default True), the spectral clustering
         convention.
-    pre_validated : bool
-        Set by callers that already validated ``x`` (see
-        :func:`build_view_affinity`); validation runs exactly once per
-        public call either way.
     """
+    return _gaussian(_checked_x(x), sigma, zero_diagonal)
+
+
+def _gaussian(x, sigma, zero_diagonal: bool = True) -> np.ndarray:
     backend = current_backend()
-    if not pre_validated:
-        x = check_matrix(x, "x", dtype=backend.validation_dtype)
-    d2 = pairwise_sq_euclidean(x, pre_validated=True)
+    d2 = backend.pairwise_sq_euclidean(x)
     if sigma is None:
         med = _median_offdiag(d2)
         sigma = np.sqrt(med) if med > 0 else 1.0
@@ -110,7 +114,6 @@ def self_tuning_affinity(
     *,
     k: int = 7,
     zero_diagonal: bool = True,
-    pre_validated: bool = False,
 ) -> np.ndarray:
     """Self-tuning (locally scaled) Gaussian affinity.
 
@@ -126,21 +129,20 @@ def self_tuning_affinity(
         Neighbor rank used for the local scale; clipped to ``n - 1``.
     zero_diagonal : bool
         Remove self-loops (default True).
-    pre_validated : bool
-        Set by callers that already validated ``x`` (see
-        :func:`build_view_affinity`).
     """
+    return _self_tuning(_checked_x(x), k, zero_diagonal)
+
+
+def _self_tuning(x, k: int, zero_diagonal: bool = True) -> np.ndarray:
     backend = current_backend()
-    if not pre_validated:
-        x = check_matrix(x, "x", dtype=backend.validation_dtype)
     n = x.shape[0]
     if n < 2:
         raise ValidationError("self_tuning_affinity needs at least 2 samples")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     k = min(k, n - 1)
-    d2 = pairwise_sq_euclidean(x, pre_validated=True)
-    _, knn_d = kneighbors(np.sqrt(d2), k)
+    d2 = backend.pairwise_sq_euclidean(x)
+    _, knn_d = backend.knn_select(np.sqrt(d2), k, include_self=False)
     sigma = knn_d[:, -1]
     # finfo of d2's own dtype: float64 here is bit-identical to the
     # historical np.finfo(float).eps, and a float32 backend must not let
@@ -152,9 +154,7 @@ def self_tuning_affinity(
     return (w + w.T) / 2.0
 
 
-def cosine_affinity(
-    x: np.ndarray, *, zero_diagonal: bool = True, pre_validated: bool = False
-) -> np.ndarray:
+def cosine_affinity(x: np.ndarray, *, zero_diagonal: bool = True) -> np.ndarray:
     """Cosine-similarity affinity rescaled into ``[0, 1]``.
 
     ``W_ij = (1 + cos(x_i, x_j)) / 2`` — the standard choice for sparse
@@ -162,12 +162,13 @@ def cosine_affinity(
     Zero rows (empty documents) inherit the distance layer's convention:
     they sit at the neutral affinity 0.5 to everything *including
     themselves*, so a dead document never gets a self-similarity spike
-    even with ``zero_diagonal=False``.  ``pre_validated`` skips the
-    redundant re-check for callers that already validated ``x``.
+    even with ``zero_diagonal=False``.
     """
-    if not pre_validated:
-        x = check_matrix(x, "x", dtype=current_backend().validation_dtype)
-    sim = 1.0 - pairwise_cosine_distances(x, pre_validated=True)
+    return _cosine(_checked_x(x), zero_diagonal)
+
+
+def _cosine(x, zero_diagonal: bool = True) -> np.ndarray:
+    sim = 1.0 - current_backend().pairwise_cosine_distances(x)
     w = (1.0 + sim) / 2.0
     np.clip(w, 0.0, 1.0, out=w)
     if zero_diagonal:
@@ -194,13 +195,17 @@ def knn_sparsify(w: np.ndarray, k: int, *, mutual: bool = False) -> np.ndarray:
         Sparsified symmetric affinity with zero diagonal.
     """
     w = check_square(w, "w", dtype=current_backend().validation_dtype)
+    return _knn_sparsify(w, k, mutual)
+
+
+def _knn_sparsify(w, k: int, mutual: bool = False) -> np.ndarray:
     n = w.shape[0]
     if not 1 <= k <= n - 1:
         raise ValidationError(f"k must be in [1, {n - 1}], got {k}")
     # Neighbors by *affinity*: convert to a distance-like ordering.
     neg = -w.copy()
     np.fill_diagonal(neg, np.inf)
-    idx, _ = kneighbors(neg, k, include_self=False)
+    idx, _ = current_backend().knn_select(neg, k, include_self=False)
     mask = np.zeros_like(w, dtype=bool)
     mask[np.arange(n)[:, None], idx] = True
     mask = (mask & mask.T) if mutual else (mask | mask.T)
@@ -240,32 +245,33 @@ def build_view_affinity(
         Symmetric non-negative affinity with zero diagonal.
     """
     backend = current_backend()
-    x = check_matrix(x, "x", dtype=backend.validation_dtype)
+    x = _checked_x(x)
     n = x.shape[0]
     k_eff = max(1, min(k, n - 1))
     with hot_span(
         "knn_affinity", kind=kind, n=n, k=k_eff, backend=backend.name
     ):
         if kind == "self_tuning":
-            w = self_tuning_affinity(x, k=min(7, k_eff), pre_validated=True)
+            w = _self_tuning(x, min(7, k_eff))
         elif kind == "gaussian":
-            w = gaussian_affinity(x, sigma=sigma, pre_validated=True)
+            w = _gaussian(x, sigma)
         elif kind == "cosine":
-            w = cosine_affinity(x, pre_validated=True)
+            w = _cosine(x)
         elif kind == "adaptive":
-            from repro.graph.adaptive import adaptive_neighbor_affinity
+            from repro.graph.adaptive import _can_affinity
 
             # The CAN graph needs a (k+1)-th neighbor to set gamma, so
             # its valid range is [1, n - 2]; clamp the recipe's k
-            # explicitly (adaptive_neighbor_affinity itself rejects
-            # out-of-range k).
+            # explicitly (the CAN kernel itself rejects out-of-range k).
             if n < 3:
                 raise ValidationError(
                     f"adaptive affinity needs at least 3 samples, got {n}"
                 )
-            return adaptive_neighbor_affinity(x, k=min(k_eff, n - 2))
+            return _can_affinity(
+                backend.pairwise_sq_euclidean(x), min(k_eff, n - 2)
+            )
         else:
             raise ValidationError(f"unknown affinity kind: {kind!r}")
         if sparsify:
-            w = knn_sparsify(w, k_eff)
+            w = _knn_sparsify(w, k_eff)
     return w

@@ -6,10 +6,11 @@ expansion ``||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y`` and clipped at zero to
 remove negative roundoff.
 
 The arithmetic lives in the active :class:`~repro.backends.ArrayBackend`
-(float64 numpy by default; see :mod:`repro.backends`); these public
-functions own argument validation — run exactly once per call — and the
-structural checks (shared feature dimension, ``y_sq_norms`` shape),
-then dispatch.
+(float64 numpy by default; see :mod:`repro.backends`).  These public
+functions validate each input exactly once and run the structural checks
+(shared feature dimension, ``y_sq_norms`` shape), then dispatch.  Library
+code that already holds validated arrays (the affinity kernels, the
+blockwise sparse kNN, the CAN graph) calls the backend method directly.
 """
 
 from __future__ import annotations
@@ -17,7 +18,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends import current_backend
+from repro.exceptions import ValidationError
 from repro.utils.validation import check_matrix
+
+
+def _checked_pair(x, y, dtype) -> tuple[np.ndarray, np.ndarray | None]:
+    x = check_matrix(x, "x", dtype=dtype)
+    if y is not None:
+        y = check_matrix(y, "y", dtype=dtype)
+        if x.shape[1] != y.shape[1]:
+            raise ValidationError(
+                "x and y must share the feature dimension, "
+                f"got {x.shape[1]} and {y.shape[1]}"
+            )
+    return x, y
 
 
 def pairwise_sq_euclidean(
@@ -25,7 +39,6 @@ def pairwise_sq_euclidean(
     y: np.ndarray | None = None,
     *,
     y_sq_norms: np.ndarray | None = None,
-    pre_validated: bool = False,
 ) -> np.ndarray:
     """Squared Euclidean distance matrix between rows of ``x`` and ``y``.
 
@@ -39,11 +52,6 @@ def pairwise_sq_euclidean(
         index amortize the reference-set norms across queries (see
         :mod:`repro.serving.predictor`).  Results are bit-identical to
         passing nothing.  Only valid together with ``y``.
-    pre_validated : bool
-        Set by callers (the affinity layer) that already ran
-        :func:`~repro.utils.validation.check_matrix` on the inputs, to
-        skip the redundant re-validation/re-copy on the hot path.
-        Structural cross-argument checks still run.
 
     Returns
     -------
@@ -52,22 +60,9 @@ def pairwise_sq_euclidean(
         dtype.
     """
     backend = current_backend()
-    if not pre_validated:
-        x = check_matrix(x, "x", dtype=backend.validation_dtype)
-    symmetric = y is None
-    if not symmetric and not pre_validated:
-        y = check_matrix(y, "y", dtype=backend.validation_dtype)
-    y_cols = x.shape[1] if symmetric else y.shape[1]
-    if x.shape[1] != y_cols:
-        from repro.exceptions import ValidationError
-
-        raise ValidationError(
-            f"x and y must share the feature dimension, got {x.shape[1]} and {y_cols}"
-        )
+    x, y = _checked_pair(x, y, backend.validation_dtype)
     if y_sq_norms is not None:
-        from repro.exceptions import ValidationError
-
-        if symmetric:
+        if y is None:
             raise ValidationError("y_sq_norms requires an explicit y")
         y_sq_norms = np.asarray(y_sq_norms, dtype=backend.compute_dtype)
         if y_sq_norms.shape != (y.shape[0],):
@@ -79,10 +74,7 @@ def pairwise_sq_euclidean(
 
 
 def pairwise_cosine_distances(
-    x: np.ndarray,
-    y: np.ndarray | None = None,
-    *,
-    pre_validated: bool = False,
+    x: np.ndarray, y: np.ndarray | None = None
 ) -> np.ndarray:
     """Cosine distance matrix ``1 - cos(x_i, y_j)`` between rows.
 
@@ -97,9 +89,6 @@ def pairwise_cosine_distances(
     x : ndarray of shape (n, d)
     y : ndarray of shape (m, d), optional
         Defaults to ``x``.
-    pre_validated : bool
-        Skip re-validation of already-checked inputs (see
-        :func:`pairwise_sq_euclidean`).
 
     Returns
     -------
@@ -107,15 +96,5 @@ def pairwise_cosine_distances(
         Values in ``[0, 2]``, in the active backend's compute dtype.
     """
     backend = current_backend()
-    if not pre_validated:
-        x = check_matrix(x, "x", dtype=backend.validation_dtype)
-    symmetric = y is None
-    if not symmetric and not pre_validated:
-        y = check_matrix(y, "y", dtype=backend.validation_dtype)
-    if not symmetric and x.shape[1] != y.shape[1]:
-        from repro.exceptions import ValidationError
-
-        raise ValidationError(
-            f"x and y must share the feature dimension, got {x.shape[1]} and {y.shape[1]}"
-        )
+    x, y = _checked_pair(x, y, backend.validation_dtype)
     return backend.pairwise_cosine_distances(x, y)

@@ -11,6 +11,9 @@ The symmetric normalization is the default throughout the library, matching
 the normalized-cut relaxation the paper's framework builds on.  Isolated
 vertices (zero degree) are handled by treating their inverse degree as zero,
 which leaves them as exact null-space directions.
+
+Each public function validates its affinity exactly once and then runs
+the private unchecked kernels, so a Laplacian computes its degrees once.
 """
 
 from __future__ import annotations
@@ -21,27 +24,61 @@ from repro.exceptions import ValidationError
 from repro.utils.validation import check_symmetric
 
 
-def degree_vector(w: np.ndarray) -> np.ndarray:
-    """Row-sum degree vector of a symmetric affinity."""
-    w = check_symmetric(w, "w")
+def _checked_affinity(w, name: str = "w") -> np.ndarray:
+    """``w`` validated as a symmetric non-negative affinity (symmetrized)."""
+    w = check_symmetric(w, name)
     if np.any(w < -1e-12):
         raise ValidationError("affinity must be non-negative")
+    return w
+
+
+def _degrees(w: np.ndarray) -> np.ndarray:
     return np.sum(np.maximum(w, 0.0), axis=1)
 
 
-def _inv_sqrt_degrees(d: np.ndarray) -> np.ndarray:
+def _inverse_or_zero(v: np.ndarray) -> np.ndarray:
+    """``1 / v``, zero where ``v`` is zero (isolated vertices)."""
     with np.errstate(divide="ignore"):
-        inv = 1.0 / np.sqrt(d)
+        inv = 1.0 / v
     inv[~np.isfinite(inv)] = 0.0
     return inv
 
 
+def _normalized_adjacency(w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    inv_sqrt = _inverse_or_zero(np.sqrt(d))
+    return (w * inv_sqrt[:, None]) * inv_sqrt[None, :]
+
+
+def _laplacian(w: np.ndarray, d: np.ndarray, normalization: str) -> np.ndarray:
+    """Unchecked :func:`laplacian` of a checked ``w`` with degrees ``d``."""
+    n = w.shape[0]
+    if normalization == "unnormalized":
+        return np.diag(d) - w
+    iso = d <= 0.0
+    if normalization == "symmetric":
+        lap = np.eye(n) - _normalized_adjacency(w, d)
+        # Zero-degree vertices carry no normalized adjacency mass, so
+        # ``I - A`` would leave a spurious 1 on their diagonal; zeroing it
+        # keeps them exact null-space directions (the scipy convention and
+        # what the component-counting argument for the null space assumes).
+        lap[iso, iso] = 0.0
+        return (lap + lap.T) / 2.0
+    if normalization == "random_walk":
+        lap = np.eye(n) - _inverse_or_zero(d)[:, None] * w
+        lap[iso, iso] = 0.0
+        return lap
+    raise ValidationError(f"unknown normalization: {normalization!r}")
+
+
+def degree_vector(w: np.ndarray) -> np.ndarray:
+    """Row-sum degree vector of a symmetric affinity."""
+    return _degrees(_checked_affinity(w))
+
+
 def normalized_adjacency(w: np.ndarray) -> np.ndarray:
     """Symmetrically normalized adjacency ``D^{-1/2} W D^{-1/2}``."""
-    w = check_symmetric(w, "w")
-    d = degree_vector(w)
-    inv_sqrt = _inv_sqrt_degrees(d)
-    return (w * inv_sqrt[:, None]) * inv_sqrt[None, :]
+    w = _checked_affinity(w)
+    return _normalized_adjacency(w, _degrees(w))
 
 
 def laplacian(w: np.ndarray, *, normalization: str = "symmetric") -> np.ndarray:
@@ -60,26 +97,5 @@ def laplacian(w: np.ndarray, *, normalization: str = "symmetric") -> np.ndarray:
         The requested Laplacian.  The symmetric variant is returned exactly
         symmetric; its eigenvalues lie in ``[0, 2]``.
     """
-    w = check_symmetric(w, "w")
-    d = degree_vector(w)
-    n = w.shape[0]
-    if normalization == "unnormalized":
-        return np.diag(d) - w
-    iso = d <= 0.0
-    if normalization == "symmetric":
-        a = normalized_adjacency(w)
-        lap = np.eye(n) - a
-        # Zero-degree vertices carry no normalized adjacency mass, so
-        # ``I - A`` would leave a spurious 1 on their diagonal; zeroing it
-        # keeps them exact null-space directions (the scipy convention and
-        # what the component-counting argument for the null space assumes).
-        lap[iso, iso] = 0.0
-        return (lap + lap.T) / 2.0
-    if normalization == "random_walk":
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / d
-        inv[~np.isfinite(inv)] = 0.0
-        lap = np.eye(n) - inv[:, None] * w
-        lap[iso, iso] = 0.0
-        return lap
-    raise ValidationError(f"unknown normalization: {normalization!r}")
+    w = _checked_affinity(w)
+    return _laplacian(w, _degrees(w), normalization)

@@ -20,8 +20,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
+from repro.backends import current_backend
 from repro.exceptions import ValidationError
-from repro.graph.distance import pairwise_sq_euclidean
+from repro.graph.laplacian import _inverse_or_zero
 from repro.linalg.eigen import eigsh_smallest
 from repro.utils.validation import check_matrix
 
@@ -30,14 +31,16 @@ def _blockwise_knn(x: np.ndarray, k: int, block: int) -> tuple[np.ndarray, np.nd
     """Indices/squared-distances of each row's k nearest neighbors.
 
     Processes query rows in blocks of size ``block`` so peak memory is
-    ``O(block * n)`` instead of ``O(n^2)``.
+    ``O(block * n)`` instead of ``O(n^2)``.  ``x`` is already validated,
+    so each block goes straight to the backend's distance kernel.
     """
+    backend = current_backend()
     n = x.shape[0]
     idx = np.empty((n, k), dtype=np.int64)
     d2 = np.empty((n, k))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        dist = pairwise_sq_euclidean(x[start:stop], x)
+        dist = backend.pairwise_sq_euclidean(x[start:stop], x)
         dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
         part = np.argpartition(dist, k - 1, axis=1)[:, :k]
         rows = np.arange(stop - start)[:, None]
@@ -128,17 +131,12 @@ def sparse_laplacian(
     if normalization == "unnormalized":
         return (scipy.sparse.diags(degrees) - w).tocsr()
     if normalization == "symmetric":
-        with np.errstate(divide="ignore"):
-            inv_sqrt = 1.0 / np.sqrt(degrees)
-        inv_sqrt[~np.isfinite(inv_sqrt)] = 0.0
-        d_inv = scipy.sparse.diags(inv_sqrt)
+        d_inv = scipy.sparse.diags(_inverse_or_zero(np.sqrt(degrees)))
         lap = eye - d_inv @ w @ d_inv
         return ((lap + lap.T) / 2.0).tocsr()
     if normalization == "random_walk":
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / degrees
-        inv[~np.isfinite(inv)] = 0.0
-        return (eye - scipy.sparse.diags(inv) @ w).tocsr()
+        inv = scipy.sparse.diags(_inverse_or_zero(degrees))
+        return (eye - inv @ w).tocsr()
     raise ValidationError(f"unknown normalization: {normalization!r}")
 
 

@@ -83,7 +83,6 @@ from repro.observability.health import (
 from repro.observability.memory import (
     MemorySession,
     current_memory,
-    memory_span,
     use_memory_tracking,
 )
 from repro.observability.export import (
@@ -109,7 +108,6 @@ from repro.observability.resource import (
 from repro.observability.profiling import (
     ProfilingSession,
     current_profiling,
-    profile_span,
     use_profiling,
 )
 from repro.observability.sinks import (
@@ -173,14 +171,12 @@ __all__ = [
     "last_trace",
     "load_rules",
     "load_trace",
-    "memory_span",
     "metric_inc",
     "metric_observe",
     "metric_set",
     "metrics_snapshot",
     "new_id",
     "prometheus_name",
-    "profile_span",
     "read_cpu_seconds",
     "read_jsonl",
     "read_rss_bytes",

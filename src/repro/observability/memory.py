@@ -11,7 +11,6 @@ the span's attributes (so they travel through the JSONL sink), and
 accumulates them into a per-site table
 (:meth:`MemorySession.table`) — the instrument ROADMAP item 1's
 "sub-quadratic memory end to end" target is judged against.
-:func:`memory_span` is the same function under its older name.
 
 **Disabled cost is the design constraint**: with no session armed, a
 hot span costs the same single context lookup as
@@ -50,7 +49,6 @@ import threading
 import tracemalloc
 
 from repro.context import _CONTEXT, scoped
-from repro.observability.trace import hot_span
 
 
 class MemorySession:
@@ -157,6 +155,3 @@ class use_memory_tracking(scoped):
             tracemalloc.stop()
         return False
 
-
-#: The hot span under its name from before it served both collectors.
-memory_span = hot_span

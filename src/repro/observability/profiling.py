@@ -12,7 +12,6 @@ each hot block runs under a fresh :class:`cProfile.Profile`
 time are attached to the span's attributes (so they travel through the
 JSONL sink), and the raw stats merge into the session for a per-site
 :meth:`ProfilingSession.hotspots` table afterwards.
-:func:`profile_span` is the same function under its older name.
 
 **Disabled cost is the design constraint**: with no session armed, a
 hot span costs the same single context lookup as ``span(...)`` — so
@@ -48,7 +47,6 @@ import threading
 
 from repro.context import _CONTEXT, scoped
 from repro.exceptions import ValidationError
-from repro.observability.trace import hot_span
 
 #: How many hotspot rows a session keeps per query by default.
 DEFAULT_LIMIT = 10
@@ -187,6 +185,3 @@ class use_profiling(scoped):
         self.session._owner = threading.get_ident()
         return super().__enter__()
 
-
-#: The hot span under its name from before memory collection joined it.
-profile_span = hot_span

@@ -6,6 +6,7 @@ import pytest
 from repro.cluster.spectral import spectral_clustering, spectral_embedding
 from repro.exceptions import ValidationError
 from repro.graph.affinity import build_view_affinity
+from repro.graph.laplacian import laplacian
 from repro.metrics import clustering_accuracy
 
 
@@ -43,6 +44,20 @@ class TestSpectralEmbedding:
         second = emb[3:]
         assert np.allclose(first, first[0], atol=1e-8)
         assert np.allclose(second, second[0], atol=1e-8)
+
+    def test_random_walk_columns_are_random_walk_eigenvectors(
+        self, affinity_pair
+    ):
+        # L_rw = D^{-1/2} L_sym D^{1/2}: the L_sym eigenvectors scaled
+        # row-wise by d^{-1/2} satisfy L_rw U = U diag(lambda).
+        w = affinity_pair[0]
+        emb = spectral_embedding(
+            w, 3, normalization="random_walk", row_normalize=False
+        )
+        values = np.linalg.eigvalsh(laplacian(w))[:3]
+        lap_rw = laplacian(w, normalization="random_walk")
+        residual = np.linalg.norm(lap_rw @ emb - emb * values[None, :])
+        assert residual < 1e-8 * np.linalg.norm(emb)
 
     def test_n_components_validation(self):
         with pytest.raises(ValidationError):

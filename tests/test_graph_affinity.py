@@ -158,15 +158,18 @@ class TestSingleValidation:
 
     Before the backend refactor every affinity kernel ran
     ``check_matrix`` on ``x`` and then the distance layer re-validated
-    (and re-copied) the same array.  The ``pre_validated`` fast path
-    removed the duplicate; these spies pin that it stays removed.
+    (and re-copied) the same array.  The kernels now take validated
+    arrays straight to the backend; these spies pin that the duplicate
+    stays removed.
     """
 
     @pytest.fixture
     def spy(self, monkeypatch):
         """Count ``check_matrix`` calls made on the raw feature matrix."""
+        import repro.graph.adaptive as adaptive_mod
         import repro.graph.affinity as affinity_mod
         import repro.graph.distance as distance_mod
+        import repro.graph.sparse as sparse_mod
         from repro.utils.validation import check_matrix
 
         calls = []
@@ -175,12 +178,8 @@ class TestSingleValidation:
             calls.append(name)
             return check_matrix(x, name, **kwargs)
 
-        monkeypatch.setattr(
-            affinity_mod, "check_matrix", counting_check_matrix
-        )
-        monkeypatch.setattr(
-            distance_mod, "check_matrix", counting_check_matrix
-        )
+        for mod in (adaptive_mod, affinity_mod, distance_mod, sparse_mod):
+            monkeypatch.setattr(mod, "check_matrix", counting_check_matrix)
         return calls
 
     @pytest.mark.parametrize(
@@ -222,3 +221,31 @@ class TestSingleValidation:
         with pytest.raises(ValidationError):
             gaussian_affinity(bad)
         assert len(spy) == 1, spy
+
+    @pytest.mark.parametrize(
+        "kind", ["self_tuning", "gaussian", "cosine", "adaptive"]
+    )
+    def test_build_view_affinity_never_rechecks_kernel_output(
+        self, monkeypatch, spy, kind
+    ):
+        import repro.graph.affinity as affinity_mod
+        from repro.utils.validation import check_square
+
+        squares = []
+
+        def counting_check_square(w, *args, **kwargs):
+            squares.append(w)
+            return check_square(w, *args, **kwargs)
+
+        monkeypatch.setattr(affinity_mod, "check_square", counting_check_square)
+        build_view_affinity(np.abs(_two_blobs()), kind=kind, k=5)
+        # The CAN kernel's simplex projection checks its own intermediate
+        # ("v"); the raw data is checked once and the output never.
+        assert spy.count("x") == 1, spy
+        assert squares == []
+
+    def test_sparse_knn_affinity_validates_once_not_per_block(self, spy):
+        from repro.graph.sparse import sparse_knn_affinity
+
+        sparse_knn_affinity(_two_blobs(), k=5, block=7)
+        assert spy == ["x"]

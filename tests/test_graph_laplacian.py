@@ -145,3 +145,73 @@ class TestNormalizedAdjacencyLaplacianConsistency:
         w[3:, :3] = 1.0
         values = np.linalg.eigvalsh(laplacian(w))
         assert values.max() == pytest.approx(2.0, abs=1e-10)
+
+
+class TestSingleValidation:
+    """Each public call validates its affinity exactly once.
+
+    The dense fused operator rebuilds a Laplacian on every weight update,
+    so every extra O(n^2) symmetry check lands in the UMSC hot loop.
+    """
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Record the name of every ``check_symmetric`` call."""
+        import importlib
+
+        from repro.utils.validation import check_symmetric
+
+        # ``repro.graph`` re-exports the function under the module's name.
+        laplacian_mod = importlib.import_module("repro.graph.laplacian")
+
+        calls = []
+
+        def counting_check_symmetric(x, name="A", **kwargs):
+            calls.append(name)
+            return check_symmetric(x, name, **kwargs)
+
+        monkeypatch.setattr(
+            laplacian_mod, "check_symmetric", counting_check_symmetric
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "normalization", ["symmetric", "unnormalized", "random_walk"]
+    )
+    def test_laplacian_checks_once(self, spy, normalization):
+        laplacian(_random_affinity(), normalization=normalization)
+        assert spy == ["w"]
+
+    @pytest.mark.parametrize("fn", [normalized_adjacency, degree_vector])
+    def test_adjacency_and_degrees_check_once(self, spy, fn):
+        fn(_random_affinity())
+        assert spy == ["w"]
+
+    def test_negative_affinity_still_rejected_by_every_entry_point(self, spy):
+        w = -np.ones((3, 3))
+        np.fill_diagonal(w, 0.0)
+        for fn in (laplacian, normalized_adjacency, degree_vector):
+            with pytest.raises(ValidationError, match="non-negative"):
+                fn(w)
+
+    def test_dense_operator_checks_once_per_rebuild(self, spy):
+        from repro.core.config import UMSCConfig
+        from repro.core.model import _DenseAffinities
+
+        affinities = [_random_affinity(seed=s) for s in (0, 1)]
+        rng = np.random.default_rng(0)
+        bases = [np.linalg.qr(rng.normal(size=(12, 2)))[0] for _ in affinities]
+        rep = _DenseAffinities(
+            affinities,
+            [laplacian(w) for w in affinities],
+            bases,
+            UMSCConfig(n_clusters=2),
+        )
+        spy.clear()
+        w = np.array([0.5, 0.5])
+        rep.operator(w)
+        assert len(spy) == 1
+        rep.operator(w.copy())  # cached: same weights, no rebuild
+        assert len(spy) == 1
+        rep.operator(np.array([0.25, 0.75]))
+        assert len(spy) == 2

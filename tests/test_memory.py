@@ -1,7 +1,7 @@
 """Tests for per-phase memory attribution and the bench memory gate.
 
 Covers :mod:`repro.observability.memory` — the dormant
-``memory_span`` → ``NOOP_SPAN`` chain, :class:`MemorySession`
+``hot_span`` → ``NOOP_SPAN`` chain, :class:`MemorySession`
 recording/nesting, :func:`use_memory_tracking` tracemalloc ownership —
 plus the :mod:`repro.bench` integration: the per-bench ``memory``
 entry, :class:`~repro.bench.MemoryDelta` gating in
@@ -25,23 +25,22 @@ from repro.observability import Trace, use_trace
 from repro.observability.memory import (
     MemorySession,
     current_memory,
-    memory_span,
     use_memory_tracking,
 )
 from repro.observability.resource import ResourceSampler
-from repro.observability.trace import NOOP_SPAN
+from repro.observability.trace import NOOP_SPAN, hot_span
 
 
 class TestDormancy:
     def test_memory_span_is_shared_noop_without_trace(self):
         assert current_memory() is None
-        assert memory_span("anything") is NOOP_SPAN
-        assert memory_span("anything", tag=1) is NOOP_SPAN
+        assert hot_span("anything") is NOOP_SPAN
+        assert hot_span("anything", tag=1) is NOOP_SPAN
 
     def test_memory_span_without_session_still_profiles(self):
         trace = Trace("no-session")
         with use_trace(trace):
-            with memory_span("phase.x"):
+            with hot_span("phase.x"):
                 pass
         assert any(s.name == "phase.x" for s in trace.spans)
 
@@ -51,9 +50,9 @@ class TestMemorySession:
         trace = Trace("mem")
         with use_trace(trace):
             with use_memory_tracking() as session:
-                with memory_span("outer"):
+                with hot_span("outer"):
                     blob = bytearray(8 << 20)
-                    with memory_span("inner"):
+                    with hot_span("inner"):
                         blob2 = bytearray(4 << 20)
                 del blob, blob2
         table = session.table()
@@ -68,7 +67,7 @@ class TestMemorySession:
         trace = Trace("mem-table")
         with use_trace(trace):
             with use_memory_tracking() as session:
-                with memory_span("alloc.phase"):
+                with hot_span("alloc.phase"):
                     blob = bytearray(2 << 20)
                 del blob
         table = session.table()
@@ -94,7 +93,7 @@ class TestMemorySession:
         trace = Trace("mem-attrs")
         with use_trace(trace):
             with use_memory_tracking():
-                with memory_span("phase.y"):
+                with hot_span("phase.y"):
                     blob = bytearray(1 << 20)
                 del blob
         span = next(s for s in trace.spans if s.name == "phase.y")

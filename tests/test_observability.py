@@ -23,8 +23,8 @@ from repro.observability import (
     TraceRecorder,
     current_request_id,
     current_trace,
+    hot_span,
     last_trace,
-    profile_span,
     read_jsonl,
     span,
     use_request,
@@ -88,8 +88,8 @@ class TestDisabledMode:
     def test_profile_span_shares_the_same_noop(self):
         # The profiling wrapper must not add a second dormant object:
         # with no session and no trace it is the identical singleton.
-        assert profile_span("anything") is NOOP_SPAN
-        assert profile_span("other", k=1) is span("other", k=1)
+        assert hot_span("anything") is NOOP_SPAN
+        assert hot_span("other", k=1) is span("other", k=1)
 
     def test_metrics_helpers_are_noops(self):
         metric_inc("some.counter")

@@ -7,7 +7,7 @@ from repro.observability import (
     ProfilingSession,
     Trace,
     current_profiling,
-    profile_span,
+    hot_span,
     use_profiling,
     use_trace,
 )
@@ -22,12 +22,12 @@ class TestDisabledMode:
     def test_profile_span_is_shared_noop_when_fully_disabled(self):
         # No session AND no trace: the same singleton span() returns, so
         # the dormant cost stays one contextvar lookup on top of span's.
-        assert profile_span("eigsh") is NOOP_SPAN
-        assert profile_span("gpi", n=5) is NOOP_SPAN
+        assert hot_span("eigsh") is NOOP_SPAN
+        assert hot_span("gpi", n=5) is NOOP_SPAN
 
     def test_profile_span_is_plain_live_span_with_trace_only(self):
         with use_trace(Trace("t")) as trace:
-            with profile_span("hot") as sp:
+            with hot_span("hot") as sp:
                 sp.set(k=1)
         assert [s.name for s in trace.spans] == ["hot"]
         assert "profile" not in trace.spans[0].attributes
@@ -39,9 +39,9 @@ class TestDisabledMode:
 class TestProfilingSession:
     def test_records_hotspots_per_site(self):
         with use_profiling(limit=8) as session:
-            with profile_span("site.a"):
+            with hot_span("site.a"):
                 _burn()
-            with profile_span("site.b"):
+            with hot_span("site.b"):
                 _burn()
         assert session.sites() == ["site.a", "site.b"]
         rows = session.hotspots("site.a")
@@ -56,7 +56,7 @@ class TestProfilingSession:
     def test_repeated_site_executions_accumulate(self):
         with use_profiling() as session:
             for _ in range(3):
-                with profile_span("site"):
+                with hot_span("site"):
                     _burn()
         row = next(
             r for r in session.hotspots("site") if "_burn" in r["function"]
@@ -66,7 +66,7 @@ class TestProfilingSession:
     def test_span_attributes_carry_profile_rows(self):
         with use_trace(Trace("t")) as trace:
             with use_profiling():
-                with profile_span("hot"):
+                with hot_span("hot"):
                     _burn()
         profile = trace.spans[0].attributes["profile"]
         assert profile and profile[0]["cumtime"] >= 0.0
@@ -77,8 +77,8 @@ class TestProfilingSession:
         # to a plain span instead of raising.
         with use_trace(Trace("t")) as trace:
             with use_profiling() as session:
-                with profile_span("outer"):
-                    with profile_span("inner"):
+                with hot_span("outer"):
+                    with hot_span("inner"):
                         _burn()
         assert session.sites() == ["outer"]
         by_name = {s.name: s for s in trace.spans}
@@ -98,12 +98,12 @@ class TestProfilingSession:
         session = ProfilingSession()
         with pytest.raises(RuntimeError):
             with use_profiling(session):
-                with profile_span("boom"):
+                with hot_span("boom"):
                     raise RuntimeError("boom")
         assert session.sites() == ["boom"]  # capture still recorded
         # A later block can profile again (the active flag was reset).
         with use_profiling(session):
-            with profile_span("after"):
+            with hot_span("after"):
                 _burn()
         assert "after" in session.sites()
 

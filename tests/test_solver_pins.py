@@ -17,7 +17,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import AnchorMVSC, SparseMVSC, UnifiedMVSC
+from repro import AnchorMVSC, SparseMVSC, TwoStageMVSC, UnifiedMVSC
+from repro.core.graph_builder import build_multiview_affinities
 from repro.core.incomplete import IncompleteMVSC
 from repro.datasets import make_multiview_blobs
 from repro.exceptions import ConvergenceWarning
@@ -136,6 +137,16 @@ def _incomplete() -> dict:
     }
 
 
+def _two_stage(seed: int) -> dict:
+    """Labels and the stage-1 embedding of the two-stage ablation."""
+    model = TwoStageMVSC(3, random_state=0)
+    affinities = build_multiview_affinities(_dataset(seed).views)
+    return {
+        "labels": _digest(model.fit_affinities(affinities)),
+        "embedding": _embedding(model.embed(affinities)),
+    }
+
+
 CASES = {
     "umsc_lam1_a": lambda: _umsc(1),
     "umsc_lam1_b": lambda: _umsc(2),
@@ -150,6 +161,7 @@ CASES = {
     "anchor_parameter_free": lambda: _anchor(2, "parameter_free"),
     "anchor_stream": _anchor_stream,
     "incomplete": _incomplete,
+    "two_stage": lambda: _two_stage(1),
 }
 
 
@@ -216,7 +228,8 @@ def test_traced_stream_matches_untraced():
         np.testing.assert_array_equal(a, b)
 
 
-#: Captured before the three solver loops were merged into one driver.
+#: Captured before the three solver loops were merged into one driver;
+#: ``two_stage`` before the graph layer's validation was consolidated.
 PINS: dict = {'anchor_exponential': {'batch_cost': 1.6184526449856282,
                         'label_moves': [None, 5, 12, 6, 1, 0, 0, 0],
                         'labels': '602bb9d9f6279041',
@@ -408,6 +421,13 @@ PINS: dict = {'anchor_exponential': {'batch_cost': 1.6184526449856282,
                                        [0.6152165162898804,
                                         0.5144906859575915,
                                         0.40703953296335776]]},
+ 'two_stage': {'embedding': [10.901710620416504,
+                             9.306387932884626,
+                             9.489501274291836,
+                             655.4738024118178,
+                             555.7366196369836,
+                             582.8235552663841],
+               'labels': '077c3eef26d1dee2'},
  'umsc_lam0': {'embedding': [10.901710688843252,
                              9.306388983412347,
                              9.489501666322997,
