@@ -89,6 +89,29 @@ def kmeans_plus_plus_init(
     return centers
 
 
+def _reseed_empty(
+    labels: np.ndarray, point_cost: np.ndarray, k: int
+) -> np.ndarray:
+    """Fill every empty cluster in place; returns the cluster sizes.
+
+    Empty clusters are taken in ascending order.  Each receives the point
+    farthest from its centroid among clusters with at least two members,
+    so a repair never empties another cluster; the moved point's cost
+    becomes 0.  Needs ``k <= len(labels)``, which leaves a donor while
+    any cluster is empty.
+    """
+    counts = np.bincount(labels, minlength=k)
+    # A repair empties no cluster, so the empty set is known up front.
+    for c in np.flatnonzero(counts == 0):
+        donors = counts[labels] >= 2
+        victim = int(np.argmax(np.where(donors, point_cost, -np.inf)))
+        counts[labels[victim]] -= 1
+        counts[c] = 1
+        labels[victim] = c
+        point_cost[victim] = 0.0
+    return counts
+
+
 def _lloyd(
     x: np.ndarray,
     centers: np.ndarray,
@@ -98,8 +121,8 @@ def _lloyd(
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """One Lloyd run from given initial centers.
 
-    Empty clusters are re-seeded with the point farthest from its assigned
-    centroid, which keeps all ``k`` clusters alive.
+    Empty clusters are re-seeded by :func:`_reseed_empty`, which keeps all
+    ``k`` clusters alive.
     """
     n, _ = x.shape
     k = centers.shape[0]
@@ -112,12 +135,7 @@ def _lloyd(
         d2 = pairwise_sq_euclidean(x, centers)
         labels = np.argmin(d2, axis=1).astype(np.int64)
         point_cost = d2[np.arange(n), labels]
-        counts = np.bincount(labels, minlength=k)
-        for c in np.flatnonzero(counts == 0):
-            victim = int(np.argmax(point_cost))
-            labels[victim] = c
-            point_cost[victim] = 0.0
-            counts = np.bincount(labels, minlength=k)
+        counts = _reseed_empty(labels, point_cost, k)
         new_centers = np.zeros_like(centers)
         np.add.at(new_centers, labels, x)
         new_centers /= counts[:, None]

@@ -30,6 +30,20 @@ def relabel_consecutive(labels: np.ndarray) -> np.ndarray:
     return out.astype(np.int64)
 
 
+def _indicator_labels(labels, n_clusters: int | None) -> tuple[np.ndarray, int]:
+    """``(labels, c)`` checked for indicator encoding: int64 in ``[0, c)``."""
+    labels = check_labels(labels)
+    high = int(labels.max())
+    if labels.min() < 0:
+        raise ValidationError("labels must be non-negative for indicator encoding")
+    c = high + 1 if n_clusters is None else int(n_clusters)
+    if c < 1:
+        raise ValidationError(f"n_clusters must be >= 1, got {c}")
+    if high >= c:
+        raise ValidationError(f"labels contain value {high} >= n_clusters={c}")
+    return labels, c
+
+
 def indicator_from_labels(labels: np.ndarray, n_clusters: int | None = None) -> np.ndarray:
     """One-hot indicator matrix ``Y`` from a label vector.
 
@@ -45,16 +59,7 @@ def indicator_from_labels(labels: np.ndarray, n_clusters: int | None = None) -> 
     ndarray of shape (n, c)
         Rows are one-hot.
     """
-    labels = check_labels(labels)
-    if np.any(labels < 0):
-        raise ValidationError("labels must be non-negative for indicator encoding")
-    c = int(labels.max()) + 1 if n_clusters is None else int(n_clusters)
-    if c < 1:
-        raise ValidationError(f"n_clusters must be >= 1, got {c}")
-    if labels.max(initial=-1) >= c:
-        raise ValidationError(
-            f"labels contain value {int(labels.max())} >= n_clusters={c}"
-        )
+    labels, c = _indicator_labels(labels, n_clusters)
     y = np.zeros((labels.size, c))
     y[np.arange(labels.size), labels] = 1.0
     return y

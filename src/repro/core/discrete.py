@@ -16,7 +16,10 @@ Two solvers live here:
   accepting only improving moves and never emptying a cluster: a monotone,
   O(n c) per-sweep exact block update.  Each sweep is evaluated in
   vectorized blocks that gallop ahead to the next improving row, so a
-  sweep costs O(moves + log n) numpy calls rather than O(n).
+  sweep costs O(moves + log n) numpy calls rather than O(n).  A move
+  costs O(1): it refreshes two entries of each per-cluster c-vector the
+  scan reads, and the moved row's own entry; a scan is one block of
+  numpy work over that state.
 * :func:`rotation_initialize` — spectral-rotation initialization: from the
   eigenvector embedding, try several random rotations, alternate
   (rotation, assignment) to a fixed point, and keep the best.  This is the
@@ -28,9 +31,11 @@ Two solvers live here:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.cluster.labels import indicator_from_labels, repair_empty_clusters
+from repro.cluster.labels import _indicator_labels, repair_empty_clusters
 from repro.exceptions import RecoveryExhaustedError, ValidationError
 from repro.linalg.procrustes import nearest_orthogonal
 from repro.observability.trace import metric_inc, span
@@ -54,13 +59,17 @@ _SITE_ROTATION = register_fault_site(
 def scaled_indicator(labels: np.ndarray, n_clusters: int) -> np.ndarray:
     """The scaled indicator ``G = Y (Y^T Y)^{-1/2}`` from a label vector.
 
-    Every cluster must be non-empty.
+    Every cluster must be non-empty.  Row ``i`` holds ``1 / sqrt(n_j)``
+    in column ``j = labels[i]`` and zeros elsewhere: the bits of
+    ``Y / sqrt(n)``, whose entries are ``1.0 / s`` and ``0.0 / s``.
     """
-    y = indicator_from_labels(labels, n_clusters)
-    counts = y.sum(axis=0)
-    if np.any(counts == 0):
+    labels, c = _indicator_labels(labels, n_clusters)
+    counts = np.bincount(labels, minlength=c)
+    if counts.min() == 0:
         raise ValidationError("scaled indicator requires non-empty clusters")
-    return y / np.sqrt(counts)[None, :]
+    g = np.zeros((labels.size, c))
+    g[np.arange(labels.size), labels] = (1.0 / np.sqrt(counts))[labels]
+    return g
 
 
 def _check_assignment(labels, n: int, n_clusters: int) -> np.ndarray:
@@ -89,8 +98,9 @@ def rotation_objective(m: np.ndarray, labels: np.ndarray, n_clusters: int) -> fl
         )
     labels = _check_assignment(labels, m.shape[0], n_clusters)
     counts = np.bincount(labels, minlength=n_clusters).astype(np.float64)
-    q = np.zeros(n_clusters)
-    np.add.at(q, labels, m[np.arange(m.shape[0]), labels])
+    q = np.bincount(
+        labels, weights=m[np.arange(m.shape[0]), labels], minlength=n_clusters
+    )
     safe = np.where(counts > 0, counts, 1.0)
     return float(np.sum(q / np.sqrt(safe)))
 
@@ -102,38 +112,75 @@ _SCAN_BLOCK = 256
 _MAX_SCAN_BLOCK = 16 * _SCAN_BLOCK
 
 
-def _next_move(mt, labels, q, counts, start: int, width: int) -> tuple[int, int]:
+class _ScanState:
+    """What the Y-step scan reads besides ``M``, kept current move by move.
+
+    Per cluster ``j``: ``q[j]``, the sum of ``M[i, j]`` over its rows,
+    ``counts[j] = n_j``, and the derived ``base = q / sqrt(n)``,
+    ``root_up = sqrt(n + 1)`` and ``root_down = sqrt(max(n - 1, 1))``.
+    Per row ``i``: ``own[i] = M[i, labels[i]]``.  :meth:`move` refreshes
+    only the entries a move touches.  Division and square root are
+    correctly rounded, elementwise or scalar, so each entry holds the bits
+    a full recomputation would give.
+    """
+
+    __slots__ = ("q", "counts", "own", "base", "root_up", "root_down")
+
+    def __init__(self, m: np.ndarray, labels: np.ndarray, counts: np.ndarray):
+        self.counts = counts
+        self.own = m[np.arange(m.shape[0]), labels]
+        # bincount adds the weights one row at a time, in row order.
+        self.q = np.bincount(labels, weights=self.own, minlength=m.shape[1])
+        self.base = self.q / np.sqrt(self.counts)
+        self.root_up = np.sqrt(self.counts + 1.0)
+        self.root_down = np.sqrt(np.maximum(self.counts - 1.0, 1.0))
+
+    def move(self, i: int, a: int, b: int, m_ib: float) -> None:
+        """Move row ``i`` from cluster ``a`` to ``b``; ``m_ib`` is ``M[i, b]``."""
+        q, counts = self.q, self.counts
+        q[a] -= self.own[i]
+        counts[a] -= 1.0
+        q[b] += m_ib
+        counts[b] += 1.0
+        self.own[i] = m_ib
+        for j in (a, b):
+            n_j = float(counts[j])
+            self.base[j] = q[j] / math.sqrt(n_j)
+            self.root_up[j] = math.sqrt(n_j + 1.0)
+            self.root_down[j] = math.sqrt(max(n_j - 1.0, 1.0))
+
+
+def _next_move(mt, labels, state, cols, start: int, width: int) -> tuple[int, int]:
     """The first improving move in the ``width`` rows from ``start``.
 
-    ``mt`` is ``M^T`` (so a block is ``c`` contiguous row segments).
-    Returns ``(i, b)``: move row ``i`` to cluster ``b``.  When no row of
-    the block ``[start, stop)`` improves, returns ``(stop, -1)``.  ``q``
-    and ``counts`` are fixed until a move is accepted, so every row of
-    the block sees the state the sequential sweep would show it; the
-    gains use the sweep's elementwise formulas in the same order, hence
-    the same bits whatever the block width.
+    ``mt`` is ``M^T`` (so a block is ``c`` contiguous row segments) and
+    ``cols`` is an ``arange`` at least as long as the block.  Returns
+    ``(i, b)``: move row ``i`` to cluster ``b``.  When no row of the
+    block ``[start, stop)`` improves, returns ``(stop, -1)``.  ``state``
+    is fixed until a move is accepted, so every row of the block sees
+    the state the sequential sweep would show it; the gains use the
+    sweep's elementwise formulas in the same order, hence the same bits
+    whatever the block width.
     """
     stop = min(start + width, mt.shape[1])
     block = mt[:, start:stop]
     a = labels[start:stop]
-    cols = np.arange(stop - start)
-    n_a = counts[a]
-    # base[j] is cluster j's contribution q_j / sqrt(n_j) today.
-    base = q / np.sqrt(counts)
+    cols = cols[: stop - start]
+    base = state.base
     # Each row's own cluster a after the row leaves it; singleton rows
     # (never moved) get a dummy non-zero denominator.
-    new_a = (q[a] - block[a, cols]) / np.sqrt(np.maximum(n_a - 1.0, 1.0))
+    new_a = (state.q[a] - state.own[start:stop]) / state.root_down[a]
     # Clusters b after each row (column of ``gain``) joins them.
-    new_b = (q[:, None] + block) / np.sqrt(counts + 1.0)[:, None]
+    new_b = (state.q[:, None] + block) / state.root_up[:, None]
     gain = (new_a - base[a]) + (new_b - base[:, None])
     gain[a, cols] = 0.0
     # max(gain) > 1e-12 is the sweep's gain[argmax] > 1e-12, also when a
     # NaN is present (max propagates it, argmax picks it).
-    improving = (n_a > 1.0) & (gain.max(axis=0) > 1e-12)
-    k = int(np.argmax(improving))
+    improving = (state.counts[a] > 1.0) & (gain.max(axis=0) > 1e-12)
+    k = int(improving.argmax())
     if not improving[k]:
         return stop, -1
-    return start + k, int(np.argmax(gain[:, k]))
+    return start + k, int(gain[:, k].argmax())
 
 
 def indicator_coordinate_descent(
@@ -153,10 +200,17 @@ def indicator_coordinate_descent(
     after it.  The scan gallops: a block with no improving row doubles
     the next block's width (up to :data:`_MAX_SCAN_BLOCK` rows), and a
     move resets it to :data:`_SCAN_BLOCK`.  The moves are exactly those
-    of a row-at-a-time sweep; the cost is ``O(c)`` numpy work per
-    visited row plus at most one block rescan per move, in
-    ``O(moves + log n)`` numpy calls per sweep (a sweep of ``n`` rows
-    beyond the width cap adds ``n / _MAX_SCAN_BLOCK``).
+    of a row-at-a-time sweep.
+
+    Cost model: a move updates two entries of each per-cluster c-vector
+    (``q``, ``n``, ``q / sqrt(n)``, ``sqrt(n + 1)``,
+    ``sqrt(max(n - 1, 1))``) and the row's own entry ``M[i, labels[i]]``
+    in ``O(1)`` scalar work; a scan is one block of ``O(c · width)``
+    arithmetic in a fixed number (under 20) of numpy calls that only
+    read that state.  A sweep therefore
+    costs ``O(moves + log n)`` scans (a sweep of ``n`` rows beyond the
+    width cap adds ``n / _MAX_SCAN_BLOCK``), and at small ``n`` the call
+    is dominated by its fixed cost: validation plus one scan per move.
 
     Parameters
     ----------
@@ -182,13 +236,12 @@ def indicator_coordinate_descent(
         raise ValidationError(f"m must have {n_clusters} columns, got {c}")
     labels = _check_assignment(labels, n, c)
     counts = np.bincount(labels, minlength=c).astype(np.float64)
-    if np.any(counts == 0):
+    if counts.min() == 0.0:
         raise ValidationError("starting assignment must have no empty cluster")
-    # q[j] = sum of m[i, j] over rows assigned to j.
-    q = np.zeros(c)
-    np.add.at(q, labels, m[np.arange(n), labels])
+    state = _ScanState(m, labels, counts)
 
     mt = np.ascontiguousarray(m.T)
+    cols = np.arange(min(n, _MAX_SCAN_BLOCK))
     n_moves = 0
     n_sweeps = 0
     for n_sweeps in range(1, max_sweeps + 1):
@@ -196,16 +249,12 @@ def indicator_coordinate_descent(
         i = 0
         width = _SCAN_BLOCK
         while i < n:
-            i, b = _next_move(mt, labels, q, counts, i, width)
+            i, b = _next_move(mt, labels, state, cols, i, width)
             if b < 0:
                 width = min(2 * width, _MAX_SCAN_BLOCK)
                 continue
             width = _SCAN_BLOCK
-            a = labels[i]
-            q[a] -= m[i, a]
-            counts[a] -= 1.0
-            q[b] += m[i, b]
-            counts[b] += 1.0
+            state.move(i, labels[i], b, m[i, b])
             labels[i] = b
             moved = True
             n_moves += 1

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.cluster.kmeans import KMeans, kmeans_plus_plus_init
+from repro.cluster.kmeans import (
+    KMeans,
+    _lloyd,
+    _reseed_empty,
+    kmeans_plus_plus_init,
+)
 from repro.exceptions import ValidationError
 
 
@@ -114,3 +119,57 @@ class TestKMeans:
         result = KMeans(1, random_state=0).fit(x)
         assert set(result.labels.tolist()) == {0}
         np.testing.assert_allclose(result.centers[0], x.mean(axis=0))
+
+
+def _global_farthest_reseed(labels, point_cost, k):
+    """Reference repair: each empty cluster takes the farthest point overall.
+
+    It is correct whenever that point is never its cluster's last member,
+    and :func:`_reseed_empty` must agree with it there.
+    """
+    counts = np.bincount(labels, minlength=k)
+    for c in np.flatnonzero(counts == 0):
+        victim = int(np.argmax(point_cost))
+        labels[victim] = c
+        point_cost[victim] = 0.0
+        counts = np.bincount(labels, minlength=k)
+    return counts
+
+
+class TestEmptyClusterRepair:
+    def test_singleton_cluster_is_not_emptied(self):
+        # The farthest point (10, cost 0.01) is the only member of cluster
+        # 2; moving it into empty cluster 1 would empty cluster 2.
+        x = np.array([[0.0], [0.0], [0.0], [10.0]])
+        centers = np.array([[0.0], [100.0], [10.1]])
+        labels, out, _, _ = _lloyd(x, centers, 1, 1e-7, np.random.default_rng(0))
+        assert np.bincount(labels, minlength=3).min() >= 1
+        assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(labels, [1, 0, 0, 2])
+
+    def test_every_cluster_filled_in_ascending_order(self):
+        labels = np.array([0, 0, 0, 3, 3])
+        cost = np.array([1.0, 5.0, 2.0, 9.0, 4.0])
+        counts = _reseed_empty(labels, cost, 5)
+        np.testing.assert_array_equal(counts, [1, 1, 1, 1, 1])
+        # Cluster 1 takes row 3 (cost 9).  Cluster 3 is then a singleton,
+        # so its row 4 (cost 4) stays and clusters 2 and 4 take rows 1 and
+        # 2 (costs 5 and 2) from cluster 0.
+        np.testing.assert_array_equal(labels, [0, 2, 4, 1, 3])
+        np.testing.assert_array_equal(cost, [1.0, 0.0, 0.0, 0.0, 4.0])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_where_it_was_safe(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 7))
+        n = int(rng.integers(k, 4 * k))
+        labels = rng.integers(0, max(1, k - int(rng.integers(1, k))), size=n)
+        cost = np.round(rng.exponential(size=n), 1)
+        ref_labels, ref_cost = labels.copy(), cost.copy()
+        ref_counts = _global_farthest_reseed(ref_labels, ref_cost, k)
+        counts = _reseed_empty(labels, cost, k)
+        assert counts.min() >= 1
+        np.testing.assert_array_equal(counts, np.bincount(labels, minlength=k))
+        if ref_counts.min() >= 1:
+            np.testing.assert_array_equal(labels, ref_labels)
+            np.testing.assert_array_equal(cost, ref_cost)

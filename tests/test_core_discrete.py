@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.discrete as discrete
-from repro.cluster.labels import repair_empty_clusters
+from repro.cluster.labels import indicator_from_labels, repair_empty_clusters
 from repro.core.discrete import (
     anchor_rotation,
     indicator_coordinate_descent,
@@ -118,6 +118,43 @@ class TestScaledIndicator:
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
             scaled_indicator(np.array([0, 0, 0]), 2)
+
+    @pytest.mark.parametrize(
+        "labels, c, message",
+        [
+            ([0, -1, 1], 2, "labels must be non-negative for indicator encoding"),
+            ([0, 1, 2], 2, "labels contain value 2 >= n_clusters=2"),
+            ([0, 0, 2], 3, "scaled indicator requires non-empty clusters"),
+            ([0.5, 1.0], 2, "labels must contain integers"),
+            ([0.0, np.nan], 2, "labels must contain integers"),
+            ([[0, 1], [1, 0]], 2, "labels must be 1-D, got ndim=2"),
+            ([0, 0], 0, "n_clusters must be >= 1, got 0"),
+            ([], 2, "labels must be non-empty"),
+        ],
+        ids=[
+            "negative", "too-large", "empty-cluster", "non-integer", "nan",
+            "2-d", "zero-clusters", "no-rows",
+        ],
+    )
+    def test_errors(self, labels, c, message):
+        with pytest.raises(ValidationError) as info:
+            scaled_indicator(np.asarray(labels), c)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "n, c, seed", [(1, 1, 0), (7, 3, 1), (150, 4, 2), (2300, 9, 3)]
+    )
+    def test_bits_of_the_one_hot_quotient(self, n, c, seed):
+        # The reference: the one-hot Y divided by sqrt of its column sums.
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, c, size=n)
+        labels[rng.permutation(n)[:c]] = np.arange(c)
+        y = indicator_from_labels(labels, c)
+        expected = y / np.sqrt(y.sum(axis=0))[None, :]
+        got = scaled_indicator(labels, c)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestRotationObjective:
