@@ -28,9 +28,10 @@ Selection precedence (first match wins)
 1. an enclosing :class:`use_backend` block (a field of the run
    context, like ``use_trace`` / ``use_cache`` / ``use_policy``; it
    follows work into ``parallel_map`` workers);
-2. the ``backend=`` parameter on models, the runner, the predictor, or
-   the CLI ``--backend`` flag (all of which just wrap their work in
-   :class:`use_backend`);
+2. the ``backend=`` parameter on models, the runner, or the CLI
+   ``--backend`` flag (all of which just wrap their work in
+   :class:`use_backend`), and on the predictor (which hands it straight
+   to its kernels);
 3. the ``REPRO_BACKEND`` environment variable;
 4. the ``numpy`` default.
 

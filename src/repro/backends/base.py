@@ -99,7 +99,14 @@ class ArrayBackend:
     ) -> np.ndarray:
         """Raw squared-Euclidean kernel (see the public wrapper in
         :func:`repro.graph.distance.pairwise_sq_euclidean` for argument
-        semantics; inputs here are already validated)."""
+        semantics; inputs here are already validated).
+
+        ``y_sq_norms`` is a precomputed ``einsum("ij,ij->i", y, y)`` of
+        shape ``(m,)``, letting a serving-time index amortize the
+        reference-set norms across queries (see
+        :mod:`repro.serving.predictor`); results are bit-identical to
+        passing nothing.  Only valid together with ``y``.
+        """
         x = self.prepare(x)
         symmetric = y is None
         y = x if symmetric else self.prepare(y)
@@ -110,7 +117,12 @@ class ArrayBackend:
             yy = np.asarray(y_sq_norms, dtype=self.compute_dtype)
         else:
             yy = np.einsum("ij,ij->i", y, y)
-        d = xx[:, None] + yy[None, :] - 2.0 * (x @ y.T)
+        # In place, sparing an n x m temporary; doubling is exact, so the
+        # roundings equal those of ``xx + yy - 2.0 * (x @ y.T)``.
+        d = xx[:, None] + yy[None, :]
+        g = x @ y.T
+        g *= 2.0
+        d -= g
         np.maximum(d, 0.0, out=d)
         if symmetric:
             np.fill_diagonal(d, 0.0)

@@ -7,10 +7,10 @@ remove negative roundoff.
 
 The arithmetic lives in the active :class:`~repro.backends.ArrayBackend`
 (float64 numpy by default; see :mod:`repro.backends`).  These public
-functions validate each input exactly once and run the structural checks
-(shared feature dimension, ``y_sq_norms`` shape), then dispatch.  Library
-code that already holds validated arrays (the affinity kernels, the
-blockwise sparse kNN, the CAN graph) calls the backend method directly.
+functions validate each input exactly once and run the structural check
+(shared feature dimension), then dispatch.  Library code that already
+holds validated arrays (the affinity kernels, the blockwise sparse kNN,
+the CAN graph, the serving index) calls the backend method directly.
 """
 
 from __future__ import annotations
@@ -35,10 +35,7 @@ def _checked_pair(x, y, dtype) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def pairwise_sq_euclidean(
-    x: np.ndarray,
-    y: np.ndarray | None = None,
-    *,
-    y_sq_norms: np.ndarray | None = None,
+    x: np.ndarray, y: np.ndarray | None = None
 ) -> np.ndarray:
     """Squared Euclidean distance matrix between rows of ``x`` and ``y``.
 
@@ -47,11 +44,6 @@ def pairwise_sq_euclidean(
     x : ndarray of shape (n, d)
     y : ndarray of shape (m, d), optional
         Defaults to ``x`` (self-distances; the diagonal is exactly zero).
-    y_sq_norms : ndarray of shape (m,), optional
-        Precomputed ``einsum("ij,ij->i", y, y)``, letting a serving-time
-        index amortize the reference-set norms across queries (see
-        :mod:`repro.serving.predictor`).  Results are bit-identical to
-        passing nothing.  Only valid together with ``y``.
 
     Returns
     -------
@@ -61,16 +53,7 @@ def pairwise_sq_euclidean(
     """
     backend = current_backend()
     x, y = _checked_pair(x, y, backend.validation_dtype)
-    if y_sq_norms is not None:
-        if y is None:
-            raise ValidationError("y_sq_norms requires an explicit y")
-        y_sq_norms = np.asarray(y_sq_norms, dtype=backend.compute_dtype)
-        if y_sq_norms.shape != (y.shape[0],):
-            raise ValidationError(
-                f"y_sq_norms must have shape ({y.shape[0]},), "
-                f"got {y_sq_norms.shape}"
-            )
-    return backend.pairwise_sq_euclidean(x, y, y_sq_norms=y_sq_norms)
+    return backend.pairwise_sq_euclidean(x, y)
 
 
 def pairwise_cosine_distances(

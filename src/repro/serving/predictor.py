@@ -23,6 +23,13 @@ depends only on that query's row, so ``n_jobs`` is bit-neutral and
 chunking preserves labels; *scores* can move in the last float bits
 across different ``batch_size`` values because BLAS selects different
 GEMM kernels for different operand shapes.
+
+Validation happens once per input, at the boundary that received it: the
+training views when the index is built, a query batch in
+:meth:`Predictor.predict` (and :meth:`Predictor.adapt`).  Inside, the
+predictor resolves the backend once per call and hands the checked
+arrays straight to its ``pairwise_sq_euclidean`` and
+``kernel_vote_scores`` kernels; nothing re-checks them.
 """
 
 from __future__ import annotations
@@ -32,9 +39,8 @@ import warnings
 
 import numpy as np
 
-from repro.backends import current_backend, get_backend, use_backend
+from repro.backends import current_backend, get_backend
 from repro.exceptions import ClampWarning, ValidationError
-from repro.graph.distance import pairwise_sq_euclidean
 from repro.observability.trace import (
     hot_span,
     metric_inc,
@@ -45,12 +51,20 @@ from repro.pipeline.parallel import parallel_map
 from repro.robust.faults import register_fault_site
 from repro.robust.policy import failure_guard, matrix_context, run_with_policy
 from repro.serving.artifact import ModelArtifact
-from repro.utils.validation import check_matrix
+from repro.utils.validation import check_labels, check_matrix
 
 _SITE_PREDICT = register_fault_site(
     "serving.predict",
     "batched kernel-vote score computation (Predictor.predict path)",
 )
+
+
+def _check_label_range(labels: np.ndarray, n_clusters: int) -> None:
+    if np.any(labels < 0) or np.any(labels >= n_clusters):
+        raise ValidationError(
+            f"labels must lie in [0, {n_clusters}), got "
+            f"range [{labels.min()}, {labels.max()}]"
+        )
 
 
 def kernel_vote_scores(
@@ -72,14 +86,15 @@ def kernel_vote_scores(
     Parameters
     ----------
     d2 : ndarray of shape (n_queries, n_train)
-        Squared distances from each query to every training sample.
-    labels : ndarray of int64, shape (n_train,)
+        Finite squared distances from each query to every training
+        sample.
+    labels : ndarray of int, shape (n_train,)
         Training-sample cluster labels in ``[0, n_clusters)``.
     n_clusters : int
-        Number of score columns.
+        Number of score columns, ``>= 1``.
     k : int
-        Neighbors consulted per query; values beyond ``n_train`` are
-        clamped (callers surface that clamp, see
+        Neighbors consulted per query, ``>= 1``; values beyond
+        ``n_train`` are clamped (callers surface that clamp, see
         :class:`~repro.exceptions.ClampWarning`).
 
     Returns
@@ -89,10 +104,21 @@ def kernel_vote_scores(
         under every backend).  The arithmetic is the active
         :class:`~repro.backends.ArrayBackend`'s ``kernel_vote_scores``
         kernel.
+
+    Raises
+    ------
+    ValidationError
+        If any argument violates the shapes and ranges above.
     """
-    return current_backend().kernel_vote_scores(
-        np.asarray(d2), np.asarray(labels), int(n_clusters), int(k)
-    )
+    d2 = check_matrix(d2, "d2", dtype=None)
+    n_clusters, k = int(n_clusters), int(k)
+    if n_clusters < 1:
+        raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    labels = check_labels(labels, "labels", n=d2.shape[1])
+    _check_label_range(labels, n_clusters)
+    return current_backend().kernel_vote_scores(d2, labels, n_clusters, k)
 
 
 class _ViewIndex:
@@ -104,6 +130,10 @@ class _ViewIndex:
     one GEMM plus its own norms.  Distances are bit-identical to
     :func:`repro.graph.distance.pairwise_sq_euclidean` without the
     cache.
+
+    The training matrix is checked once, here; :meth:`sq_distances` and
+    :meth:`extend` take rows their caller has already checked and call
+    the backend kernel directly.
     """
 
     __slots__ = ("train", "sq_norms")
@@ -112,9 +142,10 @@ class _ViewIndex:
         self.train = check_matrix(train, "train")
         self.sq_norms = np.einsum("ij,ij->i", self.train, self.train)
 
-    def sq_distances(self, queries: np.ndarray) -> np.ndarray:
-        """Squared distances from each query row to every training row."""
-        return pairwise_sq_euclidean(
+    def sq_distances(self, backend, queries: np.ndarray) -> np.ndarray:
+        """Squared distances from each checked query row to every
+        training row, on ``backend``'s kernel."""
+        return backend.pairwise_sq_euclidean(
             queries, self.train, y_sq_norms=self.sq_norms
         )
 
@@ -123,8 +154,8 @@ class _ViewIndex:
 
         Only the new rows' squared norms are computed (norms are
         row-local, so the result is bit-identical to a full rebuild).
+        ``rows`` must already be checked (see :meth:`Predictor.adapt`).
         """
-        rows = check_matrix(rows, "rows")
         self.train = np.vstack([self.train, rows])
         self.sq_norms = np.concatenate(
             [self.sq_norms, np.einsum("ij,ij->i", rows, rows)]
@@ -151,10 +182,10 @@ class Predictor:
         (serial), ``-1`` uses every CPU.  Results are bit-identical for
         any value (votes are accumulated in view order).
     backend : str or ArrayBackend, optional
-        Compute backend for the distance/vote kernels of this
-        predictor's calls (wrapped in
-        :class:`~repro.backends.use_backend` per request); ``None``
-        (default) defers to the ambient backend.
+        Compute backend whose distance/vote kernels this predictor's
+        calls run on; ``None`` (default) defers to the ambient backend
+        (see :func:`~repro.backends.current_backend`), resolved once per
+        call.
 
     Examples
     --------
@@ -277,17 +308,20 @@ class Predictor:
                 f"batch_size must be >= 1, got {batch_size}"
             )
         batch_size = int(batch_size)
+        backend = self.backend
+        if backend is None:
+            backend = current_backend()
         tick = time.perf_counter()
-        with use_backend(self.backend), hot_span(
+        with hot_span(
             "serving.predict",
             n_samples=m,
             batch_size=batch_size,
-            backend=current_backend().name,
+            backend=backend.name,
         ), failure_guard(_SITE_PREDICT):
             chunks = []
             for start in range(0, m, batch_size):
                 chunk = [v[start : start + batch_size] for v in views]
-                chunks.append(self._scores_batch(chunk))
+                chunks.append(self._scores_batch(chunk, backend))
             scores = (
                 chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
             )
@@ -332,11 +366,7 @@ class Predictor:
                     raise ValidationError(
                         f"labels must have shape ({m},), got {labels.shape}"
                     )
-                if np.any(labels < 0) or np.any(labels >= a.n_clusters):
-                    raise ValidationError(
-                        f"labels must lie in [0, {a.n_clusters}), got "
-                        f"range [{labels.min()}, {labels.max()}]"
-                    )
+                _check_label_range(labels, a.n_clusters)
                 labels = labels.astype(np.int64)
             adapted = ModelArtifact(
                 model_class=a.model_class,
@@ -394,8 +424,8 @@ class Predictor:
                 )
         return mats
 
-    def _scores_batch(self, chunk: list) -> np.ndarray:
-        """Weighted multi-view vote scores of one query chunk.
+    def _scores_batch(self, chunk: list, backend) -> np.ndarray:
+        """Weighted multi-view vote scores of one checked query chunk.
 
         Runs under the ``serving.predict`` failure policy: a transient
         failure (or an injected fault) gets the policy's retries, and a
@@ -405,8 +435,8 @@ class Predictor:
         a = self.artifact
 
         def vote(v: int) -> np.ndarray:
-            d2 = self._indexes[v].sq_distances(chunk[v])
-            return self._weights[v] * kernel_vote_scores(
+            d2 = self._indexes[v].sq_distances(backend, chunk[v])
+            return self._weights[v] * backend.kernel_vote_scores(
                 d2, a.train_labels, a.n_clusters, self._k
             )
 

@@ -245,6 +245,9 @@ class PredictionService:
         if int(max_queue) < 1:
             raise ValidationError(f"max_queue must be >= 1, got {max_queue}")
         self.predictor = predictor
+        # The view schema is fixed for the predictor's lifetime (adapt
+        # grows the training set, never the views), so read it once.
+        self._view_dims = predictor.artifact.view_dims
         self.max_batch = int(max_batch)
         self.max_latency = float(max_latency_ms) / 1000.0
         self.max_queue = int(max_queue)
@@ -347,10 +350,11 @@ class PredictionService:
                 ) from None
             self._submitted += 1
         metric_inc("serving.submitted")
-        metric_observe("serving.queue_depth", self._queue.qsize())
+        depth = self._queue.qsize()
+        metric_observe("serving.queue_depth", depth)
         if self._telemetry:
             self.metrics.counter("serving.submitted").inc()
-            self.metrics.gauge("serving.queue_depth").set(self._queue.qsize())
+            self.metrics.gauge("serving.queue_depth").set(depth)
         return request.future
 
     def predict_one(self, sample_views, *, timeout: float | None = 30.0):
@@ -430,8 +434,12 @@ class PredictionService:
     # -- worker side -------------------------------------------------------
 
     def _check_sample(self, sample_views) -> list:
-        """Validate one sample's per-view rows; returns ``(1, d_v)`` rows."""
-        dims = self.predictor.artifact.view_dims
+        """Validate one sample's per-view rows; returns ``(1, d_v)`` rows.
+
+        Finiteness is one pass over all views; only a failing sample
+        pays for the per-view pass that names the offending view.
+        """
+        dims = self._view_dims
         try:
             seq = list(sample_views)
         except TypeError as exc:
@@ -448,16 +456,18 @@ class PredictionService:
             arr = np.asarray(x, dtype=np.float64)
             if arr.ndim == 1:
                 arr = arr[None, :]
-            if arr.ndim != 2 or arr.shape != (1, d):
+            if arr.shape != (1, d):
                 raise ValidationError(
                     f"sample view {v} must have shape ({d},) or (1, {d}), "
                     f"got {np.asarray(x).shape}"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(
-                    f"sample view {v} contains NaN or Inf entries"
-                )
             rows.append(arr)
+        if not np.isfinite(np.concatenate(rows, axis=1)).all():
+            for v, arr in enumerate(rows):
+                if not np.isfinite(arr).all():
+                    raise ValidationError(
+                        f"sample view {v} contains NaN or Inf entries"
+                    )
         return rows
 
     def _serve_loop(self) -> None:
@@ -513,7 +523,7 @@ class PredictionService:
             try:
                 views = [
                     np.concatenate([r.rows[v] for r in batch])
-                    for v in range(self.predictor.artifact.n_views)
+                    for v in range(len(self._view_dims))
                 ]
                 labels = self.predictor.predict(views)
             except BaseException as exc:

@@ -41,6 +41,7 @@ from repro.graph.distance import (
 )
 from repro.graph.knn import kneighbors
 from repro.linalg.eigen import eigsh_smallest, sorted_eigh
+from repro.serving import ModelArtifact, Predictor
 from repro.serving.predictor import kernel_vote_scores
 
 
@@ -112,6 +113,20 @@ PRE_REFACTOR_HASHES = {
     "vote/blobs": "e00cfbb50a153f499a0406e40d9131cf",
 }
 
+#: Captured at commit cdeb3d4, before the serving predictor called the
+#: backend kernels directly: the asymmetric distance path (public
+#: wrapper and the backend method given precomputed ``y`` norms) and the
+#: predictor's scores over :func:`_serving_artifact`.
+PRE_SERVING_HASHES = {
+    "predict_scores/float32_m32": "60b7fa24d9cc7a786e8154d7d785183e",
+    "predict_scores/m1": "a9df10615b3764d5d2cc9b7d4183fe38",
+    "predict_scores/m3": "1fce9c939a42dfff193a5a623be81fbd",
+    "predict_scores/m32": "5044d2cd8b17289bb4f1f7aaa31333bf",
+    "predict_scores/m32_batch7": "5044d2cd8b17289bb4f1f7aaa31333bf",
+    "sq_euclidean_xy/blobs": "80d40e3331e3ccd28b374a32327c28ca",
+    "sq_euclidean_xy_norms/blobs": "80d40e3331e3ccd28b374a32327c28ca",
+}
+
 #: Exact median-heuristic bandwidths from the pre-refactor masked-median
 #: code; the mask-free :func:`repro.graph.affinity._median_offdiag` must
 #: reproduce them bit for bit.
@@ -123,8 +138,26 @@ PRE_REFACTOR_SIGMAS = {
 }
 
 
+def _serving_artifact(blobs: np.ndarray):
+    """A fixed 2-view artifact over ``blobs`` plus 32 two-view queries."""
+    rng = np.random.default_rng(1)
+    labels = np.repeat([0, 1], 12).astype(np.int64)
+    second = rng.normal(size=(24, 3)) + 4.0 * labels[:, None]
+    artifact = ModelArtifact(
+        model_class="UnifiedMVSC",
+        train_views=[blobs, second],
+        train_labels=labels,
+        view_weights=np.array([2.0, 1.0]),
+        n_clusters=2,
+        n_neighbors=5,
+    )
+    queries = [rng.normal(size=(32, 6)) + 3.0, rng.normal(size=(32, 3)) + 2.0]
+    return artifact, queries
+
+
 def _kernel_hashes() -> dict:
-    """Every pinned kernel output under the currently active backend."""
+    """Every pinned kernel output under the currently active backend
+    (the ``float32`` predictor entry pins its explicit backend)."""
     fixtures = _fixtures()
     out = {}
     for name, x in fixtures.items():
@@ -139,6 +172,25 @@ def _kernel_hashes() -> dict:
     d2 = pairwise_sq_euclidean(blobs)
     labels = np.repeat([0, 1], 12).astype(np.int64)
     out["vote/blobs"] = _digest(kernel_vote_scores(d2, labels, 2, 5))
+    x, y = blobs[::2], blobs[1::2][:9]
+    out["sq_euclidean_xy/blobs"] = _digest(pairwise_sq_euclidean(x, y))
+    out["sq_euclidean_xy_norms/blobs"] = _digest(
+        current_backend().pairwise_sq_euclidean(
+            x, y, y_sq_norms=np.einsum("ij,ij->i", y, y)
+        )
+    )
+    artifact, queries = _serving_artifact(blobs)
+    predictor = Predictor(artifact)
+    for m in (1, 3, 32):
+        out[f"predict_scores/m{m}"] = _digest(
+            predictor.predict_scores([q[:m] for q in queries])
+        )
+    out["predict_scores/m32_batch7"] = _digest(
+        predictor.predict_scores(queries, batch_size=7)
+    )
+    out["predict_scores/float32_m32"] = _digest(
+        Predictor(artifact, backend="float32").predict_scores(queries)
+    )
     w = gaussian_affinity(blobs)
     vals, vecs = sorted_eigh(w)
     out["sorted_eigh/blobs"] = _digest(vals, np.abs(vecs))
@@ -255,9 +307,12 @@ class TestNumpyBitIdentity:
 
     def test_kernel_hashes_match_pre_refactor(self):
         assert _kernel_hashes() == {
-            k: v
-            for k, v in PRE_REFACTOR_HASHES.items()
-            if not k.startswith("umsc_")
+            **{
+                k: v
+                for k, v in PRE_REFACTOR_HASHES.items()
+                if not k.startswith("umsc_")
+            },
+            **PRE_SERVING_HASHES,
         }
 
     def test_median_heuristic_sigma_bit_identical(self):

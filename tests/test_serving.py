@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.backends import NumpyBackend, current_backend, use_backend
 from repro.core import AnchorMVSC, SparseMVSC, UnifiedMVSC
 from repro.core.out_of_sample import propagate_labels
 from repro.exceptions import (
@@ -30,6 +31,7 @@ from repro.serving import (
     kernel_vote_scores,
 )
 from repro.serving.artifact import ARRAYS_NAME, MANIFEST_NAME, SCHEMA_VERSION
+from repro.utils.validation import check_matrix
 
 
 def _blob_artifact(n=40, n_views=2, c=3, seed=0, **kwargs):
@@ -367,6 +369,116 @@ class TestKernelVote:
             kernel_vote_scores(d2, labels, 2, 6),
         )
 
+    @pytest.mark.parametrize(
+        "d2, labels, n_clusters, k, match",
+        [
+            (np.zeros((1, 3)), np.array([-1, -1, -1]), 2, 3, r"\[0, 2\)"),
+            (np.zeros((1, 3)), np.array([0, 1, 2]), 2, 3, r"\[0, 2\)"),
+            (np.zeros((1, 3)), np.array([0, 1]), 2, 3, "length 3"),
+            (np.zeros((1, 3)), np.array([[0, 1, 1]]), 2, 3, "1-D"),
+            (np.zeros((1, 3)), np.array([0.5, 1.0, 1.0]), 2, 3, "integers"),
+            (np.zeros((1, 3)), np.array([0, 1, 1]), 2, 0, "k must be >= 1"),
+            (np.zeros((1, 3)), np.array([0, 1, 1]), 0, 3, "n_clusters"),
+            (np.zeros(3), np.array([0, 1, 1]), 2, 3, "d2 must be 2-D"),
+            (
+                np.array([[0.0, np.nan, 1.0]]),
+                np.array([0, 1, 1]),
+                2,
+                3,
+                "d2 contains NaN",
+            ),
+        ],
+        ids=[
+            "negative_label",
+            "label_too_large",
+            "short_labels",
+            "labels_2d",
+            "fractional_labels",
+            "k_zero",
+            "no_clusters",
+            "d2_1d",
+            "d2_nan",
+        ],
+    )
+    def test_rejects_invalid_inputs(self, d2, labels, n_clusters, k, match):
+        with pytest.raises(ValidationError, match=match):
+            kernel_vote_scores(d2, labels, n_clusters, k)
+
+    def test_float32_distances_keep_their_dtype(self, rng):
+        d2 = rng.uniform(0.1, 4.0, size=(5, 6))
+        labels = rng.integers(0, 2, size=6)
+        np.testing.assert_array_equal(
+            kernel_vote_scores(d2.astype(np.float32), labels, 2, 3),
+            current_backend().kernel_vote_scores(
+                d2.astype(np.float32), labels, 2, 3
+            ),
+        )
+
+
+def _spy_on_bindings(monkeypatch, original, calls: list) -> None:
+    """Replace every ``repro`` binding of ``original`` by a recording
+    wrapper (by identity, like ``tests/test_call_pins.py``)."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "repro" or name.startswith("repro.")):
+            continue
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, key, wrapper)
+
+
+class TestValidationBoundary:
+    """A predict validates each query view once and nothing else."""
+
+    @pytest.mark.parametrize("n_views", [1, 3])
+    @pytest.mark.parametrize("batch_size, n_chunks", [(4096, 1), (4, 3)])
+    def test_one_check_per_view_and_one_resolution(
+        self, monkeypatch, n_views, batch_size, n_chunks
+    ):
+        predictor = Predictor(_blob_artifact(n_views=n_views))
+        queries = _queries(predictor.artifact, m=9)
+        checked, resolved = [], []
+        _spy_on_bindings(monkeypatch, check_matrix, checked)
+        _spy_on_bindings(monkeypatch, current_backend, resolved)
+        # A private instance carries the kernel spies, as perfbench's
+        # layer tracer wraps the active backend instance.
+        backend = NumpyBackend()
+        kernels = {"pairwise_sq_euclidean": 0, "kernel_vote_scores": 0}
+        for kernel in kernels:
+            method = getattr(backend, kernel)
+
+            def counted(*args, _kernel=kernel, _method=method, **kwargs):
+                kernels[_kernel] += 1
+                return _method(*args, **kwargs)
+
+            setattr(backend, kernel, counted)
+        with use_backend(backend):
+            labels = predictor.predict(queries, batch_size=batch_size)
+        assert labels.shape == (9,)
+        assert [args[1] for args in checked] == [
+            f"views[{v}]" for v in range(n_views)
+        ]
+        trains = [index.train for index in predictor._indexes]
+        assert not any(
+            args[0] is t for args in checked for t in trains
+        )
+        assert len(resolved) == 1
+        assert kernels == {
+            "pairwise_sq_euclidean": n_views * n_chunks,
+            "kernel_vote_scores": n_views * n_chunks,
+        }
+
+    def test_explicit_backend_skips_resolution(self, monkeypatch):
+        predictor = Predictor(_blob_artifact(), backend="float32")
+        resolved = []
+        _spy_on_bindings(monkeypatch, current_backend, resolved)
+        predictor.predict(_queries(predictor.artifact))
+        assert resolved == []
+
 
 @pytest.mark.faults
 class TestServingFaults:
@@ -515,6 +627,19 @@ class TestPredictionService:
                         np.zeros(art.view_dims[1]),
                     ]
                 )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_submit_names_the_nonfinite_view(self, bad):
+        art = _blob_artifact(n_views=3)
+        sample = [np.zeros(d) for d in art.view_dims]
+        sample[1][-1] = bad
+        with PredictionService(Predictor(art)) as service:
+            with pytest.raises(
+                ValidationError,
+                match=r"^sample view 1 contains NaN or Inf entries$",
+            ):
+                service.submit(sample)
+            assert service.stats().submitted == 0
 
     def test_batch_exception_fans_out_to_futures(self):
         art = _blob_artifact()
