@@ -19,7 +19,7 @@ umsc_fit             bench_fig3_runtime (one-stage fit wall-clock)
 anchor_fit           bench_ext_scalability (anchor-accelerated fit)
 graph_build          bench_ablation_graphs (per-view kNN affinity)
 predict_batch        bench_serving_throughput (batched predict kernel)
-serving_throughput   bench_serving_throughput (micro-batched replay)
+serving_throughput   bench_serving_throughput (closed-loop ``replay``)
 scenario_matrix      bench_scenario_matrix (method x scenario grid)
 streaming            bench_streaming (drift-aware incremental replay)
 ==================== =================================================

@@ -30,7 +30,6 @@ runs them as smoke.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import nullcontext
 
@@ -38,7 +37,7 @@ import numpy as np
 
 import repro.serving.predictor as predictor_mod
 from repro.datasets import make_multiview_blobs
-from repro.serving import ModelArtifact, PredictionService, Predictor
+from repro.serving import ModelArtifact, PredictionService, Predictor, replay
 
 #: Single-sample requests replayed through both paths.
 N_REQUESTS = 1000
@@ -84,7 +83,6 @@ def _serial_seconds(predictor: Predictor, samples) -> tuple[float, list]:
 def _service_seconds(
     predictor: Predictor, samples, *, telemetry: bool = True
 ) -> tuple[float, list]:
-    results: list = [None] * len(samples)
     with PredictionService(
         predictor,
         max_batch=64,
@@ -93,20 +91,9 @@ def _service_seconds(
         telemetry=telemetry,
     ) as service:
         start = time.perf_counter()
-
-        def client(worker: int) -> None:
-            for i in range(worker, len(samples), N_CLIENTS):
-                results[i] = service.predict_one(samples[i])
-
-        threads = [
-            threading.Thread(target=client, args=(w,)) for w in range(N_CLIENTS)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        labels = replay(service, samples, clients=N_CLIENTS)
         seconds = time.perf_counter() - start
-    return seconds, results
+    return seconds, labels
 
 
 def test_micro_batching_beats_one_at_a_time():

@@ -45,6 +45,7 @@ import numpy as np
 import scipy
 
 from repro.exceptions import ValidationError
+from repro.observability.export import _nan_to_none
 from repro.observability.memory import use_memory_tracking
 from repro.observability.profiling import use_profiling
 from repro.observability.resource import ResourceSampler
@@ -126,14 +127,13 @@ def _bench_graph_build(quick: bool):
     return work
 
 
-def _bench_predict_batch(quick: bool):
-    """Batched inductive predict (the ``bench_serving_throughput`` kernel)."""
+def _blob_predictor(n: int, seed: int):
+    """A 4-cluster two-view blob dataset and a predictor over all of it."""
     from repro.datasets import make_multiview_blobs
     from repro.serving import ModelArtifact, Predictor
 
-    n = 200 if quick else 500
     ds = make_multiview_blobs(
-        n, 4, view_dims=(16, 24), view_noise=(0.2, 0.3), random_state=4
+        n, 4, view_dims=(16, 24), view_noise=(0.2, 0.3), random_state=seed
     )
     artifact = ModelArtifact(
         model_class="UnifiedMVSC",
@@ -142,7 +142,13 @@ def _bench_predict_batch(quick: bool):
         view_weights=np.array([0.6, 0.4]),
         n_clusters=ds.n_clusters,
     )
-    predictor = Predictor(artifact)
+    return ds, Predictor(artifact)
+
+
+def _bench_predict_batch(quick: bool):
+    """Batched inductive predict (the ``bench_serving_throughput`` kernel)."""
+    n = 200 if quick else 500
+    ds, predictor = _blob_predictor(n, seed=4)
     queries = [np.repeat(v[: n // 2], 2, axis=0) for v in ds.views]
 
     def work():
@@ -153,24 +159,10 @@ def _bench_predict_batch(quick: bool):
 
 def _bench_serving_throughput(quick: bool):
     """Micro-batched replay (mirrors ``bench_serving_throughput``)."""
-    import threading
-
-    from repro.datasets import make_multiview_blobs
-    from repro.serving import ModelArtifact, PredictionService, Predictor
+    from repro.serving import PredictionService, replay
 
     n_requests = 100 if quick else 400
-    n_clients = 4
-    ds = make_multiview_blobs(
-        150, 4, view_dims=(16, 24), view_noise=(0.2, 0.3), random_state=5
-    )
-    artifact = ModelArtifact(
-        model_class="UnifiedMVSC",
-        train_views=ds.views,
-        train_labels=ds.labels,
-        view_weights=np.array([0.6, 0.4]),
-        n_clusters=ds.n_clusters,
-    )
-    predictor = Predictor(artifact)
+    ds, predictor = _blob_predictor(150, seed=5)
     rng = np.random.default_rng(6)
     order = rng.integers(0, ds.n_samples, size=n_requests)
     samples = [[v[i] for v in ds.views] for i in order]
@@ -179,19 +171,7 @@ def _bench_serving_throughput(quick: bool):
         with PredictionService(
             predictor, max_batch=64, max_latency_ms=0.0, max_queue=n_requests
         ) as service:
-
-            def client(worker: int) -> None:
-                for i in range(worker, n_requests, n_clients):
-                    service.predict_one(samples[i])
-
-            threads = [
-                threading.Thread(target=client, args=(w,))
-                for w in range(n_clients)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            replay(service, samples, clients=4)
 
     return work
 
@@ -380,7 +360,7 @@ def run_benches(
             "description": description,
             "seconds": min(runs),
             "runs": runs,
-            "metrics": _jsonsafe(trace.metrics.snapshot()),
+            "metrics": _nan_to_none(trace.metrics.snapshot()),
             "resources": sampler.summary(),
         }
         if profile:
@@ -415,17 +395,6 @@ def run_benches(
         "machine": machine_fingerprint(),
         "benches": benches,
     }
-
-
-def _jsonsafe(payload):
-    """Replace non-finite floats with None for strict-JSON output."""
-    if isinstance(payload, dict):
-        return {k: _jsonsafe(v) for k, v in payload.items()}
-    if isinstance(payload, list):
-        return [_jsonsafe(v) for v in payload]
-    if isinstance(payload, float) and not np.isfinite(payload):
-        return None
-    return payload
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Six subcommands mirror the evaluation artifacts:
+Seventeen commands; the first five regenerate the paper's evaluation
+artifacts:
 
 * ``datasets``    — print Table I (benchmark statistics);
 * ``run``         — run one method on one benchmark, print its metrics;
@@ -17,10 +18,11 @@ Six subcommands mirror the evaluation artifacts:
   samples, reporting agreement with its ground truth;
 * ``serve``       — offline micro-batching benchmark: replay a
   benchmark's samples as single-sample requests through a
-  :class:`~repro.serving.service.PredictionService` and compare
-  throughput against one-at-a-time prediction
-  (``--telemetry-port`` exposes ``/metrics`` / ``/healthz`` /
-  ``/stats`` during the replay);
+  :class:`~repro.serving.service.PredictionService` with
+  :func:`~repro.serving.service.replay` (the closed loop the tracked
+  and pytest serving benches also use) and compare throughput and
+  labels against one-at-a-time prediction (``--telemetry-port``
+  exposes ``/metrics`` / ``/healthz`` / ``/stats`` during the replay);
 * ``metrics``     — ``metrics dump`` runs one traced fit and renders
   its metrics registry via the export layer (``--format prom|json``);
   ``--from-trace PATH`` instead renders the snapshot embedded in a
@@ -77,15 +79,22 @@ deterministic perturbed retries before its fallback chain, and the
 backend layer: ``--backend NAME`` runs the command under a non-default
 compute backend (``repro backends list`` shows the choices).
 
-Everything the CLI does is also available programmatically through
-:mod:`repro.evaluation`; the CLI only parses arguments and prints.
+Every option that several commands share (``--dataset``, ``--seed``,
+``--method``, ``--backend``, the pipeline flags, ...) is declared once,
+in a parent parser that :func:`build_parser` passes to each command as
+``parents=``.  Everything the CLI does is also available
+programmatically through :mod:`repro.evaluation`; the CLI only parses
+arguments and prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -111,27 +120,112 @@ from repro.pipeline import (
     resolve_jobs,
 )
 from repro.robust import FailurePolicy, registered_fault_sites
-from repro.serving import PredictionService, Predictor
+from repro.serving import PredictionService, Predictor, replay
+
+
+def _parent(*flags, parents=(), **kwargs) -> argparse.ArgumentParser:
+    """A help-less parent parser declaring one option (plus ``parents``)."""
+    parent = argparse.ArgumentParser(add_help=False, parents=list(parents))
+    if flags:
+        parent.add_argument(*flags, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser (exposed for testing and docs)."""
+    """The argument parser (exposed for testing and docs).
+
+    Every option shared between commands is declared once, in a parent
+    parser the commands list in ``parents=``.
+    """
+    datasets = available_benchmarks()
+    dataset = _parent("--dataset", required=True, choices=datasets)
+    method = _parent(
+        "--method", default="UMSC", choices=sorted(default_method_registry())
+    )
+    seed = _parent("--seed", type=int, default=0)
+    artifact = _parent(
+        "--artifact", required=True, metavar="DIR", help="saved artifact directory"
+    )
+    json_out = _parent(
+        "--json",
+        dest="json_out",
+        default=None,
+        metavar="PATH",
+        help="also write the command's full result as JSON",
+    )
+    quick = _parent(
+        "--quick",
+        action="store_true",
+        help="reduced sizes (the CI smoke configuration)",
+    )
+    backend = _parent(
+        "--backend",
+        default=None,
+        choices=available_backends(),
+        help="compute backend for the hot kernels "
+        "(default: ambient / REPRO_BACKEND / numpy; see `repro backends list`)",
+    )
+    pipeline = _parent(parents=[backend])
+    pipeline.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="PATH",
+        help="memoize graph/eigen computations into this directory "
+        "(reused across invocations; results are bit-identical)",
+    )
+    pipeline.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        metavar="N",
+        help="worker threads for per-view graph construction "
+        "(-1 = all CPUs; default serial)",
+    )
+    pipeline.add_argument(
+        "--max-retries",
+        type=int,
+        default=None,
+        metavar="N",
+        help="deterministic perturbed retries per numerical kernel "
+        "before its fallback chain (default 1)",
+    )
+    # The metrics source of `metrics dump` and `health check`.
+    source = _parent(parents=[method, seed])
+    source.add_argument(
+        "--dataset",
+        default=None,
+        choices=datasets,
+        help="run one live traced fit and read its metrics",
+    )
+    source.add_argument(
+        "--from-trace",
+        dest="from_trace",
+        default=None,
+        metavar="PATH",
+        help="read the metrics snapshot embedded in a saved JSONL trace "
+        "instead of running a fit",
+    )
+    trace_file = _parent("path", help="JSONL trace file")
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Unified multi-view spectral clustering — evaluation CLI",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def group(name: str, summary: str):
+        """A command whose subcommand lands in ``args.<name>_command``."""
+        return sub.add_parser(name, help=summary).add_subparsers(
+            dest=f"{name}_command", required=True
+        )
+
     sub.add_parser("datasets", help="print benchmark statistics (Table I)")
 
-    run_p = sub.add_parser("run", help="run one method on one benchmark")
-    run_p.add_argument("--dataset", required=True, choices=available_benchmarks())
-    run_p.add_argument(
-        "--method",
-        default="UMSC",
-        choices=sorted(default_method_registry()),
+    run_p = sub.add_parser(
+        "run",
+        help="run one method on one benchmark",
+        parents=[dataset, method, seed, pipeline],
     )
-    run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument(
         "--verbose",
         action="store_true",
@@ -149,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a per-phase timing breakdown after the run and arm "
         "the cProfile hooks on designated hot spans",
     )
-    _add_pipeline_args(run_p)
 
-    table_p = sub.add_parser("table", help="print a comparison table")
-    _add_pipeline_args(table_p)
+    table_p = sub.add_parser(
+        "table", help="print a comparison table", parents=[pipeline]
+    )
     table_p.add_argument(
         "--datasets",
         default="three_sources,msrcv1,yale",
@@ -168,21 +262,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated registry names (default: all)",
     )
 
-    conv_p = sub.add_parser("convergence", help="print the objective trace")
-    conv_p.add_argument("--dataset", required=True, choices=available_benchmarks())
+    conv_p = sub.add_parser(
+        "convergence", help="print the objective trace", parents=[dataset, seed]
+    )
     conv_p.add_argument("--max-iter", type=int, default=25)
-    conv_p.add_argument("--seed", type=int, default=0)
 
     stab_p = sub.add_parser(
-        "stability", help="seed stability: one-stage vs two-stage"
+        "stability",
+        help="seed stability: one-stage vs two-stage",
+        parents=[dataset],
     )
-    stab_p.add_argument("--dataset", required=True, choices=available_benchmarks())
     stab_p.add_argument("--runs", type=int, default=5)
 
-    cache_p = sub.add_parser(
-        "cache", help="inspect or clear an on-disk computation cache"
-    )
-    cache_sub = cache_p.add_subparsers(dest="cache_command", required=True)
+    cache_sub = group("cache", "inspect or clear an on-disk computation cache")
     for sub_name, sub_help in (
         ("stats", "print entry count and size of a cache directory"),
         ("clear", "delete every cache entry in a cache directory"),
@@ -194,37 +286,28 @@ def build_parser() -> argparse.ArgumentParser:
             help="on-disk computation cache directory",
         )
 
-    faults_p = sub.add_parser(
-        "faults", help="inspect the fault-injection harness"
-    )
-    faults_sub = faults_p.add_subparsers(dest="faults_command", required=True)
-    faults_sub.add_parser(
+    group("faults", "inspect the fault-injection harness").add_parser(
         "list", help="list every registered fault-injection site"
     )
 
     save_p = sub.add_parser(
-        "save", help="fit a model on a benchmark and save a serving artifact"
+        "save",
+        help="fit a model on a benchmark and save a serving artifact",
+        parents=[dataset, seed, pipeline],
     )
-    save_p.add_argument("--dataset", required=True, choices=available_benchmarks())
     save_p.add_argument(
         "--model",
         default="UnifiedMVSC",
         choices=["UnifiedMVSC", "AnchorMVSC", "SparseMVSC"],
     )
-    save_p.add_argument("--seed", type=int, default=0)
     save_p.add_argument(
         "--out", required=True, metavar="DIR", help="artifact directory to write"
     )
-    _add_pipeline_args(save_p)
 
     predict_p = sub.add_parser(
-        "predict", help="batch-label a benchmark with a saved artifact"
-    )
-    predict_p.add_argument(
-        "--artifact", required=True, metavar="DIR", help="saved artifact directory"
-    )
-    predict_p.add_argument(
-        "--dataset", required=True, choices=available_benchmarks()
+        "predict",
+        help="batch-label a benchmark with a saved artifact",
+        parents=[artifact, dataset, backend],
     )
     predict_p.add_argument("--batch-size", type=int, default=4096)
     predict_p.add_argument(
@@ -234,21 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker threads for per-view score computation",
     )
-    predict_p.add_argument(
-        "--backend",
-        default=None,
-        choices=available_backends(),
-        help="compute backend for scoring (see `repro backends list`)",
-    )
 
     serve_p = sub.add_parser(
-        "serve", help="offline micro-batching throughput benchmark"
-    )
-    serve_p.add_argument(
-        "--artifact", required=True, metavar="DIR", help="saved artifact directory"
-    )
-    serve_p.add_argument(
-        "--dataset", required=True, choices=available_benchmarks()
+        "serve",
+        help="offline micro-batching throughput benchmark",
+        parents=[artifact, dataset, backend],
     )
     serve_p.add_argument(
         "--bench",
@@ -268,31 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="expose /metrics, /healthz, /stats on 127.0.0.1:PORT "
         "during the replay (0 = pick a free port)",
     )
-    serve_p.add_argument(
-        "--backend",
-        default=None,
-        choices=available_backends(),
-        help="compute backend for scoring (see `repro backends list`)",
-    )
 
-    metrics_p = sub.add_parser(
-        "metrics", help="export a run's metrics registry"
-    )
-    metrics_sub = metrics_p.add_subparsers(dest="metrics_command", required=True)
-    dump_p = metrics_sub.add_parser(
+    dump_p = group("metrics", "export a run's metrics registry").add_parser(
         "dump",
         help="run one traced fit and render its registry "
         "(Prometheus text or JSON)",
+        parents=[source],
     )
-    dump_p.add_argument(
-        "--dataset", default=None, choices=available_benchmarks()
-    )
-    dump_p.add_argument(
-        "--method",
-        default="UMSC",
-        choices=sorted(default_method_registry()),
-    )
-    dump_p.add_argument("--seed", type=int, default=0)
     dump_p.add_argument(
         "--format",
         dest="fmt",
@@ -300,33 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["prom", "json"],
         help="Prometheus text exposition format or structured JSON",
     )
-    dump_p.add_argument(
-        "--from-trace",
-        dest="from_trace",
-        default=None,
-        metavar="PATH",
-        help="render the metrics snapshot embedded in a saved JSONL "
-        "trace instead of running a fit",
-    )
 
-    health_p = sub.add_parser(
+    check_p = group(
         "health",
-        help="evaluate SLO/health rules against metrics (CI exit codes)",
-    )
-    health_sub = health_p.add_subparsers(
-        dest="health_command", required=True
-    )
-    check_p = health_sub.add_parser(
+        "evaluate SLO/health rules against metrics (CI exit codes)",
+    ).add_parser(
         "check",
         help="evaluate a rule pack against a live fit, a saved trace, "
         "or a bench report; exit 0 healthy / 1 critical / 2 bad input",
-    )
-    check_p.add_argument(
-        "--from-trace",
-        dest="from_trace",
-        default=None,
-        metavar="PATH",
-        help="evaluate the metrics snapshot embedded in a JSONL trace",
+        parents=[source, json_out],
     )
     check_p.add_argument(
         "--from-bench",
@@ -342,78 +379,47 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON rule pack (default: the built-in six-rule pack)",
     )
     check_p.add_argument(
-        "--dataset",
-        default=None,
-        choices=available_benchmarks(),
-        help="run one live traced fit and judge its metrics",
-    )
-    check_p.add_argument(
-        "--method",
-        default="UMSC",
-        choices=sorted(default_method_registry()),
-    )
-    check_p.add_argument("--seed", type=int, default=0)
-    check_p.add_argument(
         "--strict",
         action="store_true",
         help="exit 1 on any failing rule, not only critical ones",
     )
-    check_p.add_argument(
-        "--json",
-        dest="json_out",
-        default=None,
-        metavar="PATH",
-        help="also write the full health report as JSON",
-    )
 
-    trace_p = sub.add_parser(
-        "trace", help="analyze a JSONL trace file (spans -> hotspots)"
-    )
-    trace_sub = trace_p.add_subparsers(dest="trace_command", required=True)
-    trace_sum_p = trace_sub.add_parser(
+    trace_sub = group("trace", "analyze a JSONL trace file (spans -> hotspots)")
+    trace_sub.add_parser(
         "summary",
         help="per-span-name hotspot table (self and cumulative time)",
-    )
-    trace_sum_p.add_argument("path", help="JSONL trace file")
-    trace_sum_p.add_argument(
+        parents=[trace_file],
+    ).add_argument(
         "--top",
         type=int,
         default=15,
         metavar="N",
         help="show the N hottest span names (default 15)",
     )
-    trace_cp_p = trace_sub.add_parser(
+    trace_sub.add_parser(
         "critical-path",
         help="longest dependent span chain through the trace",
-    )
-    trace_cp_p.add_argument("path", help="JSONL trace file")
-    trace_cp_p.add_argument(
+        parents=[trace_file],
+    ).add_argument(
         "--root",
         default=None,
         metavar="NAME",
         help="span name to root the walk at (e.g. serving.batch); "
         "default: the longest top-level span",
     )
-    trace_exp_p = trace_sub.add_parser(
+    trace_sub.add_parser(
         "export",
         help="write Chrome trace-event JSON (Perfetto / chrome://tracing)",
-    )
-    trace_exp_p.add_argument("path", help="JSONL trace file")
-    trace_exp_p.add_argument(
+        parents=[trace_file],
+    ).add_argument(
         "--out", required=True, metavar="PATH", help="output JSON path"
     )
 
-    bench_p = sub.add_parser(
-        "bench", help="benchmark-regression tracker (run / compare)"
-    )
-    bench_sub = bench_p.add_subparsers(dest="bench_command", required=True)
+    bench_sub = group("bench", "benchmark-regression tracker (run / compare)")
     bench_run_p = bench_sub.add_parser(
-        "run", help="run the tracked bench subset, write BENCH_<tag>.json"
-    )
-    bench_run_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced problem sizes (the CI smoke configuration)",
+        "run",
+        help="run the tracked bench subset, write BENCH_<tag>.json",
+        parents=[quick, backend],
     )
     bench_run_p.add_argument(
         "--benches",
@@ -442,13 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="report path (default BENCH_<tag>.json in the cwd)",
-    )
-    bench_run_p.add_argument(
-        "--backend",
-        default=None,
-        choices=available_backends(),
-        help="compute backend to benchmark under (recorded in the "
-        "report's machine fingerprint)",
     )
     bench_cmp_p = bench_sub.add_parser(
         "compare",
@@ -479,21 +478,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="report regressions but always exit 0 (CI advisory mode)",
     )
 
-    backends_p = sub.add_parser(
-        "backends", help="inspect the pluggable compute backends"
-    )
-    backends_sub = backends_p.add_subparsers(
-        dest="backends_command", required=True
-    )
-    backends_sub.add_parser(
+    group("backends", "inspect the pluggable compute backends").add_parser(
         "list", help="print every registered backend and the active one"
     )
 
-    scen_p = sub.add_parser(
-        "scenarios",
-        help="controlled robustness scenarios (list / run the matrix)",
+    scen_sub = group(
+        "scenarios", "controlled robustness scenarios (list / run the matrix)"
     )
-    scen_sub = scen_p.add_subparsers(dest="scenarios_command", required=True)
     scen_sub.add_parser(
         "list", help="print every registered scenario and its knobs"
     )
@@ -501,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="run the method × scenario robustness matrix "
         "(ACC/NMI/ARI grid)",
+        parents=[seed, quick, json_out],
     )
     scen_run_p.add_argument(
         "--scenarios",
@@ -519,44 +511,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated metric names (default acc,nmi,ari)",
     )
     scen_run_p.add_argument("--runs", type=int, default=1)
-    scen_run_p.add_argument("--seed", type=int, default=0)
     scen_run_p.add_argument(
         "--samples",
         type=int,
         default=None,
         metavar="N",
-        help="resize every scenario to N samples before generation",
-    )
-    scen_run_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny sizes (samples=80) — the CI smoke configuration",
-    )
-    scen_run_p.add_argument(
-        "--json",
-        dest="json_out",
-        default=None,
-        metavar="PATH",
-        help="also write the full matrix (scores, specs, errors) as JSON",
+        help="resize every scenario to N samples before generation "
+        "(--quick: 80)",
     )
 
     stream_p = sub.add_parser(
         "stream",
         help="replay a scenario as a batch stream through the "
         "drift-aware incremental model",
+        parents=[seed, quick, json_out, pipeline],
     )
     stream_p.add_argument(
         "scenario", help="scenario name (see `repro scenarios list`)"
     )
     stream_p.add_argument(
-        "--batches", type=int, default=8, help="batches to replay (default 8)"
+        "--batches",
+        type=int,
+        default=8,
+        help="batches to replay (default 8; --quick: 4)",
     )
     stream_p.add_argument(
         "--samples",
         type=int,
         default=None,
         metavar="N",
-        help="samples per batch (default: the scenario's native size)",
+        help="samples per batch (default: the scenario's native size; "
+        "--quick: 80)",
     )
     stream_p.add_argument(
         "--drift-at",
@@ -600,57 +585,19 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stream with the drift detectors off (every batch folds in)",
     )
-    stream_p.add_argument("--seed", type=int, default=0)
-    stream_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny stream (4 batches x 80 samples) — the CI smoke "
-        "configuration",
-    )
-    stream_p.add_argument(
-        "--json",
-        dest="json_out",
-        default=None,
-        metavar="PATH",
-        help="also write the per-batch records (actions, metrics, drift "
-        "events) as JSON",
-    )
-    _add_pipeline_args(stream_p)
     return parser
 
 
-def _add_pipeline_args(parser) -> None:
-    """Shared ``--cache-dir`` / ``--jobs`` flags (pipeline layer)."""
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="memoize graph/eigen computations into this directory "
-        "(reused across invocations; results are bit-identical)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker threads for per-view graph construction "
-        "(-1 = all CPUs; default serial)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="deterministic perturbed retries per numerical kernel "
-        "before its fallback chain (default 1)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=available_backends(),
-        help="compute backend for the hot kernels "
-        "(default: ambient / REPRO_BACKEND / numpy)",
-    )
+def _comma_list(text: str) -> list[str]:
+    """The stripped, non-empty items of a comma-separated flag value."""
+    return [item for item in re.split(r"\s*,\s*", text.strip()) if item]
+
+
+def _write_json(path, doc, **dump_kwargs) -> None:
+    """Write ``doc`` to ``path`` as one JSON document plus a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, **dump_kwargs)
+        fh.write("\n")
 
 
 def _pipeline_context(args) -> scoped:
@@ -681,7 +628,7 @@ def _print_cache_summary(cache, out) -> None:
     )
 
 
-def _cmd_datasets(out) -> int:
+def _cmd_datasets(args, out) -> int:
     rows = []
     for name in available_benchmarks():
         spec = get_spec(name)
@@ -761,18 +708,14 @@ def _cmd_run(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    names = [n.strip() for n in args.datasets.split(",") if n.strip()]
-    methods = (
-        [m.strip() for m in args.methods.split(",") if m.strip()] or None
-    )
     results = {}
     with _pipeline_context(args) as ctx:
         cache = ctx.cache
-        for name in names:
+        for name in _comma_list(args.datasets):
             dataset = load_benchmark(name)
             results[name] = run_experiment(
                 dataset,
-                methods=methods,
+                methods=_comma_list(args.methods) or None,
                 n_runs=args.runs,
                 metrics=(args.metric,),
             )
@@ -796,28 +739,23 @@ def _cmd_cache(args, out) -> int:
 
 
 def _cmd_faults(args, out) -> int:
-    if args.faults_command == "list":
-        sites = registered_fault_sites()
-        rows = [
-            [site.name, "/".join(site.modes), site.description]
-            for site in sorted(sites.values(), key=lambda s: s.name)
-        ]
-        print(format_rows(["site", "modes", "guards"], rows), file=out)
-        print(f"{len(rows)} fault sites registered", file=out)
-        return 0
-    raise AssertionError(f"unhandled faults command {args.faults_command!r}")
+    """``repro faults list`` — print the registered fault sites."""
+    sites = registered_fault_sites()
+    rows = [
+        [site.name, "/".join(site.modes), site.description]
+        for site in sorted(sites.values(), key=lambda s: s.name)
+    ]
+    print(format_rows(["site", "modes", "guards"], rows), file=out)
+    print(f"{len(rows)} fault sites registered", file=out)
+    return 0
 
 
 def _cmd_save(args, out) -> int:
-    from repro.core import AnchorMVSC, SparseMVSC, UnifiedMVSC
+    import repro.core
 
-    classes = {
-        "UnifiedMVSC": UnifiedMVSC,
-        "AnchorMVSC": AnchorMVSC,
-        "SparseMVSC": SparseMVSC,
-    }
     dataset = load_benchmark(args.dataset)
-    model = classes[args.model](dataset.n_clusters, random_state=args.seed)
+    model_class = getattr(repro.core, args.model)
+    model = model_class(dataset.n_clusters, random_state=args.seed)
     with _pipeline_context(args) as ctx:
         cache = ctx.cache
         model.fit_predict(dataset.views)
@@ -864,13 +802,14 @@ def _cmd_predict(args, out) -> int:
 
 
 def _cmd_serve(args, out) -> int:
-    import threading
     import time
 
+    if args.requests < 1:
+        raise ValidationError(f"--requests must be >= 1, got {args.requests}")
     predictor = Predictor.load(args.artifact, backend=args.backend)
     dataset = load_benchmark(args.dataset)
     n = dataset.n_samples
-    n_requests = max(1, args.requests)
+    n_requests = args.requests
     samples = [
         [v[i % n] for v in dataset.views] for i in range(n_requests)
     ]
@@ -881,7 +820,6 @@ def _cmd_serve(args, out) -> int:
     ]
     serial_seconds = time.perf_counter() - tick
 
-    results: list = [None] * n_requests
     with PredictionService(
         predictor,
         max_batch=args.max_batch,
@@ -896,19 +834,7 @@ def _cmd_serve(args, out) -> int:
                 file=out,
             )
         tick = time.perf_counter()
-
-        def client(worker: int) -> None:
-            for i in range(worker, n_requests, args.clients):
-                results[i] = service.predict_one(samples[i])
-
-        threads = [
-            threading.Thread(target=client, args=(worker,))
-            for worker in range(max(1, args.clients))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        results = replay(service, samples, clients=args.clients)
         batched_seconds = time.perf_counter() - tick
         stats = service.stats()
 
@@ -944,45 +870,48 @@ def _cmd_serve(args, out) -> int:
     return 0 if mismatches == 0 else 1
 
 
+def _metrics_source(args, missing: str) -> tuple[str, dict]:
+    """``(label, snapshot)`` of ``--from-trace`` or of one live traced fit.
+
+    Shared by ``metrics dump`` and ``health check``; ``missing`` is the
+    error raised when neither ``--from-trace`` nor ``--dataset`` is set.
+    """
+    from repro.observability import analysis
+
+    if args.from_trace:
+        trace = analysis.load_trace(args.from_trace)
+        return f"trace:{args.from_trace}", analysis.metrics_snapshot(trace)
+    if not args.dataset:
+        raise ValidationError(missing)
+    dataset = load_benchmark(args.dataset)
+    spec = default_method_registry()[args.method]
+    trace = Trace(f"{args.command}:{args.dataset}:{args.method}")
+    with use_trace(trace):
+        run_method_once(spec, dataset, args.seed, metrics=("acc",))
+    return f"fit:{args.dataset}:{args.method}", trace.metrics.snapshot()
+
+
 def _cmd_metrics(args, out) -> int:
     from repro.observability import (
-        analysis,
-        render_json,
         render_json_snapshot,
-        render_prometheus,
         render_prometheus_snapshot,
     )
 
-    if args.from_trace:
-        snapshot = analysis.metrics_snapshot(
-            analysis.load_trace(args.from_trace)
-        )
-        if args.fmt == "json":
-            print(render_json_snapshot(snapshot), file=out)
-        else:
-            print(render_prometheus_snapshot(snapshot), file=out, end="")
-        return 0
-    if not args.dataset:
-        raise ValidationError(
-            "metrics dump needs --dataset (run a live traced fit) or "
-            "--from-trace PATH (render a saved trace's snapshot)"
-        )
-    dataset = load_benchmark(args.dataset)
-    spec = default_method_registry()[args.method]
-    trace = Trace(f"metrics:{args.dataset}:{args.method}")
-    with use_trace(trace):
-        run_method_once(spec, dataset, args.seed, metrics=("acc",))
+    _, snapshot = _metrics_source(
+        args,
+        "metrics dump needs --dataset (run a live traced fit) or "
+        "--from-trace PATH (render a saved trace's snapshot)",
+    )
     if args.fmt == "json":
-        print(render_json(trace.metrics), file=out)
+        print(render_json_snapshot(snapshot), file=out)
     else:
-        print(render_prometheus(trace.metrics), file=out, end="")
+        print(render_prometheus_snapshot(snapshot), file=out, end="")
     return 0
 
 
 def _cmd_health(args, out) -> int:
     """``repro health check`` — evaluate a rule pack, exit like CI wants."""
     from repro import bench as bench_mod
-    from repro.observability import analysis
     from repro.observability.health import (
         default_rule_pack,
         evaluate_rules,
@@ -997,12 +926,7 @@ def _cmd_health(args, out) -> int:
         raise ValidationError(
             "health check takes --from-trace or --from-bench, not both"
         )
-    if args.from_trace:
-        snapshot = analysis.metrics_snapshot(
-            analysis.load_trace(args.from_trace)
-        )
-        sources = [(f"trace:{args.from_trace}", snapshot)]
-    elif args.from_bench:
+    if args.from_bench:
         report = bench_mod.load_report(args.from_bench)
         sources = [
             (f"bench:{name}", entry.get("metrics", {}))
@@ -1013,18 +937,12 @@ def _cmd_health(args, out) -> int:
                 f"bench report {args.from_bench!r} has no bench entries"
             )
     else:
-        if not args.dataset:
-            raise ValidationError(
-                "health check needs a metrics source: --dataset (run a "
-                "live traced fit), --from-trace PATH, or --from-bench PATH"
-            )
-        dataset = load_benchmark(args.dataset)
-        spec = default_method_registry()[args.method]
-        trace = Trace(f"health:{args.dataset}:{args.method}")
-        with use_trace(trace):
-            run_method_once(spec, dataset, args.seed, metrics=("acc",))
         sources = [
-            (f"fit:{args.dataset}:{args.method}", trace.metrics.snapshot())
+            _metrics_source(
+                args,
+                "health check needs a metrics source: --dataset (run a "
+                "live traced fit), --from-trace PATH, or --from-bench PATH",
+            )
         ]
 
     reports = []
@@ -1074,9 +992,7 @@ def _cmd_health(args, out) -> int:
             "critical": len(critical),
             "ok": not bad,
         }
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.json_out, doc, indent=2)
         print(f"wrote health report -> {args.json_out}", file=out)
     return 1 if bad else 0
 
@@ -1084,6 +1000,8 @@ def _cmd_health(args, out) -> int:
 def _cmd_trace(args, out) -> int:
     from repro.observability import analysis
 
+    if args.trace_command == "summary" and args.top < 1:
+        raise ValidationError(f"--top must be >= 1, got {args.top}")
     data = analysis.load_trace(args.path)
     if args.trace_command == "summary":
         all_rows = analysis.hotspot_summary(data)
@@ -1142,9 +1060,7 @@ def _cmd_trace(args, out) -> int:
         return 0
     if args.trace_command == "export":
         doc = analysis.to_chrome_trace(data)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+        _write_json(args.out, doc)
         print(
             f"wrote {len(doc['traceEvents'])} trace events -> {args.out} "
             f"(load in Perfetto or chrome://tracing)",
@@ -1158,10 +1074,9 @@ def _cmd_bench(args, out) -> int:
     from repro import bench as bench_mod
 
     if args.bench_command == "run":
-        names = [n.strip() for n in args.benches.split(",") if n.strip()]
         with _pipeline_context(args):
             report = bench_mod.run_benches(
-                names or None,
+                _comma_list(args.benches) or None,
                 quick=args.quick,
                 repeats=args.repeats,
                 tag=args.tag,
@@ -1190,22 +1105,15 @@ def _cmd_bench(args, out) -> int:
     if args.bench_command == "compare":
         baseline = bench_mod.load_report(args.baseline)
         current = bench_mod.load_report(args.current)
-        threshold = (
-            bench_mod.DEFAULT_THRESHOLD
-            if args.threshold is None
-            else args.threshold
-        )
-        memory_threshold = (
-            bench_mod.DEFAULT_MEMORY_THRESHOLD
-            if args.memory_threshold is None
-            else args.memory_threshold
-        )
-        comparison = bench_mod.compare_reports(
-            baseline,
-            current,
-            threshold=threshold,
-            memory_threshold=memory_threshold,
-        )
+        gates = {
+            name: value
+            for name, value in (
+                ("threshold", args.threshold),
+                ("memory_threshold", args.memory_threshold),
+            )
+            if value is not None
+        }
+        comparison = bench_mod.compare_reports(baseline, current, **gates)
         print(bench_mod.format_comparison(comparison), file=out)
         if comparison.ok:
             return 0
@@ -1261,22 +1169,13 @@ def _cmd_scenarios(args, out) -> int:
         print(f"{len(rows)} scenarios registered", file=out)
         return 0
     if args.scenarios_command == "run":
-        scenarios = [
-            s.strip() for s in args.scenarios.split(",") if s.strip()
-        ] or None
-        methods = [
-            m.strip() for m in args.methods.split(",") if m.strip()
-        ] or None
-        metrics = tuple(
-            m.strip() for m in args.metrics.split(",") if m.strip()
-        )
         n_samples = 80 if args.quick else args.samples
         matrix = run_scenario_matrix(
-            methods=methods,
-            scenarios=scenarios,
+            methods=_comma_list(args.methods) or None,
+            scenarios=_comma_list(args.scenarios) or None,
             n_samples=n_samples,
             n_runs=args.runs,
-            metrics=metrics,
+            metrics=tuple(_comma_list(args.metrics)),
             base_seed=args.seed,
         )
         size = n_samples if n_samples is not None else "native"
@@ -1292,9 +1191,9 @@ def _cmd_scenarios(args, out) -> int:
         for method, scenario, error in matrix.failures:
             print(f"FAILED {method} × {scenario}: {error}", file=out)
         if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(matrix.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(
+                args.json_out, matrix.to_dict(), indent=2, sort_keys=True
+            )
             print(f"wrote matrix JSON -> {args.json_out}", file=out)
         return 0 if not matrix.failures else 1
     raise AssertionError(
@@ -1424,18 +1323,10 @@ def _cmd_stream(args, out) -> int:
             "scenario": spec.to_dict(),
             "n_batches": n_batches,
             "seed": args.seed,
-            "drift": None
-            if drift is None
-            else {
-                "at_batch": drift.at_batch,
-                "mean_shift": drift.mean_shift,
-                "imbalance": drift.imbalance,
-            },
+            "drift": None if drift is None else asdict(drift),
             "records": records,
         }
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_out, payload, indent=2, sort_keys=True)
         print(f"wrote stream JSON -> {args.json_out}", file=out)
     return 0
 
@@ -1504,38 +1395,25 @@ def main(argv=None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    if args.command == "datasets":
-        return _cmd_datasets(out)
-    if args.command == "run":
-        return _cmd_run(args, out)
-    if args.command == "table":
-        return _cmd_table(args, out)
-    if args.command == "convergence":
-        return _cmd_convergence(args, out)
-    if args.command == "stability":
-        return _cmd_stability(args, out)
-    if args.command == "cache":
-        return _cmd_cache(args, out)
-    if args.command == "faults":
-        return _cmd_faults(args, out)
-    if args.command == "save":
-        return _cmd_save(args, out)
-    if args.command == "predict":
-        return _cmd_predict(args, out)
-    if args.command == "serve":
-        return _cmd_serve(args, out)
-    if args.command == "metrics":
-        return _guard_trace_errors(_cmd_metrics, args, out)
-    if args.command == "health":
-        return _guard_trace_errors(_cmd_health, args, out)
-    if args.command == "trace":
-        return _guard_trace_errors(_cmd_trace, args, out)
-    if args.command == "bench":
-        return _cmd_bench(args, out)
-    if args.command == "backends":
-        return _cmd_backends(args, out)
-    if args.command == "scenarios":
-        return _cmd_scenarios(args, out)
-    if args.command == "stream":
-        return _cmd_stream(args, out)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return _COMMANDS[args.command](args, out)
+
+
+_COMMANDS = {
+    "datasets": _cmd_datasets,
+    "run": _cmd_run,
+    "table": _cmd_table,
+    "convergence": _cmd_convergence,
+    "stability": _cmd_stability,
+    "cache": _cmd_cache,
+    "faults": _cmd_faults,
+    "save": _cmd_save,
+    "predict": _cmd_predict,
+    "serve": _cmd_serve,
+    "metrics": partial(_guard_trace_errors, _cmd_metrics),
+    "health": partial(_guard_trace_errors, _cmd_health),
+    "trace": partial(_guard_trace_errors, _cmd_trace),
+    "bench": _cmd_bench,
+    "backends": _cmd_backends,
+    "scenarios": _cmd_scenarios,
+    "stream": _cmd_stream,
+}

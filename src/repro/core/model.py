@@ -260,33 +260,16 @@ class UnifiedMVSC(ServableModelMixin):
     def _fit_affinities(self, affinities, recoveries: list) -> UMSCResult:
         """Body of :meth:`fit_affinities`, run under the failure guard."""
         cfg = self.config
-        affinities = [
-            check_symmetric(w, f"affinities[{i}]") for i, w in enumerate(affinities)
-        ]
-        if not affinities:
-            raise ValidationError("affinities must be non-empty")
-        n = affinities[0].shape[0]
         c = cfg.n_clusters
-        if c > n:
-            raise ValidationError(f"n_clusters={c} exceeds n_samples={n}")
         rng = check_random_state(self.random_state)
-        fit_start(type(self).__name__, self.callbacks, n, len(affinities), c)
-        # Per-view Laplacians drive the weight update and supply the
-        # spectral bases of the consensus term; the embedding operator is
-        # the jointly normalized Laplacian of the fused affinity minus the
-        # weighted per-view projectors.
-        with span("view_laplacians", n_views=len(affinities)):
-            view_laplacians = build_laplacians(affinities, n_jobs=cfg.n_jobs)
-        n_views = len(affinities)
-        if cfg.consensus > 0:
-            with span("view_bases", n_views=n_views, k=c):
-                view_bases = [
-                    eigsh_smallest(lap, c)[1] for lap in view_laplacians
-                ]
-        else:
-            view_bases = []
-
-        rep = _DenseAffinities(affinities, view_laplacians, view_bases, cfg)
+        rep = _DenseAffinities.build(
+            affinities,
+            cfg,
+            on_start=lambda n, n_views: fit_start(
+                type(self).__name__, self.callbacks, n, n_views, c
+            ),
+        )
+        n, n_views = rep.affinities[0].shape[0], len(rep.affinities)
 
         # --- Initialization -------------------------------------------------
         with span("initialize", n_restarts=self.n_restarts):
@@ -352,6 +335,32 @@ class _DenseAffinities:
         self.weighting, self.gamma = config.weighting, config.gamma
         self._w: np.ndarray | None = None
         self._operator: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, affinities, config: UMSCConfig, on_start=None):
+        """Validate the affinities, then build the view Laplacians and bases.
+
+        ``on_start(n, n_views)`` runs between the validation and the
+        Laplacian build.  Per-view Laplacians drive the weight update
+        and supply the spectral bases of the consensus term.
+        """
+        affinities = [
+            check_symmetric(w, f"affinities[{i}]") for i, w in enumerate(affinities)
+        ]
+        if not affinities:
+            raise ValidationError("affinities must be non-empty")
+        n, n_views, c = affinities[0].shape[0], len(affinities), config.n_clusters
+        if c > n:
+            raise ValidationError(f"n_clusters={c} exceeds n_samples={n}")
+        if on_start is not None:
+            on_start(n, n_views)
+        with span("view_laplacians", n_views=n_views):
+            laplacians = build_laplacians(affinities, n_jobs=config.n_jobs)
+        bases = []
+        if config.consensus > 0:
+            with span("view_bases", n_views=n_views, k=c):
+                bases = [eigsh_smallest(lap, c)[1] for lap in laplacians]
+        return cls(affinities, laplacians, bases, config)
 
     def operator(self, w: np.ndarray) -> np.ndarray:
         """``A(w)``, symmetric and possibly indefinite."""

@@ -14,14 +14,11 @@ import numpy as np
 
 from repro.cluster.kmeans import KMeans
 from repro.core.config import UMSCConfig
-from repro.core.graph_builder import build_laplacians, build_multiview_affinities
-from repro.core.objective import disagreement_costs, spectral_costs
-from repro.core.weights import fusion_multipliers, update_view_weights
+from repro.core.graph_builder import build_multiview_affinities
+from repro.core.model import _DenseAffinities
+from repro.core.weights import update_view_weights
 from repro.exceptions import ValidationError
-from repro.graph.fusion import fuse_affinities
-from repro.graph.laplacian import laplacian
 from repro.linalg.eigen import eigsh_smallest
-from repro.utils.validation import check_symmetric
 
 
 class TwoStageMVSC:
@@ -88,50 +85,33 @@ class TwoStageMVSC:
 
     def fit_affinities(self, affinities) -> np.ndarray:
         """Cluster precomputed per-view affinities; returns labels."""
-        cfg = self.config
-        affinities = [
-            check_symmetric(w, f"affinities[{i}]") for i, w in enumerate(affinities)
-        ]
-        if not affinities:
-            raise ValidationError("affinities must be non-empty")
-        n = affinities[0].shape[0]
-        if cfg.n_clusters > n:
-            raise ValidationError(
-                f"n_clusters={cfg.n_clusters} exceeds n_samples={n}"
-            )
         f = self.embed(affinities)
         norms = np.linalg.norm(f, axis=1, keepdims=True)
         f = f / np.where(norms > 0, norms, 1.0)
-        km = KMeans(cfg.n_clusters, n_init=self.n_init, random_state=self.random_state)
+        km = KMeans(
+            self.config.n_clusters,
+            n_init=self.n_init,
+            random_state=self.random_state,
+        )
         return km.fit_predict(f)
 
     def embed(self, affinities) -> np.ndarray:
-        """Stage 1: alternate the fused embedding with view weights."""
+        """Stage 1: alternate the fused embedding with view weights.
+
+        Runs on UMSC's dense representation, so the embedding is the
+        bottom eigenvectors of the operator UMSC's F-step uses.
+        """
         cfg = self.config
-        c = cfg.n_clusters
-        view_laplacians = build_laplacians(affinities)
-        n_views = len(affinities)
-        if cfg.consensus > 0:
-            view_bases = [eigsh_smallest(lap, c)[1] for lap in view_laplacians]
-        else:
-            view_bases = []
+        rep = _DenseAffinities.build(affinities, cfg)
+        n_views = len(rep.affinities)
         w = np.full(n_views, 1.0 / n_views)
         f = None
         for _ in range(cfg.max_iter):
-            multipliers = fusion_multipliers(
-                w, mode=cfg.weighting, gamma=cfg.gamma
+            _, f = eigsh_smallest(rep.operator(w), cfg.n_clusters)
+            new_w = update_view_weights(
+                rep.view_costs(f), mode=cfg.weighting, gamma=cfg.gamma
             )
-            fused = fuse_affinities(affinities, multipliers, renormalize=True)
-            operator = laplacian(fused)
-            for m_v, u in zip(multipliers, view_bases):
-                operator -= cfg.consensus * m_v * (u @ u.T)
-            _, f = eigsh_smallest((operator + operator.T) / 2.0, c)
-            h = spectral_costs(view_laplacians, f)
-            if cfg.consensus > 0:
-                h = h + cfg.consensus * disagreement_costs(view_bases, f)
-            new_w = update_view_weights(h, mode=cfg.weighting, gamma=cfg.gamma)
             if np.allclose(new_w, w, atol=1e-10):
-                w = new_w
                 break
             w = new_w
         assert f is not None

@@ -80,30 +80,7 @@ def render_prometheus(registry: MetricsRegistry, *, prefix: str = "repro") -> st
     exact ``_sum`` and ``_count`` series.  Families are emitted in
     sorted-name order so output is stable for golden tests.
     """
-    lines: list[str] = []
-    for name in sorted(registry.counters):
-        flat = prometheus_name(name, prefix=prefix) + "_total"
-        lines.append(f"# TYPE {flat} counter")
-        lines.append(f"{flat} {_format_value(registry.counters[name].value)}")
-    for name in sorted(registry.gauges):
-        flat = prometheus_name(name, prefix=prefix)
-        lines.append(f"# TYPE {flat} gauge")
-        lines.append(f"{flat} {_format_value(registry.gauges[name].value)}")
-    for name in sorted(registry.histograms):
-        hist = registry.histograms[name]
-        flat = prometheus_name(name, prefix=prefix)
-        lines.append(f"# TYPE {flat} summary")
-        if hist.count:
-            quantiles = hist.quantile_summary(
-                tuple(100.0 * q for q in SUMMARY_QUANTILES)
-            )
-            for q, level in zip(SUMMARY_QUANTILES, quantiles.values()):
-                lines.append(
-                    f'{flat}{{quantile="{q:g}"}} {_format_value(level)}'
-                )
-        lines.append(f"{flat}_sum {_format_value(hist.total)}")
-        lines.append(f"{flat}_count {hist.count}")
-    return "\n".join(lines) + "\n" if lines else ""
+    return render_prometheus_snapshot(registry.snapshot(), prefix=prefix)
 
 
 def render_json(registry: MetricsRegistry, *, indent: int | None = 2) -> str:
@@ -123,14 +100,14 @@ def render_json_snapshot(snapshot: dict, *, indent: int | None = 2) -> str:
 
 
 def render_prometheus_snapshot(snapshot: dict, *, prefix: str = "repro") -> str:
-    """A saved registry snapshot in Prometheus text exposition format.
+    """A registry snapshot in Prometheus text exposition format.
 
-    The offline counterpart of :func:`render_prometheus` for snapshots
-    recovered from a trace file: counters and gauges render identically;
-    histograms render their recorded ``p50``/``p90``/``p95``/``p99``
-    levels as ``quantile`` samples (skipped when empty) plus the exact
-    ``_sum`` / ``_count`` series.  ``None`` values (non-finite floats
-    scrubbed at write time) render as ``NaN``.
+    The one renderer behind :func:`render_prometheus` (a live registry's
+    snapshot) and snapshots recovered from a trace file: histograms
+    render their ``p50``/``p90``/``p95``/``p99`` levels as ``quantile``
+    samples (skipped when empty) plus the exact ``_sum`` / ``_count``
+    series.  ``None`` values (non-finite floats scrubbed at write time)
+    render as ``NaN``.
     """
     def value_of(raw) -> str:
         return _format_value(float("nan") if raw is None else raw)

@@ -14,7 +14,8 @@ unit:
 * :class:`~repro.serving.service.PredictionService` — thread-based
   micro-batching request queue with backpressure, graceful shutdown,
   and a service-owned runtime-telemetry registry (request latency
-  histograms, queue-depth gauge).
+  histograms, queue-depth gauge); :func:`~repro.serving.service.replay`
+  drives it with closed-loop client threads.
 * :class:`~repro.serving.telemetry.TelemetryServer` — opt-in localhost
   HTTP thread exposing ``/metrics`` (Prometheus text), ``/healthz``
   (draining-aware), and ``/stats`` (JSON) for a running service.
@@ -25,7 +26,7 @@ other way (models gain ``save``/``load`` by building artifacts here).
 
 from repro.serving.artifact import ModelArtifact, library_versions
 from repro.serving.predictor import Predictor, kernel_vote_scores
-from repro.serving.service import PredictionService, ServiceStats
+from repro.serving.service import PredictionService, ServiceStats, replay
 from repro.serving.telemetry import TelemetryServer
 
 __all__ = [
@@ -36,4 +37,5 @@ __all__ = [
     "TelemetryServer",
     "kernel_vote_scores",
     "library_versions",
+    "replay",
 ]

@@ -583,3 +583,42 @@ class PredictionService:
                 e2e.observe(done - request.submitted_at)
             m.counter("serving.completed").inc(len(batch))
             m.gauge("serving.queue_depth").set(self._queue.qsize())
+
+
+def replay(service: PredictionService, samples, *, clients: int) -> list:
+    """Closed-loop replay of single-sample requests through ``service``.
+
+    ``clients`` threads share the samples round-robin; each submits its
+    next sample only once the previous one's label is back.  Returns
+    the labels in sample order.  After every thread has joined, the
+    first exception any client hit is re-raised, so a failed replay
+    never returns with missing labels.
+
+    Raises
+    ------
+    ValidationError
+        If ``clients < 1``.
+    """
+    if clients < 1:
+        raise ValidationError(f"clients must be >= 1, got {clients}")
+    labels: list = [None] * len(samples)
+    errors: list = []
+
+    def client(first: int) -> None:
+        try:
+            for i in range(first, len(samples), clients):
+                labels[i] = service.predict_one(samples[i])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=client, args=(first,))
+        for first in range(clients)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return labels

@@ -30,12 +30,12 @@ not a public API.
 from __future__ import annotations
 
 import json
-import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.observability.export import (
     PROMETHEUS_CONTENT_TYPE,
+    _nan_to_none,
     render_prometheus,
 )
 from repro.observability.health import HealthMonitor
@@ -166,7 +166,7 @@ class TelemetryServer:
             "rules_evaluated": len(report.results),
             "failing": [r.to_dict() for r in report.failing],
         }
-        body = json.dumps(_jsonsafe(payload), indent=2) + "\n"
+        body = json.dumps(_nan_to_none(payload), indent=2) + "\n"
         return body, (200 if ready else 503), "application/json"
 
     def stats_payload(self) -> tuple:
@@ -175,7 +175,7 @@ class TelemetryServer:
             "service": self.service.stats().to_dict(),
             "metrics": self.service.metrics.snapshot(),
         }
-        body = json.dumps(_jsonsafe(payload), indent=2) + "\n"
+        body = json.dumps(_nan_to_none(payload), indent=2) + "\n"
         return body, 200, "application/json"
 
     def close(self) -> None:
@@ -187,13 +187,3 @@ class TelemetryServer:
         self._httpd.server_close()
         self._thread.join(timeout=5.0)
 
-
-def _jsonsafe(payload):
-    """Replace non-finite floats with None for strict-JSON output."""
-    if isinstance(payload, dict):
-        return {k: _jsonsafe(v) for k, v in payload.items()}
-    if isinstance(payload, list):
-        return [_jsonsafe(v) for v in payload]
-    if isinstance(payload, float) and not math.isfinite(payload):
-        return None
-    return payload

@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
+import argparse
 import io
 
 import pytest
 
+from repro.backends import available_backends
 from repro.cli import build_parser, main
-from repro.exceptions import ArtifactError
+from repro.datasets import available_benchmarks
+from repro.evaluation.registry import default_method_registry
+from repro.exceptions import ArtifactError, ValidationError
 
 
 class TestParser:
@@ -143,6 +147,31 @@ class TestServingCommands:
         text = out.getvalue()
         assert "one-at-a-time" in text and "micro-batched" in text
         assert "label mismatches vs serial: 0" in text
+
+    @pytest.mark.parametrize(
+        "flags, match",
+        [
+            (["--clients", "0"], "clients must be >= 1"),
+            (["--clients", "-2"], "clients must be >= 1"),
+            (["--requests", "0"], "--requests must be >= 1"),
+            (["--requests", "-5"], "--requests must be >= 1"),
+        ],
+    )
+    def test_serve_rejects_empty_replays(self, tmp_path, flags, match):
+        art_dir = str(tmp_path / "artifact")
+        assert (
+            main(
+                ["save", "--dataset", "yale", "--out", art_dir],
+                out=io.StringIO(),
+            )
+            == 0
+        )
+        with pytest.raises(ValidationError, match=match):
+            main(
+                ["serve", "--artifact", art_dir, "--dataset", "yale",
+                 "--requests", "8", *flags],
+                out=io.StringIO(),
+            )
 
     def test_predict_missing_artifact_is_typed_error(self, tmp_path):
         with pytest.raises(ArtifactError, match="manifest"):
@@ -287,6 +316,20 @@ class TestMetricsDump:
         assert json.loads(dest.read_text())["traceEvents"]
 
 
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    def test_trace_summary_rejects_top_below_one(
+        self, trace_file, capsys, top
+    ):
+        out = io.StringIO()
+        code = main(
+            ["trace", "summary", str(trace_file), "--top", top], out=out
+        )
+        assert code == 2
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err == f"error: --top must be >= 1, got {top}\n"
+
+
 class TestBackendsCommand:
     def test_backends_list(self):
         out = io.StringIO()
@@ -418,3 +461,210 @@ class TestScenariosCommand:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenarios"])
+
+
+# ---------------------------------------------------------------------------
+# Parser surface pin
+# ---------------------------------------------------------------------------
+
+_BACKENDS = tuple(available_backends())
+_DATASETS = tuple(available_benchmarks())
+_METHODS = tuple(sorted(default_method_registry()))
+
+#: Every leaf command's options as (option strings, dest, repr(default),
+#: required, choices, type name, nargs, action class), sorted; help
+#: actions excluded.  Registry-backed choices are named above.
+_SURFACE = {
+    'datasets': (
+    ),
+    'run': (
+        (('--backend',), 'backend', 'None', False, _BACKENDS, None, None, '_StoreAction'),
+        (('--cache-dir',), 'cache_dir', 'None', False, None, None, None, '_StoreAction'),
+        (('--dataset',), 'dataset', 'None', True, _DATASETS, None, None, '_StoreAction'),
+        (('--jobs',), 'jobs', 'None', False, None, 'int', None, '_StoreAction'),
+        (('--max-retries',), 'max_retries', 'None', False, None, 'int', None, '_StoreAction'),
+        (('--method',), 'method', "'UMSC'", False, _METHODS, None, None, '_StoreAction'),
+        (('--profile',), 'profile', 'False', False, None, None, 0, '_StoreTrueAction'),
+        (('--seed',), 'seed', '0', False, None, 'int', None, '_StoreAction'),
+        (('--trace',), 'trace', 'None', False, None, None, None, '_StoreAction'),
+        (('--verbose',), 'verbose', 'False', False, None, None, 0, '_StoreTrueAction'),
+    ),
+    'table': (
+        (('--backend',), 'backend', 'None', False, _BACKENDS, None, None, '_StoreAction'),
+        (('--cache-dir',), 'cache_dir', 'None', False, None, None, None, '_StoreAction'),
+        (('--datasets',), 'datasets', "'three_sources,msrcv1,yale'", False, None, None, None, '_StoreAction'),
+        (('--jobs',), 'jobs', 'None', False, None, 'int', None, '_StoreAction'),
+        (('--max-retries',), 'max_retries', 'None', False, None, 'int', None, '_StoreAction'),
+        (('--methods',), 'methods', "''", False, None, None, None, '_StoreAction'),
+        (('--metric',), 'metric', "'acc'", False, ('acc', 'nmi', 'purity', 'ari', 'fscore'), None, None, '_StoreAction'),
+        (('--runs',), 'runs', '3', False, None, 'int', None, '_StoreAction'),
+    ),
+    'convergence': (
+        (('--dataset',), 'dataset', 'None', True, _DATASETS, None, None, '_StoreAction'),
+        (('--max-iter',), 'max_iter', '25', False, None, 'int', None, '_StoreAction'),
+        (('--seed',), 'seed', '0', False, None, 'int', None, '_StoreAction'),
+    ),
+    'stability': (
+        (('--dataset',), 'dataset', 'None', True, _DATASETS, None, None, '_StoreAction'),
+        (('--runs',), 'runs', '5', False, None, 'int', None, '_StoreAction'),
+    ),
+    'cache stats': (
+        (('--cache-dir',), 'cache_dir', 'None', True, None, None, None, '_StoreAction'),
+    ),
+    'cache clear': (
+        (('--cache-dir',), 'cache_dir', 'None', True, None, None, None, '_StoreAction'),
+    ),
+    'faults list': (
+    ),
+    'save': (
+        (('--backend',), 'backend', 'None', False, _BACKENDS, None, None, '_StoreAction'),
+        (('--cache-dir',), 'cache_dir', 'None', False, None, None, None, '_StoreAction'),
+        (('--dataset',), 'dataset', 'None', True, _DATASETS, None, None, '_StoreAction'),
+        (('--jobs',), 'jobs', 'None', False, None, 'int', None, '_StoreAction'),
+        (('--max-retries',), 'max_retries', 'None', False, None, 'int', None, '_StoreAction'),
+        (('--model',), 'model', "'UnifiedMVSC'", False, ('UnifiedMVSC', 'AnchorMVSC', 'SparseMVSC'), None, None, '_StoreAction'),
+        (('--out',), 'out', 'None', True, None, None, None, '_StoreAction'),
+        (('--seed',), 'seed', '0', False, None, 'int', None, '_StoreAction'),
+    ),
+    'predict': (
+        (('--artifact',), 'artifact', 'None', True, None, None, None, '_StoreAction'),
+        (('--backend',), 'backend', 'None', False, _BACKENDS, None, None, '_StoreAction'),
+        (('--batch-size',), 'batch_size', '4096', False, None, 'int', None, '_StoreAction'),
+        (('--dataset',), 'dataset', 'None', True, _DATASETS, None, None, '_StoreAction'),
+        (('--jobs',), 'jobs', 'None', False, None, 'int', None, '_StoreAction'),
+    ),
+    'serve': (
+        (('--artifact',), 'artifact', 'None', True, None, None, None, '_StoreAction'),
+        (('--backend',), 'backend', 'None', False, _BACKENDS, None, None, '_StoreAction'),
+        (('--bench',), 'bench', 'False', False, None, None, 0, '_StoreTrueAction'),
+        (('--clients',), 'clients', '4', False, None, 'int', None, '_StoreAction'),
+        (('--dataset',), 'dataset', 'None', True, _DATASETS, None, None, '_StoreAction'),
+        (('--max-batch',), 'max_batch', '32', False, None, 'int', None, '_StoreAction'),
+        (('--max-latency-ms',), 'max_latency_ms', '5.0', False, None, 'float', None, '_StoreAction'),
+        (('--requests',), 'requests', '128', False, None, 'int', None, '_StoreAction'),
+        (('--telemetry-port',), 'telemetry_port', 'None', False, None, 'int', None, '_StoreAction'),
+    ),
+    'metrics dump': (
+        (('--dataset',), 'dataset', 'None', False, _DATASETS, None, None, '_StoreAction'),
+        (('--format',), 'fmt', "'prom'", False, ('prom', 'json'), None, None, '_StoreAction'),
+        (('--from-trace',), 'from_trace', 'None', False, None, None, None, '_StoreAction'),
+        (('--method',), 'method', "'UMSC'", False, _METHODS, None, None, '_StoreAction'),
+        (('--seed',), 'seed', '0', False, None, 'int', None, '_StoreAction'),
+    ),
+    'health check': (
+        (('--dataset',), 'dataset', 'None', False, _DATASETS, None, None, '_StoreAction'),
+        (('--from-bench',), 'from_bench', 'None', False, None, None, None, '_StoreAction'),
+        (('--from-trace',), 'from_trace', 'None', False, None, None, None, '_StoreAction'),
+        (('--json',), 'json_out', 'None', False, None, None, None, '_StoreAction'),
+        (('--method',), 'method', "'UMSC'", False, _METHODS, None, None, '_StoreAction'),
+        (('--rules',), 'rules', 'None', False, None, None, None, '_StoreAction'),
+        (('--seed',), 'seed', '0', False, None, 'int', None, '_StoreAction'),
+        (('--strict',), 'strict', 'False', False, None, None, 0, '_StoreTrueAction'),
+    ),
+    'trace summary': (
+        ((), 'path', 'None', True, None, None, None, '_StoreAction'),
+        (('--top',), 'top', '15', False, None, 'int', None, '_StoreAction'),
+    ),
+    'trace critical-path': (
+        ((), 'path', 'None', True, None, None, None, '_StoreAction'),
+        (('--root',), 'root', 'None', False, None, None, None, '_StoreAction'),
+    ),
+    'trace export': (
+        ((), 'path', 'None', True, None, None, None, '_StoreAction'),
+        (('--out',), 'out', 'None', True, None, None, None, '_StoreAction'),
+    ),
+    'bench run': (
+        (('--backend',), 'backend', 'None', False, _BACKENDS, None, None, '_StoreAction'),
+        (('--benches',), 'benches', "''", False, None, None, None, '_StoreAction'),
+        (('--no-memory',), 'memory', 'True', False, None, None, 0, '_StoreFalseAction'),
+        (('--no-profile',), 'profile', 'True', False, None, None, 0, '_StoreFalseAction'),
+        (('--out',), 'out', 'None', False, None, None, None, '_StoreAction'),
+        (('--quick',), 'quick', 'False', False, None, None, 0, '_StoreTrueAction'),
+        (('--repeats',), 'repeats', '3', False, None, 'int', None, '_StoreAction'),
+        (('--tag',), 'tag', "'local'", False, None, None, None, '_StoreAction'),
+    ),
+    'bench compare': (
+        ((), 'baseline', 'None', True, None, None, None, '_StoreAction'),
+        ((), 'current', 'None', True, None, None, None, '_StoreAction'),
+        (('--memory-threshold',), 'memory_threshold', 'None', False, None, 'float', None, '_StoreAction'),
+        (('--threshold',), 'threshold', 'None', False, None, 'float', None, '_StoreAction'),
+        (('--warn-only',), 'warn_only', 'False', False, None, None, 0, '_StoreTrueAction'),
+    ),
+    'backends list': (
+    ),
+    'scenarios list': (
+    ),
+    'scenarios run': (
+        (('--json',), 'json_out', 'None', False, None, None, None, '_StoreAction'),
+        (('--methods',), 'methods', "''", False, None, None, None, '_StoreAction'),
+        (('--metrics',), 'metrics', "'acc,nmi,ari'", False, None, None, None, '_StoreAction'),
+        (('--quick',), 'quick', 'False', False, None, None, 0, '_StoreTrueAction'),
+        (('--runs',), 'runs', '1', False, None, 'int', None, '_StoreAction'),
+        (('--samples',), 'samples', 'None', False, None, 'int', None, '_StoreAction'),
+        (('--scenarios',), 'scenarios', "''", False, None, None, None, '_StoreAction'),
+        (('--seed',), 'seed', '0', False, None, 'int', None, '_StoreAction'),
+    ),
+    'stream': (
+        ((), 'scenario', 'None', True, None, None, None, '_StoreAction'),
+        (('--anchors',), 'anchors', '0', False, None, 'int', None, '_StoreAction'),
+        (('--backend',), 'backend', 'None', False, _BACKENDS, None, None, '_StoreAction'),
+        (('--batches',), 'batches', '8', False, None, 'int', None, '_StoreAction'),
+        (('--cache-dir',), 'cache_dir', 'None', False, None, None, None, '_StoreAction'),
+        (('--drift-at',), 'drift_at', 'None', False, None, 'int', None, '_StoreAction'),
+        (('--drift-imbalance',), 'drift_imbalance', 'None', False, None, 'float', None, '_StoreAction'),
+        (('--drift-mean-shift',), 'drift_mean_shift', '3.0', False, None, 'float', None, '_StoreAction'),
+        (('--jobs',), 'jobs', 'None', False, None, 'int', None, '_StoreAction'),
+        (('--json',), 'json_out', 'None', False, None, None, None, '_StoreAction'),
+        (('--max-retries',), 'max_retries', 'None', False, None, 'int', None, '_StoreAction'),
+        (('--no-drift-detect',), 'no_drift_detect', 'False', False, None, None, 0, '_StoreTrueAction'),
+        (('--quick',), 'quick', 'False', False, None, None, 0, '_StoreTrueAction'),
+        (('--refine-iters',), 'refine_iters', 'None', False, None, 'int', None, '_StoreAction'),
+        (('--samples',), 'samples', 'None', False, None, 'int', None, '_StoreAction'),
+        (('--seed',), 'seed', '0', False, None, 'int', None, '_StoreAction'),
+    ),
+}
+
+
+def _leaf_parsers(parser, path=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, (*path, name))
+            return
+    yield " ".join(path), parser
+
+
+def _option_record(action) -> tuple:
+    return (
+        tuple(action.option_strings),
+        action.dest,
+        repr(action.default),
+        action.required,
+        None if action.choices is None else tuple(action.choices),
+        None if action.type is None else action.type.__name__,
+        action.nargs,
+        type(action).__name__,
+    )
+
+
+class TestParserSurface:
+    """Refactors of ``build_parser`` keep every flag the user can type."""
+
+    def test_every_leaf_command_keeps_its_options(self):
+        surface = {
+            name: tuple(
+                sorted(
+                    _option_record(action)
+                    for action in parser._actions
+                    if not isinstance(action, argparse._HelpAction)
+                )
+            )
+            for name, parser in _leaf_parsers(build_parser())
+        }
+        assert list(surface) == list(_SURFACE)
+        for name, options in _SURFACE.items():
+            assert surface[name] == options, name
+
+    def test_pin_counts(self):
+        assert sum(1 for options in _SURFACE.values() if options) == 18
+        assert sum(len(options) for options in _SURFACE.values()) == 103

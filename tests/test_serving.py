@@ -29,6 +29,7 @@ from repro.serving import (
     PredictionService,
     Predictor,
     kernel_vote_scores,
+    replay,
 )
 from repro.serving.artifact import ARRAYS_NAME, MANIFEST_NAME, SCHEMA_VERSION
 from repro.utils.validation import check_matrix
@@ -682,6 +683,38 @@ class TestPredictionService:
         assert trace.metrics.counters["serving.submitted"].value == 1
         assert "serving.batch_size" in trace.metrics.histograms
         assert "serving.queue_depth" in trace.metrics.histograms
+
+
+class TestReplay:
+    def test_labels_come_back_in_sample_order(self):
+        art = _blob_artifact()
+        predictor = Predictor(art)
+        queries = _queries(art, m=23)
+        samples = [[q[i] for q in queries] for i in range(23)]
+        with PredictionService(predictor, max_latency_ms=0.0) as service:
+            labels = replay(service, samples, clients=3)
+        assert labels == predictor.predict(queries).tolist()
+
+    @pytest.mark.parametrize("clients", [0, -2])
+    def test_rejects_fewer_than_one_client(self, clients):
+        art = _blob_artifact()
+        samples = [[q[0] for q in _queries(art, m=1)]]
+        with PredictionService(Predictor(art)) as service:
+            with pytest.raises(ValidationError, match="clients must be >= 1"):
+                replay(service, samples, clients=clients)
+            assert service.stats().submitted == 0
+
+    def test_reraises_the_first_client_failure(self):
+        art = _blob_artifact()
+
+        class _ExplodingPredictor(Predictor):
+            def predict(self, views, **kwargs):
+                raise RuntimeError("boom")
+
+        samples = [[q[i] for q in _queries(art, m=6)] for i in range(6)]
+        with PredictionService(_ExplodingPredictor(art)) as service:
+            with pytest.raises(RuntimeError, match="boom"):
+                replay(service, samples, clients=2)
 
 
 class TestRequestTracing:
