@@ -78,6 +78,7 @@ from repro.graph.distance import pairwise_sq_euclidean
 from repro.linalg.procrustes import nearest_orthogonal
 from repro.observability.trace import (
     current_trace,
+    hot_span,
     metric_inc,
     metric_set,
     span,
@@ -120,6 +121,36 @@ def _anchor_coverage(distances) -> float:
     # always reflects the latest batch.
     metric_set("health.anchor_coverage", coverage)
     return coverage
+
+
+@dataclass(frozen=True)
+class _RowBlocks:
+    """The stream's raw rows: per view, the row blocks as they arrived.
+
+    :meth:`append` shares every earlier block, so a fold-in copies no
+    row; :meth:`joined` stacks one matrix per view where a full one is
+    needed (a refit, an artifact).  Iterating yields the joined views.
+    """
+
+    blocks: tuple  # per view, a tuple of (rows, d_v) arrays
+
+    @classmethod
+    def of(cls, views) -> _RowBlocks:
+        return cls(tuple((x,) for x in views))
+
+    def append(self, views) -> _RowBlocks:
+        return _RowBlocks(
+            tuple(old + (x,) for old, x in zip(self.blocks, views))
+        )
+
+    def joined(self) -> list:
+        return [
+            blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+            for blocks in self.blocks
+        ]
+
+    def __iter__(self):
+        return iter(self.joined())
 
 
 @dataclass(frozen=True)
@@ -277,7 +308,7 @@ class AnchorMVSC(ServableModelMixin):
         """Body of :meth:`fit_predict`, run under the failure guard."""
         views = check_views(views)
         result = self._full_fit(views)
-        self._commit(views, result)
+        self._commit(_RowBlocks.of(views), result)
         return result.labels
 
     def _full_fit(self, views) -> _StreamFit:
@@ -374,11 +405,10 @@ class AnchorMVSC(ServableModelMixin):
 
     # -- streaming ---------------------------------------------------------
 
-    def _commit(self, views, fit: _StreamFit) -> None:
+    def _commit(self, rows: _RowBlocks, fit: _StreamFit) -> None:
         """Publish a successful fit as the running streaming state."""
-        views = [np.asarray(v) for v in views]
         self._stream = {
-            "views": views,
+            "views": rows,
             "stats": fit.stats,
             "warm": fit.warm,
             "labels": fit.labels,
@@ -395,7 +425,7 @@ class AnchorMVSC(ServableModelMixin):
             f"anchors_view_{i}": a for i, a in enumerate(fit.stats.anchors)
         }
         self._remember_fit(
-            views,
+            rows,
             fit.labels,
             fit.weights,
             self.n_clusters,
@@ -408,16 +438,17 @@ class AnchorMVSC(ServableModelMixin):
         state = self._stream
         assert state is not None
         views_new = check_views(views_new)
-        if len(views_new) != len(state["views"]):
+        dims = [blocks[0].shape[1] for blocks in state["views"].blocks]
+        if len(views_new) != len(dims):
             raise ValidationError(
                 f"partial_fit batch has {len(views_new)} views; the fitted "
-                f"stream has {len(state['views'])}"
+                f"stream has {len(dims)}"
             )
-        for i, (x_new, x_old) in enumerate(zip(views_new, state["views"])):
-            if x_new.shape[1] != x_old.shape[1]:
+        for i, (x_new, d_old) in enumerate(zip(views_new, dims)):
+            if x_new.shape[1] != d_old:
                 raise ValidationError(
                     f"view {i} of the batch has {x_new.shape[1]} features; "
-                    f"the fitted stream has {x_old.shape[1]}"
+                    f"the fitted stream has {d_old}"
                 )
         return views_new
 
@@ -436,6 +467,11 @@ class AnchorMVSC(ServableModelMixin):
         fold-in is retried and then falls back to a full refit on the
         accumulated views.  State is committed only on success, so a
         failed attempt leaves the model at its previous fit.
+
+        The model keeps the batch arrays it is given as row blocks, as
+        :meth:`fit_predict` keeps its views: no row seen so far is
+        copied, and one matrix per view is joined only for a refit or
+        :meth:`to_artifact`.  Pass arrays that are not modified later.
 
         Parameters
         ----------
@@ -459,10 +495,7 @@ class AnchorMVSC(ServableModelMixin):
             raise ValidationError(f"refine_iters must be >= 1, got {iters}")
         with use_backend(self.backend), failure_guard(_SITE_PARTIAL):
             views_new = self._check_stream_batch(views)
-            union = [
-                np.vstack([x_old, x_new])
-                for x_old, x_new in zip(self._stream["views"], views_new)
-            ]
+            union = self._stream["views"].append(views_new)
             metric_inc("streaming.partial_fit.calls")
             result = run_with_policy(
                 _SITE_PARTIAL,
@@ -530,9 +563,9 @@ class AnchorMVSC(ServableModelMixin):
             rep, w, distances, labels=labels, max_iter=refine_iters
         )
 
-    def _fallback_refit(self, union) -> _StreamFit:
+    def _fallback_refit(self, union: _RowBlocks) -> _StreamFit:
         metric_inc("streaming.partial_fit.refit_fallback")
-        return self._full_fit(union)
+        return self._full_fit(union.joined())
 
     def partial_refit(self) -> np.ndarray:
         """Full alternation on the accumulated stream, anchors reused.
@@ -545,11 +578,10 @@ class AnchorMVSC(ServableModelMixin):
         state = self._require_stream("partial_refit")
         with use_backend(self.backend), failure_guard(_SITE_REFIT):
             metric_inc("streaming.partial_refit.calls")
-            views = state["views"]
             result = run_with_policy(
                 _SITE_REFIT, lambda perturb: self._partial_refit_body()
             )
-            self._commit(views, result)
+            self._commit(state["views"], result)
             return result.labels
 
     def _partial_refit_body(self) -> _StreamFit:
@@ -579,7 +611,7 @@ class AnchorMVSC(ServableModelMixin):
         state = self._require_stream("refit")
         with use_backend(self.backend), failure_guard(_SITE_REFIT):
             metric_inc("streaming.refit.calls")
-            views = state["views"]
+            views = state["views"].joined()
             backend = current_backend()
             with span(
                 "streaming.refit",
@@ -589,7 +621,7 @@ class AnchorMVSC(ServableModelMixin):
                 result = run_with_policy(
                     _SITE_REFIT, lambda perturb: self._full_fit(views)
                 )
-            self._commit(views, result)
+            self._commit(_RowBlocks.of(views), result)
             return result.labels
 
     def _require_stream(self, method: str) -> dict:
@@ -601,6 +633,13 @@ class AnchorMVSC(ServableModelMixin):
         return self._stream
 
 
+#: Stacked assignment entries per row chunk of the statistics build,
+#: and column pairs per ``np.add.at`` call of its Gram accumulation.
+_ENTRY_CHUNK = 1 << 18
+_PAIR_CHUNK = 1 << 16
+_INT32_MAX = np.iinfo(np.int32).max
+
+
 @dataclass(frozen=True)
 class _AnchorStats:
     """Sufficient statistics of the stacked anchor assignment ``Z``.
@@ -609,7 +648,11 @@ class _AnchorStats:
     per row per view), ``gram`` is ``C = Z^T Z`` and ``mass`` the column
     sums ``Z^T 1`` (the diagonals of every ``Lambda_v``).  :meth:`extend`
     adds a batch's share to each, so a fold-in recomputes nothing over
-    the rows already seen.
+    the rows already seen.  Both methods build the bits of the scipy
+    formulation (``sp.hstack`` of the views' CSR blocks,
+    ``(z.T @ z).toarray()``, ``z.sum(axis=0)``, ``sp.vstack`` of the
+    old and new rows) without calling it; see
+    :func:`_assignment_statistics`.
     """
 
     anchors: tuple
@@ -620,22 +663,123 @@ class _AnchorStats:
     @classmethod
     def of(cls, anchors, assignments) -> _AnchorStats:
         """The statistics of the per-view dense ``assignments``."""
-        z = sp.hstack(
-            [sp.csr_array(np.asarray(a, np.float64)) for a in assignments],
-            format="csr",
-        )
-        return cls(
-            tuple(anchors), z, (z.T @ z).toarray(), np.asarray(z.sum(axis=0))
-        )
+        with hot_span("anchor.stats", rows=assignments[0].shape[0]):
+            data, indices, indptr, gram, mass = _assignment_statistics(
+                assignments
+            )
+            z = sp.csr_array(
+                (data, indices, indptr),
+                shape=(indptr.size - 1, gram.shape[0]),
+            )
+        return cls(tuple(anchors), z, gram, mass)
 
     def extend(self, assignments) -> _AnchorStats:
-        """The statistics after appending one batch's per-view rows."""
-        batch = _AnchorStats.of(self.anchors, assignments)
-        return _AnchorStats(
-            self.anchors,
-            sp.vstack([self.z, batch.z], format="csr"),
-            self.gram + batch.gram,
-            self.mass + batch.mass,
+        """The statistics after appending one batch's per-view rows.
+
+        The batch's Gram and masses are summed from zero on their own,
+        then added to the stored ones; its CSR arrays are appended to
+        the stored ``Z``'s with the index dtype ``sp.vstack`` picks.
+        """
+        z = self.z
+        with hot_span("anchor.stats", rows=assignments[0].shape[0]):
+            data, indices, indptr, gram, mass = _assignment_statistics(
+                assignments
+            )
+            dtype = _index_dtype(
+                (z.indptr, indptr), max(z.nnz + data.size, z.shape[1])
+            )
+            tail = indptr[1:].astype(dtype)
+            tail += z.indptr[-1]
+            grown = sp.csr_array(
+                (
+                    np.concatenate([z.data, data]),
+                    np.concatenate([z.indices, indices], dtype=dtype),
+                    np.concatenate([z.indptr, tail], dtype=dtype),
+                ),
+                shape=(z.shape[0] + tail.size, z.shape[1]),
+            )
+            np.add(self.gram, gram, out=gram)
+            np.add(self.mass, mass, out=mass)
+        return _AnchorStats(self.anchors, grown, gram, mass)
+
+
+def _index_dtype(indptrs, maxval: int):
+    """scipy's CSR stacking index dtype: int32 unless one of ``indptrs``
+    is already wider or ``maxval`` does not fit."""
+    if maxval > _INT32_MAX or not all(
+        np.can_cast(p.dtype, np.int32) for p in indptrs
+    ):
+        return np.int64
+    return np.int32
+
+
+def _assignment_statistics(assignments):
+    """CSR ``(data, indices, indptr)``, ``Z^T Z`` and ``Z^T 1`` of the
+    stacked ``Z = [Z_1 | ... | Z_V]`` of the per-view dense rows.
+
+    ``Z`` keeps the row-major ``np.nonzero`` order of the stacked rows,
+    the order ``sp.hstack`` of per-view CSR blocks stores.  The masses
+    are an ``np.bincount`` in that order, which adds each column's
+    weights row by row from zero, as ``z.sum(axis=0)`` does.  The Gram
+    is :func:`_add_row_pairs` over row chunks of at most
+    :data:`_ENTRY_CHUNK` stacked entries.
+    """
+    views = [np.asarray(a, np.float64) for a in assignments]
+    n = views[0].shape[0]
+    size = sum(a.shape[1] for a in views)
+    gram = np.zeros((size, size))
+    data, indices, counts = [], [], []
+    step = max(1, _ENTRY_CHUNK // size)
+    for lo in range(0, n, step):
+        stacked = np.hstack([a[lo:lo + step] for a in views])
+        rows, cols = np.nonzero(stacked)
+        per_row = np.bincount(rows, minlength=stacked.shape[0])
+        values = stacked[rows, cols]
+        _add_row_pairs(gram, rows, cols, values, per_row)
+        data.append(values)
+        indices.append(cols)
+        counts.append(per_row)
+    data = np.concatenate(data)
+    indices = np.concatenate(indices)
+    mass = np.bincount(indices, weights=data, minlength=size)
+    dtype = _index_dtype((), max(size, data.size))
+    indptr = np.zeros(n + 1, dtype)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return data, indices.astype(dtype), indptr, gram, mass
+
+
+def _add_row_pairs(gram, rows, cols, values, per_row) -> None:
+    """Add ``Z^T Z`` of a row chunk, given as row-major nonzeros, to
+    ``gram`` with the additions of scipy's sparse product.
+
+    ``z.T @ z`` forms each entry as a running sum from zero over the
+    rows that hold both columns, rows ascending.  An unbuffered
+    ``np.add.at`` over each row's column pairs, rows in order, makes the
+    same additions in the same order, so the bits agree; summing chunks
+    apart and adding them would re-associate.  Each row's nonzeros are
+    padded to the widest row's count with zero weights on column 0;
+    ``Z`` is nonnegative, so the padding adds ``+0.0`` to sums that are
+    never ``-0.0``.  Each ``np.add.at`` takes at most
+    :data:`_PAIR_CHUNK` pairs, or one row's (with ``k`` near ``m`` rows
+    are dense).
+    """
+    width = int(per_row.max(initial=0))
+    if width == 0:
+        return
+    size = gram.shape[0]
+    slot = np.arange(rows.size) - (np.cumsum(per_row) - per_row)[rows]
+    col = np.zeros((per_row.size, width), np.intp)
+    val = np.zeros((per_row.size, width))
+    col[rows, slot] = cols
+    val[rows, slot] = values
+    cells = gram.reshape(-1)
+    step = max(1, _PAIR_CHUNK // (width * width))
+    for lo in range(0, per_row.size, step):
+        c, v = col[lo:lo + step], val[lo:lo + step]
+        np.add.at(
+            cells,
+            (c[:, :, None] * size + c[:, None, :]).ravel(),
+            (v[:, :, None] * v[:, None, :]).ravel(),
         )
 
 
@@ -680,6 +824,7 @@ class _AnchorFactors:
         self.multipliers: np.ndarray | None = None
         self._embedded: tuple[np.ndarray, np.ndarray] | None = None
         self._cold = cold
+        self._scaled: np.ndarray | None = None  # C * d d^T, reused
         self._view_of = np.repeat(
             np.arange(len(stats.anchors)), [a.shape[0] for a in stats.anchors]
         )
@@ -702,8 +847,12 @@ class _AnchorFactors:
             f, spectrum = top_left_singular(stacked, c)
         else:
             d = np.sqrt(self.multipliers)[self._view_of] * self._inv_sqrt
+            if self._scaled is None:
+                self._scaled = np.empty_like(self.stats.gram)
+            scaled = np.multiply.outer(d, d, out=self._scaled)
+            np.multiply(self.stats.gram, scaled, out=scaled)
             spectrum, vectors, self.warm = gram_top_eigenpairs(
-                self.stats.gram * np.outer(d, d), c, self.warm
+                scaled, c, self.warm
             )
             vals = np.maximum(spectrum[:c], 1e-300)
             f = (self.stats.z @ (d[:, None] * vectors)) / np.sqrt(vals)

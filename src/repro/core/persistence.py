@@ -53,13 +53,15 @@ class ServableModelMixin:
     ) -> None:
         """Capture the fitted state a serving artifact needs.
 
-        ``extras`` is an optional mapping of named auxiliary arrays
-        (e.g. the anchor sets a streaming fold-in must reuse) carried
-        into the artifact; omitting it keeps the artifact byte-identical
-        to the pre-extras format.
+        ``views`` is kept as given and listed only by :meth:`to_artifact`,
+        so a model may pass a sequence that builds its matrices on
+        iteration.  ``extras`` is an optional mapping of named auxiliary
+        arrays (e.g. the anchor sets a streaming fold-in must reuse)
+        carried into the artifact; omitting it keeps the artifact
+        byte-identical to the pre-extras format.
         """
         self._fit_state = (
-            list(views),
+            views,
             np.asarray(labels),
             np.asarray(view_weights, dtype=np.float64),
             int(n_clusters),
@@ -91,7 +93,7 @@ class ServableModelMixin:
         views, labels, weights, n_clusters, n_neighbors, extras = self._fit_state
         return ModelArtifact(
             model_class=type(self).__name__,
-            train_views=views,
+            train_views=list(views),
             train_labels=labels,
             view_weights=weights,
             n_clusters=n_clusters,

@@ -16,6 +16,7 @@ matrix ever materializes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +25,7 @@ import scipy.linalg
 from repro.backends import current_backend
 from repro.exceptions import ValidationError
 from repro.graph.distance import pairwise_sq_euclidean
-from repro.observability.trace import metric_inc
+from repro.observability.trace import hot_span, metric_inc
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_matrix
 
@@ -163,10 +164,16 @@ def top_left_singular(b: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class WarmStart(NamedTuple):
-    """What one Gram solve hands the next: see :func:`gram_top_eigenpairs`."""
+    """What one Gram solve hands the next: see :func:`gram_top_eigenpairs`.
+
+    ``workspace`` is scratch the warm solve builds its scaled operator
+    in and passes down the chain, so a chain of solves allocates it once;
+    solves that share a start must therefore run one at a time.
+    """
 
     basis: np.ndarray  # (size, 2 n_pairs) top Ritz vectors, orthonormal
-    cut: float  # top of the unwanted interval [0, cut]
+    cut: float  # top of the unwanted interval [0, cut]; always > 0
+    workspace: np.ndarray | None = None  # (size, size) scratch
 
 
 def gram_top_eigenpairs(
@@ -179,7 +186,8 @@ def gram_top_eigenpairs(
     ``n_pairs`` measures the spectral gap), the top
     ``min(n_pairs, size)`` eigenvectors as matching columns, and a
     :class:`WarmStart` for the next solve of a nearby Gram (``None`` when
-    ``size <= 2 n_pairs + 1`` leaves no room for its block).
+    ``size <= 2 n_pairs + 1`` leaves no room for its block, or when the
+    Gram has rank ``<= 2 n_pairs`` and so no positive cut).
 
     With ``warm``, the previous ``2 n_pairs`` Ritz vectors go through a
     degree-:data:`WARM_DEGREE` Chebyshev filter on ``[0, cut]``, then one
@@ -192,30 +200,50 @@ def gram_top_eigenpairs(
     ``scipy.linalg.eigh`` with ``subset_by_index``, which costs
     ``O(size^3)`` however few pairs it keeps; each filter degree is one
     ``O(size^2 n_pairs)`` GEMM.  Each solve counts ``anchor.gram.warm``
-    or ``anchor.gram.dense``.
+    or ``anchor.gram.dense``, inside an ``anchor.gram`` hot span.
     """
     size = gram.shape[0]
     block = 2 * n_pairs
-    if (
-        warm is not None
-        and size > block + 1
-        and warm.basis.shape == (size, block)
-    ):
-        filtered = _filtered_pairs(gram, warm, n_pairs)
-        if filtered is not None:
-            metric_inc("anchor.gram.warm")
-            return filtered
-    metric_inc("anchor.gram.dense")
-    solved = block + 1 if size > block + 1 else min(n_pairs + 1, size)
-    values, vectors = scipy.linalg.eigh(
-        gram, subset_by_index=[size - solved, size - 1]
-    )
-    values, vectors = values[::-1], vectors[:, ::-1]
-    next_warm = None
-    if solved > block:
-        # Just above lambda_{2 n_pairs + 1}: the next Gram is nearby.
-        next_warm = WarmStart(vectors[:, :block], 1.02 * float(values[block]))
-    return values[: n_pairs + 1], vectors[:, :n_pairs], next_warm
+    with hot_span("anchor.gram", size=size, warm=warm is not None):
+        if (
+            warm is not None
+            and size > block + 1
+            and warm.basis.shape == (size, block)
+        ):
+            filtered = _filtered_pairs(gram, warm, n_pairs)
+            if filtered is not None:
+                metric_inc("anchor.gram.warm")
+                return filtered
+        metric_inc("anchor.gram.dense")
+        solved = block + 1 if size > block + 1 else min(n_pairs + 1, size)
+        values, vectors = scipy.linalg.eigh(
+            gram, subset_by_index=[size - solved, size - 1]
+        )
+        values, vectors = values[::-1], vectors[:, ::-1]
+        next_warm = None
+        if solved > block:
+            # Just above lambda_{2 n_pairs + 1}: the next Gram is nearby.
+            next_warm = _warm_start(
+                vectors[:, :block],
+                1.02 * float(values[block]),
+                None if warm is None else warm.workspace,
+            )
+        return values[: n_pairs + 1], vectors[:, :n_pairs], next_warm
+
+
+def _warm_start(basis, cut: float, workspace) -> WarmStart | None:
+    """A start for the next solve, or ``None`` without a positive cut:
+    the filter maps ``[0, cut]`` through ``4 / cut``, which a Gram of
+    rank ``<= 2 n_pairs`` (``lambda_{2 n_pairs + 1} = 0``) cannot give."""
+    return WarmStart(basis, cut, workspace) if cut > 0.0 else None
+
+
+@lru_cache(maxsize=8)
+def _probe(size: int) -> np.ndarray:
+    """The fixed pseudo-random probe column of :func:`_filtered_pairs`."""
+    probe = np.random.default_rng(0).standard_normal((size, 1))
+    probe.flags.writeable = False
+    return probe
 
 
 def _filtered_pairs(gram, warm: WarmStart, n_pairs: int):
@@ -235,10 +263,12 @@ def _filtered_pairs(gram, warm: WarmStart, n_pairs: int):
     size, block = gram.shape[0], 2 * n_pairs
     # Twice the mapped operator, so the three-term recurrence
     # T_{k+1} = 2 A T_k - T_{k-1} is one GEMM and one subtraction.
-    doubled = gram * (4.0 / warm.cut)
+    doubled = warm.workspace
+    if doubled is None:
+        doubled = np.empty_like(gram, dtype=np.float64)
+    np.multiply(gram, 4.0 / warm.cut, out=doubled)
     doubled.flat[:: size + 1] -= 2.0
-    probe = np.random.default_rng(0).standard_normal((size, 1))
-    x = np.hstack([warm.basis, probe])
+    x = np.hstack([warm.basis, _probe(size)])
     last = None
     for left in reversed(range(WARM_PASSES)):
         prev, cur = x, 0.5 * (doubled @ x)
@@ -260,7 +290,8 @@ def _filtered_pairs(gram, warm: WarmStart, n_pairs: int):
             inside = np.linalg.norm(warm.basis.T @ top, axis=0)
             if values[n_pairs - 1] <= warm.cut or np.any(inside < 0.5):
                 return None
-            return values[: n_pairs + 1], top, WarmStart(x, float(values[-1]))
+            next_warm = _warm_start(x, float(values[-1]), doubled)
+            return values[: n_pairs + 1], top, next_warm
         if last is not None:
             # Give up once this pass's reduction factor, repeated over
             # the passes left, cannot bring the residual under the bound:

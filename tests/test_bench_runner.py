@@ -74,6 +74,20 @@ class TestRunBenches:
             entry["seconds"]
         )
 
+    def test_anchor_benches_report_their_hot_sites(self):
+        report = run_benches(
+            ["anchor_fit", "streaming"],
+            quick=True,
+            repeats=1,
+            profile=True,
+            memory=True,
+        )
+        for name in ("anchor_fit", "streaming"):
+            entry = report["benches"][name]
+            for site in ("anchor.gram", "anchor.stats"):
+                assert entry["hotspots"][site]
+                assert entry["memory"]["sites"][site]["calls"] > 0
+
     def test_unknown_bench_name_rejected(self):
         with pytest.raises(ValidationError, match="unknown bench"):
             run_benches(["nope"], quick=True)

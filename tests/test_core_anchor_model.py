@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import repro.core.anchor_model as anchor_model
 from repro.core.anchor_model import AnchorMVSC, _AnchorFactors, _AnchorStats
@@ -307,3 +308,191 @@ class TestGramPath:
                 assert gap == pytest.approx(dense_gaps[-1], abs=1e-8)
         for a, b in zip(plain_labels, labels):
             np.testing.assert_array_equal(a, b)
+
+
+def _scipy_statistics(assignments):
+    """The statistics as sparse products: the formulation pinned below."""
+    z = sp.hstack(
+        [sp.csr_array(np.asarray(a, np.float64)) for a in assignments],
+        format="csr",
+    )
+    return z, (z.T @ z).toarray(), np.asarray(z.sum(axis=0))
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_statistics(stats, z, gram, mass):
+    for got, want in (
+        (stats.z.data, z.data),
+        (stats.z.indices, z.indices),
+        (stats.z.indptr, z.indptr),
+        (stats.gram, gram),
+        (stats.mass, mass),
+    ):
+        _assert_same_bytes(got, want)
+    assert stats.z.shape == z.shape
+
+
+class TestStatisticsBytes:
+    """``_AnchorStats`` builds the bits of the scipy formulation."""
+
+    @staticmethod
+    def _views(case, n):
+        views = make_multiview_blobs(
+            n, 4, view_dims=(8, 12, 6), random_state=11
+        ).views
+        m, k = (6, 6) if case == "k_equals_m" else (100, 5)
+        anchors = [
+            anchor_model.select_anchors(x, m, random_state=0) for x in views
+        ]
+        assignments = _assignments(views, anchors, k)
+        if case == "short_rows":
+            # Every third row of every view loses its largest weight.
+            for a in assignments:
+                a[np.arange(0, n, 3), np.argmax(a[::3], axis=1)] = 0.0
+        return anchors, assignments
+
+    @pytest.mark.parametrize("case", ["can", "short_rows", "k_equals_m"])
+    def test_cold_and_batches_match_scipy(self, case):
+        anchors, assignments = self._views(case, 2028)
+        size = sum(a.shape[1] for a in assignments)
+        cold = [a[:2000] for a in assignments]
+        per_row = np.count_nonzero(np.hstack(cold), axis=1)
+        width = per_row.max()
+        # The cold input spans several pair chunks (with k == m rows are
+        # nearly dense) and, where rows are sparse, several row chunks.
+        assert 2000 > 2 * (anchor_model._PAIR_CHUNK // width**2)
+        if case != "k_equals_m":
+            assert 2000 > 2 * (anchor_model._ENTRY_CHUNK // size)
+        if case == "short_rows":
+            assert per_row.min() < width
+
+        stats = _AnchorStats.of(anchors, cold)
+        z, gram, mass = _scipy_statistics(cold)
+        _assert_same_statistics(stats, z, gram, mass)
+        for lo, hi in ((2000, 2001), (2001, 2008), (2008, 2028)):
+            batch = [a[lo:hi] for a in assignments]
+            stats = stats.extend(batch)
+            bz, bgram, bmass = _scipy_statistics(batch)
+            z, gram, mass = (
+                sp.vstack([z, bz], format="csr"), gram + bgram, mass + bmass
+            )
+            _assert_same_statistics(stats, z, gram, mass)
+
+    def test_fold_in_makes_no_sparse_stack_or_product(self, monkeypatch):
+        import scipy.sparse._compressed as compressed
+
+        views = _stream_data().views
+        model = AnchorMVSC(3, n_anchors=20, random_state=0)
+        model.partial_fit([x[:200] for x in views])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fold-in called a sparse stack or product")
+
+        for owner, name in (
+            (sp, "hstack"),
+            (sp, "vstack"),
+            (compressed._cs_matrix, "_matmul_sparse"),
+        ):
+            monkeypatch.setattr(owner, name, forbidden)
+        raw = [b for blocks in model._stream["views"].blocks for b in blocks]
+        batch = [x[200:] for x in views]
+        stacked = []
+        for name in ("hstack", "vstack", "concatenate"):
+            stack = getattr(np, name)
+
+            def recorded(arrays, *args, _stack=stack, **kwargs):
+                stacked.extend(
+                    a for a in arrays if isinstance(a, np.ndarray)
+                )
+                return _stack(arrays, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, recorded)
+        model.partial_fit(batch)
+        assert stacked
+        assert not any(
+            np.shares_memory(a, x) for a in stacked for x in raw + batch
+        )
+        assert model.n_seen_ == 220
+
+
+class TestStreamRows:
+    """The stream keeps its raw rows as blocks and commits each once."""
+
+    @staticmethod
+    def _batches():
+        views = _stream_data().views
+        edges = [0, 100, 130, 150, 170, 220]
+        return [[x[lo:hi] for x in views] for lo, hi in zip(edges, edges[1:])]
+
+    def test_fold_in_copies_no_stream_rows(self):
+        batches = self._batches()
+        model = AnchorMVSC(3, n_anchors=20, random_state=0)
+        model.partial_fit(batches[0])
+        for batch in batches[1:]:
+            before = model._stream["views"].blocks
+            model.partial_fit(batch)
+            after = model._stream["views"].blocks
+            for old, new, x in zip(before, after, batch):
+                assert len(new) == len(old) + 1
+                assert all(a is b for a, b in zip(old, new))
+                np.testing.assert_array_equal(new[-1], x)
+        train = model.to_artifact().train_views
+        for v, got in enumerate(train):
+            _assert_same_bytes(got, np.vstack([b[v] for b in batches]))
+
+    def test_fallback_refit_sees_the_union_once(self, monkeypatch):
+        batches = self._batches()
+        model = AnchorMVSC(3, n_anchors=20, random_state=0)
+        model.partial_fit(batches[0])
+        model.partial_fit(batches[1])
+        earlier = model._stream["views"].blocks
+        seen = []
+        full_fit = model._full_fit
+
+        def spy(views):
+            seen.append(views)
+            return full_fit(views)
+
+        monkeypatch.setattr(model, "_full_fit", spy)
+        trace = Trace("fallback")
+        fault = FaultSpec("streaming.partial_fit", mode="raise", times=None)
+        with use_trace(trace), inject_faults(fault):
+            labels = model.partial_fit(batches[2])
+        counters = trace.metrics.snapshot()["counters"]
+        assert counters["streaming.partial_fit.refit_fallback"] == 1
+        assert len(seen) == 1
+        for v, got in enumerate(seen[0]):
+            _assert_same_bytes(
+                got, np.vstack([b[v] for b in batches[:3]])
+            )
+        blocks = model._stream["views"].blocks
+        for old, new, x in zip(earlier, blocks, batches[2]):
+            assert len(new) == 3
+            assert all(a is b for a, b in zip(old, new))
+            np.testing.assert_array_equal(new[-1], x)
+        assert labels.shape == (150,) and model.n_seen_ == 150
+
+
+def test_anchor_hot_sites_are_noops_when_disarmed(monkeypatch):
+    import repro.graph.anchor as graph_anchor
+    from repro.observability.trace import NOOP_SPAN, hot_span
+
+    opened = []
+
+    def spy(name, **attributes):
+        handle = hot_span(name, **attributes)
+        opened.append((name, handle is NOOP_SPAN))
+        return handle
+
+    for module in (anchor_model, graph_anchor):
+        monkeypatch.setattr(module, "hot_span", spy)
+    views = _stream_data().views
+    model = AnchorMVSC(3, n_anchors=20, random_state=0)
+    model.partial_fit([x[:200] for x in views])
+    model.partial_fit([x[200:] for x in views])
+    assert {name for name, _ in opened} == {"anchor.gram", "anchor.stats"}
+    assert all(noop for _, noop in opened)

@@ -270,3 +270,40 @@ class TestGramTopEigenpairs:
         _, counters = _solve_counted(gram, c, warm)
         assert counters == {"anchor.gram.dense": 1.0}
         assert len(passes) == 2
+
+    def test_zero_gram_hands_out_no_warm_start(self):
+        gram = np.zeros((20, 20))
+        values, vectors, warm = gram_top_eigenpairs(gram, 2)
+        # lambda_5 = 0 leaves no positive cut, so the next solve is dense.
+        assert warm is None
+        (again, _, following), counters = _solve_counted(gram, 2, warm)
+        assert counters == {"anchor.gram.dense": 1.0}
+        np.testing.assert_array_equal(again, values)
+        assert following is None
+
+    @pytest.mark.parametrize("kind", ["diagonal", "product"])
+    @pytest.mark.parametrize("rank", [1, 3, 6])
+    def test_rank_deficient_gram_chains_solves(self, kind, rank):
+        c, size = self.C, 30
+        if kind == "diagonal":
+            # Exact zeros past the rank: lambda_{2c+1} is 0.0.
+            spectrum = np.zeros(size)
+            spectrum[:rank] = np.arange(rank, 0, -1.0)
+            gram = np.diag(spectrum)
+        else:
+            # Rounding leaves lambda_{2c+1} a few ulps either side of 0.
+            factor = np.random.default_rng(rank).standard_normal((size, rank))
+            gram = factor @ factor.T
+        dense = scipy.linalg.eigh(gram, eigvals_only=True)[::-1][: c + 1]
+        warm = None
+        for _ in range(3):
+            values, vectors, warm = gram_top_eigenpairs(gram, c, warm)
+            assert warm is None or warm.cut > 0.0
+            np.testing.assert_allclose(
+                values, dense, atol=1e-12 * max(dense[0], 1.0)
+            )
+            np.testing.assert_allclose(
+                vectors.T @ vectors, np.eye(c), atol=1e-10
+            )
+        if kind == "diagonal":
+            assert warm is None
