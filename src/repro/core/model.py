@@ -54,7 +54,7 @@ from repro.core.persistence import ServableModelMixin
 from repro.core.result import UMSCResult
 from repro.core.weights import fusion_multipliers, weighted_sum
 from repro.exceptions import ValidationError
-from repro.graph.laplacian import laplacian
+from repro.graph.laplacian import _degrees, _laplacian
 from repro.linalg.eigen import eigsh_smallest
 from repro.linalg.gpi import gpi_stiefel
 from repro.observability.events import FitDiagnostics
@@ -363,20 +363,26 @@ class _DenseAffinities:
         return cls(affinities, laplacians, bases, config)
 
     def operator(self, w: np.ndarray) -> np.ndarray:
-        """``A(w)``, symmetric and possibly indefinite."""
+        """``A(w)``, symmetric and possibly indefinite.
+
+        :meth:`build` checked and symmetrized every affinity and the
+        multipliers are non-negative, so ``W(w)`` is exactly symmetric
+        and non-negative: the Laplacian runs unchecked (DESIGN.md,
+        "Validation boundary").  The cache keys on a copy of ``w``, so
+        a caller that updates its array in place gets a rebuild.
+        """
         if not np.array_equal(w, self._w):
             cfg = self.config
             multipliers = fusion_multipliers(
                 w, mode=self.weighting, gamma=self.gamma
             )
-            operator = laplacian(
-                weighted_sum(self.affinities, multipliers),
-                normalization="symmetric",
-            )
+            fused = weighted_sum(self.affinities, multipliers)
+            operator = _laplacian(fused, _degrees(fused), "symmetric")
             if cfg.consensus > 0:
                 for m_v, u in zip(multipliers, self.bases):
                     operator -= cfg.consensus * m_v * (u @ u.T)
-            self._w, self._operator = w, (operator + operator.T) / 2.0
+            self._w = np.array(w, dtype=np.float64)
+            self._operator = (operator + operator.T) / 2.0
         return self._operator
 
     def embed(self, w, f, g, r) -> tuple[np.ndarray, int | None]:

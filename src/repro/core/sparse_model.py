@@ -16,6 +16,7 @@ spectral-rotation end of the framework.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 from repro.backends import get_backend, use_backend
 from repro.core.alternation import SITE_FIT, alternate, fit_start
@@ -24,7 +25,13 @@ from repro.core.objective import spectral_costs
 from repro.core.persistence import ServableModelMixin
 from repro.core.weights import fusion_multipliers, weighted_sum
 from repro.exceptions import ValidationError
-from repro.graph.sparse import sparse_knn_affinity, sparse_laplacian
+from repro.graph.sparse import (
+    _stored_degrees,
+    _symmetric_laplacian,
+    _union_pattern,
+    sparse_knn_affinity,
+    sparse_laplacian,
+)
 from repro.linalg.eigen import eigsh_smallest
 from repro.observability.trace import span
 from repro.pipeline.cache import memoized_parallel
@@ -182,22 +189,35 @@ class _SparseGraphs:
     """CSR graphs: SparseMVSC's :func:`alternate` input.
 
     The F-step is a Lanczos solve on the fused Laplacian; view costs are
-    the per-view spectral costs.
+    the per-view spectral costs.  The affinities' union pattern and each
+    view's data on it are built once, so an F-step forms the fused
+    Laplacian with a few dense passes over its ``nnz`` entries and no
+    scipy sparse algebra.  Every entry is bit-identical to scipy's
+    ``diags`` / ``@`` formulation of the same Laplacian (DESIGN.md,
+    "Validation boundary").
     """
 
     def __init__(self, affinities, laplacians, model: SparseMVSC):
-        self.affinities = affinities
         self.laplacians = laplacians
+        self.pattern, self.view_data = _union_pattern(affinities)
         self.n_clusters = model.n_clusters
         self.weighting, self.gamma = model.weighting, model.gamma
 
-    def embed(self, w, f, g, r) -> tuple[np.ndarray, None]:
+    def operator(self, w: np.ndarray) -> scipy.sparse.csr_matrix:
+        """The fused Laplacian ``L(sum_v m_v W_v)`` on the stored pattern.
+
+        Each entry sums the views in order, as scipy's sum would; an
+        entry that every contributing view zeroes stays stored.
+        """
         multipliers = fusion_multipliers(
             w, mode=self.weighting, gamma=self.gamma
         )
-        fused = weighted_sum(self.affinities, multipliers)
-        fused_lap = sparse_laplacian(fused.tocsr())
-        return eigsh_smallest(fused_lap, self.n_clusters)[1], None
+        fused = weighted_sum(self.view_data, multipliers)
+        degrees = _stored_degrees(self.pattern, fused)
+        return _symmetric_laplacian(self.pattern, fused, degrees)
+
+    def embed(self, w, f, g, r) -> tuple[np.ndarray, None]:
+        return eigsh_smallest(self.operator(w), self.n_clusters)[1], None
 
     def view_costs(self, f: np.ndarray) -> np.ndarray:
         return spectral_costs(self.laplacians, f)

@@ -90,7 +90,7 @@ def fusion_multipliers(
 
 
 def weighted_sum(matrices, coefficients):
-    """``sum_v m_v A_v`` (dense or sparse), unvalidated, in view order."""
+    """``sum_v m_v A_v`` of dense arrays, unvalidated, in view order."""
     total = coefficients[0] * matrices[0]
     for m_v, a_v in zip(coefficients[1:], matrices[1:]):
         total = total + m_v * a_v

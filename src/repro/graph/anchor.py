@@ -106,7 +106,7 @@ def anchor_assignment(
         after the distance computation is the active
         :class:`~repro.backends.ArrayBackend`'s ``anchor_can_weights``
         kernel (the reference backend is bit-identical to the
-        pre-backend code).
+        pre-backend code), run inside an ``anchor.assign`` hot span.
     """
     x = check_matrix(x, "x")
     anchors = check_matrix(anchors, "anchors")
@@ -127,7 +127,8 @@ def anchor_assignment(
                 f"distances must have shape ({x.shape[0]}, {m}), "
                 f"got {d2.shape}"
             )
-    return current_backend().anchor_can_weights(d2, int(k))
+    with hot_span("anchor.assign", n=x.shape[0], m=m, k=int(k)):
+        return current_backend().anchor_can_weights(d2, int(k))
 
 
 def anchor_affinity_factor(z: np.ndarray) -> np.ndarray:

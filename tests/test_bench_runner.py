@@ -84,7 +84,7 @@ class TestRunBenches:
         )
         for name in ("anchor_fit", "streaming"):
             entry = report["benches"][name]
-            for site in ("anchor.gram", "anchor.stats"):
+            for site in ("anchor.assign", "anchor.gram", "anchor.stats"):
                 assert entry["hotspots"][site]
                 assert entry["memory"]["sites"][site]["calls"] > 0
 

@@ -494,5 +494,9 @@ def test_anchor_hot_sites_are_noops_when_disarmed(monkeypatch):
     model = AnchorMVSC(3, n_anchors=20, random_state=0)
     model.partial_fit([x[:200] for x in views])
     model.partial_fit([x[200:] for x in views])
-    assert {name for name, _ in opened} == {"anchor.gram", "anchor.stats"}
+    assert {name for name, _ in opened} == {
+        "anchor.assign",
+        "anchor.gram",
+        "anchor.stats",
+    }
     assert all(noop for _, noop in opened)

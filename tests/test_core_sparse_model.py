@@ -59,3 +59,35 @@ class TestSparseMVSC:
             SparseMVSC(2, weighting="chaos")
         with pytest.raises(ValidationError, match="exceeds"):
             SparseMVSC(10_000).fit_predict(easy.views)
+
+
+def test_f_step_runs_no_scipy_sparse_algebra(easy, monkeypatch):
+    """One F-step forms the fused Laplacian on its stored pattern only."""
+    import scipy.sparse
+    import scipy.sparse._compressed as compressed
+    import scipy.sparse._data as data
+
+    import repro.core.sparse_model as sparse_model
+    import repro.graph.sparse as graph_sparse
+    from repro.graph.sparse import sparse_knn_affinity, sparse_laplacian
+
+    affinities = [sparse_knn_affinity(x, k=10) for x in easy.views]
+    rep = sparse_model._SparseGraphs(
+        affinities, [sparse_laplacian(w) for w in affinities], SparseMVSC(3)
+    )
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the F-step ran scipy sparse algebra")
+
+    for owner, name in (
+        (compressed._cs_matrix, "_matmul_sparse"),
+        (compressed._cs_matrix, "_binopt"),
+        (compressed._cs_matrix, "sum"),
+        (data._data_matrix, "_mul_scalar"),
+        (scipy.sparse, "diags"),
+        (graph_sparse, "sparse_laplacian"),
+        (sparse_model, "sparse_laplacian"),
+    ):
+        monkeypatch.setattr(owner, name, forbidden)
+    f, _ = rep.embed(np.array([0.2, 0.8]), None, None, None)
+    assert f.shape == (240, 3)

@@ -194,24 +194,36 @@ class TestSingleValidation:
             with pytest.raises(ValidationError, match="non-negative"):
                 fn(w)
 
-    def test_dense_operator_checks_once_per_rebuild(self, spy):
+    @staticmethod
+    def _dense_rep():
         from repro.core.config import UMSCConfig
         from repro.core.model import _DenseAffinities
 
         affinities = [_random_affinity(seed=s) for s in (0, 1)]
         rng = np.random.default_rng(0)
         bases = [np.linalg.qr(rng.normal(size=(12, 2)))[0] for _ in affinities]
-        rep = _DenseAffinities(
+        return _DenseAffinities(
             affinities,
             [laplacian(w) for w in affinities],
             bases,
             UMSCConfig(n_clusters=2),
         )
+
+    def test_dense_operator_rebuild_skips_validation(self, spy):
+        # ``_DenseAffinities.build`` validated the affinities; a weighted
+        # sum of them with non-negative multipliers needs no re-check.
+        rep = self._dense_rep()
         spy.clear()
+        first = rep.operator(np.array([0.5, 0.5]))
+        rebuilt = rep.operator(np.array([0.25, 0.75]))
+        assert spy == []
+        assert not np.array_equal(first, rebuilt)
+
+    def test_dense_operator_cache_sees_in_place_weight_update(self):
+        rep = self._dense_rep()
         w = np.array([0.5, 0.5])
         rep.operator(w)
-        assert len(spy) == 1
-        rep.operator(w.copy())  # cached: same weights, no rebuild
-        assert len(spy) == 1
-        rep.operator(np.array([0.25, 0.75]))
-        assert len(spy) == 2
+        w[:] = [0.25, 0.75]
+        fresh = self._dense_rep().operator(np.array([0.25, 0.75]))
+        assert rep.operator(w).tobytes() == fresh.tobytes()
+        assert rep.operator(w.copy()) is rep.operator(w)  # cached

@@ -72,11 +72,16 @@ class TestSparseLaplacian:
     def test_matches_dense_laplacian(self):
         from repro.graph.laplacian import laplacian
 
-        w = self._w()
-        for norm in ("symmetric", "unnormalized", "random_walk"):
-            sparse_lap = sparse_laplacian(w, normalization=norm).toarray()
-            dense_lap = laplacian(w.toarray(), normalization=norm)
-            np.testing.assert_allclose(sparse_lap, dense_lap, atol=1e-10)
+        # Vertex 2 of the second graph is isolated: every normalization
+        # gives it a zero row, diagonal included.
+        isolated = scipy.sparse.csr_matrix(
+            np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        )
+        for w in (self._w(), isolated):
+            for norm in ("symmetric", "unnormalized", "random_walk"):
+                sparse_lap = sparse_laplacian(w, normalization=norm).toarray()
+                dense_lap = laplacian(w.toarray(), normalization=norm)
+                np.testing.assert_allclose(sparse_lap, dense_lap, atol=1e-10)
 
     def test_psd_symmetric(self):
         lap = sparse_laplacian(self._w()).toarray()
@@ -90,6 +95,101 @@ class TestSparseLaplacian:
         asym = scipy.sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValidationError, match="symmetric"):
             sparse_laplacian(asym)
+
+
+def _scipy_laplacian(w):
+    """The symmetric Laplacian in scipy sparse algebra: the reference."""
+    from repro.graph.laplacian import _inverse_or_zero
+
+    degrees = np.asarray(w.sum(axis=1)).ravel()
+    eye = scipy.sparse.identity(w.shape[0], format="csr")
+    d_inv = scipy.sparse.diags(_inverse_or_zero(np.sqrt(degrees)))
+    lap = eye - d_inv @ w @ d_inv
+    return ((lap + lap.T) / 2.0).tocsr()
+
+
+def _scipy_fused_laplacian(affinities, multipliers):
+    """``sum_v m_v W_v`` in view order, then its Laplacian, all in scipy."""
+    fused = multipliers[0] * affinities[0]
+    for m_v, w_v in zip(multipliers[1:], affinities[1:]):
+        fused = fused + m_v * w_v
+    return _scipy_laplacian(fused.tocsr())
+
+
+def _csr_bytes(a):
+    return a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes()
+
+
+@pytest.fixture(scope="module")
+def knn_graphs():
+    """Three k-NN affinities on 3-cluster views of each size, built once."""
+    built = {}
+
+    def graphs(n):
+        if n not in built:
+            rng = np.random.default_rng(n)
+            truth = rng.integers(0, 3, n)[:, None] * 3.0
+            built[n] = [
+                sparse_knn_affinity(rng.normal(size=(n, d)) + truth, k=10)
+                for d in (5, 8, 3)
+            ]
+        return built[n]
+
+    return graphs
+
+
+class TestFusedLaplacianKernel:
+    """SparseMVSC's F-step operator is byte-equal to the scipy algebra.
+
+    The representation forms ``L(sum_v m_v W_v)`` on a pattern fixed at
+    build; the pin is on the CSR arrays themselves, since the Lanczos
+    path (n > 4096) sums each row in stored order.
+    """
+
+    @staticmethod
+    def _rep(affinities, weighting):
+        from repro.core.sparse_model import SparseMVSC, _SparseGraphs
+
+        model = SparseMVSC(3, weighting=weighting)
+        return _SparseGraphs(
+            affinities, [sparse_laplacian(w) for w in affinities], model
+        )
+
+    @pytest.mark.parametrize("n", [150, 600, 5000])
+    def test_view_laplacians_byte_equal(self, knn_graphs, n):
+        for w in knn_graphs(n):
+            assert _csr_bytes(sparse_laplacian(w)) == _csr_bytes(
+                _scipy_laplacian(w)
+            )
+
+    @pytest.mark.parametrize("weighting", ["exponential", "parameter_free"])
+    @pytest.mark.parametrize("n", [150, 600, 5000])
+    def test_fused_operator_byte_equal(self, knn_graphs, n, weighting):
+        from repro.core.weights import fusion_multipliers
+
+        affinities = knn_graphs(n)
+        rep = self._rep(affinities, weighting)
+        rng = np.random.default_rng(n + 1)
+        for w in (np.full(3, 1 / 3), rng.dirichlet(np.ones(3))):
+            m = fusion_multipliers(w, mode=weighting, gamma=rep.gamma)
+            expected = _scipy_fused_laplacian(affinities, m)
+            assert _csr_bytes(rep.operator(w)) == _csr_bytes(expected)
+
+    def test_zero_multiplier_same_dense_operator(self, knn_graphs):
+        from repro.linalg.eigen import eigsh_smallest
+
+        affinities = knn_graphs(150)
+        rep = self._rep(affinities, "parameter_free")
+        w = np.array([0.0, 0.3, 0.7])
+        got = rep.operator(w)
+        expected = _scipy_fused_laplacian(affinities, w)
+        # The kernel keeps the entries only view 0 stores, as zeros.
+        assert got.nnz > expected.nnz
+        assert got.toarray().tobytes() == expected.toarray().tobytes()
+        assert (
+            eigsh_smallest(got, 3)[1].tobytes()
+            == eigsh_smallest(expected, 3)[1].tobytes()
+        )
 
 
 class TestSparseSpectralEmbedding:
