@@ -26,13 +26,7 @@ GAMMAS = [1.5, 2.0, 4.0, 8.0]
 
 def _build(random_state=0, **params):
     ds = get_dataset(bench_datasets()[0])
-    model = UnifiedMVSC(ds.n_clusters, random_state=random_state, **params)
-
-    class _Adapter:
-        def fit_predict(self, views):
-            return model.fit(views).labels
-
-    return _Adapter()
+    return UnifiedMVSC(ds.n_clusters, random_state=random_state, **params)
 
 
 def test_fig2_sensitivity_prints(capsys, benchmark):

@@ -1,6 +1,6 @@
 """Throughput and overhead budgets of the serving layer.
 
-Three guarantees back the serving design:
+Two guarantees back the serving design:
 
 * **Micro-batching pays for itself.**  On a 1k-sample synthetic workload
   of single-sample requests, routing through
@@ -8,10 +8,6 @@ Three guarantees back the serving design:
   requests into batched predicts) must not be slower than calling
   ``Predictor.predict`` once per sample — the whole point of the service
   is amortizing the per-call dispatch over a batch.
-* **Runtime telemetry is nearly free.**  The per-request latency
-  histograms and queue-depth gauge the service records when
-  ``telemetry=True`` (the default) must stay within a **< 3%
-  throughput budget** against ``telemetry=False`` on the same replay.
 * **The disarmed harness is nearly free.**  The predict path routes
   through ``run_with_policy`` (``serving.predict``) and the
   observability spans; with no fault plan armed and no trace active,
@@ -80,15 +76,9 @@ def _serial_seconds(predictor: Predictor, samples) -> tuple[float, list]:
     return time.perf_counter() - start, labels
 
 
-def _service_seconds(
-    predictor: Predictor, samples, *, telemetry: bool = True
-) -> tuple[float, list]:
+def _service_seconds(predictor: Predictor, samples) -> tuple[float, list]:
     with PredictionService(
-        predictor,
-        max_batch=64,
-        max_latency_ms=0.0,
-        max_queue=len(samples),
-        telemetry=telemetry,
+        predictor, max_batch=64, max_latency_ms=0.0, max_queue=len(samples)
     ) as service:
         start = time.perf_counter()
         labels = replay(service, samples, clients=N_CLIENTS)
@@ -110,37 +100,6 @@ def test_micro_batching_beats_one_at_a_time():
         f"micro-batched service took {service_s:.3f}s for {N_REQUESTS} "
         f"requests vs {serial_s:.3f}s one-at-a-time; batching must not "
         f"lose throughput"
-    )
-
-
-def test_telemetry_overhead_under_three_percent():
-    """Runtime telemetry stays within a < 3% throughput budget.
-
-    The service records queue-wait / coalesce / end-to-end latency
-    histograms and a queue-depth gauge per request when ``telemetry=True``
-    (the default).  That bookkeeping — a few lock-guarded floats per
-    request — must not cost more than 3% of the micro-batched replay's
-    wall-clock versus ``telemetry=False``.
-    """
-    artifact, samples = _workload()
-    predictor = Predictor(artifact)
-    # Warm both paths.
-    _service_seconds(predictor, samples[:50], telemetry=True)
-    _service_seconds(predictor, samples[:50], telemetry=False)
-    on, off = [], []
-    labels_on = labels_off = None
-    for _ in range(N_REPS):
-        seconds, labels_on = _service_seconds(predictor, samples, telemetry=True)
-        on.append(seconds)
-        seconds, labels_off = _service_seconds(
-            predictor, samples, telemetry=False
-        )
-        off.append(seconds)
-    assert labels_on == labels_off
-    budget = min(off) * 1.03 + ABS_SLACK_SECONDS
-    assert min(on) <= budget, (
-        f"telemetry-on replay {min(on):.3f}s vs telemetry-off "
-        f"{min(off):.3f}s exceeds the 3% overhead budget"
     )
 
 

@@ -291,11 +291,19 @@ class ArrayBackend:
         Reduced-precision backends run the matvecs in their
         ``compute_dtype`` (ARPACK's workspace follows the operand dtype)
         but always hand back float64 pairs like the dense entry points;
-        the reference backend is the historical plain-float64 call.
+        the reference backend solves on the operand as given.
+
+        ARPACK starts from one fixed vector, seeded like the anchor
+        path's probe (``default_rng(0)``) in the operand's dtype:
+        without ``v0`` it draws one from OS entropy, and two solves of
+        one matrix can differ.
         """
         import scipy.sparse.linalg
 
-        values, vectors = scipy.sparse.linalg.eigsh(a, k=k, which=which)
+        v0 = np.random.default_rng(0).standard_normal(a.shape[0])
+        values, vectors = scipy.sparse.linalg.eigsh(
+            a, k=k, which=which, v0=v0.astype(a.dtype)
+        )
         return (
             np.asarray(values, dtype=np.float64),
             np.asarray(vectors, dtype=np.float64),

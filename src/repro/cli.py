@@ -323,12 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="offline micro-batching throughput benchmark",
         parents=[artifact, dataset, backend],
     )
-    serve_p.add_argument(
-        "--bench",
-        action="store_true",
-        help="replay single-sample requests and report throughput "
-        "(the only mode; the flag records intent)",
-    )
     serve_p.add_argument("--requests", type=int, default=128)
     serve_p.add_argument("--clients", type=int, default=4)
     serve_p.add_argument("--max-batch", type=int, default=32)

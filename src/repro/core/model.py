@@ -42,7 +42,7 @@ import numpy as np
 from repro.backends import use_backend
 from repro.cluster.labels import indicator_from_labels
 from repro.core.alternation import SITE_FIT, alternate, fit_start
-from repro.core.config import UMSCConfig, check_solver_params
+from repro.core.config import UMSCConfig
 from repro.core.discrete import rotation_initialize, scaled_indicator
 from repro.core.graph_builder import build_laplacians, build_multiview_affinities
 from repro.core.objective import (
@@ -173,13 +173,11 @@ class UnifiedMVSC(ServableModelMixin):
             n_jobs=n_jobs,
             backend=backend,
         )
-        check_solver_params(
-            n_clusters,
-            max_iter=max_iter,
-            weighting=weighting,
-            gamma=gamma,
-            n_restarts=n_restarts,
-        )
+        # UMSCConfig checked every other hyperparameter.
+        if n_restarts < 1:
+            raise ValidationError(
+                f"n_restarts must be >= 1, got {n_restarts}"
+            )
         self.n_restarts = int(n_restarts)
         self.random_state = random_state
         self.callbacks = tuple(callbacks)

@@ -113,15 +113,9 @@ def tune_umsc(
     """
 
     def build(random_state=0, **params):
-        model = UnifiedMVSC(
+        return UnifiedMVSC(
             dataset.n_clusters, random_state=random_state, **params
         )
-
-        class _Adapter:
-            def fit_predict(self, views):
-                return model.fit(views).labels
-
-        return _Adapter()
 
     return grid_sweep(
         dataset,

@@ -88,9 +88,7 @@ from repro.observability.memory import (
 from repro.observability.export import (
     PROMETHEUS_CONTENT_TYPE,
     prometheus_name,
-    render_json,
     render_json_snapshot,
-    render_prometheus,
     render_prometheus_snapshot,
 )
 from repro.observability.metrics import (
@@ -180,9 +178,7 @@ __all__ = [
     "read_cpu_seconds",
     "read_jsonl",
     "read_rss_bytes",
-    "render_json",
     "render_json_snapshot",
-    "render_prometheus",
     "render_prometheus_snapshot",
     "resolve_metric",
     "rules_to_dicts",

@@ -1,13 +1,14 @@
-"""Render a :class:`~repro.observability.metrics.MetricsRegistry` for export.
+"""Render a :class:`~repro.observability.metrics.MetricsRegistry` snapshot.
 
-Two render targets cover scraping and archival:
+Both renderers take a ``MetricsRegistry.snapshot()`` — a live registry's
+or one recovered from a trace file — and cover scraping and archival:
 
-* :func:`render_prometheus` — the Prometheus text exposition format
+* :func:`render_prometheus_snapshot` — the Prometheus text exposition format
   (``text/plain; version=0.0.4``): counters as ``*_total``, gauges
   verbatim, histograms as summaries with ``quantile`` labels plus
   ``*_sum`` / ``*_count``.  This is what the serving ``/metrics``
   endpoint serves.
-* :func:`render_json` — the registry snapshot as a JSON document
+* :func:`render_json_snapshot` — the snapshot as a JSON document
   (counters / gauges / histogram summaries with quantiles), for log
   shipping and the ``BENCH_*.json`` perf tracker.
 
@@ -21,7 +22,7 @@ Examples
 >>> from repro.observability.metrics import MetricsRegistry
 >>> registry = MetricsRegistry()
 >>> registry.counter("eigsh.calls").inc(3)
->>> print(render_prometheus(registry), end="")
+>>> print(render_prometheus_snapshot(registry.snapshot()), end="")
 # TYPE repro_eigsh_calls_total counter
 repro_eigsh_calls_total 3
 """
@@ -31,8 +32,6 @@ from __future__ import annotations
 import json
 import math
 import re
-
-from repro.observability.metrics import MetricsRegistry
 
 #: Content type the Prometheus text format should be served under.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -70,44 +69,27 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def render_prometheus(registry: MetricsRegistry, *, prefix: str = "repro") -> str:
-    """The registry in Prometheus text exposition format.
-
-    Counters render with the conventional ``_total`` suffix, gauges as
-    plain samples, and histograms as Prometheus *summaries*: one
-    ``{quantile="..."}`` sample per level in
-    :data:`SUMMARY_QUANTILES` (only when observations exist) plus the
-    exact ``_sum`` and ``_count`` series.  Families are emitted in
-    sorted-name order so output is stable for golden tests.
-    """
-    return render_prometheus_snapshot(registry.snapshot(), prefix=prefix)
-
-
-def render_json(registry: MetricsRegistry, *, indent: int | None = 2) -> str:
-    """The registry snapshot as a JSON document (quantiles included).
+def render_json_snapshot(snapshot: dict, *, indent: int | None = 2) -> str:
+    """A registry snapshot (``MetricsRegistry.snapshot()`` shape, live or
+    the ``metrics`` payload of a JSONL trace's ``trace_end`` line) as a
+    JSON document.
 
     Non-finite values (an empty histogram's ``min``) are serialized as
     ``null`` so the output is strict JSON any consumer can parse.
     """
-    return render_json_snapshot(registry.snapshot(), indent=indent)
-
-
-def render_json_snapshot(snapshot: dict, *, indent: int | None = 2) -> str:
-    """A saved registry snapshot (``MetricsRegistry.snapshot()`` shape,
-    e.g. the ``metrics`` payload of a JSONL trace's ``trace_end`` line)
-    as the same JSON document :func:`render_json` produces live."""
     return json.dumps(_nan_to_none(snapshot), indent=indent)
 
 
 def render_prometheus_snapshot(snapshot: dict, *, prefix: str = "repro") -> str:
     """A registry snapshot in Prometheus text exposition format.
 
-    The one renderer behind :func:`render_prometheus` (a live registry's
-    snapshot) and snapshots recovered from a trace file: histograms
-    render their ``p50``/``p90``/``p95``/``p99`` levels as ``quantile``
-    samples (skipped when empty) plus the exact ``_sum`` / ``_count``
-    series.  ``None`` values (non-finite floats scrubbed at write time)
-    render as ``NaN``.
+    Counters render with the conventional ``_total`` suffix, gauges as
+    plain samples, and histograms as Prometheus *summaries*: their
+    ``p50``/``p90``/``p95``/``p99`` levels as ``quantile`` samples
+    (skipped when empty) plus the exact ``_sum`` / ``_count`` series.
+    ``None`` values (non-finite floats scrubbed at write time) render
+    as ``NaN``.  Families are emitted in sorted-name order so output is
+    stable for golden tests.
     """
     def value_of(raw) -> str:
         return _format_value(float("nan") if raw is None else raw)

@@ -66,7 +66,9 @@ def _hash_array(h, x) -> None:
     """Feed one dense or CSR-sparse array into a running hash."""
     if scipy.sparse.issparse(x):
         csr = x.tocsr()
-        csr.sort_indices()
+        if not csr.has_sorted_indices:
+            # A CSR input is the caller's own matrix: sort a copy.
+            csr = csr.sorted_indices()
         h.update(f"csr:{csr.shape}:{csr.data.dtype.str}".encode())
         h.update(np.ascontiguousarray(csr.indptr).tobytes())
         h.update(np.ascontiguousarray(csr.indices).tobytes())

@@ -19,27 +19,29 @@ Operational properties:
   queued request through the normal batch path, then joins the worker;
   submitting afterwards raises
   :class:`~repro.exceptions.ServiceClosedError`.
-* **Observability** — ``serving.queue_depth`` (at submit),
-  ``serving.batch_size``, and ``serving.batch_seconds`` histograms plus
-  ``serving.submitted`` / ``serving.completed`` / ``serving.rejected``
-  counters flow to the trace active when the service was *constructed*
-  (the worker runs in a snapshot of the construction-time context, so
-  traces, caches, failure policies, and armed fault plans all apply to
-  the batched predicts).  Under that construction-time trace the service
-  is additionally *request-correlated*: every ``submit`` gets a
-  ``request_id`` and a ``serving.request`` span covering
-  submit→resolution, each ``serving.batch`` span links to the
+* **Observability** — the service owns a
+  :class:`~repro.observability.metrics.MetricsRegistry` (``.metrics``),
+  its one ledger: ``serving.submitted`` / ``serving.completed`` /
+  ``serving.rejected`` counters, per-request queue-wait, coalesce, and
+  end-to-end latency histograms, batch-size and batch-time histograms,
+  and a live queue-depth gauge.  :meth:`~PredictionService.stats`
+  reads it, and ``telemetry_port=`` starts a localhost HTTP thread
+  serving it as ``/metrics`` (Prometheus text), ``/healthz``
+  (rule-aware readiness), and ``/stats`` (JSON) — see
+  :mod:`repro.serving.telemetry`.
+* **Tracing** — everything the service sends to a trace goes to the
+  trace active when the service was *constructed*, whichever thread
+  submits: the ``serving.submitted`` / ``serving.rejected`` counters
+  and the ``serving.queue_depth`` / ``serving.batch_size`` /
+  ``serving.batch_seconds`` histograms.  The worker runs in a snapshot
+  of the construction-time context, so traces, caches, failure
+  policies, and armed fault plans all apply to the batched predicts.
+  Under that trace the service is also *request-correlated*: every
+  ``submit`` gets a ``request_id`` and a ``serving.request`` span
+  covering submit→resolution, each ``serving.batch`` span links to the
   ``span_id``s of the requests it coalesced, and recovery events fired
   during the batched predict carry the joined request ids — one
   ``trace_id`` joins a request's whole path end to end.
-* **Runtime telemetry** — independent of any trace, the service owns a
-  :class:`~repro.observability.metrics.MetricsRegistry` (``.metrics``)
-  recording per-request queue-wait, coalesce, and end-to-end latency
-  histograms, batch sizes, and a live queue-depth gauge (disable with
-  ``telemetry=False``).  ``telemetry_port=`` additionally starts a
-  localhost HTTP thread serving ``/metrics`` (Prometheus text),
-  ``/healthz`` (rule-aware readiness), and ``/stats`` (JSON) — see
-  :mod:`repro.serving.telemetry`.
 * **Determinism** — batch composition depends on arrival timing, but
   the predictor's per-query independence makes every result identical
   to a serial ``predict`` of that sample, whatever batch it rode in.
@@ -81,8 +83,6 @@ from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import (
     SpanRecord,
     current_trace,
-    metric_inc,
-    metric_observe,
     new_id,
     span,
     use_request,
@@ -96,6 +96,10 @@ _STOP = object()
 @dataclass(frozen=True)
 class ServiceStats:
     """Point-in-time request/batch counters of one service.
+
+    The counts and latencies are read from the service's
+    :attr:`~PredictionService.metrics` registry, the one ``/metrics``
+    serves.
 
     Attributes
     ----------
@@ -116,8 +120,8 @@ class ServiceStats:
         End-to-end request-latency percentiles in seconds, from the
         ``serving.request_seconds`` histogram (exact below the
         histogram's reservoir cap — the same percentile view
-        ``/metrics`` exposes); ``None`` with telemetry off or before
-        the first completed request.
+        ``/metrics`` exposes); ``None`` before the first completed
+        request.
     """
 
     submitted: int
@@ -203,22 +207,12 @@ class PredictionService:
     max_queue : int
         Bound on queued (not yet batched) requests; the backpressure
         knob.
-    telemetry : bool
-        Record request-level runtime telemetry into the service-owned
-        :attr:`metrics` registry: ``serving.queue_wait_seconds`` /
-        ``serving.coalesce_seconds`` / ``serving.request_seconds`` /
-        ``serving.batch_size`` / ``serving.batch_seconds`` histograms
-        and the ``serving.queue_depth`` gauge.  On by default (the
-        recording cost is a few lock-guarded floats per request, < 3%
-        of serving throughput — a bench asserts the budget); ``False``
-        skips every timestamp and registry touch.
     telemetry_port : int or None
         When given, start a :class:`~repro.serving.telemetry.
         TelemetryServer` exposing ``/metrics`` (Prometheus text),
         ``/healthz`` (rule-aware readiness), and ``/stats`` (JSON) on
         ``127.0.0.1:port`` (``0`` picks a free port; see
-        :attr:`telemetry_url`).  Implies nothing about ``telemetry`` —
-        pair it with the default ``True`` for meaningful output.
+        :attr:`telemetry_url`).
     """
 
     def __init__(
@@ -228,7 +222,6 @@ class PredictionService:
         max_batch: int = 32,
         max_latency_ms: float = 5.0,
         max_queue: int = 1024,
-        telemetry: bool = True,
         telemetry_port: int | None = None,
     ) -> None:
         if not isinstance(predictor, Predictor):
@@ -254,30 +247,23 @@ class PredictionService:
         self._queue: queue.Queue = queue.Queue(maxsize=self.max_queue)
         self._lock = threading.Lock()
         self._closed = False
-        self._submitted = 0
-        self._completed = 0
-        self._rejected = 0
-        self._batches = 0
-        self._max_batch_seen = 0
-        self._telemetry = bool(telemetry)
-        # Request-correlated tracing binds to the trace active at
-        # construction (same snapshot the worker thread runs in); with
-        # no trace the whole request-span bookkeeping is skipped.
+        # The trace mirror and request-correlated tracing bind to the
+        # trace active at construction (same snapshot the worker thread
+        # runs in); with no trace the request-span bookkeeping is skipped.
         self._trace = current_trace()
         self._started = time.perf_counter()
         self.metrics = MetricsRegistry()
-        if self._telemetry:
-            # Pre-register the runtime families so a scrape sees them
-            # (with zero counts) even before the first request lands.
-            self.metrics.gauge("serving.queue_depth")
-            for name in (
-                "serving.queue_wait_seconds",
-                "serving.coalesce_seconds",
-                "serving.request_seconds",
-                "serving.batch_size",
-                "serving.batch_seconds",
-            ):
-                self.metrics.histogram(name)
+        # Pre-register the runtime families so a scrape sees them (with
+        # zero counts) even before the first request lands.
+        self.metrics.gauge("serving.queue_depth")
+        for name in (
+            "serving.queue_wait_seconds",
+            "serving.coalesce_seconds",
+            "serving.request_seconds",
+            "serving.batch_size",
+            "serving.batch_seconds",
+        ):
+            self.metrics.histogram(name)
         context = contextvars.copy_context()
         self._worker = threading.Thread(
             target=lambda: context.run(self._serve_loop),
@@ -330,31 +316,29 @@ class PredictionService:
             request.span_id = new_id()
             request.submitted_wall = time.time()
             request.thread = threading.get_ident()
-        if self._telemetry or self._trace is not None:
-            request.submitted_at = time.perf_counter()
+        request.submitted_at = time.perf_counter()
         with self._lock:
             if self._closed:
                 raise ServiceClosedError(
                     "prediction service is closed; no new requests accepted"
                 )
-            try:
-                self._queue.put_nowait(request)
-            except queue.Full:
-                self._rejected += 1
-                metric_inc("serving.rejected")
-                if self._telemetry:
-                    self.metrics.counter("serving.rejected").inc()
+            # Only submitters put, under this lock, so a queue that is
+            # not full here takes the request.  Counting it before the
+            # put keeps stats().completed <= stats().submitted.
+            if self._queue.full():
+                self.metrics.counter("serving.rejected").inc()
+                self._mirror("counter", "serving.rejected", 1)
                 raise ServiceOverloadedError(
                     f"prediction queue is full ({self.max_queue} requests "
                     f"pending); retry later or raise max_queue"
-                ) from None
-            self._submitted += 1
-        metric_inc("serving.submitted")
-        depth = self._queue.qsize()
-        metric_observe("serving.queue_depth", depth)
-        if self._telemetry:
+                )
             self.metrics.counter("serving.submitted").inc()
-            self.metrics.gauge("serving.queue_depth").set(depth)
+            self._mirror("counter", "serving.submitted", 1)
+            self._queue.put_nowait(request)
+        depth = self._queue.qsize()
+        self.metrics.gauge("serving.queue_depth").set(depth)
+        # A gauge in the registry, a distribution in the trace.
+        self._mirror("histogram", "serving.queue_depth", depth)
         return request.future
 
     def predict_one(self, sample_views, *, timeout: float | None = 30.0):
@@ -362,27 +346,40 @@ class PredictionService:
         return self.submit(sample_views).result(timeout=timeout)
 
     def stats(self) -> ServiceStats:
-        """Current :class:`ServiceStats` snapshot."""
+        """Current :class:`ServiceStats`, read from :attr:`metrics`."""
+        counters = self.metrics.counters
+        histograms = self.metrics.histograms
+
+        def count(name: str) -> int:
+            counter = counters.get(name)
+            return 0 if counter is None else int(counter.value)
+
+        # Read before ``submitted``: a request is counted as submitted
+        # before it can complete, so the snapshot never shows more
+        # completed than submitted.
+        completed = count("serving.completed")
+        sizes = histograms["serving.batch_size"]
+        # ``max`` is nan before the first batch (and -inf for an
+        # instant while one is being recorded); batch sizes are >= 1.
+        peak = sizes.max
+        latency = histograms["serving.request_seconds"]
         p50 = p95 = p99 = None
-        if self._telemetry:
-            hist = self.metrics.histograms.get("serving.request_seconds")
-            if hist is not None and hist.count:
-                p50 = hist.percentile(50)
-                p95 = hist.percentile(95)
-                p99 = hist.percentile(99)
-        with self._lock:
-            return ServiceStats(
-                submitted=self._submitted,
-                completed=self._completed,
-                rejected=self._rejected,
-                batches=self._batches,
-                max_batch_size=self._max_batch_seen,
-                queue_depth=self._queue.qsize(),
-                uptime_seconds=time.perf_counter() - self._started,
-                latency_p50=p50,
-                latency_p95=p95,
-                latency_p99=p99,
-            )
+        if latency.count:
+            p50 = latency.percentile(50)
+            p95 = latency.percentile(95)
+            p99 = latency.percentile(99)
+        return ServiceStats(
+            submitted=count("serving.submitted"),
+            completed=completed,
+            rejected=count("serving.rejected"),
+            batches=sizes.count,
+            max_batch_size=int(peak) if peak >= 1 else 0,
+            queue_depth=self._queue.qsize(),
+            uptime_seconds=time.perf_counter() - self._started,
+            latency_p50=p50,
+            latency_p95=p95,
+            latency_p99=p99,
+        )
 
     @property
     def draining(self) -> bool:
@@ -476,8 +473,7 @@ class PredictionService:
             item = self._queue.get()
             if item is _STOP:
                 return
-            if self._telemetry or self._trace is not None:
-                item.dequeued_at = time.perf_counter()
+            item.dequeued_at = time.perf_counter()
             batch = [item]
             deadline = time.perf_counter() + self.max_latency
             stop_after = False
@@ -499,12 +495,33 @@ class PredictionService:
                 if nxt is _STOP:
                     stop_after = True
                     break
-                if self._telemetry or self._trace is not None:
-                    nxt.dequeued_at = time.perf_counter()
+                nxt.dequeued_at = time.perf_counter()
                 batch.append(nxt)
             self._run_batch(batch)
             if stop_after:
                 return
+
+    def _mirror(self, kind: str, name: str, value: float) -> None:
+        """Write one metric to the trace active at construction, if any.
+
+        Every trace-side write of the service goes through here, from
+        client and worker threads alike, so it lands on ``self._trace``
+        rather than on the calling thread's context.  ``kind`` is
+        ``"counter"`` (add ``value``) or ``"histogram"`` (observe it).
+        """
+        if self._trace is not None:
+            metrics = self._trace.metrics
+            if kind == "counter":
+                metrics.counter(name).inc(value)
+            else:
+                metrics.histogram(name).observe(value)
+
+    def _count_batch(self, size: int) -> None:
+        """Count a batch's completions before any of its futures resolve,
+        so a caller holding a label always sees it in :meth:`stats`."""
+        self.metrics.histogram("serving.batch_size").observe(size)
+        self.metrics.counter("serving.completed").inc(size)
+        self._mirror("histogram", "serving.batch_size", size)
 
     def _run_batch(self, batch: list) -> None:
         """One batched predict; resolve every request's future."""
@@ -528,15 +545,13 @@ class PredictionService:
                 labels = self.predictor.predict(views)
             except BaseException as exc:
                 batch_failed = True
+                self._count_batch(len(batch))
                 for request in batch:
                     request.future.set_exception(exc)
             else:
+                self._count_batch(len(batch))
                 for i, request in enumerate(batch):
                     request.future.set_result(int(labels[i]))
-        with self._lock:
-            self._completed += len(batch)
-            self._batches += 1
-            self._max_batch_seen = max(self._max_batch_seen, len(batch))
         done = time.perf_counter()
         if traced:
             # One submit-to-resolution span per request, linked to the
@@ -566,23 +581,19 @@ class PredictionService:
                         },
                     )
                 )
-        metric_observe("serving.batch_size", len(batch))
-        metric_observe("serving.batch_seconds", done - tick)
-        if self._telemetry:
-            m = self.metrics
-            m.histogram("serving.batch_size").observe(len(batch))
-            m.histogram("serving.batch_seconds").observe(done - tick)
-            # Coalesce latency: first dequeue -> dispatch of the predict.
-            m.histogram("serving.coalesce_seconds").observe(
-                tick - batch[0].dequeued_at
-            )
-            queue_wait = m.histogram("serving.queue_wait_seconds")
-            e2e = m.histogram("serving.request_seconds")
-            for request in batch:
-                queue_wait.observe(request.dequeued_at - request.submitted_at)
-                e2e.observe(done - request.submitted_at)
-            m.counter("serving.completed").inc(len(batch))
-            m.gauge("serving.queue_depth").set(self._queue.qsize())
+        m = self.metrics
+        m.histogram("serving.batch_seconds").observe(done - tick)
+        self._mirror("histogram", "serving.batch_seconds", done - tick)
+        # Coalesce latency: first dequeue -> dispatch of the predict.
+        m.histogram("serving.coalesce_seconds").observe(
+            tick - batch[0].dequeued_at
+        )
+        queue_wait = m.histogram("serving.queue_wait_seconds")
+        e2e = m.histogram("serving.request_seconds")
+        for request in batch:
+            queue_wait.observe(request.dequeued_at - request.submitted_at)
+            e2e.observe(done - request.submitted_at)
+        m.gauge("serving.queue_depth").set(self._queue.qsize())
 
 
 def replay(service: PredictionService, samples, *, clients: int) -> list:

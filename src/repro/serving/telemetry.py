@@ -36,7 +36,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.observability.export import (
     PROMETHEUS_CONTENT_TYPE,
     _nan_to_none,
-    render_prometheus,
+    render_prometheus_snapshot,
 )
 from repro.observability.health import HealthMonitor
 from repro.observability.resource import ResourceSampler
@@ -134,7 +134,7 @@ class TelemetryServer:
     def metrics_payload(self) -> tuple:
         """``(body, status, content_type)`` of ``GET /metrics``."""
         return (
-            render_prometheus(self.service.metrics),
+            render_prometheus_snapshot(self.service.metrics.snapshot()),
             200,
             PROMETHEUS_CONTENT_TYPE,
         )

@@ -135,7 +135,6 @@ class TestServingCommands:
                 art_dir,
                 "--dataset",
                 "yale",
-                "--bench",
                 "--requests",
                 "32",
                 "--clients",
@@ -536,7 +535,6 @@ _SURFACE = {
     'serve': (
         (('--artifact',), 'artifact', 'None', True, None, None, None, '_StoreAction'),
         (('--backend',), 'backend', 'None', False, _BACKENDS, None, None, '_StoreAction'),
-        (('--bench',), 'bench', 'False', False, None, None, 0, '_StoreTrueAction'),
         (('--clients',), 'clients', '4', False, None, 'int', None, '_StoreAction'),
         (('--dataset',), 'dataset', 'None', True, _DATASETS, None, None, '_StoreAction'),
         (('--max-batch',), 'max_batch', '32', False, None, 'int', None, '_StoreAction'),
@@ -667,4 +665,10 @@ class TestParserSurface:
 
     def test_pin_counts(self):
         assert sum(1 for options in _SURFACE.values() if options) == 18
-        assert sum(len(options) for options in _SURFACE.values()) == 103
+        assert sum(len(options) for options in _SURFACE.values()) == 102
+
+    def test_serve_rejects_the_removed_bench_flag(self, capsys):
+        argv = ["serve", "--artifact", "a", "--dataset", "yale", "--bench"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments: --bench" in capsys.readouterr().err

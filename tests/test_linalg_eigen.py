@@ -60,6 +60,33 @@ class TestEigshSmallest:
         np.testing.assert_allclose(values, np.linalg.eigvalsh(a)[:3], atol=1e-8)
 
 
+class TestLanczosReproducible:
+    """ARPACK starts from a fixed vector, not from OS entropy."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "float32"])
+    def test_two_solves_agree_bit_for_bit(self, backend):
+        from repro.backends import use_backend
+        from repro.graph import sparse_laplacian
+
+        # A ring plus random chords, above the dense cutoff so the
+        # sparse Lanczos path runs.
+        n = 5000
+        assert n > eigen_mod._DENSE_CUTOFF
+        rng = np.random.default_rng(3)
+        ring = np.arange(n)
+        rows = np.concatenate([ring, rng.integers(0, n, 4 * n)])
+        cols = np.concatenate([(ring + 1) % n, rng.integers(0, n, 4 * n)])
+        w = scipy.sparse.csr_array(
+            (rng.uniform(0.1, 1.0, rows.size), (rows, cols)), shape=(n, n)
+        )
+        lap = sparse_laplacian(w + w.T, normalization="symmetric")
+        with use_backend(backend):
+            first = eigsh_smallest(lap, 4)
+            second = eigsh_smallest(lap, 4)
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1].tobytes() == second[1].tobytes()
+
+
 class TestEigshLargest:
     def test_values_descending(self):
         a = _random_symmetric(15, seed=6)

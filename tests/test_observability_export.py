@@ -27,8 +27,8 @@ from repro.observability import (
     last_trace,
     metric_set,
     prometheus_name,
-    render_json,
-    render_prometheus,
+    render_json_snapshot,
+    render_prometheus_snapshot,
     use_trace,
 )
 from repro.observability.metrics import DEFAULT_RESERVOIR_SIZE
@@ -215,12 +215,12 @@ class TestPrometheusRendering:
             "repro_lat_seconds_sum 10\n"
             "repro_lat_seconds_count 4\n"
         )
-        assert render_prometheus(registry) == expected
+        assert render_prometheus_snapshot(registry.snapshot()) == expected
 
     def test_empty_histogram_renders_without_quantiles(self):
         registry = MetricsRegistry()
         registry.histogram("h")
-        text = render_prometheus(registry)
+        text = render_prometheus_snapshot(registry.snapshot())
         assert "quantile" not in text
         assert "repro_h_sum 0\n" in text
         assert "repro_h_count 0\n" in text
@@ -237,14 +237,15 @@ class TestPrometheusRendering:
             r'(\{quantile="[0-9.]+"\})? '
             r"(NaN|[+-]Inf|-?[0-9.e+-]+)$"
         )
-        for line in render_prometheus(registry).strip().splitlines():
+        text = render_prometheus_snapshot(registry.snapshot())
+        for line in text.strip().splitlines():
             if line.startswith("#"):
                 assert re.match(r"^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* \w+$", line)
             else:
                 assert sample.match(line), line
 
     def test_empty_registry_renders_empty(self):
-        assert render_prometheus(MetricsRegistry()) == ""
+        assert render_prometheus_snapshot(MetricsRegistry().snapshot()) == ""
 
 
 class TestJsonRendering:
@@ -253,7 +254,7 @@ class TestJsonRendering:
         registry.counter("calls").inc(2)
         registry.gauge("depth").set(1)
         registry.histogram("empty")  # min/max are NaN -> must become null
-        payload = json.loads(render_json(registry))
+        payload = json.loads(render_json_snapshot(registry.snapshot()))
         assert payload["counters"] == {"calls": 2.0}
         assert payload["gauges"] == {"depth": 1.0}
         assert payload["histograms"]["empty"]["min"] is None

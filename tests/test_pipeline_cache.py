@@ -71,6 +71,18 @@ class TestCacheKey:
         dense_key = cache_key("ns", (np.asarray(sp.todense()),))
         assert cache_key("ns", (sp,)) != dense_key
 
+    def test_key_leaves_an_unsorted_csr_untouched(self):
+        # One row stored as columns [1, 0]: hashing must not reorder it.
+        x = scipy.sparse.csr_array(
+            (np.array([1.0, 2.0]), np.array([1, 0]), np.array([0, 2, 2])),
+            shape=(2, 2),
+        )
+        key = cache_key("ns", (x,))
+        assert x.indices.tolist() == [1, 0]
+        assert x.data.tolist() == [1.0, 2.0]
+        assert not x.has_sorted_indices
+        assert key == cache_key("ns", (x.sorted_indices(),))
+
 
 class TestComputationCache:
     def test_hit_miss_accounting(self):
@@ -325,15 +337,9 @@ class TestTransparency:
         grid = {"lam": [0.5, 1.0], "n_neighbors": [8, 10]}
 
         def build(random_state=0, **params):
-            model = UnifiedMVSC(
+            return UnifiedMVSC(
                 small_dataset.n_clusters, random_state=random_state, **params
             )
-
-            class _Adapter:
-                def fit_predict(self, views):
-                    return model.fit(views).labels
-
-            return _Adapter()
 
         def sweep_scores(**kwargs):
             points = []

@@ -684,6 +684,51 @@ class TestPredictionService:
         assert "serving.batch_size" in trace.metrics.histograms
         assert "serving.queue_depth" in trace.metrics.histograms
 
+    def test_plain_thread_clients_record_in_construction_trace(self):
+        # Plain threads do not carry the constructing context, yet the
+        # submit-side metrics must still reach the construction trace.
+        art = _blob_artifact()
+        sample = [q[0] for q in _queries(art, m=1)]
+        release = threading.Event()
+
+        class _GatedPredictor(Predictor):
+            def predict(self, views, **kwargs):
+                release.wait(10.0)
+                return super().predict(views, **kwargs)
+
+        trace = Trace("plain-clients")
+        with use_trace(trace):
+            service = PredictionService(
+                _GatedPredictor(art), max_batch=1, max_queue=2
+            )
+        outcomes = []
+
+        def client():
+            try:
+                outcomes.append(service.submit(sample))
+            except ServiceOverloadedError:
+                outcomes.append(None)
+
+        threads = [threading.Thread(target=client) for _ in range(8)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            release.set()
+            service.close()
+        accepted = [f for f in outcomes if f is not None]
+        assert all(isinstance(f.result(timeout=0), int) for f in accepted)
+        # The gated worker holds one request and the queue two more.
+        assert 1 <= len(accepted) <= 3
+        metrics = trace.metrics
+        assert metrics.counters["serving.submitted"].value == len(accepted)
+        assert metrics.counters["serving.rejected"].value == 8 - len(accepted)
+        depth = metrics.histograms["serving.queue_depth"]
+        assert depth.count == len(accepted)
+        assert metrics.histograms["serving.batch_size"].count == len(accepted)
+
 
 class TestReplay:
     def test_labels_come_back_in_sample_order(self):

@@ -2,15 +2,15 @@
 
 Covers the service-owned metrics registry (request-latency / queue-wait
 / coalesce histograms, queue-depth gauge), the extended
-:class:`ServiceStats`, the ``telemetry=False`` opt-out, and the
-``/metrics`` / ``/healthz`` / ``/stats`` endpoints served by
-:class:`TelemetryServer` — including a real HTTP round-trip against a
-live service.
+:class:`ServiceStats` read from that registry, and the ``/metrics`` /
+``/healthz`` / ``/stats`` endpoints served by :class:`TelemetryServer`
+— including a real HTTP round-trip against a live service.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -19,6 +19,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.exceptions import ServiceOverloadedError
 from repro.serving import (
     ModelArtifact,
     PredictionService,
@@ -45,6 +46,18 @@ def _blob_artifact(n=40, n_views=2, c=3, seed=0):
         view_weights=rng.uniform(0.5, 1.5, n_views),
         n_clusters=c,
     )
+
+
+class _GatedPredictor(Predictor):
+    """Holds every batched predict until ``release`` is set."""
+
+    def __init__(self, artifact, release):
+        super().__init__(artifact)
+        self.release = release
+
+    def predict(self, views, **kwargs):
+        self.release.wait(10.0)
+        return super().predict(views, **kwargs)
 
 
 def _sample(artifact, seed=1):
@@ -106,16 +119,6 @@ class TestServiceRuntimeTelemetry:
         assert payload["queue_depth"] == 0
         json.dumps(payload)  # strict-JSON ready
 
-    def test_telemetry_off_records_nothing(self):
-        artifact = _blob_artifact()
-        with PredictionService(
-            Predictor(artifact), telemetry=False
-        ) as service:
-            service.predict_one(_sample(artifact))
-            assert service.metrics.histograms == {}
-            assert service.metrics.counters == {}
-            assert service.telemetry_url is None
-
     def test_concurrent_clients_lose_no_counts(self):
         artifact = _blob_artifact()
         n_clients, per_client = 6, 10
@@ -142,6 +145,89 @@ class TestServiceRuntimeTelemetry:
         assert m.counters["serving.completed"].value == total
         assert m.histograms["serving.request_seconds"].count == total
         assert m.histograms["serving.queue_wait_seconds"].count == total
+
+    def test_a_resolved_label_is_already_counted(self):
+        artifact = _blob_artifact()
+        release = threading.Event()
+        seen = []
+        with PredictionService(_GatedPredictor(artifact, release)) as service:
+            future = service.submit(_sample(artifact))
+            # Done-callbacks run inside the worker's set_result.
+            future.add_done_callback(
+                lambda _: seen.append(service.stats().completed)
+            )
+            release.set()
+            future.result(timeout=10.0)
+        assert seen == [1]
+
+    def test_stats_equal_the_registry_after_overloaded_traffic(self):
+        artifact = _blob_artifact()
+        release = threading.Event()
+        n_clients, per_client = 4, 10
+        futures, rejections = [], []
+        lock = threading.Lock()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # The gated worker holds at most 2 requests and the queue 3
+            # more, so the first submits meet backpressure.
+            gated = _GatedPredictor(artifact, release)
+            with PredictionService(
+                gated, max_batch=2, max_queue=3
+            ) as service:
+
+                def client(worker):
+                    for i in range(per_client):
+                        sample = _sample(artifact, seed=worker * 100 + i)
+                        try:
+                            future = service.submit(sample)
+                        except ServiceOverloadedError:
+                            with lock:
+                                rejections.append(worker)
+                        else:
+                            with lock:
+                                futures.append(future)
+
+                threads = [
+                    threading.Thread(target=client, args=(w,))
+                    for w in range(n_clients)
+                ]
+                for t in threads:
+                    t.start()
+                deadline = time.time() + 10.0
+                while not rejections and time.time() < deadline:
+                    time.sleep(0.001)
+                # Batches now complete while clients still submit.
+                release.set()
+                while any(t.is_alive() for t in threads):
+                    snapshot = service.stats()
+                    assert snapshot.completed <= snapshot.submitted
+                    assert time.time() < deadline
+                for t in threads:
+                    t.join(timeout=10.0)
+                    assert not t.is_alive()
+                for future in futures:
+                    future.result(timeout=10.0)
+                # Completions are counted before the futures resolve.
+                assert service.stats().completed == len(futures)
+        finally:
+            sys.setswitchinterval(previous)
+            release.set()
+        stats = service.stats()
+        m = service.metrics
+        sizes = m.histograms["serving.batch_size"]
+        assert rejections
+        assert stats.submitted + stats.rejected == n_clients * per_client
+        assert stats.submitted == m.counters["serving.submitted"].value
+        assert stats.submitted == len(futures)
+        assert stats.rejected == m.counters["serving.rejected"].value
+        assert stats.rejected == len(rejections)
+        assert stats.completed == m.counters["serving.completed"].value
+        assert stats.completed == stats.submitted
+        assert stats.batches == sizes.count
+        assert stats.max_batch_size == sizes.max
+        assert 1 <= stats.max_batch_size <= 2
+        assert stats.mean_batch_size == sizes.total / sizes.count
 
 
 class TestTelemetryEndpoints:
@@ -319,16 +405,12 @@ class TestServiceStatsLatency:
             } <= set(payload)
             json.dumps(payload)  # the /stats endpoint serializes this
 
-    def test_latency_percentiles_none_before_traffic_and_when_off(self):
+    def test_stats_empty_before_traffic(self):
         artifact = _blob_artifact()
         with PredictionService(Predictor(artifact)) as service:
             stats = service.stats()
-            assert stats.latency_p50 is None
-            assert stats.latency_p99 is None
-        with PredictionService(
-            Predictor(artifact), telemetry=False
-        ) as service:
-            service.predict_one(_sample(artifact))
-            stats = service.stats()
-            assert stats.latency_p50 is None
-            assert stats.uptime_seconds > 0.0
+        assert stats.latency_p50 is None
+        assert stats.latency_p99 is None
+        assert (stats.submitted, stats.completed, stats.rejected) == (0, 0, 0)
+        assert (stats.batches, stats.max_batch_size) == (0, 0)
+        assert stats.to_dict()["mean_batch_size"] is None
