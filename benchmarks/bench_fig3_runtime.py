@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.backends import use_backend
 from repro.baselines import AMGL, CoRegSC, KernelAdditionSC
 from repro.core import TwoStageMVSC, UnifiedMVSC
 from repro.datasets import make_multiview_blobs
@@ -104,11 +105,8 @@ def test_backend_smoke_float32_vs_numpy(capsys):
     ref = UnifiedMVSC(ds.n_clusters, random_state=0).fit(ds.views).labels
     ref_s = time.perf_counter() - start
     start = time.perf_counter()
-    alt = (
-        UnifiedMVSC(ds.n_clusters, random_state=0, backend="float32")
-        .fit(ds.views)
-        .labels
-    )
+    with use_backend("float32"):
+        alt = UnifiedMVSC(ds.n_clusters, random_state=0).fit(ds.views).labels
     alt_s = time.perf_counter() - start
     with capsys.disabled():
         print(

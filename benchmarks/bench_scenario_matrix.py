@@ -14,8 +14,9 @@ at two sizes:
 * a ``slow``-marked full pass (default method grid × every registered
   scenario) that prints the paper-style table per metric.
 
-The same quick workload is tracked by the regression gate as the
-``scenario_matrix`` entry of ``repro bench run``.
+The ``scenario_matrix`` entry of ``repro bench run`` times the same
+2 × 3 grid, one run per cell, at a different size: ``n = 70`` under
+``--quick`` and 160 at full size, against ``QUICK_N`` = 90 here.
 """
 
 from __future__ import annotations

@@ -93,9 +93,19 @@ def test_micro_batching_beats_one_at_a_time():
     # Warm both paths.
     _serial_seconds(predictor, samples[:50])
     _service_seconds(predictor, samples[:50])
-    serial_s, serial_labels = _serial_seconds(predictor, samples)
-    service_s, service_labels = _service_seconds(predictor, samples)
-    assert service_labels == serial_labels
+    # N_REPS interleaved pairs, alternating which side runs first, so a
+    # burst of load from elsewhere on the host lands on both sides; the
+    # minimum of each side is its least-disturbed run.
+    times = {_serial_seconds: [], _service_seconds: []}
+    for rep in range(N_REPS):
+        order = list(times) if rep % 2 == 0 else list(times)[::-1]
+        labels = {}
+        for timed in order:
+            seconds, labels[timed] = timed(predictor, samples)
+            times[timed].append(seconds)
+        assert labels[_service_seconds] == labels[_serial_seconds]
+    serial_s = min(times[_serial_seconds])
+    service_s = min(times[_service_seconds])
     assert service_s <= serial_s * REL_BUDGET + ABS_SLACK_SECONDS, (
         f"micro-batched service took {service_s:.3f}s for {N_REQUESTS} "
         f"requests vs {serial_s:.3f}s one-at-a-time; batching must not "

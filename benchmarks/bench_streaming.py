@@ -17,8 +17,11 @@ deterministic drifted stream the scenario factory produces:
 * a ``slow``-marked full pass at larger batches that prints the
   per-batch action/cost table.
 
-The quick workload's wall-clock is tracked by the regression gate as
-the ``streaming`` entry of ``repro bench run``.
+The ``streaming`` entry of ``repro bench run`` times the same protocol
+(a ``confused_pairs`` stream with a mean-shift 4, imbalance 5 drift)
+but not this workload: 4 batches of 70 samples with the drift at batch
+2 under ``--quick``, 8 batches of 150 with the drift at batch 6 at full
+size, and no full-refit comparison.
 """
 
 from __future__ import annotations

@@ -27,13 +27,13 @@ Selection precedence (first match wins)
 ---------------------------------------
 1. an enclosing :class:`use_backend` block (a field of the run
    context, like ``use_trace`` / ``use_cache`` / ``use_policy``; it
-   follows work into ``parallel_map`` workers);
-2. the ``backend=`` parameter on models, the runner, or the CLI
-   ``--backend`` flag (all of which just wrap their work in
-   :class:`use_backend`), and on the predictor (which hands it straight
-   to its kernels);
-3. the ``REPRO_BACKEND`` environment variable;
-4. the ``numpy`` default.
+   follows work into ``parallel_map`` workers and the serving worker).
+   The CLI ``--backend`` flag installs one;
+2. the ``REPRO_BACKEND`` environment variable;
+3. the ``numpy`` default.
+
+Models, the predictor and the experiment harness take no backend
+parameter: the run context is the one place it is chosen.
 
 Backend identity flows into computation-cache keys (a float32 result
 never satisfies a float64 lookup), trace span attributes, and the bench
@@ -121,7 +121,7 @@ def use_backend(backend: str | ArrayBackend | None) -> scoped:
     registered name or an :class:`ArrayBackend` instance; nesting works,
     and the innermost block wins (which is how explicit test pins
     override a CI-wide ``REPRO_BACKEND``).  ``None`` keeps the ambient
-    backend, which is what every ``backend=None`` parameter means.
+    backend.
 
     Examples
     --------

@@ -771,14 +771,10 @@ def _cmd_save(args, out) -> int:
 def _cmd_predict(args, out) -> int:
     from repro.metrics.report import evaluate_clustering
 
-    predictor = Predictor.load(
-        args.artifact,
-        batch_size=args.batch_size,
-        n_jobs=args.jobs,
-        backend=args.backend,
-    )
+    predictor = Predictor.load(args.artifact, batch_size=args.batch_size)
     dataset = load_benchmark(args.dataset)
-    labels = predictor.predict(dataset.views)
+    with _pipeline_context(args):
+        labels = predictor.predict(dataset.views)
     counts = np.bincount(labels, minlength=predictor.artifact.n_clusters)
     print(f"{predictor!r}", file=out)
     print(f"predicted {labels.shape[0]} samples from {args.dataset}", file=out)
@@ -800,7 +796,7 @@ def _cmd_serve(args, out) -> int:
 
     if args.requests < 1:
         raise ValidationError(f"--requests must be >= 1, got {args.requests}")
-    predictor = Predictor.load(args.artifact, backend=args.backend)
+    predictor = Predictor.load(args.artifact)
     dataset = load_benchmark(args.dataset)
     n = dataset.n_samples
     n_requests = args.requests
@@ -808,29 +804,33 @@ def _cmd_serve(args, out) -> int:
         [v[i % n] for v in dataset.views] for i in range(n_requests)
     ]
 
-    tick = time.perf_counter()
-    serial = [
-        int(predictor.predict([row[None, :] for row in s])[0]) for s in samples
-    ]
-    serial_seconds = time.perf_counter() - tick
-
-    with PredictionService(
-        predictor,
-        max_batch=args.max_batch,
-        max_latency_ms=args.max_latency_ms,
-        max_queue=max(1024, n_requests),
-        telemetry_port=args.telemetry_port,
-    ) as service:
-        if service.telemetry_url is not None:
-            print(
-                f"telemetry: {service.telemetry_url} "
-                f"(/metrics /healthz /stats)",
-                file=out,
-            )
+    # The replay runs under the --backend flag; the service worker
+    # inherits it with the rest of the run context.
+    with _pipeline_context(args):
         tick = time.perf_counter()
-        results = replay(service, samples, clients=args.clients)
-        batched_seconds = time.perf_counter() - tick
-        stats = service.stats()
+        serial = [
+            int(predictor.predict([row[None, :] for row in s])[0])
+            for s in samples
+        ]
+        serial_seconds = time.perf_counter() - tick
+
+        with PredictionService(
+            predictor,
+            max_batch=args.max_batch,
+            max_latency_ms=args.max_latency_ms,
+            max_queue=max(1024, n_requests),
+            telemetry_port=args.telemetry_port,
+        ) as service:
+            if service.telemetry_url is not None:
+                print(
+                    f"telemetry: {service.telemetry_url} "
+                    f"(/metrics /healthz /stats)",
+                    file=out,
+                )
+            tick = time.perf_counter()
+            results = replay(service, samples, clients=args.clients)
+            batched_seconds = time.perf_counter() - tick
+            stats = service.stats()
 
     latency = service.metrics.histograms.get("serving.request_seconds")
     mismatches = sum(1 for a, b in zip(results, serial) if a != b)

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.backends import current_backend, get_backend, use_backend
+from repro.backends import current_backend
 from repro.core.alternation import SITE_FIT, alternate, fit_start
 from repro.core.config import check_solver_params
 from repro.core.discrete import indicator_coordinate_descent, scaled_indicator
@@ -186,16 +186,6 @@ class AnchorMVSC(ServableModelMixin):
         Outer (embedding / rotation / assignment / weights) alternations.
     n_restarts : int
         Rotation-initialization restarts.
-    n_jobs : int or None
-        Worker threads for per-view anchor-graph construction; ``None``
-        defers to the ambient :func:`repro.pipeline.parallel.use_jobs`
-        default (serial).  Anchor *selection* stays serial (it consumes
-        the shared random generator), so results are identical for any
-        value.
-    backend : str or None
-        Compute backend for the hot kernels during :meth:`fit_predict`
-        (see :mod:`repro.backends`); ``None`` defers to the ambient
-        backend.
     random_state : int, Generator, or None
     callbacks : sequence of FitCallback, optional
         Listeners receiving one :class:`~repro.observability.events.
@@ -244,8 +234,6 @@ class AnchorMVSC(ServableModelMixin):
         weighting: str = "exponential",
         max_iter: int = 10,
         n_restarts: int = 10,
-        n_jobs: int | None = None,
-        backend: str | None = None,
         random_state=None,
         callbacks=(),
     ) -> None:
@@ -266,8 +254,6 @@ class AnchorMVSC(ServableModelMixin):
         self.weighting = weighting
         self.max_iter = int(max_iter)
         self.n_restarts = int(n_restarts)
-        self.n_jobs = n_jobs
-        self.backend = None if backend is None else get_backend(backend).name
         self.random_state = random_state
         self.callbacks = tuple(callbacks)
         self._stream: dict | None = None
@@ -300,7 +286,7 @@ class AnchorMVSC(ServableModelMixin):
         Runs under the unified failure guard: only
         :class:`~repro.exceptions.ReproError` subclasses can escape.
         """
-        with use_backend(self.backend), failure_guard(SITE_FIT):
+        with failure_guard(SITE_FIT):
             maybe_inject(SITE_FIT)
             return self._fit_predict(views)
 
@@ -348,7 +334,6 @@ class AnchorMVSC(ServableModelMixin):
                 namespace="anchor_assignment",
                 key_arrays=lambda pair: pair,
                 key_params={"k": int(self.n_anchor_neighbors)},
-                n_jobs=self.n_jobs,
             )
             rep = _AnchorFactors(
                 _AnchorStats.of(anchor_sets, assignments),
@@ -493,7 +478,7 @@ class AnchorMVSC(ServableModelMixin):
         iters = DEFAULT_REFINE_ITERS if refine_iters is None else int(refine_iters)
         if iters < 1:
             raise ValidationError(f"refine_iters must be >= 1, got {iters}")
-        with use_backend(self.backend), failure_guard(_SITE_PARTIAL):
+        with failure_guard(_SITE_PARTIAL):
             views_new = self._check_stream_batch(views)
             union = self._stream["views"].append(views_new)
             metric_inc("streaming.partial_fit.calls")
@@ -576,7 +561,7 @@ class AnchorMVSC(ServableModelMixin):
         current labels.  Runs under the ``streaming.refit`` fault site.
         """
         state = self._require_stream("partial_refit")
-        with use_backend(self.backend), failure_guard(_SITE_REFIT):
+        with failure_guard(_SITE_REFIT):
             metric_inc("streaming.partial_refit.calls")
             result = run_with_policy(
                 _SITE_REFIT, lambda perturb: self._partial_refit_body()
@@ -609,7 +594,7 @@ class AnchorMVSC(ServableModelMixin):
         refit).  Runs under the ``streaming.refit`` fault site.
         """
         state = self._require_stream("refit")
-        with use_backend(self.backend), failure_guard(_SITE_REFIT):
+        with failure_guard(_SITE_REFIT):
             metric_inc("streaming.refit.calls")
             views = state["views"].joined()
             backend = current_backend()

@@ -15,15 +15,15 @@ GRAPH_KINDS = ("auto", "self_tuning", "gaussian", "cosine", "adaptive")
 
 
 def check_solver_params(
-    n_clusters, *, max_iter, weighting, gamma, n_restarts=1, block=1, **counts
+    n_clusters, *, max_iter, weighting, gamma, n_restarts=1, **counts
 ) -> None:
     """Validate the hyperparameters every alternating solver shares.
 
-    ``counts`` holds the solver's neighbour counts by name; they, the
-    cluster/iteration/restart counts and ``block`` must all be >= 1.
+    ``counts`` holds the solver's neighbour counts by name; they and the
+    cluster/iteration/restart counts must all be >= 1.
     """
     named = {"n_clusters": n_clusters, "max_iter": max_iter}
-    named.update(n_restarts=n_restarts, block=block, **counts)
+    named.update(n_restarts=n_restarts, **counts)
     for name, value in named.items():
         if value < 1:
             raise ValidationError(f"{name} must be >= 1, got {value}")
@@ -70,20 +70,11 @@ class UMSCConfig:
         Inner GPI iteration cap for the embedding update.
     gpi_tol : float
         Inner GPI tolerance.
-    n_jobs : int or None
-        Worker threads for per-view graph construction; ``None`` defers
-        to the ambient default of
-        :func:`repro.pipeline.parallel.use_jobs` (serial unless
-        installed), ``-1`` uses every CPU.  Results are identical for
-        any value.
-    backend : str or None
-        Compute backend for the hot kernels (``"numpy"`` or
-        ``"float32"``; see :mod:`repro.backends`).  ``None`` (default)
-        defers to the ambient backend (an enclosing
-        :class:`~repro.backends.use_backend` block, the
-        ``REPRO_BACKEND`` environment variable, or the ``numpy``
-        default).  The numpy backend is bit-identical to earlier
-        releases; alternates carry a documented tolerance.
+
+    Execution settings (backend, worker count, cache) are not
+    hyperparameters: they come from the run context
+    (:mod:`repro.context`) and never change a result beyond a
+    backend's documented tolerance.
     """
 
     n_clusters: int
@@ -97,8 +88,6 @@ class UMSCConfig:
     tol: float = 1e-6
     gpi_max_iter: int = 50
     gpi_tol: float = 1e-8
-    n_jobs: int | None = None
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         check_solver_params(
@@ -124,14 +113,6 @@ class UMSCConfig:
             raise ValidationError(
                 f"gpi_max_iter must be >= 1, got {self.gpi_max_iter}"
             )
-        if self.n_jobs is not None and self.n_jobs != -1 and self.n_jobs < 1:
-            raise ValidationError(
-                f"n_jobs must be None, -1, or >= 1, got {self.n_jobs}"
-            )
-        if self.backend is not None:
-            from repro.backends import get_backend
-
-            get_backend(self.backend)  # unknown names raise eagerly
 
 
 #: Drift-ladder actions a streaming model can take between batches.

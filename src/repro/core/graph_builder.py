@@ -48,7 +48,6 @@ def build_multiview_affinities(
     *,
     kind: str = "auto",
     n_neighbors: int = 10,
-    n_jobs: int | None = None,
 ) -> list[np.ndarray]:
     """One symmetric non-negative affinity per view.
 
@@ -61,10 +60,9 @@ def build_multiview_affinities(
         (text) and self-tuning Gaussian otherwise.
     n_neighbors : int
         k-NN sparsification / local scaling parameter.
-    n_jobs : int, optional
-        Worker threads for the per-view builds; ``None`` defers to the
-        ambient default of :func:`repro.pipeline.parallel.use_jobs`
-        (serial unless installed), ``-1`` uses every CPU.
+
+    The per-view builds run on the run context's worker count
+    (:func:`repro.pipeline.parallel.use_jobs`; serial unless installed).
 
     Returns
     -------
@@ -91,7 +89,6 @@ def build_multiview_affinities(
         namespace="affinity",
         key_arrays=lambda task: (task[1],),
         key_params=lambda task: {"kind": task[2], "k": int(n_neighbors)},
-        n_jobs=n_jobs,
     )
 
 
@@ -99,7 +96,6 @@ def build_laplacians(
     affinities,
     *,
     normalization: str = "symmetric",
-    n_jobs: int | None = None,
 ) -> list[np.ndarray]:
     """One graph Laplacian per affinity (cached and parallel like the
     affinity builder)."""
@@ -109,5 +105,4 @@ def build_laplacians(
         namespace="laplacian",
         key_arrays=lambda w: (w,),
         key_params={"normalization": normalization},
-        n_jobs=n_jobs,
     )

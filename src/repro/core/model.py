@@ -39,7 +39,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from repro.backends import use_backend
 from repro.cluster.labels import indicator_from_labels
 from repro.core.alternation import SITE_FIT, alternate, fit_start
 from repro.core.config import UMSCConfig
@@ -107,18 +106,6 @@ class UnifiedMVSC(ServableModelMixin):
     n_restarts : int
         Random-rotation restarts in the initialization (the K-means-free
         analogue of discretization restarts).
-    n_jobs : int or None
-        Worker threads for per-view graph construction in :meth:`fit`;
-        ``None`` defers to the ambient
-        :func:`repro.pipeline.parallel.use_jobs` default (serial),
-        ``-1`` uses every CPU.  Labels are bit-identical for any value.
-    backend : str or None
-        Compute backend for the hot kernels during :meth:`fit` /
-        :meth:`fit_affinities` (``"numpy"`` or ``"float32"``; see
-        :mod:`repro.backends`).  ``None`` defers to the
-        ambient backend.  The default numpy backend is bit-identical to
-        earlier releases; alternates trade a documented tolerance for
-        speed/memory.
     random_state : int, Generator, or None
         Seeds the rotation initialization (the only stochastic step).
     callbacks : sequence of FitCallback, optional
@@ -153,8 +140,6 @@ class UnifiedMVSC(ServableModelMixin):
         gpi_max_iter: int = 50,
         gpi_tol: float = 1e-8,
         n_restarts: int = 10,
-        n_jobs: int | None = None,
-        backend: str | None = None,
         random_state=None,
         callbacks=(),
     ) -> None:
@@ -170,8 +155,6 @@ class UnifiedMVSC(ServableModelMixin):
             tol=tol,
             gpi_max_iter=gpi_max_iter,
             gpi_tol=gpi_tol,
-            n_jobs=n_jobs,
-            backend=backend,
         )
         # UMSCConfig checked every other hyperparameter.
         if n_restarts < 1:
@@ -208,14 +191,10 @@ class UnifiedMVSC(ServableModelMixin):
             Per-view feature matrices sharing rows.
         """
         cfg = self.config
-        with use_backend(cfg.backend), collect_recoveries(), \
-                failure_guard(SITE_FIT):
+        with collect_recoveries(), failure_guard(SITE_FIT):
             with span("graph_build", kind=cfg.graph, n_views=len(views)):
                 affinities = build_multiview_affinities(
-                    views,
-                    kind=cfg.graph,
-                    n_neighbors=cfg.n_neighbors,
-                    n_jobs=cfg.n_jobs,
+                    views, kind=cfg.graph, n_neighbors=cfg.n_neighbors
                 )
             result = self.fit_affinities(affinities)
         self._remember_fit(
@@ -249,9 +228,7 @@ class UnifiedMVSC(ServableModelMixin):
             numpy/scipy exception never escapes.  Recovery actions taken
             along the way are recorded on ``result.diagnostics.recoveries``.
         """
-        with use_backend(self.config.backend), \
-                collect_recoveries() as recoveries, \
-                failure_guard(SITE_FIT):
+        with collect_recoveries() as recoveries, failure_guard(SITE_FIT):
             maybe_inject(SITE_FIT)
             return self._fit_affinities(affinities, recoveries)
 
@@ -353,7 +330,7 @@ class _DenseAffinities:
         if on_start is not None:
             on_start(n, n_views)
         with span("view_laplacians", n_views=n_views):
-            laplacians = build_laplacians(affinities, n_jobs=config.n_jobs)
+            laplacians = build_laplacians(affinities)
         bases = []
         if config.consensus > 0:
             with span("view_bases", n_views=n_views, k=c):

@@ -116,7 +116,6 @@ class ServableModelMixin:
         directory,
         *,
         batch_size: int = 4096,
-        n_jobs: int | None = None,
     ) -> Predictor:
         """Load a saved artifact as a :class:`Predictor`.
 
@@ -137,4 +136,4 @@ class ServableModelMixin:
                 f"{artifact.model_class}.load() or the class-agnostic "
                 f"Predictor.load()"
             )
-        return Predictor(artifact, batch_size=batch_size, n_jobs=n_jobs)
+        return Predictor(artifact, batch_size=batch_size)

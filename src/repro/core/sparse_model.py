@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from repro.backends import get_backend, use_backend
 from repro.core.alternation import SITE_FIT, alternate, fit_start
 from repro.core.config import check_solver_params
 from repro.core.objective import spectral_costs
@@ -26,6 +25,7 @@ from repro.core.persistence import ServableModelMixin
 from repro.core.weights import fusion_multipliers, weighted_sum
 from repro.exceptions import ValidationError
 from repro.graph.sparse import (
+    QUERY_BLOCK,
     _stored_degrees,
     _symmetric_laplacian,
     _union_pattern,
@@ -58,16 +58,6 @@ class SparseMVSC(ServableModelMixin):
         Outer alternations.
     n_restarts : int
         Rotation-initialization restarts.
-    block : int
-        Query block size for graph construction (memory knob).
-    n_jobs : int or None
-        Worker threads for per-view graph construction; ``None`` defers
-        to the ambient :func:`repro.pipeline.parallel.use_jobs` default
-        (serial).  Results are identical for any value.
-    backend : str or None
-        Compute backend for the hot kernels during :meth:`fit_predict`
-        (see :mod:`repro.backends`); ``None`` defers to the ambient
-        backend.
     random_state : int, Generator, or None
     callbacks : sequence of FitCallback, optional
         Listeners receiving one :class:`~repro.observability.events.
@@ -84,9 +74,6 @@ class SparseMVSC(ServableModelMixin):
         weighting: str = "exponential",
         max_iter: int = 10,
         n_restarts: int = 10,
-        block: int = 512,
-        n_jobs: int | None = None,
-        backend: str | None = None,
         random_state=None,
         callbacks=(),
     ) -> None:
@@ -96,7 +83,6 @@ class SparseMVSC(ServableModelMixin):
             weighting=weighting,
             gamma=gamma,
             n_restarts=n_restarts,
-            block=block,
             n_neighbors=n_neighbors,
         )
         self.n_clusters = int(n_clusters)
@@ -105,9 +91,6 @@ class SparseMVSC(ServableModelMixin):
         self.weighting = weighting
         self.max_iter = int(max_iter)
         self.n_restarts = int(n_restarts)
-        self.block = int(block)
-        self.n_jobs = n_jobs
-        self.backend = None if backend is None else get_backend(backend).name
         self.random_state = random_state
         self.callbacks = tuple(callbacks)
 
@@ -116,7 +99,7 @@ class SparseMVSC(ServableModelMixin):
             f"{type(self).__name__}(n_clusters={self.n_clusters}, "
             f"n_neighbors={self.n_neighbors}, gamma={self.gamma}, "
             f"weighting={self.weighting!r}, max_iter={self.max_iter}, "
-            f"n_restarts={self.n_restarts}, block={self.block})"
+            f"n_restarts={self.n_restarts})"
         )
 
     def _serving_config(self) -> dict:
@@ -127,7 +110,6 @@ class SparseMVSC(ServableModelMixin):
             "weighting": self.weighting,
             "max_iter": self.max_iter,
             "n_restarts": self.n_restarts,
-            "block": self.block,
         }
 
     def fit_predict(self, views) -> np.ndarray:
@@ -136,7 +118,7 @@ class SparseMVSC(ServableModelMixin):
         Runs under the unified failure guard: only
         :class:`~repro.exceptions.ReproError` subclasses can escape.
         """
-        with use_backend(self.backend), failure_guard(SITE_FIT):
+        with failure_guard(SITE_FIT):
             maybe_inject(SITE_FIT)
             return self._fit_predict(views)
 
@@ -153,23 +135,18 @@ class SparseMVSC(ServableModelMixin):
         with span("graph_build", n_views=len(views), k=self.n_neighbors):
             affinities = memoized_parallel(
                 views,
-                lambda x: sparse_knn_affinity(
-                    x, k=self.n_neighbors, block=self.block
-                ),
+                lambda x: sparse_knn_affinity(x, k=self.n_neighbors),
                 namespace="sparse_affinity",
                 key_arrays=lambda x: (x,),
-                key_params={
-                    "k": int(self.n_neighbors),
-                    "block": int(self.block),
-                },
-                n_jobs=self.n_jobs,
+                # ``block`` stays in the key so on-disk entries written
+                # by earlier releases keep their addresses.
+                key_params={"k": int(self.n_neighbors), "block": QUERY_BLOCK},
             )
             laplacians = memoized_parallel(
                 affinities,
                 sparse_laplacian,
                 namespace="sparse_laplacian",
                 key_arrays=lambda w: (w,),
-                n_jobs=self.n_jobs,
             )
         n_views = len(affinities)
         run = alternate(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from repro.core.model import UnifiedMVSC
 from repro.datasets.container import MultiViewDataset
 from repro.evaluation.sweeps import grid_sweep
+from repro.pipeline.cache import ComputationCache, current_cache, use_cache
 
 
 @dataclass(frozen=True)
@@ -97,16 +98,15 @@ def tune_umsc(
     grid: dict | None = None,
     metric: str = "acc",
     random_state: int = 0,
-    cache=True,
-    n_jobs: int | None = None,
 ):
     """Re-run the grid search behind :data:`RECOMMENDED`.
 
     Grid points share one
-    :class:`~repro.pipeline.cache.ComputationCache` by default (pass
-    ``cache=None`` to disable), so the per-view graphs and spectral
-    bases — identical across points that only vary solver parameters —
-    are computed once; the selected configuration is unchanged.
+    :class:`~repro.pipeline.cache.ComputationCache`: the ambient one, or
+    a fresh in-memory one when no :func:`~repro.pipeline.cache.use_cache`
+    block is active.  So the per-view graphs and spectral bases —
+    identical across points that only vary solver parameters — are
+    computed once; the selected configuration is unchanged.
 
     Returns the full :class:`~repro.evaluation.sweeps.SweepResult`; its
     ``best(metric)`` point is the recommended configuration.
@@ -117,12 +117,12 @@ def tune_umsc(
             dataset.n_clusters, random_state=random_state, **params
         )
 
-    return grid_sweep(
-        dataset,
-        build,
-        grid or DEFAULT_GRID,
-        metrics=(metric,),
-        random_state=random_state,
-        cache=cache,
-        n_jobs=n_jobs,
-    )
+    cache = current_cache()
+    with use_cache(ComputationCache() if cache is None else cache):
+        return grid_sweep(
+            dataset,
+            build,
+            grid or DEFAULT_GRID,
+            metrics=(metric,),
+            random_state=random_state,
+        )

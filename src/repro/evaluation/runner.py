@@ -24,10 +24,6 @@ from repro.evaluation.registry import MethodSpec, default_method_registry
 from repro.exceptions import ValidationError
 from repro.metrics import METRICS, evaluate_clustering
 from repro.observability.trace import Trace, use_trace
-from repro.backends import get_backend
-from repro.context import scoped
-from repro.pipeline.cache import ComputationCache
-from repro.pipeline.parallel import resolve_jobs
 from repro.robust.faults import maybe_inject, register_fault_site
 from repro.robust.policy import failure_guard
 from repro.utils.rng import spawn_seeds
@@ -132,9 +128,6 @@ def run_experiment(
     metrics=("acc", "nmi", "purity"),
     base_seed: int = 0,
     collect_phases: bool = True,
-    cache: "ComputationCache | bool | None" = None,
-    n_jobs: int | None = None,
-    backend: str | None = None,
 ) -> dict:
     """Run every requested method ``n_runs`` times on one dataset.
 
@@ -154,18 +147,12 @@ def run_experiment(
         Run every fit inside a fresh trace and aggregate the per-phase
         timing breakdown into ``MethodScores.phase_seconds`` (negligible
         overhead; results are unaffected by tracing).
-    cache : ComputationCache, True, or None
-        Share graph/Laplacian/eigen computations across the repeated
-        runs through a :class:`~repro.pipeline.cache.ComputationCache`
-        (``True`` creates a fresh in-memory one).  The per-view graphs
-        depend on the data, never on the seed, so every run after the
-        first reuses them; scores are bit-identical either way.
-    n_jobs : int, optional
-        Ambient worker-thread count for per-view graph construction
-        during the runs (see :func:`repro.pipeline.parallel.use_jobs`).
-    backend : str, optional
-        Compute backend installed for the whole experiment (see
-        :mod:`repro.backends`); ``None`` defers to the ambient backend.
+
+    The runs execute under the caller's run context: its backend, job
+    count and cache (:mod:`repro.context`).  Under a
+    :func:`~repro.pipeline.cache.use_cache` block every run after the
+    first reuses the per-view graphs (they depend on the data, never on
+    the seed); scores are bit-identical either way.
 
     Returns
     -------
@@ -186,41 +173,35 @@ def run_experiment(
         )
 
     seeds = spawn_seeds(base_seed, n_runs)
-    if cache is True:
-        cache = ComputationCache()
-    resolve_jobs(n_jobs)  # validate eagerly
-    if backend is not None:
-        backend = get_backend(backend)
     results: dict[str, MethodScores] = {}
-    with scoped(backend=backend, cache=cache, jobs=n_jobs):
-        for name in methods:
-            spec = registry[name]
-            per_metric: dict[str, list] = {m: [] for m in metrics}
-            times: list[float] = []
-            phase_runs: list[dict] = []
-            for seed in seeds:
-                trace = (
-                    Trace(f"{name}:{dataset.name}") if collect_phases else None
-                )
-                run_scores, elapsed = run_method_once(
-                    spec, dataset, seed, metrics=metrics, trace=trace
-                )
-                for m in metrics:
-                    per_metric[m].append(run_scores[m])
-                times.append(elapsed)
-                if trace is not None:
-                    phase_runs.append(trace.phase_totals())
-            results[name] = MethodScores(
-                method=name,
-                dataset=dataset.name,
-                scores={
-                    m: AggregatedScore.from_values(vals)
-                    for m, vals in per_metric.items()
-                },
-                seconds=AggregatedScore.from_values(times),
-                n_runs=n_runs,
-                phase_seconds=_aggregate_phases(phase_runs),
+    for name in methods:
+        spec = registry[name]
+        per_metric: dict[str, list] = {m: [] for m in metrics}
+        times: list[float] = []
+        phase_runs: list[dict] = []
+        for seed in seeds:
+            trace = (
+                Trace(f"{name}:{dataset.name}") if collect_phases else None
             )
+            run_scores, elapsed = run_method_once(
+                spec, dataset, seed, metrics=metrics, trace=trace
+            )
+            for m in metrics:
+                per_metric[m].append(run_scores[m])
+            times.append(elapsed)
+            if trace is not None:
+                phase_runs.append(trace.phase_totals())
+        results[name] = MethodScores(
+            method=name,
+            dataset=dataset.name,
+            scores={
+                m: AggregatedScore.from_values(vals)
+                for m, vals in per_metric.items()
+            },
+            seconds=AggregatedScore.from_values(times),
+            n_runs=n_runs,
+            phase_seconds=_aggregate_phases(phase_runs),
+        )
     return results
 
 

@@ -6,13 +6,10 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-from repro.context import scoped
 from repro.datasets.container import MultiViewDataset
 from repro.exceptions import ValidationError
 from repro.metrics import evaluate_clustering
 from repro.observability.trace import Trace, use_trace
-from repro.pipeline.cache import ComputationCache
-from repro.pipeline.parallel import resolve_jobs
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,6 @@ def grid_sweep(
     *,
     metrics=("acc", "nmi", "purity"),
     random_state: int = 0,
-    cache: "ComputationCache | bool | None" = None,
-    n_jobs: int | None = None,
 ) -> SweepResult:
     """Evaluate a model builder over a parameter grid.
 
@@ -75,15 +70,11 @@ def grid_sweep(
         Metrics to record at each point.
     random_state : int
         Shared seed so grid points differ only in the parameters.
-    cache : ComputationCache, True, or None
-        Share graph/Laplacian/eigen computations across grid points
-        through a :class:`~repro.pipeline.cache.ComputationCache`
-        (``True`` creates a fresh in-memory one).  Grid points that vary
-        only in solver parameters reuse the same per-view graphs; scores
-        are bit-identical either way.
-    n_jobs : int, optional
-        Ambient worker-thread count for per-view graph construction
-        during the sweep (see :func:`repro.pipeline.parallel.use_jobs`).
+
+    The points run under the caller's run context (:mod:`repro.context`).
+    Under a :func:`~repro.pipeline.cache.use_cache` block, grid points
+    that vary only in solver parameters reuse the same per-view graphs;
+    scores are bit-identical either way.
 
     Returns
     -------
@@ -92,28 +83,24 @@ def grid_sweep(
     if not grid:
         raise ValidationError("grid must contain at least one parameter")
     names = list(grid)
-    if cache is True:
-        cache = ComputationCache()
-    resolve_jobs(n_jobs)  # validate eagerly
     result = SweepResult(dataset=dataset.name)
-    with scoped(cache=cache, jobs=n_jobs):
-        for combo in itertools.product(*(grid[name] for name in names)):
-            params = dict(zip(names, combo))
-            model = build(random_state=random_state, **params)
-            trace = Trace(f"sweep:{dataset.name}")
-            start = time.perf_counter()
-            with use_trace(trace):
-                labels = model.fit_predict(dataset.views)
-            elapsed = time.perf_counter() - start
-            scores = evaluate_clustering(
-                dataset.labels, labels, metrics=tuple(metrics)
+    for combo in itertools.product(*(grid[name] for name in names)):
+        params = dict(zip(names, combo))
+        model = build(random_state=random_state, **params)
+        trace = Trace(f"sweep:{dataset.name}")
+        start = time.perf_counter()
+        with use_trace(trace):
+            labels = model.fit_predict(dataset.views)
+        elapsed = time.perf_counter() - start
+        scores = evaluate_clustering(
+            dataset.labels, labels, metrics=tuple(metrics)
+        )
+        result.points.append(
+            SweepPoint(
+                params=params,
+                scores=scores,
+                seconds=elapsed,
+                phase_seconds=trace.phase_totals(),
             )
-            result.points.append(
-                SweepPoint(
-                    params=params,
-                    scores=scores,
-                    seconds=elapsed,
-                    phase_seconds=trace.phase_totals(),
-                )
-            )
+        )
     return result

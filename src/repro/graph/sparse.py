@@ -28,6 +28,10 @@ from repro.graph.laplacian import _inverse_or_zero
 from repro.linalg.eigen import eigsh_smallest
 from repro.utils.validation import check_matrix
 
+#: Default query block of :func:`sparse_knn_affinity` (rows per distance
+#: kernel call; bounds peak memory, never changes a value).
+QUERY_BLOCK = 512
+
 
 def _blockwise_knn(x: np.ndarray, k: int, block: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices/squared-distances of each row's k nearest neighbors.
@@ -58,7 +62,7 @@ def sparse_knn_affinity(
     *,
     k: int = 10,
     scale_rank: int = 7,
-    block: int = 512,
+    block: int = QUERY_BLOCK,
 ) -> scipy.sparse.csr_matrix:
     """Self-tuning k-NN affinity as a symmetric CSR matrix.
 

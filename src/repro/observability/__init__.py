@@ -120,7 +120,6 @@ from repro.observability.trace import (
     current_request_id,
     current_trace,
     hot_span,
-    last_trace,
     metric_inc,
     metric_observe,
     metric_set,
@@ -166,7 +165,6 @@ __all__ = [
     "evaluate_rules",
     "hot_span",
     "hotspot_summary",
-    "last_trace",
     "load_rules",
     "load_trace",
     "metric_inc",

@@ -5,11 +5,10 @@ histograms, trace files — but nothing judges them.  This module turns a
 :meth:`~repro.observability.metrics.MetricsRegistry.snapshot` (or the
 snapshot embedded in a saved JSONL trace) into a verdict:
 
-* :class:`HealthRule` — one declarative rule.  Four kinds:
+* :class:`HealthRule` — one declarative rule.  Three kinds:
   ``threshold`` (a metric against min/max bounds), ``ratio`` (two
-  metrics divided, e.g. rejected/submitted), ``rate_of_change`` (the
-  delta against the previous snapshot, for live monitors), and
-  ``absence`` (fail when an expected metric never appeared).
+  metrics divided, e.g. rejected/submitted), and ``absence`` (fail when
+  an expected metric never appeared).
 * :func:`evaluate_rules` — evaluate a rule list against one snapshot,
   returning a :class:`HealthReport` (per-rule
   :class:`RuleResult` rows with ``ok`` / ``failing`` / ``skipped``
@@ -22,10 +21,9 @@ snapshot embedded in a saved JSONL trace) into a verdict:
   read the ``health.*`` gauges this module's probe helpers publish from
   inside the solvers (see :func:`weight_entropy` and the call sites in
   :mod:`repro.core.model` / :mod:`repro.core.anchor_model`).
-* :class:`HealthMonitor` — a live wrapper holding the previous snapshot
-  so ``rate_of_change`` rules work; the serving ``/healthz`` endpoint
-  evaluates one per request and flips readiness (HTTP 503) when a
-  *critical* rule fails.
+* :class:`HealthMonitor` — a live wrapper binding a rule list to one
+  registry; the serving ``/healthz`` endpoint evaluates one per request
+  and flips readiness (HTTP 503) when a *critical* rule fails.
 * :func:`load_rules` / :func:`rules_to_dicts` — JSON persistence for
   custom packs (``repro health check --rules FILE``).
 
@@ -61,7 +59,6 @@ False
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +66,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 
 #: Rule kinds the engine understands.
-RULE_KINDS = ("threshold", "ratio", "rate_of_change", "absence")
+RULE_KINDS = ("threshold", "ratio", "absence")
 
 #: Rule severities; ``critical`` failures flip serving readiness and the
 #: ``repro health check`` exit code, ``warning`` failures only report.
@@ -150,7 +147,7 @@ class HealthRule:
     ----------
     name : str
         Stable identifier (shows up in ``/healthz`` bodies and CLI rows).
-    kind : {"threshold", "ratio", "rate_of_change", "absence"}
+    kind : {"threshold", "ratio", "absence"}
         How ``selector`` is turned into the judged value.
     selector : str
         Metric selector (the ratio numerator for ``kind="ratio"``).
@@ -301,14 +298,8 @@ def _judge(rule: HealthRule, value: float) -> RuleResult:
     return RuleResult(rule, "ok", value)
 
 
-def evaluate_rule(
-    rule: HealthRule, snapshot: dict, *, previous: dict | None = None
-) -> RuleResult:
-    """Evaluate one rule against one snapshot.
-
-    ``previous`` is the prior snapshot for ``rate_of_change`` rules
-    (live monitors keep one); without it those rules report ``skipped``.
-    """
+def evaluate_rule(rule: HealthRule, snapshot: dict) -> RuleResult:
+    """Evaluate one rule against one snapshot."""
     if rule.kind == "absence":
         value = resolve_metric(snapshot, rule.selector)
         if value is None:
@@ -322,32 +313,18 @@ def evaluate_rule(
         if value is None:
             return RuleResult(rule, "skipped", None, "metric absent")
         return _judge(rule, value)
-    if rule.kind == "ratio":
-        denominator = resolve_metric(snapshot, rule.denominator)
-        if denominator is None or denominator <= 0:
-            return RuleResult(
-                rule, "skipped", None, "denominator absent or zero"
-            )
-        numerator = resolve_metric(snapshot, rule.selector)
-        return _judge(rule, (numerator or 0.0) / denominator)
-    # rate_of_change
-    if previous is None:
-        return RuleResult(rule, "skipped", None, "no previous snapshot")
-    current_v = resolve_metric(snapshot, rule.selector)
-    previous_v = resolve_metric(previous, rule.selector)
-    if current_v is None or previous_v is None:
-        return RuleResult(rule, "skipped", None, "metric absent")
-    return _judge(rule, current_v - previous_v)
+    # ratio
+    denominator = resolve_metric(snapshot, rule.denominator)
+    if denominator is None or denominator <= 0:
+        return RuleResult(rule, "skipped", None, "denominator absent or zero")
+    numerator = resolve_metric(snapshot, rule.selector)
+    return _judge(rule, (numerator or 0.0) / denominator)
 
 
-def evaluate_rules(
-    rules, snapshot: dict, *, previous: dict | None = None
-) -> HealthReport:
+def evaluate_rules(rules, snapshot: dict) -> HealthReport:
     """Evaluate every rule against ``snapshot``; see :func:`evaluate_rule`."""
     return HealthReport(
-        results=[
-            evaluate_rule(rule, snapshot, previous=previous) for rule in rules
-        ]
+        results=[evaluate_rule(rule, snapshot) for rule in rules]
     )
 
 
@@ -472,26 +449,20 @@ def rules_to_dicts(rules) -> list:
 
 
 class HealthMonitor:
-    """Live rule evaluation over one registry, with snapshot memory.
+    """Live rule evaluation over one registry.
 
-    Holds the previous snapshot between :meth:`check` calls so
-    ``rate_of_change`` rules see deltas; safe to call from concurrent
-    HTTP handler threads (the serving ``/healthz`` endpoint evaluates
-    one per request).
+    Keeps no state between :meth:`check` calls, so concurrent HTTP
+    handler threads (the serving ``/healthz`` endpoint evaluates one per
+    request) share it without a lock.
     """
 
     def __init__(self, registry, rules=None) -> None:
         self.registry = registry
         self.rules = list(rules) if rules is not None else default_rule_pack()
-        self._previous: dict | None = None
-        self._lock = threading.Lock()
 
     def check(self) -> HealthReport:
         """Snapshot the registry and evaluate every rule against it."""
-        snapshot = self.registry.snapshot()
-        with self._lock:
-            previous, self._previous = self._previous, snapshot
-        return evaluate_rules(self.rules, snapshot, previous=previous)
+        return evaluate_rules(self.rules, self.registry.snapshot())
 
 
 # ---------------------------------------------------------------------------

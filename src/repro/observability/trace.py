@@ -61,11 +61,6 @@ def new_id() -> str:
     """A fresh 16-hex-char correlation id (trace ids, span ids, requests)."""
     return uuid.uuid4().hex[:16]
 
-#: Most recently deactivated trace (set on :class:`use_trace` exit), so
-#: tooling like ``repro metrics dump`` can render a run's registry after
-#: the run's context has closed.
-_LAST: "Trace | None" = None
-
 
 @dataclass
 class SpanRecord:
@@ -361,17 +356,6 @@ def current_trace() -> Trace | None:
     return _CONTEXT.get().trace
 
 
-def last_trace() -> Trace | None:
-    """The active trace, else the most recently deactivated one.
-
-    Export tooling (``repro metrics dump``, the benchmark runner) uses
-    this to reach a run's metrics registry without threading the trace
-    object through every call site.
-    """
-    active = _CONTEXT.get().trace
-    return active if active is not None else _LAST
-
-
 def span(name: str, **attributes):
     """Bracket a timed region of the active trace.
 
@@ -448,9 +432,7 @@ class use_trace(scoped):
         self.trace = trace
 
     def __exit__(self, *exc) -> bool:
-        global _LAST
         super().__exit__(*exc)
-        _LAST = self.trace
         self.trace.close()
         return False
 

@@ -431,7 +431,6 @@ def memoized_parallel(
     namespace: str,
     key_arrays,
     key_params=None,
-    n_jobs: int | None = None,
 ):
     """Cached, optionally parallel map of ``compute`` over ``items``.
 
@@ -439,7 +438,8 @@ def memoized_parallel(
     lookups, hit/miss accounting, and inserts run on the calling thread
     (so counters do not depend on the job count and the stores see no
     concurrent mutation from workers); only the cache *misses* are
-    computed, through :func:`~repro.pipeline.parallel.parallel_map`.
+    computed, through :func:`~repro.pipeline.parallel.parallel_map` on
+    the run context's worker count.
 
     Parameters
     ----------
@@ -454,9 +454,6 @@ def memoized_parallel(
         ``key_arrays(item) -> tuple of arrays`` identifying the input.
     key_params : dict or callable, optional
         Static params dict, or ``key_params(item) -> dict``.
-    n_jobs : int, optional
-        Worker threads for the misses (see
-        :func:`~repro.pipeline.parallel.resolve_jobs`).
 
     Returns
     -------
@@ -482,9 +479,7 @@ def memoized_parallel(
             missing.append(i)
         else:
             results[i] = got[0]
-    computed = parallel_map(
-        lambda i: compute(items[i]), missing, n_jobs=n_jobs
-    )
+    computed = parallel_map(lambda i: compute(items[i]), missing)
     for i, value in zip(missing, computed):
         if cache is not None:
             cache.insert(keys[i], (value,))

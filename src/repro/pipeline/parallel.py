@@ -7,9 +7,9 @@ speedups with zero serialization cost.
 
 The run context (:mod:`repro.context`) carries an ambient default job
 count (installed with :func:`use_jobs`, e.g. by the CLI's ``--jobs``),
-so call sites deep in the stack can honor it without threading a
-parameter through every layer; an explicit ``n_jobs`` argument always
-wins.
+so call sites deep in the stack honor it without threading a
+parameter through every layer; it is the only place a worker count is
+chosen.
 
 Each task runs under a copy of the calling thread's context, so a result
 does not depend on how it was scheduled: worker spans nest under the
@@ -78,8 +78,8 @@ def use_jobs(n_jobs: int) -> scoped:
     return scoped(jobs=n_jobs)
 
 
-def parallel_map(fn, items, *, n_jobs: int | None = None) -> list:
-    """Map ``fn`` over ``items``, optionally on a thread pool.
+def parallel_map(fn, items) -> list:
+    """Map ``fn`` over ``items`` on the run context's worker count.
 
     Results keep input order, and the output is bit-identical to the
     serial map — ``fn`` must be a pure function of its item.  With an
@@ -89,7 +89,7 @@ def parallel_map(fn, items, *, n_jobs: int | None = None) -> list:
     threads at once).
     """
     items = list(items)
-    jobs = resolve_jobs(n_jobs, n_tasks=len(items))
+    jobs = resolve_jobs(n_tasks=len(items))
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -18,8 +18,9 @@ serving paths can never drift apart.
 ``(batch, n_train)`` distance matrix — not ``(m, n_train)`` — bounds
 memory on large query sets, and per-view score computation optionally
 fans out over :func:`repro.pipeline.parallel.parallel_map` worker
-threads.  Every per-query quantity (neighborhood, bandwidth, vote)
-depends only on that query's row, so ``n_jobs`` is bit-neutral and
+threads (the run context's job count, :func:`~repro.pipeline.parallel.
+use_jobs`).  Every per-query quantity (neighborhood, bandwidth, vote)
+depends only on that query's row, so the job count is bit-neutral and
 chunking preserves labels; *scores* can move in the last float bits
 across different ``batch_size`` values because BLAS selects different
 GEMM kernels for different operand shapes.
@@ -27,8 +28,8 @@ GEMM kernels for different operand shapes.
 Validation happens once per input, at the boundary that received it: the
 training views when the index is built, a query batch in
 :meth:`Predictor.predict` (and :meth:`Predictor.adapt`).  Inside, the
-predictor resolves the backend once per call and hands the checked
-arrays straight to its ``pairwise_sq_euclidean`` and
+predictor resolves the run context's backend once per call and hands
+the checked arrays straight to its ``pairwise_sq_euclidean`` and
 ``kernel_vote_scores`` kernels; nothing re-checks them.
 """
 
@@ -39,7 +40,7 @@ import warnings
 
 import numpy as np
 
-from repro.backends import current_backend, get_backend
+from repro.backends import current_backend
 from repro.exceptions import ClampWarning, ValidationError
 from repro.observability.trace import (
     hot_span,
@@ -176,16 +177,11 @@ class Predictor:
         ``batch_size * n_train`` floats per view.  Chunking preserves
         labels (scores may differ in the last float bits across chunk
         shapes — BLAS kernel selection).
-    n_jobs : int or None
-        Worker threads for per-view score computation; ``None`` defers
-        to the ambient :func:`repro.pipeline.parallel.use_jobs` default
-        (serial), ``-1`` uses every CPU.  Results are bit-identical for
-        any value (votes are accumulated in view order).
-    backend : str or ArrayBackend, optional
-        Compute backend whose distance/vote kernels this predictor's
-        calls run on; ``None`` (default) defers to the ambient backend
-        (see :func:`~repro.backends.current_backend`), resolved once per
-        call.
+
+    Each call runs on the run context's backend
+    (:func:`~repro.backends.current_backend`, resolved once per call)
+    and job count (:func:`~repro.pipeline.parallel.use_jobs`; results
+    are bit-identical for any value, votes accumulate in view order).
 
     Examples
     --------
@@ -207,8 +203,6 @@ class Predictor:
         artifact: ModelArtifact,
         *,
         batch_size: int = 4096,
-        n_jobs: int | None = None,
-        backend: str | None = None,
     ) -> None:
         if not isinstance(artifact, ModelArtifact):
             raise ValidationError(
@@ -221,8 +215,6 @@ class Predictor:
             )
         self.artifact = artifact
         self.batch_size = int(batch_size)
-        self.n_jobs = n_jobs
-        self.backend = None if backend is None else get_backend(backend)
         n_train = artifact.n_samples
         if artifact.n_neighbors > n_train:
             warnings.warn(
@@ -256,14 +248,9 @@ class Predictor:
         directory,
         *,
         batch_size: int = 4096,
-        n_jobs: int | None = None,
-        backend: str | None = None,
     ) -> "Predictor":
         """Load an artifact directory and build the predictor over it."""
-        artifact = ModelArtifact.load(directory)
-        return cls(
-            artifact, batch_size=batch_size, n_jobs=n_jobs, backend=backend
-        )
+        return cls(ModelArtifact.load(directory), batch_size=batch_size)
 
     # -- public API --------------------------------------------------------
 
@@ -308,9 +295,7 @@ class Predictor:
                 f"batch_size must be >= 1, got {batch_size}"
             )
         batch_size = int(batch_size)
-        backend = self.backend
-        if backend is None:
-            backend = current_backend()
+        backend = current_backend()
         tick = time.perf_counter()
         with hot_span(
             "serving.predict",
@@ -448,7 +433,7 @@ class Predictor:
 
         def primary(perturb: float) -> np.ndarray:
             return accumulate(
-                parallel_map(vote, range(a.n_views), n_jobs=self.n_jobs)
+                parallel_map(vote, range(a.n_views))
             )
 
         def serial() -> np.ndarray:

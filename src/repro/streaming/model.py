@@ -166,9 +166,10 @@ class StreamingMVSC:
         """Build a streaming model from a batch-solver config.
 
         The shared hyperparameters (``n_clusters``, ``gamma``,
-        ``weighting``, ``max_iter``, ``n_jobs``, ``backend``) transfer
-        from the :class:`UMSCConfig`; anchor-specific knobs are
-        keyword arguments because the dense config has no analogue.
+        ``weighting``, ``max_iter``) transfer from the
+        :class:`UMSCConfig`; anchor-specific knobs are keyword arguments
+        because the dense config has no analogue.  Backend and worker
+        count come from the run context the stream runs under.
         """
         if not isinstance(config, UMSCConfig):
             raise ValidationError(
@@ -182,8 +183,6 @@ class StreamingMVSC:
             weighting=config.weighting,
             max_iter=config.max_iter,
             n_restarts=n_restarts,
-            n_jobs=config.n_jobs,
-            backend=config.backend,
             random_state=random_state,
             callbacks=callbacks,
         )

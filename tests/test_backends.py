@@ -45,6 +45,23 @@ from repro.serving import ModelArtifact, Predictor
 from repro.serving.predictor import kernel_vote_scores
 
 
+@pytest.fixture
+def no_ambient_pin():
+    """Clear any enclosing ``use_backend`` so the env var is reachable.
+
+    The suite-wide conftest fixture pins numpy on the run context
+    whenever ``REPRO_BACKEND`` is set (the float32 CI leg); tests using
+    this fixture probe the env-var tier underneath that pin.
+    """
+    from dataclasses import replace
+
+    from repro.context import _CONTEXT
+
+    token = _CONTEXT.set(replace(_CONTEXT.get(), backend=None))
+    yield
+    _CONTEXT.reset(token)
+
+
 def _digest(*arrays) -> str:
     """blake2b over shape/dtype/bytes — the pre-refactor pinning scheme."""
     h = hashlib.blake2b(digest_size=16)
@@ -188,9 +205,10 @@ def _kernel_hashes() -> dict:
     out["predict_scores/m32_batch7"] = _digest(
         predictor.predict_scores(queries, batch_size=7)
     )
-    out["predict_scores/float32_m32"] = _digest(
-        Predictor(artifact, backend="float32").predict_scores(queries)
-    )
+    with use_backend("float32"):
+        out["predict_scores/float32_m32"] = _digest(
+            predictor.predict_scores(queries)
+        )
     w = gaussian_affinity(blobs)
     vals, vecs = sorted_eigh(w)
     out["sorted_eigh/blobs"] = _digest(vals, np.abs(vecs))
@@ -224,10 +242,8 @@ class TestSelection:
             get_backend("float16")
 
     def test_numba_backend_is_gone(self):
-        from repro import UnifiedMVSC
-
         with pytest.raises(ValidationError, match="unknown backend"):
-            UnifiedMVSC(2, backend="numba")
+            use_backend("numba")
 
     def test_use_backend_none_keeps_ambient(self):
         with use_backend("float32") as outer:
@@ -246,22 +262,6 @@ class TestSelection:
             assert current_backend().name == "float32"
         assert current_backend().name == "numpy"
 
-    @pytest.fixture
-    def no_ambient_pin(self):
-        """Clear any enclosing ``use_backend`` so the env var is reachable.
-
-        The suite-wide conftest fixture pins numpy on the run context
-        whenever ``REPRO_BACKEND`` is set (the float32 CI leg); these two
-        tests probe the env-var tier underneath that pin.
-        """
-        from dataclasses import replace
-
-        from repro.context import _CONTEXT
-
-        token = _CONTEXT.set(replace(_CONTEXT.get(), backend=None))
-        yield
-        _CONTEXT.reset(token)
-
     def test_env_var_resolution(self, monkeypatch, no_ambient_pin):
         monkeypatch.setenv("REPRO_BACKEND", "float32")
         assert current_backend().name == "float32"
@@ -278,12 +278,6 @@ class TestSelection:
         for name in available_backends():
             assert isinstance(get_backend(name), ArrayBackend)
 
-    def test_model_param_rejects_unknown_backend_eagerly(self):
-        from repro import AnchorMVSC, SparseMVSC, UnifiedMVSC
-
-        for cls in (UnifiedMVSC, AnchorMVSC, SparseMVSC):
-            with pytest.raises(ValidationError, match="unknown backend"):
-                cls(2, backend="no_such_backend")
 
 
 class TestCacheKeys:
@@ -422,15 +416,16 @@ class TestBackendEquivalence:
         ref = UnifiedMVSC(
             small_dataset.n_clusters, random_state=0
         ).fit_predict(small_dataset.views)
-        alt = UnifiedMVSC(
-            small_dataset.n_clusters, random_state=0, backend=name
-        ).fit_predict(small_dataset.views)
+        with use_backend(name):
+            alt = UnifiedMVSC(
+                small_dataset.n_clusters, random_state=0
+            ).fit_predict(small_dataset.views)
         ari = evaluate_clustering(ref, alt, metrics=("ari",))["ari"]
         assert ari == 1.0
 
 
 class TestPredictorBackend:
-    """The serving layer's ``backend=`` parameter scopes scoring."""
+    """The run context's backend scopes a predictor's scoring."""
 
     def test_predict_labels_match_across_backends(self, small_dataset):
         from repro import UnifiedMVSC
@@ -440,32 +435,37 @@ class TestPredictorBackend:
         model.fit(small_dataset.views)
         artifact = model.to_artifact()
         ref = Predictor(artifact).predict(small_dataset.views)
-        alt = Predictor(artifact, backend="float32").predict(
-            small_dataset.views
-        )
+        with use_backend("float32"):
+            alt = Predictor(artifact).predict(small_dataset.views)
         assert np.array_equal(ref, alt)
 
-    def test_predictor_rejects_unknown_backend(self, small_dataset):
+    def test_predictor_rejects_unknown_backend(
+        self, small_dataset, monkeypatch, no_ambient_pin
+    ):
+        """A predict resolves the backend per call and never scores
+        under an unknown name."""
         from repro import UnifiedMVSC
         from repro.serving import Predictor
 
         model = UnifiedMVSC(small_dataset.n_clusters, random_state=0)
         model.fit(small_dataset.views)
+        predictor = Predictor(model.to_artifact())
+        monkeypatch.setenv("REPRO_BACKEND", "no_such_backend")
         with pytest.raises(ValidationError, match="unknown backend"):
-            Predictor(model.to_artifact(), backend="no_such_backend")
+            predictor.predict(small_dataset.views)
 
 
 class TestRunnerBackend:
-    """``run_experiment(backend=...)`` scopes the whole experiment."""
+    """A ``use_backend`` block scopes a whole experiment."""
 
     def test_runner_backend_param(self, small_dataset):
         from repro import run_experiment
 
-        results = run_experiment(
-            small_dataset,
-            methods=["UMSC"],
-            n_runs=1,
-            backend="float32",
-            collect_phases=False,
-        )
+        with use_backend("float32"):
+            results = run_experiment(
+                small_dataset,
+                methods=["UMSC"],
+                n_runs=1,
+                collect_phases=False,
+            )
         assert results["UMSC"].scores["acc"].mean > 0.9

@@ -118,6 +118,42 @@ class TestServingCommands:
         assert "predicted 165 samples" in text
         assert "acc" in text and "nmi" in text
 
+    def test_predict_runs_under_backend_and_jobs_flags(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.backends import Float32Backend
+        from repro.pipeline.parallel import resolve_jobs
+
+        art_dir = str(tmp_path / "artifact")
+        assert main(
+            ["save", "--dataset", "yale", "--out", art_dir], out=io.StringIO()
+        ) == 0
+        jobs_seen = []
+        vote = Float32Backend.kernel_vote_scores
+
+        def spied(self, *args, **kwargs):
+            jobs_seen.append(resolve_jobs())
+            return vote(self, *args, **kwargs)
+
+        monkeypatch.setattr(Float32Backend, "kernel_vote_scores", spied)
+        code = main(
+            [
+                "predict",
+                "--artifact",
+                art_dir,
+                "--dataset",
+                "yale",
+                "--backend",
+                "float32",
+                "--jobs",
+                "2",
+            ],
+            out=io.StringIO(),
+        )
+        assert code == 0
+        # One float32 vote per yale view, each under the --jobs count.
+        assert jobs_seen == [2, 2, 2]
+
     def test_serve_bench_reports_throughput(self, tmp_path):
         art_dir = str(tmp_path / "artifact")
         assert (

@@ -83,10 +83,6 @@ class TestSharedSolverChecks:
     def test_gamma_free_outside_exponential_weighting(self, cls):
         cls(3, weighting="parameter_free", gamma=1.0)
 
-    def test_sparse_block_checked(self):
-        with pytest.raises(ValidationError, match="block must be >= 1"):
-            SparseMVSC(3, block=0)
-
 
 class TestUpdateViewWeights:
     def test_uniform(self):

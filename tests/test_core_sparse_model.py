@@ -38,11 +38,6 @@ class TestSparseMVSC:
         labels = SparseMVSC(3, random_state=1).fit_predict(easy.views)
         assert np.all(np.bincount(labels, minlength=3) >= 1)
 
-    def test_blocked_construction_same_result(self, easy):
-        a = SparseMVSC(3, block=32, random_state=0).fit_predict(easy.views)
-        b = SparseMVSC(3, block=4096, random_state=0).fit_predict(easy.views)
-        np.testing.assert_array_equal(a, b)
-
     def test_comparable_to_dense(self, easy):
         from repro.core import UnifiedMVSC
 

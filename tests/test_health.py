@@ -88,9 +88,23 @@ class TestResolveMetric:
 
 
 class TestRuleValidation:
-    def test_unknown_kind_and_severity_rejected(self):
-        with pytest.raises(ValidationError):
-            HealthRule(name="x", kind="nope", selector="counter:a")
+    def test_unknown_kind_and_severity_rejected(self, tmp_path):
+        # ``rate_of_change`` was a kind once; a rules file naming it
+        # fails to load rather than silently never firing.
+        for kind in ("nope", "rate_of_change"):
+            with pytest.raises(ValidationError):
+                HealthRule(
+                    name="x", kind=kind, selector="counter:a", max_value=1.0
+                )
+            path = tmp_path / f"{kind}.json"
+            path.write_text(
+                json.dumps(
+                    [{"name": "x", "kind": kind, "selector": "counter:a",
+                      "max_value": 1.0}]
+                )
+            )
+            with pytest.raises(ValidationError, match="unknown kind"):
+                load_rules(path)
         with pytest.raises(ValidationError):
             HealthRule(
                 name="x",
@@ -165,20 +179,6 @@ class TestEvaluation:
         res = evaluate_rule(rule, _snapshot(counters={"beats": 1}))
         assert res.status == "ok"
 
-    def test_rate_of_change_needs_previous(self):
-        rule = HealthRule(
-            name="spike",
-            kind="rate_of_change",
-            selector="counter:errs",
-            max_value=10.0,
-        )
-        now = _snapshot(counters={"errs": 100})
-        # First sight: nothing to diff against -> skipped.
-        assert evaluate_rule(rule, now).status == "skipped"
-        prev = _snapshot(counters={"errs": 5})
-        res = evaluate_rule(rule, now, previous=prev)
-        assert res.failing and res.value == pytest.approx(95.0)
-
     def test_report_aggregation_and_severity(self):
         rules = [
             HealthRule(
@@ -252,23 +252,21 @@ class TestRulePack:
 
 
 class TestHealthMonitor:
-    def test_monitor_carries_previous_snapshot(self):
+    def test_monitor_reads_the_live_registry(self):
         registry = MetricsRegistry()
         rule = HealthRule(
-            name="growth",
-            kind="rate_of_change",
+            name="errors",
+            kind="threshold",
             selector="counter:n",
             max_value=5.0,
             severity="critical",
         )
         monitor = HealthMonitor(registry, rules=[rule])
+        assert monitor.check().ok  # metric absent: the rule skips
         registry.counter("n").inc(1)
-        assert monitor.check().ok  # first check has no previous
+        assert monitor.check().ok
         registry.counter("n").inc(100)
-        report = monitor.check()
-        assert report.critical_failures
-        registry.counter("n").inc(1)
-        assert monitor.check().ok  # growth back under the cap
+        assert monitor.check().critical_failures  # each check re-reads
 
 
 class TestWeightEntropy:

@@ -77,6 +77,30 @@ class TestTuneUMSC:
             p.scores["acc"] for p in result.points
         )
 
+    def test_shares_the_ambient_cache_or_a_fresh_one(
+        self, small_dataset, monkeypatch
+    ):
+        from repro.core import tuning
+        from repro.pipeline import ComputationCache, use_cache
+
+        grid = {"lam": [0.5, 1.0]}
+        ambient = ComputationCache()
+        with use_cache(ambient):
+            tune_umsc(small_dataset, grid=grid)
+        # The second point varies only a solver parameter: its graphs hit.
+        assert ambient.stats().hits > 0
+
+        made = []
+
+        class Recording(ComputationCache):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(tuning, "ComputationCache", Recording)
+        tune_umsc(small_dataset, grid=grid)
+        assert len(made) == 1 and made[0].stats().hits > 0
+
 
 class TestUMSCResultType:
     def test_objective_nan_when_no_history(self):

@@ -24,7 +24,6 @@ from repro.observability import (
     current_request_id,
     current_trace,
     hot_span,
-    last_trace,
     read_jsonl,
     span,
     use_request,
@@ -456,11 +455,10 @@ class TestCLI:
 class TestSpanIdentity:
     def test_last_trace_round_trips_identity_fields(self, tmp_path):
         path = tmp_path / "id.jsonl"
-        with use_trace(Trace("ids", sinks=[JsonlSink(path)])):
+        with use_trace(Trace("ids", sinks=[JsonlSink(path)])) as trace:
             with span("outer"):
                 with span("inner"):
                     pass
-        trace = last_trace()
         by_name = {s.name: s for s in trace.spans}
         outer, inner = by_name["outer"], by_name["inner"]
         # Every span carries the full correlation identity.

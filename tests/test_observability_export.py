@@ -24,7 +24,6 @@ from repro.observability import (
     MetricsRegistry,
     ResourceSampler,
     Trace,
-    last_trace,
     metric_set,
     prometheus_name,
     render_json_snapshot,
@@ -269,11 +268,6 @@ class TestGaugeTraceHelpers:
         with use_trace(Trace("t")) as trace:
             metric_set("some.gauge", 5.0)
         assert trace.metrics.gauges["some.gauge"].value == 5.0
-
-    def test_last_trace_survives_context_exit(self):
-        with use_trace(Trace("t-last")) as trace:
-            assert last_trace() is trace
-        assert last_trace() is trace
 
 
 class TestResourceSampler:

@@ -250,24 +250,23 @@ class TestParallel:
 
     def test_parallel_map_order_preserved(self):
         items = list(range(20))
-        assert parallel_map(lambda i: i * i, items, n_jobs=4) == [
-            i * i for i in items
-        ]
-        assert parallel_map(lambda i: i * i, items, n_jobs=1) == [
-            i * i for i in items
-        ]
+        for jobs in (4, 1):
+            with use_jobs(jobs):
+                assert parallel_map(lambda i: i * i, items) == [
+                    i * i for i in items
+                ]
 
     def test_memoized_parallel_counts_once_per_item(self):
         cache = ComputationCache()
         xs = [np.full((4, 4), float(i)) for i in range(3)]
-        with use_cache(cache):
+        with use_cache(cache), use_jobs(2):
             first = memoized_parallel(
                 xs, lambda x: x * 2, namespace="ns",
-                key_arrays=lambda x: (x,), n_jobs=2,
+                key_arrays=lambda x: (x,),
             )
             second = memoized_parallel(
                 xs, lambda x: x * 2, namespace="ns",
-                key_arrays=lambda x: (x,), n_jobs=2,
+                key_arrays=lambda x: (x,),
             )
         s = cache.stats()
         assert (s.hits, s.misses) == (3, 3)
@@ -275,10 +274,11 @@ class TestParallel:
             np.testing.assert_array_equal(a, b)
 
     def test_memoized_parallel_without_cache(self):
-        out = memoized_parallel(
-            [np.eye(2), np.eye(3)], lambda x: x + 1, namespace="ns",
-            key_arrays=lambda x: (x,), n_jobs=2,
-        )
+        with use_jobs(2):
+            out = memoized_parallel(
+                [np.eye(2), np.eye(3)], lambda x: x + 1, namespace="ns",
+                key_arrays=lambda x: (x,),
+            )
         np.testing.assert_array_equal(out[0], np.eye(2) + 1)
         np.testing.assert_array_equal(out[1], np.eye(3) + 1)
 
@@ -288,9 +288,10 @@ class TestTransparency:
 
     def test_affinities_parallel_matches_serial(self, small_dataset):
         serial = build_multiview_affinities(small_dataset.views, n_neighbors=8)
-        parallel = build_multiview_affinities(
-            small_dataset.views, n_neighbors=8, n_jobs=2
-        )
+        with use_jobs(2):
+            parallel = build_multiview_affinities(
+                small_dataset.views, n_neighbors=8
+            )
         for a, b in zip(serial, parallel):
             np.testing.assert_array_equal(a, b)
 
@@ -322,9 +323,10 @@ class TestTransparency:
             cached = UnifiedMVSC(
                 small_dataset.n_clusters, random_state=0
             ).fit(small_dataset.views)
-        parallel = UnifiedMVSC(
-            small_dataset.n_clusters, random_state=0, n_jobs=2
-        ).fit(small_dataset.views)
+        with use_jobs(2):
+            parallel = UnifiedMVSC(
+                small_dataset.n_clusters, random_state=0
+            ).fit(small_dataset.views)
         np.testing.assert_array_equal(baseline.labels, cached.labels)
         np.testing.assert_array_equal(baseline.labels, parallel.labels)
         np.testing.assert_array_equal(baseline.embedding, cached.embedding)
@@ -341,20 +343,22 @@ class TestTransparency:
                 small_dataset.n_clusters, random_state=random_state, **params
             )
 
-        def sweep_scores(**kwargs):
+        def sweep_scores():
             points = []
             for seed in (0, 1, 2):
                 result = grid_sweep(
-                    small_dataset, build, grid, random_state=seed, **kwargs
+                    small_dataset, build, grid, random_state=seed
                 )
                 points.extend(p.scores["acc"] for p in result.points)
             return points
 
         cache = ComputationCache()
         baseline = sweep_scores()
-        cached = sweep_scores(cache=cache, n_jobs=2)
+        with use_cache(cache), use_jobs(2):
+            cached = sweep_scores()
         misses_after_first = cache.stats().misses
-        again = sweep_scores(cache=cache, n_jobs=2)
+        with use_cache(cache), use_jobs(2):
+            again = sweep_scores()
         s = cache.stats()
         assert s.misses == misses_after_first  # zero redundant computations
         assert s.hits > 0

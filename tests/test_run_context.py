@@ -1,15 +1,19 @@
 """The run context follows work into worker threads.
 
-A result must not depend on how it was scheduled: ``n_jobs=4`` must give
-the same labels, the same spans, the same armed faults and the same
-failure-policy outcome as ``n_jobs=1``.  And because the open span is a
-field of the run context rather than a per-trace stack, spans opened on
-one thread never nest under a span another thread has open.
+A result must not depend on how it was scheduled: ``use_jobs(4)`` must
+give the same labels, the same spans, the same armed faults and the same
+failure-policy outcome as ``use_jobs(1)``.  And because the open span is
+a field of the run context rather than a per-trace stack, spans opened
+on one thread never nest under a span another thread has open.  The run
+context is also the only place execution settings are chosen: no model,
+predictor or harness function takes its own backend, job count, cache or
+block size.
 """
 
 from __future__ import annotations
 
 import contextvars
+import inspect
 import sys
 import threading
 from collections import Counter
@@ -22,7 +26,7 @@ from repro.core.model import UnifiedMVSC
 from repro.datasets.synth import make_multiview_blobs
 from repro.exceptions import RecoveryExhaustedError
 from repro.observability import Trace, TraceRecorder, span, use_trace
-from repro.pipeline.parallel import parallel_map
+from repro.pipeline.parallel import parallel_map, use_jobs
 from repro.robust.faults import FaultSpec, inject_faults
 from repro.robust.policy import FailurePolicy, collect_recoveries, use_policy
 
@@ -40,10 +44,8 @@ def _fit(ds, n_jobs, *, faults=()):
     """Fit under a trace (and optionally a fault plan) at one job count."""
     with use_trace(Trace(f"jobs={n_jobs}")) as trace, \
             inject_faults(*faults) as plan, \
-            collect_recoveries() as recoveries:
-        result = UnifiedMVSC(
-            ds.n_clusters, random_state=0, n_jobs=n_jobs
-        ).fit(ds.views)
+            collect_recoveries() as recoveries, use_jobs(n_jobs):
+        result = UnifiedMVSC(ds.n_clusters, random_state=0).fit(ds.views)
     return result, trace, plan, recoveries
 
 
@@ -167,8 +169,8 @@ class TestCrossThreadSpans:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with use_trace(trace):
-                parallel_map(task, range(n_tasks), n_jobs=n_tasks)
+            with use_trace(trace), use_jobs(n_tasks):
+                parallel_map(task, range(n_tasks))
         finally:
             sys.setswitchinterval(interval)
         assert len(trace.spans) == n_tasks * (n_leaves + 1)
@@ -183,3 +185,46 @@ class TestCrossThreadSpans:
             s.depth == 1 and tasks[s.parent_id].thread == s.thread
             for s in leaves
         )
+
+
+def _execution_knob_callables():
+    from repro.core.config import UMSCConfig
+    from repro.core.graph_builder import (
+        build_laplacians,
+        build_multiview_affinities,
+    )
+    from repro.core.anchor_model import AnchorMVSC
+    from repro.core.sparse_model import SparseMVSC
+    from repro.core.tuning import tune_umsc
+    from repro.evaluation.runner import run_experiment
+    from repro.evaluation.sweeps import grid_sweep
+    from repro.pipeline.cache import memoized_parallel
+    from repro.serving.predictor import Predictor
+    from repro.streaming import StreamingMVSC
+
+    return {
+        "UnifiedMVSC": UnifiedMVSC,
+        "UMSCConfig": UMSCConfig,
+        "SparseMVSC": SparseMVSC,
+        "AnchorMVSC": AnchorMVSC,
+        "Predictor": Predictor,
+        "Predictor.load": Predictor.load,
+        "UnifiedMVSC.load": UnifiedMVSC.load,
+        "SparseMVSC.load": SparseMVSC.load,
+        "AnchorMVSC.load": AnchorMVSC.load,
+        "run_experiment": run_experiment,
+        "grid_sweep": grid_sweep,
+        "tune_umsc": tune_umsc,
+        "StreamingMVSC.from_config": StreamingMVSC.from_config,
+        "build_multiview_affinities": build_multiview_affinities,
+        "build_laplacians": build_laplacians,
+        "memoized_parallel": memoized_parallel,
+        "parallel_map": parallel_map,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_execution_knob_callables()))
+def test_execution_settings_come_only_from_the_run_context(name):
+    fn = _execution_knob_callables()[name]
+    params = set(inspect.signature(fn).parameters)
+    assert not params & {"backend", "n_jobs", "cache", "block"}, name

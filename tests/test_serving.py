@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro.backends import NumpyBackend, current_backend, use_backend
+from repro.backends import (
+    Float32Backend,
+    NumpyBackend,
+    current_backend,
+    use_backend,
+)
 from repro.core import AnchorMVSC, SparseMVSC, UnifiedMVSC
 from repro.core.out_of_sample import propagate_labels
 from repro.exceptions import (
@@ -23,6 +28,7 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.observability import Trace, use_trace
+from repro.pipeline.parallel import resolve_jobs, use_jobs
 from repro.robust import FaultSpec, inject_faults
 from repro.serving import (
     ModelArtifact,
@@ -289,11 +295,12 @@ class TestPredictor:
 
     def test_parallel_views_are_bit_neutral(self):
         # Per-view votes are accumulated in view order regardless of the
-        # thread pool, so n_jobs is bit-neutral (unlike batch_size).
+        # thread pool, so the job count is bit-neutral (unlike batch_size).
         art = _blob_artifact(n_views=3)
         queries = _queries(art, m=23)
-        serial = Predictor(art, n_jobs=None).predict_scores(queries)
-        threaded = Predictor(art, n_jobs=2).predict_scores(queries)
+        serial = Predictor(art).predict_scores(queries)
+        with use_jobs(2):
+            threaded = Predictor(art).predict_scores(queries)
         np.testing.assert_array_equal(threaded, serial)
 
     def test_scores_argmax_is_predict(self):
@@ -473,12 +480,6 @@ class TestValidationBoundary:
             "kernel_vote_scores": n_views * n_chunks,
         }
 
-    def test_explicit_backend_skips_resolution(self, monkeypatch):
-        predictor = Predictor(_blob_artifact(), backend="float32")
-        resolved = []
-        _spy_on_bindings(monkeypatch, current_backend, resolved)
-        predictor.predict(_queries(predictor.artifact))
-        assert resolved == []
 
 
 @pytest.mark.faults
@@ -570,6 +571,39 @@ class TestPredictionService:
         # requests (worst observed in practice is ~n/2; assert the
         # direction, not the timing).
         assert stats.batches <= n
+
+    def test_worker_serves_under_the_construction_context(self):
+        # A service built inside use_backend/use_jobs runs every batch
+        # under both, though its clients submit from outside the blocks.
+        predictor = Predictor(_blob_artifact(n_views=3))
+        queries = _queries(predictor.artifact, m=6)
+        backend = Float32Backend()
+        seen = []
+        for kernel in ("pairwise_sq_euclidean", "kernel_vote_scores"):
+            method = getattr(backend, kernel)
+
+            def spied(*args, _kernel=kernel, _method=method, **kwargs):
+                seen.append((_kernel, resolve_jobs(), threading.get_ident()))
+                return _method(*args, **kwargs)
+
+            setattr(backend, kernel, spied)
+        with use_backend(backend), use_jobs(2):
+            service = PredictionService(predictor, max_latency_ms=0.0)
+        with service:
+            labels = [
+                service.predict_one([q[i] for q in queries])
+                for i in range(6)
+            ]
+        with use_backend("float32"):
+            expected = [
+                int(predictor.predict([q[i : i + 1] for q in queries])[0])
+                for i in range(6)
+            ]
+        assert labels == expected
+        kernels = {name for name, _, _ in seen}
+        assert kernels == {"pairwise_sq_euclidean", "kernel_vote_scores"}
+        assert {jobs for _, jobs, _ in seen} == {2}
+        assert threading.get_ident() not in {t for _, _, t in seen}
 
     def test_backpressure_raises_typed_error(self):
         art = _blob_artifact()
