@@ -70,36 +70,3 @@ def get_table_results(name: str) -> dict:
 def all_table_results() -> dict:
     """``{dataset: {method: MethodScores}}`` for every bench dataset."""
     return {name: get_table_results(name) for name in bench_datasets()}
-
-
-def phase_breakdown(results: dict) -> dict:
-    """JSON-ready per-phase timing breakdown of one dataset's results.
-
-    ``{method: {phase: {"mean": s, "std": s, "values": [...]}}}`` from
-    the per-run traces the experiment runner records; empty per-method
-    when phase collection was disabled.
-    """
-    payload: dict = {}
-    for method, scores in results.items():
-        payload[method] = {
-            phase: {
-                "mean": agg.mean,
-                "std": agg.std,
-                "values": list(agg.values),
-            }
-            for phase, agg in scores.phase_seconds.items()
-        }
-    return payload
-
-
-def attach_phase_extra_info(benchmark, all_results: dict) -> None:
-    """Persist phase-level timing trajectories into the benchmark JSON.
-
-    pytest-benchmark copies ``extra_info`` into its ``--benchmark-json``
-    output, so saved ``BENCH_*.json`` entries carry the full per-phase
-    breakdown alongside the headline seconds.
-    """
-    benchmark.extra_info["phase_seconds"] = {
-        dataset: phase_breakdown(results)
-        for dataset, results in all_results.items()
-    }

@@ -12,12 +12,7 @@ import pytest
 
 pytestmark = pytest.mark.slow  # full protocol; deselect with -m "not slow"
 
-from _config import (
-    all_table_results,
-    attach_phase_extra_info,
-    bench_datasets,
-    get_dataset,
-)
+from _config import all_table_results, bench_datasets, get_dataset
 
 from repro.core import UnifiedMVSC
 from repro.core.tuning import recommended_params
@@ -26,7 +21,6 @@ from repro.evaluation.tables import format_metric_table, summarize_ranks
 
 def test_table2_acc_prints(capsys, benchmark):
     results = benchmark.pedantic(all_table_results, rounds=1, iterations=1)
-    attach_phase_extra_info(benchmark, results)
     table = format_metric_table(results, "acc")
     ranks = summarize_ranks(results, "acc")
     with capsys.disabled():

@@ -7,11 +7,11 @@ into machine-readable perf records:
 
 * :data:`BENCHES` — the tracked scenarios (each mirrors one existing
   ``bench_*`` workload at a runner-friendly size);
-* :func:`run_benches` — execute them under a
-  :class:`~repro.observability.trace.Trace` and a
-  :class:`~repro.observability.resource.ResourceSampler`, producing a
-  schema-versioned report (per-bench wall-clock, metrics dump, resource
-  peaks, machine fingerprint);
+* :func:`run_benches` — time them with no trace active under a
+  :class:`~repro.observability.resource.ResourceSampler`, after one
+  untimed warm-up pass under a :class:`~repro.observability.trace.Trace`,
+  producing a schema-versioned report (per-bench wall-clock, the
+  warm-up's metrics dump, resource peaks, machine fingerprint);
 * :func:`write_report` / :func:`load_report` — ``BENCH_<tag>.json``
   persistence with schema validation;
 * :func:`compare_reports` — regression detection between two reports,
@@ -325,10 +325,12 @@ def run_benches(
         Tracemalloc roughly doubles allocation cost, which is why this
         pass is untimed and separate.
 
-    Each bench runs inside its own trace and resource sampler, so the
-    report carries the metrics snapshot (eigensolver calls, GPI inner
-    iterations, serving latencies, ...) and RSS/CPU peaks alongside the
-    wall-clock.
+    The timed repetitions run under the caller's run context, with no
+    trace unless the caller activated one, inside a resource sampler
+    (RSS/CPU peaks).  The untimed warm-up pass runs under the bench's
+    own trace and supplies the entry's ``"metrics"`` snapshot
+    (eigensolver calls, GPI inner iterations, serving latencies, ...)
+    for one pass of the workload.
     """
     if names is None:
         selected = list(BENCHES)
@@ -347,15 +349,18 @@ def run_benches(
     for name in selected:
         description, factory = BENCHES[name]
         work = factory(quick)
-        work()  # warmup: JIT-free but touches caches, allocators, BLAS
-        runs: list[float] = []
+        # The untimed warm-up (touches caches, allocators, BLAS) runs
+        # under the bench's trace and supplies the per-pass metrics, so
+        # the timed repetitions run the production path with no trace.
         trace = Trace(f"bench:{name}")
+        with use_trace(trace):
+            work()
+        runs: list[float] = []
         with ResourceSampler(interval_seconds=0.01) as sampler:
-            with use_trace(trace):
-                for _ in range(int(repeats)):
-                    start = time.perf_counter()
-                    work()
-                    runs.append(time.perf_counter() - start)
+            for _ in range(int(repeats)):
+                start = time.perf_counter()
+                work()
+                runs.append(time.perf_counter() - start)
         entry = {
             "description": description,
             "seconds": min(runs),

@@ -93,6 +93,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from functools import partial
 
@@ -662,9 +663,13 @@ def _cmd_run(args, out) -> int:
         sinks.append(JsonlSink(args.trace))
     if args.verbose:
         sinks.append(LoggingSink(stream=sys.stderr))
+    # Trace only when a flag reads it, so a plain run times the
+    # production path (no health probes, no span records).
+    traced = args.trace or args.verbose or args.profile
     trace = Trace(f"run:{args.dataset}:{args.method}", sinks=sinks)
     session = ProfilingSession() if args.profile else None
-    with _pipeline_context(args) as ctx, use_trace(trace), \
+    with _pipeline_context(args) as ctx, \
+            use_trace(trace) if traced else nullcontext(), \
             scoped(profiling=session):
         cache = ctx.cache
         scores, seconds = run_method_once(

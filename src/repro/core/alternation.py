@@ -21,15 +21,13 @@ graphs are stored, so each passes a *representation*:
 
 The loop owns the rest: cold-start rotation, Procrustes R-step,
 coordinate-descent Y-step, the early restarted (R, Y) pairs, w-step,
-stopping rule, health probes, and one span plus one ``block_seconds``
-entry per block.
+stopping rule, health probes, and one span per block (tagged with the
+iteration) that times it.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,15 +75,6 @@ def fit_start(solver: str, callbacks, n: int, n_views: int, c: int, **extra):
     """Dispatch ``on_fit_start`` with the problem's shape (plus ``extra``)."""
     info = dict(solver=solver, n_samples=n, n_views=n_views, n_clusters=c)
     dispatch_event(callbacks, "on_fit_start", {**info, **extra})
-
-
-@contextmanager
-def _block(seconds: dict, name: str, iteration: int):
-    """Span ``name`` and add its wall-clock time to ``seconds[name]``."""
-    tick = time.perf_counter()
-    with span(name, iteration=iteration) as handle:
-        yield handle
-    seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - tick
 
 
 def _best_rotation_pair(f, r, labels, c: int, rng):
@@ -140,26 +129,25 @@ def alternate(
     converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        seconds: dict[str, float] = {}
         g = None if labels is None else scaled_indicator(labels, c)
-        with _block(seconds, "f_step", n_iter) as f_span:
+        with span("f_step", iteration=n_iter) as f_span:
             f, gpi_iterations = rep.embed(w, f, g, r)
             if gpi_iterations is not None:
                 f_span.set(gpi_iterations=gpi_iterations)
         label_moves: int | None = None
         if labels is None:
-            with _block(seconds, "y_step", n_iter):
+            with span("y_step", iteration=n_iter):
                 r, labels = rotation_initialize(
                     f, c, n_restarts=n_restarts, random_state=rng
                 )
         else:
-            with _block(seconds, "r_step", n_iter):
+            with span("r_step", iteration=n_iter):
                 r = nearest_orthogonal(f.T @ g)
             # Restarted (R, Y)-step: accept-only-if-better, so the joint
             # objective still descends; only the early iterations (labels
             # still mobile) benefit.
             labels_before = labels
-            with _block(seconds, "y_step", n_iter) as y_span:
+            with span("y_step", iteration=n_iter) as y_span:
                 labels = indicator_coordinate_descent(f @ r, labels, c)
                 if n_iter <= restart_iters:
                     r, labels = _best_rotation_pair(f, r, labels, c, rng)
@@ -177,9 +165,9 @@ def alternate(
             # The monotone F/R/Y descent applies to the objective under
             # the weights the blocks just descended, so that value is
             # recorded before the w-step.
-            with _block(seconds, "objective", n_iter):
+            with span("objective", iteration=n_iter):
                 obj_pre = rep.objective(w, f, r, labels)
-        with _block(seconds, "w_step", n_iter):
+        with span("w_step", iteration=n_iter):
             costs = rep.view_costs(f)
             new_w = update_view_weights(
                 costs, mode=rep.weighting, gamma=rep.gamma
@@ -189,7 +177,7 @@ def alternate(
                 # one view dominates; see the weight-collapse rule).
                 metric_set("health.weight_entropy", weight_entropy(new_w))
         if has_objective:
-            with _block(seconds, "objective", n_iter):
+            with span("objective", iteration=n_iter):
                 obj = rep.objective(new_w, f, r, labels)
             if not (np.isfinite(obj) and np.isfinite(obj_pre)):
                 raise RecoveryExhaustedError(
@@ -214,7 +202,6 @@ def alternate(
             objective=obj,
             objective_pre_reweight=obj_pre,
             rel_change=rel_change,
-            block_seconds=seconds,
             gpi_iterations=gpi_iterations,
             label_moves=label_moves,
             view_weights=tuple(float(x) for x in w),

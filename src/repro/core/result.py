@@ -36,8 +36,8 @@ class UMSCResult:
     diagnostics : FitDiagnostics or None
         Per-iteration instrumentation record (one
         :class:`~repro.observability.events.IterationEvent` per outer
-        iteration: per-block wall-times, pre-reweighting objective, GPI
-        inner iterations, label moves, view weights).  Always recorded
+        iteration: pre-reweighting objective, GPI inner iterations,
+        label moves, view weights; block times are trace spans).  Always recorded
         by :class:`~repro.core.model.UnifiedMVSC`.
     """
 

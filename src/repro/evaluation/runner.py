@@ -5,10 +5,11 @@ re-runs each method with independent seeds derived from one master seed
 (dataset fixed, algorithmic randomness varying — the literature's protocol)
 and aggregates every metric.
 
-Each run executes inside its own :class:`~repro.observability.trace.
-Trace`, so :class:`MethodScores` also aggregates the *per-phase* timing
-breakdown (graph build / eigensolve / GPI / Y-step / ...), not just
-total seconds — the data the paper-style runtime analyses need.
+Runs are timed under the caller's run context, so with no trace active
+the seconds are those of the production path.  A caller who wants the
+per-phase breakdown (graph build / eigensolve / GPI / Y-step / ...)
+wraps the call in :func:`~repro.observability.trace.use_trace` and
+reads ``trace.phase_totals()``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.datasets.container import MultiViewDataset
 from repro.evaluation.registry import MethodSpec, default_method_registry
 from repro.exceptions import ValidationError
 from repro.metrics import METRICS, evaluate_clustering
-from repro.observability.trace import Trace, use_trace
 from repro.robust.faults import maybe_inject, register_fault_site
 from repro.robust.policy import failure_guard
 from repro.utils.rng import spawn_seeds
@@ -54,19 +54,13 @@ class AggregatedScore:
 
 @dataclass
 class MethodScores:
-    """All aggregated metrics (plus timing) for one method on one dataset.
-
-    ``phase_seconds`` maps span names (``"graph_build"``, ``"f_step"``,
-    ...) to :class:`AggregatedScore` over the repeated runs; it is empty
-    when phase collection was disabled.
-    """
+    """All aggregated metrics (plus timing) for one method on one dataset."""
 
     method: str
     dataset: str
     scores: dict = field(default_factory=dict)
     seconds: AggregatedScore | None = None
     n_runs: int = 0
-    phase_seconds: dict = field(default_factory=dict)
 
 
 def run_method_once(
@@ -75,20 +69,13 @@ def run_method_once(
     seed: int,
     *,
     metrics=("acc", "nmi", "purity"),
-    trace: "Trace | None" = None,
 ) -> tuple[dict, float]:
     """One seeded run of one method; returns (metric dict, seconds).
 
     Oracle rows (``SC_best`` / ``SC_worst``) cluster every view and take
-    the per-metric best/worst, matching the literature's reporting.
-
-    Parameters other than ``trace`` match the experiment protocol;
-    passing a :class:`~repro.observability.trace.Trace` activates it for
-    the duration of the run, so its spans/events/sinks observe the fit.
+    the per-metric best/worst, matching the literature's reporting.  The
+    run executes under the caller's run context, its trace included.
     """
-    if trace is not None:
-        with use_trace(trace):
-            return run_method_once(spec, dataset, seed, metrics=metrics)
     with failure_guard(_SITE_RUN):
         maybe_inject(_SITE_RUN)
         start = time.perf_counter()
@@ -127,7 +114,6 @@ def run_experiment(
     n_runs: int = 10,
     metrics=("acc", "nmi", "purity"),
     base_seed: int = 0,
-    collect_phases: bool = True,
 ) -> dict:
     """Run every requested method ``n_runs`` times on one dataset.
 
@@ -143,13 +129,9 @@ def run_experiment(
         Metric names from :data:`repro.metrics.METRICS`.
     base_seed : int
         Master seed from which per-run seeds are derived.
-    collect_phases : bool
-        Run every fit inside a fresh trace and aggregate the per-phase
-        timing breakdown into ``MethodScores.phase_seconds`` (negligible
-        overhead; results are unaffected by tracing).
 
     The runs execute under the caller's run context: its backend, job
-    count and cache (:mod:`repro.context`).  Under a
+    count, cache and trace (:mod:`repro.context`).  Under a
     :func:`~repro.pipeline.cache.use_cache` block every run after the
     first reuses the per-view graphs (they depend on the data, never on
     the seed); scores are bit-identical either way.
@@ -178,19 +160,13 @@ def run_experiment(
         spec = registry[name]
         per_metric: dict[str, list] = {m: [] for m in metrics}
         times: list[float] = []
-        phase_runs: list[dict] = []
         for seed in seeds:
-            trace = (
-                Trace(f"{name}:{dataset.name}") if collect_phases else None
-            )
             run_scores, elapsed = run_method_once(
-                spec, dataset, seed, metrics=metrics, trace=trace
+                spec, dataset, seed, metrics=metrics
             )
             for m in metrics:
                 per_metric[m].append(run_scores[m])
             times.append(elapsed)
-            if trace is not None:
-                phase_runs.append(trace.phase_totals())
         results[name] = MethodScores(
             method=name,
             dataset=dataset.name,
@@ -200,26 +176,5 @@ def run_experiment(
             },
             seconds=AggregatedScore.from_values(times),
             n_runs=n_runs,
-            phase_seconds=_aggregate_phases(phase_runs),
         )
     return results
-
-
-def _aggregate_phases(phase_runs) -> dict:
-    """Aggregate per-run ``{phase: seconds}`` dicts across seeds.
-
-    Phases missing from a run (e.g. a solver converged before reaching
-    a block) contribute 0.0, so every
-    :class:`AggregatedScore` spans the same number of runs.
-    """
-    names: list[str] = []
-    for run in phase_runs:
-        for name in run:
-            if name not in names:
-                names.append(name)
-    return {
-        name: AggregatedScore.from_values(
-            [run.get(name, 0.0) for run in phase_runs]
-        )
-        for name in names
-    }

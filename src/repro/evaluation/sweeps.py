@@ -9,22 +9,15 @@ from dataclasses import dataclass, field
 from repro.datasets.container import MultiViewDataset
 from repro.exceptions import ValidationError
 from repro.metrics import evaluate_clustering
-from repro.observability.trace import Trace, use_trace
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One grid point: the parameter assignment and its metric values.
-
-    ``phase_seconds`` carries the per-phase timing breakdown of the
-    point's fit (span name -> seconds), recorded through a per-point
-    trace.
-    """
+    """One grid point: the parameter assignment and its metric values."""
 
     params: dict
     scores: dict
     seconds: float
-    phase_seconds: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -71,7 +64,9 @@ def grid_sweep(
     random_state : int
         Shared seed so grid points differ only in the parameters.
 
-    The points run under the caller's run context (:mod:`repro.context`).
+    The points run under the caller's run context (:mod:`repro.context`),
+    its trace included: wrap the call in
+    :func:`~repro.observability.trace.use_trace` to record their phases.
     Under a :func:`~repro.pipeline.cache.use_cache` block, grid points
     that vary only in solver parameters reuse the same per-view graphs;
     scores are bit-identical either way.
@@ -87,20 +82,13 @@ def grid_sweep(
     for combo in itertools.product(*(grid[name] for name in names)):
         params = dict(zip(names, combo))
         model = build(random_state=random_state, **params)
-        trace = Trace(f"sweep:{dataset.name}")
         start = time.perf_counter()
-        with use_trace(trace):
-            labels = model.fit_predict(dataset.views)
+        labels = model.fit_predict(dataset.views)
         elapsed = time.perf_counter() - start
         scores = evaluate_clustering(
             dataset.labels, labels, metrics=tuple(metrics)
         )
         result.points.append(
-            SweepPoint(
-                params=params,
-                scores=scores,
-                seconds=elapsed,
-                phase_seconds=trace.phase_totals(),
-            )
+            SweepPoint(params=params, scores=scores, seconds=elapsed)
         )
     return result

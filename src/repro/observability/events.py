@@ -1,16 +1,16 @@
 """The iteration-event protocol: what one outer solver iteration emits.
 
 Every outer iteration of the unified solvers produces one structured
-:class:`IterationEvent` — objective value(s), per-block wall-times,
-inner-solver effort, label mobility, current view weights — delivered
-to any number of :class:`FitCallback` listeners and to the active
-trace's sinks.  The full per-fit record rides on the result object as a
-:class:`FitDiagnostics`.
+:class:`IterationEvent` — objective value(s), inner-solver effort,
+label mobility, current view weights — delivered to any number of
+:class:`FitCallback` listeners and to the active trace's sinks.  Block
+wall-times are not part of the event: each block is a span.  The full
+per-fit record rides on the result object as a :class:`FitDiagnostics`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,6 @@ class IterationEvent:
     rel_change : float or None
         Relative change of ``objective`` vs. the previous iteration
         (the quantity the stopping rule thresholds).
-    block_seconds : dict
-        Wall-clock seconds per block this iteration, keyed by stable
-        phase names (``"f_step"``, ``"r_step"``, ``"y_step"``,
-        ``"w_step"``, ...).
     gpi_iterations : int or None
         Inner GPI iterations the F-step used (``None`` when the F-step
         is a plain eigensolve).
@@ -55,7 +51,6 @@ class IterationEvent:
     objective: float | None = None
     objective_pre_reweight: float | None = None
     rel_change: float | None = None
-    block_seconds: dict = field(default_factory=dict)
     gpi_iterations: int | None = None
     label_moves: int | None = None
     view_weights: tuple = ()
@@ -68,7 +63,6 @@ class IterationEvent:
             "objective": self.objective,
             "objective_pre_reweight": self.objective_pre_reweight,
             "rel_change": self.rel_change,
-            "block_seconds": dict(self.block_seconds),
             "gpi_iterations": self.gpi_iterations,
             "label_moves": self.label_moves,
             "view_weights": list(self.view_weights),
@@ -83,7 +77,6 @@ class IterationEvent:
             objective=payload.get("objective"),
             objective_pre_reweight=payload.get("objective_pre_reweight"),
             rel_change=payload.get("rel_change"),
-            block_seconds=dict(payload.get("block_seconds", {})),
             gpi_iterations=payload.get("gpi_iterations"),
             label_moves=payload.get("label_moves"),
             view_weights=tuple(payload.get("view_weights", ())),
@@ -157,18 +150,6 @@ class FitDiagnostics:
     def objectives(self) -> list:
         """Recorded objective per iteration (the history curve)."""
         return [e.objective for e in self.events]
-
-    def phase_seconds(self) -> dict:
-        """Total wall-clock seconds per block, summed over iterations."""
-        totals: dict[str, float] = {}
-        for event in self.events:
-            for name, seconds in event.block_seconds.items():
-                totals[name] = totals.get(name, 0.0) + seconds
-        return totals
-
-    def total_seconds(self) -> float:
-        """Sum of every per-block timing over the whole fit."""
-        return float(sum(self.phase_seconds().values()))
 
     def to_dicts(self) -> list:
         """JSON-ready list of event dicts."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 
 from repro.observability.events import FitCallback, IterationEvent
 from repro.observability.export import _nan_to_none
@@ -145,19 +146,37 @@ class LoggingSink(FitCallback):
     stream : writable text stream, optional
         When given, a dedicated non-propagating ``StreamHandler`` is
         attached so output appears on this stream (the CLI passes
-        ``sys.stderr``) without requiring global logging configuration.
+        ``sys.stderr``) without requiring global logging configuration;
+        :meth:`close` detaches it and restores the logger's level and
+        ``propagate`` flag.
+
+    Per-block milliseconds come from the alternation's block spans (the
+    spans that carry an ``iteration`` attribute), so they appear only
+    when the sink is attached to a :class:`~repro.observability.trace.
+    Trace`; as a bare model callback it logs the iteration without them.
     """
 
     def __init__(self, logger=None, level: int = logging.INFO, stream=None):
         self.logger = logger or logging.getLogger("repro.observability")
         self.level = level
         self._handler = None
+        self._restore = None
+        # Block seconds of the running iteration, per recording thread.
+        self._blocks: dict[int, dict[str, float]] = {}
         if stream is not None:
             self._handler = logging.StreamHandler(stream)
             self._handler.setFormatter(logging.Formatter("%(message)s"))
+            self._restore = (self.logger.level, self.logger.propagate)
             self.logger.addHandler(self._handler)
             self.logger.setLevel(min(self.logger.level or level, level))
             self.logger.propagate = False
+
+    def on_span(self, record: SpanRecord) -> None:
+        """Add one alternation block's time to its thread's iteration."""
+        if "iteration" in record.attributes:
+            blocks = self._blocks.setdefault(record.thread, {})
+            seconds = blocks.get(record.name, 0.0) + record.duration
+            blocks[record.name] = seconds
 
     def on_fit_start(self, info: dict) -> None:
         """Log the solver/problem announcement."""
@@ -177,7 +196,9 @@ class LoggingSink(FitCallback):
         )
         blocks = " ".join(
             f"{name}={seconds * 1e3:.1f}ms"
-            for name, seconds in event.block_seconds.items()
+            for name, seconds in self._blocks.pop(
+                threading.get_ident(), {}
+            ).items()
         )
         extras = []
         if event.gpi_iterations is not None:
@@ -207,7 +228,10 @@ class LoggingSink(FitCallback):
         self.logger.log(self.level, "[%s] fit end: %s", solver, rest)
 
     def close(self) -> None:
-        """Detach the handler this sink attached (if any)."""
+        """Detach the handler this sink attached (if any) and restore
+        the logger's level and ``propagate`` flag."""
         if self._handler is not None:
             self.logger.removeHandler(self._handler)
             self._handler = None
+            self.logger.setLevel(self._restore[0])
+            self.logger.propagate = self._restore[1]

@@ -35,19 +35,13 @@ the checked arrays straight to its ``pairwise_sq_euclidean`` and
 
 from __future__ import annotations
 
-import time
 import warnings
 
 import numpy as np
 
 from repro.backends import current_backend
 from repro.exceptions import ClampWarning, ValidationError
-from repro.observability.trace import (
-    hot_span,
-    metric_inc,
-    metric_observe,
-    span,
-)
+from repro.observability.trace import hot_span, metric_inc, span
 from repro.pipeline.parallel import parallel_map
 from repro.robust.faults import register_fault_site
 from repro.robust.policy import failure_guard, matrix_context, run_with_policy
@@ -296,7 +290,6 @@ class Predictor:
             )
         batch_size = int(batch_size)
         backend = current_backend()
-        tick = time.perf_counter()
         with hot_span(
             "serving.predict",
             n_samples=m,
@@ -311,7 +304,6 @@ class Predictor:
                 chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
             )
         metric_inc("serving.requests", m)
-        metric_observe("serving.predict_seconds", time.perf_counter() - tick)
         return scores
 
     def adapt(self, views, *, labels=None) -> np.ndarray:

@@ -32,10 +32,11 @@ Operational properties:
 * **Tracing** — everything the service sends to a trace goes to the
   trace active when the service was *constructed*, whichever thread
   submits: the ``serving.submitted`` / ``serving.rejected`` counters
-  and the ``serving.queue_depth`` / ``serving.batch_size`` /
-  ``serving.batch_seconds`` histograms.  The worker runs in a snapshot
-  of the construction-time context, so traces, caches, failure
-  policies, and armed fault plans all apply to the batched predicts.
+  and the ``serving.queue_depth`` / ``serving.batch_size`` histograms
+  (a batch's time is its ``serving.batch`` span).  The worker runs in
+  a snapshot of the construction-time context, so traces, caches,
+  failure policies, and armed fault plans all apply to the batched
+  predicts.
   Under that trace the service is also *request-correlated*: every
   ``submit`` gets a ``request_id`` and a ``serving.request`` span
   covering submit→resolution, each ``serving.batch`` span links to the
@@ -583,7 +584,6 @@ class PredictionService:
                 )
         m = self.metrics
         m.histogram("serving.batch_seconds").observe(done - tick)
-        self._mirror("histogram", "serving.batch_seconds", done - tick)
         # Coalesce latency: first dequeue -> dispatch of the predict.
         m.histogram("serving.coalesce_seconds").observe(
             tick - batch[0].dequeued_at

@@ -32,12 +32,7 @@ from repro.core.anchor_model import AnchorMVSC
 from repro.core.config import StreamingConfig, UMSCConfig
 from repro.exceptions import ValidationError
 from repro.observability.health import weight_entropy
-from repro.observability.trace import (
-    metric_inc,
-    metric_observe,
-    metric_set,
-    span,
-)
+from repro.observability.trace import metric_inc, metric_set, span
 from repro.streaming.drift import (
     BatchStats,
     DriftEvent,
@@ -258,7 +253,6 @@ class StreamingMVSC:
         for event in batch_events:
             metric_inc(f"streaming.drift.{event.kind}")
         metric_inc(f"streaming.action.{action}")
-        metric_observe("streaming.batch_seconds", seconds)
         # Numerical-health probes, refreshed per batch: the anchor
         # coverage of the newest batch (the drift signal) and the
         # current view-weight concentration.

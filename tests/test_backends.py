@@ -466,6 +466,5 @@ class TestRunnerBackend:
                 small_dataset,
                 methods=["UMSC"],
                 n_runs=1,
-                collect_phases=False,
             )
         assert results["UMSC"].scores["acc"].mean > 0.9

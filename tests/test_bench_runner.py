@@ -28,6 +28,7 @@ from repro.bench import (
 )
 from repro.cli import main
 from repro.exceptions import ValidationError
+from repro.observability.trace import current_trace, metric_inc
 from repro.robust import FaultSpec, inject_faults
 
 
@@ -87,6 +88,28 @@ class TestRunBenches:
             for site in ("anchor.assign", "anchor.gram", "anchor.stats"):
                 assert entry["hotspots"][site]
                 assert entry["memory"]["sites"][site]["calls"] > 0
+
+    def test_timed_repetitions_run_with_no_trace(self, monkeypatch):
+        seen: list = []
+
+        def factory(quick):
+            def work():
+                seen.append(current_trace())
+                metric_inc("spy.passes")
+
+            return work
+
+        monkeypatch.setitem(BENCHES, "spy", ("trace spy", factory))
+        report = run_benches(
+            ["spy"], quick=True, repeats=3, profile=False, memory=False
+        )
+        # The untimed warm-up runs under the bench's trace; the timed
+        # repetitions run with none.
+        assert seen[0] is not None
+        assert seen[1:] == [None, None, None]
+        # The metrics are the warm-up's: one pass, not one per repeat.
+        counters = report["benches"]["spy"]["metrics"]["counters"]
+        assert counters["spy.passes"] == 1
 
     def test_unknown_bench_name_rejected(self):
         with pytest.raises(ValidationError, match="unknown bench"):

@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+import threading
 import time
 import warnings
 
@@ -29,7 +31,25 @@ from repro.observability import (
     use_request,
     use_trace,
 )
-from repro.observability.trace import NOOP_SPAN, metric_inc, metric_observe
+from repro.observability.trace import (
+    NOOP_SPAN,
+    SpanRecord,
+    metric_inc,
+    metric_observe,
+)
+
+
+def _block_seconds(spans) -> dict:
+    """``{iteration: {block: seconds}}`` from the alternation's block
+    spans (the spans carrying an ``iteration`` attribute)."""
+    out: dict = {}
+    for record in spans:
+        iteration = record.attributes.get("iteration")
+        if iteration is not None:
+            blocks = out.setdefault(iteration, {})
+            seconds = blocks.get(record.name, 0.0) + record.duration
+            blocks[record.name] = seconds
+    return out
 
 
 class TestSpanAPI:
@@ -123,7 +143,6 @@ class TestJsonlSink:
             objective=1.5,
             objective_pre_reweight=1.6,
             rel_change=0.1,
-            block_seconds={"f_step": 0.01},
             gpi_iterations=4,
             label_moves=2,
             view_weights=(0.4, 0.6),
@@ -167,20 +186,20 @@ class TestIterationEvents:
         model = UnifiedMVSC(
             3, max_iter=10, n_restarts=3, random_state=0, callbacks=[recorder]
         )
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), use_trace(Trace("fit")) as trace:
             warnings.simplefilter("ignore", ConvergenceWarning)
             result = model.fit(ds.views)
-        return result, recorder
+        return result, recorder, trace
 
     def test_one_event_per_iteration(self, fitted):
-        result, recorder = fitted
+        result, recorder, _ = fitted
         assert len(recorder.events) == result.n_iter
         assert [e.iteration for e in recorder.events] == list(
             range(1, result.n_iter + 1)
         )
 
     def test_events_match_history_and_result(self, fitted):
-        result, recorder = fitted
+        result, recorder, _ = fitted
         assert [e.objective for e in recorder.events] == pytest.approx(
             result.objective_history
         )
@@ -190,15 +209,17 @@ class TestIterationEvents:
         )
 
     def test_block_timings_present_and_positive(self, fitted):
-        _, recorder = fitted
+        _, recorder, trace = fitted
+        blocks = _block_seconds(trace.spans)
+        assert sorted(blocks) == [e.iteration for e in recorder.events]
         for event in recorder.events:
             for key in ("f_step", "r_step", "y_step", "w_step", "objective"):
-                assert event.block_seconds[key] >= 0.0
+                assert blocks[event.iteration][key] >= 0.0
             assert event.gpi_iterations >= 1  # lam > 0 -> GPI ran
             assert event.label_moves >= 0
 
     def test_pre_reweight_objective_descends(self, fitted):
-        result, recorder = fitted
+        result, recorder, _ = fitted
         # Block descent: pre-reweighting objective never exceeds the
         # previous recorded value (up to tolerance).
         for prev, event in zip(result.objective_history, recorder.events[1:]):
@@ -207,18 +228,19 @@ class TestIterationEvents:
             )
 
     def test_diagnostics_rides_on_result(self, fitted):
-        result, recorder = fitted
+        result, _, trace = fitted
         assert len(result.diagnostics) == result.n_iter
         assert result.diagnostics.objectives() == pytest.approx(
             result.objective_history
         )
-        phases = result.diagnostics.phase_seconds()
+        phases = trace.phase_totals()
         assert set(phases) >= {"f_step", "r_step", "y_step", "w_step"}
-        assert result.diagnostics.total_seconds() > 0.0
+        blocks = _block_seconds(trace.spans)
+        assert sum(sum(b.values()) for b in blocks.values()) > 0.0
         assert result.diagnostics.to_dicts()[0]["iteration"] == 1
 
     def test_fit_start_and_end_hooks(self, fitted):
-        result, recorder = fitted
+        result, recorder, _ = fitted
         kinds = [info["type"] for info in recorder.fit_infos]
         assert kinds == ["fit_start", "fit_end"]
         assert recorder.fit_infos[0]["solver"] == "UnifiedMVSC"
@@ -235,15 +257,15 @@ class TestIterationEvents:
                 3, max_iter=3, n_restarts=2, random_state=0,
                 callbacks=[recorder],
             )
-            labels = model.fit_predict(ds.views)
+            with use_trace(Trace("fit")) as trace:
+                labels = model.fit_predict(ds.views)
             assert labels.shape == (80,)
             assert len(recorder.events) >= 2
             assert recorder.events[0].solver == cls.__name__
-            assert set(recorder.events[0].block_seconds) >= {
-                "f_step", "y_step", "w_step",
-            }
+            blocks = _block_seconds(trace.spans)
+            assert set(blocks[1]) >= {"f_step", "y_step", "w_step"}
             for event in recorder.events[1:]:
-                assert set(event.block_seconds) >= {
+                assert set(blocks[event.iteration]) >= {
                     "f_step", "r_step", "y_step", "w_step",
                 }
 
@@ -332,7 +354,6 @@ class TestLoggingSink:
                     solver="UnifiedMVSC",
                     iteration=1,
                     objective=2.0,
-                    block_seconds={"f_step": 0.001},
                     gpi_iterations=3,
                     label_moves=1,
                     view_weights=(0.5, 0.5),
@@ -347,6 +368,59 @@ class TestLoggingSink:
         assert "gpi=3" in text and "moves=1" in text
         assert "fit end" in text
 
+    def test_block_ms_come_from_iteration_spans(self):
+        stream = io.StringIO()
+        sink = LoggingSink(stream=stream)
+        try:
+            for name, duration in (("f_step", 0.002), ("objective", 0.001),
+                                   ("objective", 0.001), ("gpi", 0.5)):
+                attributes = {} if name == "gpi" else {"iteration": 1}
+                sink.on_span(
+                    SpanRecord(
+                        name,
+                        duration=duration,
+                        attributes=attributes,
+                        thread=threading.get_ident(),
+                    )
+                )
+            event = IterationEvent(solver="UnifiedMVSC", iteration=1)
+            sink.on_iteration(event)
+            sink.on_iteration(event)
+        finally:
+            sink.close()
+        first, second = stream.getvalue().splitlines()
+        # Repeated blocks add up; spans without an iteration are not
+        # blocks; each iteration's blocks are printed once.
+        assert "f_step=2.0ms objective=2.0ms" in first
+        assert "gpi" not in first
+        assert "ms" not in second
+
+    def test_close_restores_logger_state(self, monkeypatch):
+        import logging
+
+        logger = logging.getLogger("repro.observability")
+        monkeypatch.setattr(logger, "propagate", True)
+        monkeypatch.setattr(logger, "level", logging.NOTSET)
+        handlers = list(logger.handlers)
+        sink = LoggingSink(stream=io.StringIO())
+        assert logger.propagate is False and logger.level == logging.INFO
+        sink.close()
+        assert logger.propagate is True
+        assert logger.level == logging.NOTSET
+        assert logger.handlers == handlers
+
+
+class _TraceSpy:
+    """Estimator stand-in recording the trace active at each fit."""
+
+    def __init__(self, seen: list, n_samples: int) -> None:
+        self.seen = seen
+        self.n_samples = n_samples
+
+    def fit_predict(self, views):
+        self.seen.append(current_trace())
+        return np.arange(self.n_samples) % 3
+
 
 class TestRunnerIntegration:
     def test_run_experiment_aggregates_phase_breakdown(self):
@@ -354,22 +428,22 @@ class TestRunnerIntegration:
         from repro.evaluation.runner import run_experiment
 
         ds = load_benchmark("yale")
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), use_trace(Trace("exp")) as trace:
             warnings.simplefilter("ignore", ConvergenceWarning)
             results = run_experiment(
                 ds, methods=["UMSC"], n_runs=2, metrics=("acc",)
             )
-        phases = results["UMSC"].phase_seconds
+        assert results["UMSC"].n_runs == 2
+        phases = trace.phase_stats()
         assert set(phases) >= {"f_step", "y_step", "w_step"}
-        for agg in phases.values():
-            assert len(agg.values) == 2
-            assert agg.mean >= 0.0
+        assert phases["graph_build"][0] == 2  # both runs recorded
+        assert all(total >= 0.0 for _, total in phases.values())
 
     def test_grid_sweep_records_phase_seconds(self):
         from repro.evaluation.sweeps import grid_sweep
 
         ds = make_multiview_blobs(60, 3, view_dims=(6, 8), random_state=0)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), use_trace(Trace("sweep")) as trace:
             warnings.simplefilter("ignore", ConvergenceWarning)
             result = grid_sweep(
                 ds,
@@ -380,9 +454,36 @@ class TestRunnerIntegration:
                 {"lam": [0.5, 1.0]},
                 metrics=("acc",),
             )
-        for point in result.points:
-            assert point.phase_seconds.get("f_step", 0.0) >= 0.0
-            assert point.phase_seconds  # breakdown recorded
+        assert len(result.points) == 2
+        phases = trace.phase_stats()
+        assert phases["graph_build"][0] == 2  # both points recorded
+        assert phases["f_step"][1] >= 0.0
+
+    def test_run_experiment_fits_with_no_trace(self, monkeypatch):
+        from repro.evaluation import runner
+        from repro.evaluation.registry import MethodSpec
+
+        ds = make_multiview_blobs(30, 3, view_dims=(4, 5), random_state=0)
+        seen: list = []
+        spy = MethodSpec("Spy", lambda c, seed: _TraceSpy(seen, 30))
+        monkeypatch.setattr(
+            runner, "default_method_registry", lambda: {"Spy": spy}
+        )
+        runner.run_experiment(ds, methods=["Spy"], n_runs=2, metrics=("acc",))
+        assert seen == [None, None]
+
+    def test_grid_sweep_fits_with_no_trace(self):
+        from repro.evaluation.sweeps import grid_sweep
+
+        ds = make_multiview_blobs(30, 3, view_dims=(4, 5), random_state=0)
+        seen: list = []
+        grid_sweep(
+            ds,
+            lambda random_state, lam: _TraceSpy(seen, 30),
+            {"lam": [0.5, 1.0]},
+            metrics=("acc",),
+        )
+        assert seen == [None, None]
 
 
 class TestCLI:
@@ -404,14 +505,22 @@ class TestCLI:
         iterations = [r for r in records if r["type"] == "iteration"]
         spans = [r for r in records if r["type"] == "span"]
         assert iterations and spans
-        # One event per outer iteration, per-block timings summing to a
-        # plausible fraction of the total fit time.
+        # One event per outer iteration; its block spans carry the
+        # per-block timings.
         event = IterationEvent.from_dict(iterations[-1])
         assert event.solver == "UnifiedMVSC"
-        assert sum(event.block_seconds.values()) > 0.0
+        blocks = [
+            s for s in spans
+            if s["attributes"].get("iteration") == event.iteration
+        ]
+        assert sum(s["duration"] for s in blocks) > 0.0
         assert len(event.view_weights) > 0
         err = capsys.readouterr().err
         assert "iter 1" in err  # --verbose logged to stderr
+        # --verbose prints each block's milliseconds from its span.
+        first = next(line for line in err.splitlines() if "iter 1:" in line)
+        assert re.search(r"f_step=\d+\.\dms", first)
+        assert re.search(r"w_step=\d+\.\dms", first)
 
     def test_run_without_flags_writes_no_trace(self, tmp_path):
         out = io.StringIO()
@@ -421,6 +530,29 @@ class TestCLI:
         assert code == 0
         assert "trace:" not in out.getvalue()
         assert list(tmp_path.iterdir()) == []
+
+    def test_run_without_flags_fits_with_no_trace(self, monkeypatch):
+        import repro.cli
+        from repro.datasets import load_benchmark
+        from repro.evaluation.registry import (
+            MethodSpec,
+            default_method_registry,
+        )
+
+        n = load_benchmark("yale").n_samples
+        seen: list = []
+        spy = MethodSpec("UMSC", lambda c, seed: _TraceSpy(seen, n))
+        monkeypatch.setattr(
+            repro.cli,
+            "default_method_registry",
+            lambda: {**default_method_registry(), "UMSC": spy},
+        )
+        assert main(["run", "--dataset", "yale"], out=io.StringIO()) == 0
+        assert seen == [None]
+        assert main(
+            ["run", "--dataset", "yale", "--profile"], out=io.StringIO()
+        ) == 0
+        assert seen[1] is not None  # --profile turns the trace on
 
     def test_trace_events_cover_every_iteration(self, tmp_path):
         from repro.datasets import load_benchmark

@@ -346,8 +346,13 @@ class TestPredictor:
         with use_trace(trace):
             Predictor(art).predict(_queries(art, m=9))
         assert trace.metrics.counters["serving.requests"].value == 9
-        assert "serving.predict_seconds" in trace.metrics.histograms
-        assert any(s.name == "serving.predict" for s in trace.spans)
+        # The predict's time is its span (no duplicate histogram).
+        (predict,) = [s for s in trace.spans if s.name == "serving.predict"]
+        assert predict.attributes["n_samples"] == 9
+        assert predict.duration > 0.0
+        assert not any(
+            "seconds" in name for name in trace.metrics.histograms
+        )
         assert any(s.name == "serving.index_build" for s in trace.spans)
 
 
