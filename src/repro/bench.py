@@ -16,10 +16,10 @@ into machine-readable perf records:
   persistence with schema validation;
 * :func:`compare_reports` — regression detection between two reports,
   for the CI gate (``repro bench compare`` exits nonzero on
-  regression): wall-clock against a relative ``threshold``, and the
-  per-bench memory peaks (``peak_rss_bytes`` / ``peak_alloc_bytes``
-  from the untimed memory-attribution pass) against their own looser
-  ``memory_threshold`` and byte noise floor.
+  regression): one row per bench and :data:`GATES` quantity —
+  wall-clock against a relative ``threshold``, the timed pass's peak
+  RSS and the traced allocation peak against a looser
+  ``memory_threshold`` — each above its own noise floor.
 
 Both entry points — ``repro bench {run,compare}`` and
 ``python benchmarks/bench_runner.py`` — are thin wrappers over this
@@ -36,6 +36,7 @@ gate itself is tested.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import time
@@ -319,18 +320,17 @@ def run_benches(
     memory : bool
         After the timed repetitions, run one extra *untimed* pass with
         :class:`~repro.observability.memory.use_memory_tracking` armed
-        (plus its own resource sampler) and store the per-phase
-        allocation table and peaks under the entry's ``"memory"`` key —
-        the fields ``repro bench compare`` gates memory regressions on.
+        and store the per-phase allocation table and the traced
+        allocation peak under the entry's ``"memory"`` key.
         Tracemalloc roughly doubles allocation cost, which is why this
         pass is untimed and separate.
 
-    The timed repetitions run under the caller's run context, with no
-    trace unless the caller activated one, inside a resource sampler
-    (RSS/CPU peaks).  The untimed warm-up pass runs under the bench's
-    own trace and supplies the entry's ``"metrics"`` snapshot
-    (eigensolver calls, GPI inner iterations, serving latencies, ...)
-    for one pass of the workload.
+    Only the untimed warm-up pass runs under the bench's own trace and
+    supplies the entry's ``"metrics"`` snapshot (eigensolver calls, GPI
+    inner iterations, serving latencies, ...) for one pass.  Every
+    other pass runs under the caller's run context, with no trace
+    unless the caller activated one; the timed repetitions run inside
+    the entry's one resource sampler (``"resources"``: RSS/CPU peaks).
     """
     if names is None:
         selected = list(BENCHES)
@@ -369,11 +369,10 @@ def run_benches(
             "resources": sampler.summary(),
         }
         if profile:
-            # Separate untimed pass under its own trace so the profiler
-            # overhead never touches the headline timings or metrics.
-            with use_trace(Trace(f"bench:{name}:profile")):
-                with use_profiling(limit=8) as session:
-                    work()
+            # Separate untimed pass, untraced like the timed one, so the
+            # profiler overhead never touches the headline timings.
+            with use_profiling(limit=8) as session:
+                work()
             entry["hotspots"] = {
                 site: session.hotspots(site, top=5)
                 for site in session.sites()
@@ -381,12 +380,9 @@ def run_benches(
         if memory:
             # Separate untimed pass: tracemalloc distorts timings, so
             # memory attribution never shares a pass with the clock.
-            with ResourceSampler(interval_seconds=0.01) as mem_sampler:
-                with use_trace(Trace(f"bench:{name}:memory")):
-                    with use_memory_tracking() as mem_session:
-                        work()
+            with use_memory_tracking() as mem_session:
+                work()
             entry["memory"] = {
-                "peak_rss_bytes": mem_sampler.summary()["peak_rss_bytes"],
                 "peak_alloc_bytes": mem_session.peak_alloc_bytes,
                 "sites": mem_session.table(),
             }
@@ -421,7 +417,8 @@ def load_report(path) -> dict:
     Raises
     ------
     ValidationError
-        Unparseable JSON, missing keys, or an unknown schema version.
+        Unparseable JSON, missing keys, an unknown schema version, or a
+        bench entry without a finite non-negative ``seconds``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -439,6 +436,11 @@ def load_report(path) -> dict:
         )
     if not isinstance(report.get("benches"), dict):
         raise ValidationError(f"{path} has no 'benches' mapping")
+    for name, entry in report["benches"].items():
+        if _gated_value(entry, "seconds") is None:
+            raise ValidationError(
+                f"{path}: bench {name!r} has no non-negative 'seconds'"
+            )
     return report
 
 
@@ -447,40 +449,46 @@ def load_report(path) -> dict:
 # ---------------------------------------------------------------------------
 
 
+#: The gated quantities, one row each per bench: ``(dotted field of the
+#: bench entry, threshold argument of compare_reports, noise floor)``;
+#: a row's metric is the field's last part.  RSS is the sampler's around
+#: the timed repetitions, the allocation peak the tracemalloc pass's.
+GATES = (
+    ("seconds", "threshold", MIN_GATED_SECONDS),
+    ("resources.peak_rss_bytes", "memory_threshold", MIN_GATED_MEMORY_BYTES),
+    ("memory.peak_alloc_bytes", "memory_threshold", MIN_GATED_MEMORY_BYTES),
+)
+
+
+def _gated_value(entry, dotted: str):
+    """The non-negative finite number at the ``dotted`` field of a bench
+    entry, or ``None`` when it is missing or malformed."""
+    value = entry
+    for key in dotted.split("."):
+        value = value.get(key) if isinstance(value, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if not math.isfinite(value) or value < 0:
+        return None
+    return float(value)
+
+
 @dataclass(frozen=True)
-class BenchDelta:
-    """One bench's baseline-vs-current comparison row."""
-
-    name: str
-    baseline_seconds: float
-    current_seconds: float
-    regressed: bool
-
-    @property
-    def ratio(self) -> float:
-        """``current / baseline`` (inf when the baseline is 0)."""
-        if self.baseline_seconds <= 0:
-            return float("inf")
-        return self.current_seconds / self.baseline_seconds
-
-
-@dataclass(frozen=True)
-class MemoryDelta:
-    """One bench's baseline-vs-current comparison row for one memory
-    metric (``peak_rss_bytes`` or ``peak_alloc_bytes``)."""
+class Delta:
+    """One bench's baseline-vs-current row for one gated metric."""
 
     name: str
     metric: str
-    baseline_bytes: float
-    current_bytes: float
+    baseline: float
+    current: float
     regressed: bool
 
     @property
     def ratio(self) -> float:
         """``current / baseline`` (inf when the baseline is 0)."""
-        if self.baseline_bytes <= 0:
+        if self.baseline <= 0:
             return float("inf")
-        return self.current_bytes / self.baseline_bytes
+        return self.current / self.baseline
 
 
 @dataclass(frozen=True)
@@ -489,69 +497,41 @@ class Comparison:
 
     Attributes
     ----------
-    deltas : list of BenchDelta
-        One row per bench present in both reports.
+    deltas : list of Delta
+        One row per :data:`GATES` metric per bench present in both
+        reports, where both carry the metric.
+    skipped : list of str
+        ``bench/metric`` labels whose field was missing or malformed on
+        either side — reported, never gated (warn-only), so reports
+        without a memory pass keep comparing cleanly.
     missing : list of str
         Benches in the baseline but absent from the current report
         (treated as a failure: coverage silently shrank).
     new : list of str
         Benches only in the current report (informational).
     threshold : float
-        Relative slowdown gate the rows were judged against.
-    memory_deltas : list of MemoryDelta
-        Memory rows for benches carrying the fields in *both* reports.
-    memory_skipped : list of str
-        ``bench/metric`` labels whose memory fields were missing or
-        malformed on either side — reported, never gated (warn-only),
-        so pre-memory reports keep comparing cleanly.
+        Relative slowdown gate of the ``seconds`` rows.
     memory_threshold : float
-        Relative memory-growth gate the memory rows were judged
-        against (looser than the time gate; allocations jitter more).
+        Relative growth gate of the memory rows (looser than the time
+        gate; allocations jitter more).
     """
 
     deltas: list = field(default_factory=list)
+    skipped: list = field(default_factory=list)
     missing: list = field(default_factory=list)
     new: list = field(default_factory=list)
     threshold: float = DEFAULT_THRESHOLD
-    memory_deltas: list = field(default_factory=list)
-    memory_skipped: list = field(default_factory=list)
     memory_threshold: float = DEFAULT_MEMORY_THRESHOLD
 
     @property
     def regressions(self) -> list:
-        """The time rows that exceeded the threshold."""
+        """The rows that exceeded their threshold."""
         return [d for d in self.deltas if d.regressed]
 
     @property
-    def memory_regressions(self) -> list:
-        """The memory rows that exceeded the memory threshold."""
-        return [d for d in self.memory_deltas if d.regressed]
-
-    @property
     def ok(self) -> bool:
-        """True when nothing regressed (time or memory) and no
-        coverage went missing."""
-        return (
-            not self.regressions
-            and not self.memory_regressions
-            and not self.missing
-        )
-
-
-#: The per-bench memory fields the comparison gate reads.
-MEMORY_METRICS = ("peak_rss_bytes", "peak_alloc_bytes")
-
-
-def _memory_value(entry, metric: str):
-    """One memory field of a bench entry, or ``None`` when missing or
-    malformed (pre-memory reports, hand-fabricated entries)."""
-    block = entry.get("memory")
-    if not isinstance(block, dict):
-        return None
-    value = block.get(metric)
-    if not isinstance(value, (int, float)) or value < 0:
-        return None
-    return float(value)
+        """True when no row regressed and no coverage went missing."""
+        return not self.regressions and not self.missing
 
 
 def compare_reports(
@@ -563,116 +543,81 @@ def compare_reports(
 ) -> Comparison:
     """Judge ``current`` against ``baseline`` bench by bench.
 
-    A bench regresses when its headline seconds exceed the baseline by
-    more than ``threshold`` (relative) *and* the baseline is above
-    :data:`MIN_GATED_SECONDS` (sub-5ms timings are timer noise).
-    Memory is gated the same way but separately: each
-    :data:`MEMORY_METRICS` field regresses past ``memory_threshold``
-    only when the baseline is above :data:`MIN_GATED_MEMORY_BYTES`;
-    entries missing the fields on either side are *skipped* (warn-only,
-    never a failure) so pre-memory reports keep comparing.  Speedups
-    and shrinkage never fail; comparing reports from different machines
-    is allowed but the fingerprints are the caller's responsibility.
+    Each :data:`GATES` metric of a bench regresses when its current
+    value exceeds the baseline by more than its threshold (relative)
+    *and* the baseline is above the metric's noise floor (sub-5ms
+    timings are timer noise, sub-16MB peaks allocator noise).  A metric
+    missing on either side is *skipped* (warn-only, never a failure);
+    :func:`load_report` guarantees ``seconds``, so only memory fields
+    can be missing from a loaded report.  Speedups and shrinkage never
+    fail; comparing reports from different machines is allowed but the
+    fingerprints are the caller's responsibility.
     """
-    if float(threshold) < 0:
-        raise ValidationError(f"threshold must be >= 0, got {threshold}")
-    if float(memory_threshold) < 0:
-        raise ValidationError(
-            f"memory_threshold must be >= 0, got {memory_threshold}"
-        )
+    limits = {
+        "threshold": float(threshold),
+        "memory_threshold": float(memory_threshold),
+    }
+    for arg, limit in limits.items():
+        if limit < 0:
+            raise ValidationError(f"{arg} must be >= 0, got {limit}")
     base_benches = baseline["benches"]
     cur_benches = current["benches"]
     deltas = []
-    memory_deltas = []
-    memory_skipped = []
+    skipped = []
     for name, base in base_benches.items():
         if name not in cur_benches:
             continue
-        base_s = float(base["seconds"])
-        cur_s = float(cur_benches[name]["seconds"])
-        regressed = (
-            base_s > MIN_GATED_SECONDS
-            and cur_s > base_s * (1.0 + float(threshold))
-        )
-        deltas.append(
-            BenchDelta(
-                name=name,
-                baseline_seconds=base_s,
-                current_seconds=cur_s,
-                regressed=regressed,
-            )
-        )
-        for metric in MEMORY_METRICS:
-            base_b = _memory_value(base, metric)
-            cur_b = _memory_value(cur_benches[name], metric)
-            if base_b is None or cur_b is None:
-                memory_skipped.append(f"{name}/{metric}")
+        for dotted, arg, floor in GATES:
+            metric = dotted.rsplit(".", 1)[-1]
+            base_v = _gated_value(base, dotted)
+            cur_v = _gated_value(cur_benches[name], dotted)
+            if base_v is None or cur_v is None:
+                skipped.append(f"{name}/{metric}")
                 continue
-            memory_deltas.append(
-                MemoryDelta(
-                    name=name,
-                    metric=metric,
-                    baseline_bytes=base_b,
-                    current_bytes=cur_b,
-                    regressed=(
-                        base_b > MIN_GATED_MEMORY_BYTES
-                        and cur_b
-                        > base_b * (1.0 + float(memory_threshold))
-                    ),
-                )
-            )
+            regressed = base_v > floor and cur_v > base_v * (1 + limits[arg])
+            deltas.append(Delta(name, metric, base_v, cur_v, regressed))
     return Comparison(
         deltas=deltas,
+        skipped=skipped,
         missing=sorted(set(base_benches) - set(cur_benches)),
         new=sorted(set(cur_benches) - set(base_benches)),
-        threshold=float(threshold),
-        memory_deltas=memory_deltas,
-        memory_skipped=memory_skipped,
-        memory_threshold=float(memory_threshold),
+        threshold=limits["threshold"],
+        memory_threshold=limits["memory_threshold"],
     )
+
+
+def _show(metric: str, value: float) -> str:
+    """One table cell: seconds as seconds, byte counts as MB."""
+    if metric == "seconds":
+        return f"{value:.3f}s"
+    return f"{value / 1e6:.1f}MB"
 
 
 def format_comparison(comparison: Comparison) -> str:
     """Human-readable comparison table plus verdict lines."""
     from repro.evaluation.tables import format_rows
 
-    rows = []
-    for d in comparison.deltas:
-        rows.append(
-            [
-                d.name,
-                f"{d.baseline_seconds:.3f}s",
-                f"{d.current_seconds:.3f}s",
-                f"{d.ratio:.2f}x",
-                "REGRESSED" if d.regressed else "ok",
-            ]
-        )
+    rows = [
+        [
+            d.name,
+            d.metric,
+            _show(d.metric, d.baseline),
+            _show(d.metric, d.current),
+            f"{d.ratio:.2f}x",
+            "REGRESSED" if d.regressed else "ok",
+        ]
+        for d in comparison.deltas
+    ]
     lines = [
         format_rows(
-            ["bench", "baseline", "current", "ratio", "verdict"], rows
+            ["bench", "metric", "baseline", "current", "ratio", "verdict"],
+            rows,
         )
     ]
-    if comparison.memory_deltas:
-        mem_rows = [
-            [
-                f"{d.name} ({d.metric})",
-                f"{d.baseline_bytes / 1e6:.1f}MB",
-                f"{d.current_bytes / 1e6:.1f}MB",
-                f"{d.ratio:.2f}x",
-                "REGRESSED" if d.regressed else "ok",
-            ]
-            for d in comparison.memory_deltas
-        ]
-        lines.append(
-            format_rows(
-                ["memory", "baseline", "current", "ratio", "verdict"],
-                mem_rows,
-            )
-        )
-    if comparison.memory_skipped:
+    if comparison.skipped:
         lines.append(
             "memory fields missing (compared warn-only): "
-            + ", ".join(comparison.memory_skipped)
+            + ", ".join(comparison.skipped)
         )
     if comparison.missing:
         lines.append(
@@ -680,8 +625,8 @@ def format_comparison(comparison: Comparison) -> str:
         )
     if comparison.new:
         lines.append("new benches (no baseline): " + ", ".join(comparison.new))
-    n_reg = len(comparison.regressions)
-    n_mem = len(comparison.memory_regressions)
+    n_reg = sum(d.metric == "seconds" for d in comparison.regressions)
+    n_mem = len(comparison.regressions) - n_reg
     lines.append(
         f"{n_reg} regression(s) at threshold +{comparison.threshold:.0%}, "
         f"{n_mem} memory regression(s) at "

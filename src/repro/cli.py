@@ -435,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="memory",
         action="store_false",
         help="skip the extra untimed memory-attribution pass (no "
-        "per-bench memory peaks in the report; the compare memory "
-        "gate degrades to warn-only)",
+        "per-bench allocation peak in the report; compare skips that "
+        "row, warn-only)",
     )
     bench_run_p.add_argument(
         "--out",

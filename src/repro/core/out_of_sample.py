@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ValidationError
 from repro.serving.artifact import ModelArtifact
 from repro.serving.predictor import Predictor
 from repro.utils.validation import check_labels, check_views
@@ -75,46 +74,22 @@ def propagate_labels(
     >>> propagate_labels(train, labels, new).tolist()
     [0, 1]
     """
+    # The artifact validates the training set, the weights and
+    # n_clusters, and the predictor the query views; only the inputs
+    # the defaults are computed from are checked here.
     train_views = check_views(train_views, "train_views")
-    new_views = check_views(new_views, "new_views")
-    if len(train_views) != len(new_views):
-        raise ValidationError(
-            f"train has {len(train_views)} views but new has {len(new_views)}"
-        )
-    for v, (a, b) in enumerate(zip(train_views, new_views)):
-        if a.shape[1] != b.shape[1]:
-            raise ValidationError(
-                f"view {v}: train dim {a.shape[1]} != new dim {b.shape[1]}"
-            )
     labels = check_labels(train_labels, "train_labels", n=train_views[0].shape[0])
-    if np.any(labels < 0):
-        raise ValidationError("train_labels must be non-negative")
-    c = int(labels.max()) + 1 if n_clusters is None else int(n_clusters)
-    if c < 1 or labels.max() >= c:
-        raise ValidationError("n_clusters inconsistent with train_labels")
-
     n_views = len(train_views)
-    if view_weights is None:
-        weights = np.full(n_views, 1.0 / n_views)
-    else:
-        weights = np.asarray(view_weights, dtype=np.float64)
-        if weights.shape != (n_views,):
-            raise ValidationError(
-                f"view_weights must have shape ({n_views},), got {weights.shape}"
-            )
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise ValidationError("view_weights must be finite and non-negative")
-        if weights.sum() <= 0:
-            raise ValidationError("view_weights must not all be zero")
-
-    # The Predictor normalizes the weights (once, like the historical
-    # in-place implementation), so the raw values go into the artifact.
     artifact = ModelArtifact(
         model_class="propagate_labels",
         train_views=train_views,
         train_labels=labels,
-        view_weights=weights,
-        n_clusters=c,
+        view_weights=(
+            np.full(n_views, 1.0 / n_views)
+            if view_weights is None
+            else view_weights
+        ),
+        n_clusters=int(labels.max()) + 1 if n_clusters is None else n_clusters,
         n_neighbors=n_neighbors,
     )
     return Predictor(artifact).predict(new_views)

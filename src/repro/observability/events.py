@@ -103,24 +103,34 @@ class FitCallback:
         (``n_iter``, ``converged``, ``objective``, ...)."""
 
 
-def dispatch_event(callbacks, method: str, payload) -> None:
-    """Deliver ``payload`` to ``method`` of every callback and the
-    active trace.
+def _deliver(listeners, method: str, payload) -> None:
+    """Call ``method`` on every listener that defines it."""
+    for listener in listeners:
+        hook = getattr(listener, method, None)
+        if hook is not None:
+            hook(payload)
 
-    ``callbacks`` is any iterable of listener objects; iteration events
-    additionally flow to the contextvar-active
-    :class:`~repro.observability.trace.Trace` (and through it to the
-    trace's sinks), so enabling a trace observes an *un-modified* model.
+
+def dispatch_event(callbacks, method: str, payload) -> None:
+    """Deliver ``payload`` to ``method`` of every callback and of the
+    active trace's sinks.
+
+    ``callbacks`` is any iterable of listener objects.  Every hook also
+    flows to the sinks of the contextvar-active
+    :class:`~repro.observability.trace.Trace`, so enabling a trace
+    observes an *un-modified* model; only iteration events are also
+    recorded on the trace itself (``trace.events``).
     """
     from repro.observability.trace import current_trace
 
-    for callback in callbacks:
-        hook = getattr(callback, method, None)
-        if hook is not None:
-            hook(payload)
+    _deliver(callbacks, method, payload)
     trace = current_trace()
-    if trace is not None and method == "on_iteration":
+    if trace is None:
+        return
+    if method == "on_iteration":
         trace.emit(payload)
+    else:
+        _deliver(trace.sinks, method, payload)
 
 
 @dataclass(frozen=True)

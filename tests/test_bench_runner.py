@@ -74,6 +74,13 @@ class TestRunBenches:
         assert loaded["benches"]["graph_build"]["seconds"] == pytest.approx(
             entry["seconds"]
         )
+        # A fresh report gates all of its quantities: one row per
+        # metric, none skipped.
+        cmp = compare_reports(loaded, loaded)
+        assert [d.metric for d in cmp.deltas] == [
+            "seconds", "peak_rss_bytes", "peak_alloc_bytes"
+        ]
+        assert cmp.skipped == [] and cmp.ok
 
     def test_anchor_benches_report_their_hot_sites(self):
         report = run_benches(
@@ -101,12 +108,13 @@ class TestRunBenches:
 
         monkeypatch.setitem(BENCHES, "spy", ("trace spy", factory))
         report = run_benches(
-            ["spy"], quick=True, repeats=3, profile=False, memory=False
+            ["spy"], quick=True, repeats=3, profile=True, memory=True
         )
         # The untimed warm-up runs under the bench's trace; the timed
-        # repetitions run with none.
+        # repetitions, the profile pass and the memory pass run with
+        # none.
         assert seen[0] is not None
-        assert seen[1:] == [None, None, None]
+        assert seen[1:] == [None, None, None, None, None]
         # The metrics are the warm-up's: one pass, not one per repeat.
         counters = report["benches"]["spy"]["metrics"]["counters"]
         assert counters["spy.passes"] == 1
@@ -151,6 +159,25 @@ class TestLoadReport:
         report["schema_version"] = SCHEMA_VERSION + 1
         path.write_text(json.dumps(report))
         with pytest.raises(ValidationError, match="schema_version"):
+            load_report(path)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"description": "no seconds"},
+            {"seconds": "fast"},
+            {"seconds": float("nan")},
+            {"seconds": True},
+            [1.0],
+        ],
+        ids=["missing", "string", "nan", "bool", "not-a-dict"],
+    )
+    def test_rejects_an_entry_without_numeric_seconds(self, tmp_path, entry):
+        report = _report({"a": 1.0})
+        report["benches"]["b"] = entry
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        with pytest.raises(ValidationError, match="'b'.*seconds"):
             load_report(path)
 
     def test_rejects_non_report_json(self, tmp_path):
@@ -205,6 +232,23 @@ class TestCompareReports:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValidationError, match="threshold"):
             compare_reports(_report({}), _report({}), threshold=-0.1)
+
+    def test_rss_row_reads_the_timed_pass_sampler(self):
+        base = _report({"a": 1.0})
+        cur = _report({"a": 1.0})
+        base["benches"]["a"]["resources"] = {"peak_rss_bytes": 100e6}
+        cur["benches"]["a"]["resources"] = {"peak_rss_bytes": 300e6}
+        for report in (base, cur):
+            report["benches"]["a"]["memory"] = {"peak_alloc_bytes": 1e6}
+        cmp = compare_reports(base, cur)
+        rows = {d.metric: d for d in cmp.deltas}
+        assert set(rows) == {"seconds", "peak_rss_bytes", "peak_alloc_bytes"}
+        assert rows["peak_rss_bytes"].baseline == 100e6
+        assert rows["peak_rss_bytes"].regressed
+        assert cmp.skipped == [] and not cmp.ok
+        text = format_comparison(cmp)
+        assert "0 regression(s) at threshold +25%" in text
+        assert "1 memory regression(s) at +50% — FAIL" in text
 
     def test_format_mentions_verdicts(self):
         cmp = compare_reports(_report({"a": 1.0}), _report({"a": 3.0}))

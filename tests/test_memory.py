@@ -4,9 +4,9 @@ Covers :mod:`repro.observability.memory` — the dormant
 ``hot_span`` → ``NOOP_SPAN`` chain, :class:`MemorySession`
 recording/nesting, :func:`use_memory_tracking` tracemalloc ownership —
 plus the :mod:`repro.bench` integration: the per-bench ``memory``
-entry, :class:`~repro.bench.MemoryDelta` gating in
-:func:`~repro.bench.compare_reports` (own threshold, 16 MB noise
-floor, warn-only on missing fields), and the acceptance path where an
+entry, the memory rows of :func:`~repro.bench.compare_reports` (own
+threshold, 16 MB noise floor, warn-only on missing fields), and the
+acceptance path where an
 injected allocation blow-up in a tracked bench fails the gate.  The
 single-use :class:`~repro.observability.resource.ResourceSampler`
 contract rides along (satellite).
@@ -126,13 +126,27 @@ class TestBenchMemoryPass:
         report = _quick_report()
         entry = report["benches"]["graph_build"]
         mem = entry["memory"]
-        assert mem["peak_rss_bytes"] > 0
+        assert entry["resources"]["peak_rss_bytes"] > 0
         assert mem["peak_alloc_bytes"] > 0
         assert isinstance(mem["sites"], dict)
 
     def test_no_memory_flag_omits_the_pass(self):
         report = _quick_report(memory=False)
         assert "memory" not in report["benches"]["graph_build"]
+
+
+def _memory_regressions(cmp_) -> set:
+    """``(bench, metric)`` of the regressed memory rows."""
+    return {
+        (d.name, d.metric)
+        for d in cmp_.regressions
+        if d.metric != "seconds"
+    }
+
+
+def _memory_skipped(cmp_) -> list:
+    """The skipped ``bench/metric`` labels of the memory rows."""
+    return [s for s in cmp_.skipped if not s.endswith("/seconds")]
 
 
 def _fake_report(seconds=1.0, rss=64 << 20, alloc=64 << 20, name="b"):
@@ -145,8 +159,8 @@ def _fake_report(seconds=1.0, rss=64 << 20, alloc=64 << 20, name="b"):
             name: {
                 "seconds": seconds,
                 "repeats": [seconds],
+                "resources": {"peak_rss_bytes": rss},
                 "memory": {
-                    "peak_rss_bytes": rss,
                     "peak_alloc_bytes": alloc,
                     "sites": [],
                 },
@@ -161,9 +175,7 @@ class TestMemoryGate:
         cur = _fake_report(alloc=256 << 20, rss=256 << 20)
         cmp_ = bench_mod.compare_reports(base, cur)
         assert not cmp_.ok
-        regressed = {
-            (d.name, d.metric) for d in cmp_.memory_regressions
-        }
+        regressed = _memory_regressions(cmp_)
         assert ("b", "peak_alloc_bytes") in regressed
         assert ("b", "peak_rss_bytes") in regressed
         text = bench_mod.format_comparison(cmp_)
@@ -178,13 +190,13 @@ class TestMemoryGate:
         base = _fake_report(alloc=64 << 20, rss=64 << 20)
         cur = _fake_report(alloc=80 << 20, rss=80 << 20)
         cmp_ = bench_mod.compare_reports(base, cur, memory_threshold=0.1)
-        assert cmp_.memory_regressions and not cmp_.ok
+        assert _memory_regressions(cmp_) and not cmp_.ok
 
     def test_sub_floor_baselines_are_never_gated(self):
         base = _fake_report(alloc=1 << 20, rss=1 << 20)
         cur = _fake_report(alloc=10 << 20, rss=10 << 20)  # 10x but tiny
         cmp_ = bench_mod.compare_reports(base, cur)
-        assert cmp_.ok and not cmp_.memory_regressions
+        assert cmp_.ok and not _memory_regressions(cmp_)
 
     def test_missing_memory_fields_compare_warn_only(self):
         base = _fake_report()
@@ -192,7 +204,7 @@ class TestMemoryGate:
         del cur["benches"]["b"]["memory"]
         cmp_ = bench_mod.compare_reports(base, cur)
         assert cmp_.ok
-        assert cmp_.memory_skipped
+        assert _memory_skipped(cmp_)
         text = bench_mod.format_comparison(cmp_)
         assert "memory fields missing" in text
 
@@ -202,7 +214,7 @@ class TestMemoryGate:
         cur["benches"]["b"]["memory"]["peak_alloc_bytes"] = "oops"
         cmp_ = bench_mod.compare_reports(base, cur)
         assert cmp_.ok
-        assert any("peak_alloc_bytes" in s for s in cmp_.memory_skipped)
+        assert any("peak_alloc_bytes" in s for s in _memory_skipped(cmp_))
 
     def test_invalid_memory_threshold_rejected(self):
         base = _fake_report()
@@ -239,6 +251,6 @@ class TestMemoryGateAcceptance:
         # The 200 MB ballast shows up in at least one gated peak.  The
         # traced-alloc metric only joins when the *clean* baseline sits
         # above the 16 MB noise floor, so the guaranteed catch is RSS.
-        metrics = {d.metric for d in cmp_.memory_regressions}
-        assert metrics and metrics <= set(bench_mod.MEMORY_METRICS)
+        metrics = {metric for _, metric in _memory_regressions(cmp_)}
+        assert metrics and metrics <= {"peak_rss_bytes", "peak_alloc_bytes"}
         assert "peak_rss_bytes" in metrics

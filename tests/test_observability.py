@@ -246,6 +246,30 @@ class TestIterationEvents:
         assert recorder.fit_infos[0]["solver"] == "UnifiedMVSC"
         assert recorder.fit_infos[1]["n_iter"] == result.n_iter
 
+    def test_fit_hooks_reach_trace_sinks(self, tmp_path):
+        ds = make_multiview_blobs(60, 3, view_dims=(6, 8), random_state=2)
+        recorder = TraceRecorder()
+        path = tmp_path / "fit.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            with use_trace(
+                Trace("fit", sinks=[recorder, JsonlSink(path)])
+            ) as trace:
+                result = UnifiedMVSC(3, max_iter=5, random_state=0).fit(
+                    ds.views
+                )
+        kinds = [info["type"] for info in recorder.fit_infos]
+        assert kinds == ["fit_start", "fit_end"]
+        records = read_jsonl(path)
+        fit_records = [
+            r for r in records if r["type"] in ("fit_start", "fit_end")
+        ]
+        assert [r["type"] for r in fit_records] == kinds
+        assert fit_records[1]["n_iter"] == result.n_iter
+        # The trace itself still records only the iteration events.
+        assert len(trace.events) == result.n_iter
+        assert records[-1]["n_events"] == result.n_iter
+
     def test_scalable_variants_emit_events(self):
         # Iteration 1 of a scalable solver cold-starts (the rotation
         # search replaces the R-step); from iteration 2 on all three
