@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     table_p.add_argument(
         "--methods",
         default="",
-        help="comma-separated registry names (default: all)",
+        help="comma-separated registry names (default: the Tables II–IV rows)",
     )
 
     conv_p = sub.add_parser(
@@ -497,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     scen_run_p.add_argument(
         "--methods",
         default="",
-        help="comma-separated matrix methods (default: "
+        help="comma-separated method registry names (default: "
         "UMSC,AnchorMVSC,SparseMVSC,ConcatSC)",
     )
     scen_run_p.add_argument(

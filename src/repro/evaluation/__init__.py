@@ -2,10 +2,12 @@
 
 This package regenerates the paper's evaluation artifacts:
 
-* :mod:`repro.evaluation.registry` — the canonical set of compared methods
-  (the paper's Table II row list) as named factories;
+* :mod:`repro.evaluation.registry` — every runnable method as a named
+  factory: the paper's Tables II-IV rows (:data:`TABLE_METHODS`) plus the
+  scaling variants and the mask-aware ``IncompleteMVSC``;
 * :mod:`repro.evaluation.runner` — repeated runs with independent seeds,
-  aggregated into mean/std per metric plus wall-clock time;
+  aggregated into mean/std per metric plus wall-clock time; both the
+  result tables and the scenario matrix run through it;
 * :mod:`repro.evaluation.tables` — plain-text rendering of the result
   tables in the paper's layout (methods x datasets, ``mean±std``);
 * :mod:`repro.evaluation.sweeps` — parameter grids for the sensitivity
@@ -20,11 +22,12 @@ This package regenerates the paper's evaluation artifacts:
   figures (bars, heatmaps, line plots);
 * :mod:`repro.evaluation.scenario_matrix` — the method × scenario
   robustness grid over the controlled scenario factory
-  (:mod:`repro.datasets.scenarios`).
+  (:mod:`repro.datasets.scenarios`), one runner call per cell.
 """
 
 from repro.evaluation.ascii_plots import bar_chart, heatmap, line_plot
 from repro.evaluation.registry import (
+    TABLE_METHODS,
     MethodSpec,
     default_method_registry,
     make_method,
@@ -53,17 +56,15 @@ from repro.evaluation.stability import (
 from repro.evaluation.scenario_matrix import (
     DEFAULT_MATRIX_METHODS,
     DEFAULT_MATRIX_METRICS,
-    MatrixCell,
-    MatrixMethod,
     ScenarioMatrix,
     format_matrix,
-    matrix_method_registry,
     run_scenario_matrix,
 )
 from repro.evaluation.sweeps import grid_sweep
 from repro.evaluation.tables import format_metric_table, format_rows
 
 __all__ = [
+    "TABLE_METHODS",
     "MethodSpec",
     "default_method_registry",
     "make_method",
@@ -89,10 +90,7 @@ __all__ = [
     "select_umsc_unsupervised",
     "DEFAULT_MATRIX_METHODS",
     "DEFAULT_MATRIX_METRICS",
-    "MatrixCell",
-    "MatrixMethod",
     "ScenarioMatrix",
     "format_matrix",
-    "matrix_method_registry",
     "run_scenario_matrix",
 ]

@@ -1,10 +1,12 @@
-"""The canonical method registry — the paper's comparison row list.
+"""The canonical method registry: every row either harness can run.
 
-Each entry is a :class:`MethodSpec` naming one row of the result tables and
-knowing how to construct the estimator.  The two oracle rows (``SC_best``,
-``SC_worst``) follow the literature's convention of reporting the best /
-worst single view selected *post hoc* against the ground truth; the runner
-handles that selection.
+Each entry is a :class:`MethodSpec` naming one method and knowing how to
+construct its estimator.  :data:`TABLE_METHODS` names the rows of the
+paper's Tables II-IV; the registry adds the library's scaling variants
+(``AnchorMVSC``, ``SparseMVSC``) and the mask-aware ``IncompleteMVSC``.
+The two oracle rows (``SC_best``, ``SC_worst``) follow the literature's
+convention of reporting the best / worst single view selected *post hoc*
+against the ground truth; the runner handles that selection.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.baselines import (
     MultiViewKMeans,
     SwMC,
 )
-from repro.core import TwoStageMVSC, UnifiedMVSC
+from repro.core import AnchorMVSC, IncompleteMVSC, SparseMVSC, TwoStageMVSC, UnifiedMVSC
 from repro.exceptions import ValidationError
 
 
@@ -47,12 +49,24 @@ class MethodSpec:
         ``builder(n_clusters, random_state, dataset_name)`` so the method
         can apply its per-dataset tuned configuration (the literature's
         protocol for the proposed method).
+    mask_aware : bool
+        When True the estimator is called as ``fit_predict(views, masks)``
+        with one boolean observation mask per view.
     """
 
     name: str
     builder: Callable
     oracle: str | None = None
     uses_dataset: bool = False
+    mask_aware: bool = False
+
+
+#: The rows of Tables II-IV, in the paper's order (the runner's default).
+TABLE_METHODS = (
+    "SC_best", "SC_worst", "ConcatKMeans", "ConcatSC", "KernelAddSC",
+    "CoRegSC", "CoTrainSC", "AMGL", "MLAN", "MVKM", "AWP", "SwMC",
+    "TwoStageMVSC", "UMSC",
+)
 
 
 class _UMSCAdapter:
@@ -74,7 +88,7 @@ class _UMSCAdapter:
 
 
 def default_method_registry() -> dict:
-    """Name -> :class:`MethodSpec` for every row of Tables II-IV."""
+    """Name -> :class:`MethodSpec` for every runnable row."""
     specs = [
         MethodSpec("SC_best", None, oracle="best"),
         MethodSpec("SC_worst", None, oracle="worst"),
@@ -104,6 +118,13 @@ def default_method_registry() -> dict:
             "UMSC",
             lambda c, rs, ds_name=None: _UMSCAdapter(c, rs, ds_name),
             uses_dataset=True,
+        ),
+        MethodSpec("AnchorMVSC", lambda c, rs: AnchorMVSC(c, random_state=rs)),
+        MethodSpec("SparseMVSC", lambda c, rs: SparseMVSC(c, random_state=rs)),
+        MethodSpec(
+            "IncompleteMVSC",
+            lambda c, rs: IncompleteMVSC(c, random_state=rs),
+            mask_aware=True,
         ),
     ]
     return {spec.name: spec for spec in specs}

@@ -3,7 +3,9 @@
 The paper's tables report ``mean ± std`` over repeated runs.  The runner
 re-runs each method with independent seeds derived from one master seed
 (dataset fixed, algorithmic randomness varying — the literature's protocol)
-and aggregates every metric.
+and aggregates every metric.  The scenario matrix
+(:mod:`repro.evaluation.scenario_matrix`) runs each of its cells through
+the same :func:`run_seeds`.
 
 Runs are timed under the caller's run context, so with no trace active
 the seconds are those of the production path.  A caller who wants the
@@ -21,8 +23,12 @@ import numpy as np
 
 from repro.baselines.single_view import all_single_view_labels
 from repro.datasets.container import MultiViewDataset
-from repro.evaluation.registry import MethodSpec, default_method_registry
-from repro.exceptions import ValidationError
+from repro.evaluation.registry import (
+    TABLE_METHODS,
+    MethodSpec,
+    default_method_registry,
+)
+from repro.exceptions import ReproError, ValidationError
 from repro.metrics import METRICS, evaluate_clustering
 from repro.robust.faults import maybe_inject, register_fault_site
 from repro.robust.policy import failure_guard
@@ -54,13 +60,19 @@ class AggregatedScore:
 
 @dataclass
 class MethodScores:
-    """All aggregated metrics (plus timing) for one method on one dataset."""
+    """Aggregated metrics (plus timing) of one method on one dataset, or
+    the typed ``error`` of the run that failed (``scores`` then empty)."""
 
     method: str
     dataset: str
     scores: dict = field(default_factory=dict)
     seconds: AggregatedScore | None = None
     n_runs: int = 0
+    error: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
 
 
 def run_method_once(
@@ -69,12 +81,15 @@ def run_method_once(
     seed: int,
     *,
     metrics=("acc", "nmi", "purity"),
+    masks=None,
 ) -> tuple[dict, float]:
     """One seeded run of one method; returns (metric dict, seconds).
 
     Oracle rows (``SC_best`` / ``SC_worst``) cluster every view and take
-    the per-metric best/worst, matching the literature's reporting.  The
-    run executes under the caller's run context, its trace included.
+    the per-metric best/worst, matching the literature's reporting.
+    Mask-aware rows fit on ``(views, masks)``, with every sample observed
+    when ``masks`` is None.  The run executes under the caller's run
+    context, its trace included.
     """
     with failure_guard(_SITE_RUN):
         maybe_inject(_SITE_RUN)
@@ -99,12 +114,71 @@ def run_method_once(
             estimator = spec.builder(dataset.n_clusters, seed, dataset.name)
         else:
             estimator = spec.builder(dataset.n_clusters, seed)
-        labels = estimator.fit_predict(dataset.views)
+        if spec.mask_aware:
+            if masks is None:
+                observed = np.ones(dataset.n_samples, dtype=bool)
+                masks = [observed] * dataset.n_views
+            labels = estimator.fit_predict(dataset.views, masks)
+        else:
+            labels = estimator.fit_predict(dataset.views)
         elapsed = time.perf_counter() - start
         return (
             evaluate_clustering(dataset.labels, labels, metrics=tuple(metrics)),
             elapsed,
         )
+
+
+def check_request(methods, n_runs: int, metrics) -> dict:
+    """Registry specs of ``methods``, after checking a run request."""
+    if n_runs < 1:
+        raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
+    unknown = [m for m in metrics if m not in METRICS]
+    if unknown:
+        raise ValidationError(f"unknown metrics: {unknown}")
+    registry = default_method_registry()
+    missing = [m for m in methods if m not in registry]
+    if missing:
+        raise ValidationError(
+            f"unknown methods {missing}; available: {list(registry)}"
+        )
+    return {name: registry[name] for name in methods}
+
+
+def run_seeds(
+    spec: MethodSpec,
+    dataset: MultiViewDataset,
+    seeds,
+    *,
+    metrics,
+    masks=None,
+    strict: bool = True,
+) -> MethodScores:
+    """Every seeded run of one method on one dataset, aggregated.
+
+    With ``strict=False`` the first failing run ends the method's runs
+    and is returned as the result's ``error``; otherwise it propagates.
+    """
+    try:
+        runs = [
+            run_method_once(spec, dataset, seed, metrics=metrics, masks=masks)
+            for seed in seeds
+        ]
+    except ReproError as exc:
+        if strict:
+            raise
+        return MethodScores(
+            spec.name, dataset.name, error=f"{type(exc).__name__}: {exc}"
+        )
+    return MethodScores(
+        method=spec.name,
+        dataset=dataset.name,
+        scores={
+            m: AggregatedScore.from_values(scores[m] for scores, _ in runs)
+            for m in metrics
+        },
+        seconds=AggregatedScore.from_values(t for _, t in runs),
+        n_runs=len(runs),
+    )
 
 
 def run_experiment(
@@ -122,7 +196,8 @@ def run_experiment(
     dataset : MultiViewDataset
         The benchmark to evaluate on.
     methods : sequence of str, optional
-        Registry names to run; defaults to the full Table II row list.
+        Registry names to run; defaults to :data:`TABLE_METHODS`, the
+        rows of Tables II-IV.
     n_runs : int
         Repetitions with independent seeds.
     metrics : tuple of str
@@ -140,41 +215,11 @@ def run_experiment(
     -------
     dict mapping method name to :class:`MethodScores`.
     """
-    if n_runs < 1:
-        raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
-    unknown = [m for m in metrics if m not in METRICS]
-    if unknown:
-        raise ValidationError(f"unknown metrics: {unknown}")
-    registry = default_method_registry()
-    if methods is None:
-        methods = list(registry)
-    missing = [m for m in methods if m not in registry]
-    if missing:
-        raise ValidationError(
-            f"unknown methods {missing}; available: {list(registry)}"
-        )
-
+    specs = check_request(
+        TABLE_METHODS if methods is None else methods, n_runs, metrics
+    )
     seeds = spawn_seeds(base_seed, n_runs)
-    results: dict[str, MethodScores] = {}
-    for name in methods:
-        spec = registry[name]
-        per_metric: dict[str, list] = {m: [] for m in metrics}
-        times: list[float] = []
-        for seed in seeds:
-            run_scores, elapsed = run_method_once(
-                spec, dataset, seed, metrics=metrics
-            )
-            for m in metrics:
-                per_metric[m].append(run_scores[m])
-            times.append(elapsed)
-        results[name] = MethodScores(
-            method=name,
-            dataset=dataset.name,
-            scores={
-                m: AggregatedScore.from_values(vals)
-                for m, vals in per_metric.items()
-            },
-            seconds=AggregatedScore.from_values(times),
-            n_runs=n_runs,
-        )
-    return results
+    return {
+        name: run_seeds(spec, dataset, seeds, metrics=metrics)
+        for name, spec in specs.items()
+    }

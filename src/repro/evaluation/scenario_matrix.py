@@ -6,19 +6,18 @@ it runs a grid of methods across a grid of scenarios and reports
 ACC/NMI/ARI per cell, so "the unified framework degrades gracefully
 under missing views / noise / imbalance" is a table, not an assertion.
 
-* :func:`matrix_method_registry` — the methods the matrix knows how to
-  run: the paper's UMSC plus its Anchor/Sparse scaling variants, the
-  standard complete-view baselines reused from
-  :mod:`repro.evaluation.registry`, and a mask-aware ``IncompleteMVSC``
-  entry that consumes observation masks directly;
-* :func:`run_scenario_matrix` — execute the grid (repeated seeds,
-  aggregated mean±std, per-cell wall-clock; failures recorded per cell
-  instead of aborting the sweep);
+* :func:`run_scenario_matrix` — execute the grid.  Rows are names from
+  the one method registry (:mod:`repro.evaluation.registry`), and each
+  cell is the experiment runner's seeded-run loop
+  (:func:`~repro.evaluation.runner.run_seeds`): repeated seeds,
+  aggregated mean±std, per-cell wall-clock, failures recorded per cell
+  instead of aborting the sweep;
 * :class:`ScenarioMatrix` — the result: ``grid(metric)`` for numeric
   access, :func:`format_matrix` for the paper-style table, ``to_dict``
   for bench reports and the ``repro scenarios run --json`` artifact.
 
-Methods without mask support see a scenario's *effective* views
+Mask-aware rows (``IncompleteMVSC``) get a scenario's raw views and
+observation masks.  Every other row sees the *effective* views
 (mean-imputed when samples are missing — see
 :meth:`~repro.datasets.scenarios.ScenarioData.effective_views`), so the
 comparison stays honest: nobody silently reads data the scenario
@@ -27,16 +26,15 @@ declared unobserved.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.datasets.scenarios import Scenario, available_scenarios, generate
-from repro.evaluation.runner import AggregatedScore
-from repro.exceptions import ReproError, ValidationError
-from repro.metrics import METRICS, evaluate_clustering
+from repro.datasets.scenarios import (
+    Scenario, available_scenarios, generate, get_scenario,
+)
+from repro.evaluation.runner import MethodScores, check_request, run_seeds
+from repro.exceptions import ValidationError
 from repro.utils.rng import spawn_seeds
 
 #: Metrics the matrix reports by default (the robustness headline trio).
@@ -45,67 +43,6 @@ DEFAULT_MATRIX_METRICS = ("acc", "nmi", "ari")
 #: Default method grid: the proposed method and its scaling variants
 #: plus two strong complete-view baselines.
 DEFAULT_MATRIX_METHODS = ("UMSC", "AnchorMVSC", "SparseMVSC", "ConcatSC")
-
-
-@dataclass(frozen=True)
-class MatrixMethod:
-    """One row of the robustness matrix.
-
-    ``builder(n_clusters, seed)`` returns an estimator with
-    ``fit_predict(views) -> labels``.  Mask-aware methods are instead
-    called as ``fit_predict(views, masks)`` on incomplete scenarios
-    (and fall back to the plain shape on complete ones).
-    """
-
-    name: str
-    builder: Callable
-    mask_aware: bool = False
-
-
-def matrix_method_registry() -> dict:
-    """Name → :class:`MatrixMethod` for every runnable matrix row."""
-    from repro.core import AnchorMVSC, SparseMVSC, UnifiedMVSC
-    from repro.core.incomplete import IncompleteMVSC
-    from repro.evaluation.registry import default_method_registry
-
-    methods = [
-        MatrixMethod(
-            "UMSC", lambda c, rs: UnifiedMVSC(c, random_state=rs)
-        ),
-        MatrixMethod(
-            "AnchorMVSC", lambda c, rs: AnchorMVSC(c, random_state=rs)
-        ),
-        MatrixMethod(
-            "SparseMVSC", lambda c, rs: SparseMVSC(c, random_state=rs)
-        ),
-        MatrixMethod(
-            "IncompleteMVSC",
-            lambda c, rs: IncompleteMVSC(c, random_state=rs),
-            mask_aware=True,
-        ),
-    ]
-    taken = {m.name for m in methods}
-    for name, spec in default_method_registry().items():
-        if spec.oracle is not None or spec.uses_dataset or name in taken:
-            continue
-        methods.append(MatrixMethod(name, spec.builder))
-    return {m.name: m for m in methods}
-
-
-@dataclass
-class MatrixCell:
-    """One (method, scenario) cell: aggregated scores or a typed failure."""
-
-    method: str
-    scenario: str
-    scores: dict = field(default_factory=dict)
-    seconds: AggregatedScore | None = None
-    n_runs: int = 0
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 @dataclass
@@ -120,7 +57,7 @@ class ScenarioMatrix:
     n_runs: int = 1
     base_seed: int = 0
 
-    def cell(self, method: str, scenario: str) -> MatrixCell:
+    def cell(self, method: str, scenario: str) -> MethodScores:
         """Look up one cell; unknown coordinates raise."""
         key = (method, scenario)
         if key not in self.cells:
@@ -147,9 +84,9 @@ class ScenarioMatrix:
     def failures(self) -> list:
         """Cells that raised, as (method, scenario, error) triples."""
         return [
-            (c.method, c.scenario, c.error)
-            for c in self.cells.values()
-            if not c.ok
+            (method, scenario, cell.error)
+            for (method, scenario), cell in self.cells.items()
+            if not cell.ok
         ]
 
     def to_dict(self) -> dict:
@@ -183,54 +120,6 @@ class ScenarioMatrix:
         }
 
 
-def _run_cell(
-    method: MatrixMethod,
-    data,
-    *,
-    metrics,
-    seeds,
-) -> MatrixCell:
-    """All seeded runs of one method on one materialized scenario."""
-    effective = data.effective_views()
-    per_metric: dict = {m: [] for m in metrics}
-    times = []
-    try:
-        for seed in seeds:
-            estimator = method.builder(data.n_clusters, seed)
-            start = time.perf_counter()
-            if method.mask_aware and data.masks is not None:
-                labels = estimator.fit_predict(data.views, data.masks)
-            elif method.mask_aware:
-                complete = [np.ones(len(data.labels), dtype=bool)] * len(
-                    data.views
-                )
-                labels = estimator.fit_predict(data.views, complete)
-            else:
-                labels = estimator.fit_predict(effective)
-            times.append(time.perf_counter() - start)
-            scores = evaluate_clustering(
-                data.labels, labels, metrics=tuple(metrics)
-            )
-            for m in metrics:
-                per_metric[m].append(scores[m])
-    except ReproError as exc:
-        return MatrixCell(
-            method=method.name,
-            scenario=data.scenario.name,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    return MatrixCell(
-        method=method.name,
-        scenario=data.scenario.name,
-        scores={
-            m: AggregatedScore.from_values(vals)
-            for m, vals in per_metric.items()
-        },
-        seconds=AggregatedScore.from_values(times),
-        n_runs=len(seeds),
-    )
-
-
 def run_scenario_matrix(
     methods=None,
     scenarios=None,
@@ -246,8 +135,9 @@ def run_scenario_matrix(
     Parameters
     ----------
     methods : sequence of str, optional
-        Rows, from :func:`matrix_method_registry` (default
-        :data:`DEFAULT_MATRIX_METHODS`).
+        Rows, as names from
+        :func:`~repro.evaluation.registry.default_method_registry`
+        (default :data:`DEFAULT_MATRIX_METHODS`).
     scenarios : sequence of str or Scenario, optional
         Columns; names resolve through the registry (default: every
         registered scenario).
@@ -261,33 +151,18 @@ def run_scenario_matrix(
         Master seed: scenario generation uses each scenario's own
         declared seed, method randomness derives from ``base_seed``.
     strict : bool
-        Re-raise the first cell failure instead of recording it.
+        Let the first cell failure propagate instead of recording it.
     """
-    if n_runs < 1:
-        raise ValidationError(f"n_runs must be >= 1, got {n_runs}")
-    unknown_metrics = [m for m in metrics if m not in METRICS]
-    if unknown_metrics:
-        raise ValidationError(f"unknown metrics: {unknown_metrics}")
-    registry = matrix_method_registry()
-    method_names = list(methods) if methods is not None else list(
-        DEFAULT_MATRIX_METHODS
+    method_names = list(
+        DEFAULT_MATRIX_METHODS if methods is None else methods
     )
-    missing = [m for m in method_names if m not in registry]
-    if missing:
-        raise ValidationError(
-            f"unknown matrix methods {missing}; available: "
-            f"{list(registry)}"
-        )
+    rows = check_request(method_names, n_runs, metrics)
     scenario_list = (
         list(scenarios) if scenarios is not None else available_scenarios()
     )
     specs: dict = {}
     for item in scenario_list:
-        spec = item if isinstance(item, Scenario) else None
-        if spec is None:
-            from repro.datasets.scenarios import get_scenario
-
-            spec = get_scenario(item)
+        spec = item if isinstance(item, Scenario) else get_scenario(item)
         if spec.name in specs:
             raise ValidationError(
                 f"duplicate scenario name {spec.name!r} in the grid"
@@ -305,16 +180,15 @@ def run_scenario_matrix(
     )
     for scenario_name, spec in specs.items():
         data = generate(spec, n_samples=n_samples)
-        for method_name in method_names:
-            cell = _run_cell(
-                registry[method_name], data, metrics=metrics, seeds=seeds
+        effective = replace(data.dataset, views=data.effective_views())
+        for name, method in rows.items():
+            if method.mask_aware:
+                dataset, masks = data.dataset, data.masks
+            else:
+                dataset, masks = effective, None
+            matrix.cells[(name, scenario_name)] = run_seeds(
+                method, dataset, seeds, metrics=metrics, masks=masks, strict=strict
             )
-            if strict and not cell.ok:
-                raise ValidationError(
-                    f"matrix cell {method_name} × {scenario_name} failed: "
-                    f"{cell.error}"
-                )
-            matrix.cells[(method_name, scenario_name)] = cell
     return matrix
 
 

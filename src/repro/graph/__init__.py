@@ -16,12 +16,7 @@ package builds those graphs from raw features:
 """
 
 from repro.graph.adaptive import adaptive_neighbor_affinity, simplex_projection_rowwise
-from repro.graph.anchor import (
-    anchor_affinity,
-    anchor_assignment,
-    anchor_spectral_embedding,
-    select_anchors,
-)
+from repro.graph.anchor import anchor_affinity, anchor_assignment, select_anchors
 from repro.graph.affinity import (
     build_view_affinity,
     cosine_affinity,
@@ -38,11 +33,7 @@ from repro.graph.connectivity import (
 from repro.graph.distance import pairwise_cosine_distances, pairwise_sq_euclidean
 from repro.graph.fusion import fuse_affinities, fuse_laplacians
 from repro.graph.knn import kneighbors
-from repro.graph.sparse import (
-    sparse_knn_affinity,
-    sparse_laplacian,
-    sparse_spectral_embedding,
-)
+from repro.graph.sparse import sparse_knn_affinity, sparse_laplacian
 from repro.graph.laplacian import (
     degree_vector,
     laplacian,
@@ -53,7 +44,6 @@ __all__ = [
     "adaptive_neighbor_affinity",
     "anchor_affinity",
     "anchor_assignment",
-    "anchor_spectral_embedding",
     "select_anchors",
     "simplex_projection_rowwise",
     "build_view_affinity",
@@ -75,5 +65,4 @@ __all__ = [
     "normalized_adjacency",
     "sparse_knn_affinity",
     "sparse_laplacian",
-    "sparse_spectral_embedding",
 ]

@@ -302,23 +302,3 @@ def _filtered_pairs(gram, warm: WarmStart, n_pairs: int):
                 return None
         last = residual
     return None
-
-
-def anchor_spectral_embedding(
-    z: np.ndarray, n_components: int
-) -> np.ndarray:
-    """Spectral embedding of the anchor graph in ``O(n m^2)``.
-
-    Returns the top-``n_components`` left singular vectors of
-    ``B = Z Lambda^{-1/2}`` — the leading eigenvectors of the (implicitly
-    normalized) anchor affinity, skipping nothing: the trivial constant
-    eigenvector is retained to mirror :func:`spectral_embedding`'s
-    convention of taking the bottom-``c`` Laplacian eigenvectors.
-    """
-    z = check_matrix(z, "z")
-    n, m = z.shape
-    if not 1 <= n_components <= min(n, m):
-        raise ValidationError(
-            f"n_components must be in [1, {min(n, m)}], got {n_components}"
-        )
-    return top_left_singular(anchor_affinity_factor(z), n_components)[0]

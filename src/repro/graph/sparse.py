@@ -7,8 +7,7 @@ keep:
 
 * :func:`sparse_knn_affinity` — self-tuning k-NN affinity as CSR, built
   from blockwise distance computation (never an `n x n` dense array);
-* :func:`sparse_laplacian` — symmetric normalized Laplacian as CSR;
-* :func:`sparse_spectral_embedding` — bottom-`c` eigenvectors via Lanczos.
+* :func:`sparse_laplacian` — symmetric normalized Laplacian as CSR.
 
 Combined with :mod:`repro.graph.anchor` this covers both large-`n`
 regimes: sparse graphs keep the exact neighborhood structure, anchor
@@ -25,7 +24,6 @@ import scipy.sparse
 from repro.backends import current_backend
 from repro.exceptions import ValidationError
 from repro.graph.laplacian import _inverse_or_zero
-from repro.linalg.eigen import eigsh_smallest
 from repro.utils.validation import check_matrix
 
 #: Default query block of :func:`sparse_knn_affinity` (rows per distance
@@ -242,28 +240,3 @@ def sparse_laplacian(
         inv = scipy.sparse.diags(_inverse_or_zero(degrees))
         return (unit - inv @ w).tocsr()
     raise ValidationError(f"unknown normalization: {normalization!r}")
-
-
-def sparse_spectral_embedding(
-    w: scipy.sparse.spmatrix,
-    n_components: int,
-    *,
-    row_normalize: bool = True,
-) -> np.ndarray:
-    """Bottom-eigenvector embedding of a sparse graph (Lanczos).
-
-    Mirrors :func:`repro.cluster.spectral.spectral_embedding` on sparse
-    input.
-    """
-    lap = sparse_laplacian(w)
-    n = lap.shape[0]
-    if not 1 <= n_components <= n:
-        raise ValidationError(
-            f"n_components must be in [1, {n}], got {n_components}"
-        )
-    _, vectors = eigsh_smallest(lap, n_components)
-    emb = vectors
-    if row_normalize:
-        norms = np.linalg.norm(emb, axis=1, keepdims=True)
-        emb = emb / np.where(norms > 0, norms, 1.0)
-    return emb

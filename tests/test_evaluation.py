@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.evaluation.curves import ConvergenceCurve, convergence_curve, sparkline
-from repro.evaluation.registry import default_method_registry, make_method
+from repro.evaluation.registry import (
+    TABLE_METHODS,
+    default_method_registry,
+    make_method,
+)
 from repro.evaluation.runner import (
     AggregatedScore,
     run_experiment,
@@ -22,8 +26,7 @@ from repro.exceptions import ValidationError
 
 class TestRegistry:
     def test_all_rows_present(self):
-        registry = default_method_registry()
-        expected = {
+        assert TABLE_METHODS == (
             "SC_best",
             "SC_worst",
             "ConcatKMeans",
@@ -38,13 +41,24 @@ class TestRegistry:
             "SwMC",
             "TwoStageMVSC",
             "UMSC",
+        )
+        registry = default_method_registry()
+        assert set(TABLE_METHODS) <= set(registry)
+        assert set(registry) - set(TABLE_METHODS) == {
+            "AnchorMVSC",
+            "SparseMVSC",
+            "IncompleteMVSC",
         }
-        assert set(registry) == expected
 
     def test_make_method_constructs(self, small_dataset):
         model = make_method("KernelAddSC", 3, random_state=0)
         labels = model.fit_predict(small_dataset.views)
         assert labels.shape == (90,)
+
+    def test_make_method_constructs_scaling_variant(self):
+        from repro.core import AnchorMVSC
+
+        assert isinstance(make_method("AnchorMVSC", 3), AnchorMVSC)
 
     def test_make_method_unknown(self):
         with pytest.raises(ValidationError, match="unknown method"):
@@ -73,6 +87,26 @@ class TestRunner:
         assert all(0 <= v <= 1 for v in scores.values())
         assert seconds > 0
 
+    def test_mask_aware_row_runs_with_all_observed_masks(
+        self, small_dataset, monkeypatch
+    ):
+        from repro.core import IncompleteMVSC
+
+        seen = []
+        fit_predict = IncompleteMVSC.fit_predict
+
+        def spy(self, views, masks):
+            seen.append(masks)
+            return fit_predict(self, views, masks)
+
+        monkeypatch.setattr(IncompleteMVSC, "fit_predict", spy)
+        spec = default_method_registry()["IncompleteMVSC"]
+        scores, _ = run_method_once(spec, small_dataset, seed=0)
+        assert 0 <= scores["acc"] <= 1
+        (masks,) = seen
+        assert len(masks) == small_dataset.n_views
+        assert all(m.shape == (90,) and m.all() for m in masks)
+
     def test_oracle_best_geq_worst(self, small_dataset):
         registry = default_method_registry()
         best, _ = run_method_once(registry["SC_best"], small_dataset, seed=0)
@@ -92,6 +126,30 @@ class TestRunner:
             assert scores.n_runs == 2
             assert set(scores.scores) == {"acc", "nmi"}
             assert len(scores.scores["acc"].values) == 2
+
+    def test_run_experiment_defaults_to_table_rows(
+        self, small_dataset, monkeypatch
+    ):
+        import repro.evaluation.runner as runner
+
+        ran = []
+        monkeypatch.setattr(
+            runner,
+            "run_seeds",
+            lambda spec, dataset, seeds, *, metrics: ran.append(spec.name),
+        )
+        results = run_experiment(small_dataset, n_runs=1)
+        assert tuple(ran) == tuple(results) == TABLE_METHODS
+
+    def test_run_experiment_runs_scaling_and_mask_aware_rows(
+        self, small_dataset
+    ):
+        names = ("AnchorMVSC", "SparseMVSC", "IncompleteMVSC")
+        results = run_experiment(small_dataset, methods=names, n_runs=1)
+        assert tuple(results) == names
+        for name, scores in results.items():
+            assert scores.ok and scores.method == name
+            assert 0 <= scores.scores["acc"].mean <= 1
 
     def test_run_experiment_validation(self, small_dataset):
         with pytest.raises(ValidationError):

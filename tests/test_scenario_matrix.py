@@ -13,17 +13,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.evaluation.runner as runner
 from repro.baselines.single_view import all_single_view_labels
+from repro.core import IncompleteMVSC, UnifiedMVSC
 from repro.datasets.scenarios import Scenario, generate
+from repro.evaluation.registry import MethodSpec, default_method_registry
 from repro.evaluation.scenario_matrix import (
     DEFAULT_MATRIX_METHODS,
-    MatrixMethod,
     format_matrix,
-    matrix_method_registry,
     run_scenario_matrix,
 )
-from repro.exceptions import ValidationError
+from repro.exceptions import RecoveryExhaustedError, ValidationError
 from repro.metrics import evaluate_clustering
+from repro.utils.rng import spawn_seeds
 
 SMOKE_METHODS = ("UMSC", "ConcatSC")
 SMOKE_SCENARIOS = ("clean", "confused_pairs", "missing_views")
@@ -74,6 +76,18 @@ class TestSmokeGrid:
         fused = smoke_matrix.cell("UMSC", "confused_pairs").scores["acc"]
         assert fused.mean > worst
 
+    def test_umsc_cell_is_default_unified_mvsc(self, smoke_matrix):
+        # A scenario name is never a benchmark name, so the registry's
+        # tuned UMSC row runs UnifiedMVSC's defaults on the effective views.
+        data = generate("missing_views", n_samples=SMOKE_N)
+        (seed,) = spawn_seeds(0, 1)
+        labels = UnifiedMVSC(data.n_clusters, random_state=seed).fit_predict(
+            data.effective_views()
+        )
+        acc = evaluate_clustering(data.labels, labels, metrics=("acc",))["acc"]
+        cell = smoke_matrix.cell("UMSC", "missing_views")
+        assert cell.scores["acc"].mean == acc
+
     def test_format_marks_best_per_column(self, smoke_matrix):
         text = format_matrix(smoke_matrix, "acc")
         for name in SMOKE_METHODS + SMOKE_SCENARIOS:
@@ -101,16 +115,26 @@ class TestSmokeGrid:
             smoke_matrix.grid("purity")
 
 
+def _with_broken_row(monkeypatch, error):
+    """Register a ``Broken`` row whose builder raises ``error``."""
+
+    def broken(c, rs):
+        raise error
+
+    registry = {**default_method_registry(), "Broken": MethodSpec("Broken", broken)}
+    monkeypatch.setattr(runner, "default_method_registry", lambda: registry)
+
+
 class TestRegistryAndValidation:
     def test_registry_contains_core_and_baseline_rows(self):
-        registry = matrix_method_registry()
+        registry = default_method_registry()
         for name in DEFAULT_MATRIX_METHODS:
             assert name in registry
         assert registry["IncompleteMVSC"].mask_aware
         assert not registry["UMSC"].mask_aware
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValidationError, match="unknown matrix methods"):
+        with pytest.raises(ValidationError, match="unknown methods"):
             run_scenario_matrix(methods=("nope",), scenarios=("clean",))
 
     def test_unknown_scenario_rejected(self):
@@ -162,6 +186,36 @@ class TestMaskAwareAndFailures:
         assert cell.ok
         assert np.isfinite(cell.scores["acc"].mean)
 
+    def test_rows_see_raw_views_with_masks_or_effective_views(
+        self, monkeypatch
+    ):
+        data = generate("missing_views", n_samples=SMOKE_N)
+        seen = {}
+
+        def run(method, cls, attr):
+            original = getattr(cls, attr)
+
+            def spy(self, *args):
+                seen[method] = args
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, attr, spy)
+            run_scenario_matrix(
+                methods=(method,),
+                scenarios=("missing_views",),
+                n_samples=SMOKE_N,
+                strict=True,
+            )
+
+        run("IncompleteMVSC", IncompleteMVSC, "fit_predict")
+        run("UMSC", UnifiedMVSC, "fit")
+        views, masks = seen["IncompleteMVSC"]
+        for got, want in zip(views + masks, data.views + data.masks, strict=True):
+            np.testing.assert_array_equal(got, want)
+        (views,) = seen["UMSC"]
+        for got, want in zip(views, data.effective_views(), strict=True):
+            np.testing.assert_array_equal(got, want)
+
     def test_mask_aware_method_runs_on_complete_scenario(self):
         matrix = run_scenario_matrix(
             methods=("IncompleteMVSC",),
@@ -171,28 +225,13 @@ class TestMaskAwareAndFailures:
         )
         assert matrix.cell("IncompleteMVSC", "clean").ok
 
-    def test_cell_failure_recorded_not_raised(self):
-        registry = matrix_method_registry()
-
-        def broken(c, rs):
-            raise ValidationError("wired to fail")
-
-        failing = MatrixMethod("Broken", broken)
-        # Drive _run_cell through the public API via an inline registry
-        # patch: run with a method list containing the broken row.
-        import repro.evaluation.scenario_matrix as sm
-
-        original = sm.matrix_method_registry
-        registry["Broken"] = failing
-        sm.matrix_method_registry = lambda: registry
-        try:
-            matrix = run_scenario_matrix(
-                methods=("Broken", "ConcatSC"),
-                scenarios=("clean",),
-                n_samples=50,
-            )
-        finally:
-            sm.matrix_method_registry = original
+    def test_cell_failure_recorded_not_raised(self, monkeypatch):
+        _with_broken_row(monkeypatch, ValidationError("wired to fail"))
+        matrix = run_scenario_matrix(
+            methods=("Broken", "ConcatSC"),
+            scenarios=("clean",),
+            n_samples=50,
+        )
         cell = matrix.cell("Broken", "clean")
         assert not cell.ok
         assert "wired to fail" in cell.error
@@ -201,24 +240,24 @@ class TestMaskAwareAndFailures:
         assert np.isnan(matrix.grid("acc")[0, 0])
         assert "ERR" in format_matrix(matrix, "acc")
 
-    def test_strict_reraises_first_failure(self):
-        registry = matrix_method_registry()
+    def test_strict_reraises_first_failure(self, monkeypatch):
+        _with_broken_row(monkeypatch, ValidationError("wired to fail"))
+        with pytest.raises(ValidationError, match="wired to fail"):
+            run_scenario_matrix(
+                methods=("Broken",),
+                scenarios=("clean",),
+                n_samples=50,
+                strict=True,
+            )
 
-        def broken(c, rs):
-            raise ValidationError("wired to fail")
-
-        import repro.evaluation.scenario_matrix as sm
-
-        original = sm.matrix_method_registry
-        registry["Broken"] = MatrixMethod("Broken", broken)
-        sm.matrix_method_registry = lambda: registry
-        try:
-            with pytest.raises(ValidationError, match="wired to fail"):
-                run_scenario_matrix(
-                    methods=("Broken",),
-                    scenarios=("clean",),
-                    n_samples=50,
-                    strict=True,
-                )
-        finally:
-            sm.matrix_method_registry = original
+    def test_strict_reraises_the_original_error(self, monkeypatch):
+        error = RecoveryExhaustedError("solver gave up", site="model.fit")
+        _with_broken_row(monkeypatch, error)
+        with pytest.raises(RecoveryExhaustedError) as caught:
+            run_scenario_matrix(
+                methods=("Broken",),
+                scenarios=("clean",),
+                n_samples=50,
+                strict=True,
+            )
+        assert caught.value is error
