@@ -17,132 +17,67 @@ Quickstart
 >>> labels = result.labels  # final clustering, read directly off Y
 """
 
-from repro.backends import (
-    ArrayBackend,
-    available_backends,
-    current_backend,
-    get_backend,
-    use_backend,
-)
-from repro.core.anchor_model import AnchorMVSC
-from repro.core.incomplete import IncompleteMVSC
-from repro.core.model import UnifiedMVSC
-from repro.core.out_of_sample import propagate_labels
-from repro.core.result import UMSCResult
-from repro.core.sparse_model import SparseMVSC
-from repro.core.two_stage import TwoStageMVSC
-from repro.datasets.benchmarks import available_benchmarks, load_benchmark
-from repro.datasets.container import MultiViewDataset
-from repro.datasets.synth import make_multiview_blobs
-from repro.evaluation.runner import run_experiment
-from repro.exceptions import (
-    ArtifactError,
-    ClampWarning,
-    ConvergenceWarning,
-    DatasetError,
-    MonotonicityWarning,
-    NumericalError,
-    RecoveryExhaustedError,
-    ReproError,
-    ServiceClosedError,
-    ServiceOverloadedError,
-    ValidationError,
-)
-from repro.metrics.report import evaluate_clustering
-from repro.observability import (
-    FitCallback,
-    FitDiagnostics,
-    IterationEvent,
-    JsonlSink,
-    LoggingSink,
-    Trace,
-    TraceRecorder,
-    current_trace,
-    span,
-    use_trace,
-)
-from repro.pipeline import (
-    ComputationCache,
-    current_cache,
-    use_cache,
-    use_jobs,
-)
-from repro.robust import (
-    FailurePolicy,
-    FaultSpec,
-    RecoveryEvent,
-    inject_faults,
-    registered_fault_sites,
-    use_policy,
-)
-from repro.serving import ModelArtifact, PredictionService, Predictor
-from repro.streaming import (
-    DriftDetector,
-    DriftEvent,
-    ObjectiveShiftDetector,
-    StreamingMVSC,
-    ViewWeightShiftDetector,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "UnifiedMVSC",
-    "UMSCResult",
-    "TwoStageMVSC",
-    "AnchorMVSC",
-    "SparseMVSC",
-    "IncompleteMVSC",
-    "propagate_labels",
-    "available_benchmarks",
-    "load_benchmark",
-    "MultiViewDataset",
-    "make_multiview_blobs",
-    "run_experiment",
-    "evaluate_clustering",
-    "ReproError",
-    "ValidationError",
-    "NumericalError",
-    "RecoveryExhaustedError",
-    "DatasetError",
-    "ArtifactError",
-    "ServiceOverloadedError",
-    "ServiceClosedError",
-    "ConvergenceWarning",
-    "MonotonicityWarning",
-    "ClampWarning",
-    "ModelArtifact",
-    "Predictor",
-    "PredictionService",
-    "FitCallback",
-    "FitDiagnostics",
-    "IterationEvent",
-    "JsonlSink",
-    "LoggingSink",
-    "Trace",
-    "TraceRecorder",
-    "current_trace",
-    "span",
-    "use_trace",
-    "ComputationCache",
-    "current_cache",
-    "use_cache",
-    "use_jobs",
-    "ArrayBackend",
-    "available_backends",
-    "current_backend",
-    "get_backend",
-    "use_backend",
-    "FailurePolicy",
-    "FaultSpec",
-    "RecoveryEvent",
-    "inject_faults",
-    "registered_fault_sites",
-    "use_policy",
-    "StreamingMVSC",
-    "DriftDetector",
-    "DriftEvent",
-    "ObjectiveShiftDetector",
-    "ViewWeightShiftDetector",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "UnifiedMVSC": "core.model",
+    "UMSCResult": "core.result",
+    "TwoStageMVSC": "core.two_stage",
+    "AnchorMVSC": "core.anchor_model",
+    "SparseMVSC": "core.sparse_model",
+    "IncompleteMVSC": "core.incomplete",
+    "propagate_labels": "core.out_of_sample",
+    "available_benchmarks": "datasets.benchmarks",
+    "load_benchmark": "datasets.benchmarks",
+    "MultiViewDataset": "datasets.container",
+    "make_multiview_blobs": "datasets.synth",
+    "run_experiment": "evaluation.runner",
+    "evaluate_clustering": "metrics.report",
+    "ReproError": "exceptions",
+    "ValidationError": "exceptions",
+    "NumericalError": "exceptions",
+    "RecoveryExhaustedError": "exceptions",
+    "DatasetError": "exceptions",
+    "ArtifactError": "exceptions",
+    "ServiceOverloadedError": "exceptions",
+    "ServiceClosedError": "exceptions",
+    "ConvergenceWarning": "exceptions",
+    "MonotonicityWarning": "exceptions",
+    "ClampWarning": "exceptions",
+    "ModelArtifact": "serving.artifact",
+    "Predictor": "serving.predictor",
+    "PredictionService": "serving.service",
+    "FitCallback": "observability.events",
+    "FitDiagnostics": "observability.events",
+    "IterationEvent": "observability.events",
+    "JsonlSink": "observability.sinks",
+    "LoggingSink": "observability.sinks",
+    "Trace": "observability.trace",
+    "TraceRecorder": "observability.sinks",
+    "current_trace": "observability.trace",
+    "span": "observability.trace",
+    "use_trace": "observability.trace",
+    "ComputationCache": "pipeline.cache",
+    "current_cache": "pipeline.cache",
+    "use_cache": "pipeline.cache",
+    "use_jobs": "pipeline.parallel",
+    "ArrayBackend": "backends.base",
+    "available_backends": "backends",
+    "current_backend": "backends",
+    "get_backend": "backends",
+    "use_backend": "backends",
+    "FailurePolicy": "robust.policy",
+    "FaultSpec": "robust.faults",
+    "RecoveryEvent": "robust.policy",
+    "inject_faults": "robust.faults",
+    "registered_fault_sites": "robust.faults",
+    "use_policy": "robust.policy",
+    "StreamingMVSC": "streaming.model",
+    "DriftDetector": "streaming.drift",
+    "DriftEvent": "streaming.drift",
+    "ObjectiveShiftDetector": "streaming.drift",
+    "ViewWeightShiftDetector": "streaming.drift",
+})
+__all__.append("__version__")

@@ -35,6 +35,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from repro.linalg.simplex import simplex_projection_rowwise
+
 
 class ArrayBackend:
     """Reference (float64 numpy/scipy) compute backend for the hot kernels.
@@ -193,8 +195,6 @@ class ArrayBackend:
         rows).  ``d2`` is a validated ``(n, m)`` squared-distance
         matrix; ``k == m`` degenerates to a projected full-row weight.
         """
-        from repro.graph.adaptive import simplex_projection_rowwise
-
         d2 = self.prepare(d2)
         n, m = d2.shape
         if k == m:

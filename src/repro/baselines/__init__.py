@@ -33,28 +33,19 @@ Multi-view spectral:
   IJCAI 2017).
 """
 
-from repro.baselines.amgl import AMGL
-from repro.baselines.awp import AWP
-from repro.baselines.concat import ConcatKMeans, ConcatSC
-from repro.baselines.coreg import CoRegSC
-from repro.baselines.cotraining import CoTrainSC
-from repro.baselines.kernel_addition import KernelAdditionSC
-from repro.baselines.mlan import MLAN
-from repro.baselines.mvkm import MultiViewKMeans
-from repro.baselines.single_view import SingleViewSC, all_single_view_labels
-from repro.baselines.swmc import SwMC
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AMGL",
-    "AWP",
-    "ConcatKMeans",
-    "ConcatSC",
-    "CoRegSC",
-    "CoTrainSC",
-    "KernelAdditionSC",
-    "MLAN",
-    "MultiViewKMeans",
-    "SingleViewSC",
-    "all_single_view_labels",
-    "SwMC",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AMGL": "amgl",
+    "AWP": "awp",
+    "ConcatKMeans": "concat",
+    "ConcatSC": "concat",
+    "CoRegSC": "coreg",
+    "CoTrainSC": "cotraining",
+    "KernelAdditionSC": "kernel_addition",
+    "MLAN": "mlan",
+    "MultiViewKMeans": "mvkm",
+    "SingleViewSC": "single_view",
+    "all_single_view_labels": "single_view",
+    "SwMC": "swmc",
+})

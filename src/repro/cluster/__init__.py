@@ -6,23 +6,16 @@ from-scratch K-means is required both for the two-stage baselines and for
 the one-stage-vs-two-stage ablation.
 """
 
-from repro.cluster.kmeans import KMeans, KMeansResult, kmeans_plus_plus_init
-from repro.cluster.labels import (
-    indicator_from_labels,
-    labels_from_indicator,
-    relabel_consecutive,
-    repair_empty_clusters,
-)
-from repro.cluster.spectral import spectral_clustering, spectral_embedding
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KMeans",
-    "KMeansResult",
-    "kmeans_plus_plus_init",
-    "indicator_from_labels",
-    "labels_from_indicator",
-    "relabel_consecutive",
-    "repair_empty_clusters",
-    "spectral_clustering",
-    "spectral_embedding",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "KMeans": "kmeans",
+    "KMeansResult": "kmeans",
+    "kmeans_plus_plus_init": "kmeans",
+    "indicator_from_labels": "labels",
+    "labels_from_indicator": "labels",
+    "relabel_consecutive": "labels",
+    "repair_empty_clusters": "labels",
+    "spectral_clustering": "spectral",
+    "spectral_embedding": "spectral",
+})

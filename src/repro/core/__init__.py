@@ -9,31 +9,21 @@ same graph pipeline but discretizes with K-means, isolating the paper's
 one-stage contribution.
 """
 
-from repro.core.anchor_model import AnchorMVSC
-from repro.core.config import UMSCConfig
-from repro.core.graph_builder import build_laplacians, build_multiview_affinities
-from repro.core.incomplete import IncompleteMVSC, fuse_incomplete_affinities
-from repro.core.model import UnifiedMVSC
-from repro.core.objective import umsc_objective
-from repro.core.out_of_sample import propagate_labels
-from repro.core.result import UMSCResult
-from repro.core.sparse_model import SparseMVSC
-from repro.core.two_stage import TwoStageMVSC
-from repro.core.weights import update_view_weights, weight_exponents
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AnchorMVSC",
-    "UMSCConfig",
-    "build_laplacians",
-    "build_multiview_affinities",
-    "IncompleteMVSC",
-    "fuse_incomplete_affinities",
-    "propagate_labels",
-    "UnifiedMVSC",
-    "umsc_objective",
-    "UMSCResult",
-    "SparseMVSC",
-    "TwoStageMVSC",
-    "update_view_weights",
-    "weight_exponents",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AnchorMVSC": "anchor_model",
+    "UMSCConfig": "config",
+    "build_laplacians": "graph_builder",
+    "build_multiview_affinities": "graph_builder",
+    "IncompleteMVSC": "incomplete",
+    "fuse_incomplete_affinities": "incomplete",
+    "propagate_labels": "out_of_sample",
+    "UnifiedMVSC": "model",
+    "umsc_objective": "objective",
+    "UMSCResult": "result",
+    "SparseMVSC": "sparse_model",
+    "TwoStageMVSC": "two_stage",
+    "update_view_weights": "weights",
+    "weight_exponents": "weights",
+})

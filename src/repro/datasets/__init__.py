@@ -11,49 +11,26 @@ the algorithms (multi-view > single-view, unified > two-stage) is exercised
 on the same code paths.  See DESIGN.md "Substitutions".
 """
 
-from repro.datasets.benchmarks import (
-    DatasetSpec,
-    available_benchmarks,
-    get_spec,
-    load_benchmark,
-)
-from repro.datasets.container import MultiViewDataset
-from repro.datasets.io import load_dataset, save_dataset
-from repro.datasets.scenarios import (
-    SCENARIOS,
-    Scenario,
-    ScenarioData,
-    StreamBatch,
-    StreamDrift,
-    available_scenarios,
-    generate,
-    get_scenario,
-    stream_batches,
-)
-from repro.datasets.synth import (
-    make_latent_clusters,
-    make_multiview_blobs,
-    view_from_latent,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DatasetSpec",
-    "available_benchmarks",
-    "get_spec",
-    "load_benchmark",
-    "MultiViewDataset",
-    "load_dataset",
-    "save_dataset",
-    "make_latent_clusters",
-    "make_multiview_blobs",
-    "view_from_latent",
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioData",
-    "StreamBatch",
-    "StreamDrift",
-    "available_scenarios",
-    "generate",
-    "get_scenario",
-    "stream_batches",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "DatasetSpec": "benchmarks",
+    "available_benchmarks": "benchmarks",
+    "get_spec": "benchmarks",
+    "load_benchmark": "benchmarks",
+    "MultiViewDataset": "container",
+    "load_dataset": "io",
+    "save_dataset": "io",
+    "make_latent_clusters": "synth",
+    "make_multiview_blobs": "synth",
+    "view_from_latent": "synth",
+    "SCENARIOS": "scenarios",
+    "Scenario": "scenarios",
+    "ScenarioData": "scenarios",
+    "StreamBatch": "scenarios",
+    "StreamDrift": "scenarios",
+    "available_scenarios": "scenarios",
+    "generate": "scenarios",
+    "get_scenario": "scenarios",
+    "stream_batches": "scenarios",
+})

@@ -25,72 +25,36 @@ This package regenerates the paper's evaluation artifacts:
   (:mod:`repro.datasets.scenarios`), one runner call per cell.
 """
 
-from repro.evaluation.ascii_plots import bar_chart, heatmap, line_plot
-from repro.evaluation.registry import (
-    TABLE_METHODS,
-    MethodSpec,
-    default_method_registry,
-    make_method,
-)
-from repro.evaluation.runner import (
-    AggregatedScore,
-    MethodScores,
-    run_experiment,
-    run_method_once,
-)
-from repro.evaluation.model_selection import (
-    SelectionResult,
-    select_umsc_unsupervised,
-)
-from repro.evaluation.reporting import render_metric_section, render_report
-from repro.evaluation.significance import (
-    compare_methods,
-    paired_t_test,
-    sign_test,
-)
-from repro.evaluation.stability import (
-    coassociation_matrix,
-    consensus_labels,
-    stability_score,
-)
-from repro.evaluation.scenario_matrix import (
-    DEFAULT_MATRIX_METHODS,
-    DEFAULT_MATRIX_METRICS,
-    ScenarioMatrix,
-    format_matrix,
-    run_scenario_matrix,
-)
-from repro.evaluation.sweeps import grid_sweep
-from repro.evaluation.tables import format_metric_table, format_rows
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TABLE_METHODS",
-    "MethodSpec",
-    "default_method_registry",
-    "make_method",
-    "AggregatedScore",
-    "MethodScores",
-    "run_experiment",
-    "run_method_once",
-    "grid_sweep",
-    "format_metric_table",
-    "format_rows",
-    "bar_chart",
-    "heatmap",
-    "line_plot",
-    "compare_methods",
-    "paired_t_test",
-    "sign_test",
-    "coassociation_matrix",
-    "consensus_labels",
-    "stability_score",
-    "render_metric_section",
-    "render_report",
-    "SelectionResult",
-    "select_umsc_unsupervised",
-    "DEFAULT_MATRIX_METHODS",
-    "DEFAULT_MATRIX_METRICS",
-    "ScenarioMatrix",
-    "format_matrix",
-    "run_scenario_matrix",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "TABLE_METHODS": "registry",
+    "MethodSpec": "registry",
+    "default_method_registry": "registry",
+    "make_method": "registry",
+    "AggregatedScore": "runner",
+    "MethodScores": "runner",
+    "run_experiment": "runner",
+    "run_method_once": "runner",
+    "grid_sweep": "sweeps",
+    "format_metric_table": "tables",
+    "format_rows": "tables",
+    "bar_chart": "ascii_plots",
+    "heatmap": "ascii_plots",
+    "line_plot": "ascii_plots",
+    "compare_methods": "significance",
+    "paired_t_test": "significance",
+    "sign_test": "significance",
+    "coassociation_matrix": "stability",
+    "consensus_labels": "stability",
+    "stability_score": "stability",
+    "render_metric_section": "reporting",
+    "render_report": "reporting",
+    "SelectionResult": "model_selection",
+    "select_umsc_unsupervised": "model_selection",
+    "DEFAULT_MATRIX_METHODS": "scenario_matrix",
+    "DEFAULT_MATRIX_METRICS": "scenario_matrix",
+    "ScenarioMatrix": "scenario_matrix",
+    "format_matrix": "scenario_matrix",
+    "run_scenario_matrix": "scenario_matrix",
+})

@@ -15,54 +15,31 @@ package builds those graphs from raw features:
 * :mod:`repro.graph.connectivity` — connected-component analysis.
 """
 
-from repro.graph.adaptive import adaptive_neighbor_affinity, simplex_projection_rowwise
-from repro.graph.anchor import anchor_affinity, anchor_assignment, select_anchors
-from repro.graph.affinity import (
-    build_view_affinity,
-    cosine_affinity,
-    gaussian_affinity,
-    knn_sparsify,
-    self_tuning_affinity,
-    symmetrize,
-)
-from repro.graph.connectivity import (
-    connected_components,
-    is_connected,
-    isolated_vertices,
-)
-from repro.graph.distance import pairwise_cosine_distances, pairwise_sq_euclidean
-from repro.graph.fusion import fuse_affinities, fuse_laplacians
-from repro.graph.knn import kneighbors
-from repro.graph.sparse import sparse_knn_affinity, sparse_laplacian
-from repro.graph.laplacian import (
-    degree_vector,
-    laplacian,
-    normalized_adjacency,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "adaptive_neighbor_affinity",
-    "anchor_affinity",
-    "anchor_assignment",
-    "select_anchors",
-    "simplex_projection_rowwise",
-    "build_view_affinity",
-    "cosine_affinity",
-    "gaussian_affinity",
-    "knn_sparsify",
-    "self_tuning_affinity",
-    "symmetrize",
-    "connected_components",
-    "is_connected",
-    "isolated_vertices",
-    "pairwise_cosine_distances",
-    "pairwise_sq_euclidean",
-    "fuse_affinities",
-    "fuse_laplacians",
-    "kneighbors",
-    "degree_vector",
-    "laplacian",
-    "normalized_adjacency",
-    "sparse_knn_affinity",
-    "sparse_laplacian",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "adaptive_neighbor_affinity": "adaptive",
+    "anchor_affinity": "anchor",
+    "anchor_assignment": "anchor",
+    "select_anchors": "anchor",
+    "simplex_projection_rowwise": "adaptive",
+    "build_view_affinity": "affinity",
+    "cosine_affinity": "affinity",
+    "gaussian_affinity": "affinity",
+    "knn_sparsify": "affinity",
+    "self_tuning_affinity": "affinity",
+    "symmetrize": "affinity",
+    "connected_components": "connectivity",
+    "is_connected": "connectivity",
+    "isolated_vertices": "connectivity",
+    "pairwise_cosine_distances": "distance",
+    "pairwise_sq_euclidean": "distance",
+    "fuse_affinities": "fusion",
+    "fuse_laplacians": "fusion",
+    "kneighbors": "knn",
+    "degree_vector": "laplacian",
+    "laplacian": "laplacian",
+    "normalized_adjacency": "laplacian",
+    "sparse_knn_affinity": "sparse",
+    "sparse_laplacian": "sparse",
+})

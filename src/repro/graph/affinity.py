@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.backends import current_backend
 from repro.exceptions import ValidationError
+from repro.graph.adaptive import _can_affinity
 from repro.observability.trace import hot_span
 from repro.utils.validation import check_matrix, check_square
 
@@ -258,8 +259,6 @@ def build_view_affinity(
         elif kind == "cosine":
             w = _cosine(x)
         elif kind == "adaptive":
-            from repro.graph.adaptive import _can_affinity
-
             # The CAN graph needs a (k+1)-th neighbor to set gamma, so
             # its valid range is [1, n - 2]; clamp the recipe's k
             # explicitly (the CAN kernel itself rejects out-of-range k).

@@ -23,6 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from repro.backends import current_backend
+from repro.cluster.kmeans import KMeans
 from repro.exceptions import ValidationError
 from repro.graph.distance import pairwise_sq_euclidean
 from repro.observability.trace import hot_span, metric_inc
@@ -74,8 +75,6 @@ def select_anchors(
         idx = rng.choice(n, size=n_anchors, replace=False)
         return x[idx].copy()
     if method == "kmeans":
-        from repro.cluster.kmeans import KMeans
-
         result = KMeans(
             n_anchors, n_init=1, max_iter=n_iter, random_state=rng
         ).fit(x)

@@ -10,19 +10,16 @@ three primitives that one-stage multi-view spectral clustering is built from:
 * :mod:`repro.linalg.checks` — numerical predicates (orthonormality, PSD).
 """
 
-from repro.linalg.checks import is_orthonormal, is_psd, orthonormality_error
-from repro.linalg.eigen import eigsh_largest, eigsh_smallest, sorted_eigh
-from repro.linalg.gpi import gpi_stiefel
-from repro.linalg.procrustes import nearest_orthogonal, orthogonal_procrustes
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "is_orthonormal",
-    "is_psd",
-    "orthonormality_error",
-    "eigsh_largest",
-    "eigsh_smallest",
-    "sorted_eigh",
-    "gpi_stiefel",
-    "nearest_orthogonal",
-    "orthogonal_procrustes",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "is_orthonormal": "checks",
+    "is_psd": "checks",
+    "orthonormality_error": "checks",
+    "eigsh_largest": "eigen",
+    "eigsh_smallest": "eigen",
+    "sorted_eigh": "eigen",
+    "gpi_stiefel": "gpi",
+    "nearest_orthogonal": "procrustes",
+    "orthogonal_procrustes": "procrustes",
+})

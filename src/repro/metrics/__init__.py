@@ -6,40 +6,27 @@ implemented here from first principles, including the Hungarian algorithm
 that ACC's label matching requires.
 """
 
-from repro.metrics.accuracy import clustering_accuracy, best_label_mapping
-from repro.metrics.ari import adjusted_rand_index, pairwise_counts, rand_index
-from repro.metrics.confusion import contingency_matrix
-from repro.metrics.fscore import pairwise_f_score, pairwise_precision_recall
-from repro.metrics.hungarian import hungarian
-from repro.metrics.nmi import entropy, mutual_information, normalized_mutual_information
-from repro.metrics.purity import purity_score
-from repro.metrics.report import METRICS, evaluate_clustering
-from repro.metrics.silhouette import silhouette_samples, silhouette_score
-from repro.metrics.vmeasure import (
-    completeness_score,
-    homogeneity_score,
-    v_measure_score,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "METRICS",
-    "clustering_accuracy",
-    "best_label_mapping",
-    "adjusted_rand_index",
-    "pairwise_counts",
-    "rand_index",
-    "contingency_matrix",
-    "pairwise_f_score",
-    "pairwise_precision_recall",
-    "hungarian",
-    "entropy",
-    "mutual_information",
-    "normalized_mutual_information",
-    "purity_score",
-    "evaluate_clustering",
-    "completeness_score",
-    "homogeneity_score",
-    "v_measure_score",
-    "silhouette_samples",
-    "silhouette_score",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "METRICS": "report",
+    "clustering_accuracy": "accuracy",
+    "best_label_mapping": "accuracy",
+    "adjusted_rand_index": "ari",
+    "pairwise_counts": "ari",
+    "rand_index": "ari",
+    "contingency_matrix": "confusion",
+    "pairwise_f_score": "fscore",
+    "pairwise_precision_recall": "fscore",
+    "hungarian": "hungarian",
+    "entropy": "nmi",
+    "mutual_information": "nmi",
+    "normalized_mutual_information": "nmi",
+    "purity_score": "purity",
+    "evaluate_clustering": "report",
+    "completeness_score": "vmeasure",
+    "homogeneity_score": "vmeasure",
+    "v_measure_score": "vmeasure",
+    "silhouette_samples": "silhouette",
+    "silhouette_score": "silhouette",
+})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.exceptions import ValidationError
 from repro.metrics.accuracy import clustering_accuracy
 from repro.metrics.ari import adjusted_rand_index
 from repro.metrics.fscore import pairwise_f_score
@@ -43,8 +44,6 @@ def evaluate_clustering(
     -------
     dict mapping metric name to float value.
     """
-    from repro.exceptions import ValidationError
-
     unknown = [m for m in metrics if m not in METRICS]
     if unknown:
         raise ValidationError(

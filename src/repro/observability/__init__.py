@@ -51,140 +51,64 @@ See ``docs/observability.md`` for the span API, the event schema, sink
 configuration, and how to read a profile.
 """
 
-from repro.observability.analysis import (
-    Hotspot,
-    PathStep,
-    TraceData,
-    critical_path,
-    hotspot_summary,
-    load_trace,
-    metrics_snapshot,
-    to_chrome_trace,
-)
-from repro.observability.events import (
-    FitCallback,
-    FitDiagnostics,
-    IterationEvent,
-    dispatch_event,
-)
-from repro.observability.health import (
-    HealthMonitor,
-    HealthReport,
-    HealthRule,
-    RuleResult,
-    default_rule_pack,
-    evaluate_rule,
-    evaluate_rules,
-    load_rules,
-    resolve_metric,
-    rules_to_dicts,
-    weight_entropy,
-)
-from repro.observability.memory import (
-    MemorySession,
-    current_memory,
-    use_memory_tracking,
-)
-from repro.observability.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    prometheus_name,
-    render_json_snapshot,
-    render_prometheus_snapshot,
-)
-from repro.observability.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.observability.resource import (
-    ResourceSample,
-    ResourceSampler,
-    read_cpu_seconds,
-    read_rss_bytes,
-)
-from repro.observability.profiling import (
-    ProfilingSession,
-    current_profiling,
-    use_profiling,
-)
-from repro.observability.sinks import (
-    JsonlSink,
-    LoggingSink,
-    TraceRecorder,
-    read_jsonl,
-)
-from repro.observability.trace import (
-    SpanRecord,
-    Trace,
-    current_request_id,
-    current_trace,
-    hot_span,
-    metric_inc,
-    metric_observe,
-    metric_set,
-    new_id,
-    span,
-    use_request,
-    use_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "FitCallback",
-    "FitDiagnostics",
-    "Gauge",
-    "HealthMonitor",
-    "HealthReport",
-    "HealthRule",
-    "Histogram",
-    "Hotspot",
-    "IterationEvent",
-    "JsonlSink",
-    "LoggingSink",
-    "MemorySession",
-    "MetricsRegistry",
-    "PROMETHEUS_CONTENT_TYPE",
-    "PathStep",
-    "ProfilingSession",
-    "ResourceSample",
-    "ResourceSampler",
-    "RuleResult",
-    "SpanRecord",
-    "Trace",
-    "TraceData",
-    "TraceRecorder",
-    "critical_path",
-    "current_memory",
-    "current_profiling",
-    "current_request_id",
-    "current_trace",
-    "default_rule_pack",
-    "dispatch_event",
-    "evaluate_rule",
-    "evaluate_rules",
-    "hot_span",
-    "hotspot_summary",
-    "load_rules",
-    "load_trace",
-    "metric_inc",
-    "metric_observe",
-    "metric_set",
-    "metrics_snapshot",
-    "new_id",
-    "prometheus_name",
-    "read_cpu_seconds",
-    "read_jsonl",
-    "read_rss_bytes",
-    "render_json_snapshot",
-    "render_prometheus_snapshot",
-    "resolve_metric",
-    "rules_to_dicts",
-    "span",
-    "to_chrome_trace",
-    "use_memory_tracking",
-    "use_profiling",
-    "use_request",
-    "use_trace",
-    "weight_entropy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Counter": "metrics",
+    "FitCallback": "events",
+    "FitDiagnostics": "events",
+    "Gauge": "metrics",
+    "HealthMonitor": "health",
+    "HealthReport": "health",
+    "HealthRule": "health",
+    "Histogram": "metrics",
+    "Hotspot": "analysis",
+    "IterationEvent": "events",
+    "JsonlSink": "sinks",
+    "LoggingSink": "sinks",
+    "MemorySession": "memory",
+    "MetricsRegistry": "metrics",
+    "PROMETHEUS_CONTENT_TYPE": "export",
+    "PathStep": "analysis",
+    "ProfilingSession": "profiling",
+    "ResourceSample": "resource",
+    "ResourceSampler": "resource",
+    "RuleResult": "health",
+    "SpanRecord": "trace",
+    "Trace": "trace",
+    "TraceData": "analysis",
+    "TraceRecorder": "sinks",
+    "critical_path": "analysis",
+    "current_memory": "memory",
+    "current_profiling": "profiling",
+    "current_request_id": "trace",
+    "current_trace": "trace",
+    "default_rule_pack": "health",
+    "dispatch_event": "events",
+    "evaluate_rule": "health",
+    "evaluate_rules": "health",
+    "hot_span": "trace",
+    "hotspot_summary": "analysis",
+    "load_rules": "health",
+    "load_trace": "analysis",
+    "metric_inc": "trace",
+    "metric_observe": "trace",
+    "metric_set": "trace",
+    "metrics_snapshot": "analysis",
+    "new_id": "trace",
+    "prometheus_name": "export",
+    "read_cpu_seconds": "resource",
+    "read_jsonl": "sinks",
+    "read_rss_bytes": "resource",
+    "render_json_snapshot": "export",
+    "render_prometheus_snapshot": "export",
+    "resolve_metric": "health",
+    "rules_to_dicts": "health",
+    "span": "trace",
+    "to_chrome_trace": "analysis",
+    "use_memory_tracking": "memory",
+    "use_profiling": "profiling",
+    "use_request": "trace",
+    "use_trace": "trace",
+    "weight_entropy": "health",
+})

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.observability.trace import current_trace
+
 
 @dataclass(frozen=True)
 class IterationEvent:
@@ -121,8 +123,6 @@ def dispatch_event(callbacks, method: str, payload) -> None:
     observes an *un-modified* model; only iteration events are also
     recorded on the trace itself (``trace.events``).
     """
-    from repro.observability.trace import current_trace
-
     _deliver(callbacks, method, payload)
     trace = current_trace()
     if trace is None:

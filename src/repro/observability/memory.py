@@ -46,7 +46,6 @@ True
 from __future__ import annotations
 
 import threading
-import tracemalloc
 
 from repro.context import _CONTEXT, scoped
 
@@ -69,6 +68,8 @@ class MemorySession:
 
     def _begin(self):
         """Start metering one hot block; ``None`` when it must not."""
+        import tracemalloc  # first use: a dormant tracker loads no tracemalloc
+
         armed = threading.get_ident() == self._owner
         if self._active or not armed or not tracemalloc.is_tracing():
             return None
@@ -78,6 +79,8 @@ class MemorySession:
 
     def _end(self, start: int, name: str, span) -> None:
         """Record the block begun at ``start`` (site ``name``, ``span``)."""
+        import tracemalloc
+
         current, peak = tracemalloc.get_traced_memory()
         self._active = False
         self.observe_peak(peak)
@@ -141,6 +144,8 @@ class use_memory_tracking(scoped):
         self._started_tracing = False
 
     def __enter__(self) -> MemorySession:
+        import tracemalloc
+
         if not tracemalloc.is_tracing():
             tracemalloc.start()
             self._started_tracing = True
@@ -148,6 +153,8 @@ class use_memory_tracking(scoped):
         return super().__enter__()
 
     def __exit__(self, *exc) -> bool:
+        import tracemalloc
+
         super().__exit__(*exc)
         if tracemalloc.is_tracing():
             self.session.observe_peak(tracemalloc.get_traced_memory()[1])

@@ -40,9 +40,7 @@ True
 
 from __future__ import annotations
 
-import cProfile
 import os.path
-import pstats
 import threading
 
 from repro.context import _CONTEXT, scoped
@@ -114,6 +112,8 @@ class ProfilingSession:
         """Start profiling one hot block; ``None`` when it must not."""
         if self._active or threading.get_ident() != self._owner:
             return None
+        import cProfile  # first use: a dormant profiler loads no cProfile
+
         self._active = True
         profile = cProfile.Profile()
         profile.enable()
@@ -122,12 +122,16 @@ class ProfilingSession:
     def _end(self, profile, name: str, span) -> None:
         """Stop ``profile`` and record it under ``name`` and on ``span``."""
         profile.disable()
+        import pstats
+
         self._active = False
         span.set(profile=_merge_rows([pstats.Stats(profile)], SPAN_ATTR_ROWS))
         self.record(name, profile)
 
     def record(self, name: str, profile) -> None:
         """Merge one finished :class:`cProfile.Profile` under ``name``."""
+        import pstats
+
         existing = self._stats.get(name)
         if existing is None:
             self._stats[name] = pstats.Stats(profile)

@@ -53,6 +53,10 @@ import time
 import uuid
 from dataclasses import dataclass, field
 
+# The collectors a hot span feeds load with it, so checking whether one
+# is armed (``current_profiling``, ``current_memory``) never imports.
+import repro.observability.memory  # noqa: F401
+import repro.observability.profiling  # noqa: F401
 from repro.context import _CONTEXT, scoped
 from repro.observability.metrics import MetricsRegistry
 

@@ -20,28 +20,18 @@ See ``docs/pipeline_cache.md`` for cache keys, stores, CLI flags, and
 invalidation semantics.
 """
 
-from repro.pipeline.cache import (
-    CacheStats,
-    ComputationCache,
-    cache_key,
-    clear_disk_store,
-    current_cache,
-    disk_store_stats,
-    memoized_parallel,
-    use_cache,
-)
-from repro.pipeline.parallel import parallel_map, resolve_jobs, use_jobs
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "ComputationCache",
-    "cache_key",
-    "clear_disk_store",
-    "current_cache",
-    "disk_store_stats",
-    "memoized_parallel",
-    "parallel_map",
-    "resolve_jobs",
-    "use_cache",
-    "use_jobs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CacheStats": "cache",
+    "ComputationCache": "cache",
+    "cache_key": "cache",
+    "clear_disk_store": "cache",
+    "current_cache": "cache",
+    "disk_store_stats": "cache",
+    "memoized_parallel": "cache",
+    "parallel_map": "parallel",
+    "resolve_jobs": "parallel",
+    "use_cache": "cache",
+    "use_jobs": "parallel",
+})

@@ -52,9 +52,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
+from repro.backends import current_backend
 from repro.context import _CONTEXT, scoped
 from repro.exceptions import ValidationError
 from repro.observability.trace import metric_inc, span
+from repro.pipeline.parallel import parallel_map
 
 #: Bump when the key schema or stored-value layout changes; old disk
 #: entries then simply miss instead of deserializing wrongly.
@@ -103,8 +105,6 @@ def cache_key(namespace: str, arrays=(), params: dict | None = None) -> str:
         the key, so a result computed under one numerical contract
         (say float32) can never satisfy a lookup made under another.
     """
-    from repro.backends import current_backend
-
     h = hashlib.blake2b(digest_size=20)
     h.update(
         f"v{CACHE_FORMAT_VERSION}:{current_backend().cache_token()}:"
@@ -461,8 +461,6 @@ def memoized_parallel(
         One result per item, in input order; bit-identical to a serial,
         uncached map.
     """
-    from repro.pipeline.parallel import parallel_map
-
     items = list(items)
     cache = current_cache()
     results: list = [None] * len(items)

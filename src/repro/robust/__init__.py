@@ -29,50 +29,27 @@ See ``docs/robustness.md`` for the site catalogue, the policy
 semantics, and how to write a fault-injection test.
 """
 
-from repro.robust.faults import (
-    FaultPlan,
-    FaultSite,
-    FaultSpec,
-    InjectedFault,
-    current_faults,
-    inject_faults,
-    maybe_inject,
-    register_fault_site,
-    registered_fault_sites,
-)
-from repro.robust.policy import (
-    DEFAULT_POLICY,
-    RECOVERABLE_EXCEPTIONS,
-    FailurePolicy,
-    RecoveryEvent,
-    collect_recoveries,
-    current_policy,
-    failure_guard,
-    matrix_context,
-    record_recovery,
-    run_with_policy,
-    use_policy,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_POLICY",
-    "RECOVERABLE_EXCEPTIONS",
-    "FailurePolicy",
-    "FaultPlan",
-    "FaultSite",
-    "FaultSpec",
-    "InjectedFault",
-    "RecoveryEvent",
-    "collect_recoveries",
-    "current_faults",
-    "current_policy",
-    "failure_guard",
-    "inject_faults",
-    "matrix_context",
-    "maybe_inject",
-    "record_recovery",
-    "register_fault_site",
-    "registered_fault_sites",
-    "run_with_policy",
-    "use_policy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "DEFAULT_POLICY": "policy",
+    "RECOVERABLE_EXCEPTIONS": "policy",
+    "FailurePolicy": "policy",
+    "FaultPlan": "faults",
+    "FaultSite": "faults",
+    "FaultSpec": "faults",
+    "InjectedFault": "faults",
+    "RecoveryEvent": "policy",
+    "collect_recoveries": "policy",
+    "current_faults": "faults",
+    "current_policy": "policy",
+    "failure_guard": "policy",
+    "inject_faults": "faults",
+    "matrix_context": "policy",
+    "maybe_inject": "faults",
+    "record_recovery": "policy",
+    "register_fault_site": "faults",
+    "registered_fault_sites": "faults",
+    "run_with_policy": "policy",
+    "use_policy": "policy",
+})

@@ -1,8 +1,10 @@
 """Deterministic, context-scoped fault injection for numerical kernels.
 
 Every numerical kernel that participates in the failure policy registers a
-named *fault site* at import time (:func:`register_fault_site`), and routes
-its result through :func:`maybe_inject`.  Tests arm a :class:`FaultPlan`
+named *fault site* when its module is imported (:func:`register_fault_site`),
+and routes its result through :func:`maybe_inject`.  Those modules are
+listed in :data:`SITE_OWNERS` and imported before the registry is read,
+so the catalogue is complete in a fresh process.  Tests arm a :class:`FaultPlan`
 with :func:`inject_faults`; each armed :class:`FaultSpec` selects a site,
 a corruption mode, and *which invocations* trigger — so a test can kill
 exactly the third ARPACK solve of a fit, deterministically, with no
@@ -37,6 +39,7 @@ True
 
 from __future__ import annotations
 
+import importlib
 import threading
 import time
 from dataclasses import dataclass
@@ -128,15 +131,41 @@ class TriggeredFault:
 
 _REGISTRY: dict[str, FaultSite] = {}
 
+#: Every module that calls :func:`register_fault_site` at import.  The
+#: package ``__init__``s load nothing eagerly, so these are imported
+#: before the registry answers or a :class:`FaultPlan` validates.
+SITE_OWNERS = (
+    "repro.linalg.eigen",
+    "repro.linalg.gpi",
+    "repro.linalg.procrustes",
+    "repro.core.discrete",
+    "repro.core.alternation",
+    "repro.core.graph_builder",
+    "repro.core.model",
+    "repro.core.anchor_model",
+    "repro.cluster.kmeans",
+    "repro.serving.artifact",
+    "repro.serving.predictor",
+    "repro.evaluation.runner",
+)
+
+
+def _load_sites() -> None:
+    """Import every :data:`SITE_OWNERS` module, registering its sites."""
+    for module in SITE_OWNERS:
+        importlib.import_module(module)
+
 
 def register_fault_site(
     name: str, description: str, *, modes: tuple = FAULT_MODES
 ) -> str:
     """Register (idempotently) a named fault site; returns ``name``.
 
-    Called at import time by every module that owns a numerical kernel,
-    so the catalogue printed by ``repro faults list`` is complete once
-    :mod:`repro` is imported.
+    Called at import time by every module that owns a numerical kernel.
+    A module that calls it belongs in :data:`SITE_OWNERS`, which
+    :func:`registered_fault_sites` and :class:`FaultPlan` import first,
+    so the catalogue printed by ``repro faults list`` is complete in any
+    process.
     """
     bad = [m for m in modes if m not in FAULT_MODES]
     if bad:
@@ -147,6 +176,7 @@ def register_fault_site(
 
 def registered_fault_sites() -> dict[str, FaultSite]:
     """Snapshot of the site registry, keyed by name (registration order)."""
+    _load_sites()
     return dict(_REGISTRY)
 
 
@@ -160,6 +190,7 @@ class FaultPlan:
     """
 
     def __init__(self, specs) -> None:
+        _load_sites()
         self.specs: list[FaultSpec] = []
         for spec in specs:
             if isinstance(spec, str):

@@ -24,18 +24,15 @@ This package never imports :mod:`repro.core`; the dependency points the
 other way (models gain ``save``/``load`` by building artifacts here).
 """
 
-from repro.serving.artifact import ModelArtifact, library_versions
-from repro.serving.predictor import Predictor, kernel_vote_scores
-from repro.serving.service import PredictionService, ServiceStats, replay
-from repro.serving.telemetry import TelemetryServer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ModelArtifact",
-    "Predictor",
-    "PredictionService",
-    "ServiceStats",
-    "TelemetryServer",
-    "kernel_vote_scores",
-    "library_versions",
-    "replay",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ModelArtifact": "artifact",
+    "Predictor": "predictor",
+    "PredictionService": "service",
+    "ServiceStats": "service",
+    "TelemetryServer": "telemetry",
+    "kernel_vote_scores": "predictor",
+    "library_versions": "artifact",
+    "replay": "service",
+})

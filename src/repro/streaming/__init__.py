@@ -15,26 +15,17 @@ machinery (see :mod:`repro.core.anchor_model`):
 See ``docs/streaming.md`` for the end-to-end guide.
 """
 
-from repro.streaming.drift import (
-    BatchStats,
-    DriftDecision,
-    DriftDetector,
-    DriftEvent,
-    ObjectiveShiftDetector,
-    ViewWeightShiftDetector,
-    worst_decision,
-)
-from repro.streaming.model import BatchRecord, StreamingMVSC, default_detectors
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchRecord",
-    "BatchStats",
-    "DriftDecision",
-    "DriftDetector",
-    "DriftEvent",
-    "ObjectiveShiftDetector",
-    "StreamingMVSC",
-    "ViewWeightShiftDetector",
-    "default_detectors",
-    "worst_decision",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "BatchRecord": "model",
+    "BatchStats": "drift",
+    "DriftDecision": "drift",
+    "DriftDetector": "drift",
+    "DriftEvent": "drift",
+    "ObjectiveShiftDetector": "drift",
+    "StreamingMVSC": "model",
+    "ViewWeightShiftDetector": "drift",
+    "default_detectors": "model",
+    "worst_decision": "drift",
+})

@@ -1,20 +1,13 @@
 """Shared utilities: randomness handling and input validation."""
 
-from repro.utils.rng import check_random_state, spawn_seeds
-from repro.utils.validation import (
-    check_labels,
-    check_matrix,
-    check_square,
-    check_symmetric,
-    check_views,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "check_random_state",
-    "spawn_seeds",
-    "check_labels",
-    "check_matrix",
-    "check_square",
-    "check_symmetric",
-    "check_views",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "check_random_state": "rng",
+    "spawn_seeds": "rng",
+    "check_labels": "validation",
+    "check_matrix": "validation",
+    "check_square": "validation",
+    "check_symmetric": "validation",
+    "check_views": "validation",
+})

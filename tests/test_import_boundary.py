@@ -1,0 +1,207 @@
+"""The import boundary: packages export lazily, and nothing imports late.
+
+Every package ``__init__`` names its exports once, in a lazy table
+(:mod:`repro._lazy`).  These tests pin what that must not change: each
+exported name is the same object before and after every submodule is
+imported, every ``__all__`` keeps its content and order, the fault-site
+catalogue is complete in a fresh process, and a fit or serve path
+imports nothing past the imports of its entry points.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+
+import repro
+from repro.robust.faults import SITE_OWNERS
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(repro.__file__), os.pardir))
+
+#: blake2b (16 bytes) of ``json.dumps({package: __all__}, sort_keys=True)``
+#: over all 16 packages (314 names), the lists the eager ``__init__``s had.
+ALL_DIGEST = "827b861f7a965a994b62fe7041900447"
+
+#: Modules a fit or serve path must never load.
+HEAVY = (
+    "scipy.special",
+    "http.server",
+    "cProfile",
+    "pstats",
+    "tracemalloc",
+    "repro.evaluation",
+    "repro.baselines",
+    "repro.cli",
+    "repro.bench",
+)
+
+
+def _fresh(script: str) -> str:
+    """Run ``script`` in a new interpreter on this ``src``; its stdout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _packages() -> list[str]:
+    found = pkgutil.walk_packages(repro.__path__, "repro.")
+    return ["repro", *sorted(m.name for m in found if m.ispkg)]
+
+
+def test_every_all_is_unchanged():
+    lists = {p: list(importlib.import_module(p).__all__) for p in _packages()}
+    blob = json.dumps(lists, sort_keys=True)
+    digest = hashlib.blake2b(blob.encode(), digest_size=16).hexdigest()
+    assert digest == ALL_DIGEST, blob
+
+
+def test_dir_lists_every_export():
+    for name in _packages():
+        package = importlib.import_module(name)
+        missing = set(package.__all__) - set(dir(package))
+        assert not missing, (name, missing)
+
+
+IDENTITY_SCRIPT = """
+import importlib, pkgutil, sys, types
+import repro
+
+packages = ["repro"] + [
+    m.name for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.ispkg
+]
+first = {}
+for p in packages:
+    package = importlib.import_module(p)
+    for name in package.__all__:
+        first[p, name] = getattr(package, name)
+for m in pkgutil.walk_packages(repro.__path__, "repro."):
+    if not m.name.endswith("__main__"):
+        importlib.import_module(m.name)
+for (p, name), value in first.items():
+    now = getattr(sys.modules[p], name)
+    home = getattr(value, "__module__", None)
+    if isinstance(value, types.ModuleType):
+        print("module", p, name)
+    elif now is not value:
+        print("rebound", p, name)
+    elif home and getattr(sys.modules[home], name, value) is not value:
+        print("not the defining object", p, name)
+print("checked", len(first))
+"""
+
+
+def test_exports_are_the_defining_objects_before_and_after_submodules():
+    out = _fresh(IDENTITY_SCRIPT).splitlines()
+    assert out[-1] == "checked 314", out
+    assert out[:-1] == []
+
+
+def test_fault_sites_complete_in_a_fresh_process():
+    out = _fresh(
+        "from repro.robust import FaultSpec, inject_faults, "
+        "registered_fault_sites\n"
+        "print(len(registered_fault_sites()))\n"
+        "with inject_faults(FaultSpec('kmeans.init')) as plan:\n"
+        "    print(plan.specs[0].site)\n"
+    )
+    assert out.split() == ["15", "kmeans.init"]
+
+
+def test_every_site_owner_is_listed():
+    owners = set()
+    root = os.path.join(SRC, "repro")
+    for dirpath, _, files in os.walk(root):
+        for file in files:
+            if not file.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, file)
+            with open(path) as handle:
+                text = handle.read()
+            calls = [
+                line
+                for line in text.splitlines()
+                if "register_fault_site(" in line
+                and ">>>" not in line
+                and "def register_fault_site(" not in line
+            ]
+            if calls:
+                module = os.path.relpath(path, SRC)[: -len(".py")]
+                owners.add(module.replace(os.sep, "."))
+    assert len(owners) == 12
+    assert owners == set(SITE_OWNERS)
+
+
+NO_LATE_IMPORT_SCRIPT = """
+import sys
+
+import numpy as np
+
+import repro
+from repro.core.anchor_model import AnchorMVSC
+from repro.core.model import UnifiedMVSC
+from repro.core.sparse_model import SparseMVSC
+from repro.datasets.scenarios import generate, get_scenario, stream_batches
+from repro.exceptions import ReproError
+from repro.metrics.ari import adjusted_rand_index
+from repro.robust.policy import collect_recoveries
+from repro.serving import ModelArtifact, PredictionService, Predictor
+from repro.streaming.model import StreamingMVSC
+
+loaded = set(sys.modules)
+
+data = generate("heterogeneous", n_samples=60, random_state=0)
+UnifiedMVSC(4, random_state=0).fit(data.views)
+SparseMVSC(4, random_state=0).fit_predict(data.views)
+batches = stream_batches(get_scenario("clean").with_size(20), 8, random_state=0)
+first = [np.vstack(block) for block in zip(*(b.views for b in batches[:6]))]
+stream = StreamingMVSC(AnchorMVSC(4, random_state=0))
+stream.partial_fit(first)
+stream.partial_fit(batches[6].views)
+adjusted_rand_index(data.labels, data.labels)
+with collect_recoveries():
+    pass
+
+artifact = ModelArtifact(
+    model_class="UnifiedMVSC",
+    train_views=[x[:50] for x in data.views],
+    train_labels=data.labels[:50],
+    view_weights=np.ones(len(data.views)),
+    n_clusters=4,
+)
+predictor = Predictor(artifact)
+predictor.predict([x[50:] for x in data.views])
+service = PredictionService(predictor)
+service.submit([x[55] for x in data.views]).result(timeout=30)
+service.close()
+
+from repro.backends import current_backend
+from repro.observability.memory import current_memory
+from repro.observability.profiling import current_profiling
+from repro.observability.trace import current_trace
+from repro.pipeline.cache import current_cache
+
+current_backend(), current_trace(), current_profiling()
+current_memory(), current_cache()
+
+print(sorted(set(sys.modules) - loaded))
+print(sorted(name for name in HEAVY if name in sys.modules))
+"""
+
+
+def test_fit_and_serve_paths_import_nothing_late():
+    script = f"HEAVY = {HEAVY!r}\n" + NO_LATE_IMPORT_SCRIPT
+    late, heavy = _fresh(script).splitlines()[-2:]
+    assert late == "[]"
+    assert heavy == "[]"
