@@ -78,7 +78,7 @@ def _serial_seconds(predictor: Predictor, samples) -> tuple[float, list]:
 
 def _service_seconds(predictor: Predictor, samples) -> tuple[float, list]:
     with PredictionService(
-        predictor, max_batch=64, max_latency_ms=0.0, max_queue=len(samples)
+        predictor, max_batch=64, max_queue=len(samples)
     ) as service:
         start = time.perf_counter()
         labels = replay(service, samples, clients=N_CLIENTS)

@@ -170,7 +170,7 @@ def _bench_serving_throughput(quick: bool):
 
     def work():
         with PredictionService(
-            predictor, max_batch=64, max_latency_ms=0.0, max_queue=n_requests
+            predictor, max_batch=64, max_queue=n_requests
         ) as service:
             replay(service, samples, clients=4)
 

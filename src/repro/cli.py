@@ -327,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--requests", type=int, default=128)
     serve_p.add_argument("--clients", type=int, default=4)
     serve_p.add_argument("--max-batch", type=int, default=32)
-    serve_p.add_argument("--max-latency-ms", type=float, default=5.0)
     serve_p.add_argument(
         "--telemetry-port",
         type=int,
@@ -822,7 +821,6 @@ def _cmd_serve(args, out) -> int:
         with PredictionService(
             predictor,
             max_batch=args.max_batch,
-            max_latency_ms=args.max_latency_ms,
             max_queue=max(1024, n_requests),
             telemetry_port=args.telemetry_port,
         ) as service:
@@ -842,8 +840,7 @@ def _cmd_serve(args, out) -> int:
     print(f"{predictor!r}", file=out)
     print(
         f"served {n_requests} single-sample requests "
-        f"({args.clients} clients, max_batch={args.max_batch}, "
-        f"max_latency_ms={args.max_latency_ms:g})",
+        f"({args.clients} clients, max_batch={args.max_batch})",
         file=out,
     )
     print(

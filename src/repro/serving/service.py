@@ -4,11 +4,13 @@ Per-request inference wastes the predictor's vectorization: a single
 query pays the same Python/GEMM dispatch overhead as a whole batch.
 :class:`PredictionService` recovers batch efficiency under a
 request/response API by *micro-batching*: clients ``submit`` one sample
-at a time and get a :class:`~concurrent.futures.Future` back; a worker
-thread takes the oldest queued request, coalesces everything that
-arrives within ``max_latency_ms`` (up to ``max_batch`` requests), runs
-ONE batched :meth:`~repro.serving.predictor.Predictor.predict`, and fans
-the labels back out to the per-request futures.
+at a time and get a :class:`~concurrent.futures.Future` back.  A worker
+thread batches while busy: it sleeps until a request is pending, then
+takes every queued request (up to ``max_batch``) at once, runs ONE
+batched :meth:`~repro.serving.predictor.Predictor.predict`, and fans
+the labels back out to the per-request futures.  Requests that arrive
+during that predict form the next batch, so batches fill under load,
+while a request that finds the worker idle is predicted at once.
 
 Operational properties:
 
@@ -22,8 +24,8 @@ Operational properties:
 * **Observability** — the service owns a
   :class:`~repro.observability.metrics.MetricsRegistry` (``.metrics``),
   its one ledger: ``serving.submitted`` / ``serving.completed`` /
-  ``serving.rejected`` counters, per-request queue-wait, coalesce, and
-  end-to-end latency histograms, batch-size and batch-time histograms,
+  ``serving.rejected`` counters, per-request queue-wait and end-to-end
+  latency histograms, batch-size and batch-time histograms,
   and a live queue-depth gauge.  :meth:`~PredictionService.stats`
   reads it, and ``telemetry_port=`` starts a localhost HTTP thread
   serving it as ``/metrics`` (Prometheus text), ``/healthz``
@@ -67,9 +69,9 @@ Examples
 from __future__ import annotations
 
 import contextvars
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 
@@ -89,9 +91,6 @@ from repro.observability.trace import (
     use_request,
 )
 from repro.serving.predictor import Predictor
-
-#: Sentinel enqueued by :meth:`PredictionService.close` to wake the worker.
-_STOP = object()
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ class ServiceStats:
     batches : int
         Batched predict calls issued.
     max_batch_size : int
-        Largest coalesced batch so far.
+        Largest batch so far.
     uptime_seconds : float
         Seconds since the service was constructed (monotonic clock).
     latency_p50 / latency_p95 / latency_p99 : float or None
@@ -170,7 +169,6 @@ class _Request:
         "rows",
         "future",
         "submitted_at",
-        "dequeued_at",
         "request_id",
         "span_id",
         "submitted_wall",
@@ -181,7 +179,6 @@ class _Request:
         self.rows = rows
         self.future: Future = Future()
         self.submitted_at = 0.0
-        self.dequeued_at = 0.0
         # Trace identity, populated by submit() only when the service
         # was constructed under an active trace.
         self.request_id: str | None = None
@@ -198,13 +195,7 @@ class PredictionService:
     predictor : Predictor
         The batched inductive classifier answering requests.
     max_batch : int
-        Most requests coalesced into one predict call.
-    max_latency_ms : float
-        Longest the worker holds a batch open for stragglers once the
-        queue is empty; bounds the queueing latency a request can pay to
-        help its batch fill.  Requests already queued always join the
-        current batch immediately, so ``0`` still micro-batches
-        back-to-back traffic — it just never *waits* for more.
+        Most queued requests taken into one predict call.
     max_queue : int
         Bound on queued (not yet batched) requests; the backpressure
         knob.
@@ -221,7 +212,6 @@ class PredictionService:
         predictor: Predictor,
         *,
         max_batch: int = 32,
-        max_latency_ms: float = 5.0,
         max_queue: int = 1024,
         telemetry_port: int | None = None,
     ) -> None:
@@ -232,10 +222,6 @@ class PredictionService:
             )
         if int(max_batch) < 1:
             raise ValidationError(f"max_batch must be >= 1, got {max_batch}")
-        if float(max_latency_ms) < 0:
-            raise ValidationError(
-                f"max_latency_ms must be >= 0, got {max_latency_ms}"
-            )
         if int(max_queue) < 1:
             raise ValidationError(f"max_queue must be >= 1, got {max_queue}")
         self.predictor = predictor
@@ -243,10 +229,12 @@ class PredictionService:
         # grows the training set, never the views), so read it once.
         self._view_dims = predictor.artifact.view_dims
         self.max_batch = int(max_batch)
-        self.max_latency = float(max_latency_ms) / 1000.0
         self.max_queue = int(max_queue)
-        self._queue: queue.Queue = queue.Queue(maxsize=self.max_queue)
+        # Queued (not yet batched) requests.  One lock guards them and
+        # ``_closed``; the worker waits on ``_ready`` for either to change.
+        self._pending: deque = deque()
         self._lock = threading.Lock()
+        self._ready = threading.Condition(self._lock)
         self._closed = False
         # The trace mirror and request-correlated tracing bind to the
         # trace active at construction (same snapshot the worker thread
@@ -259,7 +247,6 @@ class PredictionService:
         self.metrics.gauge("serving.queue_depth")
         for name in (
             "serving.queue_wait_seconds",
-            "serving.coalesce_seconds",
             "serving.request_seconds",
             "serving.batch_size",
             "serving.batch_seconds",
@@ -323,10 +310,9 @@ class PredictionService:
                 raise ServiceClosedError(
                     "prediction service is closed; no new requests accepted"
                 )
-            # Only submitters put, under this lock, so a queue that is
-            # not full here takes the request.  Counting it before the
-            # put keeps stats().completed <= stats().submitted.
-            if self._queue.full():
+            # Counting the request before it is queued keeps
+            # stats().completed <= stats().submitted.
+            if len(self._pending) >= self.max_queue:
                 self.metrics.counter("serving.rejected").inc()
                 self._mirror("counter", "serving.rejected", 1)
                 raise ServiceOverloadedError(
@@ -335,8 +321,9 @@ class PredictionService:
                 )
             self.metrics.counter("serving.submitted").inc()
             self._mirror("counter", "serving.submitted", 1)
-            self._queue.put_nowait(request)
-        depth = self._queue.qsize()
+            self._pending.append(request)
+            depth = len(self._pending)
+            self._ready.notify()
         self.metrics.gauge("serving.queue_depth").set(depth)
         # A gauge in the registry, a distribution in the trace.
         self._mirror("histogram", "serving.queue_depth", depth)
@@ -375,7 +362,7 @@ class PredictionService:
             rejected=count("serving.rejected"),
             batches=sizes.count,
             max_batch_size=int(peak) if peak >= 1 else 0,
-            queue_depth=self._queue.qsize(),
+            queue_depth=len(self._pending),
             uptime_seconds=time.perf_counter() - self._started,
             latency_p50=p50,
             latency_p95=p95,
@@ -406,15 +393,8 @@ class PredictionService:
         future resolves through the usual batch path).  Idempotent.
         """
         with self._lock:
-            if self._closed:
-                already = True
-            else:
-                self._closed = True
-                already = False
-        if not already:
-            # The sentinel lands behind every accepted request, so the
-            # worker drains them all before it sees the stop signal.
-            self._queue.put(_STOP)
+            self._closed = True
+            self._ready.notify()
         self._worker.join(timeout=timeout)
         if self._telemetry_server is not None:
             # Kept up through the drain so /healthz can report it;
@@ -469,38 +449,20 @@ class PredictionService:
         return rows
 
     def _serve_loop(self) -> None:
-        """Take a request, coalesce co-travelers, predict, fan out."""
+        """Take every queued request (up to ``max_batch``), predict, fan
+        out; once closed, drain the queue and return."""
+        pending = self._pending
         while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            item.dequeued_at = time.perf_counter()
-            batch = [item]
-            deadline = time.perf_counter() + self.max_latency
-            stop_after = False
-            while len(batch) < self.max_batch:
-                # Greedy first: whatever is already queued joins the
-                # batch for free.  Only once the queue is drained does
-                # the deadline decide whether to hold the batch open for
-                # stragglers (max_latency_ms = 0 -> never).
-                try:
-                    nxt = self._queue.get_nowait()
-                except queue.Empty:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    try:
-                        nxt = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
-                if nxt is _STOP:
-                    stop_after = True
-                    break
-                nxt.dequeued_at = time.perf_counter()
-                batch.append(nxt)
+            with self._lock:
+                while not pending and not self._closed:
+                    self._ready.wait()
+                if not pending:
+                    return
+                batch = [
+                    pending.popleft()
+                    for _ in range(min(len(pending), self.max_batch))
+                ]
             self._run_batch(batch)
-            if stop_after:
-                return
 
     def _mirror(self, kind: str, name: str, value: float) -> None:
         """Write one metric to the trace active at construction, if any.
@@ -529,7 +491,7 @@ class PredictionService:
         traced = self._trace is not None
         batch_failed = False
         tick = time.perf_counter()
-        # Under a trace, link the coalesced batch to its constituent
+        # Under a trace, link the batch to its constituent
         # request spans, and let everything under the predict — nested
         # spans, recovery events — carry the joined request ids.
         request_ids = [r.request_id for r in batch] if traced else None
@@ -574,9 +536,7 @@ class PredictionService:
                         thread=request.thread,
                         links=[batch_span_id] if batch_span_id else [],
                         attributes={
-                            "queue_wait_seconds": (
-                                request.dequeued_at - request.submitted_at
-                            ),
+                            "queue_wait_seconds": tick - request.submitted_at,
                             "batch_size": len(batch),
                             "failed": batch_failed,
                         },
@@ -584,16 +544,12 @@ class PredictionService:
                 )
         m = self.metrics
         m.histogram("serving.batch_seconds").observe(done - tick)
-        # Coalesce latency: first dequeue -> dispatch of the predict.
-        m.histogram("serving.coalesce_seconds").observe(
-            tick - batch[0].dequeued_at
-        )
         queue_wait = m.histogram("serving.queue_wait_seconds")
         e2e = m.histogram("serving.request_seconds")
         for request in batch:
-            queue_wait.observe(request.dequeued_at - request.submitted_at)
+            queue_wait.observe(tick - request.submitted_at)
             e2e.observe(done - request.submitted_at)
-        m.gauge("serving.queue_depth").set(self._queue.qsize())
+        m.gauge("serving.queue_depth").set(len(self._pending))
 
 
 def replay(service: PredictionService, samples, *, clients: int) -> list:

@@ -574,7 +574,6 @@ _SURFACE = {
         (('--clients',), 'clients', '4', False, None, 'int', None, '_StoreAction'),
         (('--dataset',), 'dataset', 'None', True, _DATASETS, None, None, '_StoreAction'),
         (('--max-batch',), 'max_batch', '32', False, None, 'int', None, '_StoreAction'),
-        (('--max-latency-ms',), 'max_latency_ms', '5.0', False, None, 'float', None, '_StoreAction'),
         (('--requests',), 'requests', '128', False, None, 'int', None, '_StoreAction'),
         (('--telemetry-port',), 'telemetry_port', 'None', False, None, 'int', None, '_StoreAction'),
     ),
@@ -701,7 +700,7 @@ class TestParserSurface:
 
     def test_pin_counts(self):
         assert sum(1 for options in _SURFACE.values() if options) == 18
-        assert sum(len(options) for options in _SURFACE.values()) == 102
+        assert sum(len(options) for options in _SURFACE.values()) == 101
 
     def test_serve_rejects_the_removed_bench_flag(self, capsys):
         argv = ["serve", "--artifact", "a", "--dataset", "yale", "--bench"]
