@@ -1,26 +1,28 @@
-"""The :class:`ArrayBackend` interface and the reference numpy backend.
+"""The :class:`ArrayBackend` class: the hot kernels behind one object.
 
 An :class:`ArrayBackend` bundles the library's *hot kernels* — pairwise
-distances, kNN selection, the affinity exponentials, the scatter-add
-kernel vote, and the dense eigensolver entry points — behind one object,
-so :mod:`repro.graph.distance`, :mod:`repro.graph.affinity`,
-:mod:`repro.graph.knn`, :mod:`repro.linalg.eigen`, :mod:`repro.linalg.gpi`
-and :mod:`repro.serving.predictor` can dispatch without their callers
-changing.  Profiling (PR 6) shows fit time concentrated exactly here,
-which makes the backend boundary the one seam every scaling direction
-(bipartite million-sample graphs, co-training mini-batching, float32
-kernels) shares.
+distances, kNN selection, the affinity exponentials, the anchor-graph
+weights and the scatter-add kernel vote — behind one object, so
+:mod:`repro.graph.distance`, :mod:`repro.graph.affinity`,
+:mod:`repro.graph.knn`, :mod:`repro.graph.anchor` and
+:mod:`repro.serving.predictor` can dispatch without their callers
+changing.  The eigensolvers and GPI are not backend methods: they cast
+their operands with :meth:`ArrayBackend.prepare` and call scipy/numpy
+themselves (:mod:`repro.linalg.eigen`, :mod:`repro.linalg.gpi`), so a
+serving process, which runs only the kernel vote, never loads
+:mod:`scipy.linalg`.
 
 Contracts
 ---------
-* The base class *is* the reference implementation: plain float64
-  numpy/scipy, bit-identical to the pre-backend code (``tolerance = 0.0``
-  is a tested guarantee, not an aspiration).
-* Subclasses may change ``compute_dtype`` (see
-  :class:`~repro.backends.float32.Float32Backend`) or swap kernel
-  bodies; they must stay within their documented ``tolerance`` of the reference backend
-  and must yield identical clusterings (label ARI 1.0) on the seed
-  datasets.
+* A backend is an instance, not a subclass: the kernels are written
+  once, in the dtype-generic numpy of this class, and the ``numpy`` and
+  ``float32`` registry entries (:mod:`repro.backends`) differ only in
+  their constructor arguments.
+* The float64 instance *is* the reference implementation, bit-identical
+  to the pre-backend code (``tolerance = 0.0`` is a tested guarantee,
+  not an aspiration); any other instance must stay within its
+  documented ``tolerance`` of it and must yield identical clusterings
+  (label ARI 1.0) on the seed datasets.
 * Kernel methods receive **pre-validated** arrays — the public functions
   in the graph/linalg/serving layers keep ownership of argument checking
   (exactly once per public call) and of the failure policy; backends own
@@ -33,22 +35,24 @@ Contracts
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from repro.linalg.simplex import simplex_projection_rowwise
 
 
 class ArrayBackend:
-    """Reference (float64 numpy/scipy) compute backend for the hot kernels.
+    """A compute backend for the hot kernels, fixed by its dtypes.
 
-    Attributes
+    Instances are plain objects (no ``__slots__``), so a tracer or a
+    test can wrap a kernel by assigning to the instance attribute.
+
+    Parameters
     ----------
     name : str
-        Registry name (``"numpy"`` for this class).
-    compute_dtype : numpy dtype
+        Registry name (``"numpy"``, ``"float32"``).
+    compute_dtype : dtype-like
         The dtype the kernels compute in (and, for the distance/affinity
         kernels, return).
-    validation_dtype : numpy dtype or None
+    validation_dtype : dtype-like or None
         What :func:`repro.utils.validation.check_matrix` should coerce
         inputs to at the public entry points: ``np.float64`` for the
         reference backend (the historical behavior), ``None`` for
@@ -62,11 +66,21 @@ class ArrayBackend:
         One-line summary shown by ``repro backends list``.
     """
 
-    name = "numpy"
-    compute_dtype = np.dtype(np.float64)
-    validation_dtype: np.dtype | None = np.dtype(np.float64)
-    tolerance = 0.0
-    description = "float64 numpy/scipy reference kernels (bit-exact contract)"
+    def __init__(
+        self,
+        name: str,
+        compute_dtype,
+        validation_dtype,
+        tolerance: float,
+        description: str,
+    ) -> None:
+        self.name = name
+        self.compute_dtype = np.dtype(compute_dtype)
+        self.validation_dtype = (
+            None if validation_dtype is None else np.dtype(validation_dtype)
+        )
+        self.tolerance = tolerance
+        self.description = description
 
     def __repr__(self) -> str:
         return (
@@ -251,69 +265,3 @@ class ArrayBackend:
         scores = np.zeros((n_queries, n_clusters))
         np.add.at(scores, (rows, labels[idx]), kernel)
         return scores
-
-    # -- dense eigensolver entry points ------------------------------------
-
-    def sorted_eigh(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Full symmetric eigendecomposition, ascending eigenvalues.
-
-        Reduced-precision backends compute in their ``compute_dtype``
-        but always hand back float64 pairs, so the embedding/rotation/
-        indicator pipeline downstream keeps its float64 invariants.
-        """
-        values, vectors = scipy.linalg.eigh(self.prepare(a))
-        return (
-            np.asarray(values, dtype=np.float64),
-            np.asarray(vectors, dtype=np.float64),
-        )
-
-    def eigh_extremal(
-        self, a: np.ndarray, lo: int, hi: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs with sorted indices in ``[lo, hi]`` (LAPACK subset
-        driver), ascending; float64 out like :meth:`sorted_eigh`."""
-        values, vectors = scipy.linalg.eigh(
-            self.prepare(a), subset_by_index=(lo, hi)
-        )
-        return (
-            np.asarray(values, dtype=np.float64),
-            np.asarray(vectors, dtype=np.float64),
-        )
-
-    # -- sparse eigensolver entry point ------------------------------------
-
-    def eigsh_lanczos(
-        self, a, k: int, which: str
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``k`` extremal eigenpairs of a symmetric *sparse* matrix via
-        ARPACK Lanczos (:func:`scipy.sparse.linalg.eigsh`).
-
-        Reduced-precision backends run the matvecs in their
-        ``compute_dtype`` (ARPACK's workspace follows the operand dtype)
-        but always hand back float64 pairs like the dense entry points;
-        the reference backend solves on the operand as given.
-
-        ARPACK starts from one fixed vector, seeded like the anchor
-        path's probe (``default_rng(0)``) in the operand's dtype:
-        without ``v0`` it draws one from OS entropy, and two solves of
-        one matrix can differ.
-        """
-        import scipy.sparse.linalg
-
-        v0 = np.random.default_rng(0).standard_normal(a.shape[0])
-        values, vectors = scipy.sparse.linalg.eigsh(
-            a, k=k, which=which, v0=v0.astype(a.dtype)
-        )
-        return (
-            np.asarray(values, dtype=np.float64),
-            np.asarray(vectors, dtype=np.float64),
-        )
-
-
-class NumpyBackend(ArrayBackend):
-    """The default backend — an alias of the reference implementation.
-
-    Exists as a distinct class so ``type(backend).__name__`` reads
-    naturally in reprs and docs; behavior is exactly
-    :class:`ArrayBackend`.
-    """

@@ -23,11 +23,13 @@ active (keyed on the matrix bytes, ``k``, and which end of the spectrum);
 cached results are bit-identical to direct computation.
 
 The primary paths — dense LAPACK *and* the sparse ARPACK Lanczos solve —
-dispatch through the active :class:`~repro.backends.ArrayBackend`
-(reduced-precision backends run the kernel in their compute dtype and
-hand back float64 pairs); the fallbacks stay plain float64 — robustness
-recovery and shift-invert iterations are precision-sensitive, and a
-fallback must not share the failure mode of the path it rescues.
+cast their operand to the active backend's compute dtype
+(:meth:`~repro.backends.ArrayBackend.prepare` for dense matrices,
+``astype`` for sparse ones) and call scipy directly, so a float32
+backend solves in single precision; every path hands back float64
+pairs.  The fallbacks stay plain float64 — robustness recovery is
+precision-sensitive, and a fallback must not share the failure mode of
+the path it rescues.
 """
 
 from __future__ import annotations
@@ -68,6 +70,14 @@ def _shift_scale(a) -> float:
     return max(1.0, peak)
 
 
+def _float64_pairs(values, vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs as float64, whatever dtype the solver computed in."""
+    return (
+        np.asarray(values, dtype=np.float64),
+        np.asarray(vectors, dtype=np.float64),
+    )
+
+
 def sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix, ascending eigenvalues.
 
@@ -98,7 +108,9 @@ def _sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     def primary(perturb: float) -> tuple[np.ndarray, np.ndarray]:
         shift = perturb * _shift_scale(sym)
         mat = sym if shift == 0.0 else sym + shift * np.eye(n)
-        values, vectors = current_backend().sorted_eigh(mat)
+        values, vectors = _float64_pairs(
+            *scipy.linalg.eigh(current_backend().prepare(mat))
+        )
         if shift != 0.0:
             values = values - shift
         if not np.all(np.isfinite(values)):
@@ -131,7 +143,16 @@ def _lanczos(a, k: int, *, which: str) -> tuple[np.ndarray, np.ndarray]:
             "eigsh", n=n, k=k, which=label, path="lanczos",
             backend=backend.name,
         ):
-            values, vectors = backend.eigsh_lanczos(mat, k, which)
+            work = mat.astype(backend.compute_dtype, copy=False)
+            # A fixed start vector, seeded like the anchor path's probe:
+            # without v0 ARPACK draws one from OS entropy, and two
+            # solves of one matrix can differ.
+            v0 = np.random.default_rng(0).standard_normal(n)
+            values, vectors = _float64_pairs(
+                *scipy.sparse.linalg.eigsh(
+                    work, k=k, which=which, v0=v0.astype(work.dtype)
+                )
+            )
         if shift != 0.0:
             values = values - shift
         return values, vectors
@@ -170,7 +191,10 @@ def _dense_extremal(
         with hot_span(
             "eigsh", n=n, k=k, which=label, path="dense", backend=backend.name
         ):
-            values, vectors = backend.eigh_extremal(mat, subset[0], subset[1])
+            work = backend.prepare(mat)
+            values, vectors = _float64_pairs(
+                *scipy.linalg.eigh(work, subset_by_index=subset)
+            )
         if shift != 0.0:
             values = values - shift
         if not np.all(np.isfinite(values)):

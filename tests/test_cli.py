@@ -121,21 +121,21 @@ class TestServingCommands:
     def test_predict_runs_under_backend_and_jobs_flags(
         self, tmp_path, monkeypatch
     ):
-        from repro.backends import Float32Backend
+        from repro.backends import ArrayBackend
         from repro.pipeline.parallel import resolve_jobs
 
         art_dir = str(tmp_path / "artifact")
         assert main(
             ["save", "--dataset", "yale", "--out", art_dir], out=io.StringIO()
         ) == 0
-        jobs_seen = []
-        vote = Float32Backend.kernel_vote_scores
+        votes_seen = []
+        vote = ArrayBackend.kernel_vote_scores
 
         def spied(self, *args, **kwargs):
-            jobs_seen.append(resolve_jobs())
+            votes_seen.append((self.name, resolve_jobs()))
             return vote(self, *args, **kwargs)
 
-        monkeypatch.setattr(Float32Backend, "kernel_vote_scores", spied)
+        monkeypatch.setattr(ArrayBackend, "kernel_vote_scores", spied)
         code = main(
             [
                 "predict",
@@ -152,7 +152,7 @@ class TestServingCommands:
         )
         assert code == 0
         # One float32 vote per yale view, each under the --jobs count.
-        assert jobs_seen == [2, 2, 2]
+        assert votes_seen == [("float32", 2)] * 3
 
     def test_serve_bench_reports_throughput(self, tmp_path):
         art_dir = str(tmp_path / "artifact")

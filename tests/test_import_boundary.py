@@ -28,8 +28,8 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(repro.__file__), os.pardir))
 REPO = os.path.dirname(SRC)
 
 #: blake2b (16 bytes) of ``json.dumps({package: __all__}, sort_keys=True)``
-#: over all 16 packages (301 names).
-ALL_DIGEST = "b2769b24173407c544a9c212d488be1a"
+#: over all 16 packages (299 names).
+ALL_DIGEST = "78037c3d2af31222700228bf7b44ecb2"
 
 #: Modules a fit or serve path must never load.
 HEAVY = (
@@ -63,6 +63,16 @@ def _fresh(script: str) -> str:
 def _packages() -> list[str]:
     found = pkgutil.walk_packages(repro.__path__, "repro.")
     return ["repro", *sorted(m.name for m in found if m.ispkg)]
+
+
+#: Modules a serving process must never load: serving runs only the
+#: kNN kernel vote, and these hold the fit path's solvers.
+SOLVERS = (
+    "scipy.linalg",
+    "scipy.sparse.linalg",
+    "repro.linalg.eigen",
+    "repro.core",
+)
 
 
 def test_every_all_is_unchanged():
@@ -109,7 +119,7 @@ print("checked", len(first))
 
 def test_exports_are_the_defining_objects_before_and_after_submodules():
     out = _fresh(IDENTITY_SCRIPT).splitlines()
-    assert out[-1] == "checked 301", out
+    assert out[-1] == "checked 299", out
     assert out[:-1] == []
 
 
@@ -210,6 +220,38 @@ def test_fit_and_serve_paths_import_nothing_late():
     late, heavy = _fresh(script).splitlines()[-2:]
     assert late == "[]"
     assert heavy == "[]"
+
+
+SERVE_ONLY_SCRIPT = """
+import sys
+
+import numpy as np
+
+from repro.serving import ModelArtifact, PredictionService, Predictor
+
+rng = np.random.default_rng(0)
+labels = np.repeat(np.arange(3), 20)
+views = [rng.normal(size=(60, d)) + 4.0 * labels[:, None] for d in (5, 8)]
+artifact = ModelArtifact(
+    model_class="UnifiedMVSC",
+    train_views=[x[:50] for x in views],
+    train_labels=labels[:50],
+    view_weights=np.ones(len(views)),
+    n_clusters=3,
+)
+predictor = Predictor(artifact)
+predictor.predict([x[50:] for x in views])
+service = PredictionService(predictor)
+service.submit([x[55] for x in views]).result(timeout=30)
+service.close()
+
+print(sorted(name for name in SOLVERS if name in sys.modules))
+"""
+
+
+def test_serving_loads_no_solver_code():
+    script = f"SOLVERS = {SOLVERS!r}\n" + SERVE_ONLY_SCRIPT
+    assert _fresh(script).splitlines()[-1] == "[]"
 
 
 #: Modules no entry point imports, each kept for a stated reason.

@@ -60,31 +60,65 @@ class TestEigshSmallest:
         np.testing.assert_allclose(values, np.linalg.eigvalsh(a)[:3], atol=1e-8)
 
 
+def _ring_laplacian(n):
+    """A ring plus random chords: sparse, connected, symmetric."""
+    from repro.graph import sparse_laplacian
+
+    rng = np.random.default_rng(3)
+    ring = np.arange(n)
+    rows = np.concatenate([ring, rng.integers(0, n, 4 * n)])
+    cols = np.concatenate([(ring + 1) % n, rng.integers(0, n, 4 * n)])
+    w = scipy.sparse.csr_array(
+        (rng.uniform(0.1, 1.0, rows.size), (rows, cols)), shape=(n, n)
+    )
+    return sparse_laplacian(w + w.T, normalization="symmetric")
+
+
 class TestLanczosReproducible:
     """ARPACK starts from a fixed vector, not from OS entropy."""
+
+    #: Above the dense cutoff, so the sparse Lanczos path runs.
+    N = 5000
 
     @pytest.mark.parametrize("backend", ["numpy", "float32"])
     def test_two_solves_agree_bit_for_bit(self, backend):
         from repro.backends import use_backend
-        from repro.graph import sparse_laplacian
 
-        # A ring plus random chords, above the dense cutoff so the
-        # sparse Lanczos path runs.
-        n = 5000
-        assert n > eigen_mod._DENSE_CUTOFF
-        rng = np.random.default_rng(3)
-        ring = np.arange(n)
-        rows = np.concatenate([ring, rng.integers(0, n, 4 * n)])
-        cols = np.concatenate([(ring + 1) % n, rng.integers(0, n, 4 * n)])
-        w = scipy.sparse.csr_array(
-            (rng.uniform(0.1, 1.0, rows.size), (rows, cols)), shape=(n, n)
-        )
-        lap = sparse_laplacian(w + w.T, normalization="symmetric")
+        assert self.N > eigen_mod._DENSE_CUTOFF
+        lap = _ring_laplacian(self.N)
         with use_backend(backend):
             first = eigsh_smallest(lap, 4)
             second = eigsh_smallest(lap, 4)
         assert first[0].tobytes() == second[0].tobytes()
         assert first[1].tobytes() == second[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "backend, operand, solved",
+        [
+            ("numpy", np.float64, np.float64),
+            ("float32", np.float64, np.float32),
+            # A float32 operand is cast up to the backend's dtype.
+            ("numpy", np.float32, np.float64),
+        ],
+    )
+    def test_operand_cast_to_the_backend_dtype(
+        self, monkeypatch, backend, operand, solved
+    ):
+        from repro.backends import use_backend
+
+        lap = _ring_laplacian(self.N).astype(operand)
+        seen = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def spied(a, **kwargs):
+            seen.append((a.dtype, kwargs["v0"].dtype))
+            return eigsh(a, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spied)
+        with use_backend(backend):
+            values, vectors = eigsh_smallest(lap, 4)
+        assert seen == [(np.dtype(solved), np.dtype(solved))]
+        assert values.dtype == vectors.dtype == np.float64
 
 
 class TestEigshLargest:

@@ -1,5 +1,6 @@
 """Tests for repro.serving: artifacts, the predictor, and the service."""
 
+import copy
 import json
 import os
 import subprocess
@@ -11,12 +12,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.backends import (
-    Float32Backend,
-    NumpyBackend,
-    current_backend,
-    use_backend,
-)
+from repro.backends import current_backend, get_backend, use_backend
 from repro.core import AnchorMVSC, SparseMVSC, UnifiedMVSC
 from repro.core.out_of_sample import propagate_labels
 from repro.exceptions import (
@@ -459,7 +455,7 @@ class TestValidationBoundary:
         _spy_on_bindings(monkeypatch, current_backend, resolved)
         # A private instance carries the kernel spies, as perfbench's
         # layer tracer wraps the active backend instance.
-        backend = NumpyBackend()
+        backend = copy.copy(get_backend("numpy"))
         kernels = {"pairwise_sq_euclidean": 0, "kernel_vote_scores": 0}
         for kernel in kernels:
             method = getattr(backend, kernel)
@@ -580,7 +576,7 @@ class TestPredictionService:
         # under both, though its clients submit from outside the blocks.
         predictor = Predictor(_blob_artifact(n_views=3))
         queries = _queries(predictor.artifact, m=6)
-        backend = Float32Backend()
+        backend = copy.copy(get_backend("float32"))
         seen = []
         for kernel in ("pairwise_sq_euclidean", "kernel_vote_scores"):
             method = getattr(backend, kernel)
