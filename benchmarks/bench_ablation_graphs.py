@@ -55,8 +55,11 @@ def test_ablation_graphs_prints(capsys, benchmark):
 
 def test_benchmark_adaptive_graph(benchmark):
     from repro.graph.adaptive import adaptive_neighbor_affinity
+    from repro.graph.distance import pairwise_sq_euclidean
 
     ds = get_dataset(bench_datasets()[0])
     x = ds.views[0]
-    s = benchmark(adaptive_neighbor_affinity, x, k=10)
+    s = benchmark(
+        lambda: adaptive_neighbor_affinity(pairwise_sq_euclidean(x), k=10)
+    )
     assert s.shape == (ds.n_samples, ds.n_samples)

@@ -52,7 +52,7 @@ _INJECT_SITES = [
 
 
 def _bypass_run_with_policy(
-    site, primary, *, fallbacks=(), policy=None, validate=None, context=None
+    site, primary, *, fallbacks=(), validate=None, context=None
 ):
     """The pre-harness shape: call the kernel, nothing else."""
     return primary(0.0)

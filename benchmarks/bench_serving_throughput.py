@@ -114,7 +114,7 @@ def test_micro_batching_beats_one_at_a_time():
 
 
 def _bypass_run_with_policy(
-    site, primary, *, fallbacks=(), policy=None, validate=None, context=None
+    site, primary, *, fallbacks=(), validate=None, context=None
 ):
     return primary(0.0)
 

@@ -15,21 +15,6 @@ from repro.exceptions import ValidationError
 from repro.utils.validation import check_labels, check_matrix
 
 
-def relabel_consecutive(labels: np.ndarray) -> np.ndarray:
-    """Map arbitrary integer labels onto ``0..k-1`` by first appearance."""
-    labels = check_labels(labels)
-    _, inverse = np.unique(labels, return_inverse=True)
-    # np.unique sorts; renumber by first appearance for determinism that
-    # doesn't depend on label magnitudes.
-    seen: dict[int, int] = {}
-    out = np.empty_like(inverse)
-    for i, v in enumerate(inverse):
-        if v not in seen:
-            seen[v] = len(seen)
-        out[i] = seen[v]
-    return out.astype(np.int64)
-
-
 def _indicator_labels(labels, n_clusters: int | None) -> tuple[np.ndarray, int]:
     """``(labels, c)`` checked for indicator encoding: int64 in ``[0, c)``."""
     labels = check_labels(labels)
@@ -72,18 +57,14 @@ def labels_from_indicator(y: np.ndarray) -> np.ndarray:
 
 
 def repair_empty_clusters(
-    labels: np.ndarray,
-    n_clusters: int,
-    scores: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
+    labels: np.ndarray, n_clusters: int, scores: np.ndarray
 ) -> np.ndarray:
     """Ensure every cluster in ``0..n_clusters-1`` has at least one member.
 
-    For each empty cluster, reassigns the point that is *least committed* to
-    its current cluster — the one with the smallest score margin when
-    ``scores`` (an ``(n, c)`` soft assignment such as ``F R``) is given, or a
-    point drawn from the largest cluster otherwise.  Points are never moved
-    out of singleton clusters.
+    For each empty cluster, reassigns the point that is *least committed*
+    to its current cluster: the one with the smallest margin between its
+    current cluster's score and the empty cluster's.  Draws no
+    randomness.  Points are never moved out of singleton clusters.
 
     Parameters
     ----------
@@ -91,10 +72,8 @@ def repair_empty_clusters(
         Current assignment.
     n_clusters : int
         Required number of clusters ``c``; must satisfy ``c <= n``.
-    scores : ndarray of shape (n, c), optional
-        Soft assignment scores used to pick victims.
-    rng : numpy.random.Generator, optional
-        Used only in the score-free fallback.
+    scores : ndarray of shape (n, c)
+        Soft assignment scores (such as ``F R``) used to pick victims.
 
     Returns
     -------
@@ -107,14 +86,11 @@ def repair_empty_clusters(
         raise ValidationError(
             f"cannot make {n_clusters} non-empty clusters from {n} points"
         )
-    if scores is not None:
-        scores = check_matrix(scores, "scores")
-        if scores.shape != (n, n_clusters):
-            raise ValidationError(
-                f"scores must have shape ({n}, {n_clusters}), got {scores.shape}"
-            )
-    if rng is None:
-        rng = np.random.default_rng(0)
+    scores = check_matrix(scores, "scores")
+    if scores.shape != (n, n_clusters):
+        raise ValidationError(
+            f"scores must have shape ({n}, {n_clusters}), got {scores.shape}"
+        )
 
     counts = np.bincount(labels, minlength=n_clusters)
     empty = [int(c) for c in np.flatnonzero(counts == 0)]
@@ -122,15 +98,10 @@ def repair_empty_clusters(
         movable = np.flatnonzero(counts[labels] > 1)
         if movable.size == 0:  # pragma: no cover - guarded by c <= n
             break
-        if scores is not None:
-            # Margin between current-cluster score and the empty cluster's
-            # score: move the point that loses the least.
-            margin = scores[movable, labels[movable]] - scores[movable, c]
-            victim = int(movable[np.argmin(margin)])
-        else:
-            largest = int(np.argmax(counts))
-            members = np.flatnonzero(labels == largest)
-            victim = int(rng.choice(members))
+        # Margin between current-cluster score and the empty cluster's
+        # score: move the point that loses the least.
+        margin = scores[movable, labels[movable]] - scores[movable, c]
+        victim = int(movable[np.argmin(margin)])
         counts[labels[victim]] -= 1
         labels[victim] = c
         counts[c] += 1

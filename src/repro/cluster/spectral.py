@@ -12,12 +12,7 @@ import numpy as np
 
 from repro.cluster.kmeans import KMeans
 from repro.exceptions import ValidationError
-from repro.graph.laplacian import (
-    _checked_affinity,
-    _degrees,
-    _inverse_or_zero,
-    _laplacian,
-)
+from repro.graph.laplacian import _checked_affinity, _degrees, _laplacian
 from repro.linalg.eigen import eigsh_smallest
 
 
@@ -25,10 +20,9 @@ def spectral_embedding(
     affinity: np.ndarray,
     n_components: int,
     *,
-    normalization: str = "symmetric",
     row_normalize: bool = True,
 ) -> np.ndarray:
-    """Bottom-eigenvector embedding of a graph.
+    """Bottom-eigenvector embedding of a graph's symmetric normalized Laplacian.
 
     Parameters
     ----------
@@ -36,11 +30,6 @@ def spectral_embedding(
         Symmetric non-negative affinity.
     n_components : int
         Embedding dimension (the number of clusters ``c`` in clustering use).
-    normalization : {"symmetric", "unnormalized", "random_walk"}
-        Laplacian normalization.  ``random_walk`` embeds with the
-        symmetric Laplacian and scales row ``i`` by ``d_i^{-1/2}`` (zero
-        for isolated vertices): ``L_rw = D^{-1/2} L_sym D^{1/2}``, so the
-        columns are eigenvectors of ``L_rw``.
     row_normalize : bool
         Project embedding rows onto the unit sphere (the NJW step); rows
         that are exactly zero are left as-is.
@@ -55,12 +44,8 @@ def spectral_embedding(
         raise ValidationError(
             f"n_components must be in [1, {n}], got {n_components}"
         )
-    d = _degrees(affinity)
-    random_walk = normalization == "random_walk"
-    lap = _laplacian(affinity, d, "symmetric" if random_walk else normalization)
+    lap = _laplacian(affinity, _degrees(affinity), "symmetric")
     _, emb = eigsh_smallest(lap, n_components)
-    if random_walk:
-        emb = emb * _inverse_or_zero(np.sqrt(d))[:, None]
     if row_normalize:
         norms = np.linalg.norm(emb, axis=1, keepdims=True)
         emb = emb / np.where(norms > 0, norms, 1.0)
@@ -71,7 +56,6 @@ def spectral_clustering(
     affinity: np.ndarray,
     n_clusters: int,
     *,
-    normalization: str = "symmetric",
     n_init: int = 20,
     random_state=None,
 ) -> np.ndarray:
@@ -83,8 +67,6 @@ def spectral_clustering(
         Symmetric non-negative affinity.
     n_clusters : int
         Number of clusters.
-    normalization : str
-        Laplacian normalization (see :func:`spectral_embedding`).
     n_init : int
         K-means restarts.
     random_state : int, Generator, or None
@@ -95,6 +77,6 @@ def spectral_clustering(
     ndarray of int64, shape (n,)
         Cluster labels in ``0..n_clusters-1``.
     """
-    emb = spectral_embedding(affinity, n_clusters, normalization=normalization)
+    emb = spectral_embedding(affinity, n_clusters)
     km = KMeans(n_clusters, n_init=n_init, random_state=random_state)
     return km.fit_predict(emb)

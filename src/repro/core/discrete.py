@@ -273,6 +273,8 @@ _RESTART_ROWS_PER_CLUSTER = 32
 #: ... when ``n`` exceeds this many times that size; below it they run on
 #: every row, with the exact arithmetic of the all-rows restart loop.
 _SUBSAMPLE_RATIO = 4
+#: Alternation cap of each restart and of the polish.
+_MAX_ALT = 30
 
 
 def _restart_rows(n: int, c: int) -> np.ndarray | None:
@@ -287,7 +289,7 @@ def _restart_rows(n: int, c: int) -> np.ndarray | None:
     return np.sort(np.random.default_rng(0).choice(n, size, replace=False))
 
 
-def _descend(f, rot, c: int, max_alt: int):
+def _descend(f, rot, c: int):
     """Alternate (Y-step, R-step) from ``rot`` until the labels are fixed.
 
     Starts from the nearest-cluster labels of ``f @ rot`` (empty clusters
@@ -300,7 +302,7 @@ def _descend(f, rot, c: int, max_alt: int):
         np.argmax(scores, axis=1).astype(np.int64), c, scores=scores
     )
     prev = labels.copy()
-    for _ in range(max_alt):
+    for _ in range(_MAX_ALT):
         # Few sweeps per alternation: the outer loop re-polishes.
         labels = indicator_coordinate_descent(f @ rot, labels, c, max_sweeps=4)
         rot = nearest_orthogonal(f.T @ scaled_indicator(labels, c))
@@ -336,7 +338,6 @@ def rotation_initialize(
     n_clusters: int,
     *,
     n_restarts: int = 10,
-    max_alt: int = 30,
     random_state=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectral-rotation initialization of ``(R, labels)`` from an embedding.
@@ -368,8 +369,6 @@ def rotation_initialize(
         Number of clusters ``c``.
     n_restarts : int
         Rotation restarts (odd restarts use anchor seeds, even use random).
-    max_alt : int
-        Alternation cap per restart (and for the polish).
     random_state : int, Generator, or None
 
     Returns
@@ -407,7 +406,7 @@ def rotation_initialize(
                 else:
                     qmat, rmat = np.linalg.qr(rng.normal(size=(c, c)))
                     rot = qmat * np.sign(np.diag(rmat))[None, :]
-                rot, labels, obj = _descend(sub, rot, c, max_alt)
+                rot, labels, obj = _descend(sub, rot, c)
             except RECOVERABLE_EXCEPTIONS as exc:
                 last_error = str(exc)
                 record_recovery(
@@ -428,7 +427,7 @@ def rotation_initialize(
             # there is no all-rows assignment, so a failure is fatal.
             try:
                 maybe_inject(_SITE_ROTATION)
-                rot, labels, _ = _descend(f, best[0], c, max_alt)
+                rot, labels, _ = _descend(f, best[0], c)
             except RECOVERABLE_EXCEPTIONS as exc:
                 raise RecoveryExhaustedError(
                     f"the rotation polish failed: {exc}",

@@ -92,17 +92,15 @@ def build_multiview_affinities(
     )
 
 
-def build_laplacians(
-    affinities,
-    *,
-    normalization: str = "symmetric",
-) -> list[np.ndarray]:
-    """One graph Laplacian per affinity (cached and parallel like the
-    affinity builder)."""
+def build_laplacians(affinities) -> list[np.ndarray]:
+    """One symmetric normalized Laplacian per affinity (cached and
+    parallel like the affinity builder)."""
     return memoized_parallel(
         affinities,
-        lambda w: laplacian(w, normalization=normalization),
+        laplacian,
         namespace="laplacian",
         key_arrays=lambda w: (w,),
-        key_params={"normalization": normalization},
+        # ``normalization`` stays in the key so on-disk entries written
+        # by earlier releases keep their addresses.
+        key_params={"normalization": "symmetric"},
     )

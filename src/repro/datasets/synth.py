@@ -20,8 +20,8 @@ View kinds:
 * ``dense``  — tanh of a random linear map plus Gaussian noise (image-
   descriptor-like features);
 * ``text``   — softplus projection, multiplicative noise, hard
-  sparsification to ~5% density with an idf-style reweighting (bag-of-words
-  tf-idf-like features);
+  sparsification to :data:`TEXT_DENSITY` (5%) nonzeros with an idf-style
+  reweighting (bag-of-words tf-idf-like features);
 * ``binary`` — thresholded projections (binary pattern features).
 """
 
@@ -32,6 +32,9 @@ import numpy as np
 from repro.datasets.container import MultiViewDataset
 from repro.exceptions import ValidationError
 from repro.utils.rng import check_random_state
+
+#: Nonzero fraction of a ``text`` view's rows and distractor columns.
+TEXT_DENSITY = 0.05
 
 
 def make_latent_clusters(
@@ -196,7 +199,6 @@ def view_from_latent(
     labels: np.ndarray | None = None,
     centers: np.ndarray | None = None,
     confused_pairs=(),
-    density: float = 0.05,
     distractor_fraction: float = 0.0,
     outlier_fraction: float = 0.0,
     random_state=None,
@@ -218,8 +220,6 @@ def view_from_latent(
         Required when ``confused_pairs`` is non-empty.
     confused_pairs : sequence of (int, int)
         Cluster pairs collapsed in this view only.
-    density : float
-        Target nonzero fraction for the ``text`` kind.
     distractor_fraction : float
         Fraction of the output dimensions that carry pure noise instead of
         signal, mimicking the uninformative components of real descriptors.
@@ -276,12 +276,10 @@ def view_from_latent(
     elif kind == "binary":
         x = (lin + rng.normal(scale=noise, size=lin.shape) > 0).astype(np.float64)
     elif kind == "text":
-        if not 0 < density <= 1:
-            raise ValidationError(f"density must be in (0, 1], got {density}")
         act = np.log1p(np.exp(lin))  # softplus: non-negative activations
         act *= np.exp(rng.normal(scale=noise, size=act.shape))
-        # Keep each row's top ceil(density * n_signal) activations.
-        keep = max(1, int(np.ceil(density * n_signal)))
+        # Keep each row's top ceil(TEXT_DENSITY * n_signal) activations.
+        keep = max(1, int(np.ceil(TEXT_DENSITY * n_signal)))
         thresh = np.partition(act, n_signal - keep, axis=1)[:, n_signal - keep, None]
         x = np.where(act >= thresh, act, 0.0)
         # idf-style reweighting: rare "terms" count more.
@@ -297,7 +295,7 @@ def view_from_latent(
     # signal so simple variance filters cannot strip them.
     if kind == "text":
         distract = np.where(
-            rng.random(size=(n, n_distract)) < density,
+            rng.random(size=(n, n_distract)) < TEXT_DENSITY,
             rng.exponential(scale=1.0, size=(n, n_distract)),
             0.0,
         )

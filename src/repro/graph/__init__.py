@@ -19,7 +19,6 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "adaptive_neighbor_affinity": "adaptive",
-    "anchor_affinity": "anchor",
     "anchor_assignment": "anchor",
     "select_anchors": "anchor",
     "simplex_projection_rowwise": "adaptive",
@@ -28,10 +27,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "gaussian_affinity": "affinity",
     "knn_sparsify": "affinity",
     "self_tuning_affinity": "affinity",
-    "symmetrize": "affinity",
     "connected_components": "connectivity",
     "is_connected": "connectivity",
-    "isolated_vertices": "connectivity",
     "pairwise_cosine_distances": "distance",
     "pairwise_sq_euclidean": "distance",
     "fuse_affinities": "fusion",

@@ -18,56 +18,40 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import current_backend
 from repro.exceptions import ValidationError
 from repro.linalg.simplex import simplex_projection_rowwise
 from repro.utils.validation import check_matrix
 
 
 def adaptive_neighbor_affinity(
-    x: np.ndarray | None = None,
-    *,
-    k: int = 10,
-    distances: np.ndarray | None = None,
-    symmetrize_output: bool = True,
+    distances: np.ndarray, *, k: int = 10
 ) -> np.ndarray:
-    """Learn a CAN adaptive-neighbor affinity from features or distances.
+    """Learn a CAN adaptive-neighbor affinity from squared distances.
 
     Parameters
     ----------
-    x : ndarray of shape (n, d), optional
-        Feature matrix; mutually exclusive with ``distances``.
+    distances : ndarray of shape (n, n)
+        Squared distances (graph-learning baselines iterate on modified
+        distances, so they pass them rather than features).
     k : int
         Number of neighbors each sample connects to; must satisfy
         ``1 <= k <= n - 2`` (the closed form needs the ``(k+1)``-th
         neighbor distance to set ``gamma``).
-    distances : ndarray of shape (n, n), optional
-        Precomputed squared distances (used by graph-learning baselines that
-        iterate on modified distances).
-    symmetrize_output : bool
-        Return ``(S + S^T)/2`` (default); the raw row-stochastic matrix is
-        asymmetric.
 
     Returns
     -------
     ndarray of shape (n, n)
-        Sparse (at most ``k`` nonzeros per row before symmetrization)
-        non-negative affinity with zero diagonal.
+        Symmetric ``(S + S^T)/2`` of the row-stochastic CAN graph ``S``:
+        at most ``k`` nonzeros per row before symmetrization,
+        non-negative, zero diagonal.
     """
-    if (x is None) == (distances is None):
-        raise ValidationError("provide exactly one of x or distances")
-    if x is not None:
-        d2 = current_backend().pairwise_sq_euclidean(check_matrix(x, "x"))
-    else:
-        d2 = check_matrix(distances, "distances")
-        if d2.shape[0] != d2.shape[1]:
-            raise ValidationError("distances must be square")
-    return _can_affinity(d2, k, symmetrize_output)
+    d2 = check_matrix(distances, "distances")
+    if d2.shape[0] != d2.shape[1]:
+        raise ValidationError("distances must be square")
+    return _can_affinity(d2, k)
 
 
-def _can_affinity(
-    d2: np.ndarray, k: int, symmetrize_output: bool = True
-) -> np.ndarray:
+def _can_affinity(d2: np.ndarray, k: int) -> np.ndarray:
     """:func:`adaptive_neighbor_affinity` of checked squared distances."""
     n = d2.shape[0]
     if not 1 <= k <= n - 2:
@@ -92,6 +76,4 @@ def _can_affinity(
     s = np.zeros((n, n))
     s[rows, nearest[:, :k]] = s_vals
     np.fill_diagonal(s, 0.0)
-    if symmetrize_output:
-        s = (s + s.T) / 2.0
-    return s
+    return (s + s.T) / 2.0

@@ -53,27 +53,6 @@ def _checked_x(x) -> np.ndarray:
     return check_matrix(x, "x", dtype=current_backend().validation_dtype)
 
 
-def symmetrize(w: np.ndarray, *, mode: str = "average") -> np.ndarray:
-    """Make an affinity symmetric.
-
-    Parameters
-    ----------
-    w : ndarray of shape (n, n)
-    mode : {"average", "max", "min"}
-        ``average`` -> ``(W + W^T)/2`` (union-like for 0/1 masks);
-        ``max`` -> elementwise maximum (union);
-        ``min`` -> elementwise minimum (mutual-neighbor intersection).
-    """
-    w = check_square(w, "w")
-    if mode == "average":
-        return (w + w.T) / 2.0
-    if mode == "max":
-        return np.maximum(w, w.T)
-    if mode == "min":
-        return np.minimum(w, w.T)
-    raise ValidationError(f"unknown symmetrization mode: {mode!r}")
-
-
 def gaussian_affinity(
     x: np.ndarray,
     *,
@@ -220,8 +199,6 @@ def build_view_affinity(
     *,
     kind: str = "self_tuning",
     k: int = 10,
-    sigma: float | None = None,
-    sparsify: bool = True,
 ) -> np.ndarray:
     """One-call affinity recipe used throughout the library.
 
@@ -233,12 +210,9 @@ def build_view_affinity(
         Kernel family.
     k : int
         Neighborhood size for local scaling / sparsification / adaptive
-        graphs.
-    sigma : float, optional
-        Bandwidth for the ``gaussian`` kind.
-    sparsify : bool
-        Apply union k-NN sparsification after the kernel (ignored by the
-        ``adaptive`` kind, which is sparse by construction).
+        graphs.  Every kind but ``adaptive`` (sparse by construction) is
+        followed by union k-NN sparsification; ``gaussian`` takes the
+        median-heuristic bandwidth.
 
     Returns
     -------
@@ -255,7 +229,7 @@ def build_view_affinity(
         if kind == "self_tuning":
             w = _self_tuning(x, min(7, k_eff))
         elif kind == "gaussian":
-            w = _gaussian(x, sigma)
+            w = _gaussian(x, None)
         elif kind == "cosine":
             w = _cosine(x)
         elif kind == "adaptive":
@@ -271,6 +245,5 @@ def build_view_affinity(
             )
         else:
             raise ValidationError(f"unknown affinity kind: {kind!r}")
-        if sparsify:
-            w = _knn_sparsify(w, k_eff)
+        w = _knn_sparsify(w, k_eff)
     return w

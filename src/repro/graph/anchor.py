@@ -38,16 +38,17 @@ WARM_DEGREE = 8
 WARM_PASSES = 6
 WARM_RTOL = 1e-11
 
+#: Lloyd iterations :func:`select_anchors` runs to place the anchors.
+ANCHOR_LLOYD_ITERS = 5
+
 
 def select_anchors(
-    x: np.ndarray,
-    n_anchors: int,
-    *,
-    method: str = "kmeans",
-    n_iter: int = 5,
-    random_state=None,
+    x: np.ndarray, n_anchors: int, *, random_state=None
 ) -> np.ndarray:
     """Pick anchor points from the data.
+
+    Runs :data:`ANCHOR_LLOYD_ITERS` Lloyd iterations from a k-means++
+    seed (the standard anchor selection) and returns the centers.
 
     Parameters
     ----------
@@ -55,11 +56,6 @@ def select_anchors(
         Samples.
     n_anchors : int
         Number of anchors ``m``; must satisfy ``1 <= m <= n``.
-    method : {"kmeans", "random"}
-        ``kmeans`` runs a few Lloyd iterations from a k-means++ seed (the
-        standard anchor selection); ``random`` samples points uniformly.
-    n_iter : int
-        Lloyd iterations for the ``kmeans`` method.
     random_state : int, Generator, or None
 
     Returns
@@ -71,15 +67,9 @@ def select_anchors(
     if not 1 <= n_anchors <= n:
         raise ValidationError(f"n_anchors must be in [1, {n}], got {n_anchors}")
     rng = check_random_state(random_state)
-    if method == "random":
-        idx = rng.choice(n, size=n_anchors, replace=False)
-        return x[idx].copy()
-    if method == "kmeans":
-        result = KMeans(
-            n_anchors, n_init=1, max_iter=n_iter, random_state=rng
-        ).fit(x)
-        return result.centers
-    raise ValidationError(f"unknown anchor method: {method!r}")
+    return KMeans(
+        n_anchors, n_init=1, max_iter=ANCHOR_LLOYD_ITERS, random_state=rng
+    ).fit(x).centers
 
 
 def anchor_assignment(
@@ -139,14 +129,6 @@ def anchor_affinity_factor(z: np.ndarray) -> np.ndarray:
     """
     z = check_matrix(z, "z")
     return current_backend().anchor_affinity_factor(z)
-
-
-def anchor_affinity(z: np.ndarray) -> np.ndarray:
-    """Materialize the dense ``W = Z Lambda^{-1} Z^T`` (small-n use only)."""
-    b = anchor_affinity_factor(z)
-    w = b @ b.T
-    np.fill_diagonal(w, 0.0)
-    return (w + w.T) / 2.0
 
 
 def top_left_singular(b: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:

@@ -54,30 +54,3 @@ def is_connected(w: np.ndarray, *, tol: float = 0.0) -> bool:
     """True iff the affinity graph has a single connected component."""
     labels = connected_components(w, tol=tol)
     return bool(labels.max(initial=0) == 0)
-
-
-def isolated_vertices(w: np.ndarray, *, tol: float = 0.0) -> np.ndarray:
-    """Indices of vertices with no incident edge above ``tol``.
-
-    These are the zero-degree rows that make normalized Laplacians
-    degenerate; :func:`repro.graph.laplacian.laplacian` keeps them as
-    exact null-space directions, and this helper lets callers detect and
-    report them.
-
-    Parameters
-    ----------
-    w : ndarray of shape (n, n)
-        Affinity matrix, treated as undirected (an edge exists where
-        ``w_ij > tol`` in either direction); the diagonal is ignored.
-    tol : float
-        Edge threshold.
-
-    Returns
-    -------
-    ndarray of int64
-        Sorted indices of isolated vertices (empty when none).
-    """
-    w = check_square(w, "w")
-    adj = (w > tol) | (w.T > tol)
-    np.fill_diagonal(adj, False)
-    return np.flatnonzero(~adj.any(axis=1)).astype(np.int64)

@@ -43,27 +43,24 @@ def _check_weights(weights, n_views: int) -> np.ndarray:
     return w
 
 
-def fuse_affinities(affinities, weights=None, *, renormalize: bool = True) -> np.ndarray:
-    """Weighted sum of per-view affinities.
+def fuse_affinities(affinities) -> np.ndarray:
+    """Uniform average of per-view affinities.
 
     Parameters
     ----------
     affinities : sequence of ndarray (n, n)
         Per-view symmetric affinities.
-    weights : array-like of shape (V,), optional
-        Non-negative view weights; default uniform.
-    renormalize : bool
-        Scale weights to sum to 1 so the fused graph has comparable edge
-        magnitudes regardless of V (default True).
 
     Returns
     -------
     ndarray of shape (n, n)
     """
     mats = _check_stack(affinities, "affinities")
-    w = _check_weights(weights, len(mats))
-    if renormalize:
-        w = w / np.sum(w)
+    w = np.full(len(mats), 1.0 / len(mats))
+    # V copies of 1/V do not always sum to exactly 1 (V = 6, 7, ...), so
+    # this renormalization moves the weights' last bits; the fused graph
+    # is defined with it.
+    w = w / np.sum(w)
     fused = np.zeros_like(mats[0])
     for wv, m in zip(w, mats):
         fused += wv * m

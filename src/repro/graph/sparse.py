@@ -26,24 +26,29 @@ from repro.exceptions import ValidationError
 from repro.graph.laplacian import _inverse_or_zero
 from repro.utils.validation import check_matrix
 
-#: Default query block of :func:`sparse_knn_affinity` (rows per distance
-#: kernel call; bounds peak memory, never changes a value).
+#: Query rows per distance kernel call in :func:`sparse_knn_affinity`:
+#: bounds peak memory at ``O(QUERY_BLOCK * n)``, never changes a value.
 QUERY_BLOCK = 512
 
+#: Neighbor rank whose distance sets the local bandwidth (clipped to k),
+#: as in the dense self-tuning recipe.
+SCALE_RANK = 7
 
-def _blockwise_knn(x: np.ndarray, k: int, block: int) -> tuple[np.ndarray, np.ndarray]:
+
+def _blockwise_knn(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices/squared-distances of each row's k nearest neighbors.
 
-    Processes query rows in blocks of size ``block`` so peak memory is
-    ``O(block * n)`` instead of ``O(n^2)``.  ``x`` is already validated,
-    so each block goes straight to the backend's distance kernel.
+    Processes query rows in blocks of :data:`QUERY_BLOCK` so peak memory
+    is ``O(QUERY_BLOCK * n)`` instead of ``O(n^2)``.  ``x`` is already
+    validated, so each block goes straight to the backend's distance
+    kernel.
     """
     backend = current_backend()
     n = x.shape[0]
     idx = np.empty((n, k), dtype=np.int64)
     d2 = np.empty((n, k))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, QUERY_BLOCK):
+        stop = min(start + QUERY_BLOCK, n)
         dist = backend.pairwise_sq_euclidean(x[start:stop], x)
         dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
         part = np.argpartition(dist, k - 1, axis=1)[:, :k]
@@ -55,18 +60,12 @@ def _blockwise_knn(x: np.ndarray, k: int, block: int) -> tuple[np.ndarray, np.nd
     return idx, d2
 
 
-def sparse_knn_affinity(
-    x: np.ndarray,
-    *,
-    k: int = 10,
-    scale_rank: int = 7,
-    block: int = QUERY_BLOCK,
-) -> scipy.sparse.csr_matrix:
+def sparse_knn_affinity(x: np.ndarray, *, k: int = 10) -> scipy.sparse.csr_matrix:
     """Self-tuning k-NN affinity as a symmetric CSR matrix.
 
     The kernel is the Zelnik-Manor & Perona local scaling
     ``exp(-d_ij^2 / (sigma_i sigma_j))`` restricted to the union k-NN
-    edge set, with ``sigma_i`` the distance to the ``scale_rank``-th
+    edge set, with ``sigma_i`` the distance to the :data:`SCALE_RANK`-th
     neighbor — the same recipe as the dense
     :func:`repro.graph.affinity.self_tuning_affinity` +
     :func:`repro.graph.affinity.knn_sparsify` path, sparsified at
@@ -78,10 +77,6 @@ def sparse_knn_affinity(
         Feature matrix.
     k : int
         Neighbors per node (union symmetrization).
-    scale_rank : int
-        Neighbor rank defining the local bandwidth (clipped to ``k``).
-    block : int
-        Query block size controlling peak memory.
 
     Returns
     -------
@@ -93,11 +88,9 @@ def sparse_knn_affinity(
     if n < 2:
         raise ValidationError("sparse_knn_affinity needs at least 2 samples")
     k = max(1, min(k, n - 1))
-    scale_rank = max(1, min(scale_rank, k))
-    if block < 1:
-        raise ValidationError(f"block must be >= 1, got {block}")
+    scale_rank = min(SCALE_RANK, k)
 
-    idx, d2 = _blockwise_knn(x, k, block)
+    idx, d2 = _blockwise_knn(x, k)
     sigma = np.sqrt(d2[:, scale_rank - 1])
     sigma = np.where(sigma > 0, sigma, np.finfo(float).eps)
 

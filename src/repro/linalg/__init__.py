@@ -21,5 +21,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "sorted_eigh": "eigen",
     "gpi_stiefel": "gpi",
     "nearest_orthogonal": "procrustes",
-    "orthogonal_procrustes": "procrustes",
 })

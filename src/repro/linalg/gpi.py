@@ -67,13 +67,16 @@ def _qpoc_objective(a: np.ndarray, b: np.ndarray, f: np.ndarray) -> float:
 def gpi_stiefel(
     a: np.ndarray,
     b: np.ndarray,
-    f0: np.ndarray | None = None,
+    f0: np.ndarray,
     *,
     max_iter: int = 100,
     tol: float = 1e-8,
-    eta: float | None = None,
 ) -> GPIResult:
     """Minimize ``tr(F^T A F) - 2 tr(F^T B)`` over ``F^T F = I``.
+
+    The shift ``eta`` making ``eta I - A`` PSD is the infinity-norm
+    (Gershgorin) bound on ``lambda_max(A)``, so no eigendecomposition is
+    needed.
 
     Parameters
     ----------
@@ -81,17 +84,12 @@ def gpi_stiefel(
         Symmetric quadratic term.
     b : ndarray of shape (n, k)
         Linear term; its column count sets the Stiefel dimension ``k``.
-    f0 : ndarray of shape (n, k), optional
-        Warm start with orthonormal columns.  Defaults to the polar factor
-        of ``b`` (or a slice of the identity if ``b`` is zero).
+    f0 : ndarray of shape (n, k)
+        Warm start with orthonormal columns.
     max_iter : int
         Iteration cap.
     tol : float
         Relative objective-change stopping tolerance.
-    eta : float, optional
-        Shift making ``eta I - A`` PSD.  Defaults to a safe upper bound on
-        ``lambda_max(A)`` via the infinity norm (Gershgorin), avoiding an
-        eigen-decomposition.
 
     Returns
     -------
@@ -109,20 +107,11 @@ def gpi_stiefel(
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
 
-    if eta is None:
-        # Gershgorin bound: lambda_max(A) <= max_i sum_j |A_ij|.
-        eta = float(np.max(np.sum(np.abs(a), axis=1)))
-        eta = max(eta, 1e-12)
-
-    if f0 is None:
-        if np.any(b):
-            f = nearest_orthogonal(b)
-        else:
-            f = np.eye(n, k)
-    else:
-        f = check_matrix(f0, "f0")
-        if f.shape != (n, k):
-            raise ValidationError(f"f0 must have shape ({n}, {k}), got {f.shape}")
+    # Gershgorin bound: lambda_max(A) <= max_i sum_j |A_ij|.
+    eta = max(float(np.max(np.sum(np.abs(a), axis=1))), 1e-12)
+    f = check_matrix(f0, "f0")
+    if f.shape != (n, k):
+        raise ValidationError(f"f0 must have shape ({n}, {k}), got {f.shape}")
 
     backend = current_backend()
     # The per-iteration GEMMs run in the backend's compute dtype; the

@@ -116,30 +116,3 @@ def nearest_orthogonal(m: np.ndarray) -> np.ndarray:
         fallbacks=(("qr", lambda: _qr_polar(m)),),
         context=lambda: matrix_context(m, "m"),
     )
-
-
-def orthogonal_procrustes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``min_R ||a R - b||_F`` over square orthogonal ``R``.
-
-    Equivalently maximizes ``tr(R^T a^T b)``; the solution is the orthogonal
-    polar factor of ``a^T b``.
-
-    Parameters
-    ----------
-    a : ndarray of shape (n, q)
-        Source frame.
-    b : ndarray of shape (n, q)
-        Target frame; must have the same shape as ``a``.
-
-    Returns
-    -------
-    ndarray of shape (q, q)
-        Orthogonal rotation ``R`` with ``R^T R = I``.
-    """
-    a = check_matrix(a, "a")
-    b = check_matrix(b, "b")
-    if a.shape != b.shape:
-        raise NumericalError(
-            f"a and b must have the same shape, got {a.shape} and {b.shape}"
-        )
-    return nearest_orthogonal(a.T @ b)

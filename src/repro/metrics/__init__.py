@@ -11,10 +11,8 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "METRICS": "report",
     "clustering_accuracy": "accuracy",
-    "best_label_mapping": "accuracy",
     "adjusted_rand_index": "ari",
     "pairwise_counts": "ari",
-    "rand_index": "ari",
     "contingency_matrix": "confusion",
     "pairwise_f_score": "fscore",
     "pairwise_precision_recall": "fscore",

@@ -18,26 +18,6 @@ from repro.metrics.confusion import contingency_matrix
 from repro.metrics.hungarian import hungarian
 
 
-def best_label_mapping(
-    labels_true: np.ndarray, labels_pred: np.ndarray
-) -> dict[int, int]:
-    """Optimal cluster -> class mapping maximizing matched samples.
-
-    Returns
-    -------
-    dict
-        Maps each predicted cluster value to the true class value it is
-        matched with.  Extra clusters (when there are more clusters than
-        classes) are absent from the dict.
-    """
-    c = contingency_matrix(labels_true, labels_pred)
-    t_classes = np.unique(np.asarray(labels_true))
-    p_classes = np.unique(np.asarray(labels_pred))
-    # Maximize matches == minimize negated contingency.
-    rows, cols = hungarian(-c.astype(np.float64))
-    return {int(p_classes[j]): int(t_classes[i]) for i, j in zip(rows, cols)}
-
-
 def clustering_accuracy(labels_true: np.ndarray, labels_pred: np.ndarray) -> float:
     """ACC in ``[0, 1]``; 1 iff the clustering is a relabeling of the truth.
 

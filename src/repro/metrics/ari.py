@@ -1,9 +1,9 @@
-"""Rand index and adjusted Rand index (ARI).
+"""Adjusted Rand index (ARI) and the pair counts behind it.
 
 Pair-counting metrics: of all ``n(n-1)/2`` sample pairs, count agreements
 (pairs grouped together in both labelings or apart in both).  ARI rescales
-the Rand index so that random labelings score ~0 and identical labelings
-score 1.
+the Rand index (the fraction of agreeing pairs) so that random labelings
+score ~0 and identical labelings score 1.
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ def pairwise_counts(
     fn = same_true - tp
     tn = total_pairs - tp - fp - fn
     return tp, fp, fn, tn
-
-
-def rand_index(labels_true: np.ndarray, labels_pred: np.ndarray) -> float:
-    """Rand index in ``[0, 1]``: fraction of pairs on which labelings agree."""
-    tp, fp, fn, tn = pairwise_counts(labels_true, labels_pred)
-    total = tp + fp + fn + tn
-    if total == 0:  # single sample: trivially perfect agreement
-        return 1.0
-    return (tp + tn) / total
 
 
 def adjusted_rand_index(labels_true: np.ndarray, labels_pred: np.ndarray) -> float:

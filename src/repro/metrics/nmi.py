@@ -1,16 +1,15 @@
 """Normalized mutual information (NMI).
 
-``NMI(U, V) = I(U; V) / norm(H(U), H(V))`` where the normalizer is the
-square root of the entropy product (the literature's default, used by the
-paper's family of methods), the arithmetic mean, or the maximum.  Entropies
-use natural logarithms; the ratio is normalization-invariant.
+``NMI(U, V) = I(U; V) / sqrt(H(U) H(V))``: the entropy normalizer is the
+geometric mean, the literature's default and the one the paper's family of
+methods reports.  Entropies use natural logarithms; the ratio does not
+depend on the base.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ValidationError
 from repro.metrics.confusion import contingency_matrix
 
 
@@ -39,18 +38,15 @@ def mutual_information(labels_true: np.ndarray, labels_pred: np.ndarray) -> floa
 def normalized_mutual_information(
     labels_true: np.ndarray,
     labels_pred: np.ndarray,
-    *,
-    average: str = "geometric",
 ) -> float:
     """NMI in ``[0, 1]``; 1 iff the labelings are identical up to renaming.
 
     Parameters
     ----------
     labels_true, labels_pred : array-like of int
-        Two labelings of the same samples.
-    average : {"geometric", "arithmetic", "max", "min"}
-        Entropy normalizer.  ``geometric`` (sqrt(H_u * H_v)) is the
-        convention of the multi-view clustering literature.
+        Two labelings of the same samples.  The entropy normalizer is
+        the geometric mean ``sqrt(H_u * H_v)``, the convention of the
+        multi-view clustering literature.
 
     Notes
     -----
@@ -64,15 +60,5 @@ def normalized_mutual_information(
         return 1.0
     if h_u == 0.0 or h_v == 0.0:
         return 0.0
-    if average == "geometric":
-        denom = np.sqrt(h_u * h_v)
-    elif average == "arithmetic":
-        denom = (h_u + h_v) / 2.0
-    elif average == "max":
-        denom = max(h_u, h_v)
-    elif average == "min":
-        denom = min(h_u, h_v)
-    else:
-        raise ValidationError(f"unknown average: {average!r}")
-    value = mutual_information(labels_true, labels_pred) / denom
+    value = mutual_information(labels_true, labels_pred) / np.sqrt(h_u * h_v)
     return float(min(max(value, 0.0), 1.0))

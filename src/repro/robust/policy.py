@@ -25,7 +25,7 @@ third-party exception can escape the library.
 
 Examples
 --------
->>> from repro.robust.policy import FailurePolicy, run_with_policy
+>>> from repro.robust.policy import FailurePolicy, run_with_policy, use_policy
 >>> from repro.robust.faults import register_fault_site
 >>> _ = register_fault_site("demo.flaky", "docstring example site")
 >>> calls = []
@@ -34,7 +34,8 @@ Examples
 ...     if len(calls) == 1:
 ...         raise FloatingPointError("transient")
 ...     return 42.0
->>> run_with_policy("demo.flaky", primary, policy=FailurePolicy(max_retries=1))
+>>> with use_policy(FailurePolicy(max_retries=1)):
+...     run_with_policy("demo.flaky", primary)
 42.0
 >>> calls[0] == 0.0 and calls[1] > 0.0  # deterministic perturbed retry
 True
@@ -42,11 +43,11 @@ True
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse
 
 from repro.context import _CONTEXT, scoped
 from repro.exceptions import (
@@ -216,13 +217,23 @@ def record_recovery(event: RecoveryEvent) -> None:
         log.append(event)
 
 
+def _issparse(value) -> bool:
+    """``scipy.sparse.issparse`` without importing scipy.sparse.
+
+    No sparse matrix can exist before that module is loaded, so a process
+    that never loaded it (a serving process) has none to check.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(value)
+
+
 def _finite(value) -> bool:
     """True when every float array reachable in ``value`` is fully finite."""
     if isinstance(value, np.ndarray):
         if np.issubdtype(value.dtype, np.floating):
             return bool(np.all(np.isfinite(value)))
         return True
-    if scipy.sparse.issparse(value):
+    if _issparse(value):
         return bool(np.all(np.isfinite(value.data)))
     if isinstance(value, (tuple, list)):
         return all(_finite(v) for v in value)
@@ -251,11 +262,10 @@ def run_with_policy(
     primary,
     *,
     fallbacks=(),
-    policy: FailurePolicy | None = None,
     validate=None,
     context=None,
 ):
-    """Execute one kernel under the failure policy.
+    """Execute one kernel under the ambient :func:`current_policy`.
 
     Parameters
     ----------
@@ -272,8 +282,6 @@ def run_with_policy(
         spent.  Fallback outputs are validated but *not* re-injected, so
         a persistent injected fault at ``site`` still lets the fallback
         demonstrate recovery.
-    policy : FailurePolicy, optional
-        Explicit policy; defaults to the ambient :func:`current_policy`.
     validate : callable, optional
         ``validate(value) -> bool``; ``None`` means the default
         all-floats-finite check.
@@ -290,7 +298,7 @@ def run_with_policy(
     RecoveryExhaustedError
         When the primary, every retry, and every fallback failed.
     """
-    resolved = policy if policy is not None else current_policy()
+    resolved = current_policy()
     last_exc: Exception | None = None
     attempts = 0
     for attempt in range(resolved.max_retries + 1):
@@ -357,7 +365,7 @@ def run_with_policy(
 
 
 @contextmanager
-def failure_guard(site: str, *, context=None):
+def failure_guard(site: str):
     """Outermost safety net: no raw third-party exception escapes.
 
     Wraps a whole ``fit()`` / experiment body.  :class:`~repro.exceptions.
@@ -386,7 +394,6 @@ def failure_guard(site: str, *, context=None):
             f"unhandled {type(exc).__name__}: {exc}",
             site=site,
             attempts=1,
-            context=_resolve_context(context),
         ) from exc
 
 
@@ -398,7 +405,7 @@ def matrix_context(a, name: str = "A") -> str:
     and the symmetry gap for square dense inputs.
     """
     try:
-        if scipy.sparse.issparse(a):
+        if _issparse(a):
             data = a.data
             finite = float(np.mean(np.isfinite(data))) if data.size else 1.0
             fro = float(np.sqrt(np.sum(data[np.isfinite(data)] ** 2)))

@@ -42,10 +42,10 @@ import hashlib
 import json
 import os
 import platform
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 import repro
 from repro.exceptions import ArtifactError, ValidationError
@@ -91,12 +91,27 @@ def _extras_hash(extras: dict) -> str:
     return h.hexdigest()
 
 
+def _scipy_version() -> str:
+    """scipy's version, without importing scipy.
+
+    A fitting process has loaded scipy already.  Any other process (one
+    that only serves) reads the installed metadata instead, so that
+    serving never imports scipy.
+    """
+    scipy = sys.modules.get("scipy")
+    if scipy is not None:
+        return scipy.__version__
+    from importlib.metadata import version
+
+    return version("scipy")
+
+
 def library_versions() -> dict:
     """Versions of the stack an artifact was produced under."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
         "repro": repro.__version__,
     }
 

@@ -17,12 +17,10 @@ def check_matrix(
     x,
     name: str = "X",
     *,
-    min_rows: int = 1,
-    min_cols: int = 1,
     allow_nonfinite: bool = False,
     dtype=np.float64,
 ) -> np.ndarray:
-    """Validate and convert a 2-D numeric array.
+    """Validate and convert a 2-D numeric array of at least one row and column.
 
     Parameters
     ----------
@@ -30,8 +28,6 @@ def check_matrix(
         Input to validate.
     name : str
         Argument name used in error messages.
-    min_rows, min_cols : int
-        Minimum acceptable dimensions.
     allow_nonfinite : bool
         If False (default), NaN/Inf entries raise.
     dtype : numpy dtype or None
@@ -56,10 +52,8 @@ def check_matrix(
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got ndim={arr.ndim}")
     rows, cols = arr.shape
-    if rows < min_rows or cols < min_cols:
-        raise ValidationError(
-            f"{name} must be at least {min_rows}x{min_cols}, got {rows}x{cols}"
-        )
+    if rows < 1 or cols < 1:
+        raise ValidationError(f"{name} must be at least 1x1, got {rows}x{cols}")
     if not allow_nonfinite and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains NaN or Inf entries")
     return arr
@@ -79,17 +73,23 @@ def check_square(x, name: str = "A", *, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-def check_symmetric(x, name: str = "A", *, tol: float = 1e-8) -> np.ndarray:
+#: Largest absolute elementwise asymmetry :func:`check_symmetric` repairs.
+SYMMETRY_TOL = 1e-8
+
+
+def check_symmetric(x, name: str = "A") -> np.ndarray:
     """Validate a symmetric matrix and return its symmetrized copy.
 
-    Asymmetry up to ``tol`` (absolute, elementwise) is silently repaired by
-    averaging with the transpose; larger asymmetry raises.
+    Asymmetry up to :data:`SYMMETRY_TOL` (absolute, elementwise) is
+    silently repaired by averaging with the transpose; larger asymmetry
+    raises.
     """
     arr = check_square(x, name)
     gap = np.max(np.abs(arr - arr.T)) if arr.size else 0.0
-    if gap > tol:
+    if gap > SYMMETRY_TOL:
         raise ValidationError(
-            f"{name} must be symmetric (max |A - A.T| = {gap:.3g} > tol={tol:.3g})"
+            f"{name} must be symmetric "
+            f"(max |A - A.T| = {gap:.3g} > tol={SYMMETRY_TOL:.3g})"
         )
     return (arr + arr.T) / 2.0
 
@@ -126,8 +126,8 @@ def check_labels(y, name: str = "labels", *, n: int | None = None) -> np.ndarray
     return arr.astype(np.int64)
 
 
-def check_views(views, name: str = "views", *, min_views: int = 1) -> list[np.ndarray]:
-    """Validate a multi-view feature collection.
+def check_views(views, name: str = "views") -> list[np.ndarray]:
+    """Validate a multi-view feature collection of at least one view.
 
     Parameters
     ----------
@@ -135,8 +135,6 @@ def check_views(views, name: str = "views", *, min_views: int = 1) -> list[np.nd
         One ``(n, d_v)`` feature matrix per view; all must share ``n``.
     name : str
         Argument name used in error messages.
-    min_views : int
-        Minimum number of views.
 
     Returns
     -------
@@ -149,10 +147,8 @@ def check_views(views, name: str = "views", *, min_views: int = 1) -> list[np.nd
         seq = list(views)
     except TypeError as exc:
         raise ValidationError(f"{name} must be a sequence of 2-D arrays") from exc
-    if len(seq) < min_views:
-        raise ValidationError(
-            f"{name} must contain at least {min_views} view(s), got {len(seq)}"
-        )
+    if not seq:
+        raise ValidationError(f"{name} must contain at least 1 view(s), got 0")
     mats = [check_matrix(v, f"{name}[{i}]") for i, v in enumerate(seq)]
     n = mats[0].shape[0]
     for i, m in enumerate(mats):

@@ -8,25 +8,9 @@ from hypothesis import strategies as st
 from repro.cluster.labels import (
     indicator_from_labels,
     labels_from_indicator,
-    relabel_consecutive,
     repair_empty_clusters,
 )
 from repro.exceptions import ValidationError
-
-
-class TestRelabelConsecutive:
-    def test_first_appearance_order(self):
-        out = relabel_consecutive([5, 5, 2, 7, 2])
-        np.testing.assert_array_equal(out, [0, 0, 1, 2, 1])
-
-    def test_already_consecutive(self):
-        np.testing.assert_array_equal(
-            relabel_consecutive([0, 1, 2]), [0, 1, 2]
-        )
-
-    def test_negative_values_ok(self):
-        out = relabel_consecutive([-4, -4, 3])
-        np.testing.assert_array_equal(out, [0, 0, 1])
 
 
 class TestIndicator:
@@ -59,12 +43,14 @@ class TestIndicator:
 class TestRepairEmptyClusters:
     def test_no_op_when_complete(self):
         labels = np.array([0, 1, 2, 0, 1, 2])
-        out = repair_empty_clusters(labels, 3)
+        scores = np.random.default_rng(0).normal(size=(6, 3))
+        out = repair_empty_clusters(labels, 3, scores)
         np.testing.assert_array_equal(out, labels)
 
     def test_fills_all_clusters(self):
         labels = np.zeros(10, dtype=np.int64)
-        out = repair_empty_clusters(labels, 4)
+        scores = np.random.default_rng(0).normal(size=(10, 4))
+        out = repair_empty_clusters(labels, 4, scores)
         assert np.all(np.bincount(out, minlength=4) >= 1)
 
     def test_uses_scores_to_pick_victims(self):
@@ -77,7 +63,7 @@ class TestRepairEmptyClusters:
 
     def test_impossible_repair_rejected(self):
         with pytest.raises(ValidationError, match="cannot"):
-            repair_empty_clusters(np.zeros(2, dtype=np.int64), 5)
+            repair_empty_clusters(np.zeros(2, dtype=np.int64), 5, np.zeros((2, 5)))
 
     def test_score_shape_checked(self):
         with pytest.raises(ValidationError, match="scores"):
@@ -89,8 +75,12 @@ class TestRepairEmptyClusters:
     @given(
         st.lists(st.integers(0, 3), min_size=4, max_size=30),
         st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
     )
-    def test_property_every_cluster_nonempty(self, labels, c):
-        out = repair_empty_clusters(np.array(labels), c)
+    def test_property_every_cluster_nonempty(self, labels, c, seed):
+        # Labels index the score columns, so they lie in [0, c).
+        labels = np.array(labels) % c
+        scores = np.random.default_rng(seed).normal(size=(labels.size, c))
+        out = repair_empty_clusters(labels, c, scores)
         counts = np.bincount(out, minlength=c)
         assert np.all(counts[:c] >= 1)

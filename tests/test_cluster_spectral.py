@@ -51,9 +51,8 @@ class TestSpectralEmbedding:
         # L_rw = D^{-1/2} L_sym D^{1/2}: the L_sym eigenvectors scaled
         # row-wise by d^{-1/2} satisfy L_rw U = U diag(lambda).
         w = affinity_pair[0]
-        emb = spectral_embedding(
-            w, 3, normalization="random_walk", row_normalize=False
-        )
+        emb = spectral_embedding(w, 3, row_normalize=False)
+        emb = emb / np.sqrt(w.sum(axis=1))[:, None]
         values = np.linalg.eigvalsh(laplacian(w))[:3]
         lap_rw = laplacian(w, normalization="random_walk")
         residual = np.linalg.norm(lap_rw @ emb - emb * values[None, :])

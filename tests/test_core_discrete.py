@@ -518,10 +518,9 @@ class TestRestartSubsample:
             return real(m, *args, **kwargs)
 
         monkeypatch.setattr(discrete, "indicator_coordinate_descent", spy)
-        max_alt = 30
-        rotation_initialize(f, _C, max_alt=max_alt, random_state=0)
+        rotation_initialize(f, _C, random_state=0)
         full = [r for r in rows if r == n]
-        assert 1 <= len(full) <= max_alt
+        assert 1 <= len(full) <= discrete._MAX_ALT
         assert set(rows) - {n} == {256}
 
     def test_span_records_subsample(self):

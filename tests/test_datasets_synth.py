@@ -109,9 +109,7 @@ class TestViewFromLatent:
         assert x.shape == (60, 15)
 
     def test_text_is_sparse_nonnegative(self):
-        x = view_from_latent(
-            self.z, 200, kind="text", density=0.05, random_state=1
-        )
+        x = view_from_latent(self.z, 200, kind="text", random_state=1)
         assert np.all(x >= 0)
         density = np.count_nonzero(x) / x.size
         assert density < 0.2

@@ -449,7 +449,7 @@ class TestGuardSites:
         b = np.random.default_rng(9).normal(size=(12, 3))
         with inject_faults(FaultSpec("gpi.iterate", mode="nan")):
             with pytest.raises(NumericalError, match="non-finite"):
-                gpi_stiefel(a, b)
+                gpi_stiefel(a, b, nearest_orthogonal(b))
 
     def test_gpi_iterate_nan_recovers_inside_fit(self, small_dataset):
         with inject_faults(FaultSpec("gpi.iterate", mode="nan")):

@@ -8,6 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import ValidationError
 from repro.graph.adaptive import adaptive_neighbor_affinity, simplex_projection_rowwise
+from repro.graph.distance import pairwise_sq_euclidean
+
+
+def _can(x, k):
+    """The CAN graph of ``x``'s squared Euclidean distances."""
+    return adaptive_neighbor_affinity(pairwise_sq_euclidean(x), k=k)
 
 
 class TestSimplexProjection:
@@ -56,51 +62,50 @@ class TestAdaptiveNeighborAffinity:
     def test_from_features_valid(self):
         rng = np.random.default_rng(0)
         x = np.vstack([rng.normal(size=(15, 2)), rng.normal(size=(15, 2)) + 9])
-        s = adaptive_neighbor_affinity(x, k=6)
+        s = _can(x, 6)
         assert s.shape == (30, 30)
         np.testing.assert_allclose(s, s.T, atol=1e-12)
         assert np.all(s >= 0)
         np.testing.assert_allclose(np.diag(s), 0.0, atol=1e-12)
 
     def test_row_mass_before_symmetrization(self):
+        # Each row of the CAN graph S sums to 1, and (S + S^T) / 2 keeps
+        # the total mass.
         rng = np.random.default_rng(1)
         x = rng.normal(size=(20, 3))
-        s = adaptive_neighbor_affinity(x, k=5, symmetrize_output=False)
-        np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-8)
+        assert _can(x, 5).sum() == pytest.approx(20.0)
 
     def test_sparsity(self):
+        # At most k neighbors per row of S, so at most 2k n entries after
+        # symmetrization.
         rng = np.random.default_rng(2)
         x = rng.normal(size=(25, 2))
-        s = adaptive_neighbor_affinity(x, k=4, symmetrize_output=False)
-        assert np.all(np.count_nonzero(s, axis=1) <= 4)
+        assert np.count_nonzero(_can(x, 4)) <= 2 * 4 * 25
 
     def test_nearest_neighbor_weighted_most(self):
         # Colinear points: the closest neighbor must get the largest mass.
         x = np.array([[0.0], [1.0], [3.0], [6.0], [10.0]])
-        s = adaptive_neighbor_affinity(x, k=2, symmetrize_output=False)
+        s = _can(x, 2)
         assert s[0, 1] > s[0, 2] > 0
         assert s[0, 3] == 0.0
 
     def test_from_distances(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(12, 2))
-        from repro.graph.distance import pairwise_sq_euclidean
+        # The recipe's adaptive kind is the CAN graph of the distances.
+        from repro.graph.affinity import build_view_affinity
 
-        d = pairwise_sq_euclidean(x)
-        s1 = adaptive_neighbor_affinity(x, k=4)
-        s2 = adaptive_neighbor_affinity(distances=d, k=4)
-        np.testing.assert_allclose(s1, s2, atol=1e-10)
+        x = np.random.default_rng(3).normal(size=(12, 2))
+        np.testing.assert_allclose(
+            _can(x, 4), build_view_affinity(x, kind="adaptive", k=4), atol=1e-10
+        )
 
-    def test_exactly_one_input_required(self):
-        with pytest.raises(ValidationError, match="exactly one"):
-            adaptive_neighbor_affinity()
-        with pytest.raises(ValidationError, match="exactly one"):
-            adaptive_neighbor_affinity(np.zeros((4, 2)), distances=np.zeros((4, 4)))
+    def test_distances_must_be_square(self):
+        with pytest.raises(ValidationError, match="square"):
+            adaptive_neighbor_affinity(np.zeros((4, 2)))
 
     def test_blob_separation(self):
         rng = np.random.default_rng(4)
         x = np.vstack([rng.normal(size=(20, 2)), rng.normal(size=(20, 2)) + 12])
-        s = adaptive_neighbor_affinity(x, k=5)
+        s = _can(x, 5)
         assert s[:20, 20:].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_k_out_of_range_raises(self):
@@ -110,14 +115,13 @@ class TestAdaptiveNeighborAffinity:
         # explicitly).
         x = np.random.default_rng(5).normal(size=(10, 2))
         with pytest.raises(ValidationError, match=r"k must be in \[1, 8\]"):
-            adaptive_neighbor_affinity(x, k=9)
+            _can(x, 9)
         with pytest.raises(ValidationError, match=r"k must be in \[1, 8\]"):
-            adaptive_neighbor_affinity(x, k=0)
+            _can(x, 0)
         with pytest.raises(ValidationError, match="k must be in"):
-            adaptive_neighbor_affinity(x, k=-3)
+            _can(x, -3)
 
     def test_k_boundary_values_accepted(self):
         x = np.random.default_rng(6).normal(size=(10, 2))
         for k in (1, 8):
-            s = adaptive_neighbor_affinity(x, k=k, symmetrize_output=False)
-            np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-8)
+            assert _can(x, k).sum() == pytest.approx(10.0)

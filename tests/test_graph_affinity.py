@@ -10,7 +10,6 @@ from repro.graph.affinity import (
     gaussian_affinity,
     knn_sparsify,
     self_tuning_affinity,
-    symmetrize,
 )
 
 
@@ -26,21 +25,6 @@ def _assert_valid_affinity(w, n):
     np.testing.assert_allclose(w, w.T, atol=1e-10)
     assert np.all(w >= 0)
     np.testing.assert_allclose(np.diag(w), 0.0, atol=1e-12)
-
-
-class TestSymmetrize:
-    def test_average(self):
-        w = np.array([[0.0, 2.0], [0.0, 0.0]])
-        np.testing.assert_allclose(symmetrize(w), [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_max_min(self):
-        w = np.array([[0.0, 2.0], [4.0, 0.0]])
-        assert symmetrize(w, mode="max")[0, 1] == 4.0
-        assert symmetrize(w, mode="min")[0, 1] == 2.0
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValidationError):
-            symmetrize(np.zeros((2, 2)), mode="bogus")
 
 
 class TestGaussianAffinity:
@@ -209,10 +193,9 @@ class TestSingleValidation:
         assert len(spy) == 1, spy
 
     def test_build_view_affinity_validates_data_once(self, spy):
-        # knn_sparsify separately validates the *affinity* matrix it is
-        # given (a different input); the raw data matrix itself must be
-        # checked exactly once.
-        build_view_affinity(_two_blobs(), k=5, sparsify=False)
+        # The recipe sparsifies the kernel's output without re-checking
+        # it; the raw data matrix itself must be checked exactly once.
+        build_view_affinity(_two_blobs(), k=5)
         assert len(spy) == 1, spy
 
     def test_pre_validated_still_rejects_bad_public_input(self, spy):
@@ -244,8 +227,11 @@ class TestSingleValidation:
         assert spy.count("x") == 1, spy
         assert squares == []
 
-    def test_sparse_knn_affinity_validates_once_not_per_block(self, spy):
-        from repro.graph.sparse import sparse_knn_affinity
+    def test_sparse_knn_affinity_validates_once_not_per_block(
+        self, spy, monkeypatch
+    ):
+        import repro.graph.sparse as sparse_mod
 
-        sparse_knn_affinity(_two_blobs(), k=5, block=7)
+        monkeypatch.setattr(sparse_mod, "QUERY_BLOCK", 7)
+        sparse_mod.sparse_knn_affinity(_two_blobs(), k=5)
         assert spy == ["x"]

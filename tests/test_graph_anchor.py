@@ -7,7 +7,6 @@ import scipy.linalg
 from repro.exceptions import ValidationError
 from repro.graph.anchor import (
     WarmStart,
-    anchor_affinity,
     anchor_affinity_factor,
     anchor_assignment,
     gram_top_eigenpairs,
@@ -30,12 +29,6 @@ class TestSelectAnchors:
         anchors = select_anchors(_blobs(), 12, random_state=0)
         assert anchors.shape == (12, 3)
 
-    def test_random_anchors_are_data_points(self):
-        x = _blobs()
-        anchors = select_anchors(x, 8, method="random", random_state=1)
-        for a in anchors:
-            assert np.any(np.all(np.isclose(x, a), axis=1))
-
     def test_kmeans_anchors_cover_blobs(self):
         x = _blobs(sep=50.0)
         anchors = select_anchors(x, 9, random_state=2)
@@ -49,7 +42,7 @@ class TestSelectAnchors:
         with pytest.raises(ValidationError):
             select_anchors(_blobs(), 0)
         with pytest.raises(ValidationError):
-            select_anchors(_blobs(), 10, method="psychic")
+            select_anchors(_blobs(), 151)
 
 
 class TestAnchorAssignment:
@@ -97,30 +90,33 @@ class TestAnchorAssignment:
 
 
 class TestAnchorAffinity:
+    """The affinity ``W = B B^T`` the factor ``B = Z Lambda^{-1/2}`` stands for."""
+
     def _z(self, seed=0):
         x = _blobs(seed=seed)
         anchors = select_anchors(x, 12, random_state=seed)
         return anchor_assignment(x, anchors, k=4)
 
     def test_dense_affinity_properties(self):
-        w = anchor_affinity(self._z())
+        b = anchor_affinity_factor(self._z())
+        w = b @ b.T
         assert w.shape == (150, 150)
         np.testing.assert_allclose(w, w.T, atol=1e-12)
         assert np.all(w >= -1e-12)
-        np.testing.assert_allclose(np.diag(w), 0.0, atol=1e-12)
+        # Row-stochastic, so W is its own normalized adjacency.
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-10)
 
     def test_factorization_consistent(self):
         z = self._z(seed=1)
         b = anchor_affinity_factor(z)
-        w_full = b @ b.T
-        np.fill_diagonal(w_full, 0.0)
-        np.testing.assert_allclose(anchor_affinity(z), w_full, atol=1e-12)
+        w_full = z @ np.diag(1.0 / z.sum(axis=0)) @ z.T
+        np.testing.assert_allclose(b @ b.T, w_full, atol=1e-12)
 
     def test_blocks_separate(self):
         x = _blobs(sep=40.0, seed=3)
         anchors = select_anchors(x, 12, random_state=3)
-        z = anchor_assignment(x, anchors, k=3)
-        w = anchor_affinity(z)
+        b = anchor_affinity_factor(anchor_assignment(x, anchors, k=3))
+        w = b @ b.T
         assert w[:50, 100:].max() == pytest.approx(0.0, abs=1e-12)
 
 

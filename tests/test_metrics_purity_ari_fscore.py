@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.ari import adjusted_rand_index, pairwise_counts, rand_index
+from repro.metrics.ari import adjusted_rand_index, pairwise_counts
 from repro.metrics.confusion import contingency_matrix
 from repro.metrics.fscore import pairwise_f_score, pairwise_precision_recall
 from repro.metrics.purity import purity_score
@@ -55,7 +55,10 @@ class TestRandIndices:
         assert tp + fp + fn + tn == 5 * 4 / 2
 
     def test_rand_perfect(self):
-        assert rand_index([0, 0, 1], [1, 1, 0]) == 1.0
+        # A relabeling disagrees on no pair.
+        tp, fp, fn, tn = pairwise_counts([0, 0, 1], [1, 1, 0])
+        assert (fp, fn) == (0.0, 0.0)
+        assert tp + tn == 3.0
 
     def test_ari_perfect(self):
         assert adjusted_rand_index([0, 1, 1, 2], [2, 0, 0, 1]) == 1.0
@@ -86,12 +89,19 @@ class TestRandIndices:
     @settings(deadline=None, max_examples=50)
     @given(label_vectors)
     def test_property_rand_vs_scipy_formula(self, labels):
+        # The pair counts behind the Rand index, against enumerating pairs.
         rng = np.random.default_rng(1)
         pred = rng.integers(0, 4, size=len(labels))
-        tp, fp, fn, tn = pairwise_counts(labels, pred)
-        assert rand_index(labels, pred) == pytest.approx(
-            (tp + tn) / (tp + fp + fn + tn)
+        pairs = [
+            (labels[i] == labels[j], pred[i] == pred[j])
+            for i in range(len(labels))
+            for j in range(i)
+        ]
+        expected = tuple(
+            float(sum(pair == want for pair in pairs))
+            for want in ((True, True), (False, True), (True, False), (False, False))
         )
+        assert pairwise_counts(labels, pred) == pytest.approx(expected)
 
 
 class TestPairwiseFScore:

@@ -144,6 +144,6 @@ class TestGPIResultType:
 
         a = np.eye(4)
         b = np.zeros((4, 2))
-        res = gpi_stiefel(a, b, max_iter=2)
+        res = gpi_stiefel(a, b, np.eye(4, 2), max_iter=2)
         assert isinstance(res.history, list)
         assert res.f.shape == (4, 2)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.kmeans import KMeans, _lloyd
 from repro.graph.affinity import build_view_affinity
-from repro.graph.fusion import fuse_affinities
+from repro.graph.fusion import fuse_affinities, fuse_laplacians
 from repro.graph.laplacian import laplacian
 
 graph_settings = settings(
@@ -65,12 +65,16 @@ class TestAffinityInvariants:
     def test_fusion_is_convex_combination(self, n, seed, alpha):
         a = build_view_affinity(_random_points(n, 3, seed), k=min(4, n - 1))
         b = build_view_affinity(_random_points(n, 4, seed + 1), k=min(4, n - 1))
-        fused = fuse_affinities([a, b], [alpha, 1.0 - alpha] if 0 < alpha < 1 else None)
-        # Entrywise between the inputs' min and max.
+        # The uniform fusion and a weighted one with weights summing to 1
+        # both lie entrywise between the inputs' min and max.
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
-        assert np.all(fused >= lo - 1e-12)
-        assert np.all(fused <= hi + 1e-12)
+        for fused in (
+            fuse_affinities([a, b]),
+            fuse_laplacians([a, b], [alpha, 1.0 - alpha]),
+        ):
+            assert np.all(fused >= lo - 1e-12)
+            assert np.all(fused <= hi + 1e-12)
 
 
 class TestKMeansInvariants:
