@@ -20,6 +20,7 @@ import time
 
 import numpy as np
 
+from repro.bench import BENCHES
 from repro.core import UnifiedMVSC
 from repro.core.anchor_model import AnchorMVSC
 from repro.datasets import make_multiview_blobs
@@ -96,13 +97,9 @@ def test_ext_scalability_prints(capsys, benchmark):
 
 
 def test_benchmark_anchor_fit(benchmark):
-    ds = _dataset(600)
-
-    def fit():
-        return AnchorMVSC(5, random_state=0).fit_predict(ds.views)
-
-    labels = benchmark(fit)
-    assert labels.shape == (600,)
+    # The tracked ``anchor_fit`` body at full size (n = 800).
+    labels = benchmark(BENCHES["anchor_fit"][1](quick=False))
+    assert labels.shape == (800,)
 
 
 def measure_anchor_scaling(sizes=SCALING_SIZES) -> dict:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.backends import use_backend
 from repro.baselines import AMGL, CoRegSC, KernelAdditionSC
+from repro.bench import BENCHES
 from repro.core import TwoStageMVSC, UnifiedMVSC
 from repro.datasets import make_multiview_blobs
 from repro.evaluation.tables import format_rows
@@ -78,11 +79,8 @@ def test_fig3_runtime_prints(capsys, benchmark):
 
 @pytest.mark.slow
 def test_benchmark_umsc_medium(benchmark):
-    ds = _dataset(300)
-
-    def fit():
-        return UnifiedMVSC(ds.n_clusters, random_state=0).fit(ds.views)
-
+    # The tracked ``umsc_fit`` body at full size (n = 300).
+    fit = BENCHES["umsc_fit"][1](quick=False)
     result = benchmark(fit)
     # Phase breakdown of one extra, untimed traced fit, persisted into
     # the benchmark JSON; the timed fits above run with no trace.

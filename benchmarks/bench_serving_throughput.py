@@ -32,8 +32,9 @@ from contextlib import nullcontext
 import numpy as np
 
 import repro.serving.predictor as predictor_mod
+from repro.bench import blob_predictor
 from repro.datasets import make_multiview_blobs
-from repro.serving import ModelArtifact, PredictionService, Predictor, replay
+from repro.serving import ModelArtifact, Predictor, serve_against_serial
 
 #: Single-sample requests replayed through both paths.
 N_REQUESTS = 1000
@@ -41,7 +42,7 @@ N_REQUESTS = 1000
 #: Client threads feeding the micro-batching service.
 N_CLIENTS = 8
 
-#: Interleaved repetitions per variant; min-of-N is the statistic.
+#: Repetitions per variant; min-of-N is the statistic.
 N_REPS = 3
 
 #: Relative budget plus a small absolute allowance for timer jitter.
@@ -50,62 +51,36 @@ ABS_SLACK_SECONDS = 0.05
 
 
 def _workload():
-    """A fitted artifact plus 1k single-sample requests over its views."""
-    ds = make_multiview_blobs(
-        300, 4, view_dims=(16, 24), view_noise=(0.2, 0.3), random_state=3
-    )
-    artifact = ModelArtifact(
-        model_class="UnifiedMVSC",
-        train_views=ds.views,
-        train_labels=ds.labels,
-        view_weights=np.array([0.6, 0.4]),
-        n_clusters=ds.n_clusters,
-    )
+    """A predictor over a 300-row artifact plus 1k single-sample
+    requests over its views."""
+    ds, predictor = blob_predictor(300, seed=3)
     rng = np.random.default_rng(4)
-    n = ds.n_samples
-    order = rng.integers(0, n, size=N_REQUESTS)
+    order = rng.integers(0, ds.n_samples, size=N_REQUESTS)
     samples = [[v[i] for v in ds.views] for i in order]
-    return artifact, samples
+    return predictor, samples
 
 
-def _serial_seconds(predictor: Predictor, samples) -> tuple[float, list]:
-    start = time.perf_counter()
-    labels = [
-        int(predictor.predict([row[None, :] for row in s])[0]) for s in samples
-    ]
-    return time.perf_counter() - start, labels
-
-
-def _service_seconds(predictor: Predictor, samples) -> tuple[float, list]:
-    with PredictionService(
-        predictor, max_batch=64, max_queue=len(samples)
-    ) as service:
-        start = time.perf_counter()
-        labels = replay(service, samples, clients=N_CLIENTS)
-        seconds = time.perf_counter() - start
-    return seconds, labels
+def _serve(predictor: Predictor, samples):
+    return serve_against_serial(
+        predictor, samples, clients=N_CLIENTS, max_batch=64
+    )
 
 
 def test_micro_batching_beats_one_at_a_time():
     """Service throughput >= serial single-sample predict throughput."""
-    artifact, samples = _workload()
-    predictor = Predictor(artifact)
-    # Warm both paths.
-    _serial_seconds(predictor, samples[:50])
-    _service_seconds(predictor, samples[:50])
-    # N_REPS interleaved pairs, alternating which side runs first, so a
-    # burst of load from elsewhere on the host lands on both sides; the
-    # minimum of each side is its least-disturbed run.
-    times = {_serial_seconds: [], _service_seconds: []}
-    for rep in range(N_REPS):
-        order = list(times) if rep % 2 == 0 else list(times)[::-1]
-        labels = {}
-        for timed in order:
-            seconds, labels[timed] = timed(predictor, samples)
-            times[timed].append(seconds)
-        assert labels[_service_seconds] == labels[_serial_seconds]
-    serial_s = min(times[_serial_seconds])
-    service_s = min(times[_service_seconds])
+    predictor, samples = _workload()
+    _serve(predictor, samples[:50])  # warm both paths
+    # N_REPS back-to-back (serial, service) pairs, so a burst of load
+    # from elsewhere on the host lands near both sides; the minimum of
+    # each side is its least-disturbed run.
+    serial, service = [], []
+    for _ in range(N_REPS):
+        result = _serve(predictor, samples)
+        assert result.served == result.serial
+        serial.append(result.serial_seconds)
+        service.append(result.served_seconds)
+    serial_s = min(serial)
+    service_s = min(service)
     assert service_s <= serial_s * REL_BUDGET + ABS_SLACK_SECONDS, (
         f"micro-batched service took {service_s:.3f}s for {N_REQUESTS} "
         f"requests vs {serial_s:.3f}s one-at-a-time; batching must not "
@@ -172,15 +147,4 @@ def test_disarmed_serving_overhead_under_two_percent():
     assert min(harness) <= budget, (
         f"disarmed serving predict {min(harness):.3f}s vs bypassed "
         f"{min(bypass):.3f}s exceeds the 2% overhead budget"
-    )
-
-
-if __name__ == "__main__":
-    artifact, samples = _workload()
-    predictor = Predictor(artifact)
-    serial_s, _ = _serial_seconds(predictor, samples)
-    service_s, _ = _service_seconds(predictor, samples)
-    print(
-        f"one-at-a-time {serial_s:.3f}s ({N_REQUESTS / serial_s:.0f} req/s)  "
-        f"micro-batched {service_s:.3f}s ({N_REQUESTS / service_s:.0f} req/s)"
     )

@@ -74,15 +74,10 @@ class SingleViewSC:
 
 
 def all_single_view_labels(
-    views,
-    n_clusters: int,
-    *,
-    graph: str = "auto",
-    n_neighbors: int = 10,
-    n_init: int = 20,
-    random_state=None,
+    views, n_clusters: int, *, random_state=None
 ) -> list[np.ndarray]:
-    """Spectral clustering labels for every view separately.
+    """Spectral clustering labels for every view separately, each with
+    :class:`SingleViewSC`'s default graph and k-means settings.
 
     The evaluation harness turns these into the SC(best) / SC(worst) rows
     by scoring each against the ground truth.
@@ -90,12 +85,7 @@ def all_single_view_labels(
     views = check_views(views)
     return [
         SingleViewSC(
-            n_clusters,
-            view=v,
-            graph=graph,
-            n_neighbors=n_neighbors,
-            n_init=n_init,
-            random_state=random_state,
+            n_clusters, view=v, random_state=random_state
         ).fit_predict(views)
         for v in range(len(views))
     ]

@@ -2,11 +2,11 @@
 
 The paper's north star — "as fast as the hardware allows" — is only
 meaningful if wall-clock is a *tracked artifact*, not a one-off print.
-This module turns a declared subset of the ``benchmarks/bench_*`` suite
-into machine-readable perf records:
+This module turns a declared set of workloads into machine-readable
+perf records:
 
-* :data:`BENCHES` — the tracked scenarios (each mirrors one existing
-  ``bench_*`` workload at a runner-friendly size);
+* :data:`BENCHES` — the tracked workloads, each defined once here; a
+  ``benchmarks/bench_*`` module that times one imports its factory;
 * :func:`run_benches` — time them with no trace active under a
   :class:`~repro.observability.resource.ResourceSampler`, after one
   untimed warm-up pass under a :class:`~repro.observability.trace.Trace`,
@@ -21,10 +21,9 @@ into machine-readable perf records:
   RSS and the traced allocation peak against a looser
   ``memory_threshold`` — each above its own noise floor.
 
-Both entry points — ``repro bench {run,compare}`` and
-``python benchmarks/bench_runner.py`` — are thin wrappers over this
-module, so the tracker is importable (and unit-testable) wherever the
-package is installed.
+``repro bench {run,compare}`` (or ``PYTHONPATH=src python -m repro
+bench ...`` without an install) is a thin wrapper over this module, so
+the tracker is importable (and unit-testable) wherever the package is.
 
 Because every bench body routes through the library's instrumented
 kernels, the fault-injection harness applies: arming
@@ -80,7 +79,7 @@ MIN_GATED_MEMORY_BYTES = 16 * 1024 * 1024
 
 
 def _bench_umsc_fit(quick: bool):
-    """One-stage solver fit (mirrors ``bench_fig3_runtime``)."""
+    """One-stage solver fit; the body returns the fitted result."""
     from repro.core import UnifiedMVSC
     from repro.datasets import make_multiview_blobs
 
@@ -90,13 +89,13 @@ def _bench_umsc_fit(quick: bool):
     )
 
     def work():
-        UnifiedMVSC(ds.n_clusters, random_state=0).fit(ds.views)
+        return UnifiedMVSC(ds.n_clusters, random_state=0).fit(ds.views)
 
     return work
 
 
 def _bench_anchor_fit(quick: bool):
-    """Anchor-accelerated fit (mirrors ``bench_ext_scalability``)."""
+    """Anchor-accelerated fit; the body returns the labels."""
     from repro.core import AnchorMVSC
     from repro.datasets import make_multiview_blobs
 
@@ -106,13 +105,13 @@ def _bench_anchor_fit(quick: bool):
     )
 
     def work():
-        AnchorMVSC(ds.n_clusters, random_state=0).fit_predict(ds.views)
+        return AnchorMVSC(ds.n_clusters, random_state=0).fit_predict(ds.views)
 
     return work
 
 
 def _bench_graph_build(quick: bool):
-    """Per-view affinity construction (mirrors ``bench_ablation_graphs``)."""
+    """Per-view affinity construction."""
     from repro.datasets import make_multiview_blobs
     from repro.graph.affinity import build_view_affinity
 
@@ -128,7 +127,7 @@ def _bench_graph_build(quick: bool):
     return work
 
 
-def _blob_predictor(n: int, seed: int):
+def blob_predictor(n: int, seed: int):
     """A 4-cluster two-view blob dataset and a predictor over all of it."""
     from repro.datasets import make_multiview_blobs
     from repro.serving import ModelArtifact, Predictor
@@ -147,9 +146,9 @@ def _blob_predictor(n: int, seed: int):
 
 
 def _bench_predict_batch(quick: bool):
-    """Batched inductive predict (the ``bench_serving_throughput`` kernel)."""
+    """Batched inductive predict."""
     n = 200 if quick else 500
-    ds, predictor = _blob_predictor(n, seed=4)
+    ds, predictor = blob_predictor(n, seed=4)
     queries = [np.repeat(v[: n // 2], 2, axis=0) for v in ds.views]
 
     def work():
@@ -159,11 +158,12 @@ def _bench_predict_batch(quick: bool):
 
 
 def _bench_serving_throughput(quick: bool):
-    """Micro-batched replay (mirrors ``bench_serving_throughput``)."""
+    """Closed-loop replay through a fresh service, timed with its build
+    and close, as ``benchmarks/baseline.json`` records it."""
     from repro.serving import PredictionService, replay
 
     n_requests = 100 if quick else 400
-    ds, predictor = _blob_predictor(150, seed=5)
+    ds, predictor = blob_predictor(150, seed=5)
     rng = np.random.default_rng(6)
     order = rng.integers(0, ds.n_samples, size=n_requests)
     samples = [[v[i] for v in ds.views] for i in order]
@@ -178,7 +178,7 @@ def _bench_serving_throughput(quick: bool):
 
 
 def _bench_scenario_matrix(quick: bool):
-    """Robustness-matrix sweep (mirrors ``bench_scenario_matrix``).
+    """Robustness-matrix sweep.
 
     Tracking the matrix wall-clock in the regression gate means a
     robustness-harness slowdown (or a scenario generator that silently
@@ -199,7 +199,7 @@ def _bench_scenario_matrix(quick: bool):
 
 
 def _bench_streaming(quick: bool):
-    """Drift-aware streaming replay (mirrors ``bench_streaming``).
+    """Drift-aware streaming replay.
 
     Times the full per-batch protocol — fold-in, drift detection, and
     the refit the injected shift provokes — so a regression in the
@@ -232,8 +232,9 @@ def _bench_streaming(quick: bool):
     return work
 
 
-#: The declared tracked subset: ``{name: (description, factory)}``.
-#: Each factory takes ``quick`` and returns the zero-argument timed body.
+#: The tracked workloads: ``{name: (description, factory)}``.  Each
+#: factory takes ``quick`` and returns the zero-argument timed body; a
+#: description names the ``benchmarks/`` module that imports it, if any.
 BENCHES: dict = {
     "umsc_fit": (
         "UnifiedMVSC one-stage fit on synthetic blobs (bench_fig3_runtime)",
@@ -244,23 +245,23 @@ BENCHES: dict = {
         _bench_anchor_fit,
     ),
     "graph_build": (
-        "per-view kNN affinity construction (bench_ablation_graphs)",
+        "per-view kNN affinity construction",
         _bench_graph_build,
     ),
     "predict_batch": (
-        "batched inductive Predictor.predict (bench_serving_throughput)",
+        "batched inductive Predictor.predict",
         _bench_predict_batch,
     ),
     "serving_throughput": (
-        "micro-batched PredictionService replay (bench_serving_throughput)",
+        "micro-batched PredictionService replay",
         _bench_serving_throughput,
     ),
     "scenario_matrix": (
-        "method × scenario robustness grid (bench_scenario_matrix)",
+        "method × scenario robustness grid",
         _bench_scenario_matrix,
     ),
     "streaming": (
-        "drift-aware incremental batch replay (bench_streaming)",
+        "drift-aware incremental batch replay",
         _bench_streaming,
     ),
 }

@@ -18,11 +18,11 @@ artifacts:
   samples, reporting agreement with its ground truth;
 * ``serve``       — offline micro-batching benchmark: replay a
   benchmark's samples as single-sample requests through a
-  :class:`~repro.serving.service.PredictionService` with
-  :func:`~repro.serving.service.replay` (the closed loop the tracked
-  and pytest serving benches also use) and compare throughput and
-  labels against one-at-a-time prediction (``--telemetry-port``
-  exposes ``/metrics`` / ``/healthz`` / ``/stats`` during the replay);
+  :class:`~repro.serving.service.PredictionService` and compare
+  throughput and labels against one-at-a-time prediction, both passes
+  run by :func:`~repro.serving.service.serve_against_serial`
+  (``--telemetry-port`` exposes ``/metrics`` / ``/healthz`` /
+  ``/stats`` during the replay);
 * ``metrics``     — ``metrics dump`` runs one traced fit and renders
   its metrics registry via the export layer (``--format prom|json``);
   ``--from-trace PATH`` instead renders the snapshot embedded in a
@@ -121,7 +121,7 @@ from repro.pipeline import (
     resolve_jobs,
 )
 from repro.robust import FailurePolicy, registered_fault_sites
-from repro.serving import PredictionService, Predictor, replay
+from repro.serving import Predictor, serve_against_serial
 
 
 def _parent(*flags, parents=(), **kwargs) -> argparse.ArgumentParser:
@@ -796,8 +796,6 @@ def _cmd_predict(args, out) -> int:
 
 
 def _cmd_serve(args, out) -> int:
-    import time
-
     if args.requests < 1:
         raise ValidationError(f"--requests must be >= 1, got {args.requests}")
     predictor = Predictor.load(args.artifact)
@@ -808,35 +806,28 @@ def _cmd_serve(args, out) -> int:
         [v[i % n] for v in dataset.views] for i in range(n_requests)
     ]
 
+    def announce(service) -> None:
+        if service.telemetry_url is not None:
+            print(
+                f"telemetry: {service.telemetry_url} "
+                f"(/metrics /healthz /stats)",
+                file=out,
+            )
+
     # The replay runs under the --backend flag; the service worker
     # inherits it with the rest of the run context.
     with _pipeline_context(args):
-        tick = time.perf_counter()
-        serial = [
-            int(predictor.predict([row[None, :] for row in s])[0])
-            for s in samples
-        ]
-        serial_seconds = time.perf_counter() - tick
-
-        with PredictionService(
+        result = serve_against_serial(
             predictor,
+            samples,
+            clients=args.clients,
             max_batch=args.max_batch,
-            max_queue=max(1024, n_requests),
             telemetry_port=args.telemetry_port,
-        ) as service:
-            if service.telemetry_url is not None:
-                print(
-                    f"telemetry: {service.telemetry_url} "
-                    f"(/metrics /healthz /stats)",
-                    file=out,
-                )
-            tick = time.perf_counter()
-            results = replay(service, samples, clients=args.clients)
-            batched_seconds = time.perf_counter() - tick
-            stats = service.stats()
+            on_start=announce,
+        )
 
-    latency = service.metrics.histograms.get("serving.request_seconds")
-    mismatches = sum(1 for a, b in zip(results, serial) if a != b)
+    stats = result.stats
+    mismatches = sum(a != b for a, b in zip(result.served, result.serial))
     print(f"{predictor!r}", file=out)
     print(
         f"served {n_requests} single-sample requests "
@@ -844,24 +835,23 @@ def _cmd_serve(args, out) -> int:
         file=out,
     )
     print(
-        f"  one-at-a-time: {serial_seconds:.3f}s "
-        f"({n_requests / serial_seconds:.0f} req/s)",
+        f"  one-at-a-time: {result.serial_seconds:.3f}s "
+        f"({n_requests / result.serial_seconds:.0f} req/s)",
         file=out,
     )
     print(
-        f"  micro-batched: {batched_seconds:.3f}s "
-        f"({n_requests / batched_seconds:.0f} req/s), "
+        f"  micro-batched: {result.served_seconds:.3f}s "
+        f"({n_requests / result.served_seconds:.0f} req/s), "
         f"{stats.batches} batches, mean batch "
         f"{stats.mean_batch_size:.1f}, max {stats.max_batch_size}",
         file=out,
     )
-    if latency is not None and latency.count:
-        q = latency.quantile_summary()
-        print(
-            "  request latency: "
-            + " ".join(f"{k}={1e3 * v:.1f}ms" for k, v in q.items()),
-            file=out,
-        )
+    quantiles = result.latency.items()
+    print(
+        "  request latency: "
+        + " ".join(f"{k}={1e3 * v:.1f}ms" for k, v in quantiles),
+        file=out,
+    )
     print(f"  label mismatches vs serial: {mismatches}", file=out)
     return 0 if mismatches == 0 else 1
 

@@ -39,14 +39,13 @@ class ConvergenceCurve:
 def convergence_curve(
     dataset: MultiViewDataset,
     *,
-    lam: float = 1.0,
     max_iter: int = 30,
     random_state: int = 0,
 ) -> ConvergenceCurve:
-    """Run UMSC with a tight tolerance and record the objective history."""
+    """Run UMSC (default ``lam``) with a tight tolerance and record the
+    objective history."""
     model = UnifiedMVSC(
         dataset.n_clusters,
-        lam=lam,
         max_iter=max_iter,
         tol=1e-12,
         random_state=random_state,

@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def format_rows(headers, rows, *, pad: int = 2) -> str:
-    """Generic fixed-width table formatter.
+def format_rows(headers, rows) -> str:
+    """Generic fixed-width table formatter, two spaces between columns.
 
     Parameters
     ----------
@@ -19,8 +19,6 @@ def format_rows(headers, rows, *, pad: int = 2) -> str:
     rows : sequence of sequence
         Cell values (converted with ``str``); each row must match the
         header length.
-    pad : int
-        Spaces between columns.
 
     Returns
     -------
@@ -38,23 +36,19 @@ def format_rows(headers, rows, *, pad: int = 2) -> str:
         max(len(headers[j]), *(len(r[j]) for r in text_rows)) if text_rows else len(headers[j])
         for j in range(len(headers))
     ]
-    sep = " " * pad
 
     def render(cells) -> str:
-        return sep.join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
 
     lines = [render(headers), render(["-" * w for w in widths])]
     lines.extend(render(r) for r in text_rows)
     return "\n".join(lines)
 
 
-def format_metric_table(
-    results_by_dataset: dict,
-    metric: str,
-    *,
-    mark_best: bool = True,
-) -> str:
+def format_metric_table(results_by_dataset: dict, metric: str) -> str:
     """Render one metric across datasets (the layout of Tables II-IV).
+
+    The best mean of each dataset column carries a ``*``.
 
     Parameters
     ----------
@@ -63,8 +57,6 @@ def format_metric_table(
         :func:`repro.evaluation.runner.run_experiment` per dataset.
     metric : str
         Metric key present in every ``MethodScores.scores``.
-    mark_best : bool
-        Append ``*`` to the best mean of each dataset column.
 
     Returns
     -------
@@ -80,16 +72,15 @@ def format_metric_table(
                 method_order.append(name)
 
     best: dict[str, str] = {}
-    if mark_best:
-        for ds in datasets:
-            per_method = results_by_dataset[ds]
-            means = {
-                m: s.scores[metric].mean
-                for m, s in per_method.items()
-                if metric in s.scores
-            }
-            if means:
-                best[ds] = max(means, key=lambda k: means[k])
+    for ds in datasets:
+        per_method = results_by_dataset[ds]
+        means = {
+            m: s.scores[metric].mean
+            for m, s in per_method.items()
+            if metric in s.scores
+        }
+        if means:
+            best[ds] = max(means, key=lambda k: means[k])
 
     rows = []
     for name in method_order:

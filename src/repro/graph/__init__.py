@@ -5,8 +5,8 @@ package builds those graphs from raw features:
 
 * :mod:`repro.graph.distance` — pairwise distance kernels;
 * :mod:`repro.graph.knn` — k-nearest-neighbor index computation;
-* :mod:`repro.graph.affinity` — Gaussian, self-tuning, and cosine
-  affinities with optional k-NN sparsification;
+* :mod:`repro.graph.affinity` — Gaussian, self-tuning, cosine and
+  adaptive affinities, k-NN sparsified, behind one recipe;
 * :mod:`repro.graph.adaptive` — CAN-style adaptive-neighbor graphs with a
   closed-form simplex projection;
 * :mod:`repro.graph.laplacian` — unnormalized / symmetric / random-walk
@@ -23,12 +23,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "select_anchors": "anchor",
     "simplex_projection_rowwise": "adaptive",
     "build_view_affinity": "affinity",
-    "cosine_affinity": "affinity",
-    "gaussian_affinity": "affinity",
-    "knn_sparsify": "affinity",
-    "self_tuning_affinity": "affinity",
     "connected_components": "connectivity",
-    "is_connected": "connectivity",
     "pairwise_cosine_distances": "distance",
     "pairwise_sq_euclidean": "distance",
     "fuse_affinities": "fusion",

@@ -49,8 +49,3 @@ def connected_components(w: np.ndarray, *, tol: float = 0.0) -> np.ndarray:
         current += 1
     return labels
 
-
-def is_connected(w: np.ndarray, *, tol: float = 0.0) -> bool:
-    """True iff the affinity graph has a single connected component."""
-    labels = connected_components(w, tol=tol)
-    return bool(labels.max(initial=0) == 0)

@@ -66,9 +66,8 @@ def sparse_knn_affinity(x: np.ndarray, *, k: int = 10) -> scipy.sparse.csr_matri
     The kernel is the Zelnik-Manor & Perona local scaling
     ``exp(-d_ij^2 / (sigma_i sigma_j))`` restricted to the union k-NN
     edge set, with ``sigma_i`` the distance to the :data:`SCALE_RANK`-th
-    neighbor — the same recipe as the dense
-    :func:`repro.graph.affinity.self_tuning_affinity` +
-    :func:`repro.graph.affinity.knn_sparsify` path, sparsified at
+    neighbor — the same recipe as the dense self-tuning kernel of
+    :func:`repro.graph.affinity.build_view_affinity`, sparsified at
     construction time.
 
     Parameters
@@ -204,13 +203,12 @@ def _symmetric_laplacian(
     )
 
 
-def sparse_laplacian(
-    w: scipy.sparse.spmatrix, *, normalization: str = "symmetric"
-) -> scipy.sparse.csr_matrix:
-    """Graph Laplacian of a sparse symmetric affinity.
+def sparse_laplacian(w: scipy.sparse.spmatrix) -> scipy.sparse.csr_matrix:
+    """Symmetric normalized Laplacian of a sparse symmetric affinity.
 
-    Matches :func:`repro.graph.laplacian.laplacian` entrywise; isolated
-    vertices get zero inverse degree and a zero diagonal.
+    Matches ``repro.graph.laplacian.laplacian(w, normalization=
+    "symmetric")`` entrywise; isolated vertices get zero inverse degree
+    and a zero diagonal.
     """
     if not scipy.sparse.issparse(w):
         raise ValidationError("sparse_laplacian expects a scipy sparse matrix")
@@ -221,15 +219,6 @@ def sparse_laplacian(
         raise ValidationError("affinity must be symmetric")
     if w.nnz and w.data.min() < -1e-12:
         raise ValidationError("affinity must be non-negative")
-    n = w.shape[0]
     degrees = np.asarray(w.sum(axis=1)).ravel()
-    if normalization == "unnormalized":
-        return (scipy.sparse.diags(degrees) - w).tocsr()
-    if normalization == "symmetric":
-        pattern, (data,) = _union_pattern([w])
-        return _symmetric_laplacian(pattern, data, degrees)
-    if normalization == "random_walk":
-        unit = scipy.sparse.diags(np.where(degrees > 0.0, 1.0, 0.0))
-        inv = scipy.sparse.diags(_inverse_or_zero(degrees))
-        return (unit - inv @ w).tocsr()
-    raise ValidationError(f"unknown normalization: {normalization!r}")
+    pattern, (data,) = _union_pattern([w])
+    return _symmetric_laplacian(pattern, data, degrees)

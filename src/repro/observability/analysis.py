@@ -160,7 +160,7 @@ def _child_durations(spans) -> dict:
     return totals
 
 
-def hotspot_summary(trace: TraceData, *, top: int | None = None) -> list:
+def hotspot_summary(trace: TraceData) -> list:
     """Per-span-name hotspot rows, ranked by self time (descending).
 
     Self time needs the structural ``parent_id`` links; spans from a
@@ -188,7 +188,7 @@ def hotspot_summary(trace: TraceData, *, top: int | None = None) -> list:
         for name, (count, total, self_total) in stats.items()
     ]
     rows.sort(key=lambda r: (-r.self_seconds, -r.total_seconds, r.name))
-    return rows[:top] if top is not None else rows
+    return rows
 
 
 def critical_path(trace: TraceData, *, root: str | None = None) -> list:

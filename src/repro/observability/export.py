@@ -40,21 +40,16 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 SUMMARY_QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
 _INVALID_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
-_LEADING_DIGIT = re.compile(r"^[0-9]")
 
 
-def prometheus_name(name: str, *, prefix: str = "repro") -> str:
-    """Map a dotted registry name onto the Prometheus metric grammar.
+def prometheus_name(name: str) -> str:
+    """Map a dotted registry name onto the Prometheus metric grammar,
+    under the library's ``repro_`` namespace.
 
     >>> prometheus_name("serving.queue_depth")
     'repro_serving_queue_depth'
     """
-    flat = _INVALID_CHARS.sub("_", name)
-    if prefix:
-        flat = f"{prefix}_{flat}"
-    if _LEADING_DIGIT.match(flat):
-        flat = f"_{flat}"
-    return flat
+    return "repro_" + _INVALID_CHARS.sub("_", name)
 
 
 def _format_value(value: float) -> str:
@@ -69,7 +64,7 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def render_json_snapshot(snapshot: dict, *, indent: int | None = 2) -> str:
+def render_json_snapshot(snapshot: dict) -> str:
     """A registry snapshot (``MetricsRegistry.snapshot()`` shape, live or
     the ``metrics`` payload of a JSONL trace's ``trace_end`` line) as a
     JSON document.
@@ -77,10 +72,10 @@ def render_json_snapshot(snapshot: dict, *, indent: int | None = 2) -> str:
     Non-finite values (an empty histogram's ``min``) are serialized as
     ``null`` so the output is strict JSON any consumer can parse.
     """
-    return json.dumps(_nan_to_none(snapshot), indent=indent)
+    return json.dumps(_nan_to_none(snapshot), indent=2)
 
 
-def render_prometheus_snapshot(snapshot: dict, *, prefix: str = "repro") -> str:
+def render_prometheus_snapshot(snapshot: dict) -> str:
     """A registry snapshot in Prometheus text exposition format.
 
     Counters render with the conventional ``_total`` suffix, gauges as
@@ -96,16 +91,16 @@ def render_prometheus_snapshot(snapshot: dict, *, prefix: str = "repro") -> str:
 
     lines: list[str] = []
     for name in sorted(snapshot.get("counters", {})):
-        flat = prometheus_name(name, prefix=prefix) + "_total"
+        flat = prometheus_name(name) + "_total"
         lines.append(f"# TYPE {flat} counter")
         lines.append(f"{flat} {value_of(snapshot['counters'][name])}")
     for name in sorted(snapshot.get("gauges", {})):
-        flat = prometheus_name(name, prefix=prefix)
+        flat = prometheus_name(name)
         lines.append(f"# TYPE {flat} gauge")
         lines.append(f"{flat} {value_of(snapshot['gauges'][name])}")
     for name in sorted(snapshot.get("histograms", {})):
         hist = snapshot["histograms"][name]
-        flat = prometheus_name(name, prefix=prefix)
+        flat = prometheus_name(name)
         lines.append(f"# TYPE {flat} summary")
         if hist.get("count"):
             for q in SUMMARY_QUANTILES:

@@ -15,7 +15,9 @@ unit:
   micro-batching request queue with backpressure, graceful shutdown,
   and a service-owned runtime-telemetry registry (request latency
   histograms, queue-depth gauge); :func:`~repro.serving.service.replay`
-  drives it with closed-loop client threads.
+  drives it with closed-loop client threads, and
+  :func:`~repro.serving.service.serve_against_serial` times that replay
+  against one-at-a-time predicts (``repro serve`` prints it).
 * :class:`~repro.serving.telemetry.TelemetryServer` — opt-in localhost
   HTTP thread exposing ``/metrics`` (Prometheus text), ``/healthz``
   (draining-aware), and ``/stats`` (JSON) for a running service.
@@ -35,4 +37,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "kernel_vote_scores": "predictor",
     "library_versions": "artifact",
     "replay": "service",
+    "serve_against_serial": "service",
 })

@@ -74,6 +74,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -589,3 +590,58 @@ def replay(service: PredictionService, samples, *, clients: int) -> list:
     if errors:
         raise errors[0]
     return labels
+
+
+class ServedComparison(NamedTuple):
+    """What :func:`serve_against_serial` measured: each pass's labels in
+    sample order and wall-clock seconds (the served pass times the
+    replay only), the service's stats after the replay, and its
+    request-latency quantiles in seconds."""
+
+    serial: list
+    served: list
+    serial_seconds: float
+    served_seconds: float
+    stats: ServiceStats
+    latency: dict
+
+
+def serve_against_serial(
+    predictor: Predictor,
+    samples,
+    *,
+    clients: int,
+    max_batch: int,
+    telemetry_port: int | None = None,
+    on_start=None,
+) -> ServedComparison:
+    """Predict ``samples`` (one per-view row list each) one at a time,
+    then :func:`replay` them through a fresh :class:`PredictionService`.
+
+    The queue holds every sample, so the closed loop is never rejected.
+    ``on_start(service)``, when given, runs once the service is up,
+    before the replay.  Both passes run under the caller's run context.
+    """
+    tick = time.perf_counter()
+    serial = [
+        int(predictor.predict([row[None, :] for row in s])[0])
+        for s in samples
+    ]
+    serial_seconds = time.perf_counter() - tick
+    with PredictionService(
+        predictor,
+        max_batch=max_batch,
+        max_queue=max(1, len(samples)),
+        telemetry_port=telemetry_port,
+    ) as service:
+        if on_start is not None:
+            on_start(service)
+        tick = time.perf_counter()
+        served = replay(service, samples, clients=clients)
+        served_seconds = time.perf_counter() - tick
+        stats = service.stats()
+    latency = service.metrics.histograms["serving.request_seconds"]
+    return ServedComparison(
+        serial, served, serial_seconds, served_seconds, stats,
+        latency.quantile_summary(),
+    )

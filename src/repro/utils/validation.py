@@ -59,13 +59,9 @@ def check_matrix(
     return arr
 
 
-def check_square(x, name: str = "A", *, dtype=np.float64) -> np.ndarray:
-    """Validate a square 2-D matrix (see :func:`check_matrix`).
-
-    ``dtype`` forwards to :func:`check_matrix` (``None`` preserves
-    float32/float64 inputs).
-    """
-    arr = check_matrix(x, name, dtype=dtype)
+def check_square(x, name: str = "A") -> np.ndarray:
+    """Validate a square 2-D float64 matrix (see :func:`check_matrix`)."""
+    arr = check_matrix(x, name)
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError(
             f"{name} must be square, got shape {arr.shape[0]}x{arr.shape[1]}"

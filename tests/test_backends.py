@@ -30,11 +30,7 @@ from repro.backends import (
     use_backend,
 )
 from repro.exceptions import ValidationError
-from repro.graph.affinity import (
-    cosine_affinity,
-    gaussian_affinity,
-    self_tuning_affinity,
-)
+from repro.graph.affinity import _checked_x, _cosine, _gaussian, _self_tuning
 from repro.graph.distance import (
     pairwise_cosine_distances,
     pairwise_sq_euclidean,
@@ -172,15 +168,29 @@ def _serving_artifact(blobs: np.ndarray):
     return artifact, queries
 
 
+#: The pinned affinity kernels with their arguments after ``x``.
+AFFINITY_KERNELS = {
+    "gaussian": (_gaussian, (None,)),
+    "self_tuning": (_self_tuning, (5,)),
+    "cosine": (_cosine, ()),
+}
+
+
+def _affinity(kernel: str, x) -> np.ndarray:
+    """An affinity kernel of :mod:`repro.graph.affinity` on ``x``, checked
+    as :func:`~repro.graph.affinity.build_view_affinity` checks it."""
+    function, args = AFFINITY_KERNELS[kernel]
+    return function(_checked_x(x), *args)
+
+
 def _kernel_hashes() -> dict:
     """Every pinned kernel output under the currently active backend
     (the ``float32`` predictor entry pins its explicit backend)."""
     fixtures = _fixtures()
     out = {}
     for name, x in fixtures.items():
-        out[f"gaussian/{name}"] = _digest(gaussian_affinity(x))
-        out[f"self_tuning/{name}"] = _digest(self_tuning_affinity(x, k=5))
-        out[f"cosine/{name}"] = _digest(cosine_affinity(x))
+        for kernel in AFFINITY_KERNELS:
+            out[f"{kernel}/{name}"] = _digest(_affinity(kernel, x))
         out[f"sq_euclidean/{name}"] = _digest(pairwise_sq_euclidean(x))
         out[f"cosine_dist/{name}"] = _digest(pairwise_cosine_distances(x))
         idx, dd = kneighbors(np.sqrt(pairwise_sq_euclidean(x)), 4)
@@ -209,7 +219,7 @@ def _kernel_hashes() -> dict:
         out["predict_scores/float32_m32"] = _digest(
             predictor.predict_scores(queries)
         )
-    w = gaussian_affinity(blobs)
+    w = _affinity("gaussian", blobs)
     vals, vecs = sorted_eigh(w)
     out["sorted_eigh/blobs"] = _digest(vals, np.abs(vecs))
     vals, vecs = eigsh_smallest(w, 3)
@@ -355,19 +365,12 @@ class TestBackendEquivalence:
     def test_affinity_kernels_within_tolerance(self, name):
         backend = get_backend(name)
         for fx_name, x in _fixtures().items():
-            for kernel, kwargs in (
-                (gaussian_affinity, {}),
-                (self_tuning_affinity, {"k": 5}),
-                (cosine_affinity, {}),
-            ):
-                ref = kernel(x, **kwargs)
+            for kernel in AFFINITY_KERNELS:
+                ref = _affinity(kernel, x)
                 with use_backend(name):
-                    alt = kernel(x, **kwargs)
+                    alt = _affinity(kernel, x)
                 _assert_close(
-                    ref,
-                    alt,
-                    backend.tolerance,
-                    f"{kernel.__name__}/{fx_name}/{name}",
+                    ref, alt, backend.tolerance, f"{kernel}/{fx_name}/{name}"
                 )
 
     def test_float32_outputs_stay_float32(self, name):
@@ -375,12 +378,12 @@ class TestBackendEquivalence:
             pytest.skip("dtype contract is float32-specific")
         x = _fixtures()["blobs"]
         with use_backend("float32"):
-            assert gaussian_affinity(x).dtype == np.float32
-            assert self_tuning_affinity(x, k=5).dtype == np.float32
+            assert _affinity("gaussian", x).dtype == np.float32
+            assert _affinity("self_tuning", x).dtype == np.float32
             assert pairwise_sq_euclidean(x).dtype == np.float32
             # Eigensolvers and the vote always hand back float64 so the
             # solver/rotation/assignment layers keep their contract.
-            w = gaussian_affinity(np.asarray(x, dtype=np.float64))
+            w = _affinity("gaussian", np.asarray(x, dtype=np.float64))
             vals, vecs = sorted_eigh(w)
             assert vals.dtype == np.float64 and vecs.dtype == np.float64
 

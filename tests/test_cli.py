@@ -2,6 +2,7 @@
 
 import argparse
 import io
+import re
 
 import pytest
 
@@ -182,6 +183,30 @@ class TestServingCommands:
         text = out.getvalue()
         assert "one-at-a-time" in text and "micro-batched" in text
         assert "label mismatches vs serial: 0" in text
+
+    def test_serve_prints_telemetry_url_before_the_report(self, tmp_path):
+        art_dir = str(tmp_path / "artifact")
+        assert (
+            main(
+                ["save", "--dataset", "yale", "--out", art_dir],
+                out=io.StringIO(),
+            )
+            == 0
+        )
+        out = io.StringIO()
+        code = main(
+            ["serve", "--artifact", art_dir, "--dataset", "yale",
+             "--requests", "16", "--clients", "2", "--telemetry-port", "0"],
+            out=out,
+        )
+        assert code == 0
+        lines = out.getvalue().splitlines()
+        # Printed while the service is up, so before its report.
+        assert re.fullmatch(
+            r"telemetry: http://127\.0\.0\.1:\d+ \(/metrics /healthz /stats\)",
+            lines[0],
+        ), lines
+        assert lines[2].startswith("served 16 single-sample requests"), lines
 
     @pytest.mark.parametrize(
         "flags, match",

@@ -3,25 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.graph.affinity import gaussian_affinity, self_tuning_affinity
 from repro.metrics import clustering_accuracy
 
 
 def _blobs(n_per=20, sep=10.0, seed=0):
     rng = np.random.default_rng(seed)
     return np.vstack([rng.normal(size=(n_per, 2)) + sep * i for i in range(2)])
-
-
-class TestAffinityVariants:
-    def test_gaussian_with_self_loops(self):
-        x = _blobs()
-        w = gaussian_affinity(x, sigma=1.0, zero_diagonal=False)
-        np.testing.assert_allclose(np.diag(w), 1.0)
-
-    def test_self_tuning_with_self_loops(self):
-        x = _blobs()
-        w = self_tuning_affinity(x, k=5, zero_diagonal=False)
-        np.testing.assert_allclose(np.diag(w), 1.0)
 
 
 class TestSpectralNormalizations:

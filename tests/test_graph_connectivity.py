@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.graph.connectivity import connected_components, is_connected
+from repro.graph.connectivity import connected_components
 from repro.graph.laplacian import degree_vector
 
 
@@ -37,13 +37,13 @@ class TestConnectedComponents:
     def test_bridge_merges_components(self):
         w = _block_graph([3, 3])
         w[0, 5] = w[5, 0] = 0.5
-        assert is_connected(w)
+        assert connected_components(w).max() == 0
 
     def test_tolerance_threshold(self):
         w = _block_graph([2, 2])
         w[0, 2] = w[2, 0] = 1e-6
-        assert is_connected(w, tol=0.0)
-        assert not is_connected(w, tol=1e-3)
+        assert connected_components(w, tol=0.0).max() == 0
+        assert connected_components(w, tol=1e-3).max() == 1
 
     def test_isolated_vertices(self):
         w = np.zeros((4, 4))

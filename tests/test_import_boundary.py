@@ -30,8 +30,8 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(repro.__file__), os.pardir))
 REPO = os.path.dirname(SRC)
 
 #: blake2b (16 bytes) of ``json.dumps({package: __all__}, sort_keys=True)``
-#: over all 16 packages (292 names).
-ALL_DIGEST = "bf1034bfc626a0459b4784b5ca2beb42"
+#: over all 16 packages (288 names).
+ALL_DIGEST = "69acb121263b16730c9425c7c7b580db"
 
 #: Modules a fit or serve path must never load.
 HEAVY = (
@@ -124,7 +124,7 @@ print("checked", len(first))
 
 def test_exports_are_the_defining_objects_before_and_after_submodules():
     out = _fresh(IDENTITY_SCRIPT).splitlines()
-    assert out[-1] == "checked 292", out
+    assert out[-1] == "checked 288", out
     assert out[:-1] == []
 
 
@@ -351,11 +351,14 @@ def test_every_module_has_a_caller():
 #: defaulted parameter of a module-level function must be passed by some
 #: call outside the tests.
 OPTION_SWEPT = (
+    "repro.baselines.single_view",
     "repro.cluster.labels",
     "repro.cluster.spectral",
     "repro.core.discrete",
     "repro.core.graph_builder",
     "repro.datasets.synth",
+    "repro.evaluation.curves",
+    "repro.evaluation.tables",
     "repro.graph.adaptive",
     "repro.graph.affinity",
     "repro.graph.anchor",
@@ -367,8 +370,11 @@ OPTION_SWEPT = (
     "repro.metrics.accuracy",
     "repro.metrics.ari",
     "repro.metrics.nmi",
+    "repro.observability.analysis",
+    "repro.observability.export",
     "repro.robust.policy",
     "repro.serving.artifact",
+    "repro.serving.service",
     "repro.utils.validation",
 )
 

@@ -95,3 +95,26 @@ class TestCrossMetricConsistency:
             medium_dataset.labels, result.labels, metrics=("acc", "purity")
         )
         assert scores["purity"] >= scores["acc"] - 1e-12
+
+
+def _same_partition(a, b) -> bool:
+    """Whether two label vectors are equal up to relabeling."""
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+class TestViewOrderInvariance:
+    """Reversing the views leaves the partition unchanged: the objective
+    sums over views, and the solvers must not depend on their order."""
+
+    @pytest.mark.parametrize("dataset", ["three_sources", "msrcv1", "yale"])
+    @pytest.mark.parametrize("method", ["UnifiedMVSC", "SparseMVSC"])
+    def test_reversed_views_give_the_same_partition(self, method, dataset):
+        ds = load_benchmark(dataset)
+        model = getattr(repro, method)
+
+        def labels(views):
+            fitted = model(ds.n_clusters, random_state=0)
+            return np.asarray(fitted.fit_predict(views))
+
+        assert _same_partition(labels(ds.views), labels(ds.views[::-1]))

@@ -71,7 +71,7 @@ def _ring_laplacian(n):
     w = scipy.sparse.csr_array(
         (rng.uniform(0.1, 1.0, rows.size), (rows, cols)), shape=(n, n)
     )
-    return sparse_laplacian(w + w.T, normalization="symmetric")
+    return sparse_laplacian(w + w.T)
 
 
 class TestLanczosReproducible:

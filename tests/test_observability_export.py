@@ -192,7 +192,7 @@ class TestPrometheusRendering:
         assert prometheus_name("serving.queue_depth") == (
             "repro_serving_queue_depth"
         )
-        assert prometheus_name("a-b c", prefix="") == "a_b_c"
+        assert prometheus_name("a-b c") == "repro_a_b_c"
 
     def test_golden_output(self):
         registry = MetricsRegistry()
