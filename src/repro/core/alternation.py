@@ -11,13 +11,17 @@ graphs are stored, so each passes a *representation*:
     coupled F-step.  ``gpi_iterations`` is ``None`` unless GPI ran.
 ``view_costs(F) -> h``
     Non-negative per-view costs for the closed-form w-step.
-``n_clusters``, ``weighting``, ``gamma``
+``trace(w, F) -> float``
+    ``tr(F^T A(w) F)``, the trace term of the objective ``J``
+    (:func:`~repro.core.objective.joint_objective`, residual weight
+    ``lam``), recorded under the weights before and after each w-step.
+``n_clusters``, ``weighting``, ``gamma``, ``lam``
     The fusion regime: ``embed`` fuses and the w-step reweights under it.
-``objective(w, f, r, labels) -> float`` and ``context() -> str``
-    Optional.  With them the loop stops on relative objective change,
-    warns when the objective rises, and raises on a non-finite value
-    with ``context()`` as the conditioning summary; without them it
-    stops once the weights stop moving.
+``stopping``
+    ``"objective"`` stops on relative change of ``J`` below the
+    representation's ``tol`` and warns when ``J`` rises or ``max_iter``
+    ends the loop; ``"weights"`` stops once the weights stop moving,
+    with no warning, and needs no ``tol``.
 
 The loop owns the rest: cold-start rotation, Procrustes R-step,
 coordinate-descent Y-step, the early restarted (R, Y) pairs, w-step,
@@ -38,6 +42,7 @@ from repro.core.discrete import (
     rotation_objective,
     scaled_indicator,
 )
+from repro.core.objective import joint_objective
 from repro.core.weights import update_view_weights, weight_entropy
 from repro.exceptions import (
     ConvergenceWarning,
@@ -48,6 +53,7 @@ from repro.linalg.procrustes import nearest_orthogonal
 from repro.observability.events import IterationEvent, dispatch_event
 from repro.observability.trace import current_trace, metric_set, span
 from repro.robust.faults import register_fault_site
+from repro.robust.policy import matrix_context
 
 SITE_FIT = register_fault_site(
     "model.fit",
@@ -107,7 +113,6 @@ def alternate(
     rng=None,
     n_restarts: int = 10,
     restart_iters: int = 0,
-    tol: float = 0.0,
     fit_end: bool = True,
 ) -> Alternation:
     """Run up to ``max_iter`` F→R→Y→w iterations over ``rep``.
@@ -117,18 +122,18 @@ def alternate(
     :func:`~repro.core.discrete.rotation_initialize` (``n_restarts``
     restarts from ``rng``) picks ``R`` and ``Y`` together.  The first
     ``restart_iters`` Y-steps also try a fresh rotation and keep the
-    better ``(R, Y)`` pair.  ``tol`` applies only with ``objective``;
-    ``fit_end`` dispatches ``on_fit_end`` after the last iteration.
+    better ``(R, Y)`` pair.  ``fit_end`` dispatches ``on_fit_end`` after
+    the last iteration.
     """
     c = rep.n_clusters
-    has_objective = hasattr(rep, "objective")
+    by_objective = rep.stopping == "objective"
     events: list[IterationEvent] = []
     prev = np.inf
     rel_change: float | None = None
     converged = False
     n_iter = 0
+    g = None if labels is None else scaled_indicator(labels, c)
     for n_iter in range(1, max_iter + 1):
-        g = None if labels is None else scaled_indicator(labels, c)
         with span("f_step", iteration=n_iter) as f_span:
             f, gpi_iterations = rep.embed(w, f, g, r)
             if gpi_iterations is not None:
@@ -152,20 +157,13 @@ def alternate(
                     r, labels = _best_rotation_pair(f, r, labels, c, rng)
                 label_moves = int(np.count_nonzero(labels != labels_before))
                 y_span.set(label_moves=label_moves)
+        g = scaled_indicator(labels, c)
         if current_trace() is not None:
             # Numerical-health probe: how far the rotated embedding sits
             # from the discrete indicator it is chasing.
             metric_set(
-                "health.rotation_residual",
-                float(np.linalg.norm(f @ r - scaled_indicator(labels, c))),
+                "health.rotation_residual", float(np.linalg.norm(f @ r - g))
             )
-        obj = obj_pre = None
-        if has_objective:
-            # The monotone F/R/Y descent applies to the objective under
-            # the weights the blocks just descended, so that value is
-            # recorded before the w-step.
-            with span("objective", iteration=n_iter):
-                obj_pre = rep.objective(w, f, r, labels)
         with span("w_step", iteration=n_iter):
             costs = rep.view_costs(f)
             new_w = update_view_weights(
@@ -175,25 +173,30 @@ def alternate(
                 # Numerical-health probe: view-weight concentration (0 =
                 # one view dominates; see the weight-collapse rule).
                 metric_set("health.weight_entropy", weight_entropy(new_w))
-        if has_objective:
-            with span("objective", iteration=n_iter):
-                obj = rep.objective(new_w, f, r, labels)
-            if not (np.isfinite(obj) and np.isfinite(obj_pre)):
-                raise RecoveryExhaustedError(
-                    f"objective became non-finite at iteration {n_iter} "
-                    f"(pre-reweight {obj_pre!r}, recorded {obj!r})",
-                    site=SITE_FIT,
-                    attempts=n_iter,
-                    context=rep.context(),
-                )
-            scale = max(abs(obj), 1.0)
-            if np.isfinite(prev):
-                rel_change = abs(prev - obj) / scale
-                _check_descent(solver, n_iter, prev, obj_pre, obj, tol)
-            converged = abs(prev - obj) <= tol * scale
-            prev = obj
+        with span("objective", iteration=n_iter):
+            # J under the weights the F/R/Y blocks just descended (where
+            # their monotone descent applies), then under the new ones.
+            obj_pre, obj = joint_objective(
+                (rep.trace(w, f), rep.trace(new_w, f)), f, r, g, lam=rep.lam
+            ).tolist()
+        if not (np.isfinite(obj) and np.isfinite(obj_pre)):
+            raise RecoveryExhaustedError(
+                f"objective became non-finite at iteration {n_iter} "
+                f"(pre-reweight {obj_pre!r}, recorded {obj!r})",
+                site=SITE_FIT,
+                attempts=n_iter,
+                context=matrix_context(f, "f"),
+            )
+        scale = max(abs(obj), 1.0)
+        if np.isfinite(prev):
+            rel_change = abs(prev - obj) / scale
+            if by_objective:
+                _check_descent(solver, n_iter, prev, obj_pre, obj, rep.tol)
+        if by_objective:
+            converged = abs(prev - obj) <= rep.tol * scale
         else:
-            converged = np.allclose(new_w, w, atol=1e-10)
+            converged = bool(np.allclose(new_w, w, atol=1e-10))
+        prev = obj
         w = new_w
         event = IterationEvent(
             solver=solver,
@@ -211,15 +214,13 @@ def alternate(
             break
 
     if fit_end:
-        info = {"solver": solver, "n_iter": n_iter}
-        if has_objective:
-            info.update(converged=converged, objective=prev)
-        dispatch_event(callbacks, "on_fit_end", info)
-    if has_objective and not converged:
+        info = dict(solver=solver, n_iter=n_iter, converged=converged)
+        dispatch_event(callbacks, "on_fit_end", {**info, "objective": prev})
+    if by_objective and not converged:
         last_rel = "n/a" if rel_change is None else f"{rel_change:.3e}"
         warnings.warn(
             f"{solver} stopped after max_iter={max_iter} without meeting "
-            f"tol={tol}: last relative objective change {last_rel}, last "
+            f"tol={rep.tol}: last relative objective change {last_rel}, last "
             f"objective {prev:.6g}",
             ConvergenceWarning,
             stacklevel=3,
@@ -232,7 +233,7 @@ def alternate(
         costs=costs,
         events=tuple(events),
         n_iter=n_iter,
-        converged=bool(converged),
+        converged=converged,
     )
 
 

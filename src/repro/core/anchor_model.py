@@ -23,7 +23,8 @@ Rotation, discrete assignment, and view weighting run in the same
 driver as :class:`~repro.core.model.UnifiedMVSC`
 (:func:`repro.core.alternation.alternate`); the lam-coupling is
 dropped (the factored eigensolver cannot absorb the linear term cheaply),
-making this the spectral-rotation end of the framework at scale.
+making this the spectral-rotation end of the framework at scale: the
+loop records ``J`` at ``lam = 1`` but stops when the view weights settle.
 
 Streaming
 ---------
@@ -777,7 +778,9 @@ class _AnchorFactors:
     eigenpairs ``(s, V)`` of its ``(Vm, Vm)`` Gram ``C * d d^T`` and sets
     ``F = Z (d * V) diag(s)^{-1/2}``; view ``v`` costs
     ``c - ||mass_v^{-1/2} * Z_v^T F||^2 = c - ||B_v^T F||^2``.  No step
-    forms an ``(n, Vm)`` dense matrix.
+    forms an ``(n, Vm)`` dense matrix.  Rows of ``Z_v`` sum to 1, so the
+    fused graph has unit degrees and ``J``'s trace term is
+    ``c - sum_v m_v ||B_v^T F||^2``, from the same per-``F`` norms.
 
     A cold fit also passes its dense per-view factors as ``cold``: its
     first F-step stacks them and takes a full ``eigh`` instead, because
@@ -794,6 +797,9 @@ class _AnchorFactors:
     between fold-ins; a fit that re-selects anchors starts without one.
     """
 
+    lam = 1.0
+    stopping = "weights"
+
     def __init__(
         self,
         stats: _AnchorStats,
@@ -808,6 +814,7 @@ class _AnchorFactors:
         self.weighting, self.gamma = model.weighting, model.gamma
         self.multipliers: np.ndarray | None = None
         self._embedded: tuple[np.ndarray, np.ndarray] | None = None
+        self._norms: tuple[np.ndarray, np.ndarray] | None = None
         self._cold = cold
         self._scaled: np.ndarray | None = None  # C * d d^T, reused
         self._view_of = np.repeat(
@@ -849,11 +856,21 @@ class _AnchorFactors:
         self._embedded = (np.array(w, dtype=np.float64), f)
         return f, None
 
+    def _view_norms(self, f: np.ndarray) -> np.ndarray:
+        """``||B_v^T F||^2`` per view, kept for the last ``F``."""
+        if self._norms is None or self._norms[0] is not f:
+            proj = (self.stats.z.T @ f) * self._inv_sqrt[:, None]
+            norms = np.bincount(
+                self._view_of,
+                weights=np.sum(proj**2, axis=1),
+                minlength=len(self.stats.anchors),
+            )
+            self._norms = (f, norms)
+        return self._norms[1]
+
     def view_costs(self, f: np.ndarray) -> np.ndarray:
-        proj = (self.stats.z.T @ f) * self._inv_sqrt[:, None]
-        norms = np.bincount(
-            self._view_of,
-            weights=np.sum(proj**2, axis=1),
-            minlength=len(self.stats.anchors),
-        )
-        return np.maximum(f.shape[1] - norms, 0.0)
+        return np.maximum(f.shape[1] - self._view_norms(f), 0.0)
+
+    def trace(self, w, f) -> float:
+        m = fusion_multipliers(w, mode=self.weighting, gamma=self.gamma)
+        return f.shape[1] - float(np.dot(m, self._view_norms(f)))

@@ -67,9 +67,8 @@ def scaled_indicator(labels: np.ndarray, n_clusters: int) -> np.ndarray:
     counts = np.bincount(labels, minlength=c)
     if counts.min() == 0:
         raise ValidationError("scaled indicator requires non-empty clusters")
-    g = np.zeros((labels.size, c))
-    g[np.arange(labels.size), labels] = (1.0 / np.sqrt(counts))[labels]
-    return g
+    # Row j of diag(1 / sqrt(n_j)) per label: one (n, c) allocation.
+    return np.take(np.diag(1.0 / np.sqrt(counts)), labels, axis=0)
 
 
 def _check_assignment(labels, n: int, n_clusters: int) -> np.ndarray:

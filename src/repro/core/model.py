@@ -42,12 +42,12 @@ import numpy as np
 from repro.cluster.labels import indicator_from_labels
 from repro.core.alternation import SITE_FIT, alternate, fit_start
 from repro.core.config import UMSCConfig
-from repro.core.discrete import rotation_initialize, scaled_indicator
+from repro.core.discrete import rotation_initialize
 from repro.core.graph_builder import build_laplacians, build_multiview_affinities
 from repro.core.objective import (
     disagreement_costs,
+    quadratic_trace,
     spectral_costs,
-    umsc_objective,
 )
 from repro.core.persistence import ServableModelMixin
 from repro.core.result import UMSCResult
@@ -276,7 +276,6 @@ class UnifiedMVSC(ServableModelMixin):
             r=r,
             rng=rng,
             restart_iters=2,
-            tol=cfg.tol,
         )
         return UMSCResult(
             labels=run.labels,
@@ -301,12 +300,15 @@ class _DenseAffinities:
     objective built.
     """
 
+    stopping = "objective"
+
     def __init__(self, affinities, laplacians, bases, config: UMSCConfig):
         self.affinities = affinities
         self.laplacians = laplacians
         self.bases = bases
         self.config = config
         self.n_clusters = config.n_clusters
+        self.lam, self.tol = config.lam, config.tol
         self.weighting, self.gamma = config.weighting, config.gamma
         self._w: np.ndarray | None = None
         self._operator: np.ndarray | None = None
@@ -407,9 +409,5 @@ class _DenseAffinities:
             h = h + self.config.consensus * disagreement_costs(self.bases, f)
         return h
 
-    def objective(self, w, f, r, labels) -> float:
-        g = scaled_indicator(labels, self.n_clusters)
-        return umsc_objective(self.operator(w), f, r, g, lam=self.config.lam)
-
-    def context(self) -> str:
-        return matrix_context(self._operator, "fused_lap")
+    def trace(self, w, f) -> float:
+        return quadratic_trace(self.operator(w), f)

@@ -17,7 +17,8 @@ The view-weight update is driven by the per-view spectral costs
 of this literature: views whose graph the current embedding fits poorly are
 down-weighted.  The F/R/Y blocks descend ``J`` exactly for fixed ``w``; the
 ``w`` step is the standard reweighting heuristic, and the tracked objective
-is monotone up to the small w-step perturbation.
+is monotone up to the small w-step perturbation.  :func:`joint_objective`
+is the one definition of ``J``; each solver supplies its trace term.
 """
 
 from __future__ import annotations
@@ -25,9 +26,14 @@ from __future__ import annotations
 import numpy as np
 
 
+def quadratic_trace(a, f: np.ndarray) -> float:
+    """``tr(F^T A F)`` of a dense or sparse square ``A``."""
+    return float(np.sum(f * (a @ f)))
+
+
 def spectral_costs(laplacians, f: np.ndarray) -> np.ndarray:
     """Per-view spectral costs ``h_v = tr(F^T L_v F)``, clipped at 0."""
-    h = np.array([float(np.sum(f * (lap @ f))) for lap in laplacians])
+    h = np.array([quadratic_trace(lap, f) for lap in laplacians])
     return np.maximum(h, 0.0)
 
 
@@ -38,29 +44,21 @@ def disagreement_costs(bases, f: np.ndarray) -> np.ndarray:
     return np.maximum(h, 0.0)
 
 
-def umsc_objective(
-    fused_laplacian: np.ndarray,
-    f: np.ndarray,
-    r: np.ndarray,
-    g: np.ndarray,
-    *,
-    lam: float,
-) -> float:
-    """Objective value at the current iterate.
+def joint_objective(trace, f, r, g, *, lam: float) -> np.ndarray:
+    """``J = trace + lam ||G - F R||_F^2`` for each ``tr(F^T A(w) F)`` value.
 
-    Parameters
-    ----------
-    fused_laplacian : ndarray of shape (n, n)
-        Symmetric normalized Laplacian of the weighted fused affinity.
-    f : ndarray of shape (n, c)
-        Orthonormal embedding.
-    r : ndarray of shape (c, c)
-        Orthogonal rotation.
-    g : ndarray of shape (n, c)
-        *Scaled* indicator ``Y (Y^T Y)^{-1/2}``.
-    lam : float
-        Discretization trade-off.
+    The residual does not depend on ``w``, so one call scores the traces
+    taken under several weights; ``g`` is the scaled indicator ``G(Y)``.
     """
-    spectral = float(np.sum(f * (fused_laplacian @ f)))
-    residual = float(np.sum((g - f @ r) ** 2))
-    return spectral + lam * residual
+    d = f @ r  # (g - f @ r) ** 2, in place
+    np.subtract(g, d, out=d)
+    residual = float(np.sum(np.square(d, out=d)))
+    return np.asarray(trace, dtype=np.float64) + lam * residual
+
+
+def umsc_objective(fused_laplacian, f, r, g, *, lam: float) -> float:
+    """:func:`joint_objective` with the trace term of a dense operator:
+    ``fused_laplacian`` is the ``(n, n)`` ``A(w)``, ``f`` the orthonormal
+    ``(n, c)`` embedding, ``r`` the ``(c, c)`` rotation and ``g`` ``G(Y)``."""
+    trace = quadratic_trace(fused_laplacian, f)
+    return float(joint_objective(trace, f, r, g, lam=lam))

@@ -10,7 +10,8 @@ anchor models run; this module supplies only the CSR representation.
 The lam-coupling is dropped (as in :class:`~repro.core.anchor_model.
 AnchorMVSC`): re-solving the coupled Stiefel problem per iteration would
 need dense shifted operators, defeating the sparsity.  This sits at the
-spectral-rotation end of the framework.
+spectral-rotation end of the framework: the loop records the objective
+``J`` at ``lam = 1`` but stops when the view weights settle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import scipy.sparse
 
 from repro.core.alternation import SITE_FIT, alternate, fit_start
 from repro.core.config import check_solver_params
-from repro.core.objective import spectral_costs
+from repro.core.objective import quadratic_trace, spectral_costs
 from repro.core.persistence import ServableModelMixin
 from repro.core.weights import fusion_multipliers, weighted_sum
 from repro.exceptions import ValidationError
@@ -171,14 +172,19 @@ class _SparseGraphs:
     Laplacian with a few dense passes over its ``nnz`` entries and no
     scipy sparse algebra.  Every entry is bit-identical to scipy's
     ``diags`` / ``@`` formulation of the same Laplacian (DESIGN.md,
-    "Validation boundary").
+    "Validation boundary").  It is cached per ``w``, like UMSC's operator.
     """
+
+    lam = 1.0
+    stopping = "weights"
 
     def __init__(self, affinities, laplacians, model: SparseMVSC):
         self.laplacians = laplacians
         self.pattern, self.view_data = _union_pattern(affinities)
         self.n_clusters = model.n_clusters
         self.weighting, self.gamma = model.weighting, model.gamma
+        self._w: np.ndarray | None = None
+        self._operator: scipy.sparse.csr_matrix | None = None
 
     def operator(self, w: np.ndarray) -> scipy.sparse.csr_matrix:
         """The fused Laplacian ``L(sum_v m_v W_v)`` on the stored pattern.
@@ -186,15 +192,21 @@ class _SparseGraphs:
         Each entry sums the views in order, as scipy's sum would; an
         entry that every contributing view zeroes stays stored.
         """
-        multipliers = fusion_multipliers(
-            w, mode=self.weighting, gamma=self.gamma
-        )
-        fused = weighted_sum(self.view_data, multipliers)
-        degrees = _stored_degrees(self.pattern, fused)
-        return _symmetric_laplacian(self.pattern, fused, degrees)
+        if not np.array_equal(w, self._w):
+            multipliers = fusion_multipliers(
+                w, mode=self.weighting, gamma=self.gamma
+            )
+            fused = weighted_sum(self.view_data, multipliers)
+            degrees = _stored_degrees(self.pattern, fused)
+            self._w = np.array(w, dtype=np.float64)
+            self._operator = _symmetric_laplacian(self.pattern, fused, degrees)
+        return self._operator
 
     def embed(self, w, f, g, r) -> tuple[np.ndarray, None]:
         return eigsh_smallest(self.operator(w), self.n_clusters)[1], None
 
     def view_costs(self, f: np.ndarray) -> np.ndarray:
         return spectral_costs(self.laplacians, f)
+
+    def trace(self, w, f) -> float:
+        return quadratic_trace(self.operator(w), f)

@@ -9,8 +9,8 @@ package builds those graphs from raw features:
   adaptive affinities, k-NN sparsified, behind one recipe;
 * :mod:`repro.graph.adaptive` — CAN-style adaptive-neighbor graphs with a
   closed-form simplex projection;
-* :mod:`repro.graph.laplacian` — unnormalized / symmetric / random-walk
-  Laplacians and degree utilities;
+* :mod:`repro.graph.laplacian` — unnormalized / symmetric Laplacians and
+  the normalized adjacency;
 * :mod:`repro.graph.fusion` — weighted fusion of per-view graphs;
 * :mod:`repro.graph.connectivity` — connected-component analysis.
 """
@@ -29,7 +29,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "fuse_affinities": "fusion",
     "fuse_laplacians": "fusion",
     "kneighbors": "knn",
-    "degree_vector": "laplacian",
     "laplacian": "laplacian",
     "normalized_adjacency": "laplacian",
     "sparse_knn_affinity": "sparse",

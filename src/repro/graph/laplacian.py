@@ -1,11 +1,10 @@
 """Graph Laplacians and degree utilities.
 
 Given a symmetric non-negative affinity ``W`` with degree matrix
-``D = diag(W 1)``, three Laplacian normalizations are standard:
+``D = diag(W 1)``, two Laplacian normalizations are built:
 
 * unnormalized: ``L = D - W``;
-* symmetric:    ``L_sym = I - D^{-1/2} W D^{-1/2}``;
-* random walk:  ``L_rw = I - D^{-1} W``.
+* symmetric:    ``L_sym = I - D^{-1/2} W D^{-1/2}``.
 
 The symmetric normalization is the default throughout the library, matching
 the normalized-cut relaxation the paper's framework builds on.  Isolated
@@ -54,25 +53,16 @@ def _laplacian(w: np.ndarray, d: np.ndarray, normalization: str) -> np.ndarray:
     n = w.shape[0]
     if normalization == "unnormalized":
         return np.diag(d) - w
-    iso = d <= 0.0
     if normalization == "symmetric":
         lap = np.eye(n) - _normalized_adjacency(w, d)
         # Zero-degree vertices carry no normalized adjacency mass, so
         # ``I - A`` would leave a spurious 1 on their diagonal; zeroing it
         # keeps them exact null-space directions (the scipy convention and
         # what the component-counting argument for the null space assumes).
+        iso = d <= 0.0
         lap[iso, iso] = 0.0
         return (lap + lap.T) / 2.0
-    if normalization == "random_walk":
-        lap = np.eye(n) - _inverse_or_zero(d)[:, None] * w
-        lap[iso, iso] = 0.0
-        return lap
     raise ValidationError(f"unknown normalization: {normalization!r}")
-
-
-def degree_vector(w: np.ndarray) -> np.ndarray:
-    """Row-sum degree vector of a symmetric affinity."""
-    return _degrees(_checked_affinity(w))
 
 
 def normalized_adjacency(w: np.ndarray) -> np.ndarray:
@@ -88,7 +78,7 @@ def laplacian(w: np.ndarray, *, normalization: str = "symmetric") -> np.ndarray:
     ----------
     w : ndarray of shape (n, n)
         Symmetric non-negative affinity with zero (or ignorable) diagonal.
-    normalization : {"symmetric", "unnormalized", "random_walk"}
+    normalization : {"symmetric", "unnormalized"}
         Which Laplacian to build.
 
     Returns

@@ -27,17 +27,14 @@ class IterationEvent:
     iteration : int
         1-based outer iteration index.
     objective : float or None
-        Objective recorded for this iteration (for :class:`~repro.core.
-        model.UnifiedMVSC` this is the *post-reweighting* value that
-        enters ``objective_history``); ``None`` for solvers that do not
-        track a scalar objective.
+        The objective ``J`` after the w-step, recorded by every solver
+        (Sparse and Anchor at ``lam = 1``); UMSC's ``objective_history``.
     objective_pre_reweight : float or None
-        Objective evaluated *before* the w-step rebuilt the fused
-        operator — the value the monotone F/R/Y block-descent guarantee
-        applies to.
+        ``J`` *before* the w-step rebuilt the fused operator — the value
+        UMSC's monotone F/R/Y block-descent guarantee applies to.
     rel_change : float or None
-        Relative change of ``objective`` vs. the previous iteration
-        (the quantity the stopping rule thresholds).
+        Relative change of ``objective`` vs. the previous iteration (the
+        quantity UMSC's stopping rule thresholds).
     gpi_iterations : int or None
         Inner GPI iterations the F-step used (``None`` when the F-step
         is a plain eigensolve).
@@ -153,14 +150,3 @@ class FitDiagnostics:
 
     events: tuple = ()
     recoveries: tuple = ()
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def objectives(self) -> list:
-        """Recorded objective per iteration (the history curve)."""
-        return [e.objective for e in self.events]
-
-    def to_dicts(self) -> list:
-        """JSON-ready list of event dicts."""
-        return [e.to_dict() for e in self.events]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.graph.laplacian import degree_vector, laplacian, normalized_adjacency
+from repro.graph.laplacian import _degrees, laplacian, normalized_adjacency
 from repro.linalg.checks import is_psd
 
 
@@ -19,13 +19,7 @@ def _random_affinity(n=12, seed=0):
 class TestDegreeVector:
     def test_row_sums(self):
         w = _random_affinity()
-        np.testing.assert_allclose(degree_vector(w), w.sum(axis=1))
-
-    def test_negative_rejected(self):
-        w = -np.ones((3, 3))
-        np.fill_diagonal(w, 0.0)
-        with pytest.raises(ValidationError, match="non-negative"):
-            degree_vector(w)
+        np.testing.assert_allclose(_degrees(w), w.sum(axis=1))
 
 
 class TestNormalizedAdjacency:
@@ -58,12 +52,8 @@ class TestLaplacian:
     def test_symmetric_nullvector_is_sqrt_degree(self):
         w = _random_affinity(seed=4)
         lap = laplacian(w)
-        d = np.sqrt(degree_vector(w))
+        d = np.sqrt(w.sum(axis=1))
         np.testing.assert_allclose(lap @ d, 0.0, atol=1e-8)
-
-    def test_random_walk_constant_nullvector(self):
-        lap = laplacian(_random_affinity(seed=5), normalization="random_walk")
-        np.testing.assert_allclose(lap @ np.ones(12), 0.0, atol=1e-10)
 
     def test_component_count_equals_nullity(self):
         # Two disconnected cliques -> nullity 2.
@@ -101,13 +91,6 @@ class TestIsolatedVertices:
         np.testing.assert_allclose(lap[0, :], 0.0)
         np.testing.assert_allclose(lap[:, 0], 0.0)
 
-    def test_random_walk_diagonal_zero_on_isolated(self):
-        lap = laplacian(
-            self._affinity_with_isolated(), normalization="random_walk"
-        )
-        assert lap[0, 0] == 0.0
-        np.testing.assert_allclose(lap[0, :], 0.0)
-
     def test_isolated_vertex_is_nullvector(self):
         lap = laplacian(self._affinity_with_isolated())
         e0 = np.zeros(8)
@@ -121,14 +104,6 @@ class TestIsolatedVertices:
         values = np.linalg.eigvalsh(lap)
         assert np.sum(values < 1e-10) == 2
         assert is_psd(lap)
-
-    def test_random_walk_nullity_matches_components(self):
-        w = np.zeros((6, 6))
-        w[1, 2] = w[2, 1] = 1.0
-        w[3, 4] = w[4, 3] = 1.0  # vertices 0 and 5 isolated
-        lap = laplacian(w, normalization="random_walk")
-        values = np.linalg.eigvalsh((lap + lap.T) / 2.0)
-        assert np.sum(np.abs(values) < 1e-10) == 4  # 2 edges + 2 isolated
 
 
 class TestNormalizedAdjacencyLaplacianConsistency:
@@ -175,14 +150,12 @@ class TestSingleValidation:
         )
         return calls
 
-    @pytest.mark.parametrize(
-        "normalization", ["symmetric", "unnormalized", "random_walk"]
-    )
+    @pytest.mark.parametrize("normalization", ["symmetric", "unnormalized"])
     def test_laplacian_checks_once(self, spy, normalization):
         laplacian(_random_affinity(), normalization=normalization)
         assert spy == ["w"]
 
-    @pytest.mark.parametrize("fn", [normalized_adjacency, degree_vector])
+    @pytest.mark.parametrize("fn", [normalized_adjacency])
     def test_adjacency_and_degrees_check_once(self, spy, fn):
         fn(_random_affinity())
         assert spy == ["w"]
@@ -190,7 +163,7 @@ class TestSingleValidation:
     def test_negative_affinity_still_rejected_by_every_entry_point(self, spy):
         w = -np.ones((3, 3))
         np.fill_diagonal(w, 0.0)
-        for fn in (laplacian, normalized_adjacency, degree_vector):
+        for fn in (laplacian, normalized_adjacency):
             with pytest.raises(ValidationError, match="non-negative"):
                 fn(w)
 

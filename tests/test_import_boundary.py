@@ -30,8 +30,8 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(repro.__file__), os.pardir))
 REPO = os.path.dirname(SRC)
 
 #: blake2b (16 bytes) of ``json.dumps({package: __all__}, sort_keys=True)``
-#: over all 16 packages (288 names).
-ALL_DIGEST = "69acb121263b16730c9425c7c7b580db"
+#: over all 16 packages (287 names).
+ALL_DIGEST = "87f4b4f308cd81345fd07477713e03cb"
 
 #: Modules a fit or serve path must never load.
 HEAVY = (
@@ -124,7 +124,7 @@ print("checked", len(first))
 
 def test_exports_are_the_defining_objects_before_and_after_submodules():
     out = _fresh(IDENTITY_SCRIPT).splitlines()
-    assert out[-1] == "checked 288", out
+    assert out[-1] == "checked 287", out
     assert out[:-1] == []
 
 

@@ -229,15 +229,15 @@ class TestIterationEvents:
 
     def test_diagnostics_rides_on_result(self, fitted):
         result, _, trace = fitted
-        assert len(result.diagnostics) == result.n_iter
-        assert result.diagnostics.objectives() == pytest.approx(
-            result.objective_history
+        assert len(result.diagnostics.events) == result.n_iter
+        assert [e.objective for e in result.diagnostics.events] == (
+            pytest.approx(result.objective_history)
         )
         phases = trace.phase_totals()
         assert set(phases) >= {"f_step", "r_step", "y_step", "w_step"}
         blocks = _block_seconds(trace.spans)
         assert sum(sum(b.values()) for b in blocks.values()) > 0.0
-        assert result.diagnostics.to_dicts()[0]["iteration"] == 1
+        assert result.diagnostics.events[0].to_dict()["iteration"] == 1
 
     def test_fit_start_and_end_hooks(self, fitted):
         result, recorder, _ = fitted
