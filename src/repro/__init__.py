@@ -75,7 +75,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "registered_fault_sites": "robust.faults",
     "use_policy": "robust.policy",
     "StreamingMVSC": "streaming.model",
-    "DriftDetector": "streaming.drift",
     "DriftEvent": "streaming.drift",
     "ObjectiveShiftDetector": "streaming.drift",
     "ViewWeightShiftDetector": "streaming.drift",

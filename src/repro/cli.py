@@ -572,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="alternations per fold-in (default: StreamingConfig default)",
+        help="alternations per fold-in (default: AnchorMVSC.partial_fit's)",
     )
     stream_p.add_argument(
         "--no-drift-detect",
@@ -1190,7 +1190,6 @@ def _cmd_scenarios(args, out) -> int:
 def _cmd_stream(args, out) -> int:
     """``repro stream`` — replay a batch schedule through StreamingMVSC."""
     from repro.core.anchor_model import AnchorMVSC
-    from repro.core.config import StreamingConfig
     from repro.datasets.scenarios import (
         StreamDrift,
         get_scenario,
@@ -1220,11 +1219,6 @@ def _cmd_stream(args, out) -> int:
     batches = stream_batches(
         spec, n_batches, drift=drift, random_state=args.seed
     )
-    config = (
-        StreamingConfig()
-        if args.refine_iters is None
-        else StreamingConfig(refine_iters=args.refine_iters)
-    )
     with _pipeline_context(args) as ctx:
         cache = ctx.cache
         streamer = StreamingMVSC(
@@ -1233,7 +1227,7 @@ def _cmd_stream(args, out) -> int:
                 n_anchors=args.anchors,
                 random_state=args.seed,
             ),
-            config=config,
+            refine_iters=args.refine_iters,
             detectors=() if args.no_drift_detect else None,
         )
         rows = []

@@ -13,7 +13,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "KMeansResult": "kmeans",
     "kmeans_plus_plus_init": "kmeans",
     "indicator_from_labels": "labels",
-    "labels_from_indicator": "labels",
     "repair_empty_clusters": "labels",
     "spectral_clustering": "spectral",
     "spectral_embedding": "spectral",

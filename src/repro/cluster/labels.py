@@ -1,8 +1,8 @@
 """Label-vector and indicator-matrix utilities.
 
 The unified framework works with a *discrete cluster indicator matrix*
-``Y in {0,1}^{n x c}`` with exactly one 1 per row.  These helpers convert
-between that representation and plain label vectors, and repair degenerate
+``Y in {0,1}^{n x c}`` with exactly one 1 per row.  These helpers build
+that representation from a label vector and repair degenerate
 (empty-cluster) assignments, which any argmax-style discretization can
 produce.
 """
@@ -48,12 +48,6 @@ def indicator_from_labels(labels: np.ndarray, n_clusters: int | None = None) -> 
     y = np.zeros((labels.size, c))
     y[np.arange(labels.size), labels] = 1.0
     return y
-
-
-def labels_from_indicator(y: np.ndarray) -> np.ndarray:
-    """Label vector from a (one-hot or soft) indicator matrix via row argmax."""
-    y = check_matrix(y, "y")
-    return np.argmax(y, axis=1).astype(np.int64)
 
 
 def repair_empty_clusters(

@@ -80,7 +80,7 @@ class UMSCConfig:
     n_clusters: int
     lam: float = 1.0
     consensus: float = 1.0
-    gamma: float = 4.0
+    gamma: float = 2.0
     weighting: str = "exponential"
     graph: str = "auto"
     n_neighbors: int = 10
@@ -113,61 +113,3 @@ class UMSCConfig:
             raise ValidationError(
                 f"gpi_max_iter must be >= 1, got {self.gpi_max_iter}"
             )
-
-
-#: Drift-ladder actions a streaming model can take between batches.
-STREAM_ACTIONS = ("fold_in", "partial_refit", "full_refit")
-
-
-@dataclass(frozen=True)
-class StreamingConfig:
-    """Knobs of :class:`~repro.streaming.StreamingMVSC`.
-
-    Attributes
-    ----------
-    refine_iters : int
-        Alternations each cheap fold-in runs after its warm start (see
-        :meth:`~repro.core.anchor_model.AnchorMVSC.partial_fit`).
-    objective_threshold : float
-        Relative objective-shift at which the objective detector demands
-        a partial refit (twice the threshold demands a full refit).
-        Set <= 0 to disable the detector.
-    weight_threshold : float
-        Total-variation shift of the normalized view weights at which
-        the weight detector demands a partial refit (twice demands a
-        full refit).  Set <= 0 to disable the detector.
-    hysteresis : float
-        Fraction of the firing threshold the severity must fall below
-        before a detector re-arms (guards against chattering around the
-        threshold).
-    cooldown : int
-        Batches a detector stays quiet after firing (refits are
-        expensive; back-to-back refits on one sustained shift are
-        wasted work).
-    window : int
-        Trailing batches the objective detector averages into its
-        baseline.
-    """
-
-    refine_iters: int = 2
-    objective_threshold: float = 0.25
-    weight_threshold: float = 0.15
-    hysteresis: float = 0.5
-    cooldown: int = 2
-    window: int = 8
-
-    def __post_init__(self) -> None:
-        if self.refine_iters < 1:
-            raise ValidationError(
-                f"refine_iters must be >= 1, got {self.refine_iters}"
-            )
-        if not 0.0 <= self.hysteresis <= 1.0:
-            raise ValidationError(
-                f"hysteresis must be in [0, 1], got {self.hysteresis}"
-            )
-        if self.cooldown < 0:
-            raise ValidationError(
-                f"cooldown must be >= 0, got {self.cooldown}"
-            )
-        if self.window < 1:
-            raise ValidationError(f"window must be >= 1, got {self.window}")

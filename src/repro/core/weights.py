@@ -70,8 +70,8 @@ def weight_entropy(weights) -> float:
 
     1.0 = perfectly balanced weights; 0.0 = all mass on one view (the
     learned-weight degeneracy the ``weight-collapse`` rule guards).
-    Published as the ``health.weight_entropy`` gauge from the UMSC and
-    anchor w-steps and from streaming batches.
+    Published as the ``health.weight_entropy`` gauge from the w-step of
+    every alternating solver.
     """
     w = np.asarray(weights, dtype=float).ravel()
     n = w.size

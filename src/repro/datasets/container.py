@@ -85,24 +85,6 @@ class MultiViewDataset:
         """Per-view feature dimensionalities."""
         return tuple(v.shape[1] for v in self.views)
 
-    def subset(self, indices) -> "MultiViewDataset":
-        """New dataset restricted to the given sample indices.
-
-        Labels are re-compacted to stay consecutive from 0.
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValidationError("indices must be a non-empty 1-D integer array")
-        labels = self.labels[idx]
-        _, compact = np.unique(labels, return_inverse=True)
-        return MultiViewDataset(
-            name=f"{self.name}[subset:{idx.size}]",
-            views=[v[idx] for v in self.views],
-            labels=compact.astype(np.int64),
-            view_names=list(self.view_names),
-            description=self.description,
-        )
-
     def summary(self) -> str:
         """One-line human-readable description (used by Table I)."""
         dims = "/".join(str(d) for d in self.view_dims)

@@ -100,9 +100,8 @@ class Scenario:
 
     Per-view knobs accept a scalar (broadcast to every view) or one
     value per view; ``__post_init__`` normalizes them to tuples, so a
-    constructed ``Scenario`` is always fully explicit, hashable, and
-    round-trips through :meth:`to_dict` / :meth:`from_dict` (the form
-    bench reports embed).
+    constructed ``Scenario`` is always fully explicit and hashable;
+    :meth:`to_dict` is the form bench reports embed.
 
     ``confused_pairs`` explicitly fixes the per-view confusion schedule;
     when ``None`` it is derived from ``view_roles`` (see
@@ -350,28 +349,6 @@ class Scenario:
                 [[a, b] for a, b in pairs] for pairs in self.confused_pairs
             ]
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Scenario":
-        """Inverse of :meth:`to_dict`; unknown keys raise."""
-        if not isinstance(payload, dict):
-            raise ValidationError("scenario payload must be a mapping")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValidationError(
-                f"unknown scenario fields {unknown}; known: {sorted(known)}"
-            )
-        data = dict(payload)
-        if data.get("confused_pairs") is not None:
-            data["confused_pairs"] = tuple(
-                tuple((int(a), int(b)) for a, b in pairs)
-                for pairs in data["confused_pairs"]
-            )
-        for key in ("view_dims", "view_kinds", "view_roles"):
-            if key in data and data[key] is not None:
-                data[key] = tuple(data[key])
-        return cls(**data)
 
 
 @dataclass

@@ -16,8 +16,6 @@ This package regenerates the paper's evaluation artifacts:
   convergence figure;
 * :mod:`repro.evaluation.stability` — the mean-pairwise-ARI stability
   score across seeds;
-* :mod:`repro.evaluation.reporting` — a Markdown report of the result
-  tables, one section per metric;
 * :mod:`repro.evaluation.scenario_matrix` — the method × scenario
   robustness grid over the controlled scenario factory
   (:mod:`repro.datasets.scenarios`), one runner call per cell.
@@ -29,7 +27,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "TABLE_METHODS": "registry",
     "MethodSpec": "registry",
     "default_method_registry": "registry",
-    "make_method": "registry",
     "AggregatedScore": "runner",
     "MethodScores": "runner",
     "run_experiment": "runner",
@@ -38,8 +35,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "format_metric_table": "tables",
     "format_rows": "tables",
     "stability_score": "stability",
-    "render_metric_section": "reporting",
-    "render_report": "reporting",
     "DEFAULT_MATRIX_METHODS": "scenario_matrix",
     "DEFAULT_MATRIX_METRICS": "scenario_matrix",
     "ScenarioMatrix": "scenario_matrix",

@@ -27,7 +27,6 @@ from repro.baselines import (
     SwMC,
 )
 from repro.core import AnchorMVSC, IncompleteMVSC, SparseMVSC, TwoStageMVSC, UnifiedMVSC
-from repro.exceptions import ValidationError
 
 
 @dataclass(frozen=True)
@@ -128,19 +127,3 @@ def default_method_registry() -> dict:
         ),
     ]
     return {spec.name: spec for spec in specs}
-
-
-def make_method(name: str, n_clusters: int, random_state=None):
-    """Construct a registered (non-oracle) method by name."""
-    registry = default_method_registry()
-    if name not in registry:
-        raise ValidationError(
-            f"unknown method {name!r}; available: {list(registry)}"
-        )
-    spec = registry[name]
-    if spec.oracle is not None:
-        raise ValidationError(
-            f"{name!r} is an oracle row; it is evaluated by the runner, "
-            "not constructed directly"
-        )
-    return spec.builder(n_clusters, random_state)

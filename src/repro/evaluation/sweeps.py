@@ -33,11 +33,6 @@ class SweepResult:
             raise ValidationError("sweep has no points")
         return max(self.points, key=lambda p: p.scores[metric])
 
-    def series(self, param: str, metric: str) -> list:
-        """``(param_value, metric_value)`` pairs sorted by parameter."""
-        pairs = [(p.params[param], p.scores[metric]) for p in self.points]
-        return sorted(pairs, key=lambda t: t[0])
-
 
 def grid_sweep(
     dataset: MultiViewDataset,

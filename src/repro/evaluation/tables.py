@@ -100,27 +100,6 @@ def format_metric_table(results_by_dataset: dict, metric: str) -> str:
     return f"{title}\n{table}"
 
 
-def format_timing_table(results_by_dataset: dict) -> str:
-    """Render mean wall-clock seconds per method across datasets."""
-    datasets = list(results_by_dataset)
-    method_order: list[str] = []
-    for per_method in results_by_dataset.values():
-        for name in per_method:
-            if name not in method_order:
-                method_order.append(name)
-    rows = []
-    for name in method_order:
-        row = [name]
-        for ds in datasets:
-            score = results_by_dataset[ds].get(name)
-            if score is None or score.seconds is None:
-                row.append("-")
-            else:
-                row.append(f"{score.seconds.mean:.2f}s")
-        rows.append(row)
-    return format_rows(["method"] + datasets, rows)
-
-
 def summarize_ranks(results_by_dataset: dict, metric: str) -> dict:
     """Average rank of each method across datasets (1 = best)."""
     datasets = list(results_by_dataset)

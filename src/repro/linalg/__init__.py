@@ -6,16 +6,12 @@ three primitives that one-stage multi-view spectral clustering is built from:
 * :mod:`repro.linalg.eigen` — extremal eigenpairs of symmetric matrices;
 * :mod:`repro.linalg.procrustes` — the orthogonal Procrustes rotation;
 * :mod:`repro.linalg.gpi` — generalized power iteration for quadratic
-  problems over the Stiefel manifold;
-* :mod:`repro.linalg.checks` — numerical predicates (orthonormality, PSD).
+  problems over the Stiefel manifold.
 """
 
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "is_orthonormal": "checks",
-    "is_psd": "checks",
-    "orthonormality_error": "checks",
     "eigsh_largest": "eigen",
     "eigsh_smallest": "eigen",
     "sorted_eigh": "eigen",

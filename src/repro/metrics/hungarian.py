@@ -96,9 +96,3 @@ def hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row_ind = row_of_col[col_ind] - 1
     order = np.argsort(row_ind)
     return row_ind[order].astype(np.int64), col_ind[order].astype(np.int64)
-
-
-def assignment_cost(cost: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
-    """Total cost of an assignment returned by :func:`hungarian`."""
-    cost = check_matrix(cost, "cost")
-    return float(np.sum(cost[rows, cols]))

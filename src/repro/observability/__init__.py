@@ -98,12 +98,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "new_id": "trace",
     "prometheus_name": "export",
     "read_cpu_seconds": "resource",
-    "read_jsonl": "sinks",
     "read_rss_bytes": "resource",
     "render_json_snapshot": "export",
     "render_prometheus_snapshot": "export",
     "resolve_metric": "health",
-    "rules_to_dicts": "health",
     "span": "trace",
     "to_chrome_trace": "analysis",
     "use_memory_tracking": "memory",

@@ -67,20 +67,6 @@ class IterationEvent:
             "view_weights": list(self.view_weights),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "IterationEvent":
-        """Inverse of :meth:`to_dict` (JSONL round-trip)."""
-        return cls(
-            solver=payload["solver"],
-            iteration=payload["iteration"],
-            objective=payload.get("objective"),
-            objective_pre_reweight=payload.get("objective_pre_reweight"),
-            rel_change=payload.get("rel_change"),
-            gpi_iterations=payload.get("gpi_iterations"),
-            label_moves=payload.get("label_moves"),
-            view_weights=tuple(payload.get("view_weights", ())),
-        )
-
 
 class FitCallback:
     """Base class / protocol for per-fit listeners.

@@ -19,13 +19,12 @@ snapshot embedded in a saved JSONL trace) into a verdict:
   service rejection-rate, serving p99 latency, drift-escalation
   frequency, view-weight collapse, and eigengap collapse.  The last two
   read the ``health.*`` gauges the solvers publish
-  (:func:`repro.core.weights.weight_entropy` from the w-step and from
-  streaming batches).
+  (:func:`repro.core.weights.weight_entropy` from the w-step).
 * :class:`HealthMonitor` — a live wrapper binding a rule list to one
   registry; the serving ``/healthz`` endpoint evaluates one per request
   and flips readiness (HTTP 503) when a *critical* rule fails.
-* :func:`load_rules` / :func:`rules_to_dicts` — JSON persistence for
-  custom packs (``repro health check --rules FILE``).
+* :func:`load_rules` — reads custom packs from JSON
+  (``repro health check --rules FILE``).
 
 Metric selectors are strings: ``"counter:eigsh.calls"``,
 ``"gauge:health.eigengap"``, ``"histogram:serving.request_seconds:p99"``.
@@ -439,11 +438,6 @@ def load_rules(path) -> list:
             "would make every health check vacuously pass"
         )
     return rules
-
-
-def rules_to_dicts(rules) -> list:
-    """The JSON-ready form of a rule list (inverse of :func:`load_rules`)."""
-    return [rule.to_dict() for rule in rules]
 
 
 class HealthMonitor:

@@ -5,8 +5,9 @@ Three sinks cover the common needs:
 * :class:`TraceRecorder` — in-memory capture for tests and notebooks;
 * :class:`JsonlSink` — one JSON object per line (``{"type": "span" |
   "iteration" | "fit_start" | "fit_end" | "trace_end", ...}``),
-  machine-readable and append-friendly; :func:`read_jsonl` is the
-  round-trip reader.  The final ``trace_end`` line carries the trace
+  machine-readable and append-friendly;
+  :func:`~repro.observability.analysis.load_trace` reads it back.  The
+  final ``trace_end`` line carries the trace
   name/id, the recording pid, and the trace's metrics-registry snapshot,
   so one file is enough for ``repro trace ...`` analytics and
   ``repro metrics dump --from-trace``;
@@ -117,21 +118,6 @@ class JsonlSink(FitCallback):
         self._stream.flush()
         if self._owns_stream:
             self._stream.close()
-
-
-def read_jsonl(path) -> list:
-    """Parse a JSONL trace file back into a list of dicts.
-
-    Lines with ``"type": "iteration"`` can be rehydrated with
-    :meth:`~repro.observability.events.IterationEvent.from_dict`.
-    """
-    records = []
-    with open(path, encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 class LoggingSink(FitCallback):

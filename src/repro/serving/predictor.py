@@ -27,10 +27,10 @@ GEMM kernels for different operand shapes.
 
 Validation happens once per input, at the boundary that received it: the
 training views when the index is built, a query batch in
-:meth:`Predictor.predict` (and :meth:`Predictor.adapt`).  Inside, the
-predictor resolves the run context's backend once per call and hands
-the checked arrays straight to its ``pairwise_sq_euclidean`` and
-``kernel_vote_scores`` kernels; nothing re-checks them.
+:meth:`Predictor.predict`.  Inside, the predictor resolves the run
+context's backend once per call and hands the checked arrays straight
+to its ``pairwise_sq_euclidean`` and ``kernel_vote_scores`` kernels;
+nothing re-checks them.
 """
 
 from __future__ import annotations
@@ -52,14 +52,6 @@ _SITE_PREDICT = register_fault_site(
     "serving.predict",
     "batched kernel-vote score computation (Predictor.predict path)",
 )
-
-
-def _check_label_range(labels: np.ndarray, n_clusters: int) -> None:
-    if np.any(labels < 0) or np.any(labels >= n_clusters):
-        raise ValidationError(
-            f"labels must lie in [0, {n_clusters}), got "
-            f"range [{labels.min()}, {labels.max()}]"
-        )
 
 
 def kernel_vote_scores(
@@ -112,7 +104,11 @@ def kernel_vote_scores(
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     labels = check_labels(labels, "labels", n=d2.shape[1])
-    _check_label_range(labels, n_clusters)
+    if np.any(labels < 0) or np.any(labels >= n_clusters):
+        raise ValidationError(
+            f"labels must lie in [0, {n_clusters}), got "
+            f"range [{labels.min()}, {labels.max()}]"
+        )
     return current_backend().kernel_vote_scores(d2, labels, n_clusters, k)
 
 
@@ -126,9 +122,9 @@ class _ViewIndex:
     :func:`repro.graph.distance.pairwise_sq_euclidean` without the
     cache.
 
-    The training matrix is checked once, here; :meth:`sq_distances` and
-    :meth:`extend` take rows their caller has already checked and call
-    the backend kernel directly.
+    The training matrix is checked once, here; :meth:`sq_distances`
+    takes rows its caller has already checked and calls the backend
+    kernel directly.
     """
 
     __slots__ = ("train", "sq_norms")
@@ -144,18 +140,6 @@ class _ViewIndex:
             queries, self.train, y_sq_norms=self.sq_norms
         )
 
-    def extend(self, rows: np.ndarray) -> None:
-        """Append reference rows without rebuilding the whole index.
-
-        Only the new rows' squared norms are computed (norms are
-        row-local, so the result is bit-identical to a full rebuild).
-        ``rows`` must already be checked (see :meth:`Predictor.adapt`).
-        """
-        self.train = np.vstack([self.train, rows])
-        self.sq_norms = np.concatenate(
-            [self.sq_norms, np.einsum("ij,ij->i", rows, rows)]
-        )
-
 
 class Predictor:
     """Batched inductive classifier over a fitted-model artifact.
@@ -166,13 +150,15 @@ class Predictor:
         The fitted model (training views, labels, view weights,
         ``n_clusters``, ``n_neighbors``).
     batch_size : int
-        Default query-chunk size of :meth:`predict` /
+        Query-chunk size of :meth:`predict` /
         :meth:`predict_scores`; bounds peak memory at
         ``batch_size * n_train`` floats per view.  Chunking preserves
         labels (scores may differ in the last float bits across chunk
         shapes — BLAS kernel selection).
 
-    Each call runs on the run context's backend
+    Nothing changes a predictor after construction, so the worker
+    threads of a :class:`~repro.serving.service.PredictionService`
+    share one.  Each call runs on the run context's backend
     (:func:`~repro.backends.current_backend`, resolved once per call)
     and job count (:func:`~repro.pipeline.parallel.use_jobs`; results
     are bit-identical for any value, votes accumulate in view order).
@@ -248,7 +234,7 @@ class Predictor:
 
     # -- public API --------------------------------------------------------
 
-    def predict(self, views, *, batch_size: int | None = None) -> np.ndarray:
+    def predict(self, views) -> np.ndarray:
         """Assign a cluster label to each unseen sample.
 
         Parameters
@@ -256,8 +242,6 @@ class Predictor:
         views : sequence of ndarray (m, d_v)
             The same views the model was fitted on (same order, same
             per-view feature dimensions).
-        batch_size : int, optional
-            Override the predictor's default chunk size for this call.
 
         Returns
         -------
@@ -266,12 +250,10 @@ class Predictor:
             :func:`~repro.core.out_of_sample.propagate_labels` on the
             same inputs (both run this implementation).
         """
-        scores = self.predict_scores(views, batch_size=batch_size)
+        scores = self.predict_scores(views)
         return np.argmax(scores, axis=1).astype(np.int64)
 
-    def predict_scores(
-        self, views, *, batch_size: int | None = None
-    ) -> np.ndarray:
+    def predict_scores(self, views) -> np.ndarray:
         """Soft per-cluster scores of each unseen sample.
 
         Returns
@@ -282,13 +264,7 @@ class Predictor:
         """
         views = self._check_query_views(views)
         m = views[0].shape[0]
-        if batch_size is None:
-            batch_size = self.batch_size
-        elif int(batch_size) < 1:
-            raise ValidationError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
-        batch_size = int(batch_size)
+        batch_size = self.batch_size
         backend = current_backend()
         with hot_span(
             "serving.predict",
@@ -305,70 +281,6 @@ class Predictor:
             )
         metric_inc("serving.requests", m)
         return scores
-
-    def adapt(self, views, *, labels=None) -> np.ndarray:
-        """Absorb a batch into the reference set without a full retrain.
-
-        Online-adapt mode for a long-running predictor: the batch is
-        labeled (by the model's own kernel-vote propagation unless
-        explicit ``labels`` are given), the per-view kNN indexes are
-        extended in place — only the new rows' norms are computed — and
-        :attr:`artifact` is replaced by one whose training set includes
-        the batch, so a subsequent :meth:`save` persists the adapted
-        state through the versioned artifact layer.  Auxiliary
-        ``extras`` (e.g. streaming anchor sets) carry over unchanged.
-
-        Parameters
-        ----------
-        views : sequence of ndarray (m, d_v)
-            The batch to absorb, same view schema as the artifact.
-        labels : ndarray of int64, shape (m,), optional
-            Trusted labels for the batch; omitted, the batch is labeled
-            by :meth:`predict` (label propagation).
-
-        Returns
-        -------
-        ndarray of int64, shape (m,)
-            The labels the batch was absorbed under.
-        """
-        a = self.artifact
-        mats = self._check_query_views(views)
-        m = mats[0].shape[0]
-        with span("serving.adapt", n_samples=m, n_views=a.n_views):
-            if labels is None:
-                labels = self.predict(mats)
-            else:
-                labels = np.asarray(labels)
-                if labels.shape != (m,):
-                    raise ValidationError(
-                        f"labels must have shape ({m},), got {labels.shape}"
-                    )
-                _check_label_range(labels, a.n_clusters)
-                labels = labels.astype(np.int64)
-            adapted = ModelArtifact(
-                model_class=a.model_class,
-                train_views=[
-                    np.vstack([t, x]) for t, x in zip(a.train_views, mats)
-                ],
-                train_labels=np.concatenate([a.train_labels, labels]),
-                view_weights=a.view_weights,
-                n_clusters=a.n_clusters,
-                n_neighbors=a.n_neighbors,
-                config=dict(a.config),
-                versions=dict(a.versions),
-                extras=dict(a.extras),
-            )
-            for index, x in zip(self._indexes, mats):
-                index.extend(x)
-            self.artifact = adapted
-            self._k = min(adapted.n_neighbors, adapted.n_samples)
-        metric_inc("serving.adapt.batches")
-        metric_inc("serving.adapt.samples", m)
-        return labels
-
-    def save(self, directory) -> str:
-        """Persist the predictor's current (possibly adapted) artifact."""
-        return self.artifact.save(directory)
 
     # -- internals ---------------------------------------------------------
 

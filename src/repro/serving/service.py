@@ -226,8 +226,8 @@ class PredictionService:
         if int(max_queue) < 1:
             raise ValidationError(f"max_queue must be >= 1, got {max_queue}")
         self.predictor = predictor
-        # The view schema is fixed for the predictor's lifetime (adapt
-        # grows the training set, never the views), so read it once.
+        # Nothing changes a Predictor after construction, so the view
+        # schema is read once.
         self._view_dims = predictor.artifact.view_dims
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)

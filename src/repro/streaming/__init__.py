@@ -3,8 +3,8 @@
 The package layers three pieces over the anchor model's fold-in
 machinery (see :mod:`repro.core.anchor_model`):
 
-* :mod:`repro.streaming.drift` — the :class:`DriftDetector` protocol
-  with objective-shift and view-weight-shift implementations (latch +
+* :mod:`repro.streaming.drift` — the per-batch :class:`BatchRecord`
+  and the objective-shift and view-weight-shift detectors (latch +
   cooldown, so a sustained shift fires once);
 * :mod:`repro.streaming.model` — :class:`StreamingMVSC`, the per-batch
   protocol (fold in, consult detectors, escalate to a refit, record
@@ -18,14 +18,11 @@ See ``docs/streaming.md`` for the end-to-end guide.
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "BatchRecord": "model",
-    "BatchStats": "drift",
+    "BatchRecord": "drift",
     "DriftDecision": "drift",
-    "DriftDetector": "drift",
     "DriftEvent": "drift",
     "ObjectiveShiftDetector": "drift",
     "StreamingMVSC": "model",
     "ViewWeightShiftDetector": "drift",
-    "default_detectors": "model",
     "worst_decision": "drift",
 })

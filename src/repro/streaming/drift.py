@@ -4,18 +4,20 @@ A streaming model folding batches in cheaply needs to know when cheap
 stops being safe.  The detectors here watch the two running signals the
 anchor model maintains for free — the batch's mean nearest-anchor
 cost and the learned view weights — and climb a three-rung action
-ladder (:data:`~repro.core.config.STREAM_ACTIONS`):
+ladder (:data:`STREAM_ACTIONS`):
 
 * ``fold_in`` — keep absorbing batches incrementally;
 * ``partial_refit`` — re-run the full alternation on the accumulated
   factors (anchors and assignments reused);
 * ``full_refit`` — cold refit on everything seen (anchors re-selected).
 
-Each detector implements the :class:`DriftDetector` protocol: consume
-one :class:`BatchStats` per batch, return a :class:`DriftDecision`, and
-accept a :meth:`~DriftDetector.notify_refit` callback when the model
-actually refits, so baselines re-seed at the post-refit regime instead
-of chasing a stale one.
+Each detector consumes one :class:`BatchRecord` per batch through
+``update``, returns a :class:`DriftDecision`, and accepts a
+``notify_refit`` call when the model actually refits, so baselines
+re-seed at the post-refit regime instead of chasing a stale one.  Each
+detector defines and validates its own knobs; its ``threshold`` must be
+positive (to run without a detector, leave it out of
+``StreamingMVSC(detectors=...)``).
 
 Both implementations guard against chattering the same way: a firing
 detector *latches* (no re-fire until its severity falls below
@@ -27,20 +29,25 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.config import STREAM_ACTIONS
 from repro.exceptions import ValidationError
+
+#: Drift-ladder actions a streaming model can take between batches.
+STREAM_ACTIONS = ("fold_in", "partial_refit", "full_refit")
 
 #: Ladder position of each action (higher = more expensive).
 _ACTION_RANK = {action: i for i, action in enumerate(STREAM_ACTIONS)}
 
 
 @dataclass(frozen=True)
-class BatchStats:
-    """Per-batch running state a detector consumes.
+class BatchRecord:
+    """One batch: the running state detectors consume, and its outcome.
+
+    The streaming wrapper builds the record once the model has absorbed
+    the batch, hands it to every detector, then completes ``action``,
+    ``seconds`` and ``events`` once the ladder has run.
 
     Attributes
     ----------
@@ -60,6 +67,13 @@ class BatchStats:
         drift signal.
     view_weights : tuple of float
         Learned view weights after absorbing the batch.
+    action : str
+        The action executed: ``"fit"`` for the first batch, else one of
+        :data:`STREAM_ACTIONS`.
+    seconds : float
+        Wall-clock seconds of the whole batch, refit included.
+    events : tuple of DriftEvent
+        The detectors that fired on this batch.
     """
 
     batch_index: int
@@ -68,6 +82,23 @@ class BatchStats:
     objective: float
     batch_cost: float
     view_weights: tuple
+    action: str = "fold_in"
+    seconds: float = 0.0
+    events: tuple = ()
+
+    def to_dict(self) -> dict:
+        """JSON-ready representation (CLI / report embedding)."""
+        return {
+            "batch_index": self.batch_index,
+            "n_new": self.n_new,
+            "n_total": self.n_total,
+            "action": self.action,
+            "seconds": self.seconds,
+            "objective": self.objective,
+            "batch_cost": self.batch_cost,
+            "view_weights": list(self.view_weights),
+            "events": [e.to_dict() for e in self.events],
+        }
 
 
 @dataclass(frozen=True)
@@ -123,27 +154,6 @@ class DriftEvent:
         }
 
 
-@runtime_checkable
-class DriftDetector(Protocol):
-    """Protocol of a streaming drift detector.
-
-    ``name`` identifies the detector in events and metrics; ``update``
-    consumes one batch's stats and returns the demanded action;
-    ``notify_refit`` tells the detector the model refitted, so its
-    baseline must re-seed from the next batch.
-    """
-
-    name: str
-
-    def update(self, stats: BatchStats) -> DriftDecision:
-        """Consume one batch's stats; return the demanded ladder action."""
-        ...
-
-    def notify_refit(self) -> None:
-        """The model refit: drop the baseline and re-seed from the next batch."""
-        ...
-
-
 class _HysteresisLadder:
     """Shared latch/cooldown state machine of the concrete detectors.
 
@@ -156,6 +166,8 @@ class _HysteresisLadder:
     kind = "drift"
 
     def __init__(self, threshold: float, hysteresis: float, cooldown: int):
+        if threshold <= 0:
+            raise ValidationError(f"threshold must be > 0, got {threshold}")
         if hysteresis < 0 or hysteresis > 1:
             raise ValidationError(
                 f"hysteresis must be in [0, 1], got {hysteresis}"
@@ -168,9 +180,8 @@ class _HysteresisLadder:
         self._alarmed = False
         self._cooldown_left = 0
 
-    def update(self, stats: BatchStats) -> DriftDecision:
-        if self.threshold <= 0:
-            return DriftDecision("fold_in", 0.0, "detector disabled")
+    def update(self, stats: BatchRecord) -> DriftDecision:
+        """Consume one batch's record; return the demanded ladder action."""
         severity = self._severity(stats)
         if severity is None:
             return DriftDecision("fold_in", 0.0, "baseline seeding")
@@ -216,11 +227,11 @@ class _HysteresisLadder:
 
     # -- subclass hooks ----------------------------------------------------
 
-    def _severity(self, stats: BatchStats) -> float | None:
+    def _severity(self, stats: BatchRecord) -> float | None:
         """Severity of this batch vs the baseline; ``None`` while seeding."""
         raise NotImplementedError
 
-    def _observe_quiet(self, stats: BatchStats) -> None:
+    def _observe_quiet(self, stats: BatchRecord) -> None:
         """Fold a quiet batch into the baseline."""
 
     def _reset(self) -> None:
@@ -259,7 +270,7 @@ class ObjectiveShiftDetector(_HysteresisLadder):
         self.window = int(window)
         self._baseline: deque = deque(maxlen=self.window)
 
-    def _severity(self, stats: BatchStats) -> float | None:
+    def _severity(self, stats: BatchRecord) -> float | None:
         cost = float(stats.batch_cost)
         if not self._baseline:
             self._baseline.append(cost)
@@ -267,7 +278,7 @@ class ObjectiveShiftDetector(_HysteresisLadder):
         base = float(np.mean(self._baseline))
         return abs(cost - base) / max(abs(base), 1e-12)
 
-    def _observe_quiet(self, stats: BatchStats) -> None:
+    def _observe_quiet(self, stats: BatchRecord) -> None:
         self._baseline.append(float(stats.batch_cost))
 
     def _reset(self) -> None:
@@ -304,7 +315,7 @@ class ViewWeightShiftDetector(_HysteresisLadder):
         total = w.sum()
         return w / total if total > 0 else np.full_like(w, 1.0 / max(w.size, 1))
 
-    def _severity(self, stats: BatchStats) -> float | None:
+    def _severity(self, stats: BatchRecord) -> float | None:
         w = self._normalize(stats.view_weights)
         if self._reference is None or self._reference.shape != w.shape:
             self._reference = w

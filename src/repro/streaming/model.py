@@ -10,7 +10,7 @@ AnchorMVSC` and runs the full per-batch protocol the subsystem promises:
 3. execute the worst demanded action — nothing, ``partial_refit``, or
    ``full_refit`` — and tell the detectors when a refit happened so
    their baselines re-seed;
-4. record a :class:`BatchRecord` (and a typed
+4. record a :class:`~repro.streaming.drift.BatchRecord` (and a typed
    :class:`~repro.streaming.drift.DriftEvent` per firing detector)
    and emit ``streaming.*`` metrics on the active trace.
 """
@@ -18,77 +18,20 @@ AnchorMVSC` and runs the full per-batch protocol the subsystem promises:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 import numpy as np
 
 from repro.core.anchor_model import AnchorMVSC
-from repro.core.config import StreamingConfig
-from repro.core.weights import weight_entropy
 from repro.exceptions import ValidationError
 from repro.observability.trace import metric_inc, metric_set, span
 from repro.streaming.drift import (
-    BatchStats,
+    BatchRecord,
     DriftEvent,
     ObjectiveShiftDetector,
     ViewWeightShiftDetector,
     worst_decision,
 )
-
-
-@dataclass(frozen=True)
-class BatchRecord:
-    """What happened to one batch: action taken, cost, running state."""
-
-    batch_index: int
-    n_new: int
-    n_total: int
-    action: str
-    seconds: float
-    objective: float
-    batch_cost: float
-    view_weights: tuple
-    events: tuple = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        """JSON-ready representation (CLI / report embedding)."""
-        return {
-            "batch_index": self.batch_index,
-            "n_new": self.n_new,
-            "n_total": self.n_total,
-            "action": self.action,
-            "seconds": self.seconds,
-            "objective": self.objective,
-            "batch_cost": self.batch_cost,
-            "view_weights": list(self.view_weights),
-            "events": [e.to_dict() for e in self.events],
-        }
-
-
-def default_detectors(config: StreamingConfig) -> tuple:
-    """The standard detector pair wired from a :class:`StreamingConfig`.
-
-    Thresholds at or below zero disable the corresponding detector.
-    """
-    detectors = []
-    if config.objective_threshold > 0:
-        detectors.append(
-            ObjectiveShiftDetector(
-                threshold=config.objective_threshold,
-                hysteresis=config.hysteresis,
-                cooldown=config.cooldown,
-                window=config.window,
-            )
-        )
-    if config.weight_threshold > 0:
-        detectors.append(
-            ViewWeightShiftDetector(
-                threshold=config.weight_threshold,
-                hysteresis=config.hysteresis,
-                cooldown=config.cooldown,
-            )
-        )
-    return tuple(detectors)
 
 
 class StreamingMVSC:
@@ -99,11 +42,18 @@ class StreamingMVSC:
     model : AnchorMVSC
         The incremental model; must be unfitted (the wrapper owns the
         batch protocol from the first batch on).
-    config : StreamingConfig, optional
-        Fold-in and drift knobs (defaults are the class defaults).
-    detectors : sequence of DriftDetector, optional
-        Overrides the standard pair built from ``config``; pass ``()``
-        to stream with drift detection off.
+    refine_iters : int, optional
+        Alternations each fold-in runs after its warm start, passed to
+        :meth:`~repro.core.anchor_model.AnchorMVSC.partial_fit` (which
+        defaults and validates it).
+    detectors : sequence, optional
+        The drift detectors to run; each has a ``name``, an ``update``
+        taking a :class:`~repro.streaming.drift.BatchRecord` and a
+        ``notify_refit``.  Defaults to an
+        :class:`~repro.streaming.drift.ObjectiveShiftDetector` and a
+        :class:`~repro.streaming.drift.ViewWeightShiftDetector` with
+        their default knobs; pass ``()`` to stream with drift detection
+        off.
 
     Examples
     --------
@@ -121,7 +71,7 @@ class StreamingMVSC:
         self,
         model: AnchorMVSC,
         *,
-        config: StreamingConfig | None = None,
+        refine_iters: int | None = None,
         detectors=None,
     ) -> None:
         if not isinstance(model, AnchorMVSC):
@@ -129,9 +79,9 @@ class StreamingMVSC:
                 f"model must be an AnchorMVSC, got {type(model).__name__}"
             )
         self.model = model
-        self.config = StreamingConfig() if config is None else config
+        self.refine_iters = refine_iters
         self.detectors = (
-            default_detectors(self.config)
+            (ObjectiveShiftDetector(), ViewWeightShiftDetector())
             if detectors is None
             else tuple(detectors)
         )
@@ -161,11 +111,11 @@ class StreamingMVSC:
         tick = time.perf_counter()
         with span("streaming.batch", batch=index, first=first):
             labels = self.model.partial_fit(
-                views, refine_iters=self.config.refine_iters
+                views, refine_iters=self.refine_iters
             )
             n_total = int(self.model.n_seen_)
             n_new = n_total if first else n_total - int(self.history[-1].n_total)
-            stats = BatchStats(
+            stats = BatchRecord(
                 batch_index=index,
                 n_new=n_new,
                 n_total=n_total,
@@ -209,23 +159,13 @@ class StreamingMVSC:
         for event in batch_events:
             metric_inc(f"streaming.drift.{event.kind}")
         metric_inc(f"streaming.action.{action}")
-        # Numerical-health probes, refreshed per batch: the anchor
-        # coverage of the newest batch (the drift signal) and the
-        # current view-weight concentration.
+        # Numerical-health probe, refreshed per batch: the anchor
+        # coverage of the newest batch (the drift signal).  The view
+        # weights' entropy is the alternation's own gauge, so after a
+        # refit it describes the refit's weights, not the fold-in's.
         metric_set("health.anchor_coverage", stats.batch_cost)
-        metric_set(
-            "health.weight_entropy", weight_entropy(stats.view_weights)
-        )
-        record = BatchRecord(
-            batch_index=index,
-            n_new=n_new,
-            n_total=n_total,
-            action=action,
-            seconds=seconds,
-            objective=stats.objective,
-            batch_cost=stats.batch_cost,
-            view_weights=stats.view_weights,
-            events=batch_events,
+        record = replace(
+            stats, action=action, seconds=seconds, events=batch_events
         )
         self.history.append(record)
         self.events.extend(batch_events)

@@ -213,7 +213,7 @@ def _kernel_hashes() -> dict:
             predictor.predict_scores([q[:m] for q in queries])
         )
     out["predict_scores/m32_batch7"] = _digest(
-        predictor.predict_scores(queries, batch_size=7)
+        Predictor(artifact, batch_size=7).predict_scores(queries)
     )
     with use_backend("float32"):
         out["predict_scores/float32_m32"] = _digest(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.cluster.labels import (
     indicator_from_labels,
-    labels_from_indicator,
     repair_empty_clusters,
 )
 from repro.exceptions import ValidationError
@@ -18,7 +17,7 @@ class TestIndicator:
         labels = np.array([0, 2, 1, 2])
         y = indicator_from_labels(labels)
         assert y.shape == (4, 3)
-        np.testing.assert_array_equal(labels_from_indicator(y), labels)
+        np.testing.assert_array_equal(np.argmax(y, axis=1), labels)
 
     def test_rows_one_hot(self):
         y = indicator_from_labels([0, 1, 1, 0], 3)
@@ -37,7 +36,7 @@ class TestIndicator:
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=30))
     def test_property_round_trip(self, labels):
         y = indicator_from_labels(labels, 6)
-        np.testing.assert_array_equal(labels_from_indicator(y), labels)
+        np.testing.assert_array_equal(np.argmax(y, axis=1), labels)
 
 
 class TestRepairEmptyClusters:

@@ -1,11 +1,13 @@
 """Tests for repro.core.config and repro.core.weights."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import AnchorMVSC, SparseMVSC, UnifiedMVSC
+from repro import AnchorMVSC, SparseMVSC, TwoStageMVSC, UnifiedMVSC
 from repro.core.config import UMSCConfig
 from repro.core.weights import update_view_weights, weight_exponents
 from repro.exceptions import ValidationError
@@ -34,6 +36,13 @@ class TestUMSCConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             UMSCConfig(**kwargs)
+
+    def test_gamma_default_matches_the_solvers(self):
+        from repro.core.tuning import UMSCParams
+
+        gamma = UMSCConfig(n_clusters=3).gamma
+        for owner in (UnifiedMVSC, TwoStageMVSC, SparseMVSC, AnchorMVSC, UMSCParams):
+            assert inspect.signature(owner).parameters["gamma"].default == gamma
 
     def test_gamma_only_checked_for_exponential(self):
         cfg = UMSCConfig(n_clusters=2, weighting="uniform", gamma=0.5)

@@ -38,10 +38,8 @@ class TestGraphBuilder:
         assert resolve_view_kind(dense, "gaussian") == "gaussian"
 
     def test_laplacians_psd(self, affinity_pair):
-        from repro.linalg.checks import is_psd
-
         for lap in build_laplacians(affinity_pair):
-            assert is_psd(lap)
+            assert np.linalg.eigvalsh(lap)[0] >= -1e-8
 
 
 class TestObjective:

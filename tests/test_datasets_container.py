@@ -59,17 +59,6 @@ class TestMultiViewDataset:
                 name="bad", views=[np.zeros((3, 2))], labels=np.array([0, 1])
             )
 
-    def test_subset_compacts_labels(self):
-        ds = _make()
-        sub = ds.subset([0, 1, 4, 5])  # classes {0, 2} -> {0, 1}
-        assert sub.n_samples == 4
-        np.testing.assert_array_equal(sub.labels, [0, 0, 1, 1])
-        assert sub.view_dims == ds.view_dims
-
-    def test_subset_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            _make().subset([])
-
     def test_summary_mentions_shape(self):
         text = _make().summary()
         assert "n=6" in text and "views=2" in text and "clusters=3" in text

@@ -4,7 +4,7 @@ Three layers, mirroring the module's contracts:
 
 * **Spec layer** — :class:`Scenario` validation, normalization, the
   confusion schedule, deterministic imbalance apportionment, and the
-  ``to_dict``/``from_dict`` round-trip used by bench reports;
+  JSON-ready ``to_dict`` bench reports embed;
 * **Property layer** — hypothesis tests over every knob: shape
   agreement, mask consistency and coverage, imbalance ratio within
   tolerance, dropout/shuffle effect sizes, and determinism (same seed
@@ -17,6 +17,9 @@ Three layers, mirroring the module's contracts:
 """
 
 from __future__ import annotations
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -131,16 +134,12 @@ class TestScenarioSpec:
         assert small.missing_rates == s.missing_rates
         assert small.name == s.name
 
-    def test_round_trip_through_dict(self):
+    def test_to_dict_is_json_ready_and_complete(self):
+        fields = [f.name for f in dataclasses.fields(Scenario)]
         for name in ("clean", "missing_views", "heterogeneous"):
-            spec = get_scenario(name)
-            assert Scenario.from_dict(spec.to_dict()) == spec
-
-    def test_from_dict_rejects_unknown_fields(self):
-        payload = _tiny().to_dict()
-        payload["surprise"] = 1
-        with pytest.raises(ValidationError, match="unknown scenario fields"):
-            Scenario.from_dict(payload)
+            payload = get_scenario(name).to_dict()
+            assert list(payload) == fields
+            assert json.loads(json.dumps(payload)) == payload
 
     def test_registry_lookup(self):
         names = available_scenarios()

@@ -35,7 +35,6 @@ from repro.observability.health import (
     evaluate_rules,
     load_rules,
     resolve_metric,
-    rules_to_dicts,
 )
 from repro.observability.metrics import MetricsRegistry
 
@@ -221,12 +220,11 @@ class TestRulePack:
 
     def test_load_rules_round_trip(self, tmp_path):
         path = tmp_path / "rules.json"
-        path.write_text(
-            json.dumps({"rules": rules_to_dicts(default_rule_pack())})
-        )
+        rules = [rule.to_dict() for rule in default_rule_pack()]
+        path.write_text(json.dumps({"rules": rules}))
         assert load_rules(path) == default_rule_pack()
         # A bare list is accepted too.
-        path.write_text(json.dumps(rules_to_dicts(default_rule_pack())[:2]))
+        path.write_text(json.dumps(rules[:2]))
         assert len(load_rules(path)) == 2
 
     def test_load_rules_rejects_unknown_keys_and_empty(self, tmp_path):

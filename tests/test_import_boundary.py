@@ -6,9 +6,9 @@ exported name is the same object before and after every submodule is
 imported, every ``__all__`` keeps its content and order, the fault-site
 catalogue is complete in a fresh process, a fit or serve path
 imports nothing past the imports of its entry points, every module
-has a caller outside the tests, and in the modules swept for options no
-function keeps a defaulted parameter that no caller outside the tests
-passes.
+and every public function, class and method has a caller outside the
+tests, and in the modules swept for options no function keeps a
+defaulted parameter that no caller outside the tests passes.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(repro.__file__), os.pardir))
 REPO = os.path.dirname(SRC)
 
 #: blake2b (16 bytes) of ``json.dumps({package: __all__}, sort_keys=True)``
-#: over all 16 packages (287 names).
-ALL_DIGEST = "87f4b4f308cd81345fd07477713e03cb"
+#: over all 16 packages (274 names).
+ALL_DIGEST = "5458b9863c014a3f8058868cc4643787"
 
 #: Modules a fit or serve path must never load.
 HEAVY = (
@@ -124,7 +124,7 @@ print("checked", len(first))
 
 def test_exports_are_the_defining_objects_before_and_after_submodules():
     out = _fresh(IDENTITY_SCRIPT).splitlines()
-    assert out[-1] == "checked 287", out
+    assert out[-1] == "checked 274", out
     assert out[:-1] == []
 
 
@@ -261,11 +261,6 @@ def test_serving_loads_no_solver_code():
 
 #: Modules no entry point imports, each kept for a stated reason.
 NO_CALLER = {
-    "repro.evaluation.reporting": (
-        "renders run_seeds output as EXPERIMENTS.md's tables; the quality "
-        "gate (ROADMAP item 7) regenerates them through it"
-    ),
-    "repro.linalg.checks": "reference checks the tests judge solver outputs by",
     "repro.graph.knn": (
         "reference kNN graph; the backend tests pin the kNN kernel's "
         "digest through kneighbors"
@@ -347,6 +342,107 @@ def test_every_module_has_a_caller():
     assert unreached == sorted(NO_CALLER), unreached
 
 
+def _paths_outside_tests() -> list[str]:
+    """Every Python file of ``src/``, ``benchmarks/``, ``examples/`` and
+    ``perfbench/``."""
+    paths = glob.glob(os.path.join(SRC, "repro", "**", "*.py"), recursive=True)
+    for folder in ("benchmarks", "examples", "perfbench"):
+        paths += glob.glob(os.path.join(REPO, folder, "*.py"))
+    return paths
+
+
+#: Public names no code outside the tests names, each kept for a stated
+#: reason.  A method is listed as ``Class.method``.
+NO_NAMED_CALLER = {
+    "kneighbors": (
+        "reference kNN search the backend tests compare the kNN kernel "
+        "against"
+    ),
+    "sorted_eigh": (
+        "reference dense eigendecomposition the eigensolver and fault "
+        "tests compare against"
+    ),
+    "TraceRecorder": (
+        "the in-memory listener the solver pins record iteration events "
+        "through"
+    ),
+    "_TelemetryHandler.do_GET": "http.server hook, called per GET request",
+    "_TelemetryHandler.log_message": (
+        "http.server hook, overridden to silence per-request logging"
+    ),
+    "use_jobs": "documented entry point (docs/api_guide.md)",
+    "use_policy": "documented entry point (docs/robustness.md)",
+    "inject_faults": "documented entry point (docs/robustness.md)",
+    "current_faults": "documented entry point (its module's doctest)",
+    "current_context": "documented entry point (its module's doctest)",
+    "tune_umsc": "documented entry point (docs/pipeline_cache.md)",
+}
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _naming_sites(trees) -> dict[str, list[tuple]]:
+    """Where the parsed modules ``trees`` name each identifier.
+
+    ``{name: [the definitions enclosing one naming, ...]}`` over every
+    name, attribute, imported name and string constant (fit callbacks
+    are dispatched by name, and perfbench patches functions by name).
+    The lazy export tables are skipped: listing a name there calls
+    nothing.
+    """
+    sites: dict[str, list[tuple]] = {}
+
+    def visit(node, enclosing: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _DEFINITIONS):
+                visit(child, (*enclosing, child))
+                continue
+            if getattr(getattr(child, "func", None), "id", "") == "lazy_exports":
+                continue
+            name = None
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.alias):
+                name = child.name.rpartition(".")[2]
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                name = child.value
+            if name is not None:
+                sites.setdefault(name, []).append(enclosing)
+            visit(child, enclosing)
+
+    for tree in trees:
+        visit(tree, ())
+    return sites
+
+
+def test_every_public_name_has_a_caller():
+    # A name used only inside its own definition (a recursive call, a
+    # classmethod building its class) has no caller.
+    trees = {path: _parse(path) for path in _paths_outside_tests()}
+    sites = _naming_sites(trees.values())
+    uncalled = []
+    for path in _source_modules().values():
+        for node in trees[path].body:
+            if not isinstance(node, _DEFINITIONS):
+                continue
+            members = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                members += [
+                    (f"{node.name}.{member.name}", member)
+                    for member in node.body
+                    if isinstance(member, _DEFINITIONS)
+                ]
+            for qualname, definition in members:
+                if definition.name.startswith("_"):
+                    continue
+                outers = sites.get(definition.name, [])
+                if all(definition in outer for outer in outers):
+                    uncalled.append(qualname)
+    assert sorted(uncalled) == sorted(NO_NAMED_CALLER), sorted(uncalled)
+
+
 #: Modules swept for options only the tests set: in these, every
 #: defaulted parameter of a module-level function must be passed by some
 #: call outside the tests.
@@ -387,11 +483,8 @@ def _call_arguments() -> dict[str, tuple[set, int, bool]]:
     ``examples/`` and ``perfbench/``; ``splatted`` is true when some call
     passes ``*args`` or ``**kwargs``, which may carry any parameter.
     """
-    paths = glob.glob(os.path.join(SRC, "repro", "**", "*.py"), recursive=True)
-    for folder in ("benchmarks", "examples", "perfbench"):
-        paths += glob.glob(os.path.join(REPO, folder, "*.py"))
     passed: dict[str, tuple[set, int, bool]] = {}
-    for path in paths:
+    for path in _paths_outside_tests():
         for node in ast.walk(_parse(path)):
             if not isinstance(node, ast.Call):
                 continue

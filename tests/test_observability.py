@@ -26,7 +26,7 @@ from repro.observability import (
     current_request_id,
     current_trace,
     hot_span,
-    read_jsonl,
+    load_trace,
     span,
     use_request,
     use_trace,
@@ -151,14 +151,14 @@ class TestJsonlSink:
             with span("phase", k=2):
                 pass
             trace.emit(event)
-        records = read_jsonl(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
         kinds = {r["type"] for r in records}
         assert kinds == {"span", "iteration", "trace_end"}
         span_rec = next(r for r in records if r["type"] == "span")
         assert span_rec["name"] == "phase"
         assert span_rec["attributes"] == {"k": 2}
         iter_rec = next(r for r in records if r["type"] == "iteration")
-        assert IterationEvent.from_dict(iter_rec) == event
+        assert iter_rec == {"type": "iteration", **event.to_dict()}
         # The closing trace_end line makes the file self-describing.
         tail = records[-1]
         assert tail["type"] == "trace_end"
@@ -260,7 +260,7 @@ class TestIterationEvents:
                 )
         kinds = [info["type"] for info in recorder.fit_infos]
         assert kinds == ["fit_start", "fit_end"]
-        records = read_jsonl(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
         fit_records = [
             r for r in records if r["type"] in ("fit_start", "fit_end")
         ]
@@ -525,20 +525,18 @@ class TestCLI:
         text = out.getvalue()
         assert "profile (time per phase):" in text
         assert "trace:" in text and "iteration events" in text
-        records = read_jsonl(path)
-        iterations = [r for r in records if r["type"] == "iteration"]
-        spans = [r for r in records if r["type"] == "span"]
-        assert iterations and spans
+        data = load_trace(path)
+        assert data.iterations and data.spans
         # One event per outer iteration; its block spans carry the
         # per-block timings.
-        event = IterationEvent.from_dict(iterations[-1])
-        assert event.solver == "UnifiedMVSC"
+        event = data.iterations[-1]
+        assert event["solver"] == "UnifiedMVSC"
         blocks = [
-            s for s in spans
-            if s["attributes"].get("iteration") == event.iteration
+            s for s in data.spans
+            if s["attributes"].get("iteration") == event["iteration"]
         ]
         assert sum(s["duration"] for s in blocks) > 0.0
-        assert len(event.view_weights) > 0
+        assert len(event["view_weights"]) > 0
         err = capsys.readouterr().err
         assert "iter 1" in err  # --verbose logged to stderr
         # --verbose prints each block's milliseconds from its span.
@@ -595,9 +593,7 @@ class TestCLI:
             )
             == 0
         )
-        iterations = [
-            r for r in read_jsonl(path) if r["type"] == "iteration"
-        ]
+        iterations = load_trace(path).iterations
         # Re-run the same configuration in-process to learn n_iter.
         ds = load_benchmark("yale")
         spec = default_method_registry()["UMSC"]
@@ -629,9 +625,7 @@ class TestSpanIdentity:
         assert outer.parent_id is None
         assert outer.span_id != inner.span_id
         # The JSONL sink round-trips the same fields verbatim.
-        records = {
-            r["name"]: r for r in read_jsonl(path) if r["type"] == "span"
-        }
+        records = {r["name"]: r for r in load_trace(path).spans}
         for s in (outer, inner):
             rec = records[s.name]
             assert rec["trace_id"] == s.trace_id

@@ -323,7 +323,7 @@ class TestPredictor:
                 [np.zeros((2, art.view_dims[0])), np.zeros((3, art.view_dims[1]))]
             )
         with pytest.raises(ValidationError, match="batch_size"):
-            predictor.predict(_queries(art), batch_size=0)
+            Predictor(art, batch_size=0)
 
     def test_clamp_warning_once(self):
         art = _blob_artifact(n=12, n_neighbors=99)
@@ -448,7 +448,9 @@ class TestValidationBoundary:
     def test_one_check_per_view_and_one_resolution(
         self, monkeypatch, n_views, batch_size, n_chunks
     ):
-        predictor = Predictor(_blob_artifact(n_views=n_views))
+        predictor = Predictor(
+            _blob_artifact(n_views=n_views), batch_size=batch_size
+        )
         queries = _queries(predictor.artifact, m=9)
         checked, resolved = [], []
         _spy_on_bindings(monkeypatch, check_matrix, checked)
@@ -466,7 +468,7 @@ class TestValidationBoundary:
 
             setattr(backend, kernel, counted)
         with use_backend(backend):
-            labels = predictor.predict(queries, batch_size=batch_size)
+            labels = predictor.predict(queries)
         assert labels.shape == (9,)
         assert [args[1] for args in checked] == [
             f"views[{v}]" for v in range(n_views)

@@ -1,4 +1,4 @@
-"""Streaming subsystem: fold-in, drift detection, stream generation, serving adapt."""
+"""Streaming subsystem: fold-in, drift detection, stream generation."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ import scipy.linalg
 
 import repro
 from repro.cli import main
-from repro.core.anchor_model import AnchorMVSC
-from repro.core.config import StreamingConfig
+from repro.core.anchor_model import DEFAULT_REFINE_ITERS, AnchorMVSC
+from repro.core.weights import weight_entropy
 from repro.datasets.scenarios import (
     StreamDrift,
     get_scenario,
@@ -24,11 +24,10 @@ from repro.datasets.scenarios import (
 from repro.exceptions import ValidationError
 from repro.metrics import adjusted_rand_index
 from repro.observability import Trace, use_trace
-from repro.serving import ModelArtifact, Predictor
+from repro.serving import ModelArtifact
 from repro.streaming import (
-    BatchStats,
+    BatchRecord,
     DriftDecision,
-    DriftDetector,
     ObjectiveShiftDetector,
     StreamingMVSC,
     ViewWeightShiftDetector,
@@ -55,7 +54,7 @@ def _drifted_stream(n_batches=8, batch_size=150, seed=0):
 
 
 def _stats(index=1, objective=1.0, batch_cost=1.0, weights=(0.5, 0.5)):
-    return BatchStats(
+    return BatchRecord(
         batch_index=index,
         n_new=50,
         n_total=50 * (index + 1),
@@ -260,10 +259,6 @@ class TestPartialFit:
 
 
 class TestDriftDetectors:
-    def test_protocol(self):
-        assert isinstance(ObjectiveShiftDetector(), DriftDetector)
-        assert isinstance(ViewWeightShiftDetector(), DriftDetector)
-
     def test_objective_seeds_then_fires_on_shift(self):
         det = ObjectiveShiftDetector(threshold=0.25, cooldown=0)
         assert det.update(_stats(batch_cost=1.0)).action == "fold_in"
@@ -320,10 +315,21 @@ class TestDriftDetectors:
         assert decision.action == "full_refit"
         assert decision.severity == pytest.approx(0.6)
 
-    def test_disabled_detector_never_fires(self):
-        det = ObjectiveShiftDetector(threshold=0.0)
-        det.update(_stats(batch_cost=1.0))
-        assert det.update(_stats(batch_cost=100.0)).action == "fold_in"
+    @pytest.mark.parametrize(
+        "detector, knobs",
+        [
+            (ObjectiveShiftDetector, {"threshold": 0.0}),
+            (ObjectiveShiftDetector, {"hysteresis": 1.5}),
+            (ObjectiveShiftDetector, {"cooldown": -1}),
+            (ObjectiveShiftDetector, {"window": 0}),
+            (ViewWeightShiftDetector, {"threshold": -0.1}),
+            (ViewWeightShiftDetector, {"hysteresis": -0.5}),
+        ],
+        ids=lambda value: next(iter(value)) if isinstance(value, dict) else value.name,
+    )
+    def test_knobs_validated_on_the_detector(self, detector, knobs):
+        with pytest.raises(ValidationError, match=next(iter(knobs))):
+            detector(**knobs)
 
     def test_worst_decision_orders_by_rank_then_severity(self):
         fold = DriftDecision("fold_in", 0.9)
@@ -365,6 +371,20 @@ class TestStreamingMVSC:
         assert [r.action for r in streamer.history][1:] == ["fold_in"] * 4
         assert streamer.events == []
 
+    def test_weight_entropy_gauge_tracks_the_model_after_a_refit(self):
+        # A refit replaces the fold-in's weights; the gauge must describe
+        # the weights the model ends the batch with.
+        scenario, batches = _drifted_stream()
+        streamer = StreamingMVSC(
+            AnchorMVSC(scenario.n_clusters, random_state=0)
+        )
+        with use_trace(Trace("stream")) as trace:
+            for batch in batches:
+                streamer.partial_fit(batch.views)
+                gauge = trace.metrics.gauge("health.weight_entropy").value
+                assert gauge == weight_entropy(streamer.model.view_weights_)
+        assert streamer.history[SHIFT_BATCH].action == "partial_refit"
+
     def test_detectors_off(self):
         scenario, batches = _drifted_stream(n_batches=6, batch_size=80)
         streamer = StreamingMVSC(
@@ -389,16 +409,6 @@ class TestStreamingMVSC:
     def test_rejects_non_anchor_model(self):
         with pytest.raises(ValidationError):
             StreamingMVSC(object())
-
-    def test_streaming_config_validation(self):
-        with pytest.raises(ValidationError):
-            StreamingConfig(refine_iters=0)
-        with pytest.raises(ValidationError):
-            StreamingConfig(hysteresis=1.5)
-        with pytest.raises(ValidationError):
-            StreamingConfig(cooldown=-1)
-        with pytest.raises(ValidationError):
-            StreamingConfig(window=0)
 
 
 class TestStreamingArtifacts:
@@ -468,61 +478,6 @@ class TestStreamingArtifacts:
         assert loaded.content_hash() == artifact.content_hash()
 
 
-class TestPredictorAdapt:
-    @staticmethod
-    def _fitted_predictor():
-        _, batches = _drifted_stream(n_batches=2, batch_size=60)
-        model = AnchorMVSC(4, random_state=0)
-        model.partial_fit(batches[0].views)
-        return Predictor(model.to_artifact()), batches[1]
-
-    def test_adapt_with_labels_extends_reference(self):
-        predictor, batch = self._fitted_predictor()
-        n_before = predictor.artifact.n_samples
-        returned = predictor.adapt(batch.views, labels=batch.labels)
-        np.testing.assert_array_equal(returned, batch.labels)
-        assert predictor.artifact.n_samples == n_before + batch.n_samples
-        np.testing.assert_array_equal(
-            predictor.artifact.train_labels[-batch.n_samples :],
-            batch.labels,
-        )
-
-    def test_adapt_without_labels_propagates(self):
-        predictor, batch = self._fitted_predictor()
-        expected = predictor.predict(batch.views)
-        returned = predictor.adapt(batch.views)
-        np.testing.assert_array_equal(returned, expected)
-
-    def test_adapted_index_matches_rebuilt_predictor(self):
-        predictor, batch = self._fitted_predictor()
-        predictor.adapt(batch.views, labels=batch.labels)
-        rebuilt = Predictor(predictor.artifact)
-        queries = [v[::2] for v in batch.views]
-        np.testing.assert_array_equal(
-            predictor.predict(queries), rebuilt.predict(queries)
-        )
-
-    def test_adapt_then_save_roundtrips(self, tmp_path):
-        predictor, batch = self._fitted_predictor()
-        predictor.adapt(batch.views, labels=batch.labels)
-        predictor.save(tmp_path)
-        loaded = Predictor.load(tmp_path)
-        assert loaded.artifact.n_samples == predictor.artifact.n_samples
-        queries = [v[::2] for v in batch.views]
-        np.testing.assert_array_equal(
-            loaded.predict(queries), predictor.predict(queries)
-        )
-
-    def test_adapt_validates_labels(self):
-        predictor, batch = self._fitted_predictor()
-        with pytest.raises(ValidationError, match="shape"):
-            predictor.adapt(batch.views, labels=batch.labels[:-1])
-        with pytest.raises(ValidationError):
-            predictor.adapt(
-                batch.views, labels=np.full(batch.n_samples, 99)
-            )
-
-
 class TestStreamCLI:
     def test_stream_quick_runs(self, tmp_path):
         out = StringIO()
@@ -565,6 +520,22 @@ class TestStreamCLI:
         )
         assert code == 0
         assert "objective_shift" in out.getvalue()
+
+    def test_refine_iters_reaches_every_fold_in(self, monkeypatch):
+        passed = []
+        fold_in = AnchorMVSC._fold_in
+
+        def spy(self, views_new, refine_iters):
+            passed.append(refine_iters)
+            return fold_in(self, views_new, refine_iters)
+
+        monkeypatch.setattr(AnchorMVSC, "_fold_in", spy)
+        args = ["stream", "confused_pairs", "--quick", "--seed", "0"]
+        assert main([*args, "--refine-iters", "1"], out=StringIO()) == 0
+        assert passed == [1, 1, 1]
+        passed.clear()
+        assert main(args, out=StringIO()) == 0
+        assert passed == [DEFAULT_REFINE_ITERS] * 3
 
     def test_stream_rejects_bad_drift_batch(self):
         with pytest.raises(ValidationError, match="at_batch"):
