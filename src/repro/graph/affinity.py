@@ -16,7 +16,13 @@ directly:
 * ``_knn_sparsify`` — keep the edges where either endpoint ranks the other
   in its top k by affinity.
 
-Every kernel returns a symmetric affinity with zero diagonal.
+Every kernel returns a symmetric affinity with zero diagonal, built in
+the buffer of its distance matrix: the distance kernels return an
+exactly symmetric matrix and every map after them is elementwise, in
+place, with a symmetric argument, so no kernel re-symmetrizes.
+``_knn_sparsify`` allocates the one other ``n x n`` array, its output
+(``_gaussian``'s median heuristic takes a transient copy of the
+off-diagonal distances first).
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ def _gaussian(x, sigma) -> np.ndarray:
         raise ValidationError(f"sigma must be positive, got {sigma}")
     w = backend.gaussian_kernel(d2, float(sigma))
     np.fill_diagonal(w, 0.0)
-    return (w + w.T) / 2.0
+    return w
 
 
 def _self_tuning(x, k: int) -> np.ndarray:
@@ -75,39 +81,46 @@ def _self_tuning(x, k: int) -> np.ndarray:
         raise ValidationError(f"k must be >= 1, got {k}")
     k = min(k, n - 1)
     d2 = backend.pairwise_sq_euclidean(x)
-    _, knn_d = backend.knn_select(np.sqrt(d2), k, include_self=False)
-    sigma = knn_d[:, -1]
+    # sqrt is monotone, so the k-th smallest root is the root of the
+    # k-th smallest square: no n x n array of roots.
+    _, knn_d2 = backend.knn_select(d2, k, include_self=False)
+    sigma = np.sqrt(knn_d2[:, -1])
     # finfo of d2's own dtype: float64 here is bit-identical to the
     # historical np.finfo(float).eps, and a float32 backend must not let
     # a strong float64 eps scalar upcast the whole sigma vector.
     sigma = np.where(sigma > 0, sigma, np.finfo(d2.dtype).eps)
     w = backend.self_tuning_kernel(d2, sigma)
     np.fill_diagonal(w, 0.0)
-    return (w + w.T) / 2.0
+    return w
 
 
 def _cosine(x) -> np.ndarray:
-    sim = 1.0 - current_backend().pairwise_cosine_distances(x)
-    w = (1.0 + sim) / 2.0
+    w = current_backend().pairwise_cosine_distances(x)
+    np.subtract(1.0, w, out=w)  # the similarity
+    np.add(1.0, w, out=w)
+    w /= 2.0
     np.clip(w, 0.0, 1.0, out=w)
     np.fill_diagonal(w, 0.0)
-    return (w + w.T) / 2.0
+    return w
 
 
 def _knn_sparsify(w, k: int) -> np.ndarray:
     n = w.shape[0]
     if not 1 <= k <= n - 1:
         raise ValidationError(f"k must be in [1, {n - 1}], got {k}")
-    # Neighbors by *affinity*: convert to a distance-like ordering.
-    neg = -w.copy()
-    np.fill_diagonal(neg, np.inf)
-    idx, _ = current_backend().knn_select(neg, k, include_self=False)
-    mask = np.zeros_like(w, dtype=bool)
-    mask[np.arange(n)[:, None], idx] = True
-    mask = mask | mask.T
-    out = np.where(mask, w, 0.0)
-    np.fill_diagonal(out, 0.0)
-    return np.maximum(out, out.T)
+    # Neighbors by *affinity*: rank the negated matrix, built in the
+    # output's buffer.
+    out = np.negative(w)
+    np.fill_diagonal(out, np.inf)
+    idx, _ = current_backend().knn_select(out, k, include_self=False)
+    # Keep edge (i, j) when either endpoint ranks the other; ``w`` is
+    # exactly symmetric, so ``w[i, j]`` serves both directions.
+    rows = np.arange(n)[:, None]
+    kept = w[rows, idx]
+    out.fill(0.0)
+    out[rows, idx] = kept
+    out[idx, rows] = kept
+    return out
 
 
 def build_view_affinity(

@@ -42,7 +42,8 @@ def kneighbors(
         d = np.asarray(distances, dtype=backend.validation_dtype)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValidationError(f"distances must be square 2-D, got shape {d.shape}")
-    if np.any(np.isnan(d)):
+    # min propagates NaN and, unlike isnan, allocates no n x n mask.
+    if d.size and np.isnan(d.min()):
         raise ValidationError("distances contains NaN entries")
     n = d.shape[0]
     limit = n if include_self else n - 1
