@@ -3,7 +3,9 @@
 All baselines are implemented from scratch on the shared substrates
 (:mod:`repro.graph`, :mod:`repro.cluster`, :mod:`repro.linalg`) so that the
 comparison isolates the *algorithm*, not the graph recipe.  Every class
-exposes ``fit_predict(views) -> labels``.
+runs at its published defaults, takes ``(n_clusters, *, random_state)``
+(``SingleViewSC`` also ``view``) and exposes
+``fit_predict(views) -> labels``.
 
 Single-view:
 
@@ -18,8 +20,8 @@ Early fusion:
 
 Multi-view spectral:
 
-* :class:`CoRegSC` — co-regularized spectral clustering (pairwise and
-  centroid variants; Kumar, Rai & Daume, NIPS 2011);
+* :class:`CoRegSC` — co-regularized spectral clustering (centroid
+  variant; Kumar, Rai & Daume, NIPS 2011);
 * :class:`CoTrainSC` — co-trained multi-view spectral clustering (Kumar &
   Daume, ICML 2011);
 * :class:`AMGL` — auto-weighted multiple graph learning (Nie et al.,

@@ -26,6 +26,9 @@ from repro.exceptions import ValidationError
 from repro.graph.fusion import fuse_laplacians
 from repro.linalg.eigen import eigsh_smallest
 
+#: Weight/embedding alternations (AMGL converges within a handful).
+_N_ITER = 10
+
 
 class AMGL:
     """Auto-weighted multiple graph learning.
@@ -34,56 +37,29 @@ class AMGL:
     ----------
     n_clusters : int
         Number of clusters.
-    n_iter : int
-        Weight/embedding alternations (converges within a handful).
-    graph : str
-        Per-view affinity kind.
-    n_neighbors : int
-        Graph neighborhood size.
-    n_init : int
-        K-means restarts.
     random_state : int, Generator, or None
     """
 
-    def __init__(
-        self,
-        n_clusters: int,
-        *,
-        n_iter: int = 10,
-        graph: str = "auto",
-        n_neighbors: int = 10,
-        n_init: int = 20,
-        random_state=None,
-    ) -> None:
+    def __init__(self, n_clusters: int, *, random_state=None) -> None:
         if n_clusters < 1:
             raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        if n_iter < 1:
-            raise ValidationError(f"n_iter must be >= 1, got {n_iter}")
         self.n_clusters = int(n_clusters)
-        self.n_iter = int(n_iter)
-        self.graph = graph
-        self.n_neighbors = int(n_neighbors)
-        self.n_init = int(n_init)
         self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster multi-view features with auto-weighted graph fusion."""
-        affinities = build_multiview_affinities(
-            views, kind=self.graph, n_neighbors=self.n_neighbors
-        )
-        laplacians = build_laplacians(affinities)
+        laplacians = build_laplacians(build_multiview_affinities(views))
         f = self.embed(laplacians)
         norms = np.linalg.norm(f, axis=1, keepdims=True)
         f = f / np.where(norms > 0, norms, 1.0)
-        km = KMeans(self.n_clusters, n_init=self.n_init, random_state=self.random_state)
-        return km.fit_predict(f)
+        return KMeans(self.n_clusters, random_state=self.random_state).fit_predict(f)
 
     def embed(self, laplacians) -> np.ndarray:
         """The auto-weighted shared embedding (before discretization)."""
         n_views = len(laplacians)
         w = np.full(n_views, 1.0 / n_views)
         f = None
-        for _ in range(self.n_iter):
+        for _ in range(_N_ITER):
             fused = fuse_laplacians(laplacians, w)
             _, f = eigsh_smallest(fused, self.n_clusters)
             h = spectral_costs(laplacians, f)

@@ -35,6 +35,9 @@ from repro.exceptions import ValidationError
 from repro.linalg.procrustes import nearest_orthogonal
 from repro.utils.rng import check_random_state
 
+#: Alternation rounds (each round stops early once the labels settle).
+_N_ITER = 30
+
 
 class AWP:
     """Adaptively weighted Procrustes multi-view clustering.
@@ -43,43 +46,18 @@ class AWP:
     ----------
     n_clusters : int
         Number of clusters.
-    n_iter : int
-        Alternation rounds.
-    graph : str
-        Per-view affinity kind.
-    n_neighbors : int
-        Graph neighborhood size.
-    n_restarts : int
-        Rotation-initialization restarts.
     random_state : int, Generator, or None
     """
 
-    def __init__(
-        self,
-        n_clusters: int,
-        *,
-        n_iter: int = 30,
-        graph: str = "auto",
-        n_neighbors: int = 10,
-        n_restarts: int = 10,
-        random_state=None,
-    ) -> None:
+    def __init__(self, n_clusters: int, *, random_state=None) -> None:
         if n_clusters < 1:
             raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        if n_iter < 1:
-            raise ValidationError(f"n_iter must be >= 1, got {n_iter}")
         self.n_clusters = int(n_clusters)
-        self.n_iter = int(n_iter)
-        self.graph = graph
-        self.n_neighbors = int(n_neighbors)
-        self.n_restarts = int(n_restarts)
         self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster by aligning per-view embeddings to one discrete partition."""
-        affinities = build_multiview_affinities(
-            views, kind=self.graph, n_neighbors=self.n_neighbors
-        )
+        affinities = build_multiview_affinities(views)
         c = self.n_clusters
         rng = check_random_state(self.random_state)
         embeddings = [
@@ -89,14 +67,12 @@ class AWP:
 
         # Initialize the partition by spectral rotation on the mean embedding.
         mean_f = nearest_orthogonal(np.mean(embeddings, axis=0))
-        _, labels = rotation_initialize(
-            mean_f, c, n_restarts=self.n_restarts, random_state=rng
-        )
+        _, labels = rotation_initialize(mean_f, c, random_state=rng)
         rotations = [np.eye(c) for _ in range(n_views)]
         alphas = np.full(n_views, 1.0)
 
         prev = labels.copy()
-        for _ in range(self.n_iter):
+        for _ in range(_N_ITER):
             g = scaled_indicator(labels, c)
             for v in range(n_views):
                 rotations[v] = nearest_orthogonal(embeddings[v].T @ g)

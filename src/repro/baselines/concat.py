@@ -36,51 +36,33 @@ def zscore_concatenate(views) -> np.ndarray:
 class ConcatKMeans:
     """K-means on the z-scored concatenation of all views."""
 
-    def __init__(
-        self, n_clusters: int, *, n_init: int = 20, random_state=None
-    ) -> None:
+    def __init__(self, n_clusters: int, *, random_state=None) -> None:
         if n_clusters < 1:
             raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
         self.n_clusters = int(n_clusters)
-        self.n_init = int(n_init)
         self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster the concatenated features."""
         stacked = zscore_concatenate(views)
-        km = KMeans(self.n_clusters, n_init=self.n_init, random_state=self.random_state)
+        km = KMeans(self.n_clusters, random_state=self.random_state)
         return km.fit_predict(stacked)
 
 
 class ConcatSC:
-    """Spectral clustering on one graph over the concatenated features."""
+    """Spectral clustering on one self-tuning graph over the concatenated
+    features."""
 
-    def __init__(
-        self,
-        n_clusters: int,
-        *,
-        graph: str = "self_tuning",
-        n_neighbors: int = 10,
-        n_init: int = 20,
-        random_state=None,
-    ) -> None:
+    def __init__(self, n_clusters: int, *, random_state=None) -> None:
         if n_clusters < 1:
             raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
         self.n_clusters = int(n_clusters)
-        self.graph = graph
-        self.n_neighbors = int(n_neighbors)
-        self.n_init = int(n_init)
         self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster the concatenated features through one graph."""
         stacked = zscore_concatenate(views)
-        (affinity,) = build_multiview_affinities(
-            [stacked], kind=self.graph, n_neighbors=self.n_neighbors
-        )
+        (affinity,) = build_multiview_affinities([stacked], kind="self_tuning")
         return spectral_clustering(
-            affinity,
-            self.n_clusters,
-            n_init=self.n_init,
-            random_state=self.random_state,
+            affinity, self.n_clusters, random_state=self.random_state
         )

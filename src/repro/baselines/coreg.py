@@ -1,18 +1,16 @@
 """Co-regularized multi-view spectral clustering (Kumar, Rai & Daume, 2011).
 
 Maximizes per-view spectral objectives plus a disagreement penalty that
-pulls the per-view embeddings' subspaces together:
+pulls each view's embedding subspace toward a consensus ``U*`` (the
+authors' *centroid* variant):
 
-* **pairwise** — ``sum_v tr(U_v^T K_v U_v) + lam sum_{v != u} tr(P_v P_u)``
-  with ``P_v = U_v U_v^T``;
-* **centroid** — each view is co-regularized against a consensus ``U*``.
+``sum_v tr(U_v^T K_v U_v) + lam sum_v tr(U_v U_v^T U* U*^T)``.
 
-Alternating maximization: each ``U_v`` is the top-``c`` eigenvector block of
-``K_v + lam * (sum of other projectors)``, where ``K_v`` is the symmetric
-normalized adjacency; the consensus ``U*`` (centroid variant) is the
-top-``c`` eigenvector block of the averaged projector.  Discretization is
-K-means on the consensus (centroid) or on the row-normalized concatenation
-of all ``U_v`` (pairwise), matching the authors' protocol.
+Alternating maximization: each ``U_v`` is the top-``c`` eigenvector block
+of ``K_v + lam U* U*^T``, where ``K_v`` is the symmetric normalized
+adjacency; the consensus ``U*`` is the top-``c`` eigenvector block of the
+averaged projector.  Discretization is K-means on the row-normalized
+consensus, matching the authors' protocol.
 """
 
 from __future__ import annotations
@@ -25,95 +23,44 @@ from repro.exceptions import ValidationError
 from repro.graph.laplacian import normalized_adjacency
 from repro.linalg.eigen import eigsh_largest
 
-
-def _row_normalize(u: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
-    return u / np.where(norms > 0, norms, 1.0)
+#: Co-regularization strength (the paper uses 0.01-0.05).
+_LAM = 0.025
+#: Alternating maximization rounds.
+_N_ITER = 10
 
 
 class CoRegSC:
-    """Co-regularized spectral clustering.
+    """Co-regularized spectral clustering (centroid variant).
 
     Parameters
     ----------
     n_clusters : int
         Number of clusters.
-    lam : float
-        Co-regularization strength (the paper uses 0.01-0.05).
-    variant : {"centroid", "pairwise"}
-        Disagreement structure.
-    n_iter : int
-        Alternating maximization rounds.
-    graph : str
-        Per-view affinity kind.
-    n_neighbors : int
-        Graph neighborhood size.
-    n_init : int
-        K-means restarts.
     random_state : int, Generator, or None
     """
 
-    def __init__(
-        self,
-        n_clusters: int,
-        *,
-        lam: float = 0.025,
-        variant: str = "centroid",
-        n_iter: int = 10,
-        graph: str = "auto",
-        n_neighbors: int = 10,
-        n_init: int = 20,
-        random_state=None,
-    ) -> None:
+    def __init__(self, n_clusters: int, *, random_state=None) -> None:
         if n_clusters < 1:
             raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        if lam < 0:
-            raise ValidationError(f"lam must be non-negative, got {lam}")
-        if variant not in ("centroid", "pairwise"):
-            raise ValidationError(
-                f"variant must be 'centroid' or 'pairwise', got {variant!r}"
-            )
-        if n_iter < 1:
-            raise ValidationError(f"n_iter must be >= 1, got {n_iter}")
         self.n_clusters = int(n_clusters)
-        self.lam = float(lam)
-        self.variant = variant
-        self.n_iter = int(n_iter)
-        self.graph = graph
-        self.n_neighbors = int(n_neighbors)
-        self.n_init = int(n_init)
         self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster multi-view features with co-regularized embeddings."""
-        affinities = build_multiview_affinities(
-            views, kind=self.graph, n_neighbors=self.n_neighbors
-        )
+        affinities = build_multiview_affinities(views)
         kernels = [normalized_adjacency(w) for w in affinities]
         c = self.n_clusters
-        n_views = len(kernels)
 
         embeddings = [eigsh_largest(k, c)[1] for k in kernels]
-        if self.variant == "centroid":
+        consensus = self._consensus(embeddings)
+        for _ in range(_N_ITER):
+            reg = _LAM * (consensus @ consensus.T)
+            embeddings = [eigsh_largest(k + reg, c)[1] for k in kernels]
             consensus = self._consensus(embeddings)
-            for _ in range(self.n_iter):
-                reg = self.lam * (consensus @ consensus.T)
-                embeddings = [eigsh_largest(k + reg, c)[1] for k in kernels]
-                consensus = self._consensus(embeddings)
-            final = consensus
-        else:
-            for _ in range(self.n_iter):
-                projectors = [u @ u.T for u in embeddings]
-                total = np.sum(projectors, axis=0)
-                for v in range(n_views):
-                    reg = self.lam * (total - projectors[v])
-                    embeddings[v] = eigsh_largest(kernels[v] + reg, c)[1]
-                    projectors[v] = embeddings[v] @ embeddings[v].T
-                    total = np.sum(projectors, axis=0)
-            final = np.hstack([_row_normalize(u) for u in embeddings])
 
-        km = KMeans(c, n_init=self.n_init, random_state=self.random_state)
-        return km.fit_predict(_row_normalize(final))
+        norms = np.linalg.norm(consensus, axis=1, keepdims=True)
+        consensus = consensus / np.where(norms > 0, norms, 1.0)
+        return KMeans(c, random_state=self.random_state).fit_predict(consensus)
 
     def _consensus(self, embeddings) -> np.ndarray:
         """Top-c eigenvectors of the averaged projector."""

@@ -22,6 +22,9 @@ from repro.exceptions import ValidationError
 from repro.graph.laplacian import normalized_adjacency
 from repro.linalg.eigen import eigsh_largest
 
+#: Co-training rounds (the paper saturates within a handful).
+_N_ITER = 5
+
 
 class CoTrainSC:
     """Co-training spectral clustering.
@@ -30,50 +33,25 @@ class CoTrainSC:
     ----------
     n_clusters : int
         Number of clusters.
-    n_iter : int
-        Co-training rounds (the paper saturates within a handful).
-    graph : str
-        Per-view affinity kind.
-    n_neighbors : int
-        Graph neighborhood size.
-    n_init : int
-        K-means restarts.
     random_state : int, Generator, or None
     """
 
-    def __init__(
-        self,
-        n_clusters: int,
-        *,
-        n_iter: int = 5,
-        graph: str = "auto",
-        n_neighbors: int = 10,
-        n_init: int = 20,
-        random_state=None,
-    ) -> None:
+    def __init__(self, n_clusters: int, *, random_state=None) -> None:
         if n_clusters < 1:
             raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        if n_iter < 1:
-            raise ValidationError(f"n_iter must be >= 1, got {n_iter}")
         self.n_clusters = int(n_clusters)
-        self.n_iter = int(n_iter)
-        self.graph = graph
-        self.n_neighbors = int(n_neighbors)
-        self.n_init = int(n_init)
         self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster multi-view features with co-trained graphs."""
-        affinities = build_multiview_affinities(
-            views, kind=self.graph, n_neighbors=self.n_neighbors
-        )
+        affinities = build_multiview_affinities(views)
         kernels = [normalized_adjacency(w) for w in affinities]
         c = self.n_clusters
         n_views = len(kernels)
         embeddings = [eigsh_largest(k, c)[1] for k in kernels]
 
         if n_views > 1:
-            for _ in range(self.n_iter):
+            for _ in range(_N_ITER):
                 projectors = [u @ u.T for u in embeddings]
                 total = np.sum(projectors, axis=0)
                 new_kernels = []
@@ -87,5 +65,4 @@ class CoTrainSC:
         stacked = np.hstack(embeddings)
         norms = np.linalg.norm(stacked, axis=1, keepdims=True)
         stacked = stacked / np.where(norms > 0, norms, 1.0)
-        km = KMeans(c, n_init=self.n_init, random_state=self.random_state)
-        return km.fit_predict(stacked)
+        return KMeans(c, random_state=self.random_state).fit_predict(stacked)

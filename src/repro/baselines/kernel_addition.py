@@ -23,41 +23,18 @@ class KernelAdditionSC:
     ----------
     n_clusters : int
         Number of clusters.
-    graph : str
-        Per-view affinity kind.
-    n_neighbors : int
-        Graph neighborhood size.
-    n_init : int
-        K-means restarts.
     random_state : int, Generator, or None
     """
 
-    def __init__(
-        self,
-        n_clusters: int,
-        *,
-        graph: str = "auto",
-        n_neighbors: int = 10,
-        n_init: int = 20,
-        random_state=None,
-    ) -> None:
+    def __init__(self, n_clusters: int, *, random_state=None) -> None:
         if n_clusters < 1:
             raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
         self.n_clusters = int(n_clusters)
-        self.graph = graph
-        self.n_neighbors = int(n_neighbors)
-        self.n_init = int(n_init)
         self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster the uniformly fused affinity."""
-        affinities = build_multiview_affinities(
-            views, kind=self.graph, n_neighbors=self.n_neighbors
-        )
-        fused = fuse_affinities(affinities)
+        fused = fuse_affinities(build_multiview_affinities(views))
         return spectral_clustering(
-            fused,
-            self.n_clusters,
-            n_init=self.n_init,
-            random_state=self.random_state,
+            fused, self.n_clusters, random_state=self.random_state
         )

@@ -29,6 +29,14 @@ from repro.graph.laplacian import laplacian
 from repro.linalg.eigen import eigsh_smallest
 from repro.utils.validation import check_views
 
+#: Adaptive-neighbor count per sample.
+_N_NEIGHBORS = 10
+#: Initial spectral-term weight; adapted multiplicatively each round to
+#: steer the graph toward exactly ``c`` components.
+_LAM = 1.0
+#: Graph/embedding alternations.
+_N_ITER = 15
+
 
 class MLAN:
     """Consensus adaptive-neighbor graph learning.
@@ -37,38 +45,14 @@ class MLAN:
     ----------
     n_clusters : int
         Number of clusters.
-    n_neighbors : int
-        Adaptive-neighbor count per sample.
-    lam : float
-        Initial spectral-term weight; adapted multiplicatively each round
-        to steer the graph toward exactly ``c`` components.
-    n_iter : int
-        Graph/embedding alternations.
     random_state : int, Generator, or None
         Seeds the spectral-clustering fallback.
     """
 
-    def __init__(
-        self,
-        n_clusters: int,
-        *,
-        n_neighbors: int = 10,
-        lam: float = 1.0,
-        n_iter: int = 15,
-        n_init: int = 20,
-        random_state=None,
-    ) -> None:
+    def __init__(self, n_clusters: int, *, random_state=None) -> None:
         if n_clusters < 1:
             raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        if lam <= 0:
-            raise ValidationError(f"lam must be positive, got {lam}")
-        if n_iter < 1:
-            raise ValidationError(f"n_iter must be >= 1, got {n_iter}")
         self.n_clusters = int(n_clusters)
-        self.n_neighbors = int(n_neighbors)
-        self.lam = float(lam)
-        self.n_iter = int(n_iter)
-        self.n_init = int(n_init)
         self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
@@ -83,7 +67,7 @@ class MLAN:
         # Deliberate clamp (the adaptive graph rejects out-of-range k):
         # MLAN's authors fix k=9-ish regardless of n, so small datasets
         # shrink the neighborhood instead of failing.
-        k = max(1, min(self.n_neighbors, n - 2))
+        k = max(1, min(_N_NEIGHBORS, n - 2))
 
         # Per-view squared distances, scale-normalized so no view dominates
         # by units alone.
@@ -94,12 +78,12 @@ class MLAN:
             dists.append(d / (scale if scale > 0 else 1.0))
         n_views = len(dists)
         w = np.full(n_views, 1.0 / n_views)
-        lam = self.lam
+        lam = _LAM
 
         s = adaptive_neighbor_affinity(
             distances=self._combined(dists, w, None, 0.0), k=k
         )
-        for _ in range(self.n_iter):
+        for _ in range(_N_ITER):
             lap = laplacian(s, normalization="unnormalized")
             values, f = eigsh_smallest(lap, c + 1)
             # Rank heuristic from the CAN papers: if fewer than c (near-)zero
@@ -122,9 +106,7 @@ class MLAN:
         comps = connected_components(s, tol=1e-12)
         if comps.max() + 1 == c:
             return comps
-        return spectral_clustering(
-            s, c, n_init=self.n_init, random_state=self.random_state
-        )
+        return spectral_clustering(s, c, random_state=self.random_state)
 
     @staticmethod
     def _combined(dists, w, f, lam) -> np.ndarray:

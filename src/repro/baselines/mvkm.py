@@ -21,6 +21,13 @@ from repro.exceptions import ValidationError
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_views
 
+#: Weight-smoothing exponent (> 1).
+_GAMMA = 4.0
+#: Weight/clustering alternations.
+_N_ITER = 5
+#: K-means restarts per alternation.
+_N_INIT = 10
+
 
 class MultiViewKMeans:
     """Auto-weighted multi-view K-means.
@@ -29,34 +36,13 @@ class MultiViewKMeans:
     ----------
     n_clusters : int
         Number of clusters.
-    gamma : float
-        Weight-smoothing exponent (> 1).
-    n_iter : int
-        Weight/clustering alternations.
-    n_init : int
-        K-means restarts per alternation.
     random_state : int, Generator, or None
     """
 
-    def __init__(
-        self,
-        n_clusters: int,
-        *,
-        gamma: float = 4.0,
-        n_iter: int = 5,
-        n_init: int = 10,
-        random_state=None,
-    ) -> None:
+    def __init__(self, n_clusters: int, *, random_state=None) -> None:
         if n_clusters < 1:
             raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        if gamma <= 1:
-            raise ValidationError(f"gamma must be > 1, got {gamma}")
-        if n_iter < 1:
-            raise ValidationError(f"n_iter must be >= 1, got {n_iter}")
         self.n_clusters = int(n_clusters)
-        self.gamma = float(gamma)
-        self.n_iter = int(n_iter)
-        self.n_init = int(n_init)
         self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
@@ -70,12 +56,12 @@ class MultiViewKMeans:
         w = np.full(n_views, 1.0 / n_views)
 
         labels = None
-        for _ in range(self.n_iter):
-            multipliers = weight_exponents(w, mode="exponential", gamma=self.gamma)
+        for _ in range(_N_ITER):
+            multipliers = weight_exponents(w, mode="exponential", gamma=_GAMMA)
             scaled = np.hstack(
                 [np.sqrt(m) * x for m, x in zip(multipliers, normalized)]
             )
-            km = KMeans(self.n_clusters, n_init=self.n_init, random_state=rng)
+            km = KMeans(self.n_clusters, n_init=_N_INIT, random_state=rng)
             result = km.fit(scaled)
             labels = result.labels
             # Per-view inertia under the shared assignment.
@@ -86,7 +72,7 @@ class MultiViewKMeans:
                 np.add.at(centers, labels, x)
                 centers /= np.maximum(counts, 1)[:, None]
                 h[v] = float(np.sum((x - centers[labels]) ** 2))
-            new_w = update_view_weights(h, mode="exponential", gamma=self.gamma)
+            new_w = update_view_weights(h, mode="exponential", gamma=_GAMMA)
             if np.allclose(new_w, w, atol=1e-10):
                 w = new_w
                 break

@@ -25,24 +25,11 @@ class SingleViewSC:
         Number of clusters.
     view : int
         Index of the view to cluster.
-    graph : str
-        Affinity kind (see :mod:`repro.core.graph_builder`).
-    n_neighbors : int
-        Graph neighborhood size.
-    n_init : int
-        K-means restarts.
     random_state : int, Generator, or None
     """
 
     def __init__(
-        self,
-        n_clusters: int,
-        *,
-        view: int = 0,
-        graph: str = "auto",
-        n_neighbors: int = 10,
-        n_init: int = 20,
-        random_state=None,
+        self, n_clusters: int, *, view: int = 0, random_state=None
     ) -> None:
         if n_clusters < 1:
             raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
@@ -50,9 +37,6 @@ class SingleViewSC:
             raise ValidationError(f"view must be >= 0, got {view}")
         self.n_clusters = int(n_clusters)
         self.view = int(view)
-        self.graph = graph
-        self.n_neighbors = int(n_neighbors)
-        self.n_init = int(n_init)
         self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
@@ -62,14 +46,9 @@ class SingleViewSC:
             raise ValidationError(
                 f"view index {self.view} out of range for {len(views)} views"
             )
-        (affinity,) = build_multiview_affinities(
-            [views[self.view]], kind=self.graph, n_neighbors=self.n_neighbors
-        )
+        (affinity,) = build_multiview_affinities([views[self.view]])
         return spectral_clustering(
-            affinity,
-            self.n_clusters,
-            n_init=self.n_init,
-            random_state=self.random_state,
+            affinity, self.n_clusters, random_state=self.random_state
         )
 
 

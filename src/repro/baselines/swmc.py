@@ -27,6 +27,12 @@ from repro.graph.distance import pairwise_sq_euclidean
 from repro.graph.laplacian import laplacian
 from repro.linalg.eigen import eigsh_smallest
 
+#: Initial weight of the connectivity (spectral) term; adapted
+#: multiplicatively to reach exactly ``c`` components.
+_LAM = 0.5
+#: Alternations.
+_N_ITER = 15
+
 
 class SwMC:
     """Self-weighted consensus-graph clustering.
@@ -35,51 +41,19 @@ class SwMC:
     ----------
     n_clusters : int
         Number of clusters.
-    lam : float
-        Initial weight of the connectivity (spectral) term; adapted
-        multiplicatively to reach exactly ``c`` components.
-    n_iter : int
-        Alternations.
-    graph : str
-        Per-view affinity kind.
-    n_neighbors : int
-        Graph neighborhood size.
-    n_init : int
-        K-means restarts in the spectral fallback.
     random_state : int, Generator, or None
         Seeds the fallback.
     """
 
-    def __init__(
-        self,
-        n_clusters: int,
-        *,
-        lam: float = 0.5,
-        n_iter: int = 15,
-        graph: str = "auto",
-        n_neighbors: int = 10,
-        n_init: int = 20,
-        random_state=None,
-    ) -> None:
+    def __init__(self, n_clusters: int, *, random_state=None) -> None:
         if n_clusters < 1:
             raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        if lam <= 0:
-            raise ValidationError(f"lam must be positive, got {lam}")
-        if n_iter < 1:
-            raise ValidationError(f"n_iter must be >= 1, got {n_iter}")
         self.n_clusters = int(n_clusters)
-        self.lam = float(lam)
-        self.n_iter = int(n_iter)
-        self.graph = graph
-        self.n_neighbors = int(n_neighbors)
-        self.n_init = int(n_init)
         self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster by learning a self-weighted consensus graph."""
-        affinities = build_multiview_affinities(
-            views, kind=self.graph, n_neighbors=self.n_neighbors
-        )
+        affinities = build_multiview_affinities(views)
         c = self.n_clusters
         n = affinities[0].shape[0]
         if c > n:
@@ -94,9 +68,9 @@ class SwMC:
 
         weights = np.full(n_views, 1.0 / n_views)
         s = np.mean(normalized, axis=0)
-        lam = self.lam
+        lam = _LAM
         f = None
-        for _ in range(self.n_iter):
+        for _ in range(_N_ITER):
             # Connectivity pressure: penalize assigning mass to pairs far
             # apart in the current spectral embedding.
             if f is not None:
@@ -130,6 +104,4 @@ class SwMC:
         comps = connected_components(sym, tol=1e-12)
         if comps.max() + 1 == c:
             return comps
-        return spectral_clustering(
-            sym, c, n_init=self.n_init, random_state=self.random_state
-        )
+        return spectral_clustering(sym, c, random_state=self.random_state)

@@ -20,6 +20,9 @@ from repro.robust.policy import matrix_context, run_with_policy
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_matrix
 
+#: Relative inertia change below which a Lloyd run stops.
+_TOL = 1e-7
+
 _SITE_INIT = register_fault_site(
     "kmeans.init", "k-means++ center seeding (one restart)"
 )
@@ -162,8 +165,6 @@ class KMeans:
         convention for spectral discretization is 20.
     max_iter : int
         Lloyd iteration cap per restart.
-    tol : float
-        Relative inertia / center-shift stopping tolerance.
     random_state : int, Generator, or None
         Seeding for reproducibility.
 
@@ -182,7 +183,6 @@ class KMeans:
         *,
         n_init: int = 20,
         max_iter: int = 300,
-        tol: float = 1e-7,
         random_state=None,
     ) -> None:
         if n_clusters < 1:
@@ -194,7 +194,6 @@ class KMeans:
         self.n_clusters = int(n_clusters)
         self.n_init = int(n_init)
         self.max_iter = int(max_iter)
-        self.tol = float(tol)
         self.random_state = random_state
 
     def fit(self, x: np.ndarray) -> KMeansResult:
@@ -214,7 +213,7 @@ class KMeans:
                 context=lambda: matrix_context(x, "x"),
             )
             labels, centers, inertia, n_iter = _lloyd(
-                x, centers0, self.max_iter, self.tol, rng
+                x, centers0, self.max_iter, _TOL, rng
             )
             if best is None or inertia < best.inertia:
                 best = KMeansResult(labels, centers, inertia, n_iter)

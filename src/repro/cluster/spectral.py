@@ -56,10 +56,9 @@ def spectral_clustering(
     affinity: np.ndarray,
     n_clusters: int,
     *,
-    n_init: int = 20,
     random_state=None,
 ) -> np.ndarray:
-    """Two-stage spectral clustering: embedding + K-means.
+    """Two-stage spectral clustering: embedding + K-means (default restarts).
 
     Parameters
     ----------
@@ -67,8 +66,6 @@ def spectral_clustering(
         Symmetric non-negative affinity.
     n_clusters : int
         Number of clusters.
-    n_init : int
-        K-means restarts.
     random_state : int, Generator, or None
         Seeding for the K-means stage.
 
@@ -78,5 +75,4 @@ def spectral_clustering(
         Cluster labels in ``0..n_clusters-1``.
     """
     emb = spectral_embedding(affinity, n_clusters)
-    km = KMeans(n_clusters, n_init=n_init, random_state=random_state)
-    return km.fit_predict(emb)
+    return KMeans(n_clusters, random_state=random_state).fit_predict(emb)

@@ -60,8 +60,11 @@ def _check_masks(masks, n: int, n_views: int) -> list[np.ndarray]:
     return out
 
 
-def fuse_incomplete_affinities(views, masks, *, kind: str = "auto", n_neighbors: int = 10):
+def fuse_incomplete_affinities(views, masks):
     """Availability-normalized fused affinity from partially observed views.
+
+    Each view's affinity is UMSC's default graph (``auto`` kind, 10
+    neighbors, fewer on a small observed subsample).
 
     Parameters
     ----------
@@ -70,10 +73,6 @@ def fuse_incomplete_affinities(views, masks, *, kind: str = "auto", n_neighbors:
         (their content does not matter).
     masks : sequence of bool arrays (n,)
         ``masks[v][i]`` is True iff sample ``i`` is observed in view ``v``.
-    kind : str
-        Affinity kind per view (``auto`` resolves text vs dense).
-    n_neighbors : int
-        Graph parameter, applied within each observed subsample.
 
     Returns
     -------
@@ -90,9 +89,9 @@ def fuse_incomplete_affinities(views, masks, *, kind: str = "auto", n_neighbors:
     for x, mask in zip(views, masks):
         idx = np.flatnonzero(mask)
         sub = x[idx]
-        k = max(1, min(n_neighbors, idx.size - 1))
+        k = max(1, min(10, idx.size - 1))
         w_sub = build_view_affinity(
-            sub, kind=resolve_view_kind(sub, kind), k=k
+            sub, kind=resolve_view_kind(sub, "auto"), k=k
         )
         fused[np.ix_(idx, idx)] += w_sub
         counts[np.ix_(idx, idx)] += 1.0
@@ -105,9 +104,10 @@ def fuse_incomplete_affinities(views, masks, *, kind: str = "auto", n_neighbors:
 class IncompleteMVSC:
     """One-stage clustering of incomplete multi-view data.
 
-    Parameters mirror :class:`~repro.core.model.UnifiedMVSC`; the
-    consensus term is computed on the fused graph (per-view subspaces are
-    not meaningful when views cover different samples).
+    Runs :class:`~repro.core.model.UnifiedMVSC` at its defaults on the
+    one fused graph, with uniform weighting and no consensus term
+    (per-view subspaces are not meaningful when views cover different
+    samples).
 
     Examples
     --------
@@ -122,38 +122,17 @@ class IncompleteMVSC:
     (60,)
     """
 
-    def __init__(
-        self,
-        n_clusters: int,
-        *,
-        lam: float = 1.0,
-        graph: str = "auto",
-        n_neighbors: int = 10,
-        max_iter: int = 50,
-        tol: float = 1e-6,
-        n_restarts: int = 10,
-        random_state=None,
-    ) -> None:
+    def __init__(self, n_clusters: int, *, random_state=None) -> None:
         self._inner = UnifiedMVSC(
             n_clusters,
-            lam=lam,
             consensus=0.0,  # single fused graph: no per-view subspaces
             weighting="uniform",
-            graph=graph,
-            n_neighbors=n_neighbors,
-            max_iter=max_iter,
-            tol=tol,
-            n_restarts=n_restarts,
             random_state=random_state,
         )
-        self.graph = graph
-        self.n_neighbors = int(n_neighbors)
 
     def fit(self, views, masks) -> UMSCResult:
         """Cluster partially observed views; returns the full result."""
-        fused = fuse_incomplete_affinities(
-            views, masks, kind=self.graph, n_neighbors=self.n_neighbors
-        )
+        fused = fuse_incomplete_affinities(views, masks)
         return self._inner.fit_affinities([fused])
 
     def fit_predict(self, views, masks) -> np.ndarray:

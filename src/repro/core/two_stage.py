@@ -20,6 +20,9 @@ from repro.core.weights import update_view_weights
 from repro.exceptions import ValidationError
 from repro.linalg.eigen import eigsh_smallest
 
+#: Embedding/weight alternations of stage 1.
+_MAX_ITER = 10
+
 
 class TwoStageMVSC:
     """Two-stage multi-view spectral clustering (embedding + K-means).
@@ -29,18 +32,17 @@ class TwoStageMVSC:
     rotation/indicator); stage 2 row-normalizes ``F`` and runs K-means with
     ``n_init`` restarts.
 
+    Stage 1 runs UMSC's graph and weighting defaults (``graph="auto"``,
+    exponential weighting, consensus 1) for a fixed 10 alternations.
+
     Parameters
     ----------
     n_clusters : int
         Number of clusters.
     gamma : float
-        Weight-smoothing exponent for ``exponential`` weighting.
-    weighting : {"exponential", "parameter_free", "uniform"}
-        View-weighting regime.
-    graph, n_neighbors : str, int
+        Weight-smoothing exponent of the exponential weighting.
+    n_neighbors : int
         Graph construction (see :class:`~repro.core.model.UnifiedMVSC`).
-    max_iter : int
-        Embedding/weight alternations.
     n_init : int
         K-means restarts in stage 2.
     random_state : int, Generator, or None
@@ -51,24 +53,17 @@ class TwoStageMVSC:
         self,
         n_clusters: int,
         *,
-        consensus: float = 1.0,
         gamma: float = 2.0,
-        weighting: str = "exponential",
-        graph: str = "auto",
         n_neighbors: int = 10,
-        max_iter: int = 10,
         n_init: int = 20,
         random_state=None,
     ) -> None:
         # Reuse UMSCConfig validation for the shared knobs.
         self.config = UMSCConfig(
             n_clusters=n_clusters,
-            consensus=consensus,
             gamma=gamma,
-            weighting=weighting,
-            graph=graph,
             n_neighbors=n_neighbors,
-            max_iter=max_iter,
+            max_iter=_MAX_ITER,
         )
         if n_init < 1:
             raise ValidationError(f"n_init must be >= 1, got {n_init}")
@@ -77,9 +72,8 @@ class TwoStageMVSC:
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster raw multi-view features; returns labels."""
-        cfg = self.config
         affinities = build_multiview_affinities(
-            views, kind=cfg.graph, n_neighbors=cfg.n_neighbors
+            views, n_neighbors=self.config.n_neighbors
         )
         return self.fit_affinities(affinities)
 

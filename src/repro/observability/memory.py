@@ -138,8 +138,8 @@ class use_memory_tracking(scoped):
     True
     """
 
-    def __init__(self, session: MemorySession | None = None) -> None:
-        self.session = session if session is not None else MemorySession()
+    def __init__(self) -> None:
+        self.session = MemorySession()
         super().__init__(memory=self.session)
         self._started_tracing = False
 

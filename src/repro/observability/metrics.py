@@ -50,9 +50,9 @@ class Counter:
 
     __slots__ = ("name", "_value", "_lock")
 
-    def __init__(self, name: str, value: float = 0.0) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._value = float(value)
+        self._value = 0.0
         self._lock = threading.Lock()
 
     @property
@@ -90,9 +90,9 @@ class Gauge:
 
     __slots__ = ("name", "_value", "_lock")
 
-    def __init__(self, name: str, value: float = 0.0) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._value = float(value)
+        self._value = 0.0
         self._lock = threading.Lock()
 
     @property
@@ -125,16 +125,16 @@ class Histogram:
     Scalar summaries (``count`` / ``total`` / ``min`` / ``max`` /
     ``mean``) are streamed exactly and never depend on storage.  For
     quantiles the histogram keeps a **deterministic strided reservoir**:
-    every observation is kept until ``max_samples`` are stored; at the
-    cap the reservoir drops every second kept sample and doubles its
-    stride, so it always holds the observations at arrival indices
-    ``0, s, 2s, ...`` for the current stride ``s``.  No randomness is
-    involved — two histograms fed the same sequence hold identical
-    samples.
+    every observation is kept until :data:`DEFAULT_RESERVOIR_SIZE` are
+    stored; at the cap the reservoir drops every second kept sample and
+    doubles its stride, so it always holds the observations at arrival
+    indices ``0, s, 2s, ...`` for the current stride ``s``.  No
+    randomness is involved — two histograms fed the same sequence hold
+    identical samples.
 
-    Exactness guarantee: while ``count <= max_samples`` (stride 1, the
-    common case for per-iteration solver series), ``percentile`` is
-    computed over *every* observation and matches
+    Exactness guarantee: while ``count <= DEFAULT_RESERVOIR_SIZE``
+    (stride 1, the common case for per-iteration solver series),
+    ``percentile`` is computed over *every* observation and matches
     ``numpy.percentile(all_values, q)`` exactly.  Beyond the cap it is
     an estimate over the evenly-strided subsample.
 
@@ -151,7 +151,6 @@ class Histogram:
 
     __slots__ = (
         "name",
-        "max_samples",
         "_values",
         "_stride",
         "_count",
@@ -161,15 +160,8 @@ class Histogram:
         "_lock",
     )
 
-    def __init__(
-        self, name: str, max_samples: int = DEFAULT_RESERVOIR_SIZE
-    ) -> None:
-        if int(max_samples) < 2:
-            raise ValidationError(
-                f"max_samples must be >= 2, got {max_samples}"
-            )
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.max_samples = int(max_samples)
         self._values: list[float] = []
         self._stride = 1
         self._count = 0
@@ -183,7 +175,7 @@ class Histogram:
         value = float(value)
         with self._lock:
             if self._count % self._stride == 0:
-                if len(self._values) >= self.max_samples:
+                if len(self._values) >= DEFAULT_RESERVOIR_SIZE:
                     # Decimate deterministically: keep arrival indices
                     # 0, 2s, 4s, ... and record every (2s)-th from now on.
                     self._values = self._values[::2]
@@ -245,14 +237,15 @@ class Histogram:
                 return float("nan")
             return float(np.percentile(self._values, q))
 
-    def quantile_summary(self, qs=(50, 90, 95, 99)) -> dict:
-        """``{"p50": ..., "p90": ..., ...}`` over the kept samples."""
+    def quantile_summary(self) -> dict:
+        """``{"p50", "p90", "p95", "p99"}`` over the kept samples."""
+        qs = (50, 90, 95, 99)
         with self._lock:
             if self._values:
-                levels = np.percentile(self._values, list(qs))
+                levels = np.percentile(self._values, qs)
             else:
                 levels = [float("nan")] * len(qs)
-        return {f"p{g:g}": float(v) for g, v in zip(qs, levels)}
+        return {f"p{g}": float(v) for g, v in zip(qs, levels)}
 
     def __repr__(self) -> str:
         return (
@@ -284,13 +277,11 @@ class MetricsRegistry:
                 self.gauges[name] = Gauge(name)
             return self.gauges[name]
 
-    def histogram(
-        self, name: str, max_samples: int = DEFAULT_RESERVOIR_SIZE
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """The histogram registered under ``name`` (created on first use)."""
         with self._lock:
             if name not in self.histograms:
-                self.histograms[name] = Histogram(name, max_samples)
+                self.histograms[name] = Histogram(name)
             return self.histograms[name]
 
     def snapshot(self) -> dict:

@@ -174,15 +174,8 @@ class use_profiling(scoped):
     True
     """
 
-    def __init__(
-        self,
-        session: ProfilingSession | None = None,
-        *,
-        limit: int = DEFAULT_LIMIT,
-    ) -> None:
-        self.session = (
-            session if session is not None else ProfilingSession(limit=limit)
-        )
+    def __init__(self, *, limit: int = DEFAULT_LIMIT) -> None:
+        self.session = ProfilingSession(limit=limit)
         super().__init__(profiling=self.session)
 
     def __enter__(self) -> ProfilingSession:

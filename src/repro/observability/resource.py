@@ -99,8 +99,6 @@ class ResourceSampler:
     registry : MetricsRegistry, optional
         When given, each sample updates the ``process.rss_bytes`` /
         ``process.cpu_seconds`` / ``process.peak_rss_bytes`` gauges.
-    prefix : str
-        Gauge-name prefix (default ``"process"``).
 
     One sample is always taken synchronously at :meth:`start` and
     another at :meth:`stop`, so even a window shorter than the interval
@@ -110,20 +108,13 @@ class ResourceSampler:
     instead of silently mixing stale samples into a new window.
     """
 
-    def __init__(
-        self,
-        interval_seconds: float = 0.05,
-        *,
-        registry=None,
-        prefix: str = "process",
-    ) -> None:
+    def __init__(self, interval_seconds: float = 0.05, *, registry=None) -> None:
         if float(interval_seconds) <= 0:
             raise ValidationError(
                 f"interval_seconds must be > 0, got {interval_seconds}"
             )
         self.interval = float(interval_seconds)
         self.registry = registry
-        self.prefix = prefix
         self.samples: list[ResourceSample] = []
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -191,13 +182,13 @@ class ResourceSampler:
         with self._lock:
             self.samples.append(sample)
         if self.registry is not None:
-            self.registry.gauge(f"{self.prefix}.rss_bytes").set(
+            self.registry.gauge("process.rss_bytes").set(
                 sample.rss_bytes
             )
-            self.registry.gauge(f"{self.prefix}.cpu_seconds").set(
+            self.registry.gauge("process.cpu_seconds").set(
                 sample.cpu_seconds - self._cpu0
             )
-            self.registry.gauge(f"{self.prefix}.peak_rss_bytes").set(
+            self.registry.gauge("process.peak_rss_bytes").set(
                 self.peak_rss_bytes
             )
 

@@ -123,12 +123,11 @@ class JsonlSink(FitCallback):
 class LoggingSink(FitCallback):
     """Human-readable per-iteration lines through stdlib ``logging``.
 
+    Events are logged at ``logging.INFO`` to the ``repro.observability``
+    logger.
+
     Parameters
     ----------
-    logger : logging.Logger, optional
-        Destination logger; defaults to ``repro.observability``.
-    level : int
-        Level events are logged at (default ``logging.INFO``).
     stream : writable text stream, optional
         When given, a dedicated non-propagating ``StreamHandler`` is
         attached so output appears on this stream (the CLI passes
@@ -142,9 +141,8 @@ class LoggingSink(FitCallback):
     Trace`; as a bare model callback it logs the iteration without them.
     """
 
-    def __init__(self, logger=None, level: int = logging.INFO, stream=None):
-        self.logger = logger or logging.getLogger("repro.observability")
-        self.level = level
+    def __init__(self, stream=None):
+        self.logger = logging.getLogger("repro.observability")
         self._handler = None
         self._restore = None
         # Block seconds of the running iteration, per recording thread.
@@ -154,7 +152,8 @@ class LoggingSink(FitCallback):
             self._handler.setFormatter(logging.Formatter("%(message)s"))
             self._restore = (self.logger.level, self.logger.propagate)
             self.logger.addHandler(self._handler)
-            self.logger.setLevel(min(self.logger.level or level, level))
+            level = self.logger.level or logging.INFO
+            self.logger.setLevel(min(level, logging.INFO))
             self.logger.propagate = False
 
     def on_span(self, record: SpanRecord) -> None:
@@ -170,7 +169,7 @@ class LoggingSink(FitCallback):
         rest = ", ".join(
             f"{k}={v}" for k, v in info.items() if k != "solver"
         )
-        self.logger.log(self.level, "[%s] fit start: %s", solver, rest)
+        self.logger.log(logging.INFO, "[%s] fit start: %s", solver, rest)
 
     def on_iteration(self, event: IterationEvent) -> None:
         """Log one compact line per outer iteration."""
@@ -195,7 +194,7 @@ class LoggingSink(FitCallback):
             weights = "/".join(f"{w:.3f}" for w in event.view_weights)
             extras.append(f"w={weights}")
         self.logger.log(
-            self.level,
+            logging.INFO,
             "[%s] iter %d: obj=%s rel=%s %s %s",
             event.solver,
             event.iteration,
@@ -211,7 +210,7 @@ class LoggingSink(FitCallback):
         rest = ", ".join(
             f"{k}={v}" for k, v in info.items() if k != "solver"
         )
-        self.logger.log(self.level, "[%s] fit end: %s", solver, rest)
+        self.logger.log(logging.INFO, "[%s] fit end: %s", solver, rest)
 
     def close(self) -> None:
         """Detach the handler this sink attached (if any) and restore

@@ -360,13 +360,11 @@ class ComputationCache:
             by_namespace=by_ns,
         )
 
-    def clear(self, *, disk: bool = False) -> None:
-        """Drop every in-memory entry (and, with ``disk``, disk entries)."""
+    def clear(self) -> None:
+        """Drop every in-memory entry (disk entries stay)."""
         with self._lock:
             self._store.clear()
             self._bytes = 0
-        if disk and self.directory is not None:
-            clear_disk_store(self.directory)
 
 
 def disk_store_stats(directory: str | None) -> tuple[int, int]:

@@ -82,9 +82,6 @@ class TelemetryServer:
         The service whose registry, stats, and drain state are served.
     port : int
         TCP port on 127.0.0.1 (``0`` = ephemeral; see :attr:`url`).
-    sample_resources : bool
-        Attach a :class:`ResourceSampler` publishing ``process.*``
-        gauges into the service registry (default True).
     health_rules : sequence of HealthRule, optional
         Rules the ``/healthz`` endpoint evaluates against the service
         registry on every request (default:
@@ -98,7 +95,6 @@ class TelemetryServer:
         service,
         *,
         port: int = 0,
-        sample_resources: bool = True,
         health_rules=None,
     ) -> None:
         self.service = service
@@ -108,9 +104,8 @@ class TelemetryServer:
         )
         self._httpd.daemon_threads = True
         self._httpd.telemetry = self
-        self._sampler = None
-        if sample_resources:
-            self._sampler = ResourceSampler(registry=service.metrics).start()
+        # Publishes the ``process.*`` gauges into the service registry.
+        self._sampler = ResourceSampler(registry=service.metrics).start()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="repro-telemetry-server",

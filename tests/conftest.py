@@ -8,14 +8,16 @@ import pytest
 from repro.datasets.synth import make_multiview_blobs
 
 
-@pytest.fixture(autouse=True)
+@pytest.fixture(autouse=True, scope="session")
 def _pin_default_backend():
     """Keep the tier-1 suite on the numpy backend regardless of environment.
 
     CI runs a leg with ``REPRO_BACKEND=float32`` to prove a non-default
     backend survives the whole suite's *code paths*; the bit-identity
     assertions, however, define the numpy contract, so the ambient
-    backend is pinned back to numpy here.  Tests that exercise alternate
+    backend is pinned back to numpy here.  The pin is session-scoped so
+    that it also covers the session-scoped fixtures, which are built
+    before any function-scoped fixture.  Tests that exercise alternate
     backends enter :class:`repro.backends.use_backend` themselves, which
     nests deeper than this fixture and therefore wins.
     """

@@ -7,8 +7,9 @@ imported, every ``__all__`` keeps its content and order, the fault-site
 catalogue is complete in a fresh process, a fit or serve path
 imports nothing past the imports of its entry points, every module
 and every public function, class and method has a caller outside the
-tests, and in the modules swept for options no function keeps a
-defaulted parameter that no caller outside the tests passes.
+tests, and no function, constructor or method under ``src/repro``
+keeps a defaulted parameter that no caller outside the tests passes,
+apart from the allowed ones listed with their reasons.
 """
 
 from __future__ import annotations
@@ -443,36 +444,59 @@ def test_every_public_name_has_a_caller():
     assert sorted(uncalled) == sorted(NO_NAMED_CALLER), sorted(uncalled)
 
 
-#: Modules swept for options only the tests set: in these, every
-#: defaulted parameter of a module-level function must be passed by some
-#: call outside the tests.
-OPTION_SWEPT = (
-    "repro.baselines.single_view",
-    "repro.cluster.labels",
-    "repro.cluster.spectral",
-    "repro.core.discrete",
-    "repro.core.graph_builder",
-    "repro.datasets.synth",
-    "repro.evaluation.curves",
-    "repro.evaluation.tables",
-    "repro.graph.adaptive",
-    "repro.graph.affinity",
-    "repro.graph.anchor",
-    "repro.graph.connectivity",
-    "repro.graph.fusion",
-    "repro.graph.sparse",
-    "repro.linalg.gpi",
-    "repro.linalg.procrustes",
-    "repro.metrics.accuracy",
-    "repro.metrics.ari",
-    "repro.metrics.nmi",
-    "repro.observability.analysis",
-    "repro.observability.export",
-    "repro.robust.policy",
-    "repro.serving.artifact",
-    "repro.serving.service",
-    "repro.utils.validation",
+_ENTRY_POINT = (
+    "user-facing entry point examples/ call; ROADMAP item 6 keeps it"
 )
+_TUNED = "recorded in the artifact config; ROADMAP items 8 and 16 tune it"
+_DRIFT_KNOB = "drift-detector knob docs/streaming.md documents"
+
+#: Defaulted parameters no call outside the tests passes, each kept for a
+#: stated reason.  Listed as ``module.function(option=)``,
+#: ``module.Class(option=)`` for a constructor and
+#: ``module.Class.method(option=)`` for a method.
+OPTION_KEPT = {
+    "repro.cli.main(argv=)": (
+        "the entry-point seam: tests run the CLI in-process"
+    ),
+    "repro.cli.main(out=)": (
+        "the entry-point seam: tests capture the CLI's output"
+    ),
+    "repro.core.out_of_sample.propagate_labels(n_clusters=)": _ENTRY_POINT,
+    "repro.core.out_of_sample.propagate_labels(n_neighbors=)": _ENTRY_POINT,
+    "repro.datasets.benchmarks.load_benchmark(random_state=)": _ENTRY_POINT,
+    "repro.core.sparse_model.SparseMVSC(n_neighbors=)": _TUNED,
+    "repro.core.sparse_model.SparseMVSC(gamma=)": _TUNED,
+    "repro.core.sparse_model.SparseMVSC(weighting=)": _TUNED,
+    "repro.core.sparse_model.SparseMVSC(max_iter=)": _TUNED,
+    "repro.core.sparse_model.SparseMVSC(n_restarts=)": _TUNED,
+    "repro.core.anchor_model.AnchorMVSC(n_anchor_neighbors=)": _TUNED,
+    "repro.core.anchor_model.AnchorMVSC(gamma=)": _TUNED,
+    "repro.core.anchor_model.AnchorMVSC(weighting=)": _TUNED,
+    "repro.core.anchor_model.AnchorMVSC(max_iter=)": _TUNED,
+    "repro.core.anchor_model.AnchorMVSC(n_restarts=)": _TUNED,
+    "repro.streaming.drift.ObjectiveShiftDetector(threshold=)": _DRIFT_KNOB,
+    "repro.streaming.drift.ObjectiveShiftDetector(hysteresis=)": _DRIFT_KNOB,
+    "repro.streaming.drift.ObjectiveShiftDetector(cooldown=)": _DRIFT_KNOB,
+    "repro.streaming.drift.ObjectiveShiftDetector(window=)": _DRIFT_KNOB,
+    "repro.streaming.drift.ViewWeightShiftDetector(threshold=)": _DRIFT_KNOB,
+    "repro.streaming.drift.ViewWeightShiftDetector(hysteresis=)": _DRIFT_KNOB,
+    "repro.streaming.drift.ViewWeightShiftDetector(cooldown=)": _DRIFT_KNOB,
+    "repro.serving.service.PredictionService.submit(request_id=)": (
+        "per-call data: the client's own request id"
+    ),
+    "repro.serving.service.PredictionService.predict_one(timeout=)": (
+        "per-call data: the client's deadline"
+    ),
+    "repro.pipeline.cache.ComputationCache(max_items=)": (
+        "deployment memory bound"
+    ),
+    "repro.pipeline.cache.ComputationCache(max_bytes=)": (
+        "deployment memory bound"
+    ),
+    "repro.serving.telemetry.TelemetryServer(health_rules=)": (
+        "documented in docs/observability.md"
+    ),
+}
 
 
 def _call_arguments() -> dict[str, tuple[set, int, bool]]:
@@ -500,22 +524,50 @@ def _call_arguments() -> dict[str, tuple[set, int, bool]]:
     return passed
 
 
+def _option_sites(tree: ast.Module):
+    """``(called name, qualified name, definition, bound)`` for every
+    module-level function, constructor and method of ``tree``.
+
+    A constructor is called by its class's name and a method by its own;
+    ``bound`` is 1 when the first parameter is ``self`` or ``cls``, which
+    no call passes.  A dataclass's generated constructor has no
+    definition here, so its fields are not swept.
+    """
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                static = any(
+                    getattr(d, "id", "") == "staticmethod"
+                    for d in member.decorator_list
+                )
+                if member.name == "__init__":
+                    yield node.name, node.name, member, 1
+                else:
+                    qualname = f"{node.name}.{member.name}"
+                    yield member.name, qualname, member, int(not static)
+
+
 def test_every_option_has_a_caller():
-    # A function no code outside the tests calls by name (a public
+    # A callable no code outside the tests calls by name (a public
     # export, or a callable handed to the cache) is skipped: no call
     # shows which of its options are needed.
     passed = _call_arguments()
-    modules = _source_modules()
     unused = []
-    for module in OPTION_SWEPT:
-        for node in _parse(modules[module]).body:
-            if not isinstance(node, ast.FunctionDef) or node.name not in passed:
+    for module, path in _source_modules().items():
+        for called, qualname, node, bound in _option_sites(_parse(path)):
+            if called not in passed:
                 continue
-            keywords, positional, splatted = passed[node.name]
+            keywords, positional, splatted = passed[called]
             args = node.args
             params = [*args.posonlyargs, *args.args]
             first = len(params) - len(args.defaults)
-            defaulted = [(i, p.arg) for i, p in enumerate(params) if i >= first]
+            defaulted = [
+                (i - bound, p.arg) for i, p in enumerate(params) if i >= first
+            ]
             defaulted += [
                 (None, p.arg)
                 for p, default in zip(args.kwonlyargs, args.kw_defaults)
@@ -526,5 +578,5 @@ def test_every_option_has_a_caller():
                     continue
                 if index is not None and index < positional:
                     continue
-                unused.append(f"{module}.{node.name}({name}=)")
-    assert unused == [], unused
+                unused.append(f"{module}.{qualname}({name}=)")
+    assert sorted(unused) == sorted(OPTION_KEPT), sorted(unused)

@@ -83,25 +83,26 @@ class TestGauge:
 
 class TestHistogramReservoir:
     def test_scalar_summaries_always_exact(self):
-        h = Histogram("h", max_samples=16)
-        values = list(range(1000))
+        h = Histogram("h")
+        values = list(range(3 * DEFAULT_RESERVOIR_SIZE))
         for v in values:
             h.observe(v)
-        assert h.count == 1000
+        assert not h.exact
+        assert h.count == len(values)
         assert h.total == float(sum(values))
         assert h.min == 0.0
-        assert h.max == 999.0
+        assert h.max == float(values[-1])
         assert h.mean == pytest.approx(np.mean(values))
 
     def test_bounded_storage(self):
-        h = Histogram("h", max_samples=64)
+        h = Histogram("h")
         for v in range(100_000):
             h.observe(v)
-        assert len(h.values) <= 64
+        assert len(h.values) <= DEFAULT_RESERVOIR_SIZE
         assert not h.exact
 
     def test_exact_below_cap(self):
-        h = Histogram("h", max_samples=DEFAULT_RESERVOIR_SIZE)
+        h = Histogram("h")
         rng = np.random.default_rng(0)
         values = rng.normal(size=500)
         for v in values:
@@ -125,25 +126,28 @@ class TestHistogramReservoir:
 
     def test_reservoir_is_deterministic(self):
         rng = np.random.default_rng(2)
-        values = rng.normal(size=5000)
-        a = Histogram("a", max_samples=128)
-        b = Histogram("b", max_samples=128)
+        values = rng.normal(size=2 * DEFAULT_RESERVOIR_SIZE + 1)
+        a = Histogram("a")
+        b = Histogram("b")
         for v in values:
             a.observe(v)
             b.observe(v)
+        assert not a.exact
         assert a.values == b.values
 
     def test_decimated_reservoir_is_arrival_strided(self):
-        h = Histogram("h", max_samples=8)
-        for v in range(32):
+        n = 4 * DEFAULT_RESERVOIR_SIZE
+        h = Histogram("h")
+        for v in range(n):
             h.observe(v)
         # Kept samples are exactly the arrival indices 0, s, 2s, ...
         kept = h.values
         stride = int(kept[1] - kept[0])
-        assert kept == [float(i) for i in range(0, 32, stride)][: len(kept)]
+        assert stride > 1
+        assert kept == [float(i) for i in range(0, n, stride)][: len(kept)]
 
     def test_decimated_percentiles_stay_reasonable(self):
-        h = Histogram("h", max_samples=256)
+        h = Histogram("h")
         values = list(range(10_000))
         for v in values:
             h.observe(v)
@@ -156,12 +160,8 @@ class TestHistogramReservoir:
         assert np.isnan(h.percentile(50))
         assert np.isnan(h.min) and np.isnan(h.mean)
 
-    def test_rejects_tiny_cap(self):
-        with pytest.raises(ValidationError, match="max_samples"):
-            Histogram("h", max_samples=1)
-
     def test_concurrent_hammer_loses_no_observations(self):
-        h = Histogram("hammer", max_samples=64)
+        h = Histogram("hammer")
         n_threads, n_obs = 8, 2000
 
         def worker():
@@ -175,7 +175,8 @@ class TestHistogramReservoir:
             t.join()
         assert h.count == n_threads * n_obs
         assert h.total == float(n_threads * sum(range(n_obs)))
-        assert len(h.values) <= 64
+        assert not h.exact
+        assert len(h.values) <= DEFAULT_RESERVOIR_SIZE
 
     def test_snapshot_keeps_legacy_keys_and_adds_quantiles(self):
         registry = MetricsRegistry()

@@ -86,26 +86,22 @@ class TestProfilingSession:
         assert "profile" not in by_name["inner"].attributes
 
     def test_context_restored_and_validation(self):
-        session = ProfilingSession()
-        with use_profiling(session) as active:
-            assert active is session
+        with use_profiling() as session:
             assert current_profiling() is session
         assert current_profiling() is None
         with pytest.raises(ValidationError, match="limit must be >= 1"):
             ProfilingSession(limit=0)
 
     def test_exception_disables_profiler(self):
-        session = ProfilingSession()
-        with pytest.raises(RuntimeError):
-            with use_profiling(session):
+        with use_profiling() as session:
+            with pytest.raises(RuntimeError):
                 with hot_span("boom"):
                     raise RuntimeError("boom")
-        assert session.sites() == ["boom"]  # capture still recorded
-        # A later block can profile again (the active flag was reset).
-        with use_profiling(session):
+            assert session.sites() == ["boom"]  # capture still recorded
+            # A later block can profile again (the active flag was reset).
             with hot_span("after"):
                 _burn()
-        assert "after" in session.sites()
+        assert session.sites() == ["after", "boom"]
 
 
 class TestInstrumentedKernels:

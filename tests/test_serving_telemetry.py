@@ -288,7 +288,7 @@ class TestTelemetryEndpoints:
     def test_health_payload_tracks_drain_state(self):
         artifact = _blob_artifact()
         service = PredictionService(Predictor(artifact))
-        server = TelemetryServer(service, port=0, sample_resources=False)
+        server = TelemetryServer(service, port=0)
         try:
             body, status, ctype = server.health_payload()
             assert status == 200
@@ -319,9 +319,7 @@ class TestTelemetryEndpoints:
             severity="critical",
         )
         service = PredictionService(Predictor(artifact))
-        server = TelemetryServer(
-            service, port=0, sample_resources=False, health_rules=[rule]
-        )
+        server = TelemetryServer(service, port=0, health_rules=[rule])
         url = server.url
         results, stop = [], threading.Event()
         lock = threading.Lock()
