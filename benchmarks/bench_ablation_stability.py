@@ -3,7 +3,8 @@
 The paper's one-stage argument is partly about repeatability: K-means
 discretization re-rolls the dice each run, the rotation/indicator updates
 do not.  This bench quantifies it with the mean pairwise ARI between runs
-(:func:`repro.evaluation.stability.stability_score`).
+(:func:`repro.evaluation.stability.stage_stability`, which ``repro
+stability`` prints for one dataset).
 """
 
 from __future__ import annotations
@@ -14,35 +15,16 @@ pytestmark = pytest.mark.slow  # full protocol; deselect with -m "not slow"
 
 from _config import bench_datasets, bench_runs, get_dataset
 
-from repro.core import TwoStageMVSC
-from repro.core.tuning import recommended_params
-from repro.evaluation.stability import stability_score
+from repro.evaluation.stability import stability_score, stage_stability
 from repro.evaluation.tables import format_rows
-from repro.utils.rng import spawn_seeds
 
 
 def run_stability() -> dict:
-    out: dict = {}
-    seeds = spawn_seeds(0, max(3, bench_runs()))
-    for name in bench_datasets():
-        ds = get_dataset(name)
-        params = recommended_params(name)
-        one_runs = [
-            params.build(ds.n_clusters, random_state=s).fit(ds.views).labels
-            for s in seeds
-        ]
-        two_runs = [
-            TwoStageMVSC(
-                ds.n_clusters,
-                gamma=params.gamma,
-                n_neighbors=params.n_neighbors,
-                n_init=1,  # single K-means start exposes the lottery
-                random_state=s,
-            ).fit_predict(ds.views)
-            for s in seeds
-        ]
-        out[name] = (stability_score(one_runs), stability_score(two_runs))
-    return out
+    n_runs = max(3, bench_runs())
+    return {
+        name: stage_stability(get_dataset(name), n_runs)
+        for name in bench_datasets()
+    }
 
 
 def test_ablation_stability_prints(capsys, benchmark):

@@ -4,24 +4,17 @@ The streaming subsystem (:mod:`repro.streaming`) exists on one claim:
 absorbing batches with :meth:`~repro.core.anchor_model.AnchorMVSC.
 partial_fit` — escalating to a refit only when the drift ladder demands
 one — tracks the quality of refitting from scratch on every batch at a
-small fraction of the cost.  This bench measures that claim on the
-deterministic drifted stream the scenario factory produces:
+small fraction of the cost.  These unmarked contract legs measure that
+claim on the full-size stream of the tracked ``streaming`` bench
+(:func:`repro.bench.stream_workload`: a ``confused_pairs`` stream whose
+last two batches carry a cluster-mean + imbalance drift):
 
-* an unmarked quick leg (10 batches x 150 samples, cluster-mean +
-  imbalance drift injected mid-stream) asserting the contract directly:
-  the streaming replay spends at least ``MIN_SPEEDUP`` (3x) less total
+* the streaming replay spends at least ``MIN_SPEEDUP`` (3x) less total
   fit wall-clock than per-batch full refits on the accumulated data,
   its final ARI is within ``ARI_TOLERANCE`` (0.05) of the full-refit
-  trajectory, and the drift ladder actually escalated at the injected
+  trajectory, and the drift ladder escalated at exactly the injected
   shift (so the cheap path is being defended, not just lucky);
-* a ``slow``-marked full pass at larger batches that prints the
-  per-batch action/cost table.
-
-The ``streaming`` entry of ``repro bench run`` times the same protocol
-(a ``confused_pairs`` stream with a mean-shift 4, imbalance 5 drift)
-but not this workload: 4 batches of 70 samples with the drift at batch
-2 under ``--quick``, 8 batches of 150 with the drift at batch 6 at full
-size, and no full-refit comparison.
+* the same stream without the drift only ever folds in.
 """
 
 from __future__ import annotations
@@ -29,38 +22,25 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
+from repro.bench import stream_workload
 from repro.core.anchor_model import AnchorMVSC
-from repro.datasets.scenarios import StreamDrift, get_scenario, stream_batches
+from repro.datasets.scenarios import stream_batches
 from repro.metrics import adjusted_rand_index
 from repro.streaming import StreamingMVSC
 
 #: Minimum total-wall-clock advantage of the streaming replay over
-#: per-batch full refits (measured ~10x on the quick workload; 3x keeps
-#: slack for machine variance without letting the contract rot).
+#: per-batch full refits (3x keeps slack for machine variance without
+#: letting the contract rot).
 MIN_SPEEDUP = 3.0
 
 #: Maximum final-ARI deficit the cheap path may show against per-batch
 #: full refits (documented tolerance; measured well inside it).
 ARI_TOLERANCE = 0.05
 
-N_BATCHES = 10
-DRIFT_AT = 6
 
-
-def _make_stream(batch_size: int):
-    scenario = get_scenario("confused_pairs").with_size(batch_size)
-    drift = StreamDrift(at_batch=DRIFT_AT, mean_shift=4.0, imbalance=5.0)
-    batches = stream_batches(
-        scenario, N_BATCHES, drift=drift, random_state=0
-    )
-    truth = np.concatenate([b.labels for b in batches])
-    return scenario, batches, truth
-
-
-def _run_streaming(scenario, batches):
-    streamer = StreamingMVSC(AnchorMVSC(scenario.n_clusters, random_state=0))
+def _run_streaming(n_clusters, batches):
+    streamer = StreamingMVSC(AnchorMVSC(n_clusters, random_state=0))
     tick = time.perf_counter()
     labels = None
     for batch in batches:
@@ -68,7 +48,7 @@ def _run_streaming(scenario, batches):
     return labels, time.perf_counter() - tick, streamer
 
 
-def _run_full_refits(scenario, batches):
+def _run_full_refits(n_clusters, batches):
     views = None
     tick = time.perf_counter()
     labels = None
@@ -78,19 +58,21 @@ def _run_full_refits(scenario, batches):
             if views is None
             else [np.vstack([a, v]) for a, v in zip(views, batch.views)]
         )
-        labels = AnchorMVSC(
-            scenario.n_clusters, random_state=0
-        ).fit_predict(views)
+        labels = AnchorMVSC(n_clusters, random_state=0).fit_predict(views)
     return labels, time.perf_counter() - tick
 
 
-def test_quick_streaming_tracks_full_refits_at_fraction_of_cost():
-    scenario, batches, truth = _make_stream(150)
+def test_streaming_tracks_full_refits_at_fraction_of_cost():
+    stream = stream_workload(quick=False)
+    n_clusters = stream["scenario"].n_clusters
+    drift_at = stream["drift"].at_batch
+    batches = stream_batches(**stream)
+    truth = np.concatenate([b.labels for b in batches])
 
     stream_labels, stream_seconds, streamer = _run_streaming(
-        scenario, batches
+        n_clusters, batches
     )
-    full_labels, full_seconds = _run_full_refits(scenario, batches)
+    full_labels, full_seconds = _run_full_refits(n_clusters, batches)
 
     ari_stream = adjusted_rand_index(truth, stream_labels)
     ari_full = adjusted_rand_index(truth, full_labels)
@@ -109,45 +91,19 @@ def test_quick_streaming_tracks_full_refits_at_fraction_of_cost():
     # shift batch, fold-in everywhere else after the initial fit.
     actions = [r.action for r in streamer.history]
     assert actions[0] == "fit"
-    assert actions[DRIFT_AT] in ("partial_refit", "full_refit")
+    assert actions[drift_at] in ("partial_refit", "full_refit")
     assert all(
         a == "fold_in" for i, a in enumerate(actions[1:], start=1)
-        if i != DRIFT_AT
+        if i != drift_at
     )
-    assert any(e.batch_index == DRIFT_AT for e in streamer.events)
+    assert any(e.batch_index == drift_at for e in streamer.events)
 
 
-def test_quick_stationary_stream_never_refits():
+def test_stationary_stream_never_refits():
     """Without drift the ladder must stay on the cheap rung throughout."""
-    scenario = get_scenario("confused_pairs").with_size(120)
-    batches = stream_batches(scenario, 6, random_state=0)
-    streamer = StreamingMVSC(AnchorMVSC(scenario.n_clusters, random_state=0))
-    for batch in batches:
-        streamer.partial_fit(batch.views)
-    assert [r.action for r in streamer.history][1:] == ["fold_in"] * 5
+    stream = stream_workload(quick=False, drift=False)
+    batches = stream_batches(**stream)
+    _, _, streamer = _run_streaming(stream["scenario"].n_clusters, batches)
+    actions = [r.action for r in streamer.history]
+    assert actions[1:] == ["fold_in"] * (len(batches) - 1)
     assert streamer.events == []
-
-
-@pytest.mark.slow
-def test_full_streaming_replay_prints(capsys):
-    scenario, batches, truth = _make_stream(300)
-    stream_labels, stream_seconds, streamer = _run_streaming(
-        scenario, batches
-    )
-    full_labels, full_seconds = _run_full_refits(scenario, batches)
-    with capsys.disabled():
-        print("\n=== Streaming replay vs per-batch full refits ===")
-        print(f"{'batch':>5} {'n':>6} {'action':<14} {'cost':>8} {'sec':>6}")
-        for r in streamer.history:
-            print(
-                f"{r.batch_index:>5} {r.n_total:>6} {r.action:<14} "
-                f"{r.batch_cost:>8.3f} {r.seconds:>6.2f}"
-            )
-        print(
-            f"streaming: {stream_seconds:.2f}s "
-            f"ARI {adjusted_rand_index(truth, stream_labels):.3f} | "
-            f"full refits: {full_seconds:.2f}s "
-            f"ARI {adjusted_rand_index(truth, full_labels):.3f} | "
-            f"speedup {full_seconds / stream_seconds:.1f}x"
-        )
-    assert full_seconds >= MIN_SPEEDUP * stream_seconds

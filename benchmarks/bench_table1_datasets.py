@@ -1,41 +1,23 @@
 """Table I — dataset statistics.
 
-Regenerates the paper's dataset-description table: name, samples, views,
-per-view dimensionalities, clusters.  The benchmark target measures dataset
+Prints the paper's dataset-description table (name, samples, views,
+per-view dimensionalities, clusters, the real dataset each mirrors), as
+``repro datasets`` does.  The benchmark target measures dataset
 generation time (the analogue of dataset loading in the original).
 """
 
 from __future__ import annotations
 
-from _config import bench_datasets, get_dataset
+from _config import bench_datasets
 
-from repro.datasets import get_spec, load_benchmark
-from repro.evaluation.tables import format_rows
-
-
-def render_table1() -> str:
-    """The Table I text block."""
-    rows = []
-    for name in bench_datasets():
-        ds = get_dataset(name)
-        spec = get_spec(name)
-        rows.append(
-            [
-                name,
-                ds.n_samples,
-                ds.n_views,
-                "/".join(str(d) for d in ds.view_dims),
-                ds.n_clusters,
-                spec.reference.split("(")[0].strip(),
-            ]
-        )
-    return format_rows(
-        ["dataset", "n", "views", "dims", "clusters", "mirrors"], rows
-    )
+from repro.datasets import load_benchmark
+from repro.evaluation.tables import format_dataset_table
 
 
 def test_table1_prints(capsys, benchmark):
-    table = benchmark.pedantic(render_table1, rounds=1, iterations=1)
+    table = benchmark.pedantic(
+        format_dataset_table, args=(bench_datasets(),), rounds=1, iterations=1
+    )
     with capsys.disabled():
         print("\n=== Table I: dataset statistics ===")
         print(table)

@@ -6,7 +6,9 @@ This module turns a declared set of workloads into machine-readable
 perf records:
 
 * :data:`BENCHES` — the tracked workloads, each defined once here; a
-  ``benchmarks/bench_*`` module that times one imports its factory;
+  ``benchmarks/bench_*`` module that times one imports its factory,
+  and the CLI and the pytest benches read the grid and the stream they
+  share from :func:`matrix_workload` and :func:`stream_workload`;
 * :func:`run_benches` — time them with no trace active under a
   :class:`~repro.observability.resource.ResourceSampler`, after one
   untimed warm-up pass under a :class:`~repro.observability.trace.Trace`,
@@ -40,6 +42,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy
@@ -177,6 +180,21 @@ def _bench_serving_throughput(quick: bool):
     return work
 
 
+def matrix_workload(quick: bool) -> dict:
+    """The tracked method × scenario grid, as keywords of
+    :func:`~repro.evaluation.scenario_matrix.run_scenario_matrix`.
+
+    ``repro scenarios run --quick`` takes its quick size, and
+    ``benchmarks/bench_scenario_matrix.py`` asserts on its quick grid.
+    """
+    return {
+        "methods": ("UMSC", "ConcatSC"),
+        "scenarios": ("clean", "confused_pairs", "missing_views"),
+        "n_samples": 70 if quick else 160,
+        "n_runs": 1,
+    }
+
+
 def _bench_scenario_matrix(quick: bool):
     """Robustness-matrix sweep.
 
@@ -186,16 +204,29 @@ def _bench_scenario_matrix(quick: bool):
     """
     from repro.evaluation.scenario_matrix import run_scenario_matrix
 
-    n = 70 if quick else 160
-    methods = ("UMSC", "ConcatSC")
-    scenarios = ("clean", "confused_pairs", "missing_views")
+    return partial(run_scenario_matrix, **matrix_workload(quick))
 
-    def work():
-        run_scenario_matrix(
-            methods=methods, scenarios=scenarios, n_samples=n, n_runs=1
-        )
 
-    return work
+def stream_workload(quick: bool, *, drift: bool = True) -> dict:
+    """The tracked ``confused_pairs`` stream, as arguments of
+    :func:`~repro.datasets.scenarios.stream_batches`: its last two
+    batches carry a mean-shift 4, imbalance 5 drift (none when
+    ``drift`` is false).
+
+    ``repro stream --quick`` takes its quick sizes, and
+    ``benchmarks/bench_streaming.py`` holds its full size to the
+    streaming contract.
+    """
+    from repro.datasets.scenarios import StreamDrift, get_scenario
+
+    n_batches, batch_size = (4, 70) if quick else (8, 150)
+    shift = StreamDrift(at_batch=n_batches - 2, mean_shift=4.0, imbalance=5.0)
+    return {
+        "scenario": get_scenario("confused_pairs").with_size(batch_size),
+        "n_batches": n_batches,
+        "drift": shift if drift else None,
+        "random_state": 0,
+    }
 
 
 def _bench_streaming(quick: bool):
@@ -207,25 +238,15 @@ def _bench_streaming(quick: bool):
     shows up as wall-clock, not just as a logic bug.
     """
     from repro.core.anchor_model import AnchorMVSC
-    from repro.datasets.scenarios import (
-        StreamDrift,
-        get_scenario,
-        stream_batches,
-    )
+    from repro.datasets.scenarios import stream_batches
     from repro.streaming import StreamingMVSC
 
-    n_batches = 4 if quick else 8
-    batch_size = 70 if quick else 150
-    scenario = get_scenario("confused_pairs").with_size(batch_size)
-    drift = StreamDrift(
-        at_batch=n_batches - 2, mean_shift=4.0, imbalance=5.0
-    )
-    batches = stream_batches(scenario, n_batches, drift=drift, random_state=0)
+    stream = stream_workload(quick)
+    n_clusters = stream["scenario"].n_clusters
+    batches = stream_batches(**stream)
 
     def work():
-        streamer = StreamingMVSC(
-            AnchorMVSC(scenario.n_clusters, random_state=0)
-        )
+        streamer = StreamingMVSC(AnchorMVSC(n_clusters, random_state=0))
         for batch in batches:
             streamer.partial_fit(batch.views)
 

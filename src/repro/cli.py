@@ -10,59 +10,34 @@ artifacts:
 * ``stability``   — seed-stability comparison of one-stage vs two-stage;
 * ``cache``       — inspect (``stats``) or empty (``clear``) an on-disk
   computation cache;
-* ``faults``      — list the registered fault-injection sites of the
-  robustness harness (``repro faults list``);
-* ``save``        — fit a model on a benchmark and persist a serving
-  artifact directory (:mod:`repro.serving`);
-* ``predict``     — load a saved artifact and batch-label a benchmark's
-  samples, reporting agreement with its ground truth;
-* ``serve``       — offline micro-batching benchmark: replay a
-  benchmark's samples as single-sample requests through a
-  :class:`~repro.serving.service.PredictionService` and compare
-  throughput and labels against one-at-a-time prediction, both passes
-  run by :func:`~repro.serving.service.serve_against_serial`
-  (``--telemetry-port`` exposes ``/metrics`` / ``/healthz`` /
-  ``/stats`` during the replay);
-* ``metrics``     — ``metrics dump`` runs one traced fit and renders
-  its metrics registry via the export layer (``--format prom|json``);
-  ``--from-trace PATH`` instead renders the snapshot embedded in a
-  saved JSONL trace (missing/malformed files exit with a one-line
-  typed error, not a traceback);
-* ``trace``       — offline analytics over a JSONL trace file
-  (:mod:`repro.observability.analysis`): ``trace summary`` prints the
-  self/cumulative hotspot table, ``trace critical-path`` the longest
-  dependent span chain, ``trace export`` a Chrome trace-event JSON
-  loadable in Perfetto / ``chrome://tracing``;
-* ``bench``       — the benchmark-regression tracker
-  (:mod:`repro.bench`): ``bench run`` writes a schema-versioned
-  ``BENCH_<tag>.json`` (wall-clock, metrics dump, resource peaks,
-  per-phase memory attribution), ``bench compare`` gates one report
-  against a baseline — wall-clock at ``--threshold``, memory peaks at
-  their own looser ``--memory-threshold`` (nonzero exit for CI);
-* ``health``      — the SLO/alert rules engine
-  (:mod:`repro.observability.health`): ``health check`` evaluates a
-  rule pack (default or ``--rules FILE``) against a live traced fit
-  (``--dataset``), a saved trace's snapshot (``--from-trace``), or
-  every bench entry of a ``BENCH_*.json`` (``--from-bench``); exits 0
-  when healthy, 1 when a critical rule fires (``--strict``: any
-  failure), 2 on unreadable input;
-* ``backends``    — ``backends list`` prints the registered compute
-  backends (:mod:`repro.backends`) with dtype, tolerance, and
-  availability, marking the currently active one;
-* ``scenarios``   — the controlled robustness scenario factory
-  (:mod:`repro.datasets.scenarios`): ``scenarios list`` prints every
-  registered scenario with its active knobs, ``scenarios run`` executes
-  the method × scenario matrix
-  (:mod:`repro.evaluation.scenario_matrix`) and prints one ACC/NMI/ARI
-  grid per metric (``--quick`` for the CI smoke size, ``--json`` for
-  the machine-readable artifact);
-* ``stream``      — replay a scenario as a deterministic batch stream
-  (:func:`repro.datasets.scenarios.stream_batches`) through the
-  drift-aware incremental model (:mod:`repro.streaming`), printing one
-  row per batch (action taken, ACC/NMI/ARI against the accumulated
-  ground truth, wall-clock, firing drift detectors); ``--drift-at``
-  injects a mid-stream distribution shift, ``--json`` dumps the typed
-  per-batch records.
+* ``faults``      — list the fault-injection sites (``faults list``);
+* ``save`` / ``predict`` — fit a model and persist a serving artifact
+  (:mod:`repro.serving`), then batch-label a benchmark from it;
+* ``serve``       — replay single-sample requests through a
+  micro-batching service against one-at-a-time prediction, both passes
+  run by :func:`~repro.serving.service.serve_against_serial`;
+* ``metrics``     — ``metrics dump`` renders the metrics registry of one
+  traced fit or of a saved trace (``--from-trace``);
+* ``trace``       — offline analytics over a JSONL trace
+  (:mod:`repro.observability.analysis`): hotspot ``summary``,
+  ``critical-path`` and Chrome-trace ``export``;
+* ``bench``       — the regression tracker (:mod:`repro.bench`):
+  ``bench run`` writes ``BENCH_<tag>.json``, ``bench compare`` gates one
+  report against a baseline (nonzero exit for CI);
+* ``health``      — ``health check`` evaluates an SLO rule pack
+  (:mod:`repro.observability.health`) against a live fit, a saved trace
+  or a bench report; exits 0 healthy, 1 critical, 2 on bad input;
+* ``backends``    — list the compute backends (:mod:`repro.backends`);
+* ``scenarios``   — ``scenarios list`` prints the robustness scenarios
+  (:mod:`repro.datasets.scenarios`), ``scenarios run`` the method ×
+  scenario ACC/NMI/ARI grid (:mod:`repro.evaluation.scenario_matrix`);
+* ``stream``      — replay a scenario as a batch stream through the
+  drift-aware incremental model (:mod:`repro.streaming`), one row per
+  batch; ``--drift-at`` injects a mid-stream shift.
+
+``--quick`` runs ``scenarios run`` and ``stream`` at the sizes of the
+tracked ``scenario_matrix`` and ``streaming`` benches
+(:func:`repro.bench.matrix_workload`, :func:`repro.bench.stream_workload`).
 
 ``run`` exposes the observability layer: ``--verbose`` streams one line
 per solver iteration to stderr, ``--trace PATH`` writes the spans and
@@ -101,12 +76,16 @@ import numpy as np
 
 from repro.backends import available_backends, current_backend, get_backend
 from repro.context import scoped
-from repro.datasets import available_benchmarks, get_spec, load_benchmark
+from repro.datasets import available_benchmarks, load_benchmark
 from repro.exceptions import ReproError, ValidationError
 from repro.evaluation.curves import convergence_curve, sparkline
 from repro.evaluation.registry import default_method_registry
 from repro.evaluation.runner import run_experiment, run_method_once
-from repro.evaluation.tables import format_metric_table, format_rows
+from repro.evaluation.tables import (
+    format_dataset_table,
+    format_metric_table,
+    format_rows,
+)
 from repro.observability import (
     JsonlSink,
     LoggingSink,
@@ -511,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="resize every scenario to N samples before generation "
-        "(--quick: 80)",
+        "(--quick: as the scenario_matrix bench)",
     )
 
     stream_p = sub.add_parser(
@@ -527,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batches",
         type=int,
         default=8,
-        help="batches to replay (default 8; --quick: 4)",
+        help="batches to replay (default 8; --quick: as the streaming bench)",
     )
     stream_p.add_argument(
         "--samples",
@@ -535,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="samples per batch (default: the scenario's native size; "
-        "--quick: 80)",
+        "--quick: as the streaming bench)",
     )
     stream_p.add_argument(
         "--drift-at",
@@ -623,22 +602,7 @@ def _print_cache_summary(cache, out) -> None:
 
 
 def _cmd_datasets(args, out) -> int:
-    rows = []
-    for name in available_benchmarks():
-        spec = get_spec(name)
-        rows.append(
-            [
-                name,
-                spec.n_samples,
-                len(spec.view_dims),
-                "/".join(str(d) for d in spec.view_dims),
-                spec.n_clusters,
-            ]
-        )
-    print(
-        format_rows(["dataset", "n", "views", "dims", "clusters"], rows),
-        file=out,
-    )
+    print(format_dataset_table(available_benchmarks()), file=out)
     return 0
 
 
@@ -1129,6 +1093,7 @@ def _cmd_backends(args, out) -> int:
 
 def _cmd_scenarios(args, out) -> int:
     """``repro scenarios {list,run}`` — the robustness scenario factory."""
+    from repro.bench import matrix_workload
     from repro.datasets.scenarios import available_scenarios, get_scenario
     from repro.evaluation.scenario_matrix import (
         format_matrix,
@@ -1155,7 +1120,8 @@ def _cmd_scenarios(args, out) -> int:
         print(f"{len(rows)} scenarios registered", file=out)
         return 0
     if args.scenarios_command == "run":
-        n_samples = 80 if args.quick else args.samples
+        quick_n = matrix_workload(True)["n_samples"]
+        n_samples = quick_n if args.quick else args.samples
         matrix = run_scenario_matrix(
             methods=_comma_list(args.methods) or None,
             scenarios=_comma_list(args.scenarios) or None,
@@ -1189,24 +1155,23 @@ def _cmd_scenarios(args, out) -> int:
 
 def _cmd_stream(args, out) -> int:
     """``repro stream`` — replay a batch schedule through StreamingMVSC."""
+    from repro.bench import stream_workload
     from repro.core.anchor_model import AnchorMVSC
     from repro.datasets.scenarios import (
         StreamDrift,
         get_scenario,
         stream_batches,
     )
-    from repro.metrics import (
-        adjusted_rand_index,
-        clustering_accuracy,
-        normalized_mutual_information,
-    )
+    from repro.metrics import evaluate_clustering
     from repro.streaming import StreamingMVSC
 
     spec = get_scenario(args.scenario)
-    n_batches = 4 if args.quick else args.batches
-    batch_size = args.samples
-    if args.quick and batch_size is None:
-        batch_size = 80
+    n_batches, batch_size = args.batches, args.samples
+    if args.quick:
+        tracked = stream_workload(True)
+        n_batches = tracked["n_batches"]
+        if batch_size is None:
+            batch_size = tracked["scenario"].n_samples
     if batch_size is not None:
         spec = spec.with_size(batch_size)
     drift = None
@@ -1238,11 +1203,9 @@ def _cmd_stream(args, out) -> int:
             truth_parts.append(batch.labels)
             truth = np.concatenate(truth_parts)
             record = streamer.history[-1]
-            scores = {
-                "acc": clustering_accuracy(truth, labels),
-                "nmi": normalized_mutual_information(truth, labels),
-                "ari": adjusted_rand_index(truth, labels),
-            }
+            scores = evaluate_clustering(
+                truth, labels, metrics=("acc", "nmi", "ari")
+            )
             fired = (
                 ";".join(
                     f"{e.kind}({e.severity:.2f})" for e in record.events
@@ -1323,36 +1286,18 @@ def _cmd_convergence(args, out) -> int:
 
 
 def _cmd_stability(args, out) -> int:
-    from repro.core import TwoStageMVSC
-    from repro.core.tuning import recommended_params
-    from repro.evaluation.stability import stability_score
-    from repro.utils.rng import spawn_seeds
+    from repro.evaluation.stability import stage_stability
 
     dataset = load_benchmark(args.dataset)
-    params = recommended_params(args.dataset)
-    seeds = spawn_seeds(0, max(2, args.runs))
-    one = [
-        params.build(dataset.n_clusters, random_state=s).fit(dataset.views).labels
-        for s in seeds
-    ]
-    two = [
-        TwoStageMVSC(
-            dataset.n_clusters,
-            gamma=params.gamma,
-            n_neighbors=params.n_neighbors,
-            n_init=1,
-            random_state=s,
-        ).fit_predict(dataset.views)
-        for s in seeds
-    ]
+    n_runs = max(2, args.runs)
+    one, two = stage_stability(dataset, n_runs)
     print(dataset.summary(), file=out)
     print(
-        f"mean pairwise ARI over {len(seeds)} seeds "
-        f"(1.0 = perfectly repeatable):",
+        f"mean pairwise ARI over {n_runs} seeds (1.0 = perfectly repeatable):",
         file=out,
     )
-    print(f"  one-stage (UMSC):          {stability_score(one):.3f}", file=out)
-    print(f"  two-stage (1 K-means run): {stability_score(two):.3f}", file=out)
+    print(f"  one-stage (UMSC):          {one:.3f}", file=out)
+    print(f"  two-stage (1 K-means run): {two:.3f}", file=out)
     return 0
 
 

@@ -116,11 +116,7 @@ def _reseed_empty(
 
 
 def _lloyd(
-    x: np.ndarray,
-    centers: np.ndarray,
-    max_iter: int,
-    tol: float,
-    rng: np.random.Generator,
+    x: np.ndarray, centers: np.ndarray, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """One Lloyd run from given initial centers.
 
@@ -145,7 +141,7 @@ def _lloyd(
         new_inertia = float(np.sum(point_cost))
         centers = new_centers
         stable = prev_labels is not None and np.array_equal(labels, prev_labels)
-        small_gain = abs(inertia - new_inertia) <= tol * max(abs(new_inertia), 1.0)
+        small_gain = abs(inertia - new_inertia) <= _TOL * max(abs(new_inertia), 1.0)
         inertia = new_inertia
         if stable or small_gain:
             break
@@ -212,9 +208,7 @@ class KMeans:
                 fallbacks=(("spread", lambda: _spread_centers(x, self.n_clusters)),),
                 context=lambda: matrix_context(x, "x"),
             )
-            labels, centers, inertia, n_iter = _lloyd(
-                x, centers0, self.max_iter, _TOL, rng
-            )
+            labels, centers, inertia, n_iter = _lloyd(x, centers0, self.max_iter)
             if best is None or inertia < best.inertia:
                 best = KMeansResult(labels, centers, inertia, n_iter)
         assert best is not None

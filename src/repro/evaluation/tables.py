@@ -1,7 +1,8 @@
 """Plain-text rendering of result tables in the paper's layout.
 
-Tables II-IV are methods (rows) x datasets (columns) with ``mean±std``
-cells; the best mean per column is marked with ``*`` (the paper bolds it).
+Table I (:func:`format_dataset_table`) lists the benchmarks.  Tables
+II-IV are methods (rows) x datasets (columns) with ``mean±std`` cells;
+the best mean per column is marked with ``*`` (the paper bolds it).
 """
 
 from __future__ import annotations
@@ -43,6 +44,22 @@ def format_rows(headers, rows) -> str:
     lines = [render(headers), render(["-" * w for w in widths])]
     lines.extend(render(r) for r in text_rows)
     return "\n".join(lines)
+
+
+def format_dataset_table(names) -> str:
+    """Table I: each named benchmark's size, views, per-view dimensions,
+    clusters and the real dataset it mirrors, read from its spec."""
+    from repro.datasets import get_spec
+
+    rows = []
+    for name in names:
+        spec = get_spec(name)
+        dims = "/".join(str(d) for d in spec.view_dims)
+        mirrors = spec.reference.split("(")[0].strip()
+        rows.append(
+            [name, spec.n_samples, len(spec.view_dims), dims, spec.n_clusters, mirrors]
+        )
+    return format_rows(["dataset", "n", "views", "dims", "clusters", "mirrors"], rows)
 
 
 def format_metric_table(results_by_dataset: dict, metric: str) -> str:

@@ -509,6 +509,28 @@ class TestScenariosCommand:
         assert "acc" in payload["cells"]["ConcatSC@clean"]["scores"]
         assert str(path) in out.getvalue()
 
+    def test_quick_runs_the_tracked_grid_size(self):
+        from repro.bench import matrix_workload
+
+        n = matrix_workload(quick=True)["n_samples"]
+        out = io.StringIO()
+        code = main(
+            [
+                "scenarios",
+                "run",
+                "--quick",
+                "--scenarios",
+                "clean",
+                "--methods",
+                "ConcatSC",
+                "--metrics",
+                "acc",
+            ],
+            out=out,
+        )
+        assert code == 0
+        assert f"run(s), samples={n}\n" in out.getvalue()
+
     def test_run_unknown_scenario_raises(self):
         from repro.exceptions import ValidationError
 

@@ -142,7 +142,7 @@ class TestEmptyClusterRepair:
         # 2; moving it into empty cluster 1 would empty cluster 2.
         x = np.array([[0.0], [0.0], [0.0], [10.0]])
         centers = np.array([[0.0], [100.0], [10.1]])
-        labels, out, _, _ = _lloyd(x, centers, 1, 1e-7, np.random.default_rng(0))
+        labels, out, _, _ = _lloyd(x, centers, 1)
         assert np.bincount(labels, minlength=3).min() >= 1
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(labels, [1, 0, 0, 2])

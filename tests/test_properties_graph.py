@@ -90,7 +90,7 @@ class TestKMeansInvariants:
         fit = KMeans(k, n_init=3, random_state=0).fit(x)
         gap = ((x[:, None, :] - fit.centers[None]) ** 2).sum(axis=2).min(axis=1)
         start = np.vstack([fit.centers, x[np.argmax(gap)]])
-        _, _, inertia, _ = _lloyd(x, start, 300, 1e-7, np.random.default_rng(0))
+        _, _, inertia, _ = _lloyd(x, start, 300)
         assert inertia <= fit.inertia * (1 + 1e-9)
 
     @graph_settings

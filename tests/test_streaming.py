@@ -498,9 +498,21 @@ class TestStreamCLI:
         assert "fold_in" in text
         assert "total" in text
         payload = json.loads((tmp_path / "stream.json").read_text())
-        assert payload["n_batches"] == 4
-        assert len(payload["records"]) == 4
+        assert len(payload["records"]) == payload["n_batches"]
         assert {"acc", "nmi", "ari"} <= set(payload["records"][0])
+
+    def test_quick_replays_the_tracked_stream_sizes(self, tmp_path):
+        from repro.bench import stream_workload
+
+        stream = stream_workload(quick=True)
+        path = tmp_path / "stream.json"
+        args = ["stream", "confused_pairs", "--quick", "--json", str(path)]
+        assert main(args, out=StringIO()) == 0
+        payload = json.loads(path.read_text())
+        assert payload["n_batches"] == stream["n_batches"]
+        assert [r["n_new"] for r in payload["records"]] == (
+            [stream["scenario"].n_samples] * stream["n_batches"]
+        )
 
     def test_stream_with_drift_reports_detector(self):
         out = StringIO()
