@@ -4,8 +4,8 @@ All baselines are implemented from scratch on the shared substrates
 (:mod:`repro.graph`, :mod:`repro.cluster`, :mod:`repro.linalg`) so that the
 comparison isolates the *algorithm*, not the graph recipe.  Every class
 runs at its published defaults, takes ``(n_clusters, *, random_state)``
-(``SingleViewSC`` also ``view``) and exposes
-``fit_predict(views) -> labels``.
+through :class:`~repro.baselines.base.Baseline` (``SingleViewSC`` also
+``view``) and exposes ``fit_predict(views) -> labels``.
 
 Single-view:
 

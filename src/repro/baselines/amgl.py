@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.base import Baseline
 from repro.cluster.kmeans import KMeans
 from repro.core.graph_builder import build_laplacians, build_multiview_affinities
 from repro.core.objective import spectral_costs
 from repro.core.weights import update_view_weights
-from repro.exceptions import ValidationError
 from repro.graph.fusion import fuse_laplacians
 from repro.linalg.eigen import eigsh_smallest
 
@@ -30,7 +30,7 @@ from repro.linalg.eigen import eigsh_smallest
 _N_ITER = 10
 
 
-class AMGL:
+class AMGL(Baseline):
     """Auto-weighted multiple graph learning.
 
     Parameters
@@ -39,12 +39,6 @@ class AMGL:
         Number of clusters.
     random_state : int, Generator, or None
     """
-
-    def __init__(self, n_clusters: int, *, random_state=None) -> None:
-        if n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        self.n_clusters = int(n_clusters)
-        self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster multi-view features with auto-weighted graph fusion."""

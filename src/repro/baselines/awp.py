@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.base import Baseline
 from repro.cluster.spectral import spectral_embedding
 from repro.core.discrete import (
     indicator_coordinate_descent,
@@ -31,7 +32,6 @@ from repro.core.discrete import (
     scaled_indicator,
 )
 from repro.core.graph_builder import build_multiview_affinities
-from repro.exceptions import ValidationError
 from repro.linalg.procrustes import nearest_orthogonal
 from repro.utils.rng import check_random_state
 
@@ -39,7 +39,7 @@ from repro.utils.rng import check_random_state
 _N_ITER = 30
 
 
-class AWP:
+class AWP(Baseline):
     """Adaptively weighted Procrustes multi-view clustering.
 
     Parameters
@@ -48,12 +48,6 @@ class AWP:
         Number of clusters.
     random_state : int, Generator, or None
     """
-
-    def __init__(self, n_clusters: int, *, random_state=None) -> None:
-        if n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        self.n_clusters = int(n_clusters)
-        self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster by aligning per-view embeddings to one discrete partition."""

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.base import Baseline
 from repro.cluster.kmeans import KMeans
 from repro.cluster.spectral import spectral_clustering
 from repro.core.graph_builder import build_multiview_affinities
-from repro.exceptions import ValidationError
 from repro.utils.validation import check_views
 
 
@@ -33,14 +33,8 @@ def zscore_concatenate(views) -> np.ndarray:
     return np.hstack(normalized)
 
 
-class ConcatKMeans:
+class ConcatKMeans(Baseline):
     """K-means on the z-scored concatenation of all views."""
-
-    def __init__(self, n_clusters: int, *, random_state=None) -> None:
-        if n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        self.n_clusters = int(n_clusters)
-        self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster the concatenated features."""
@@ -49,15 +43,9 @@ class ConcatKMeans:
         return km.fit_predict(stacked)
 
 
-class ConcatSC:
+class ConcatSC(Baseline):
     """Spectral clustering on one self-tuning graph over the concatenated
     features."""
-
-    def __init__(self, n_clusters: int, *, random_state=None) -> None:
-        if n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        self.n_clusters = int(n_clusters)
-        self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster the concatenated features through one graph."""

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.base import Baseline
 from repro.cluster.kmeans import KMeans
 from repro.core.graph_builder import build_multiview_affinities
-from repro.exceptions import ValidationError
 from repro.graph.laplacian import normalized_adjacency
 from repro.linalg.eigen import eigsh_largest
 
@@ -29,7 +29,7 @@ _LAM = 0.025
 _N_ITER = 10
 
 
-class CoRegSC:
+class CoRegSC(Baseline):
     """Co-regularized spectral clustering (centroid variant).
 
     Parameters
@@ -38,12 +38,6 @@ class CoRegSC:
         Number of clusters.
     random_state : int, Generator, or None
     """
-
-    def __init__(self, n_clusters: int, *, random_state=None) -> None:
-        if n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        self.n_clusters = int(n_clusters)
-        self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster multi-view features with co-regularized embeddings."""

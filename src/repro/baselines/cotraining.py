@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.base import Baseline
 from repro.cluster.kmeans import KMeans
 from repro.core.graph_builder import build_multiview_affinities
-from repro.exceptions import ValidationError
 from repro.graph.laplacian import normalized_adjacency
 from repro.linalg.eigen import eigsh_largest
 
@@ -26,7 +26,7 @@ from repro.linalg.eigen import eigsh_largest
 _N_ITER = 5
 
 
-class CoTrainSC:
+class CoTrainSC(Baseline):
     """Co-training spectral clustering.
 
     Parameters
@@ -35,12 +35,6 @@ class CoTrainSC:
         Number of clusters.
     random_state : int, Generator, or None
     """
-
-    def __init__(self, n_clusters: int, *, random_state=None) -> None:
-        if n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        self.n_clusters = int(n_clusters)
-        self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster multi-view features with co-trained graphs."""

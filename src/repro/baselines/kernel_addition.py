@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.base import Baseline
 from repro.cluster.spectral import spectral_clustering
 from repro.core.graph_builder import build_multiview_affinities
-from repro.exceptions import ValidationError
 from repro.graph.fusion import fuse_affinities
 
 
-class KernelAdditionSC:
+class KernelAdditionSC(Baseline):
     """Uniform affinity averaging followed by spectral clustering.
 
     Parameters
@@ -25,12 +25,6 @@ class KernelAdditionSC:
         Number of clusters.
     random_state : int, Generator, or None
     """
-
-    def __init__(self, n_clusters: int, *, random_state=None) -> None:
-        if n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        self.n_clusters = int(n_clusters)
-        self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster the uniformly fused affinity."""

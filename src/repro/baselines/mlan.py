@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.base import Baseline
 from repro.cluster.spectral import spectral_clustering
 from repro.exceptions import ValidationError
 from repro.graph.adaptive import adaptive_neighbor_affinity
@@ -38,7 +39,7 @@ _LAM = 1.0
 _N_ITER = 15
 
 
-class MLAN:
+class MLAN(Baseline):
     """Consensus adaptive-neighbor graph learning.
 
     Parameters
@@ -48,12 +49,6 @@ class MLAN:
     random_state : int, Generator, or None
         Seeds the spectral-clustering fallback.
     """
-
-    def __init__(self, n_clusters: int, *, random_state=None) -> None:
-        if n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        self.n_clusters = int(n_clusters)
-        self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster by learning a consensus adaptive-neighbor graph."""

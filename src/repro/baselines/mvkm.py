@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.base import Baseline
 from repro.baselines.concat import zscore_concatenate
 from repro.cluster.kmeans import KMeans
 from repro.core.weights import update_view_weights, weight_exponents
-from repro.exceptions import ValidationError
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_views
 
@@ -29,7 +29,7 @@ _N_ITER = 5
 _N_INIT = 10
 
 
-class MultiViewKMeans:
+class MultiViewKMeans(Baseline):
     """Auto-weighted multi-view K-means.
 
     Parameters
@@ -38,12 +38,6 @@ class MultiViewKMeans:
         Number of clusters.
     random_state : int, Generator, or None
     """
-
-    def __init__(self, n_clusters: int, *, random_state=None) -> None:
-        if n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        self.n_clusters = int(n_clusters)
-        self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster with per-view inertia-driven weights."""

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.base import Baseline
 from repro.cluster.spectral import spectral_clustering
 from repro.core.graph_builder import build_multiview_affinities
 from repro.exceptions import ValidationError
 from repro.utils.validation import check_views
 
 
-class SingleViewSC:
+class SingleViewSC(Baseline):
     """Classical two-stage spectral clustering on one chosen view.
 
     Parameters
@@ -31,13 +32,10 @@ class SingleViewSC:
     def __init__(
         self, n_clusters: int, *, view: int = 0, random_state=None
     ) -> None:
-        if n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
+        super().__init__(n_clusters, random_state=random_state)
         if view < 0:
             raise ValidationError(f"view must be >= 0, got {view}")
-        self.n_clusters = int(n_clusters)
         self.view = int(view)
-        self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster using only the configured view."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.base import Baseline
 from repro.cluster.spectral import spectral_clustering
 from repro.core.graph_builder import build_multiview_affinities
 from repro.exceptions import ValidationError
@@ -34,7 +35,7 @@ _LAM = 0.5
 _N_ITER = 15
 
 
-class SwMC:
+class SwMC(Baseline):
     """Self-weighted consensus-graph clustering.
 
     Parameters
@@ -44,12 +45,6 @@ class SwMC:
     random_state : int, Generator, or None
         Seeds the fallback.
     """
-
-    def __init__(self, n_clusters: int, *, random_state=None) -> None:
-        if n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        self.n_clusters = int(n_clusters)
-        self.random_state = random_state
 
     def fit_predict(self, views) -> np.ndarray:
         """Cluster by learning a self-weighted consensus graph."""

@@ -191,7 +191,6 @@ def matrix_workload(quick: bool) -> dict:
         "methods": ("UMSC", "ConcatSC"),
         "scenarios": ("clean", "confused_pairs", "missing_views"),
         "n_samples": 70 if quick else 160,
-        "n_runs": 1,
     }
 
 
@@ -207,11 +206,10 @@ def _bench_scenario_matrix(quick: bool):
     return partial(run_scenario_matrix, **matrix_workload(quick))
 
 
-def stream_workload(quick: bool, *, drift: bool = True) -> dict:
+def stream_workload(quick: bool) -> dict:
     """The tracked ``confused_pairs`` stream, as arguments of
     :func:`~repro.datasets.scenarios.stream_batches`: its last two
-    batches carry a mean-shift 4, imbalance 5 drift (none when
-    ``drift`` is false).
+    batches carry a mean-shift 4, imbalance 5 drift.
 
     ``repro stream --quick`` takes its quick sizes, and
     ``benchmarks/bench_streaming.py`` holds its full size to the
@@ -220,11 +218,10 @@ def stream_workload(quick: bool, *, drift: bool = True) -> dict:
     from repro.datasets.scenarios import StreamDrift, get_scenario
 
     n_batches, batch_size = (4, 70) if quick else (8, 150)
-    shift = StreamDrift(at_batch=n_batches - 2, mean_shift=4.0, imbalance=5.0)
     return {
         "scenario": get_scenario("confused_pairs").with_size(batch_size),
         "n_batches": n_batches,
-        "drift": shift if drift else None,
+        "drift": StreamDrift(n_batches - 2, mean_shift=4.0, imbalance=5.0),
         "random_state": 0,
     }
 

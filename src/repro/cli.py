@@ -10,34 +10,62 @@ artifacts:
 * ``stability``   — seed-stability comparison of one-stage vs two-stage;
 * ``cache``       — inspect (``stats``) or empty (``clear``) an on-disk
   computation cache;
-* ``faults``      — list the fault-injection sites (``faults list``);
-* ``save`` / ``predict`` — fit a model and persist a serving artifact
-  (:mod:`repro.serving`), then batch-label a benchmark from it;
-* ``serve``       — replay single-sample requests through a
-  micro-batching service against one-at-a-time prediction, both passes
-  run by :func:`~repro.serving.service.serve_against_serial`;
-* ``metrics``     — ``metrics dump`` renders the metrics registry of one
-  traced fit or of a saved trace (``--from-trace``);
-* ``trace``       — offline analytics over a JSONL trace
-  (:mod:`repro.observability.analysis`): hotspot ``summary``,
-  ``critical-path`` and Chrome-trace ``export``;
-* ``bench``       — the regression tracker (:mod:`repro.bench`):
-  ``bench run`` writes ``BENCH_<tag>.json``, ``bench compare`` gates one
-  report against a baseline (nonzero exit for CI);
-* ``health``      — ``health check`` evaluates an SLO rule pack
-  (:mod:`repro.observability.health`) against a live fit, a saved trace
-  or a bench report; exits 0 healthy, 1 critical, 2 on bad input;
-* ``backends``    — list the compute backends (:mod:`repro.backends`);
-* ``scenarios``   — ``scenarios list`` prints the robustness scenarios
-  (:mod:`repro.datasets.scenarios`), ``scenarios run`` the method ×
-  scenario ACC/NMI/ARI grid (:mod:`repro.evaluation.scenario_matrix`);
-* ``stream``      — replay a scenario as a batch stream through the
-  drift-aware incremental model (:mod:`repro.streaming`), one row per
-  batch; ``--drift-at`` injects a mid-stream shift.
-
-``--quick`` runs ``scenarios run`` and ``stream`` at the sizes of the
-tracked ``scenario_matrix`` and ``streaming`` benches
-(:func:`repro.bench.matrix_workload`, :func:`repro.bench.stream_workload`).
+* ``faults``      — list the registered fault-injection sites of the
+  robustness harness (``repro faults list``);
+* ``save``        — fit a model on a benchmark and persist a serving
+  artifact directory (:mod:`repro.serving`);
+* ``predict``     — load a saved artifact and batch-label a benchmark's
+  samples, reporting agreement with its ground truth;
+* ``serve``       — offline micro-batching benchmark: replay a
+  benchmark's samples as single-sample requests through a
+  :class:`~repro.serving.service.PredictionService` and compare
+  throughput and labels against one-at-a-time prediction, both passes
+  run by :func:`~repro.serving.service.serve_against_serial`
+  (``--telemetry-port`` exposes ``/metrics`` / ``/healthz`` /
+  ``/stats`` during the replay);
+* ``metrics``     — ``metrics dump`` runs one traced fit and renders
+  its metrics registry via the export layer (``--format prom|json``);
+  ``--from-trace PATH`` instead renders the snapshot embedded in a
+  saved JSONL trace (missing/malformed files exit with a one-line
+  typed error, not a traceback);
+* ``trace``       — offline analytics over a JSONL trace file
+  (:mod:`repro.observability.analysis`): ``trace summary`` prints the
+  self/cumulative hotspot table, ``trace critical-path`` the longest
+  dependent span chain, ``trace export`` a Chrome trace-event JSON
+  loadable in Perfetto / ``chrome://tracing``;
+* ``bench``       — the benchmark-regression tracker
+  (:mod:`repro.bench`): ``bench run`` writes a schema-versioned
+  ``BENCH_<tag>.json`` (wall-clock, metrics dump, resource peaks,
+  per-phase memory attribution), ``bench compare`` gates one report
+  against a baseline — wall-clock at ``--threshold``, memory peaks at
+  their own looser ``--memory-threshold`` (nonzero exit for CI);
+* ``health``      — the SLO/alert rules engine
+  (:mod:`repro.observability.health`): ``health check`` evaluates a
+  rule pack (default or ``--rules FILE``) against a live traced fit
+  (``--dataset``), a saved trace's snapshot (``--from-trace``), or
+  every bench entry of a ``BENCH_*.json`` (``--from-bench``); exits 0
+  when healthy, 1 when a critical rule fires (``--strict``: any
+  failure), 2 on unreadable input;
+* ``backends``    — ``backends list`` prints the registered compute
+  backends (:mod:`repro.backends`) with dtype, tolerance, and
+  availability, marking the currently active one;
+* ``scenarios``   — the controlled robustness scenario factory
+  (:mod:`repro.datasets.scenarios`): ``scenarios list`` prints every
+  registered scenario with its active knobs, ``scenarios run`` executes
+  the method × scenario matrix
+  (:mod:`repro.evaluation.scenario_matrix`) and prints one ACC/NMI/ARI
+  grid per metric (``--quick`` for the grid size of the tracked
+  ``scenario_matrix`` bench, :func:`repro.bench.matrix_workload`;
+  ``--json`` for the machine-readable artifact);
+* ``stream``      — replay a scenario as a deterministic batch stream
+  (:func:`repro.datasets.scenarios.stream_batches`) through the
+  drift-aware incremental model (:mod:`repro.streaming`), printing one
+  row per batch (action taken, ACC/NMI/ARI against the accumulated
+  ground truth, wall-clock, firing drift detectors); ``--drift-at``
+  injects a mid-stream distribution shift, ``--quick`` takes the batch
+  count and size of the tracked ``streaming`` bench
+  (:func:`repro.bench.stream_workload`), ``--json`` dumps the typed
+  per-batch records.
 
 ``run`` exposes the observability layer: ``--verbose`` streams one line
 per solver iteration to stderr, ``--trace PATH`` writes the spans and

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 from io import StringIO
@@ -513,6 +515,26 @@ class TestStreamCLI:
         assert [r["n_new"] for r in payload["records"]] == (
             [stream["scenario"].n_samples] * stream["n_batches"]
         )
+
+    def test_ci_smoke_replays_the_tracked_quick_stream(self):
+        # CI's "Streaming replay smoke" step spells the tracked quick
+        # stream's drift out as flags; hold them to stream_workload.
+        from repro.bench import stream_workload
+        from repro.cli import build_parser
+
+        ci = pathlib.Path(repro.__file__).resolve().parents[2] / (
+            ".github/workflows/ci.yml"
+        )
+        text = ci.read_text(encoding="utf-8").replace("\\\n", " ")
+        (line,) = [x for x in text.splitlines() if "-m repro stream " in x]
+        args = build_parser().parse_args(shlex.split(line)[3:])
+        stream = stream_workload(quick=True)
+        assert args.quick and args.scenario == stream["scenario"].name
+        assert args.seed == stream["random_state"]
+        drift = StreamDrift(
+            args.drift_at, args.drift_mean_shift, args.drift_imbalance
+        )
+        assert drift == stream["drift"]
 
     def test_stream_with_drift_reports_detector(self):
         out = StringIO()
