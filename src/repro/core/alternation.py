@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.discrete import (
+    _scaled_indicator,
     indicator_coordinate_descent,
     rotation_initialize,
     rotation_objective,
@@ -132,6 +133,7 @@ def alternate(
     rel_change: float | None = None
     converged = False
     n_iter = 0
+    # The caller's labels are checked once, here; the loop's own skip it.
     g = None if labels is None else scaled_indicator(labels, c)
     for n_iter in range(1, max_iter + 1):
         with span("f_step", iteration=n_iter) as f_span:
@@ -157,7 +159,7 @@ def alternate(
                     r, labels = _best_rotation_pair(f, r, labels, c, rng)
                 label_moves = int(np.count_nonzero(labels != labels_before))
                 y_span.set(label_moves=label_moves)
-        g = scaled_indicator(labels, c)
+        g = _scaled_indicator(labels, c)
         if current_trace() is not None:
             # Numerical-health probe: how far the rotated embedding sits
             # from the discrete indicator it is chasing.

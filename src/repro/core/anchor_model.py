@@ -14,11 +14,12 @@ factors ``B_v`` (``W_v = B_v B_v^T``) and weights ``w``,
 so the fused embedding is the SVD of a concatenated ``(n, V m)`` factor.
 With the stacked assignment ``Z = [Z_1 | ... | Z_V]`` that factor is
 ``Z diag(d)``, ``d = concat_v(sqrt(w_v) mass_v^{-1/2})``, so its Gram is
-``C * d d^T`` with ``C = Z^T Z``: the model keeps ``Z`` as CSR plus
-``C`` and the column masses, and every warm F-step solves the top
-``c + 1`` pairs of that ``(V m, V m)`` Gram, refining the previous
-F-step's basis when it has one
-(:func:`~repro.graph.anchor.gram_top_eigenpairs`).
+``D C D`` with ``C = Z^T Z`` and ``D = diag(d)``: the model keeps ``Z``
+as CSR plus ``C`` and the column masses, and every warm F-step solves
+the top ``c + 1`` pairs of that ``(V m, V m)`` Gram, refining the
+previous F-step's basis when it has one
+(:func:`~repro.graph.anchor.gram_top_eigenpairs`, which applies ``D C D``
+to a block without forming it).
 Rotation, discrete assignment, and view weighting run in the same
 driver as :class:`~repro.core.model.UnifiedMVSC`
 (:func:`repro.core.alternation.alternate`); the lam-coupling is
@@ -33,10 +34,13 @@ batch of ``b`` rows only appends rows to ``Z`` (one ``(b, m)`` anchor
 assignment per view against the *frozen* anchors) and adds the batch's
 share to ``C`` and the masses, after which the fused embedding is again
 a small Gram eigenproblem, warm-started from the previous solve's basis
-and solved by Chebyshev-filtered GEMMs — a fold-in costs
-``O(b (Vm)^2 + (Vm)^2 c + n_seen V k c)``, with the ``(Vm)^3`` dense
-solve only when the filtered answer fails its check; no eigensolve ever
-sees an ``n x n`` matrix, and no anchor is re-selected.
+and solved by Chebyshev-filtered GEMMs of ``C`` by ``(Vm, 2c)`` blocks
+— a fold-in costs ``O(b (Vm)^2 + (Vm)^2 c + n_seen V k c)``, with the
+``(Vm)^3`` dense solve only when the filtered answer fails its check.
+The ``n_seen`` term is the sparse ``F = Z W`` per solve and the Y-step;
+the w-step reads ``Z^T F`` as ``C W`` in anchor space.  No eigensolve
+ever sees an ``n x n`` matrix, none forms a scaled ``(Vm, Vm)`` one, and
+no anchor is re-selected.
 :meth:`AnchorMVSC.partial_fit` implements this fold-in: assign new rows to
 the stored anchors, warm-start the F/Y refinement from the previous
 labels (rotation fitted on the *old* rows only, so new rows cannot drag
@@ -60,7 +64,7 @@ import scipy.sparse as sp
 from repro.backends import current_backend
 from repro.core.alternation import SITE_FIT, alternate, fit_start
 from repro.core.config import check_solver_params
-from repro.core.discrete import indicator_coordinate_descent, scaled_indicator
+from repro.core.discrete import _scaled_indicator, indicator_coordinate_descent
 from repro.core.persistence import (
     DEFAULT_SERVING_NEIGHBORS,
     ServableModelMixin,
@@ -537,8 +541,9 @@ class AnchorMVSC(ServableModelMixin):
             f, _ = rep.embed(w, None, None, None)
             labels_old = state["labels"]
             n_old = labels_old.shape[0]
+            # The model's own labels, checked when they were produced.
             rot = nearest_orthogonal(
-                f[:n_old].T @ scaled_indicator(labels_old, c)
+                f[:n_old].T @ _scaled_indicator(labels_old, c)
             )
             scores = f @ rot
             start = np.concatenate(
@@ -775,9 +780,10 @@ class _AnchorFactors:
 
     With ``d = concat_v(sqrt(mult_v) mass_v^{-1/2})`` the stacked factor
     is ``B(w) = Z diag(d)``, so the F-step solves only the top ``c + 1``
-    eigenpairs ``(s, V)`` of its ``(Vm, Vm)`` Gram ``C * d d^T`` and sets
-    ``F = Z (d * V) diag(s)^{-1/2}``; view ``v`` costs
-    ``c - ||mass_v^{-1/2} * Z_v^T F||^2 = c - ||B_v^T F||^2``.  No step
+    eigenpairs ``(s, V)`` of its ``(Vm, Vm)`` Gram ``D C D`` and sets
+    ``F = Z W``, ``W = (d * V) diag(s)^{-1/2}``; view ``v`` costs
+    ``c - ||mass_v^{-1/2} * Z_v^T F||^2 = c - ||B_v^T F||^2``, reading
+    ``Z^T F`` as ``C W`` after a Gram solve.  No step
     forms an ``(n, Vm)`` dense matrix.  Rows of ``Z_v`` sum to 1, so the
     fused graph has unit degrees and ``J``'s trace term is
     ``c - sum_v m_v ||B_v^T F||^2``, from the same per-``F`` norms.
@@ -813,10 +819,13 @@ class _AnchorFactors:
         self.n_clusters = model.n_clusters
         self.weighting, self.gamma = model.weighting, model.gamma
         self.multipliers: np.ndarray | None = None
-        self._embedded: tuple[np.ndarray, np.ndarray] | None = None
+        # (w, F, W): the last embedding, with F = Z W when it came from
+        # the Gram solve (W is None after the cold first F-step).
+        self._embedded: (
+            tuple[np.ndarray, np.ndarray, np.ndarray | None] | None
+        ) = None
         self._norms: tuple[np.ndarray, np.ndarray] | None = None
         self._cold = cold
-        self._scaled: np.ndarray | None = None  # C * d d^T, reused
         self._view_of = np.repeat(
             np.arange(len(stats.anchors)), [a.shape[0] for a in stats.anchors]
         )
@@ -837,29 +846,37 @@ class _AnchorFactors:
             )
             self._cold = None
             f, spectrum = top_left_singular(stacked, c)
+            factor = None
         else:
             d = np.sqrt(self.multipliers)[self._view_of] * self._inv_sqrt
-            if self._scaled is None:
-                self._scaled = np.empty_like(self.stats.gram)
-            scaled = np.multiply.outer(d, d, out=self._scaled)
-            np.multiply(self.stats.gram, scaled, out=scaled)
             spectrum, vectors, self.warm = gram_top_eigenpairs(
-                scaled, c, self.warm
+                self.stats.gram, d, c, self.warm
             )
-            vals = np.maximum(spectrum[:c], 1e-300)
-            f = (self.stats.z @ (d[:, None] * vectors)) / np.sqrt(vals)
+            root = np.sqrt(np.maximum(spectrum[:c], 1e-300))
+            scaled = d[:, None] * vectors
+            f = (self.stats.z @ scaled) / root
+            factor = scaled / root
         if current_trace() is not None and spectrum.size > c:
             # Numerical-health probe: the Gram spectral gap behind the
             # anchor embedding (sigma_c^2 - sigma_{c+1}^2), free since
             # both solves already produce the (c+1)-th pair.
             metric_set("health.eigengap", float(spectrum[c - 1] - spectrum[c]))
-        self._embedded = (np.array(w, dtype=np.float64), f)
+        self._embedded = (np.array(w, dtype=np.float64), f, factor)
         return f, None
 
     def _view_norms(self, f: np.ndarray) -> np.ndarray:
-        """``||B_v^T F||^2`` per view, kept for the last ``F``."""
+        """``||B_v^T F||^2`` per view, kept for the last ``F``.
+
+        For an ``F = Z W`` from the Gram solve, ``Z^T F`` is ``C W``: an
+        ``O((Vm)^2 c)`` product in place of a scan of every row seen.
+        """
         if self._norms is None or self._norms[0] is not f:
-            proj = (self.stats.z.T @ f) * self._inv_sqrt[:, None]
+            _, last, factor = self._embedded or (None, None, None)
+            if last is f and factor is not None:
+                proj = self.stats.gram @ factor
+            else:
+                proj = self.stats.z.T @ f
+            proj *= self._inv_sqrt[:, None]
             norms = np.bincount(
                 self._view_of,
                 weights=np.sum(proj**2, axis=1),

@@ -64,6 +64,15 @@ def scaled_indicator(labels: np.ndarray, n_clusters: int) -> np.ndarray:
     ``Y / sqrt(n)``, whose entries are ``1.0 / s`` and ``0.0 / s``.
     """
     labels, c = _indicator_labels(labels, n_clusters)
+    return _scaled_indicator(labels, c)
+
+
+def _scaled_indicator(labels: np.ndarray, c: int) -> np.ndarray:
+    """:func:`scaled_indicator` of int64 ``labels`` already in ``[0, c)``.
+
+    For labels a solver produced itself, so only the empty-cluster check
+    runs; labels from a caller go through :func:`scaled_indicator`.
+    """
     counts = np.bincount(labels, minlength=c)
     if counts.min() == 0:
         raise ValidationError("scaled indicator requires non-empty clusters")
@@ -304,7 +313,7 @@ def _descend(f, rot, c: int):
     for _ in range(_MAX_ALT):
         # Few sweeps per alternation: the outer loop re-polishes.
         labels = indicator_coordinate_descent(f @ rot, labels, c, max_sweeps=4)
-        rot = nearest_orthogonal(f.T @ scaled_indicator(labels, c))
+        rot = nearest_orthogonal(f.T @ _scaled_indicator(labels, c))
         if np.array_equal(labels, prev):
             break
         prev = labels.copy()

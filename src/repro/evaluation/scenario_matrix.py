@@ -167,6 +167,9 @@ def run_scenario_matrix(
             raise ValidationError(
                 f"duplicate scenario name {spec.name!r} in the grid"
             )
+        # The size that runs is the size the matrix records.
+        if n_samples is not None:
+            spec = spec.with_size(n_samples)
         specs[spec.name] = spec
 
     seeds = spawn_seeds(base_seed, n_runs)
@@ -179,7 +182,7 @@ def run_scenario_matrix(
         base_seed=base_seed,
     )
     for scenario_name, spec in specs.items():
-        data = generate(spec, n_samples=n_samples)
+        data = generate(spec)
         effective = replace(data.dataset, views=data.effective_views())
         for name, method in rows.items():
             if method.mask_aware:

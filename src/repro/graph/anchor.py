@@ -16,6 +16,7 @@ matrix ever materializes.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -31,7 +32,8 @@ from repro.utils.rng import check_random_state
 from repro.utils.validation import check_matrix
 
 #: Warm Gram solves (:func:`gram_top_eigenpairs`): Chebyshev filter
-#: degree, most filter passes before falling back to the dense solve,
+#: degree of the first pass and cap of every later one, most filter
+#: passes before falling back to the dense solve,
 #: and the residual bound, relative to the top eigenvalue, every checked
 #: pair must meet.
 WARM_DEGREE = 8
@@ -146,43 +148,48 @@ def top_left_singular(b: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class WarmStart(NamedTuple):
-    """What one Gram solve hands the next: see :func:`gram_top_eigenpairs`.
-
-    ``workspace`` is scratch the warm solve builds its scaled operator
-    in and passes down the chain, so a chain of solves allocates it once;
-    solves that share a start must therefore run one at a time.
-    """
+    """What one Gram solve hands the next: see :func:`gram_top_eigenpairs`."""
 
     basis: np.ndarray  # (size, 2 n_pairs) top Ritz vectors, orthonormal
     cut: float  # top of the unwanted interval [0, cut]; always > 0
-    workspace: np.ndarray | None = None  # (size, size) scratch
 
 
 def gram_top_eigenpairs(
-    gram: np.ndarray, n_pairs: int, warm: WarmStart | None = None
+    gram: np.ndarray,
+    scale: np.ndarray,
+    n_pairs: int,
+    warm: WarmStart | None = None,
 ) -> tuple[np.ndarray, np.ndarray, WarmStart | None]:
-    """The top eigenpairs of a symmetric PSD Gram matrix, warm-startable.
+    """The top eigenpairs of a scaled symmetric PSD Gram, warm-startable.
 
-    Returns ``(values, vectors, next_warm)``: the top
-    ``min(n_pairs + 1, size)`` values descending (the one past
-    ``n_pairs`` measures the spectral gap), the top
+    The matrix solved is ``G = D C D`` with ``C = gram`` and
+    ``D = diag(scale)``.  Returns ``(values, vectors, next_warm)``: the
+    top ``min(n_pairs + 1, size)`` values of ``G`` descending (the one
+    past ``n_pairs`` measures the spectral gap), the top
     ``min(n_pairs, size)`` eigenvectors as matching columns, and a
     :class:`WarmStart` for the next solve of a nearby Gram (``None`` when
     ``size <= 2 n_pairs + 1`` leaves no room for its block, or when the
     Gram has rank ``<= 2 n_pairs`` and so no positive cut).
 
     With ``warm``, the previous ``2 n_pairs`` Ritz vectors go through a
-    degree-:data:`WARM_DEGREE` Chebyshev filter on ``[0, cut]``, then one
-    QR and a Rayleigh-Ritz step, up to :data:`WARM_PASSES` times (fewer
-    when the residual shrinks too slowly to reach the bound).  The
-    answer is accepted only when every one of the top ``n_pairs`` Ritz
-    pairs ``(t, v)`` lies above the cut, has ``||G v - t v|| <= WARM_RTOL
-    t_1``, and has at least half its norm inside the span of
-    ``warm.basis``.  Otherwise, and without ``warm``, it is the dense
-    ``scipy.linalg.eigh`` with ``subset_by_index``, which costs
-    ``O(size^3)`` however few pairs it keeps; each filter degree is one
-    ``O(size^2 n_pairs)`` GEMM.  Each solve counts ``anchor.gram.warm``
-    or ``anchor.gram.dense``, inside an ``anchor.gram`` hot span.
+    Chebyshev filter on ``[0, cut]``, then one QR and a Rayleigh-Ritz
+    step, up to :data:`WARM_PASSES` times (fewer when the residual
+    shrinks too slowly to reach the bound).  The filter applies ``G`` to
+    a block ``X`` as ``scale * (C (scale * X))``, so the warm path forms
+    no scaled ``(size, size)`` matrix.  The first pass has degree
+    :data:`WARM_DEGREE`; each later pass takes only the degree its
+    predecessor's residual and rate call for, capped there (see
+    :func:`_pass_degree`).  The answer is accepted only when every one of
+    the top ``n_pairs`` Ritz pairs ``(t, v)`` lies above the cut, has
+    ``||G v - t v|| <= WARM_RTOL t_1``, and has at least half its norm
+    inside the span of ``warm.basis``.  Otherwise, and without ``warm``,
+    it is the dense ``scipy.linalg.eigh`` of ``C * scale scale^T`` with
+    ``subset_by_index``, which costs ``O(size^3)`` however few pairs it
+    keeps; each filter degree is one ``O(size^2 n_pairs)`` GEMM.  Each
+    solve counts ``anchor.gram.warm`` or ``anchor.gram.dense``, and a
+    warm attempt adds its operator column-products (filter and
+    Rayleigh-Ritz) to ``anchor.gram.products``, inside an ``anchor.gram``
+    hot span.
     """
     size = gram.shape[0]
     block = 2 * n_pairs
@@ -192,32 +199,31 @@ def gram_top_eigenpairs(
             and size > block + 1
             and warm.basis.shape == (size, block)
         ):
-            filtered = _filtered_pairs(gram, warm, n_pairs)
+            filtered = _filtered_pairs(gram, scale, warm, n_pairs)
             if filtered is not None:
                 metric_inc("anchor.gram.warm")
                 return filtered
         metric_inc("anchor.gram.dense")
         solved = block + 1 if size > block + 1 else min(n_pairs + 1, size)
         values, vectors = scipy.linalg.eigh(
-            gram, subset_by_index=[size - solved, size - 1]
+            gram * np.multiply.outer(scale, scale),
+            subset_by_index=[size - solved, size - 1],
         )
         values, vectors = values[::-1], vectors[:, ::-1]
         next_warm = None
         if solved > block:
             # Just above lambda_{2 n_pairs + 1}: the next Gram is nearby.
             next_warm = _warm_start(
-                vectors[:, :block],
-                1.02 * float(values[block]),
-                None if warm is None else warm.workspace,
+                vectors[:, :block], 1.02 * float(values[block])
             )
         return values[: n_pairs + 1], vectors[:, :n_pairs], next_warm
 
 
-def _warm_start(basis, cut: float, workspace) -> WarmStart | None:
+def _warm_start(basis, cut: float) -> WarmStart | None:
     """A start for the next solve, or ``None`` without a positive cut:
     the filter maps ``[0, cut]`` through ``4 / cut``, which a Gram of
     rank ``<= 2 n_pairs`` (``lambda_{2 n_pairs + 1} = 0``) cannot give."""
-    return WarmStart(basis, cut, workspace) if cut > 0.0 else None
+    return WarmStart(basis, cut) if cut > 0.0 else None
 
 
 @lru_cache(maxsize=8)
@@ -228,7 +234,30 @@ def _probe(size: int) -> np.ndarray:
     return probe
 
 
-def _filtered_pairs(gram, warm: WarmStart, n_pairs: int):
+def _pass_degree(residual: float, top: float, last: float) -> int:
+    """Degree of the filter pass after one that left ``residual``.
+
+    ``top`` and ``last`` are that pass's ``n_pairs``-th and smallest kept
+    Ritz values over the cut.  With the unwanted interval mapped to
+    ``[-1, 1]``, ``|T_k|`` grows like ``cosh(k acosh(2 t - 1))`` above
+    it, so the filter shrinks the error of the top pairs, relative to
+    the largest eigenvalue left outside the block (at most ``last``), by
+    at least ``exp(k rate) / 2`` with ``rate = acosh(2 top - 1) -
+    acosh(max(2 last - 1, 1))``.  Degree ``k`` therefore takes the
+    residual under :data:`WARM_RTOL` once ``k rate >= log(2 residual /
+    WARM_RTOL)``; capped at :data:`WARM_DEGREE`, which a pass with no
+    positive rate also gets.
+    """
+    rate = math.acosh(max(2.0 * top - 1.0, 1.0)) - math.acosh(
+        max(2.0 * last - 1.0, 1.0)
+    )
+    if rate <= 0.0:
+        return WARM_DEGREE
+    need = math.log(2.0 * residual / WARM_RTOL) / rate
+    return max(1, min(WARM_DEGREE, math.ceil(need)))
+
+
+def _filtered_pairs(gram, scale, warm: WarmStart, n_pairs: int):
     """The warm path of :func:`gram_top_eigenpairs`; ``None`` if it fails.
 
     ``T_k(2 G / cut - I)`` stays within ``[-1, 1]`` on the unwanted
@@ -243,23 +272,30 @@ def _filtered_pairs(gram, warm: WarmStart, n_pairs: int):
     from below, is the next cut.
     """
     size, block = gram.shape[0], 2 * n_pairs
-    # Twice the mapped operator, so the three-term recurrence
-    # T_{k+1} = 2 A T_k - T_{k-1} is one GEMM and one subtraction.
-    doubled = warm.workspace
-    if doubled is None:
-        doubled = np.empty_like(gram, dtype=np.float64)
-    np.multiply(gram, 4.0 / warm.cut, out=doubled)
-    doubled.flat[:: size + 1] -= 2.0
+    column = scale[:, None]
+    # sqrt(4 / cut) D: twice the mapped operator is then
+    # mapped C mapped - 2 I, so the three-term recurrence
+    # T_{k+1} = 2 A T_k - T_{k-1} is one GEMM and three subtractions.
+    mapped = column * math.sqrt(4.0 / warm.cut)
+
+    def doubled(cur):
+        out = gram @ (mapped * cur)
+        out *= mapped
+        out -= cur
+        out -= cur
+        return out
+
     x = np.hstack([warm.basis, _probe(size)])
-    last = None
+    degree, last = WARM_DEGREE, None
     for left in reversed(range(WARM_PASSES)):
-        prev, cur = x, 0.5 * (doubled @ x)
-        for _ in range(WARM_DEGREE - 1):
-            nxt = doubled @ cur
+        prev, cur = x, 0.5 * doubled(x)
+        for _ in range(degree - 1):
+            nxt = doubled(cur)
             nxt -= prev
             prev, cur = cur, nxt
+        metric_inc("anchor.gram.products", (degree + 1) * x.shape[1])
         q = np.linalg.qr(cur)[0]
-        gq = gram @ q
+        gq = column * (gram @ (column * q))
         values, rotation = np.linalg.eigh(q.T @ gq)
         rotation = rotation[:, ::-1][:, :block]
         values = values[::-1][:block]
@@ -272,7 +308,7 @@ def _filtered_pairs(gram, warm: WarmStart, n_pairs: int):
             inside = np.linalg.norm(warm.basis.T @ top, axis=0)
             if values[n_pairs - 1] <= warm.cut or np.any(inside < 0.5):
                 return None
-            next_warm = _warm_start(x, float(values[-1]), doubled)
+            next_warm = _warm_start(x, float(values[-1]))
             return values[: n_pairs + 1], top, next_warm
         if last is not None:
             # Give up once this pass's reduction factor, repeated over
@@ -282,4 +318,7 @@ def _filtered_pairs(gram, warm: WarmStart, n_pairs: int):
             if residual ** (left + 1) > WARM_RTOL * last**left:
                 return None
         last = residual
+        degree = _pass_degree(
+            residual, values[n_pairs - 1] / warm.cut, values[-1] / warm.cut
+        )
     return None

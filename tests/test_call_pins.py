@@ -2,7 +2,8 @@
 
 Each case fits one solver on a fixed input under a live trace and counts
 the calls that reach the public entry points of the rotation machinery,
-plus the Y-step's own ``y_step.moves`` / ``y_step.sweeps`` counters.
+plus the Y-step's own ``y_step.moves`` / ``y_step.sweeps`` counters and
+the warm Gram solves' operator column-products, ``anchor.gram.products``.
 The counts fix the trajectory (a changed restart count, sweep cap or
 tolerance moves them) and the per-layer attribution of any tool that
 wraps those functions by identity: an optimisation must make the calls
@@ -93,6 +94,7 @@ PINS = {
         "gpi_stiefel": 0,
         "y_step.moves": 404,
         "y_step.sweeps": 64,
+        "anchor.gram.products": 1572,
     },
     "sparse": {
         "nearest_orthogonal": 80,
@@ -101,6 +103,7 @@ PINS = {
         "gpi_stiefel": 0,
         "y_step.moves": 704,
         "y_step.sweeps": 184,
+        "anchor.gram.products": 0,
     },
     "umsc": {
         "nearest_orthogonal": 429,
@@ -109,6 +112,7 @@ PINS = {
         "gpi_stiefel": 50,
         "y_step.moves": 981,
         "y_step.sweeps": 296,
+        "anchor.gram.products": 0,
     },
 }
 
@@ -122,6 +126,11 @@ def _counts(case, monkeypatch) -> dict:
         **{attr: calls[attr] for _, attr in COUNTED},
         "y_step.moves": int(counters["y_step.moves"].value),
         "y_step.sweeps": int(counters["y_step.sweeps"].value),
+        "anchor.gram.products": int(
+            counters["anchor.gram.products"].value
+            if "anchor.gram.products" in counters
+            else 0
+        ),
     }
 
 

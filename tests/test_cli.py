@@ -509,6 +509,25 @@ class TestScenariosCommand:
         assert "acc" in payload["cells"]["ConcatSC@clean"]["scores"]
         assert str(path) in out.getvalue()
 
+    def test_json_artifact_reports_the_size_that_ran(self, tmp_path):
+        import json
+
+        from repro.bench import matrix_workload
+
+        n = matrix_workload(quick=True)["n_samples"]
+        path = tmp_path / "matrix.json"
+        code = main(
+            [
+                "scenarios", "run", "--quick", "--scenarios", "clean",
+                "--methods", "ConcatSC", "--metrics", "acc",
+                "--json", str(path),
+            ],
+            out=io.StringIO(),
+        )
+        assert code == 0
+        specs = json.loads(path.read_text())["scenario_specs"]
+        assert specs["clean"]["n_samples"] == n
+
     def test_quick_runs_the_tracked_grid_size(self):
         from repro.bench import matrix_workload
 

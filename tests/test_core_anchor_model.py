@@ -141,6 +141,22 @@ class TestGramPath:
             gram.view_costs(f_gram), reference, rtol=1e-10, atol=1e-12
         )
 
+    def test_fold_in_view_norms_from_anchor_space(self):
+        # ||B_v^T F||^2 from C W against the scan of every row, Z^T F.
+        views = _stream_data().views
+        model = AnchorMVSC(3, n_anchors=20, random_state=0)
+        model.partial_fit([x[:100] for x in views])
+        model.partial_fit([x[100:112] for x in views])
+        state = model._stream
+        rep = _AnchorFactors(state["stats"], model, warm=state["warm"])
+        f, _ = rep.embed(np.asarray(state["weights"]), None, None, None)
+        assert rep._embedded[2] is not None
+        proj = (state["stats"].z.T @ f) * rep._inv_sqrt[:, None]
+        scanned = np.bincount(
+            rep._view_of, weights=np.sum(proj**2, axis=1), minlength=3
+        )
+        np.testing.assert_allclose(rep._view_norms(f), scanned, rtol=1e-12)
+
     def test_fold_ins_accumulate_exact_statistics(self):
         views = _stream_data().views
         model = AnchorMVSC(3, n_anchors=20, random_state=0)
@@ -229,8 +245,8 @@ class TestGramPath:
         solves = []  # (warm start in, warm start out) per Gram solve
         warm_starts = [True]
 
-        def spy(gram, n_pairs, warm=None):
-            out = solve(gram, n_pairs, warm if warm_starts[0] else None)
+        def spy(gram, scale, n_pairs, warm=None):
+            out = solve(gram, scale, n_pairs, warm if warm_starts[0] else None)
             solves.append((warm, out[2]))
             return out
 
@@ -280,15 +296,15 @@ class TestGramPath:
         solve = anchor_model.gram_top_eigenpairs
         dense_gaps = []
 
-        def spy(gram, n_pairs, warm=None):
+        def spy(gram, scale, n_pairs, warm=None):
             size = gram.shape[0]
             top = scipy.linalg.eigh(
-                gram,
+                gram * np.multiply.outer(scale, scale),
                 eigvals_only=True,
                 subset_by_index=[size - n_pairs - 1, size - 1],
             )
             dense_gaps.append(top[1] - top[0])
-            return solve(gram, n_pairs, warm)
+            return solve(gram, scale, n_pairs, warm)
 
         model = AnchorMVSC(4, random_state=0)
         trace = Trace("eigengap")

@@ -106,6 +106,29 @@ def _assert_matches_row_loop(m, labels, c, max_sweeps):
     assert counters["y_step.sweeps"].value == sweeps
 
 
+#: Invalid ``(labels, n_clusters)`` and the message each must raise.
+INVALID_LABELS = [
+    pytest.param(
+        [0, -1, 1], 2, "labels must be non-negative for indicator encoding",
+        id="negative",
+    ),
+    pytest.param(
+        [0, 1, 2], 2, "labels contain value 2 >= n_clusters=2", id="too-large"
+    ),
+    pytest.param(
+        [0, 0, 2], 3, "scaled indicator requires non-empty clusters",
+        id="empty-cluster",
+    ),
+    pytest.param([0.5, 1.0], 2, "labels must contain integers", id="non-integer"),
+    pytest.param([0.0, np.nan], 2, "labels must contain integers", id="nan"),
+    pytest.param(
+        [[0, 1], [1, 0]], 2, "labels must be 1-D, got ndim=2", id="2-d"
+    ),
+    pytest.param([0, 0], 0, "n_clusters must be >= 1, got 0", id="zero-clusters"),
+    pytest.param([], 2, "labels must be non-empty", id="no-rows"),
+]
+
+
 class TestScaledIndicator:
     def test_orthonormal_columns(self):
         g, _ = _clean_embedding([4, 6, 2])
@@ -119,27 +142,26 @@ class TestScaledIndicator:
         with pytest.raises(ValidationError, match="non-empty"):
             scaled_indicator(np.array([0, 0, 0]), 2)
 
-    @pytest.mark.parametrize(
-        "labels, c, message",
-        [
-            ([0, -1, 1], 2, "labels must be non-negative for indicator encoding"),
-            ([0, 1, 2], 2, "labels contain value 2 >= n_clusters=2"),
-            ([0, 0, 2], 3, "scaled indicator requires non-empty clusters"),
-            ([0.5, 1.0], 2, "labels must contain integers"),
-            ([0.0, np.nan], 2, "labels must contain integers"),
-            ([[0, 1], [1, 0]], 2, "labels must be 1-D, got ndim=2"),
-            ([0, 0], 0, "n_clusters must be >= 1, got 0"),
-            ([], 2, "labels must be non-empty"),
-        ],
-        ids=[
-            "negative", "too-large", "empty-cluster", "non-integer", "nan",
-            "2-d", "zero-clusters", "no-rows",
-        ],
-    )
+    @pytest.mark.parametrize("labels, c, message", INVALID_LABELS)
     def test_errors(self, labels, c, message):
         with pytest.raises(ValidationError) as info:
             scaled_indicator(np.asarray(labels), c)
         assert type(info.value) is ValidationError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("labels, c, message", INVALID_LABELS)
+    def test_invalid_warm_start_labels_raise(self, labels, c, message):
+        # The loop checks the caller's labels once, before its first step.
+        from types import SimpleNamespace
+
+        from repro.core.alternation import alternate
+
+        rep = SimpleNamespace(n_clusters=c, stopping="weights")
+        with pytest.raises(ValidationError) as info:
+            alternate(
+                rep, solver="t", w=np.ones(1), max_iter=1,
+                labels=np.asarray(labels),
+            )
         assert str(info.value) == message
 
     @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ import scipy.linalg
 
 from repro.exceptions import ValidationError
 from repro.graph.anchor import (
-    WarmStart,
     anchor_affinity_factor,
     anchor_assignment,
     gram_top_eigenpairs,
@@ -156,27 +155,33 @@ def _psd_grams(seed, size=120, c=3):
 
 
 def _anchor_grams(seed, n_new=20):
-    """The Gram ``B^T B`` of a two-view anchor factor before and after a
-    batch of ``n_new`` rows joins, on frozen anchors."""
+    """``(C, d)`` of a two-view anchor model before and after a batch of
+    ``n_new`` rows joins, on frozen anchors: ``C = Z^T Z`` of the stacked
+    assignment and ``d = sqrt(w_v) mass^{-1/2}`` at view weights 0.3 and
+    0.7, so ``D C D`` is the fused factor's Gram."""
     rng = np.random.default_rng(seed)
     x = _blobs(n_per=100, sep=6.0, seed=seed)[rng.permutation(300)]
     views = [x, np.tanh(x @ rng.standard_normal((3, 5)))]
     anchors = [select_anchors(v, 40, random_state=seed) for v in views]
-    return tuple(
-        np.hstack(
-            [
-                anchor_affinity_factor(anchor_assignment(v[:n], a, k=4))
-                for v, a in zip(views, anchors)
-            ]
+    pairs = []
+    for n in (300 - n_new, 300):
+        z = np.hstack(
+            [anchor_assignment(v[:n], a, k=4) for v, a in zip(views, anchors)]
         )
-        for n in (300 - n_new, 300)
-    )
+        weight = np.repeat(np.sqrt([0.3, 0.7]), 40)
+        pairs.append((z.T @ z, weight / np.sqrt(z.sum(axis=0))))
+    return tuple(pairs)
 
 
-def _solve_counted(gram, c, warm=None):
+def _scaled(gram, scale):
+    """The explicitly scaled Gram ``D C D`` the dense fallback solves."""
+    return gram * np.multiply.outer(scale, scale)
+
+
+def _solve_counted(gram, scale, c, warm=None):
     trace = Trace("gram")
     with use_trace(trace):
-        out = gram_top_eigenpairs(gram, c, warm)
+        out = gram_top_eigenpairs(gram, scale, c, warm)
     return out, trace.metrics.snapshot()["counters"]
 
 
@@ -184,20 +189,32 @@ class TestGramTopEigenpairs:
     C = 3
 
     def _grams(self, kind, seed):
-        if kind == "psd":
-            return _psd_grams(seed, c=self.C)
-        return tuple(b.T @ b for b in _anchor_grams(seed))
+        """``((C, d), (C', d'))`` of the previous and the current solve."""
+        if kind == "anchor":
+            return _anchor_grams(seed)
+        # C = G / s s^T, so D C D is the designed PSD Gram G itself.
+        scale = np.random.default_rng(seed).uniform(0.5, 2.0, 120)
+        return tuple(
+            (g / np.multiply.outer(scale, scale), scale)
+            for g in _psd_grams(seed, c=self.C)
+        )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("kind", ["psd", "anchor"])
     def test_warm_solve_matches_dense(self, kind, seed):
         c = self.C
-        previous, gram = self._grams(kind, seed)
-        _, _, warm = gram_top_eigenpairs(previous, c)
+        previous, (gram, scale) = self._grams(kind, seed)
+        _, _, warm = gram_top_eigenpairs(*previous, c)
         assert warm.basis.shape == (gram.shape[0], 2 * c)
-        (values, vectors, following), counters = _solve_counted(gram, c, warm)
-        assert counters == {"anchor.gram.warm": 1.0}
-        dense_values, dense_vectors, _ = gram_top_eigenpairs(gram, c)
+        (values, vectors, following), counters = _solve_counted(
+            gram, scale, c, warm
+        )
+        assert set(counters) == {"anchor.gram.warm", "anchor.gram.products"}
+        assert counters["anchor.gram.warm"] == 1.0
+        ones = np.ones(gram.shape[0])
+        dense_values, dense_vectors, _ = gram_top_eigenpairs(
+            _scaled(gram, scale), ones, c
+        )
         np.testing.assert_allclose(values[:c], dense_values[:c], rtol=1e-12)
         # Equal up to column signs, and spanning the same subspace.
         np.testing.assert_allclose(
@@ -217,8 +234,8 @@ class TestGramTopEigenpairs:
     @pytest.mark.parametrize("kind", ["psd", "anchor"])
     def test_unusable_start_returns_dense_answer(self, kind, start):
         c = self.C
-        previous, gram = self._grams(kind, 0)
-        _, _, good = gram_top_eigenpairs(previous, c)
+        previous, (gram, scale) = self._grams(kind, 0)
+        _, _, good = gram_top_eigenpairs(*previous, c)
         size = gram.shape[0]
         if start == "random_basis":
             noise = np.random.default_rng(0).standard_normal((size, 2 * c))
@@ -226,18 +243,25 @@ class TestGramTopEigenpairs:
         elif start == "orthogonal_basis":
             # Pairs c+1 .. 3c: orthogonal to the top-c subspace.
             _, vectors = scipy.linalg.eigh(
-                gram, subset_by_index=[size - 3 * c, size - c - 1]
+                _scaled(gram, scale),
+                subset_by_index=[size - 3 * c, size - c - 1],
             )
             warm = good._replace(basis=vectors)
         elif start == "cut_above":
             # Even this Gram's own basis: the filter would damp pair c.
-            top, _, exact = gram_top_eigenpairs(gram, c)
+            top, _, exact = gram_top_eigenpairs(gram, scale, c)
             warm = exact._replace(cut=1.05 * top[c - 1])
         else:
             gram = gram[: 2 * c + 1, : 2 * c + 1]
+            scale = scale[: 2 * c + 1]
             warm = good._replace(basis=good.basis[: 2 * c + 1])
-        dense = gram_top_eigenpairs(gram, c)
-        got, counters = _solve_counted(gram, c, warm)
+        # The dense solve of the explicitly scaled Gram, bit for bit.
+        dense = gram_top_eigenpairs(
+            _scaled(gram, scale), np.ones(gram.shape[0]), c
+        )
+        got, counters = _solve_counted(gram, scale, c, warm)
+        # A rejected warm attempt still counts its operator products.
+        counters.pop("anchor.gram.products", None)
         assert counters == {"anchor.gram.dense": 1.0}
         np.testing.assert_array_equal(got[0], dense[0])
         np.testing.assert_array_equal(got[1], dense[1])
@@ -250,9 +274,9 @@ class TestGramTopEigenpairs:
     @pytest.mark.parametrize("kind", ["psd", "anchor"])
     def test_stalled_filter_gives_up_after_two_passes(self, kind, monkeypatch):
         c = self.C
-        previous, gram = self._grams(kind, 0)
-        _, _, good = gram_top_eigenpairs(previous, c)
-        top = gram_top_eigenpairs(gram, c)[0]
+        previous, (gram, scale) = self._grams(kind, 0)
+        _, _, good = gram_top_eigenpairs(*previous, c)
+        top = gram_top_eigenpairs(gram, scale, c)[0]
         passes = []
         qr = np.linalg.qr
         monkeypatch.setattr(
@@ -261,16 +285,17 @@ class TestGramTopEigenpairs:
         # Above lambda_c the cut damps pair c, so the residual barely
         # moves between the first two passes.
         warm = good._replace(cut=1.05 * top[c - 1])
-        _, counters = _solve_counted(gram, c, warm)
-        assert counters == {"anchor.gram.dense": 1.0}
+        _, counters = _solve_counted(gram, scale, c, warm)
+        assert counters["anchor.gram.dense"] == 1.0
+        assert "anchor.gram.warm" not in counters
         assert len(passes) == 2
 
     def test_zero_gram_hands_out_no_warm_start(self):
-        gram = np.zeros((20, 20))
-        values, vectors, warm = gram_top_eigenpairs(gram, 2)
+        gram, scale = np.zeros((20, 20)), np.ones(20)
+        values, vectors, warm = gram_top_eigenpairs(gram, scale, 2)
         # lambda_5 = 0 leaves no positive cut, so the next solve is dense.
         assert warm is None
-        (again, _, following), counters = _solve_counted(gram, 2, warm)
+        (again, _, following), counters = _solve_counted(gram, scale, 2, warm)
         assert counters == {"anchor.gram.dense": 1.0}
         np.testing.assert_array_equal(again, values)
         assert following is None
@@ -291,7 +316,9 @@ class TestGramTopEigenpairs:
         dense = scipy.linalg.eigh(gram, eigvals_only=True)[::-1][: c + 1]
         warm = None
         for _ in range(3):
-            values, vectors, warm = gram_top_eigenpairs(gram, c, warm)
+            values, vectors, warm = gram_top_eigenpairs(
+                gram, np.ones(size), c, warm
+            )
             assert warm is None or warm.cut > 0.0
             np.testing.assert_allclose(
                 values, dense, atol=1e-12 * max(dense[0], 1.0)

@@ -29,6 +29,7 @@ from repro.graph.anchor import anchor_assignment
 from repro.graph.distance import pairwise_cosine_distances, pairwise_sq_euclidean
 from repro.graph.knn import kneighbors
 from repro.linalg.simplex import simplex_projection_rowwise
+from repro.observability import Trace, use_trace
 from repro.serving import ModelArtifact, Predictor
 from repro.serving.predictor import kernel_vote_scores
 
@@ -109,6 +110,42 @@ class TestMemoryGates:
             unit = n * n * current_backend().compute_dtype.itemsize
             _, peak = _peak_bytes(lambda: predictor.predict_scores(queries))
         _assert_within(peak, unit, 1.15, "Predictor.predict_scores")
+
+
+@pytest.mark.memory
+def test_fold_in_gram_embed_forms_no_anchor_square():
+    # The warm F-step applies D C D to a block as d * (C (d * X)): it
+    # allocates less than one (Vm, Vm) float64 array (Vm = 3 x 100).
+    from repro.core.anchor_model import AnchorMVSC, _AnchorFactors
+    from repro.datasets.scenarios import get_scenario, stream_batches
+
+    scenario = get_scenario("clean").with_size(20)
+    batches = stream_batches(scenario, 51, random_state=0)
+    model = AnchorMVSC(4, random_state=0)
+    model.partial_fit(
+        [np.vstack([b.views[v] for b in batches[:50]]) for v in range(3)]
+    )
+    state = model._stream
+    stats = state["stats"].extend(
+        [
+            anchor_assignment(x, a, k=model.n_anchor_neighbors)
+            for x, a in zip(batches[50].views, state["stats"].anchors)
+        ]
+    )
+    w = np.asarray(state["weights"])
+
+    def embed():
+        rep = _AnchorFactors(stats, model, warm=state["warm"])
+        return rep.embed(w, None, None, None)
+
+    trace = Trace("embed")
+    with use_trace(trace):
+        embed()
+    assert trace.metrics.snapshot()["counters"]["anchor.gram.warm"] == 1.0
+    square = stats.gram.nbytes
+    assert stats.gram.shape == (300, 300)
+    _, peak = _peak_bytes(embed)
+    _assert_within(peak, square, 1.0, "fold-in Gram-path embed")
 
 
 # -- the whole-array formulas the blocked kernels replaced ------------------

@@ -186,9 +186,9 @@ class TestPartialFit:
         calls = []
         solve = anchor_model.gram_top_eigenpairs
 
-        def counted(gram, n_pairs, warm=None):
+        def counted(gram, scale, n_pairs, warm=None):
             calls.append(gram.shape)
-            return solve(gram, n_pairs, warm)
+            return solve(gram, scale, n_pairs, warm)
 
         monkeypatch.setattr(anchor_model, "gram_top_eigenpairs", counted)
         model.partial_fit(batches[1].views, refine_iters=2)
